@@ -4,16 +4,18 @@
 //! [`uniserver_orchestrator::deploy_cluster`].
 //!
 //! ```text
-//! layer_replay --nodes N --seed S [--profile flat|flash|chaos|gray]
-//!              [--policy energy-sla|consolidate|reliability-blind]
-//!              [--nominal] [--threads K] [--ticks T] [--samples M]
+//! layer_replay --nodes N --seed S --secs T [--profile flat|flash|chaos|gray]
+//!              [--policy energy-sla|consolidate|reliability-blind] [--nominal]
 //! ```
 //!
-//! The rack serves `T` ticks of its own arrival stream (`Cluster::submit`
-//! fed by `VmStream::tick_arrivals_scaled`, departures at each arrival's
-//! lifetime) and advances with the sequential `Cluster::tick`. Before
-//! each tick, `M` seeded online nodes are replayed on clones, so the
-//! rack itself never sees the timed calls:
+//! The rack serves the whole `T`-second horizon of its own arrival
+//! stream (`Cluster::submit` fed by `VmStream::tick_arrivals_scaled`,
+//! departures at each arrival's lifetime) and advances with the
+//! sequential `Cluster::tick`. The fault campaigns of the orchestrator's
+//! serve loop are not replayed. On [`SAMPLE_TICKS`] ticks spread evenly
+//! over the horizon, [`SAMPLES_PER_TICK`] seeded online nodes are
+//! replayed on clones before the tick, so the rack itself never sees the
+//! timed calls:
 //!
 //! * `Hypervisor::tick` on one clone of the node;
 //! * `ServerNode::run_interval` then `HealthLog::ingest_owned` on a
@@ -21,12 +23,17 @@
 //! * `FailurePredictor::observe` on the first clone's post-tick log,
 //!   against a predictor kept current on every node after every tick.
 //!
+//! Resident-memory growth is summed over the `Cluster::tick` spans only,
+//! so the replay's own predictor, clones and sample buffers do not count;
+//! the memory the clones free is handed back to the kernel before the
+//! tick that follows them, so the rack cannot grow into it unseen.
+//!
 //! After the last tick, seeded nodes that host placements are crashed
 //! and evacuated (`Cluster::recover_from_crash`), and others are
 //! degraded, quarantined and drained (`Cluster::drain_degraded`).
 //!
 //! Prints one JSON object on stdout: per-call medians in microseconds,
-//! sample counts, and the resident-memory growth over the served ticks.
+//! sample counts, and the resident-memory growth per node-hour.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -39,6 +46,10 @@ use uniserver_orchestrator::{deploy_cluster, MarginPolicy, OrchestratorConfig, P
 use uniserver_platform::WorkloadProfile;
 use uniserver_silicon::rng::splitmix64;
 
+/// Ticks on which nodes are sampled, spread evenly over the horizon.
+const SAMPLE_TICKS: u64 = 96;
+/// Nodes sampled on each sampled tick.
+const SAMPLES_PER_TICK: u64 = 4;
 /// Evacuations and drains timed at the end of the replay.
 const LIFECYCLE_SAMPLES: usize = 16;
 /// Migrations per drain call: the standard watchdog's per-tick budget.
@@ -47,24 +58,20 @@ const DRAIN_BUDGET: usize = 4;
 struct Args {
     nodes: usize,
     seed: u64,
+    secs: f64,
     profile: String,
     policy: PolicyKind,
     nominal: bool,
-    threads: usize,
-    ticks: u64,
-    samples: u64,
 }
 
 fn parse() -> Result<Args, String> {
     let mut args = Args {
         nodes: 0,
         seed: 2018,
+        secs: 0.0,
         profile: "flat".into(),
         policy: PolicyKind::EnergySla,
         nominal: false,
-        threads: 1,
-        ticks: 120,
-        samples: 8,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -75,24 +82,18 @@ fn parse() -> Result<Args, String> {
         match flag.as_str() {
             "--nodes" => args.nodes = value()?.parse().map_err(|e| format!("--nodes: {e}"))?,
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--secs" => args.secs = value()?.parse().map_err(|e| format!("--secs: {e}"))?,
             "--profile" => args.profile = value()?,
             "--policy" => {
                 let name = value()?;
                 args.policy = PolicyKind::parse(&name).ok_or(format!("unknown policy '{name}'"))?;
             }
             "--nominal" => args.nominal = true,
-            "--threads" => {
-                args.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
-            "--ticks" => args.ticks = value()?.parse().map_err(|e| format!("--ticks: {e}"))?,
-            "--samples" => {
-                args.samples = value()?.parse().map_err(|e| format!("--samples: {e}"))?
-            }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    if args.nodes == 0 || args.ticks == 0 || args.samples == 0 {
-        return Err("--nodes, --ticks and --samples must be at least 1".into());
+    if args.nodes == 0 || args.secs <= 0.0 || !args.secs.is_finite() {
+        return Err("--nodes and --secs must be positive".into());
     }
     Ok(args)
 }
@@ -106,7 +107,6 @@ fn scenario(args: &Args) -> Result<OrchestratorConfig, String> {
         "gray" => OrchestratorConfig::gray_profile(args.nodes, args.seed),
         other => return Err(format!("unknown profile '{other}'")),
     };
-    config.threads = args.threads;
     config.policy = args.policy;
     if args.nominal {
         config.margins = MarginPolicy::Nominal;
@@ -158,6 +158,24 @@ fn own_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
+/// Hands the memory the allocator holds free back to the kernel, so a
+/// later `VmRSS` rise counts pages the rack touches, not reuse of freed
+/// ones that were still resident.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: glibc's `malloc_trim` takes no pointers; it only returns
+    // free heap pages to the kernel.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_memory() {}
+
 fn micros(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e6
 }
@@ -202,11 +220,14 @@ fn replay(args: &Args) -> Result<String, String> {
     let nodes = config.cluster.nodes;
     let (mut cluster, _, _, _) = deploy_cluster(&config);
 
+    let ticks = (args.secs / dt.as_secs()).ceil() as u64;
+    let stride = (ticks / SAMPLE_TICKS).max(1);
+
     let mut s = Samples::default();
     let mut predictor = FailurePredictor::new();
     let mut departures: BTreeMap<u64, Vec<PlacementId>> = BTreeMap::new();
-    let rss_start = own_rss_kb();
-    for tick in 0..args.ticks {
+    let mut rss_growth_kb = 0i64;
+    for tick in 0..ticks {
         for id in departures.remove(&tick).unwrap_or_default() {
             cluster.terminate_by_id(id);
         }
@@ -223,47 +244,51 @@ fn replay(args: &Args) -> Result<String, String> {
             }
         }
 
-        for j in 0..args.samples {
-            let idx = (splitmix64(args.seed ^ (tick << 16) ^ j) % nodes as u64) as usize;
-            let node = &cluster.nodes()[idx];
-            if !node.is_online() || node.is_asleep() {
-                continue;
+        if tick % stride == stride / 2 {
+            for j in 0..SAMPLES_PER_TICK {
+                let idx = (splitmix64(args.seed ^ (tick << 16) ^ j) % nodes as u64) as usize;
+                let node = &cluster.nodes()[idx];
+                if !node.is_online() || node.is_asleep() {
+                    continue;
+                }
+                let mut ticked = node.hypervisor.clone();
+                let start = Instant::now();
+                black_box(ticked.tick(dt));
+                let tick_us = micros(start);
+
+                let start = Instant::now();
+                black_box(predictor.observe(node.id.0, ticked.health()));
+                s.observe.push(micros(start));
+
+                let mut split = node.hypervisor.clone();
+                let workload = merged_workload(&split);
+                let mut log = split.health().clone();
+                let start = Instant::now();
+                let report = split.node_mut().run_interval(&workload, dt);
+                let run_us = micros(start);
+                s.records.push(report.errors.len() as f64);
+                let start = Instant::now();
+                black_box(log.ingest_owned(report));
+                let ingest_us = micros(start);
+
+                s.hv_tick.push(tick_us);
+                s.run_interval.push(run_us);
+                s.ingest.push(ingest_us);
+                s.containment.push(tick_us - run_us - ingest_us);
             }
-            let mut ticked = node.hypervisor.clone();
-            let start = Instant::now();
-            black_box(ticked.tick(dt));
-            let tick_us = micros(start);
-
-            let start = Instant::now();
-            black_box(predictor.observe(node.id.0, ticked.health()));
-            s.observe.push(micros(start));
-
-            let mut split = node.hypervisor.clone();
-            let workload = merged_workload(&split);
-            let mut log = split.health().clone();
-            let start = Instant::now();
-            let report = split.node_mut().run_interval(&workload, dt);
-            let run_us = micros(start);
-            s.records.push(report.errors.len() as f64);
-            let start = Instant::now();
-            black_box(log.ingest_owned(report));
-            let ingest_us = micros(start);
-
-            s.hv_tick.push(tick_us);
-            s.run_interval.push(run_us);
-            s.ingest.push(ingest_us);
-            s.containment.push(tick_us - run_us - ingest_us);
+            release_free_memory();
         }
 
+        let before = own_rss_kb();
         black_box(cluster.tick(dt));
+        rss_growth_kb += own_rss_kb() as i64 - before as i64;
         for node in cluster.nodes() {
             if node.is_online() && !node.is_asleep() {
                 predictor.update_node(node.id.0, node.hypervisor.health());
             }
         }
     }
-    let rss_growth_kb = own_rss_kb().saturating_sub(rss_start) as f64;
-    let node_hours = nodes as f64 * args.ticks as f64 * dt.as_secs() / 3600.0;
+    let node_hours = nodes as f64 * ticks as f64 * dt.as_secs() / 3600.0;
 
     for idx in seeded_order(nodes, args.seed, 0xC4A5) {
         if s.recover.len() == LIFECYCLE_SAMPLES {
@@ -315,7 +340,7 @@ fn replay(args: &Args) -> Result<String, String> {
         ("hypervisor.containment_self_us", median(s.containment)),
         (
             "hypervisor.rss_growth_kb_per_node_hour",
-            rss_growth_kb / node_hours,
+            rss_growth_kb as f64 / node_hours,
         ),
         ("cloudmgr.submit_us", median(s.submit)),
         ("cloudmgr.recover_from_crash_us", median(s.recover)),

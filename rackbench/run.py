@@ -2,7 +2,7 @@
 """Rack benchmark for `fleet_sim --cluster`.
 
     python3 rackbench/run.py --workload soak-extended [--seed N]
-                             [--workload-seed 2018] [--seconds 35]
+                             [--workload-seed 2018] [--seconds 20]
                              [--trace 0|1]
 
 Builds `fleet_sim` and the layer replay (`rackbench/replay`) from the
@@ -13,18 +13,24 @@ followed, as the last line of stdout, by one JSON object:
 
 Every measurement is taken from outside the program: the summary JSON
 on stdout, the `--bench` timing record, the `--metrics-out` registry,
-`/proc/<pid>/status` and `wait4` rusage for memory and CPU, and timed
-calls into the crates' public functions (the layer replay).
+`wait4` rusage for CPU and peak memory (`ru_maxrss`, the kernel's
+`VmHWM`), `/proc/stat` for the CPU time the hypervisor steals meanwhile,
+and timed calls into the crates' public functions (the layer replay,
+which reads its own `VmRSS` from `/proc`).
 
 A run measures a panel of racks, one fresh `fleet_sim` process per
 member, and reports medians over the panel. Two seeds make the inputs:
 
 * the workload seed (`--workload-seed`, default 2018) fixes each
-  member's simulation seed (`sub_seed`), hence its silicon, arrival
-  stream and fault campaigns. Seed 7919 is held out: no change may be
-  tuned against it, and every claimed gain must also hold on it;
+  member's simulation seed (`sub_seed`), hence its silicon and arrival
+  stream. Seed 7919 is held out: no change may be tuned against it, and
+  every claimed gain must also hold on it;
 * the run seed (`--seed`) draws each member's horizon, a few ticks
-  past the workload's nominal one (`member_secs`).
+  past the workload's nominal one (`member_secs`). `fleet_sim` anchors
+  the chaos and gray campaigns (rack failure, cooling, brownout, gray
+  durations) to fractions of the horizon, so on those two workloads
+  the run seed also shifts the campaign windows, and the simulated
+  outcomes move with it by a few per cent.
 
 The split is deliberate. One simulation seed's rack is a heavy-tailed
 draw: at 64 nodes, peak RSS ranges from 136 to 1050 MB and serve cost
@@ -34,7 +40,10 @@ a host-time bound; a fixed panel with run-seeded horizons does. The
 panel size is a function of the workload and `--seconds` only, never of
 how fast the build runs.
 
-`--trace 0` runs the panel untraced and reports the end-to-end metrics.
+`--trace 0` runs the panel untraced, `REPS` times over in interleaved
+rounds, and reports the end-to-end metrics. Host time and memory take
+each member's fastest repetition before the median over members, since
+other tenants on the host only ever slow a process down.
 `--trace 1` runs the layer replay, then each member untraced and traced
 (`--metrics-out`, `--trace-out`), and reports the per-layer metrics,
 including the tracing overhead.
@@ -43,10 +52,14 @@ Correctness gate: every process must exit 0, and its summary must
 satisfy `offered = placed + abandoned` and
 `placed = completed + evicted + live_at_end`. Runs of the same
 simulation seed must print byte-identical stdout: untraced runs repeat
-member 0 at another `--threads` value, and traced runs repeat each
-member with tracing on. A traced run's registry must count the
-summary's arrivals and placements. A process that breaks any of these
-counts as failed.
+every member and run member 0 once more at another `--threads` value,
+and traced runs repeat each member with tracing on. A traced run's
+registry must count the summary's arrivals and placements. A process
+that breaks any of these counts as failed. The report prints a sha256
+digest of each member's stdout; since the horizons follow `--seed`, a
+change that claims to alter speed only must reproduce those digests at
+the same `--seed` and `--workload-seed`. The bounds on the simulated
+metrics alone are looser than that.
 
 """
 
@@ -55,6 +68,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -86,6 +100,7 @@ WORKLOADS = {
         "threads": 2,
         "check_threads": 1,
         "process_s": 2.7,
+        "replay_s": 11.0,
     },
     # Quiet nodes: the platform is almost all node-tick cost and the
     # predictor and HealthLog scoring do little, so this is the bypass
@@ -97,6 +112,7 @@ WORKLOADS = {
         "threads": 2,
         "check_threads": 1,
         "process_s": 2.4,
+        "replay_s": 5.5,
     },
     # Placement, manage, recovery and drain take a large share of serve
     # time and many nodes sleep. One thread bypasses the shard pool: the
@@ -107,6 +123,7 @@ WORKLOADS = {
         "threads": 1,
         "check_threads": 2,
         "process_s": 2.9,
+        "replay_s": 9.0,
     },
 }
 
@@ -182,13 +199,10 @@ PER_LAYER = {
     **REPLAY_METRICS,
 }
 
-# Replay ticks and sampled node-intervals per tick.
-REPLAY_TICKS = 240
-REPLAY_SAMPLES = 8
-
 MIN_PANEL = 3
+# Timed repetitions of each panel member in an untraced run.
+REPS = 2
 PROCESS_TIMEOUT_S = 150.0
-POLL_S = 0.02
 
 
 class SetupError(Exception):
@@ -209,24 +223,19 @@ def quartiles(values):
 
 # --- /proc ------------------------------------------------------------
 
-def parse_status_kb(text, field):
-    """A `kB` field such as `VmHWM` or `VmRSS` from `/proc/<pid>/status`
-    text, in KiB; None when the field is absent (an exited process)."""
-    prefix = field + ":"
-    for line in text.splitlines():
-        if line.startswith(prefix):
-            parts = line[len(prefix):].split()
-            if parts and parts[0].isdigit():
-                return int(parts[0])
-    return None
+def parse_steal_ticks(stat):
+    """Clock ticks the hypervisor took from this machine's CPUs (the
+    `steal` column of the aggregate `cpu` line of `/proc/stat`)."""
+    for line in stat.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            return int(fields[8]) if len(fields) > 8 else 0
+    raise ValueError("no aggregate cpu line")
 
 
-def read_status_kb(pid, field):
-    try:
-        with open(f"/proc/{pid}/status") as f:
-            return parse_status_kb(f.read(), field)
-    except OSError:
-        return None
+def steal_s():
+    with open("/proc/stat") as f:
+        return parse_steal_ticks(f.read()) / os.sysconf("SC_CLK_TCK")
 
 
 # --- correctness ------------------------------------------------------
@@ -268,41 +277,35 @@ def digest_mismatches(digests):
 
 def run_measured(cmd, stdout_path):
     """Runs `cmd` with stdout to a file. Returns wall, CPU, peak RSS and
-    the exit code, measured from outside: a waiter thread reaps the child
-    with `wait4` (rusage), while this thread samples `VmHWM`."""
+    the exit code, and the host's steal time meanwhile, measured from
+    outside: `wait4` reaps the child with
+    its rusage, whose `ru_maxrss` is the kernel's resident high-water
+    mark, the counter `/proc/<pid>/status` shows as `VmHWM`."""
     with open(stdout_path, "wb") as out:
+        steal_start = steal_s()
         start = time.perf_counter()
         proc = subprocess.Popen(cmd, stdout=out, cwd=ROOT)
-        reaped = {}
-
-        def reap():
-            _, status, usage = os.wait4(proc.pid, 0)
-            reaped["end"] = time.perf_counter()
-            reaped["status"] = status
-            reaped["usage"] = usage
-
-        waiter = threading.Thread(target=reap)
-        waiter.start()
-        hwm_kb = 0
+        watchdog = threading.Timer(PROCESS_TIMEOUT_S, proc.kill)
+        watchdog.start()
         try:
-            while waiter.is_alive():
-                hwm_kb = max(hwm_kb, read_status_kb(proc.pid, "VmHWM") or 0)
-                if time.perf_counter() - start > PROCESS_TIMEOUT_S:
-                    proc.kill()
-                waiter.join(POLL_S)
+            _, status, usage = os.wait4(proc.pid, 0)
+            end = time.perf_counter()
+        except BaseException:
+            # Interrupted (SIGTERM or ^C): take the child down with us.
+            proc.kill()
+            proc.wait()
+            raise
         finally:
-            if waiter.is_alive():
-                proc.kill()
-            waiter.join()
-        proc.returncode = os.waitstatus_to_exitcode(reaped["status"])
-    usage = reaped["usage"]
+            watchdog.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "exit": proc.returncode,
-        "wall_s": reaped["end"] - start,
+        "wall_s": end - start,
         "cpu_s": usage.ru_utime + usage.ru_stime,
-        # ru_maxrss is the kernel's high-water mark (the counter VmHWM
-        # shows); the sampled VmHWM can only trail it.
-        "peak_rss_mb": max(hwm_kb, usage.ru_maxrss) / 1024.0,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        # CPU time the host took from this machine while the child ran:
+        # it stretches wall-clock figures but not `cpu_s`.
+        "steal_s": steal_s() - steal_start,
     }
 
 
@@ -322,18 +325,18 @@ def sub_seed(workload_seed, k):
 
 def member_secs(spec, run_seed, k):
     """Horizon of member `k`: the workload's nominal horizon plus
-    0..JITTER_TICKS-1 ticks, a pure function of `(run_seed, k)`."""
+    0..JITTER_TICKS-1 ticks, a pure function of `(run_seed, k)`. Passed
+    as `--secs`, it also places the chaos and gray campaign windows."""
     draw = hashlib.sha256(f"{run_seed}:{k}".encode()).digest()
     return spec["secs"] + TICK_S * (int.from_bytes(draw[:8], "big") % JITTER_TICKS)
 
 
-def panel_size(spec, seconds, per_member):
-    """Panel members that fit the run when each costs `per_member`
-    processes of the workload's calibrated time, one such slot kept for
-    the run's extra process (the cross-thread check or the replay). A
-    pure function of the arguments, so a faster build measures the same
+def panel_size(spec, budget_s, per_member):
+    """Panel members that fit `budget_s` seconds when each costs
+    `per_member` processes of the workload's calibrated time. A pure
+    function of the arguments, so a faster build measures the same
     inputs, not more of them."""
-    return max(MIN_PANEL, int(seconds // (spec["process_s"] * per_member)) - 1)
+    return max(MIN_PANEL, int(budget_s // (spec["process_s"] * per_member)))
 
 
 class Bench:
@@ -385,8 +388,7 @@ class Bench:
     def replay_run(self):
         spec = self.spec
         cmd = [self.replay, *spec["flags"], "--seed", str(sub_seed(self.workload_seed, 0)),
-               "--threads", str(spec["threads"]), "--ticks", str(REPLAY_TICKS),
-               "--samples", str(REPLAY_SAMPLES)]
+               "--secs", str(spec["secs"])]
         out = self.tmp / "replay.out"
         run = run_measured(cmd, out)
         run["errors"] = []
@@ -413,18 +415,24 @@ def mark_digest_failures(runs):
             group[i]["errors"].append("stdout differs from another run of the same seed")
 
 
-def panel_values(runs):
-    """Per-member end-to-end values of the good timed runs."""
+def panel_values(members):
+    """Per-member end-to-end values of the good timed runs, given as one
+    list of repetitions per member. Host-time and memory figures take
+    each member's least disturbed repetition (the minimum): interference
+    from other tenants only ever slows a process down. The simulated
+    outcomes are the same in every repetition."""
+    def least(f):
+        return [min(f(r) for r in reps) for reps in members]
+
     values = {
-        "setup_s": [r["record"]["deploy_ms"] / 1e3 for r in runs],
-        "serve_us_per_node_tick": [
-            r["record"]["serve_ms"] * 1e3 / (r["summary"]["nodes"] * r["summary"]["ticks"])
-            for r in runs],
-        "wall_s": [r["wall_s"] for r in runs],
-        "cpu_s": [r["cpu_s"] for r in runs],
-        "peak_rss_mb": [r["peak_rss_mb"] for r in runs],
+        "setup_s": least(lambda r: r["record"]["deploy_ms"] / 1e3),
+        "serve_us_per_node_tick": least(
+            lambda r: r["record"]["serve_ms"] * 1e3 / (r["summary"]["nodes"] * r["summary"]["ticks"])),
+        "wall_s": least(lambda r: r["wall_s"]),
+        "cpu_s": least(lambda r: r["cpu_s"]),
+        "peak_rss_mb": least(lambda r: r["peak_rss_mb"]),
     }
-    summaries = [r["summary"] for r in runs]
+    summaries = [reps[0]["summary"] for reps in members]
     values["sim_energy_mj"] = [s["energy_j"] / 1e6 for s in summaries]
     values["vm_served_frac"] = [1.0 - (s["abandoned"] + s["evicted"]) / s["offered"] for s in summaries]
     values["sla_met_frac"] = [1.0 - s["sla_violations"] / s["placed"] for s in summaries]
@@ -436,14 +444,18 @@ def panel_values(runs):
 
 def measure_untraced(bench, seconds):
     spec = bench.spec
-    members = panel_size(spec, seconds, 1)
+    # One process slot goes to the cross-thread check.
+    members = panel_size(spec, seconds - spec["process_s"], REPS)
     # Member 0 once more at another worker count: the cross-thread
     # byte-compare. It runs first, which also warms the page cache.
     check = bench.fleet_sim_run(0, spec["check_threads"])
-    timed = [bench.fleet_sim_run(k, spec["threads"]) for k in range(members)]
+    # The repetitions interleave, so a burst of interference lands on
+    # different members in each round.
+    timed = [bench.fleet_sim_run(k, spec["threads"]) for _ in range(REPS) for k in range(members)]
     runs = [check] + timed
     mark_digest_failures(runs)
-    good = [r for r in timed if not r["errors"]]
+    good = [reps for reps in (timed[k::members] for k in range(members))
+            if not any(r["errors"] for r in reps)]
     return runs, panel_values(good) if good else {}, END_TO_END
 
 
@@ -479,7 +491,7 @@ def measure_traced(bench, seconds):
     # the simulation, and the pair gives the tracing overhead.
     pairs = [(bench.fleet_sim_run(k, spec["threads"]),
               bench.fleet_sim_run(k, spec["threads"], traced=True))
-             for k in range(panel_size(spec, seconds, 2))]
+             for k in range(panel_size(spec, seconds - spec["replay_s"], 2))]
     runs = [r for pair in pairs for r in pair]
     mark_digest_failures(runs)
     runs.append(replay)
@@ -498,7 +510,7 @@ def measure_traced(bench, seconds):
 
 # --- reporting --------------------------------------------------------
 
-def host_context(bench):
+def host_context(bench, runs):
     try:
         rustc = subprocess.run(["rustc", "--version"], capture_output=True, text=True,
                                check=True).stdout.strip()
@@ -509,8 +521,12 @@ def host_context(bench):
             host_cores = sum(1 for l in f if l.startswith("processor"))
     except OSError:
         host_cores = 0
+    wall = sum(r["wall_s"] for r in runs)
+    steal = sum(r["steal_s"] for r in runs)
     return (f"host: nproc {len(os.sched_getaffinity(0))}, threads {bench.spec['threads']}, "
-            f"host_cores {host_cores}, {rustc}, build profile release")
+            f"host_cores {host_cores}, {rustc}, build profile release\n"
+            f"host steal: {steal:.2f} CPU-s taken by the hypervisor over {wall:.1f} s of "
+            f"process wall time ({steal / (wall * len(os.sched_getaffinity(0))):.1%} of capacity)")
 
 
 CAVEATS = [
@@ -524,7 +540,7 @@ def report(bench, runs, values, units, trace):
     print(f"rackbench: workload {bench.name}, run seed {bench.run_seed}, workload seed "
           f"{bench.workload_seed} (held out: {HELD_OUT_WORKLOAD_SEED}), trace {trace}, "
           f"{len(runs)} processes")
-    print(host_context(bench))
+    print(host_context(bench, runs))
     for line in CAVEATS:
         print(line)
     print(f"{'metric':<42} {'median':>14} {'q1':>14} {'q3':>14} {'n':>3}  unit")
@@ -547,7 +563,8 @@ def report(bench, runs, values, units, trace):
             print(f"replay: {replay['replay.intervals']:.0f} node-intervals, "
                   f"{replay['replay.submits']:.0f} submits")
     else:
-        summaries = [r["summary"] for r in runs if "summary" in r and r["threads"] == bench.spec["threads"]]
+        by_seed = {r["seed"]: r["summary"] for r in runs if "summary" in r}
+        summaries = list(by_seed.values())
         if summaries:
             total = {k: sum(s[k] for s in summaries)
                      for k in ("offered", "placed", "abandoned", "evicted", "sla_violations")}
@@ -607,9 +624,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="run seed: member horizons")
     parser.add_argument("--workload-seed", type=int, default=DEFAULT_WORKLOAD_SEED,
                         help="fixes the panel's racks; %d is held out" % HELD_OUT_WORKLOAD_SEED)
-    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    # A terminated run unwinds like ^C, so no child outlives it.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     if args.seed < 0 or args.workload_seed < 0 or args.seconds <= 0:
         parser.error("seeds must be non-negative and --seconds positive")
     try:

@@ -39,18 +39,19 @@ class Quartiles(unittest.TestCase):
             run.quartiles([])
 
 
-class StatusParser(unittest.TestCase):
-    STATUS = "Name:\tfleet_sim\nVmPeak:\t  900 kB\nVmHWM:\t  812344 kB\nVmRSS:\t  790000 kB\n"
+class StatParser(unittest.TestCase):
+    STAT = ("cpu  582077 0 65031 1549863 301 0 4438 12212 0 0\n"
+            "cpu0 291000 0 32000 774000 150 0 2200 6100 0 0\n")
 
-    def test_reads_kib_fields(self):
-        self.assertEqual(run.parse_status_kb(self.STATUS, "VmHWM"), 812344)
-        self.assertEqual(run.parse_status_kb(self.STATUS, "VmRSS"), 790000)
+    def test_reads_the_aggregate_steal_column(self):
+        self.assertEqual(run.parse_steal_ticks(self.STAT), 12212)
 
-    def test_absent_field_of_an_exited_process(self):
-        self.assertIsNone(run.parse_status_kb("Name:\tfleet_sim\nState:\tZ (zombie)\n", "VmHWM"))
+    def test_old_kernels_without_steal_read_zero(self):
+        self.assertEqual(run.parse_steal_ticks("cpu  1 2 3 4 5 6 7\n"), 0)
 
-    def test_prefix_must_match_the_whole_field(self):
-        self.assertIsNone(run.parse_status_kb("VmHWMx:\t12 kB\n", "VmHWM"))
+    def test_missing_aggregate_line_is_an_error(self):
+        with self.assertRaises(ValueError):
+            run.parse_steal_ticks("cpu0 1 2 3 4 5 6 7 8\n")
 
 
 class Identities(unittest.TestCase):
@@ -92,6 +93,23 @@ class Digests(unittest.TestCase):
         self.assertEqual([len(r["errors"]) for r in runs], [0, 0, 1, 1])
 
 
+class PanelValues(unittest.TestCase):
+    @staticmethod
+    def rep(serve_ms, wall_s):
+        summary = {"nodes": 2, "ticks": 10, "energy_j": 5e6, "offered": 10, "placed": 8,
+                   "abandoned": 2, "evicted": 1, "sla_violations": 2, "mean_availability": 0.99}
+        return {"record": {"deploy_ms": 40.0, "serve_ms": serve_ms}, "summary": summary,
+                "wall_s": wall_s, "cpu_s": wall_s, "peak_rss_mb": 100.0}
+
+    def test_host_time_takes_each_members_fastest_repetition(self):
+        values = run.panel_values([[self.rep(4.0, 3.0), self.rep(2.0, 5.0)],
+                                   [self.rep(8.0, 7.0), self.rep(9.0, 6.0)]])
+        self.assertEqual(values["serve_us_per_node_tick"], [100.0, 400.0])
+        self.assertEqual(values["wall_s"], [3.0, 6.0])
+        self.assertEqual(values["vm_served_frac"], [0.7, 0.7])
+        self.assertEqual(values["sla_met_frac"], [0.75, 0.75])
+
+
 class Inputs(unittest.TestCase):
     def test_member_seeds_are_distinct_across_members_and_workload_seeds(self):
         seeds = {run.sub_seed(w, k) for w in (2018, 2019, 7919) for k in range(64)}
@@ -108,7 +126,7 @@ class Inputs(unittest.TestCase):
 
     def test_panel_size_depends_only_on_its_arguments(self):
         spec = run.WORKLOADS["gray-consolidate"]
-        self.assertEqual(run.panel_size(spec, 35, 1), int(35 // spec["process_s"]) - 1)
+        self.assertEqual(run.panel_size(spec, 35, 1), int(35 // spec["process_s"]))
         self.assertEqual(run.panel_size(spec, 1, 2), run.MIN_PANEL)
 
 
