@@ -1,0 +1,147 @@
+//! Golden behaviour lock: the cluster simulator's deterministic
+//! artefacts are pinned to committed digests, not only to each other
+//! across worker counts.
+//!
+//! The matrix is 64 nodes × 15 simulated minutes × {flat, flash, chaos,
+//! gray} × every placement policy × {extended, nominal} margins, each at
+//! 1 and 3 workers. Every run hashes the summary JSON (the exact render
+//! `fleet_sim --cluster` prints) and the metrics registry (the exact
+//! `--metrics-out` body) with 64-bit FNV-1a, and both digests must equal
+//! the committed pair. A behaviour change that is identical at every
+//! thread count therefore still fails here.
+//!
+//! On a mismatch the failure names each scenario and prints its new
+//! table row. A change that is *meant* to move the output replaces the
+//! rows in [`GOLDEN`] with the printed ones, and says so in its commit.
+
+use uniserver_bench::cluster::summary_to_json;
+use uniserver_orchestrator::{
+    run_with_telemetry, ChaosPlan, MarginPolicy, MetricsRegistry, OrchestratorConfig, PolicyKind,
+    Telemetry,
+};
+use uniserver_units::Seconds;
+
+const NODES: usize = 64;
+const SEED: u64 = 2018;
+const HORIZON_SECS: f64 = 900.0;
+const THREADS: [usize; 2] = [1, 3];
+
+/// `(profile/policy/margins, summary digest, metrics digest)`.
+const GOLDEN: [(&str, u64, u64); 24] = [
+    ("flat/energy-sla/extended", 0x4716b53d4f6008cd, 0x1bb27a25ab55af1f),
+    ("flat/energy-sla/nominal", 0x49b596bf1b5dcb0f, 0x82262d828cd5d569),
+    ("flat/consolidate/extended", 0xae8c072c6f276ec2, 0x147dfe6f7dc6ecbe),
+    ("flat/consolidate/nominal", 0x2a527bb8020511c8, 0x94f374270953d00f),
+    ("flat/reliability-blind/extended", 0x1d0cb285f4eb1c16, 0xe4fe9191208c72c6),
+    ("flat/reliability-blind/nominal", 0xe83437aa2dfdf0ad, 0x82262d828cd5d569),
+    ("flash/energy-sla/extended", 0x6a71907afa06c773, 0x97be7331004c7372),
+    ("flash/energy-sla/nominal", 0x13fff7f3354d07a9, 0x694da2c88cd27add),
+    ("flash/consolidate/extended", 0xe244b5890ec0be7d, 0xf712b210e1fafe47),
+    ("flash/consolidate/nominal", 0xaa19266c363df6bf, 0x0cb11b9efe3dcbfc),
+    ("flash/reliability-blind/extended", 0x984483e20c07232b, 0xf4a68f033d06b056),
+    ("flash/reliability-blind/nominal", 0xfa1b0c95974124f7, 0x694da2c88cd27add),
+    ("chaos/energy-sla/extended", 0xc2068fcfe9c2cedc, 0x6827ac405d8b8ace),
+    ("chaos/energy-sla/nominal", 0xf4d84c5dfc44d41a, 0xe2bf680f470dda15),
+    ("chaos/consolidate/extended", 0x4024b6f0e6d30ed1, 0x46a287f6accf9688),
+    ("chaos/consolidate/nominal", 0xcfda1662f291afc7, 0xc0131f39f99447fe),
+    ("chaos/reliability-blind/extended", 0x78878dba10eda015, 0x5a9808a57a18b710),
+    ("chaos/reliability-blind/nominal", 0x3ab01a994f202cf0, 0xe2bf680f470dda15),
+    ("gray/energy-sla/extended", 0xa9eea608f1228f6f, 0x7226146630b07dd6),
+    ("gray/energy-sla/nominal", 0x73add9728dff3a1b, 0x1012b043384c5fd8),
+    ("gray/consolidate/extended", 0x6713e45164b82b60, 0x84814d3187c75e88),
+    ("gray/consolidate/nominal", 0xd716f7d0eaf79433, 0x8b67fd797930f144),
+    ("gray/reliability-blind/extended", 0x7eae6415f645b28c, 0x93ca0b8b914c52c4),
+    ("gray/reliability-blind/nominal", 0x2c7424b2927414f5, 0x0155c4cffc2ac6e6),
+];
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The configuration `fleet_sim --cluster --nodes 64 --secs 900
+/// --profile P --policy Q [--nominal]` runs, including its re-derivation
+/// of the fault campaigns for the shortened horizon.
+fn scenario(name: &str) -> OrchestratorConfig {
+    let mut parts = name.split('/');
+    let (profile, policy, margins) = (parts.next(), parts.next(), parts.next());
+    let mut config = match profile {
+        Some("flat") => OrchestratorConfig::datacenter(NODES, SEED),
+        Some("flash") => OrchestratorConfig::flash_crowd(NODES, SEED),
+        Some("chaos") => OrchestratorConfig::chaos_profile(NODES, SEED),
+        Some("gray") => OrchestratorConfig::gray_profile(NODES, SEED),
+        other => panic!("unknown profile {other:?} in {name}"),
+    };
+    config.horizon = Seconds::new(HORIZON_SECS);
+    match profile {
+        Some("chaos") => config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks())),
+        Some("gray") => {
+            config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), NODES as u32));
+        }
+        _ => {}
+    }
+    config.policy = policy
+        .and_then(PolicyKind::parse)
+        .unwrap_or_else(|| panic!("unknown policy in {name}"));
+    config.margins = match margins {
+        Some("extended") => MarginPolicy::Extended,
+        Some("nominal") => MarginPolicy::Nominal,
+        other => panic!("unknown margins {other:?} in {name}"),
+    };
+    config
+}
+
+/// `(summary digest, metrics digest)` of one run.
+fn digests(config: &OrchestratorConfig) -> (u64, u64) {
+    let mut tel = Telemetry::disabled();
+    tel.metrics = Some(MetricsRegistry::new());
+    let (summary, _) = run_with_telemetry(config, &mut tel);
+    let metrics = tel.metrics.take().expect("metrics registry was enabled").to_json();
+    (fnv1a(summary_to_json(&summary, true).as_bytes()), fnv1a(metrics.as_bytes()))
+}
+
+fn check_profile(profile: &str) {
+    let prefix = format!("{profile}/");
+    let rows: Vec<_> = GOLDEN.iter().filter(|(name, ..)| name.starts_with(&prefix)).collect();
+    assert_eq!(rows.len(), 6, "{profile}: expected one row per policy × margins");
+    let mut mismatches = Vec::new();
+    for &&(name, summary, metrics) in &rows {
+        for threads in THREADS {
+            let mut config = scenario(name);
+            config.threads = threads;
+            let got = digests(&config);
+            if got != (summary, metrics) {
+                mismatches.push(format!(
+                    "{name} at {threads} threads: new row (\"{name}\", {:#018x}, {:#018x}),",
+                    got.0, got.1
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "golden digests changed:\n{}", mismatches.join("\n"));
+}
+
+#[test]
+fn flat_runs_match_the_golden_digests() {
+    check_profile("flat");
+}
+
+#[test]
+fn flash_runs_match_the_golden_digests() {
+    check_profile("flash");
+}
+
+#[test]
+fn chaos_runs_match_the_golden_digests() {
+    check_profile("chaos");
+}
+
+#[test]
+fn gray_runs_match_the_golden_digests() {
+    check_profile("gray");
+}
