@@ -87,7 +87,7 @@ fn ablation_slack(c: &mut Criterion) {
             voltage_slack_mv: slack,
             ..StressTargetParams::quick()
         });
-        let margins = daemon.characterize(&mut node, None);
+        let margins = daemon.characterize(&mut node);
         println!(
             "[ablation] slack {slack} mV -> node-safe offset {:.0} mV",
             margins.node_safe_offset_mv()
@@ -99,7 +99,7 @@ fn ablation_slack(c: &mut Criterion) {
                     voltage_slack_mv: s,
                     ..StressTargetParams::quick()
                 });
-                black_box(daemon.characterize(&mut node, None))
+                black_box(daemon.characterize(&mut node))
             });
         });
     }
@@ -143,7 +143,7 @@ fn ablation_suite(c: &mut Criterion) {
             },
             ..StressTargetParams::quick()
         });
-        let margins = daemon.characterize(&mut node, None);
+        let margins = daemon.characterize(&mut node);
         println!(
             "[ablation] suite {label}: node-safe offset {:.0} mV",
             margins.node_safe_offset_mv()
@@ -160,7 +160,7 @@ fn ablation_suite(c: &mut Criterion) {
                     },
                     ..StressTargetParams::quick()
                 });
-                black_box(daemon.characterize(&mut node, None))
+                black_box(daemon.characterize(&mut node))
             });
         });
     }

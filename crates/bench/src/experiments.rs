@@ -472,7 +472,7 @@ pub fn compare(seed: u64) -> String {
 pub fn margins(seed: u64) -> String {
     let mut node = ServerNode::new(PartSpec::arm_microserver(), seed);
     let mut daemon = StressLog::new(StressTargetParams::quick());
-    let margins = daemon.characterize(&mut node, None);
+    let margins = daemon.characterize(&mut node);
     let mut t = Table::new(vec!["core", "safe undervolt (mV)", "(% of nominal)"]);
     let nominal_mv = node.part().nominal_voltage.as_millivolts();
     for (core, &mv) in margins.per_core_safe_offset_mv.iter().enumerate() {

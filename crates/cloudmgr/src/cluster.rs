@@ -198,13 +198,13 @@ struct NodeAdvance {
     energy: Joules,
     /// Crash events the platform surfaced this tick, in drain order.
     crash_events: Vec<CrashEvent>,
-    /// The predictor's worker-side log-scan outcome, applied during the
+    /// The predictor's worker-side scoring outcome, applied during the
     /// sequential reduce.
     score: ScoreUpdate,
 }
 
 /// One node through the parallel phase of a sharded tick: hypervisor
-/// tick plus the predictor's immutable log scan. Touches only the node
+/// tick plus the predictor's immutable scoring. Touches only the node
 /// itself and the (shared, read-only) predictor, so shards never race.
 fn advance_node(node: &mut ManagedNode, predictor: &FailurePredictor, duration: Seconds) -> NodeAdvance {
     let outcome = node.tick(duration);
@@ -584,7 +584,7 @@ impl Cluster {
 
     /// Re-runs the failure predictor over every asleep node — the slow
     /// clock behind recoverable parks. A sleeping node's hypervisor log
-    /// is frozen, so each visit is a no-new-lines observation and the
+    /// is frozen, so each visit is a no-new-events observation and the
     /// predictor's silent decay ages the rolling error score down
     /// exactly as it would were the node awake and idle: a node parked
     /// mid-reliability-dip recovers towards 1.0 while it sleeps instead

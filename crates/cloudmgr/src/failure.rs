@@ -3,52 +3,39 @@
 //! "These techniques generally leverage machine learning or statistical
 //! analysis techniques to process the log data generated from the
 //! physical or virtual servers" — here: a message-pattern scorer over
-//! the HealthLog's logfile plus an error-rate trend detector, fused into
-//! a node reliability score in `[0, 1]`. UniServer's contribution is the
-//! *integration*: the score feeds the scheduler and the proactive
+//! the HealthLog's typed event counts (a crash, and each error record by
+//! severity, is one pattern occurrence) with a silent-log decay, fused
+//! into a node reliability score in `[0, 1]`. UniServer's contribution
+//! is the *integration*: the score feeds the scheduler and the proactive
 //! migrator directly.
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use uniserver_healthlog::HealthLog;
+use uniserver_healthlog::{EventCounts, HealthLog};
 
-/// Weights learned-by-construction for log-message patterns: how
-/// strongly each pattern signals an imminent failure (after ref [24]'s
-/// message-pattern classification).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PatternWeights {
-    patterns: Vec<(String, f64)>,
+/// Per-occurrence pattern weights, learned-by-construction after ref
+/// [24]'s message-pattern classification: crash markers and uncorrected
+/// errors dominate, corrected errors contribute mildly.
+const CRASH_WEIGHT: f64 = 3.0;
+const UE_WEIGHT: f64 = 1.2;
+const FATAL_WEIGHT: f64 = 3.0;
+const CE_WEIGHT: f64 = 0.15;
+
+/// Scores one event interval: each occurrence contributes its weight
+/// (an interval reporting thirty corrected errors is thirty times the
+/// evidence of one reporting a single error).
+fn event_score(e: &EventCounts) -> f64 {
+    f64::from(u8::from(e.crashed)) * CRASH_WEIGHT
+        + e.ue as f64 * UE_WEIGHT
+        + e.fatal as f64 * FATAL_WEIGHT
+        + e.ce as f64 * CE_WEIGHT
 }
 
-impl PatternWeights {
-    /// The default pattern book: uncorrected errors and crash markers
-    /// dominate; corrected errors contribute mildly; stress-test notes
-    /// are neutral-ish.
-    #[must_use]
-    pub fn default_book() -> Self {
-        PatternWeights {
-            patterns: vec![
-                ("crashed=true".into(), 3.0),
-                ("err[UE@".into(), 1.2),
-                ("err[FATAL@".into(), 3.0),
-                ("err[CE@".into(), 0.15),
-                ("stresslog: begin".into(), 0.05),
-            ],
-        }
-    }
-
-    /// Scores one log line: each pattern contributes its weight once
-    /// per occurrence (a line reporting thirty corrected errors is
-    /// thirty times the evidence of a line reporting one).
-    #[must_use]
-    pub fn score_line(&self, line: &str) -> f64 {
-        self.patterns
-            .iter()
-            .map(|(p, w)| line.matches(p.as_str()).count() as f64 * w)
-            .sum()
-    }
+/// The summed score of the log's retained event window, oldest first.
+fn window_score(health: &HealthLog) -> f64 {
+    health.recent_events().iter().map(event_score).sum()
 }
 
 /// What one predictor update should do to a node's rolling score — the
@@ -58,31 +45,20 @@ impl PatternWeights {
 /// state write-back sequential (and therefore deterministic).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ScoreUpdate {
-    /// The log did not grow: decay the rolling score one step.
+    /// The log logged no event: decay the rolling score one step.
     Decay,
-    /// The log grew: fold the new lines' scores into the rolling window.
+    /// The log logged events: the rolling score becomes the window's.
     Rescore {
-        /// Log length consumed by the scan.
+        /// Lifetime event count the score covers.
         consumed: usize,
-        /// Pattern scores of the log lines appended since the last
-        /// apply, capped at the window size (earlier appends scrolled
-        /// straight out). Log lines are immutable once written, so a
-        /// line is pattern-matched **once** in its lifetime — the
-        /// write-back keeps a per-node window of these cached scores
-        /// and re-sums it in line order, which is bit-identical to
-        /// re-scanning the whole window (same addends, same order) at
-        /// a fraction of the string-matching cost.
-        line_scores: Vec<f64>,
+        /// Score of the log's retained event window.
+        score: f64,
     },
 }
 
 /// The failure predictor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailurePredictor {
-    /// Pattern book for log scoring.
-    pub patterns: PatternWeights,
-    /// How many of the most recent log lines are considered.
-    pub window_lines: usize,
     /// Log-score at which reliability reaches ~0.27 (e^-1.3).
     pub score_scale: f64,
     /// Per-update decay of the rolling score while a node's log stays
@@ -90,102 +66,60 @@ pub struct FailurePredictor {
     /// since its last event gradually regains trust (and re-enters the
     /// scheduler's pool) instead of being quarantined forever.
     pub silent_decay: f64,
-    /// Per-node count of log lines already consumed (so scoring is
-    /// incremental, "minimal overhead and non-intrusive").
-    consumed: HashMap<u32, usize>,
-    /// Per-node rolling score: a node whose log did not grow since the
-    /// last update decays its memoized score instead of re-scanning —
-    /// the cluster loop calls this for every node every tick.
-    scores: HashMap<u32, f64>,
-    /// Per-node window of cached per-line pattern scores (the last
-    /// `window_lines` log lines, oldest first). Lines are scored once,
-    /// on the worker that observed them; the window re-sums in line
-    /// order so the rolling score stays bit-identical to a full window
-    /// re-scan.
-    windows: HashMap<u32, Vec<f64>>,
+    /// Per-node `(events consumed, rolling score)`: a node whose log
+    /// logged no event since the last update decays its score instead
+    /// of re-scoring — the cluster loop calls this for every node every
+    /// tick.
+    scores: HashMap<u32, (usize, f64)>,
 }
 
 impl FailurePredictor {
-    /// Creates a predictor with the default pattern book.
+    /// Creates a predictor.
     #[must_use]
     pub fn new() -> Self {
-        FailurePredictor {
-            patterns: PatternWeights::default_book(),
-            window_lines: 64,
-            score_scale: 4.0,
-            silent_decay: 0.97,
-            consumed: HashMap::new(),
-            scores: HashMap::new(),
-            windows: HashMap::new(),
-        }
+        FailurePredictor { score_scale: 4.0, silent_decay: 0.97, scores: HashMap::new() }
     }
 
     /// Scores a node's health log into a reliability value in `[0, 1]`:
     /// `exp(-window_score / scale)`. A silent log scores 1.0.
     #[must_use]
     pub fn reliability(&self, health: &HealthLog) -> f64 {
-        let lines = health.logfile();
-        let start = lines.len().saturating_sub(self.window_lines);
-        let score: f64 = lines[start..].iter().map(|l| self.patterns.score_line(l)).sum();
-        (-score / self.score_scale).exp()
+        (-window_score(health) / self.score_scale).exp()
     }
 
     /// Incremental variant keyed by node id: the log is only re-scored
-    /// when it grew since the last update (healthy nodes with silent
-    /// logs cost one HashMap probe — the cluster loop polls every node
-    /// every tick), and while it stays silent the rolling score decays
-    /// by [`FailurePredictor::silent_decay`] per update, so past error
+    /// when it logged an event since the last update, and while it stays
+    /// silent the rolling score decays by
+    /// [`FailurePredictor::silent_decay`] per update, so past error
     /// evidence ages out and the node's reliability recovers towards
     /// 1.0.
     ///
     /// Equivalent to [`FailurePredictor::observe`] followed by
     /// [`FailurePredictor::apply`] — the sharded cluster loop uses the
-    /// split form so the log scan runs on worker threads while the
+    /// split form so the scoring runs on worker threads while the
     /// write-back stays sequential.
     pub fn update_node(&mut self, node_id: u32, health: &HealthLog) -> f64 {
         let update = self.observe(node_id, health);
         self.apply(node_id, update)
     }
 
-    /// The read-only half of [`FailurePredictor::update_node`]: scores
-    /// the log lines appended since the last apply (only when the log
-    /// grew) and returns what the write-back should do. Immutable, so
-    /// the cluster loop's workers can score whole node shards in
-    /// parallel; the resulting updates are applied sequentially in
-    /// node-index order.
-    ///
-    /// Only *new* lines are pattern-matched — the expensive string scan
-    /// runs once per line ever, not once per line per tick. Each
-    /// observation must be applied (once) before the next observation
-    /// of the same node, which is exactly the cluster loop's
-    /// observe-all / apply-all-in-order contract.
+    /// The read-only half of [`FailurePredictor::update_node`]: re-sums
+    /// the log's event window when the log grew since the last apply and
+    /// returns what the write-back should do. Immutable, so the cluster
+    /// loop's workers can score whole node shards in parallel; the
+    /// resulting updates are applied sequentially in node-index order.
     #[must_use]
     pub fn observe(&self, node_id: u32, health: &HealthLog) -> ScoreUpdate {
-        let len = health.logfile().len();
-        match (self.consumed.get(&node_id), self.scores.get(&node_id)) {
-            (Some(&seen), Some(_)) if seen == len => ScoreUpdate::Decay,
-            tracked => {
-                let lines = health.logfile();
-                let seen = match tracked {
-                    (Some(&seen), Some(_)) => seen,
-                    _ => 0,
-                };
-                // Lines that would scroll straight out of the window are
-                // never worth scoring.
-                let start = seen.max(len.saturating_sub(self.window_lines));
-                let line_scores: Vec<f64> =
-                    lines[start..].iter().map(|l| self.patterns.score_line(l)).collect();
-                ScoreUpdate::Rescore { consumed: len, line_scores }
-            }
+        let logged = health.events_logged();
+        match self.scores.get(&node_id) {
+            Some(&(seen, _)) if seen == logged => ScoreUpdate::Decay,
+            _ => ScoreUpdate::Rescore { consumed: logged, score: window_score(health) },
         }
     }
 
     /// The write-back half of [`FailurePredictor::update_node`]: folds a
     /// worker-computed [`ScoreUpdate`] into the rolling per-node state
-    /// and returns the node's reliability. A rescore slides the cached
-    /// line scores through the node's window and re-sums it **in line
-    /// order** — the identical addends, in the identical order, as the
-    /// full window scan it replaces, so reliabilities are bit-equal.
+    /// and returns the node's reliability.
     ///
     /// # Panics
     ///
@@ -195,23 +129,15 @@ impl FailurePredictor {
     pub fn apply(&mut self, node_id: u32, update: ScoreUpdate) -> f64 {
         let score = match update {
             ScoreUpdate::Decay => {
-                let score = self
+                let (_, score) = self
                     .scores
                     .get_mut(&node_id)
                     .expect("Decay is only observed for already-tracked nodes");
                 *score *= self.silent_decay;
                 *score
             }
-            ScoreUpdate::Rescore { consumed, line_scores } => {
-                let window = self.windows.entry(node_id).or_default();
-                window.extend_from_slice(&line_scores);
-                if window.len() > self.window_lines {
-                    let excess = window.len() - self.window_lines;
-                    window.drain(..excess);
-                }
-                let score: f64 = window.iter().sum();
-                self.consumed.insert(node_id, consumed);
-                self.scores.insert(node_id, score);
+            ScoreUpdate::Rescore { consumed, score } => {
+                self.scores.insert(node_id, (consumed, score));
                 score
             }
         };
@@ -234,31 +160,83 @@ impl Default for FailurePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniserver_healthlog::ThresholdPolicy;
+    use uniserver_healthlog::{ThresholdPolicy, RECENT_EVENTS};
+    use uniserver_platform::mca::{ErrorOrigin, MceRecord};
+    use uniserver_platform::node::{CrashEvent, ServerNode};
+    use uniserver_platform::part::PartSpec;
+    use uniserver_platform::workload::WorkloadProfile;
+    use uniserver_silicon::{ErrorSeverity, FaultKind};
+    use uniserver_units::{Seconds, Volts};
 
-    fn log_with(lines: &[&str]) -> HealthLog {
-        let mut h = HealthLog::new(128, ThresholdPolicy::default());
-        for l in lines {
-            h.log_note(*l);
-        }
-        h
+    use ErrorSeverity::{Corrected as CE, Fatal as FATAL, Uncorrected as UE};
+
+    /// A node and its health log. Each interval ingests a real
+    /// `run_interval` report whose crash and error records are replaced
+    /// by the ones the test asks for.
+    struct Logged {
+        node: ServerNode,
+        health: HealthLog,
     }
+
+    impl Logged {
+        fn new() -> Self {
+            Logged {
+                node: ServerNode::new(PartSpec::arm_microserver(), 5),
+                health: HealthLog::new(ThresholdPolicy::default()),
+            }
+        }
+
+        fn with(intervals: &[Interval]) -> Self {
+            let mut log = Logged::new();
+            for &(crashed, errors) in intervals {
+                log.interval(crashed, errors);
+            }
+            log
+        }
+
+        fn interval(&mut self, crashed: bool, errors: &[ErrorSeverity]) {
+            let mut report = self.node.run_interval(&WorkloadProfile::idle(), Seconds::new(1.0));
+            let at = report.at;
+            report.crash = crashed.then(|| CrashEvent {
+                core: 0,
+                at,
+                voltage: Volts::ZERO,
+                workload: "idle".into(),
+            });
+            report.errors = errors
+                .iter()
+                .map(|&severity| MceRecord {
+                    at,
+                    kind: FaultKind::CacheBit,
+                    severity,
+                    origin: ErrorOrigin::CacheBank(0),
+                })
+                .collect();
+            self.health.ingest_owned(report);
+        }
+    }
+
+    type Interval = (bool, &'static [ErrorSeverity]);
+    const CLEAN: Interval = (false, &[]);
+    const ONE_CE: Interval = (false, &[CE]);
+    const ONE_UE: Interval = (false, &[UE]);
+    const CRASH: Interval = (true, &[FATAL]);
 
     #[test]
     fn silent_log_is_fully_reliable() {
         let p = FailurePredictor::new();
-        let h = log_with(&[]);
-        assert_eq!(p.reliability(&h), 1.0);
+        let h = Logged::with(&[CLEAN; 5]);
+        assert_eq!(p.reliability(&h.health), 1.0);
         assert!(!p.predicts_failure(1.0));
     }
 
     #[test]
     fn ces_erode_reliability_slowly_ues_fast() {
         let p = FailurePredictor::new();
-        let ce_log = log_with(&["t=1 err[CE@l3bank0]"; 8]);
-        let ue_log = log_with(&["t=1 err[UE@dimm2@word0x10]"; 8]);
-        let r_ce = p.reliability(&ce_log);
-        let r_ue = p.reliability(&ue_log);
+        let ce_log = Logged::with(&[ONE_CE; 8]);
+        let ue_log = Logged::with(&[ONE_UE; 8]);
+        let r_ce = p.reliability(&ce_log.health);
+        let r_ue = p.reliability(&ue_log.health);
         assert!(r_ce > 0.6, "CE-only log keeps reliability high: {r_ce}");
         assert!(r_ue < r_ce, "UEs must erode faster: {r_ue} vs {r_ce}");
         assert!(p.predicts_failure(r_ue));
@@ -267,48 +245,52 @@ mod tests {
     #[test]
     fn crash_markers_are_decisive() {
         let p = FailurePredictor::new();
-        let h = log_with(&["t=9 dur=1 crashed=true err[FATAL@core0]"]);
-        let r = p.reliability(&h);
-        assert!(r < 0.3, "a crash line must tank reliability: {r}");
+        let r = p.reliability(&Logged::with(&[CRASH]).health);
+        assert!(r < 0.3, "a crash interval must tank reliability: {r}");
     }
 
     #[test]
     fn window_forgets_ancient_history() {
         let p = FailurePredictor::new();
-        let mut lines = vec!["t=0 crashed=true err[FATAL@core0]"; 4];
-        lines.extend(vec!["t=1 healthy note"; 64]);
-        let h = log_with(&lines);
-        // The crashes scrolled out of the 64-line window.
-        assert_eq!(p.reliability(&h), 1.0);
+        let recent = vec![ONE_CE; RECENT_EVENTS];
+        let mut intervals = vec![CRASH; 4];
+        intervals.extend(&recent);
+        // The crashes scrolled out of the event window.
+        assert_eq!(
+            p.reliability(&Logged::with(&intervals).health),
+            p.reliability(&Logged::with(&recent).health)
+        );
     }
 
     #[test]
     fn update_node_memoizes_and_decays_until_the_log_grows() {
         let mut p = FailurePredictor::new();
-        let mut h = log_with(&["t=1 err[CE@l3bank0]"]);
-        let first = p.update_node(7, &h);
-        assert_eq!(first, p.reliability(&h));
-        let second = p.update_node(7, &h);
+        let mut h = Logged::with(&[ONE_CE]);
+        let first = p.update_node(7, &h.health);
+        assert_eq!(first, p.reliability(&h.health));
+        // A clean interval is no event: the score decays.
+        h.interval(false, &[]);
+        assert_eq!(p.observe(7, &h.health), ScoreUpdate::Decay);
+        let second = p.update_node(7, &h.health);
         assert!(second >= first, "silent ticks must not erode trust: {second} vs {first}");
-        h.log_note("t=2 dur=1 crashed=true err[FATAL@core0]");
-        let after = p.update_node(7, &h);
-        assert!(after < second, "new crash line must re-score: {after} vs {second}");
-        assert_eq!(after, p.reliability(&h));
+        h.interval(true, &[FATAL]);
+        let after = p.update_node(7, &h.health);
+        assert!(after < second, "a new crash must re-score: {after} vs {second}");
+        assert_eq!(after, p.reliability(&h.health));
         // Other nodes are keyed independently.
-        let clean = log_with(&[]);
-        assert_eq!(p.update_node(8, &clean), 1.0);
+        assert_eq!(p.update_node(8, &Logged::new().health), 1.0);
     }
 
     #[test]
     fn silent_nodes_rehabilitate() {
         let mut p = FailurePredictor::new();
-        let h = log_with(&["t=9 dur=1 crashed=true err[FATAL@core0]"]);
-        let crashed = p.update_node(3, &h);
+        let h = Logged::with(&[CRASH]);
+        let crashed = p.update_node(3, &h.health);
         assert!(p.predicts_failure(crashed), "fresh crash must predict failure");
         let mut r = crashed;
         let mut updates = 0;
         while p.predicts_failure(r) {
-            r = p.update_node(3, &h);
+            r = p.update_node(3, &h.health);
             updates += 1;
             assert!(updates < 200, "a clean-running node must eventually regain trust");
         }
@@ -322,13 +304,13 @@ mod tests {
         // the fused update, tick for tick.
         let mut fused = FailurePredictor::new();
         let mut split = FailurePredictor::new();
-        let mut h = log_with(&["t=1 err[CE@l3bank0]"]);
+        let mut h = Logged::with(&[ONE_CE]);
         for round in 0..6 {
             if round == 3 {
-                h.log_note("t=3 dur=1 crashed=true err[FATAL@core0]");
+                h.interval(true, &[FATAL]);
             }
-            let a = fused.update_node(4, &h);
-            let update = split.observe(4, &h);
+            let a = fused.update_node(4, &h.health);
+            let update = split.observe(4, &h.health);
             let b = split.apply(4, update);
             assert_eq!(a, b, "round {round} diverged");
         }
@@ -338,19 +320,16 @@ mod tests {
     #[test]
     fn observe_is_pure() {
         let p = FailurePredictor::new();
-        let h = log_with(&["t=1 err[UE@dimm2@word0x10]"]);
-        let a = p.observe(9, &h);
-        let b = p.observe(9, &h);
+        let h = Logged::with(&[ONE_UE]);
+        let a = p.observe(9, &h.health);
+        let b = p.observe(9, &h.health);
         assert_eq!(a, b, "observe must not mutate predictor state");
-        assert!(matches!(a, ScoreUpdate::Rescore { consumed: 1, .. }));
-        let ScoreUpdate::Rescore { line_scores, .. } = a else { unreachable!() };
-        assert_eq!(line_scores.len(), 1, "only the new line is scored");
+        assert_eq!(a, ScoreUpdate::Rescore { consumed: 1, score: UE_WEIGHT });
     }
 
     #[test]
-    fn pattern_book_scores_compose() {
-        let book = PatternWeights::default_book();
-        let line = "t=3 crashed=true err[FATAL@core1] err[CE@l3bank0]";
-        assert!((book.score_line(line) - (3.0 + 3.0 + 0.15)).abs() < 1e-12);
+    fn pattern_weights_compose() {
+        let e = EventCounts { crashed: true, ce: 1, ue: 0, fatal: 1 };
+        assert!((event_score(&e) - (3.0 + 3.0 + 0.15)).abs() < 1e-12);
     }
 }

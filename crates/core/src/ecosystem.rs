@@ -111,7 +111,7 @@ pub fn provision_node(
     let mut node = ServerNode::new(config.spec.clone(), seed);
     node.set_ambient(config.ambient);
     let mut stresslog = StressLog::new(config.stress_params.clone());
-    let margins = stresslog.characterize(&mut node, None);
+    let margins = stresslog.characterize(&mut node);
     let expected_workload = config
         .guests
         .first()
@@ -142,7 +142,7 @@ pub fn recharacterize_node(
 ) -> OperatingPoint {
     let ambient = node.ambient();
     let mut stresslog = StressLog::new(config.stress_params.clone());
-    let margins = stresslog.characterize(node, None);
+    let margins = stresslog.characterize(node);
     let expected_workload = config
         .guests
         .first()
@@ -216,7 +216,7 @@ impl Ecosystem {
         let mut node = ServerNode::new(config.spec.clone(), seed);
         node.set_ambient(config.ambient);
         let mut stresslog = StressLog::new(config.stress_params.clone());
-        let margins = stresslog.characterize(&mut node, None);
+        let margins = stresslog.characterize(&mut node);
 
         // --- Choose the EOP.
         let expected_workload = config
@@ -315,7 +315,7 @@ impl Ecosystem {
     /// and aging).
     pub fn recharacterize(&mut self) {
         self.phase = EopPhase::Recharacterizing;
-        let margins = self.stresslog.characterize(self.hypervisor.node_mut(), None);
+        let margins = self.stresslog.characterize(self.hypervisor.node_mut());
         let point = self.optimizer.choose(
             &self.spec,
             &margins,

@@ -77,7 +77,7 @@ mod tests {
     fn setup() -> (PartSpec, MarginVector, ModeAdvisor) {
         let spec = PartSpec::arm_microserver();
         let mut node = uniserver_platform::node::ServerNode::new(spec.clone(), 31);
-        let margins = StressLog::new(StressTargetParams::quick()).characterize(&mut node, None);
+        let margins = StressLog::new(StressTargetParams::quick()).characterize(&mut node);
         let data = TrainingHarness::quick().generate(2);
         let advisor = ModeAdvisor::new(LogisticModel::fit(&data, 200, 0.7), 0.05);
         (spec, margins, advisor)

@@ -1,16 +1,19 @@
-//! The HealthLog daemon proper: ring buffer, services and thresholds.
+//! The HealthLog daemon proper: ingest, bounded typed state and
+//! thresholds.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use std::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_platform::node::IntervalReport;
+use uniserver_silicon::ErrorSeverity;
 
 use crate::ledger::{ErrorLedger, LedgerKey};
-use crate::vector::InfoVector;
+
+/// How many of the most recent event intervals the log retains: the
+/// failure predictor's scoring window.
+pub const RECENT_EVENTS: usize = 64;
 
 /// Actions the HealthLog recommends to higher layers when thresholds
 /// trip (§3: "if the number of errors rises above a certain threshold a
@@ -45,96 +48,77 @@ impl Default for ThresholdPolicy {
     }
 }
 
-/// The HealthLog daemon.
-#[derive(Debug, Clone)]
-pub struct HealthLog {
-    vectors: VecDeque<InfoVector>,
-    /// Corrected-error count per retained vector (same order as
-    /// `vectors`): the CE-rate service polls this every ingest, and
-    /// re-counting a CE-storm vector's thousands of error records each
-    /// time is the difference between O(window) and O(window × errors).
-    corrected_counts: VecDeque<usize>,
-    capacity: usize,
-    ledger: ErrorLedger,
-    policy: ThresholdPolicy,
-    logfile: Vec<String>,
+/// What one event interval (one carrying an error record or a crash)
+/// reported, by severity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventCounts {
+    /// Whether the node crashed during the interval.
+    pub crashed: bool,
+    /// Corrected errors.
+    pub ce: usize,
+    /// Uncorrected errors.
+    pub ue: usize,
+    /// Fatal errors.
+    pub fatal: usize,
 }
 
-/// A shareable handle: daemons and the hypervisor hold the same log.
-pub type SharedHealthLog = Arc<Mutex<HealthLog>>;
+/// The HealthLog daemon. Its state is bounded: it keeps the per-origin
+/// ledger, the intervals inside the CE-rate window and the last
+/// [`RECENT_EVENTS`] event counts, however long the node runs.
+#[derive(Debug, Clone)]
+pub struct HealthLog {
+    ledger: ErrorLedger,
+    policy: ThresholdPolicy,
+    /// `(end of interval, interval length, corrected errors)` of every
+    /// interval inside the rate window, oldest first.
+    rate_window: VecDeque<(Seconds, Seconds, usize)>,
+    /// Counts of the most recent event intervals, oldest first.
+    recent_events: VecDeque<EventCounts>,
+    /// Event intervals ingested over the log's lifetime.
+    events_logged: usize,
+}
 
 impl HealthLog {
-    /// Creates a daemon retaining up to `capacity` vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates an empty daemon.
     #[must_use]
-    pub fn new(capacity: usize, policy: ThresholdPolicy) -> Self {
-        assert!(capacity > 0, "HealthLog needs capacity");
+    pub fn new(policy: ThresholdPolicy) -> Self {
         HealthLog {
-            vectors: VecDeque::with_capacity(capacity),
-            corrected_counts: VecDeque::with_capacity(capacity),
-            capacity,
             ledger: ErrorLedger::new(),
             policy,
-            logfile: Vec::new(),
+            rate_window: VecDeque::new(),
+            recent_events: VecDeque::new(),
+            events_logged: 0,
         }
     }
 
-    /// Wraps a daemon in a shareable handle.
-    #[must_use]
-    pub fn shared(capacity: usize, policy: ThresholdPolicy) -> SharedHealthLog {
-        Arc::new(Mutex::new(HealthLog::new(capacity, policy)))
-    }
-
-    /// Event-driven service: ingests one platform interval. Every vector
-    /// lands in the ring buffer; event vectors additionally produce a
-    /// logfile line and update the ledger. Returns recommended actions
-    /// (possibly empty).
-    pub fn ingest(&mut self, report: &IntervalReport) -> Vec<HealthAction> {
-        self.ingest_owned(report.clone())
-    }
-
-    /// [`HealthLog::ingest`] taking the report by value: the vector is
-    /// built by *moving* the report's sensor sweep, counters and error
-    /// records instead of cloning them — the serving loop's hypervisor
-    /// is done with the report once the HealthLog has it, so the per-
-    /// tick clone of (potentially thousands of) error records was pure
-    /// overhead.
+    /// Event-driven service: ingests one platform interval in a single
+    /// pass over its error records (ledger, event counts, rate window)
+    /// and returns the recommended actions (possibly empty).
     pub fn ingest_owned(&mut self, report: IntervalReport) -> Vec<HealthAction> {
-        let vector = InfoVector::from_owned_report(report);
-        for err in &vector.errors {
+        let mut counts = EventCounts { crashed: report.crash.is_some(), ..EventCounts::default() };
+        for err in &report.errors {
             self.ledger.record(err);
+            match err.severity {
+                ErrorSeverity::Corrected => counts.ce += 1,
+                ErrorSeverity::Uncorrected => counts.ue += 1,
+                ErrorSeverity::Fatal => counts.fatal += 1,
+            }
         }
-        if vector.is_event() {
-            self.logfile.push(vector.render_logline());
+        // Node clocks never run backwards, so an interval that has left
+        // the window can never re-enter it.
+        self.rate_window.push_back((report.at, report.duration, counts.ce));
+        let from = report.at.saturating_sub(self.policy.rate_window);
+        while self.rate_window.front().is_some_and(|&(at, ..)| at <= from) {
+            self.rate_window.pop_front();
         }
-        if self.vectors.len() == self.capacity {
-            self.vectors.pop_front();
-            self.corrected_counts.pop_front();
+        if counts.crashed || !report.errors.is_empty() {
+            if self.recent_events.len() == RECENT_EVENTS {
+                self.recent_events.pop_front();
+            }
+            self.recent_events.push_back(counts);
+            self.events_logged += 1;
         }
-        self.corrected_counts.push_back(vector.corrected_count());
-        self.vectors.push_back(vector);
         self.recommendations()
-    }
-
-    /// On-demand service: the retained vectors, oldest first.
-    #[must_use]
-    pub fn vectors(&self) -> &VecDeque<InfoVector> {
-        &self.vectors
-    }
-
-    /// On-demand service: the most recent vector.
-    #[must_use]
-    pub fn latest(&self) -> Option<&InfoVector> {
-        self.vectors.back()
-    }
-
-    /// On-demand service: vectors within `[from, to)`.
-    #[must_use]
-    pub fn query_range(&self, from: Seconds, to: Seconds) -> Vec<&InfoVector> {
-        self.vectors.iter().filter(|v| v.at >= from && v.at < to).collect()
     }
 
     /// On-demand service: the per-origin ledger.
@@ -143,32 +127,28 @@ impl HealthLog {
         &self.ledger
     }
 
-    /// The accumulated system logfile (one line per event vector).
+    /// On-demand service: counts of the last [`RECENT_EVENTS`] event
+    /// intervals, oldest first.
     #[must_use]
-    pub fn logfile(&self) -> &[String] {
-        &self.logfile
+    pub fn recent_events(&self) -> &VecDeque<EventCounts> {
+        &self.recent_events
     }
 
-    /// Appends a free-form note to the logfile — used by sibling daemons
-    /// (e.g. StressLog announcing a re-characterization) so one logfile
-    /// tells the whole story.
-    pub fn log_note(&mut self, note: impl Into<String>) {
-        self.logfile.push(note.into());
+    /// Event intervals ingested over the log's lifetime.
+    #[must_use]
+    pub fn events_logged(&self) -> usize {
+        self.events_logged
     }
 
     /// Corrected errors per minute over the policy's rate window ending
-    /// at the latest vector.
+    /// at the latest interval.
     #[must_use]
     pub fn ce_rate_per_minute(&self) -> f64 {
-        let Some(latest) = self.vectors.back() else { return 0.0 };
-        let from = latest.at.saturating_sub(self.policy.rate_window);
         let mut ces = 0usize;
         let mut span = 0.0;
-        for (v, &vector_ces) in self.vectors.iter().zip(&self.corrected_counts) {
-            if v.at > from {
-                ces += vector_ces;
-                span += v.duration.as_secs();
-            }
+        for &(_, duration, interval_ces) in &self.rate_window {
+            ces += interval_ces;
+            span += duration.as_secs();
         }
         if span == 0.0 {
             0.0
@@ -194,37 +174,30 @@ impl HealthLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniserver_platform::mca::{ErrorOrigin, MceRecord};
+    use uniserver_platform::msr::DomainId;
     use uniserver_platform::node::ServerNode;
     use uniserver_platform::part::PartSpec;
     use uniserver_platform::workload::WorkloadProfile;
-    use uniserver_platform::msr::DomainId;
+    use uniserver_silicon::FaultKind;
 
     fn run_clean(health: &mut HealthLog, intervals: usize) {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 3);
         let w = WorkloadProfile::spec_bzip2();
         for _ in 0..intervals {
             let report = node.run_interval(&w, Seconds::from_millis(500.0));
-            health.ingest(&report);
+            health.ingest_owned(report);
         }
     }
 
     #[test]
     fn clean_operation_recommends_nothing() {
-        let mut health = HealthLog::new(64, ThresholdPolicy::default());
+        let mut health = HealthLog::new(ThresholdPolicy::default());
         run_clean(&mut health, 20);
         assert!(health.recommendations().is_empty());
-        assert_eq!(health.vectors().len(), 20);
-        assert!(health.logfile().is_empty(), "clean intervals produce no log lines");
+        assert_eq!(health.events_logged(), 0, "clean intervals are not events");
+        assert!(health.recent_events().is_empty());
         assert_eq!(health.ce_rate_per_minute(), 0.0);
-    }
-
-    #[test]
-    fn ring_buffer_caps_history() {
-        let mut health = HealthLog::new(8, ThresholdPolicy::default());
-        run_clean(&mut health, 20);
-        assert_eq!(health.vectors().len(), 8);
-        // The newest vector is retained.
-        assert!((health.latest().unwrap().at.as_secs() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -237,7 +210,7 @@ mod tests {
             3,
         );
         node.msr.set_refresh_interval(DomainId(1), Seconds::new(10.0)).unwrap();
-        let mut health = HealthLog::new(256, ThresholdPolicy {
+        let mut health = HealthLog::new(ThresholdPolicy {
             ce_per_minute: 5.0,
             isolate_origin_errors: 5,
             rate_window: Seconds::new(120.0),
@@ -246,7 +219,7 @@ mod tests {
         let mut actions = Vec::new();
         for _ in 0..40 {
             let report = node.run_interval(&w, Seconds::new(2.0));
-            actions = health.ingest(&report);
+            actions = health.ingest_owned(report);
             if !actions.is_empty() {
                 break;
             }
@@ -257,30 +230,91 @@ mod tests {
             "an error storm must trigger a recommendation; ledger total {}",
             health.ledger().grand_total()
         );
-        assert!(!health.logfile().is_empty(), "events must hit the logfile");
+        assert!(health.events_logged() > 0, "error intervals are events");
     }
 
     #[test]
-    fn query_range_selects_by_time() {
-        let mut health = HealthLog::new(64, ThresholdPolicy::default());
-        run_clean(&mut health, 10);
-        let picked = health.query_range(Seconds::new(1.0), Seconds::new(3.0));
-        assert_eq!(picked.len(), 4, "vectors at 1.0, 1.5, 2.0, 2.5");
+    fn event_counts_split_by_severity() {
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
+        let mut report = node.run_interval(&WorkloadProfile::idle(), Seconds::new(1.0));
+        report.errors = [
+            ErrorSeverity::Corrected,
+            ErrorSeverity::Uncorrected,
+            ErrorSeverity::Corrected,
+            ErrorSeverity::Fatal,
+        ]
+        .into_iter()
+        .map(|severity| MceRecord {
+            at: report.at,
+            kind: FaultKind::CacheBit,
+            severity,
+            origin: ErrorOrigin::CacheBank(2),
+        })
+        .collect();
+        let mut health = HealthLog::new(ThresholdPolicy::default());
+        health.ingest_owned(report);
+        assert_eq!(
+            health.recent_events().back(),
+            Some(&EventCounts { crashed: false, ce: 2, ue: 1, fatal: 1 })
+        );
+        assert_eq!(health.ledger().stats(LedgerKey::CacheBank(2)).total(), 4);
+    }
+
+    /// Feeds `intervals` synthetic CE-storm intervals of `tick` each
+    /// (a varying CE burst per interval) and checks, after every ingest,
+    /// that the rate window stays bounded and the rate equals a
+    /// brute-force recount over the test's own unbounded history.
+    fn storm_stays_bounded(tick: f64, intervals: usize) {
+        let policy = ThresholdPolicy::default();
+        let window = policy.rate_window.as_secs();
+        let rate_bound = (window / tick).ceil() as usize + 1;
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
+        let template = node.run_interval(&WorkloadProfile::idle(), Seconds::new(tick));
+        let mut health = HealthLog::new(policy);
+        let mut history: Vec<(Seconds, Seconds, usize)> = Vec::new();
+        for i in 0..intervals {
+            let at = Seconds::new((i + 1) as f64 * tick);
+            let ces = (i * 7) % 13;
+            let mut report = template.clone();
+            report.at = at;
+            report.duration = Seconds::new(tick);
+            report.errors = (0..ces)
+                .map(|b| MceRecord {
+                    at,
+                    kind: FaultKind::CacheBit,
+                    severity: ErrorSeverity::Corrected,
+                    origin: ErrorOrigin::CacheBank(b % 4),
+                })
+                .collect();
+            health.ingest_owned(report);
+            history.push((at, Seconds::new(tick), ces));
+
+            assert!(health.rate_window.len() <= rate_bound, "rate window grew at {i}");
+            assert!(health.recent_events.len() <= RECENT_EVENTS, "event window grew at {i}");
+            // The recount sums every in-window interval in ingest order.
+            let from = at.saturating_sub(policy.rate_window);
+            let first = history.iter().rposition(|&(t, ..)| t <= from).map_or(0, |p| p + 1);
+            let (mut total, mut span) = (0usize, 0.0);
+            for &(_, duration, c) in &history[first..] {
+                total += c;
+                span += duration.as_secs();
+            }
+            let expected = if span == 0.0 { 0.0 } else { total as f64 * 60.0 / span };
+            assert_eq!(health.ce_rate_per_minute(), expected, "rate diverged at {i}");
+        }
+        assert_eq!(health.recent_events.len(), RECENT_EVENTS);
+        assert!(health.events_logged() > RECENT_EVENTS);
     }
 
     #[test]
-    fn shared_handle_is_usable_across_owners() {
-        let shared = HealthLog::shared(16, ThresholdPolicy::default());
-        let clone = Arc::clone(&shared);
-        let mut node = ServerNode::new(PartSpec::arm_microserver(), 9);
-        let report = node.run_interval(&WorkloadProfile::idle(), Seconds::new(1.0));
-        clone.lock().unwrap().ingest(&report);
-        assert_eq!(shared.lock().unwrap().vectors().len(), 1);
+    fn a_day_of_ce_storm_keeps_state_bounded() {
+        storm_stays_bounded(5.0, 17_280);
     }
 
     #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        let _ = HealthLog::new(0, ThresholdPolicy::default());
+    fn a_fine_tick_keeps_every_in_window_interval() {
+        // 60 s of 10 ms intervals is 6000 entries, more than any fixed
+        // ring of a few thousand would hold.
+        storm_stays_bounded(0.01, 8_000);
     }
 }

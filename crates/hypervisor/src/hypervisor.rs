@@ -161,7 +161,7 @@ impl Hypervisor {
         } else {
             Protector::new(config.protection.clone(), &inventory)
         };
-        let health = HealthLog::new(4_096, config.thresholds);
+        let health = HealthLog::new(config.thresholds);
         Hypervisor {
             node,
             config,
@@ -401,10 +401,8 @@ impl Hypervisor {
             }
         }
 
-        // --- HealthLog ingest, by value: the containment pass above was
-        // the last reader, so the sensor sweep, PMU deltas and (at CE-
-        // storm rates, thousands of) error records move into the vector
-        // instead of being cloned. Ingest ordering relative to the
+        // --- HealthLog ingest: the containment pass above was the last
+        // other reader of the report. Ingest ordering relative to the
         // containment pass is immaterial — the HealthLog never touches
         // VM or memory state, and containment never touches the log.
         let actions = self.health.ingest_owned(report);
@@ -688,7 +686,7 @@ mod tests {
         use uniserver_stresslog::{StressLog, StressTargetParams};
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 21);
         let mut stress = StressLog::new(StressTargetParams::quick());
-        let margins = stress.characterize(&mut node, None);
+        let margins = stress.characterize(&mut node);
         let mut hv = Hypervisor::new(node);
         hv.launch_vm(VmConfig::ldbc_benchmark()).unwrap();
         hv.apply_margins(&margins);

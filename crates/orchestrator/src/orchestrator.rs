@@ -101,7 +101,10 @@ pub fn run_timed(config: &OrchestratorConfig) -> (ClusterSummary, OrchestratorTi
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (see [`run_timed`]).
+/// Panics if the configuration is degenerate (see [`run_timed`]), or if
+/// the run's accounting does not tie out at the horizon:
+/// `offered = placed + abandoned` and
+/// `placed = completed + evicted + live_at_end`.
 #[must_use]
 pub fn run_with_telemetry(
     config: &OrchestratorConfig,
@@ -522,12 +525,14 @@ pub fn run_with_telemetry(
         tel.add("wake_transitions", power.wakes);
         tel.add("consolidation_migrations", power.consolidation_migrations);
     }
-    debug_assert_eq!(
+    // Checked in every build: a run that loses or double-counts a VM
+    // must not report a summary (fleet_sim exits non-zero).
+    assert_eq!(
         c.placed,
         c.completed + c.evicted + cluster.placements().len() as u64,
         "lifecycle accounting must tie out"
     );
-    debug_assert_eq!(
+    assert_eq!(
         c.offered,
         c.placed + c.abandoned,
         "admission accounting must tie out: every offer is placed or abandoned"

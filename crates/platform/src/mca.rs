@@ -1,8 +1,9 @@
 //! Machine-check architecture: how the hardware reports errors upward.
 //!
-//! Corrected and uncorrected errors land in machine-check banks; the
-//! HealthLog daemon drains them into its information vectors. Records
-//! carry the physical origin (which core / cache bank / DIMM), the
+//! Corrected and uncorrected errors land in machine-check banks and
+//! leave them in each interval report, which the HealthLog daemon
+//! consumes into its per-origin ledger, CE-rate window and event
+//! counts. Records carry the physical origin (which core / cache bank / DIMM), the
 //! severity and a simulation timestamp.
 
 use serde::{Deserialize, Serialize};

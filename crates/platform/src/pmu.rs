@@ -1,4 +1,4 @@
-//! Performance-monitoring unit: the counters HealthLog vectors carry.
+//! Performance-monitoring unit: the counters every interval report carries.
 //!
 //! Counters accumulate monotonically, as in hardware; consumers snapshot
 //! and difference them. The node derives counter increments from the

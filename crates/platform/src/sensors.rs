@@ -1,7 +1,8 @@
 //! On-board sensors: temperature, voltage and power telemetry.
 //!
-//! The HealthLog daemon's information vectors include "sensor readings"
-//! (§3.C); this module produces them. Real sensors quantize and jitter,
+//! The paper's HealthLog information vectors include "sensor readings"
+//! (§3.C); this module produces them for every interval report, where
+//! the Predictor's temperature feature reads them. Real sensors quantize and jitter,
 //! so readings carry configurable noise around the modeled truth — which
 //! is exactly what makes the Predictor's job non-trivial.
 

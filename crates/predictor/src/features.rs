@@ -8,7 +8,6 @@
 use serde::{Deserialize, Serialize};
 use uniserver_units::Celsius;
 
-use uniserver_healthlog::InfoVector;
 use uniserver_platform::workload::WorkloadProfile;
 use uniserver_silicon::droop::DroopModel;
 
@@ -54,18 +53,17 @@ impl FeatureVector {
     }
 
     /// Builds the features for *proposing* an operating point given the
-    /// current workload and the latest HealthLog vector.
+    /// current workload and the hottest junction of the latest sensor
+    /// sweep (45 °C when the node has no sweep yet).
     #[must_use]
     pub fn for_proposal(
         offset_fraction: f64,
         workload: &WorkloadProfile,
         pdn: &DroopModel,
-        latest: Option<&InfoVector>,
+        max_core_temp: Option<Celsius>,
         ce_per_minute: f64,
     ) -> Self {
-        let temp = latest
-            .map(|v| v.sensors.max_core_temp())
-            .unwrap_or(Celsius::new(45.0));
+        let temp = max_core_temp.unwrap_or(Celsius::new(45.0));
         Self::from_observables(offset_fraction, workload.stress_scalar(pdn), temp, ce_per_minute)
     }
 }

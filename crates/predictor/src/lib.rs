@@ -6,8 +6,8 @@
 //! HealthLog and StressLog monitors to provide advice to the Hypervisor
 //! for choosing the desired operation mode."
 //!
-//! * [`features`] — feature extraction from operating points and
-//!   HealthLog vectors;
+//! * [`features`] — feature extraction from operating points, sensor
+//!   sweeps and HealthLog error rates;
 //! * [`logistic`] — the failure-probability model (logistic regression
 //!   trained with SGD) plus evaluation metrics;
 //! * [`bayes`] — a Gaussian naive-Bayes comparator;

@@ -9,8 +9,7 @@
 //!   higher layers on anomalous behaviour ([`Schedule`]);
 //! * takes the machine offline, receives its **stress target
 //!   parameters** ([`StressTargetParams`]) and runs the characterization
-//!   campaigns (undervolting shmoo + refresh sweep) with the HealthLog
-//!   recording in parallel;
+//!   campaigns (undervolting shmoo + refresh sweep);
 //! * wraps the results into a **margin vector** ([`MarginVector`]) for
 //!   the hypervisor and cloud layers.
 //!
@@ -22,7 +21,7 @@
 //!
 //! let mut node = ServerNode::new(PartSpec::arm_microserver(), 11);
 //! let mut daemon = StressLog::new(StressTargetParams::quick());
-//! let margins = daemon.characterize(&mut node, None);
+//! let margins = daemon.characterize(&mut node);
 //! assert_eq!(margins.per_core_safe_offset_mv.len(), 8);
 //! assert!(margins.safe_refresh.as_secs() >= 1.0);
 //! ```
@@ -30,7 +29,6 @@
 use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
-use uniserver_healthlog::SharedHealthLog;
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::workload::WorkloadProfile;
 use uniserver_silicon::rng::splitmix64;
@@ -187,23 +185,8 @@ impl StressLog {
         &self.history
     }
 
-    /// Takes the node offline and characterizes it. If a HealthLog
-    /// handle is supplied, the daemon announces start/finish in the
-    /// shared logfile (the paper runs HealthLog in parallel to record
-    /// events during stress testing).
-    pub fn characterize(
-        &mut self,
-        node: &mut ServerNode,
-        health: Option<&SharedHealthLog>,
-    ) -> MarginVector {
-        if let Some(h) = health {
-            h.lock().unwrap().log_note(format!(
-                "stresslog: begin characterization of '{}' at t={:.1}s",
-                node.part().name,
-                node.now().as_secs()
-            ));
-        }
-
+    /// Takes the node offline and characterizes it.
+    pub fn characterize(&mut self, node: &mut ServerNode) -> MarginVector {
         // --- CPU margins via the undervolting shmoo: one pass over the
         // raw runs collecting each core's weakest crash point.
         let shmoo = self.params.shmoo.run_on(node, &self.params.workloads);
@@ -242,13 +225,6 @@ impl StressLog {
             safe_refresh,
             summary: Table2Summary::from_shmoo(&shmoo),
         };
-        if let Some(h) = health {
-            h.lock().unwrap().log_note(format!(
-                "stresslog: done; node-safe offset {:.0} mV, safe refresh {}",
-                vector.node_safe_offset_mv(),
-                vector.safe_refresh
-            ));
-        }
         // The shmoo crashes the node on purpose, core by core, to find
         // the ladder's crash points. Those are measurements, not service
         // failures — drain them so the cluster's crash feed only ever
@@ -262,13 +238,12 @@ impl StressLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniserver_healthlog::{HealthLog, ThresholdPolicy};
     use uniserver_platform::part::PartSpec;
 
     fn characterized() -> (ServerNode, MarginVector) {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 11);
         let mut daemon = StressLog::new(StressTargetParams::quick());
-        let margins = daemon.characterize(&mut node, None);
+        let margins = daemon.characterize(&mut node);
         (node, margins)
     }
 
@@ -323,8 +298,8 @@ mod tests {
             voltage_slack_mv: 25.0,
             ..StressTargetParams::quick()
         });
-        let a = tight.characterize(&mut node_a, None);
-        let b = wide.characterize(&mut node_b, None);
+        let a = tight.characterize(&mut node_a);
+        let b = wide.characterize(&mut node_b);
         assert!(b.node_safe_offset_mv() < a.node_safe_offset_mv());
     }
 
@@ -340,8 +315,8 @@ mod tests {
             refresh_derating: 0.5,
             ..StressTargetParams::quick()
         });
-        let a = full.characterize(&mut node_a, None);
-        let b = derated.characterize(&mut node_b, None);
+        let a = full.characterize(&mut node_a);
+        let b = derated.characterize(&mut node_b);
         assert!(b.safe_refresh < a.safe_refresh);
         assert!((b.safe_refresh.as_secs() / a.safe_refresh.as_secs() - 0.5).abs() < 1e-9);
     }
@@ -364,28 +339,15 @@ mod tests {
     }
 
     #[test]
-    fn characterization_is_logged_to_shared_healthlog() {
-        let mut node = ServerNode::new(PartSpec::arm_microserver(), 17);
-        let health = HealthLog::shared(64, ThresholdPolicy::default());
-        let mut daemon = StressLog::new(StressTargetParams::quick());
-        let _ = daemon.characterize(&mut node, Some(&health));
-        let log = health.lock().unwrap();
-        assert_eq!(log.logfile().len(), 2);
-        assert!(log.logfile()[0].contains("begin characterization"));
-        assert!(log.logfile()[1].contains("safe refresh"));
-        assert_eq!(daemon.history().len(), 1);
-    }
-
-    #[test]
     fn recharacterization_tracks_aging() {
         // The reason the StressLog re-runs "several times over the
         // lifetime of a server": after years of drift the safe margins
         // shrink, and a fresh characterization discovers that.
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 23);
         let mut daemon = StressLog::new(StressTargetParams::quick());
-        let fresh = daemon.characterize(&mut node, None);
+        let fresh = daemon.characterize(&mut node);
         node.age_by_months(48.0);
-        let aged = daemon.characterize(&mut node, None);
+        let aged = daemon.characterize(&mut node);
         assert!(
             aged.node_safe_offset_mv() < fresh.node_safe_offset_mv(),
             "aged margins ({:.0} mV) must be tighter than fresh ({:.0} mV)",
@@ -401,8 +363,8 @@ mod tests {
     fn history_accumulates() {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 19);
         let mut daemon = StressLog::new(StressTargetParams::quick());
-        let _ = daemon.characterize(&mut node, None);
-        let _ = daemon.characterize(&mut node, None);
+        let _ = daemon.characterize(&mut node);
+        let _ = daemon.characterize(&mut node);
         assert_eq!(daemon.history().len(), 2);
         assert!(daemon.history()[1].produced_at > daemon.history()[0].produced_at);
     }

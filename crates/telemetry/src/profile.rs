@@ -32,7 +32,7 @@ pub enum Stage {
     /// Per-node hypervisor ticking, summed across workers (child of
     /// `Tick`).
     NodeTick,
-    /// Per-node predictor log scans, summed across workers (child of
+    /// Per-node predictor scoring, summed across workers (child of
     /// `Tick`).
     Predictor,
     /// Failure-driven recovery (crash migration/eviction).

@@ -24,7 +24,7 @@ fn main() {
     for i in 0..16u64 {
         let mut node = ServerNode::new(spec.clone(), 1000 + i);
         let mut daemon = StressLog::new(params.clone());
-        let margins = daemon.characterize(&mut node, None);
+        let margins = daemon.characterize(&mut node);
         let off = margins.node_safe_offset_mv();
         println!(
             "  {i:>2} | {off:>29.0} | {}",

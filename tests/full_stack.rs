@@ -61,7 +61,7 @@ fn margins_flow_from_stresslog_through_hypervisor() {
     use uniserver_stresslog::{StressLog, StressTargetParams};
 
     let mut node = ServerNode::new(PartSpec::arm_microserver(), 99);
-    let margins = StressLog::new(StressTargetParams::quick()).characterize(&mut node, None);
+    let margins = StressLog::new(StressTargetParams::quick()).characterize(&mut node);
     let mut hv = Hypervisor::new(node);
     hv.launch_vm(VmConfig::ldbc_benchmark()).expect("guest fits");
     hv.apply_margins(&margins);
@@ -96,13 +96,13 @@ fn healthlog_feeds_cloud_failure_prediction() {
     // A node driven over its crash point produces a health log whose
     // pattern score collapses the predicted reliability.
     let mut node = ServerNode::new(PartSpec::arm_microserver(), 17);
-    let mut health = HealthLog::new(256, ThresholdPolicy::default());
+    let mut health = HealthLog::new(ThresholdPolicy::default());
     node.msr.set_voltage_offset_all(node.part().offset_mv(0.22)).unwrap();
     let w = WorkloadProfile::spec_zeusmp();
     loop {
         let report = node.run_interval(&w, Seconds::from_millis(200.0));
         let crashed = report.crash.is_some();
-        health.ingest(&report);
+        health.ingest_owned(report);
         if crashed {
             break;
         }
