@@ -40,10 +40,26 @@ fn bench_secded(c: &mut Criterion) {
 }
 
 fn bench_node_tick(c: &mut Criterion) {
-    let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
     let w = WorkloadProfile::spec_mcf();
-    c.bench_function("server_node_interval", |b| {
-        b.iter(|| black_box(node.run_interval(&w, Seconds::from_millis(100.0))));
+    let dt = Seconds::from_millis(100.0);
+    // Nominal voltage sits above every screened cache onset: the
+    // interval steps over the onset math.
+    let mut nominal = ServerNode::new(PartSpec::arm_microserver(), 7);
+    c.bench_function("server_node_interval_nominal", |b| {
+        b.iter(|| black_box(nominal.run_interval(&w, dt)));
+    });
+    // 2 % below nominal this die logs ~12 cache CEs per interval and
+    // crashes about once in 500: the full onset and CE path.
+    let mut undervolted = ServerNode::new(PartSpec::arm_microserver(), 7);
+    let offset = undervolted.part().offset_mv(0.02);
+    c.bench_function("server_node_interval_undervolted", |b| {
+        b.iter(|| {
+            if undervolted.is_crashed() {
+                undervolted.reboot();
+            }
+            undervolted.msr.set_voltage_offset_all(offset).expect("offset within MSR limits");
+            black_box(undervolted.run_interval(&w, dt))
+        });
     });
 }
 

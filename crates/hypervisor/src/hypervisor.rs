@@ -130,8 +130,10 @@ pub struct Hypervisor {
     masked_corrected_total: u64,
     contained_uncorrected_total: u64,
     /// Cached merge of the running guests' profiles, keyed by the VM-id
-    /// set it was computed for: the serving tick only recomputes (and
-    /// re-allocates) when the running set actually changes.
+    /// set it was computed for: the serving tick compares the running
+    /// set in place and only recomputes (and rewrites the id list) when
+    /// it actually changes. After that check the list is the tick's
+    /// start-of-tick running set, which also names UE victims.
     merged_cache: Option<WorkloadProfile>,
     merged_cache_vms: Vec<VmId>,
 }
@@ -345,14 +347,14 @@ impl Hypervisor {
     /// Runs the node for one interval under the merged guest workload
     /// and performs all resilience duties.
     pub fn tick(&mut self, duration: Seconds) -> TickOutcome {
-        let running: Vec<VmId> =
-            self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id).collect();
-        if self.merged_cache.is_none() || self.merged_cache_vms != running {
+        let running = self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id);
+        if self.merged_cache.is_none() || !running.clone().eq(self.merged_cache_vms.iter().copied()) {
+            self.merged_cache_vms.clear();
+            self.merged_cache_vms.extend(running);
             self.merged_cache = Some(self.merged_workload());
-            self.merged_cache_vms.clone_from(&running);
         }
-        let workload = self.merged_cache.clone().expect("cache populated above");
-        let report = self.node.run_interval(&workload, duration);
+        let workload = self.merged_cache.as_ref().expect("cache populated above");
+        let report = self.node.run_interval(workload, duration);
 
         let mut outcome = TickOutcome {
             at: report.at,
@@ -369,8 +371,9 @@ impl Hypervisor {
         };
         let crashed = report.crash.is_some();
 
-        // --- Error masking and containment (`running` still reflects
-        // the start-of-tick set: run_interval cannot change VM states).
+        // --- Error masking and containment (`merged_cache_vms` holds the
+        // start-of-tick running set: run_interval cannot change VM
+        // states, and kills below do not rewrite the list).
         for err in &report.errors {
             match err.severity {
                 ErrorSeverity::Corrected => {
@@ -385,6 +388,7 @@ impl Hypervisor {
                         }
                         // Contain: the UE hit a guest page; kill exactly
                         // that VM instead of the whole machine.
+                        let running = &self.merged_cache_vms;
                         if !running.is_empty() {
                             let victim = running[(word % running.len() as u64) as usize];
                             if let Some(vm) = self.vms.get_mut(&victim) {

@@ -11,6 +11,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use uniserver_units::Volts;
 
+use uniserver_silicon::rng::skip_normal;
 use uniserver_silicon::variation::ChipProfile;
 use uniserver_silicon::vmin::VminModel;
 
@@ -103,13 +104,22 @@ impl CacheSubsystem {
         vmin: &VminModel,
         rng: &mut R,
     ) -> Vec<BankCeSample> {
-        let mut out = Vec::new();
         // Outgoing manufacturing test rejects parts that log corrected
         // errors at stock settings, so a shipped bank's onset is always
         // strictly below nominal no matter how weak the die: screen the
         // sampled onset to just under the stock voltage.
         let screened = Volts::from_millivolts(nominal.as_millivolts() - 1.0);
-        for bank in self.banks.iter().filter(|b| !b.isolated) {
+        let in_service = self.banks.iter().filter(|b| !b.isolated);
+        if v >= screened {
+            // Every screened onset sits at or below `v`: no bank can log
+            // a CE, so only step the stream past each onset draw.
+            for _ in in_service {
+                skip_normal(rng, vmin.cache_onset_sigma_mv);
+            }
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        for bank in in_service {
             let onset = vmin.cache_onset_voltage(crash_reference, bank.weakness, rng).min(screened);
             let corrected = vmin.cache_ce_count(v, onset, rng);
             if corrected > 0 {
@@ -173,6 +183,57 @@ mod tests {
         let samples =
             s.sample_interval(Volts::from_millivolts(844.0), Volts::from_millivolts(844.0), crash, &VminModel::default(), &mut rng);
         assert!(samples.is_empty(), "nominal voltage must be CE-free, got {samples:?}");
+    }
+
+    /// Every in-service bank through the onset and CE draws, with no
+    /// early exit: the reference the screened shortcut must match.
+    fn sample_every_bank(
+        s: &CacheSubsystem,
+        v: Volts,
+        nominal: Volts,
+        crash: Volts,
+        vmin: &VminModel,
+        rng: &mut StdRng,
+    ) -> Vec<BankCeSample> {
+        let screened = Volts::from_millivolts(nominal.as_millivolts() - 1.0);
+        s.iter()
+            .filter(|b| !b.isolated)
+            .filter_map(|b| {
+                let onset = vmin.cache_onset_voltage(crash, b.weakness, rng).min(screened);
+                let corrected = vmin.cache_ce_count(v, onset, rng);
+                (corrected > 0).then_some(BankCeSample { bank: b.index, corrected })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn screened_early_exit_matches_the_full_path() {
+        let nominal = Volts::from_millivolts(844.0);
+        let crash = Volts::from_millivolts(760.0);
+        let mut isolated = subsystem();
+        isolated.isolate(1);
+        let models = [
+            VminModel::default(),
+            VminModel { cache_onset_sigma_mv: 0.0, ..VminModel::default() },
+            // Raw onsets above nominal: only the screen keeps them below.
+            VminModel { cache_onset_above_crash_mv: 200.0, ..VminModel::default() },
+        ];
+        for s in [subsystem(), isolated] {
+            for vmin in &models {
+                // At and above the screened onset (843 mV), then below it.
+                for v_mv in [843.0, 844.0, 900.0, 842.0] {
+                    let v = Volts::from_millivolts(v_mv);
+                    let mut fast = StdRng::seed_from_u64(9);
+                    let mut full = fast.clone();
+                    assert_eq!(
+                        s.sample_interval(v, nominal, crash, vmin, &mut fast),
+                        sample_every_bank(&s, v, nominal, crash, vmin, &mut full),
+                        "samples at {v_mv} mV"
+                    );
+                    assert_eq!(fast, full, "stream position at {v_mv} mV");
+                }
+            }
+        }
     }
 
     #[test]

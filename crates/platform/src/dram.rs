@@ -254,6 +254,18 @@ impl MemorySystem {
         MemoryScan { refresh, temp, bits, raw_bit_errors: raw, corrected, uncorrected }
     }
 
+    /// Expected retention failures on DIMM `dimm` per refresh window at
+    /// refresh `interval` and DIMM temperature `temp`: the pure term of
+    /// the runtime error stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dimm` is out of range or `interval` is zero.
+    #[must_use]
+    pub fn window_failures(&self, dimm: usize, interval: Seconds, temp: Celsius) -> f64 {
+        self.retention.expected_failures(interval, temp, self.dimms[dimm].words() * 64)
+    }
+
     /// Samples runtime retention errors over a deployment interval and
     /// returns machine-check records. Each refresh window re-exposes the
     /// weak cells; `touch_fraction` models how much of memory the
@@ -272,23 +284,29 @@ impl MemorySystem {
         touch_fraction: f64,
         rng: &mut R,
     ) -> Vec<MceRecord> {
+        let window_failures: Vec<f64> = (0..self.dimms.len())
+            .map(|i| self.window_failures(i, msr.refresh_interval(self.dimms[i].config.domain), temp))
+            .collect();
         let mut records = Vec::new();
-        self.step_errors_into(msr, temp, duration, now, touch_fraction, rng, &mut records);
+        self.sample_errors_into(msr, &window_failures, duration, now, touch_fraction, rng, &mut records);
         records
     }
 
-    /// Like [`MemorySystem::step_errors`], but appends into a
-    /// caller-provided buffer — the serving tick's allocation-free path
-    /// (nominal intervals produce no records, so no buffer ever grows).
+    /// Like [`MemorySystem::step_errors`], but takes each DIMM's
+    /// [`MemorySystem::window_failures`] at the current refresh settings
+    /// and temperature (the serving tick memoizes them), and appends into
+    /// a caller-provided buffer (nominal intervals produce no records, so
+    /// no buffer ever grows).
     ///
     /// # Panics
     ///
-    /// Panics if `touch_fraction` is outside `[0, 1]`.
+    /// Panics if `touch_fraction` is outside `[0, 1]` or
+    /// `window_failures` does not hold one term per DIMM.
     #[allow(clippy::too_many_arguments)]
-    pub fn step_errors_into<R: Rng + ?Sized>(
+    pub fn sample_errors_into<R: Rng + ?Sized>(
         &mut self,
         msr: &MsrFile,
-        temp: Celsius,
+        window_failures: &[f64],
         duration: Seconds,
         now: Seconds,
         touch_fraction: f64,
@@ -296,15 +314,14 @@ impl MemorySystem {
         records: &mut Vec<MceRecord>,
     ) {
         assert!((0.0..=1.0).contains(&touch_fraction), "touch fraction must be in [0, 1]");
-        for i in 0..self.dimms.len() {
+        assert_eq!(window_failures.len(), self.dimms.len(), "one failure term per DIMM");
+        for (i, &per_window) in window_failures.iter().enumerate() {
             let (interval, words, ecc) = {
                 let d = &self.dimms[i];
                 (msr.refresh_interval(d.config.domain), d.words(), d.config.ecc_enabled)
             };
             let windows = (duration.as_secs() / interval.as_secs()).max(0.0);
-            let expected = self.retention.expected_failures(interval, temp, words * 64)
-                * windows
-                * touch_fraction;
+            let expected = per_window * windows * touch_fraction;
             let hits = poisson(rng, expected);
             for _ in 0..hits {
                 let word = rng.gen_range(0..words);

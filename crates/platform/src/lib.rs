@@ -9,8 +9,9 @@
 //! * [`msr`] — model-specific registers for voltage offsets and refresh
 //!   intervals (the paper's undervolting and refresh-relaxation knobs);
 //! * [`mca`] — machine-check records for corrected/uncorrected errors;
-//! * [`sensors`] — temperature/voltage/power sensors with realistic noise;
-//! * [`pmu`] — performance counters;
+//! * [`sensors`] — temperature/voltage/power sensors with realistic noise,
+//!   swept on demand ([`ServerNode::last_sensors`]), not in every
+//!   interval report;
 //! * [`workload`] — SPEC CPU2006-like workload profiles plus stress
 //!   excitations;
 //! * [`part`] — part specifications calibrated to the paper's two Intel
@@ -39,7 +40,6 @@ pub mod mca;
 pub mod msr;
 pub mod node;
 pub mod part;
-pub mod pmu;
 pub mod raidr;
 pub mod sensors;
 pub mod workload;

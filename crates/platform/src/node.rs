@@ -2,10 +2,17 @@
 //!
 //! A [`ServerNode`] binds a manufactured chip instance (sampled from the
 //! part's variation model) to the MSR control plane, cache and memory
-//! subsystems, sensors, PMU and machine-check banks, and advances them in
+//! subsystems, sensors and machine-check banks, and advances them in
 //! discrete intervals. The stress campaigns, daemons and hypervisor all
 //! drive nodes exclusively through this interface — the same observables
 //! the paper's stack gets from real hardware.
+//!
+//! An interval does only the work whose result is read, yet draws the
+//! same RNG values in the same order as the full model: it steps over
+//! the sensor sweep (rebuilt on demand by [`ServerNode::last_sensors`])
+//! and the onset draws of a cache that cannot log a CE, and it memoizes
+//! the pure power and retention terms on the bit patterns of their
+//! inputs.
 
 use std::sync::Arc;
 
@@ -24,7 +31,6 @@ use crate::dram::MemorySystem;
 use crate::mca::{ErrorOrigin, McaBanks, MceRecord};
 use crate::msr::MsrFile;
 use crate::part::PartSpec;
-use crate::pmu::PmuCounters;
 use crate::sensors::{SensorBlock, SensorSnapshot};
 use crate::workload::WorkloadProfile;
 
@@ -42,7 +48,8 @@ pub struct CrashEvent {
     pub workload: Arc<str>,
 }
 
-/// Everything observed during one simulated interval.
+/// Everything observed during one simulated interval. The interval's
+/// sensor sweep is read separately, through [`ServerNode::last_sensors`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalReport {
     /// Simulation time at the *end* of the interval.
@@ -54,10 +61,6 @@ pub struct IntervalReport {
     pub crash: Option<CrashEvent>,
     /// Machine-check records raised during the interval.
     pub errors: Vec<MceRecord>,
-    /// Noisy sensor sweep taken at the end of the interval.
-    pub sensors: SensorSnapshot,
-    /// Per-core PMU increments for the interval.
-    pub pmu_deltas: Vec<PmuCounters>,
     /// Mean node power over the interval (cores + DRAM).
     pub power: Watts,
     /// Energy consumed over the interval.
@@ -83,10 +86,12 @@ pub struct ServerNode {
     cores: Vec<CoreState>,
     cache: CacheSubsystem,
     /// The memory subsystem (public: the hypervisor manages domains).
+    /// Its DIMM set and power/retention models are fixed when the node
+    /// is built: the interval memos key on refresh settings,
+    /// utilization and temperature only.
     pub memory: MemorySystem,
     sensors: SensorBlock,
     mca: McaBanks,
-    pmu: Vec<PmuCounters>,
     clock: Seconds,
     crashed: bool,
     reboots: u64,
@@ -101,10 +106,26 @@ pub struct ServerNode {
     /// The seed the node was manufactured from (daemons derive their own
     /// per-node sub-streams from it).
     seed: u64,
-    /// Scratch buffers reused across intervals so the serving tick does
-    /// not re-allocate per-core power/voltage vectors every call.
-    scratch_powers: Vec<Watts>,
-    scratch_voltages: Vec<Volts>,
+    /// Per-core power and supply voltage over the last interval: the
+    /// truths the sensor sweep reads, in buffers reused across
+    /// intervals. `core_power[c]` is also a memo of the part's power
+    /// model, computed from the (voltage, activity, temperature) bit
+    /// patterns in `core_power_key[c]`.
+    core_power: Vec<Watts>,
+    core_power_key: Vec<Option<[u64; 3]>>,
+    core_voltage: Vec<Volts>,
+    /// DRAM module power, computed from the bit patterns of the
+    /// utilization and each DIMM's refresh interval in `dram_power_key`.
+    dram_power: Watts,
+    dram_power_key: Vec<u64>,
+    /// Each DIMM's expected retention failures per refresh window,
+    /// computed from the (refresh interval, DIMM temperature) bit
+    /// patterns in `window_failures_key`.
+    window_failures: Vec<f64>,
+    window_failures_key: Vec<Option<[u64; 2]>>,
+    /// The RNG at the last interval's sensor-sweep position, and the
+    /// ambient the sweep read (`None` before the first interval).
+    sweep: Option<(StdRng, Celsius)>,
 }
 
 impl ServerNode {
@@ -147,7 +168,7 @@ impl ServerNode {
             .collect();
         let cache = CacheSubsystem::from_chip(&chip);
         let msr = MsrFile::new(spec.nominal_voltage, spec.cores, memory.domains().len().max(1));
-        let pmu = vec![PmuCounters::new(); spec.cores];
+        let (core_count, dimm_count) = (spec.cores, memory.dimms().len());
         ServerNode {
             spec,
             chip,
@@ -157,7 +178,6 @@ impl ServerNode {
             memory,
             sensors: SensorBlock::server_room(),
             mca: McaBanks::default(),
-            pmu,
             clock: Seconds::ZERO,
             crashed: false,
             reboots: 0,
@@ -166,8 +186,14 @@ impl ServerNode {
             age_months: 0.0,
             rng,
             seed,
-            scratch_powers: Vec::new(),
-            scratch_voltages: Vec::new(),
+            core_power: vec![Watts::ZERO; core_count],
+            core_power_key: vec![None; core_count],
+            core_voltage: vec![Volts::ZERO; core_count],
+            dram_power: Watts::ZERO,
+            dram_power_key: Vec::new(),
+            window_failures: vec![0.0; dimm_count],
+            window_failures_key: vec![None; dimm_count],
+            sweep: None,
         }
     }
 
@@ -190,6 +216,19 @@ impl ServerNode {
     #[must_use]
     pub fn ambient(&self) -> Celsius {
         self.sensors.ambient
+    }
+
+    /// The noisy sensor sweep taken at the end of the last interval
+    /// (`None` before the first one). The interval itself only steps the
+    /// RNG past the sweep's draws; this replays them from the saved
+    /// stream position over the interval's power and voltage truths and
+    /// ambient, so the readings are exactly those an in-line sweep would
+    /// have taken.
+    #[must_use]
+    pub fn last_sensors(&self) -> Option<SensorSnapshot> {
+        let (rng, ambient) = self.sweep.as_ref()?;
+        let sensors = SensorBlock { ambient: *ambient, ..self.sensors.clone() };
+        Some(sensors.sample(&self.core_power, &self.core_voltage, &mut rng.clone()))
     }
 
     /// The part specification of this node.
@@ -331,6 +370,25 @@ impl ServerNode {
             .expect("zero offset is always within limits");
     }
 
+    /// DRAM module power at `utilization` under the current refresh
+    /// settings, recomputed only when the utilization or a DIMM's
+    /// refresh interval changed since the last call.
+    fn dram_power(&mut self, utilization: f64) -> Watts {
+        let msr = &self.msr;
+        let key = std::iter::once(utilization.to_bits()).chain(
+            self.memory
+                .dimms()
+                .iter()
+                .map(|d| msr.refresh_interval(d.config.domain).as_secs().to_bits()),
+        );
+        if !self.dram_power_key.iter().copied().eq(key.clone()) {
+            self.dram_power_key.clear();
+            self.dram_power_key.extend(key);
+            self.dram_power = self.memory.power(&self.msr, utilization);
+        }
+        self.dram_power
+    }
+
     /// Runs the node for one interval of `workload` on all active cores.
     ///
     /// # Panics
@@ -347,6 +405,7 @@ impl ServerNode {
         let mut crash: Option<CrashEvent> = None;
 
         // --- Core logic: sample per-run crash voltages, check for crash.
+        let aging = self.aging_weakness();
         let mut min_active_voltage = nominal;
         let mut crash_reference = Volts::ZERO;
         let mut active = 0usize;
@@ -357,7 +416,7 @@ impl ServerNode {
             active += 1;
             let v = self.msr.effective_voltage(idx);
             min_active_voltage = min_active_voltage.min(v);
-            let weakness = core.weakness + self.aging_weakness();
+            let weakness = core.weakness + aging;
             let crash_v =
                 self.spec.vmin.crash_voltage(nominal, weakness, stress, &mut self.rng);
             crash_reference = crash_reference.max(crash_v);
@@ -390,39 +449,48 @@ impl ServerNode {
             }
         }
 
-        // --- Power & thermals. The per-core truth vectors are scratch
-        // buffers owned by the node: the serving tick reuses them every
-        // interval instead of re-allocating.
-        let mut core_powers = std::mem::take(&mut self.scratch_powers);
-        let mut core_voltages = std::mem::take(&mut self.scratch_voltages);
-        core_powers.clear();
-        core_voltages.clear();
+        // --- Power & thermals. A core's power is a pure function of its
+        // voltage, activity and temperature: recompute it only when one
+        // of them changed since the last interval.
+        let temp = self.sensors.true_core_temp(Watts::new(5.0)); // first-order estimate
         for (idx, core) in self.cores.iter().enumerate() {
             let v = self.msr.effective_voltage(idx);
             let activity = if core.isolated { 0.02 } else { workload.activity };
-            let p = self.spec.power.total(
-                v,
-                self.spec.nominal_frequency,
-                activity,
-                self.sensors.true_core_temp(Watts::new(5.0)), // first-order estimate
-                nominal,
-                self.chip.leakage_factor,
-            );
-            core_powers.push(p);
-            core_voltages.push(v);
+            let key = Some([v.as_volts().to_bits(), activity.to_bits(), temp.as_celsius().to_bits()]);
+            if self.core_power_key[idx] != key {
+                self.core_power_key[idx] = key;
+                self.core_power[idx] = self.spec.power.total(
+                    v,
+                    self.spec.nominal_frequency,
+                    activity,
+                    temp,
+                    nominal,
+                    self.chip.leakage_factor,
+                );
+            }
+            self.core_voltage[idx] = v;
         }
-        let dram_util = workload.mem_bw_util;
-        let dram_power = self.memory.power(&self.msr, dram_util);
+        let dram_power = self.dram_power(workload.mem_bw_util);
         let package: Watts =
-            core_powers.iter().fold(Watts::ZERO, |a, b| a + *b) + dram_power;
+            self.core_power.iter().fold(Watts::ZERO, |a, b| a + *b) + dram_power;
         let energy = package * duration;
 
-        // --- DRAM retention errors at the current refresh settings.
+        // --- DRAM retention errors at the current refresh settings. The
+        // expected failures per refresh window are pure in the refresh
+        // interval and the DIMM temperature.
         let dimm_temp = self.sensors.true_dimm_temp(package);
+        for (i, dimm) in self.memory.dimms().iter().enumerate() {
+            let interval = self.msr.refresh_interval(dimm.config.domain);
+            let key = Some([interval.as_secs().to_bits(), dimm_temp.as_celsius().to_bits()]);
+            if self.window_failures_key[i] != key {
+                self.window_failures_key[i] = key;
+                self.window_failures[i] = self.memory.window_failures(i, interval, dimm_temp);
+            }
+        }
         let touch = (workload.mem_bw_util * 0.8 + 0.02).min(1.0);
-        self.memory.step_errors_into(
+        self.memory.sample_errors_into(
             &self.msr,
-            dimm_temp,
+            &self.window_failures,
             duration,
             self.clock + duration,
             touch,
@@ -430,19 +498,10 @@ impl ServerNode {
             &mut errors,
         );
 
-        // --- PMU and sensors.
-        let mut pmu_deltas = Vec::with_capacity(self.cores.len());
-        for (idx, core) in self.cores.iter().enumerate() {
-            let delta = if core.isolated {
-                PmuCounters::new()
-            } else {
-                self.pmu[idx].advance(workload, self.spec.nominal_frequency, duration)
-            };
-            pmu_deltas.push(delta);
-        }
-        let snapshot = self.sensors.sample(&core_powers, &core_voltages, &mut self.rng);
-        self.scratch_powers = core_powers;
-        self.scratch_voltages = core_voltages;
+        // --- Sensor sweep. Nothing on the serving path reads it: keep
+        // the stream position for `last_sensors` and step past its draws.
+        self.sweep = Some((self.rng.clone(), self.sensors.ambient));
+        self.sensors.skip(&self.core_power, &self.core_voltage, &mut self.rng);
 
         // --- Post MCEs to the banks; a crash posts a fatal record.
         if let Some(ev) = &crash {
@@ -460,22 +519,18 @@ impl ServerNode {
         }
 
         self.clock = self.clock + duration;
-        IntervalReport {
-            at: self.clock,
-            duration,
-            crash,
-            errors,
-            sensors: snapshot,
-            pmu_deltas,
-            power: package,
-            energy,
-        }
+        IntervalReport { at: self.clock, duration, crash, errors, power: package, energy }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DimmConfig;
+    use crate::msr::DomainId;
+    use uniserver_silicon::power::DramPowerModel;
+    use uniserver_silicon::retention::RetentionModel;
+    use uniserver_units::Bytes;
 
     fn node() -> ServerNode {
         ServerNode::new(PartSpec::arm_microserver(), 7)
@@ -584,8 +639,6 @@ mod tests {
             assert!(r.crash.is_none(), "isolated core crashed the node");
         }
         assert!(n.is_isolated(0));
-        // Its PMU stays frozen.
-        assert_eq!(n.run_interval(&w, Seconds::from_millis(100.0)).pmu_deltas[0], PmuCounters::new());
     }
 
     #[test]
@@ -594,9 +647,97 @@ mod tests {
         let w = WorkloadProfile::spec_mcf();
         let r = n.run_interval(&w, Seconds::new(2.0));
         assert_eq!(r.at, Seconds::new(2.0));
-        assert_eq!(r.pmu_deltas.len(), n.core_count());
         assert!((r.energy.as_joules() - r.power.as_watts() * 2.0).abs() < 1e-9);
-        assert_eq!(r.sensors.core_temps.len(), n.core_count());
+        assert_eq!(n.last_sensors().expect("an interval ran").core_temps.len(), n.core_count());
+    }
+
+    #[test]
+    fn last_sensors_replays_the_skipped_sweep() {
+        let mut n = node();
+        assert_eq!(n.last_sensors(), None, "no sweep before the first interval");
+        let r = n.run_interval(&WorkloadProfile::spec_mcf(), Seconds::from_millis(200.0));
+        assert!(r.crash.is_none());
+        let snap = n.last_sensors().expect("an interval ran");
+        // Nothing draws after the sweep in a crash-free interval: the
+        // saved position plus one skipped sweep is the node's stream.
+        let (mut at_sweep, _) = n.sweep.clone().expect("an interval ran");
+        n.sensors.skip(&n.core_power, &n.core_voltage, &mut at_sweep);
+        assert_eq!(at_sweep, n.rng);
+        // The sweep belongs to the interval: later input changes do not
+        // move it.
+        n.set_ambient(Celsius::new(40.0));
+        n.msr.set_voltage_offset_all(10.0).unwrap();
+        assert_eq!(n.last_sensors(), Some(snap));
+    }
+
+    /// The node with every memo cleared: its next interval recomputes
+    /// each pure term from the models.
+    fn cold(n: &ServerNode) -> ServerNode {
+        let mut c = n.clone();
+        c.core_power_key.fill(None);
+        c.dram_power_key.clear();
+        c.window_failures_key.fill(None);
+        c
+    }
+
+    #[test]
+    fn memoized_terms_follow_every_input() {
+        type Step = fn(&mut ServerNode, &mut WorkloadProfile);
+        let steps: [(&str, Step); 10] = [
+            ("the first interval", |_, _| {}),
+            ("an unchanged interval", |_, _| {}),
+            ("set_ambient", |n, _| n.set_ambient(Celsius::new(35.0))),
+            ("a voltage offset", |n, _| n.msr.set_voltage_offset(1, 20.0).unwrap()),
+            ("isolate_core", |n, _| n.isolate_core(2)),
+            ("restore_core", |n, _| n.restore_core(2)),
+            ("a refresh change", |n, _| {
+                n.msr.set_refresh_interval(DomainId(1), Seconds::new(5.0)).unwrap();
+            }),
+            // Swapped refresh settings leave the DRAM power sum, hence
+            // the DIMM temperature, bit-identical: only the refresh keys
+            // see the change.
+            ("a refresh swap", |n, _| {
+                n.msr.set_refresh_interval(DomainId(0), Seconds::new(5.0)).unwrap();
+                n.msr.set_refresh_interval(DomainId(1), Seconds::from_millis(64.0)).unwrap();
+            }),
+            ("a workload change", |_, w| *w = WorkloadProfile::spec_hmmer()),
+            ("reboot", |n, _| n.reboot()),
+        ];
+        // One DIMM per refresh domain.
+        let dimm = |domain| DimmConfig { capacity: Bytes::gib(8), ecc_enabled: true, domain };
+        let memory = MemorySystem::new(
+            vec![dimm(DomainId(0)), dimm(DomainId(1))],
+            RetentionModel::ddr3_server(),
+            DramPowerModel::ddr3_8gb(),
+        );
+        let mut n = ServerNode::with_memory(PartSpec::arm_microserver(), memory, 7);
+        let mut w = WorkloadProfile::spec_mcf();
+        let dt = Seconds::new(60.0);
+        for (what, change) in steps {
+            change(&mut n, &mut w);
+            let mut reference = cold(&n);
+            let r = n.run_interval(&w, dt);
+            assert!(r.crash.is_none(), "crash after {what}");
+            let temp = n.sensors.true_core_temp(Watts::new(5.0));
+            let cores = (0..n.core_count())
+                .map(|c| {
+                    let activity = if n.is_isolated(c) { 0.02 } else { w.activity };
+                    n.spec.power.total(
+                        n.msr.effective_voltage(c),
+                        n.spec.nominal_frequency,
+                        activity,
+                        temp,
+                        n.spec.nominal_voltage,
+                        n.chip.leakage_factor,
+                    )
+                })
+                .fold(Watts::ZERO, |a, b| a + b);
+            let power = cores + n.memory.power(&n.msr, w.mem_bw_util);
+            assert_eq!(r.power, power, "stale power after {what}");
+            assert_eq!(r, reference.run_interval(&w, dt), "report diverged after {what}");
+            assert_eq!(n.window_failures, reference.window_failures, "stale retention after {what}");
+            assert_eq!(n.rng, reference.rng, "stream diverged after {what}");
+        }
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! On-board sensors: temperature, voltage and power telemetry.
 //!
 //! The paper's HealthLog information vectors include "sensor readings"
-//! (§3.C); this module produces them for every interval report, where
-//! the Predictor's temperature feature reads them. Real sensors quantize and jitter,
-//! so readings carry configurable noise around the modeled truth — which
-//! is exactly what makes the Predictor's job non-trivial.
+//! (§3.C); this module produces them on demand. An interval only steps
+//! the node's RNG past its sweep ([`SensorBlock::skip`]); the
+//! Predictor's training harness, which reads the temperature feature,
+//! replays the sweep through `ServerNode::last_sensors`. Real sensors
+//! quantize and jitter, so readings carry configurable noise around the
+//! modeled truth — which is exactly what makes the Predictor's job
+//! non-trivial.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Volts, Watts};
 
-use uniserver_silicon::rng::normal;
+use uniserver_silicon::rng::{normal, skip_normal};
 
 /// A single point-in-time sensor sweep of the node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,6 +136,28 @@ impl SensorBlock {
         };
         SensorSnapshot { core_temps, package_power, core_voltages, dimm_temp }
     }
+
+    /// Advances `rng` exactly as [`SensorBlock::sample`] on the same
+    /// inputs would, draw for draw, without producing readings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core_powers` and `core_voltages` differ in length or
+    /// are empty.
+    pub fn skip<R: Rng + ?Sized>(&self, core_powers: &[Watts], core_voltages: &[Volts], rng: &mut R) {
+        assert_eq!(core_powers.len(), core_voltages.len(), "power/voltage lists must align");
+        assert!(!core_powers.is_empty(), "need at least one core");
+
+        let package_true: f64 = core_powers.iter().map(|p| p.as_watts()).sum();
+        for _ in core_powers {
+            skip_normal(rng, self.temp_noise);
+        }
+        for _ in core_voltages {
+            skip_normal(rng, self.volt_noise_mv);
+        }
+        skip_normal(rng, package_true * self.power_noise_rel);
+        skip_normal(rng, self.temp_noise);
+    }
 }
 
 impl Default for SensorBlock {
@@ -203,6 +228,22 @@ mod tests {
         let edge = SensorBlock::edge_closet();
         assert!(edge.ambient > dc.ambient);
         assert!(edge.true_dimm_temp(Watts::new(30.0)) > dc.true_dimm_temp(Watts::new(30.0)));
+    }
+
+    #[test]
+    fn skip_mirrors_sample_draw_for_draw() {
+        let volts = [Volts::new(0.84), Volts::new(0.83)];
+        let quiet = SensorBlock { temp_noise: 0.0, power_noise_rel: 0.0, ..SensorBlock::server_room() };
+        for s in [SensorBlock::server_room(), quiet] {
+            // An idle package has zero power noise, hence no power draw.
+            for powers in [[Watts::new(10.0), Watts::new(12.0)], [Watts::ZERO; 2]] {
+                let mut sampled = rng();
+                let mut skipped = rng();
+                let _ = s.sample(&powers, &volts, &mut sampled);
+                s.skip(&powers, &volts, &mut skipped);
+                assert_eq!(sampled, skipped);
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,22 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     mean + sigma * z
 }
 
+/// Advances `rng` exactly as [`normal`] with the same `sigma` would,
+/// without computing the deviate: for callers whose draw is provably
+/// unread but whose stream position must not move.
+///
+/// # Panics
+///
+/// Panics if `sigma` is negative or non-finite.
+pub fn skip_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) {
+    assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be finite and non-negative, got {sigma}");
+    if sigma == 0.0 {
+        return;
+    }
+    let _: f64 = rng.gen();
+    let _: f64 = rng.gen();
+}
+
 /// Samples a normal deviate truncated to `[lo, hi]` by rejection (falls
 /// back to clamping after 64 rejections, which only triggers for extreme
 /// truncations).
@@ -307,6 +323,29 @@ mod tests {
         let n = 40_000;
         let mean = (0..n).map(|_| exponential(&mut r, 4.0)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
+    }
+
+    #[test]
+    fn skip_normal_mirrors_normal_draw_for_draw() {
+        for sigma in [0.0, 0.5, 3.0] {
+            let mut drawn = rng();
+            let mut skipped = rng();
+            for _ in 0..16 {
+                let _ = normal(&mut drawn, 1.0, sigma);
+                skip_normal(&mut skipped, sigma);
+                assert_eq!(drawn, skipped, "sigma {sigma}: stream positions diverged");
+            }
+        }
+        // Zero sigma draws nothing at all.
+        let mut r = rng();
+        skip_normal(&mut r, 0.0);
+        assert_eq!(r, rng());
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite")]
+    fn skip_normal_rejects_negative_sigma() {
+        skip_normal(&mut rng(), -1.0);
     }
 
     #[test]

@@ -67,6 +67,7 @@ fn cross_crate_seed_isolation() {
         let _ = noise.run_interval(&w, Seconds::from_millis(250.0));
         let r2 = a2.run_interval(&w, Seconds::from_millis(250.0));
         assert_eq!(r1, r2, "interleaved activity must not change a node's trajectory");
+        assert_eq!(a1.last_sensors(), a2.last_sensors(), "nor its sensor sweep");
     }
 }
 
