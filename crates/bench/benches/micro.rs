@@ -1,18 +1,19 @@
 //! Micro-benchmarks of the hot building blocks.
 //!
 //! These quantify the design-choice costs DESIGN.md calls out: the real
-//! SECDED codec on the DRAM path, per-interval node simulation, GA
-//! virus evolution, predictor training/inference, scheduler placement
-//! and the migration cost model.
+//! SECDED codec on the DRAM path, per-interval node simulation, the
+//! cluster tick at one and two workers, GA virus evolution, predictor
+//! training/inference, scheduler placement and the migration cost
+//! model.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
-use uniserver_cloudmgr::{Scheduler, SlaClass};
+use uniserver_cloudmgr::{Cluster, ClusterConfig, Scheduler, SlaClass};
 use uniserver_hypervisor::vm::{Vm, VmConfig, VmId};
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
@@ -61,6 +62,34 @@ fn bench_node_tick(c: &mut Criterion) {
             black_box(undervolted.run_interval(&w, dt))
         });
     });
+    // 2 % below nominal on a strong die (over 10 % of crash margin):
+    // under the screened onset, so every bank takes the bounded onset
+    // path, yet far above the die's crash point and cache onset, so the
+    // bounds rule out every crash and CE.
+    let mut quiet = ServerNode::new(PartSpec::arm_microserver(), 4);
+    let offset = quiet.part().offset_mv(0.02);
+    quiet.msr.set_voltage_offset_all(offset).expect("offset within MSR limits");
+    c.bench_function("server_node_interval_extended_quiet", |b| {
+        b.iter(|| black_box(quiet.run_interval(&w, dt)));
+    });
+}
+
+fn bench_cluster_tick(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cluster_tick_512_nominal");
+    g.sample_size(10);
+    for workers in [1, 2] {
+        // The mixed rack at nominal margins with one guest per node:
+        // quiet nodes, where the per-node phase is mostly platform.
+        let mut cluster = Cluster::build(&ClusterConfig::uniserver_rack(512), 2018);
+        for _ in 0..512 {
+            cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze);
+        }
+        cluster.set_workers(workers);
+        g.bench_function(BenchmarkId::new("workers", workers), |b| {
+            b.iter(|| black_box(cluster.tick(Seconds::new(5.0))));
+        });
+    }
+    g.finish();
 }
 
 fn bench_ga(c: &mut Criterion) {
@@ -125,6 +154,7 @@ criterion_group!(
     micro_benches,
     bench_secded,
     bench_node_tick,
+    bench_cluster_tick,
     bench_ga,
     bench_predictor,
     bench_scheduler,

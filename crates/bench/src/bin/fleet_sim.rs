@@ -78,10 +78,10 @@
 //!   the per-tick series (tick 0 always included); `1` — the default —
 //!   reproduces the legacy stdout byte-for-byte.
 //! * `--threads K` drives the deploy workers in both modes **and** the
-//!   cluster mode's sharded serving loop (`Cluster::tick_pooled`, one
-//!   persistent pool per run): per-node advancement runs on K workers
-//!   (0 = one per core; clamped to the core count), every reduce stays
-//!   sequential in node-index order.
+//!   cluster mode's sharded serving loop (`Cluster::tick` on scoped
+//!   threads, one contiguous node chunk each): per-node advancement
+//!   runs on K workers (0 = one per core; clamped to the core count),
+//!   every reduce stays sequential in node-index order.
 //!
 //! Both modes print byte-identical stdout for any `--threads` value —
 //! the determinism the paper's methodology demands of every experiment

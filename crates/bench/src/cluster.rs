@@ -122,7 +122,7 @@ pub fn summary_to_json(s: &ClusterSummary, per_tick: bool) -> String {
 }
 
 /// Physical core count of the host, from `/proc/cpuinfo` — may exceed
-/// the process-available [`uniserver_cloudmgr::pool::cores`] in a
+/// the process-available [`uniserver_cloudmgr::cores`] in a
 /// cgroup-limited container, and is recorded alongside it so the bench
 /// records' wall-clocks are interpretable (a "slow" row from a 2-of-64
 /// core container is not a regression). Falls back to the available
@@ -133,7 +133,7 @@ pub fn host_cores() -> usize {
         .map(|info| info.lines().filter(|l| l.starts_with("processor")).count())
         .ok()
         .filter(|&n| n > 0)
-        .unwrap_or_else(uniserver_cloudmgr::pool::cores)
+        .unwrap_or_else(uniserver_cloudmgr::cores)
 }
 
 /// The full `BENCH_cluster.json` record: the run's headline outcome

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use uniserver_cloudmgr::pool::{cores, resolve_workers};
+use uniserver_cloudmgr::{cores, resolve_workers};
 
 use uniserver_core::ecosystem::{DeploymentConfig, Ecosystem, SavingsReport};
 use uniserver_core::training::AdvisorCache;

@@ -97,9 +97,9 @@ fn cluster_mode_is_byte_stable_across_thread_counts() {
     // against the machine (clamped to its cores), so on a single-core
     // box every variant runs one worker and this test only locks the
     // resolution path; genuinely multi-worker determinism is locked by
-    // the direct-pool tests (tests/cluster_shard.rs,
-    // tests/placement_index.rs, cloudmgr's pool/cluster unit tests),
-    // which construct ShardPools of 2-6 workers regardless of cores.
+    // the direct worker-count tests (tests/cluster_shard.rs,
+    // tests/placement_index.rs, cloudmgr's cluster unit tests), which
+    // set 2-6 workers on the cluster regardless of cores.
     let base = &["--cluster", "--nodes", "8", "--secs", "60", "--seed", "7"];
     let one = fleet_sim(&[base, &["--threads", "1"][..]].concat());
     assert!(one.status.success(), "stderr: {}", String::from_utf8_lossy(&one.stderr));

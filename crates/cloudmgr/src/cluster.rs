@@ -5,15 +5,15 @@
 //!
 //! Per-tick node advancement (hypervisor tick + failure-predictor log
 //! scan) is embarrassingly parallel between placement decisions, so
-//! [`Cluster::tick_pooled`] splits it across the workers of a
-//! persistent [`ShardPool`] in contiguous node-index chunks and then
-//! **reduces sequentially in node order**: energy is summed
-//! index-by-index (bit-identical floats for any worker count), crash
-//! events are emitted ordered by `(node index, event order)`, and the
-//! predictor's score write-back — plus the placement-mutating phases
-//! (proactive migration, recovery) — stay sequential. Worker count can
-//! therefore never change a report. [`Cluster::tick_sharded`] keeps the
-//! worker-count API by running the same path on a transient pool.
+//! [`Cluster::tick`] splits it into one contiguous node-index chunk per
+//! worker (see [`Cluster::set_workers`]) on scoped threads that borrow
+//! the chunk and the predictor in place; the caller's thread runs the
+//! first chunk. It then **reduces sequentially in node order**: energy
+//! is summed index-by-index (bit-identical floats for any worker
+//! count), crash events are emitted ordered by `(node index, event
+//! order)`, and the predictor's score write-back — plus the
+//! placement-mutating phases (proactive migration, recovery) — stay
+//! sequential. Worker count can therefore never change a report.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -34,7 +34,6 @@ use crate::lifecycle::{GrayState, NodePhase, NodePower};
 use crate::migrate::MigrationModel;
 use crate::node::{ManagedNode, NodeId};
 use crate::policy::{EnergySlaPolicy, PlacementDecision, PlacementPolicy, RackView};
-use crate::pool::ShardPool;
 use crate::scheduler::Scheduler;
 use crate::sla::SlaClass;
 
@@ -190,8 +189,8 @@ pub struct CrashRecovery {
     pub downtime: Seconds,
 }
 
-/// What one node's share of a sharded tick produced — computed on a
-/// worker thread, reduced sequentially in node-index order.
+/// What one node's share of a sharded tick produced — computed on its
+/// chunk's thread, reduced sequentially in node-index order.
 #[derive(Debug, Clone)]
 struct NodeAdvance {
     /// Energy the node consumed this tick.
@@ -212,10 +211,10 @@ fn advance_node(node: &mut ManagedNode, predictor: &FailurePredictor, duration: 
     NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score }
 }
 
-/// Instrumentation one shard's advance produced on its worker:
+/// Instrumentation one shard's advance produced on its thread:
 /// wall-clock nanos for the stage profiler (commutative, flushed to
 /// atomics per chunk) and an optional per-shard metrics registry
-/// (merged in job-index == node-index order by the reduce).
+/// (merged in chunk == node-index order by the reduce).
 #[derive(Debug, Default)]
 struct ShardStats {
     tick_ns: u64,
@@ -223,10 +222,10 @@ struct ShardStats {
     metrics: Option<MetricsRegistry>,
 }
 
-/// The shared per-node phase of both the sequential and the pooled
-/// tick path: identical computation, so the two stay bit-identical.
-/// `profile` adds per-node span timing; `collect` fills a shard-local
-/// registry with integer tick-domain stats.
+/// The per-node phase of one contiguous chunk of a tick: the same
+/// computation for any chunking, so every worker count stays
+/// bit-identical. `profile` adds per-node span timing; `collect` fills
+/// a shard-local registry with integer tick-domain stats.
 fn advance_slice(
     nodes: &mut [ManagedNode],
     predictor: &FailurePredictor,
@@ -282,6 +281,28 @@ fn advance_slice(
     (advances, stats)
 }
 
+/// CPU cores available to this process (1 when the probe fails) — the
+/// single source for [`resolve_workers`] and for the `cores` column of
+/// the bench records, so what gets recorded is exactly what requests
+/// were clamped against.
+#[must_use]
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Resolves a requested worker count against the machine and the job
+/// count: `0` means one worker per available core, and explicit requests
+/// are clamped to the core count — oversubscribing a CPU-bound shard
+/// phase only adds scheduling overhead (on a 1-core container, `-t 4`
+/// used to triple deploy cost per node against `-t 1`). The result is
+/// further clamped to `[1, jobs]`.
+#[must_use]
+pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
+    let cores = cores();
+    let workers = if requested == 0 { cores } else { requested.min(cores) };
+    workers.clamp(1, jobs.max(1))
+}
+
 /// The cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -315,6 +336,9 @@ pub struct Cluster {
     /// [`ClusterTickReport`] so the report's `PartialEq` determinism
     /// contract is untouched.
     metrics: Option<MetricsRegistry>,
+    /// Threads the per-node phase of a tick runs on (see
+    /// [`Cluster::set_workers`]).
+    workers: usize,
 }
 
 impl Cluster {
@@ -371,7 +395,17 @@ impl Cluster {
             power_stats: PowerStats::default(),
             profiler: None,
             metrics: None,
+            workers: 1,
         }
+    }
+
+    /// Sets how many threads run the per-node phase of each tick: `0`
+    /// and `1` keep it on the caller's thread, and counts above the
+    /// node count clamp to it. Any count produces the identical report,
+    /// so callers resolve it once against the machine
+    /// ([`resolve_workers`]).
+    pub fn set_workers(&mut self, workers: usize) {
+        self.workers = workers;
     }
 
     /// Installs a placement policy; subsequent placement decisions and
@@ -679,55 +713,19 @@ impl Cluster {
     /// events (drained from each node's platform feed) so event-driven
     /// callers can trigger failure-driven recovery.
     ///
-    /// Equivalent to [`Cluster::tick_sharded`] with one worker.
+    /// The per-node phase runs on [`Cluster::set_workers`] threads, one
+    /// contiguous node-index chunk each; the results are reduced
+    /// sequentially in node order, so **any worker count produces the
+    /// identical report**: energy sums in index order (bit-identical
+    /// floats), crash events order by `(node index, event order)`, and
+    /// the predictor write-back and placement-mutating phases run on the
+    /// caller's thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises, on the caller's thread, a panic from any node's tick.
     pub fn tick(&mut self, duration: Seconds) -> ClusterTickReport {
-        self.tick_sharded(duration, 1)
-    }
-
-    /// [`Cluster::tick`] with the per-node phase sharded across
-    /// `workers` threads (clamped to `[1, nodes]`) of a **transient**
-    /// pool. Per-tick callers should hold a [`ShardPool`] and use
-    /// [`Cluster::tick_pooled`] instead — spawning threads every tick is
-    /// exactly the overhead the persistent pool removes — but the
-    /// reduce contract is identical either way.
-    pub fn tick_sharded(&mut self, duration: Seconds, workers: usize) -> ClusterTickReport {
-        let workers = workers.clamp(1, self.nodes.len());
-        if workers <= 1 {
-            return self.tick_reduce(duration, None);
-        }
-        let pool = ShardPool::new(workers);
-        self.tick_pooled(duration, &pool)
-    }
-
-    /// [`Cluster::tick`] with the per-node phase sharded across the
-    /// workers of a persistent [`ShardPool`] in contiguous node-index
-    /// chunks. The results are reduced sequentially in node order, so
-    /// **any worker count produces the identical report**: energy sums
-    /// in index order (bit-identical floats), crash events order by
-    /// `(node index, event order)`, and the predictor write-back and
-    /// placement-mutating phases run on the caller's thread.
-    pub fn tick_pooled(&mut self, duration: Seconds, pool: &ShardPool) -> ClusterTickReport {
-        if pool.workers() <= 1 || self.nodes.len() <= 1 {
-            return self.tick_reduce(duration, None);
-        }
-        self.tick_reduce(duration, Some(pool))
-    }
-
-    /// The full tick: parallel per-node phase (sequential when `pool` is
-    /// `None`), then the sequential reduce and placement-mutating
-    /// phases.
-    fn tick_reduce(&mut self, duration: Seconds, pool: Option<&ShardPool>) -> ClusterTickReport {
-        let advances = match pool {
-            Some(pool) => self.advance_nodes_pooled(duration, pool),
-            None => {
-                let profile = self.profiler.is_some();
-                let collect = self.metrics.is_some();
-                let (advances, stats) =
-                    advance_slice(&mut self.nodes, &self.predictor, duration, profile, collect);
-                self.absorb_shard_stats(stats);
-                advances
-            }
-        };
+        let advances = self.advance_nodes(duration);
 
         // --- Sequential reduce, in node-index order. Offline nodes
         // produced no advance: no tick, no energy, no crash feed, and
@@ -781,55 +779,35 @@ impl Cluster {
         }
     }
 
-    /// The parallel phase of a sharded tick: every node's hypervisor
-    /// advances and its health log is scored, one contiguous chunk per
-    /// worker. Returns per-node advances **in node-index order**
-    /// ([`ShardPool::scatter`] reassembles chunks in job-index order, so
-    /// worker scheduling cannot reorder them).
-    ///
-    /// The pool's workers are long-lived, so they cannot borrow from the
-    /// cluster the way scoped threads could: node chunks move **by
-    /// value** into the jobs and back out with the results (two shallow
-    /// O(n) moves per tick), and the predictor rides an `Arc` whose last
-    /// reference returns here after the join — per-node computation is
-    /// untouched, so the pooled and sequential paths are bit-identical.
-    fn advance_nodes_pooled(&mut self, duration: Seconds, pool: &ShardPool) -> Vec<Option<NodeAdvance>> {
-        let n = self.nodes.len();
-        let workers = pool.workers().clamp(1, n);
-        let chunk = n.div_ceil(workers);
-        let jobs = n.div_ceil(chunk);
-        let predictor = Arc::new(std::mem::take(&mut self.predictor));
-
+    /// The parallel phase of a tick: every node's hypervisor advances and
+    /// its health log is scored, one contiguous chunk per worker on
+    /// scoped threads that borrow the chunk and the (read-only)
+    /// predictor, the first chunk on the caller's thread. Returns
+    /// per-node advances **in node-index order**; shard stats absorb in
+    /// the same order, so the metrics merge order equals node order for
+    /// any worker count.
+    fn advance_nodes(&mut self, duration: Seconds) -> Vec<Option<NodeAdvance>> {
         let profile = self.profiler.is_some();
         let collect = self.metrics.is_some();
-        let mut it = std::mem::take(&mut self.nodes).into_iter();
-        let mut chunks: Vec<Vec<ManagedNode>> =
-            (0..jobs).map(|_| it.by_ref().take(chunk).collect()).collect();
-        let results = pool.scatter(jobs, |i| {
-            let mut shard = std::mem::take(&mut chunks[i]);
-            let predictor = Arc::clone(&predictor);
-            Box::new(move || {
-                let (advances, stats) =
-                    advance_slice(&mut shard, &predictor, duration, profile, collect);
-                (shard, advances, stats)
-            })
+        let n = self.nodes.len();
+        let chunk = n.div_ceil(self.workers.clamp(1, n));
+        let predictor = &self.predictor;
+        let advance = move |shard: &mut [ManagedNode]| advance_slice(shard, predictor, duration, profile, collect);
+        let shards = std::thread::scope(|scope| {
+            let mut chunks = self.nodes.chunks_mut(chunk);
+            let first = chunks.next().expect("a cluster has nodes");
+            let spawned: Vec<_> = chunks.map(|shard| scope.spawn(move || advance(shard))).collect();
+            let mut shards = vec![advance(first)];
+            for handle in spawned {
+                shards.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            }
+            shards
         });
-
-        let mut nodes = Vec::with_capacity(n);
         let mut advances = Vec::with_capacity(n);
-        // Shard stats absorb in job-index order too, so the metrics
-        // merge order equals node-index order exactly as the sequential
-        // path records it.
-        for (shard, shard_advances, stats) in results {
-            nodes.extend(shard);
-            advances.extend(shard_advances);
+        for (shard, stats) in shards {
+            advances.extend(shard);
             self.absorb_shard_stats(stats);
         }
-        self.nodes = nodes;
-        // Every job dropped its clone before reporting its result, and
-        // `scatter` saw all of them: this reference is the last.
-        self.predictor =
-            Arc::try_unwrap(predictor).expect("workers released the predictor on join");
         advances
     }
 
@@ -1445,10 +1423,11 @@ mod tests {
         };
         let mut seq = build();
         let mut par = build();
+        par.set_workers(4);
         let mut saw_crash = false;
         for _ in 0..60 {
             let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let b = par.tick(Seconds::new(1.0));
             assert_eq!(a, b, "worker count must never change a tick report");
             saw_crash |= !a.crashes.is_empty();
         }
@@ -1462,45 +1441,43 @@ mod tests {
     }
 
     #[test]
-    fn one_persistent_pool_serves_every_tick_identically() {
-        // The orchestrator's pattern: one ShardPool reused across the
-        // whole horizon (deploy + ~720 ticks) — versus fresh sequential
-        // ticks. Reusing workers must be invisible in every report.
-        let build = || {
-            let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(5), 100);
-            for i in 0..5 {
-                let class = if i % 2 == 0 { SlaClass::Gold } else { SlaClass::Bronze };
-                cluster.submit(VmConfig::idle_guest(), class);
-            }
-            let deep = cluster.nodes()[0].hypervisor.node().part().offset_mv(0.20);
-            cluster.nodes_mut()[0].hypervisor.node_mut().msr.set_voltage_offset_all(deep).unwrap();
-            cluster
-        };
-        let mut seq = build();
-        let mut pooled = build();
-        let pool = ShardPool::new(3);
-        let mut saw_crash = false;
-        for tick in 0..60 {
-            let a = seq.tick(Seconds::new(1.0));
-            let b = pooled.tick_pooled(Seconds::new(1.0), &pool);
-            assert_eq!(a, b, "pool reuse changed tick {tick}");
-            saw_crash |= !a.crashes.is_empty();
-        }
-        assert!(saw_crash, "a 20 % undervolt must crash within 60 ticks");
-        assert_eq!(seq.fleet_metrics(), pooled.fleet_metrics());
-        assert_eq!(seq.placements(), pooled.placements());
+    #[should_panic(expected = "call reboot()")]
+    fn a_panic_in_a_shard_reaches_the_caller_of_tick() {
+        use uniserver_platform::workload::WorkloadProfile;
+
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(6), 100);
+        cluster.set_workers(3);
+        // Crash node 5's platform behind its hypervisor's back: the last
+        // chunk, on a spawned thread, runs a crashed node next tick.
+        let server = cluster.nodes_mut()[5].hypervisor.node_mut();
+        server.msr.set_voltage_offset_all(server.part().offset_mv(0.25)).unwrap();
+        while server.run_interval(&WorkloadProfile::spec_zeusmp(), Seconds::new(1.0)).crash.is_none() {}
+        cluster.tick(Seconds::new(1.0));
     }
 
     #[test]
-    fn sharded_tick_clamps_workers_to_node_count() {
+    fn tick_clamps_workers_to_node_count() {
         let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(2), 100);
         cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze);
         // More workers than nodes (and zero workers) both behave.
-        let a = cluster.tick_sharded(Seconds::new(1.0), 64);
+        cluster.set_workers(64);
+        let a = cluster.tick(Seconds::new(1.0));
         assert!(a.crashes.is_empty());
-        let b = cluster.tick_sharded(Seconds::new(1.0), 0);
+        cluster.set_workers(0);
+        let b = cluster.tick(Seconds::new(1.0));
         assert!(b.crashes.is_empty());
         assert!(cluster.fleet_metrics().total_energy.as_joules() > 0.0);
+    }
+
+    #[test]
+    fn resolve_workers_clamps_to_cores_and_jobs() {
+        let cores = cores();
+        assert!(cores >= 1);
+        assert_eq!(resolve_workers(0, 1_000_000), cores, "0 means one per core");
+        assert_eq!(resolve_workers(10_000, 1_000_000), cores, "requests clamp to cores");
+        assert_eq!(resolve_workers(1, 8), 1);
+        assert_eq!(resolve_workers(0, 0), 1, "degenerate job counts still get a worker");
+        assert!(resolve_workers(64, 3) <= 3, "never more workers than jobs");
     }
 
     #[test]
@@ -1601,9 +1578,10 @@ mod tests {
         };
         let mut seq = build();
         let mut par = build();
+        par.set_workers(4);
         for tick in 0..20 {
             let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let b = par.tick(Seconds::new(1.0));
             assert_eq!(a, b, "offline skip changed tick {tick} across worker counts");
         }
         assert_eq!(seq.fleet_metrics(), par.fleet_metrics());
@@ -1673,9 +1651,10 @@ mod tests {
         };
         let mut seq = build();
         let mut par = build();
+        par.set_workers(4);
         for tick in 0..20 {
             let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let b = par.tick(Seconds::new(1.0));
             assert_eq!(a, b, "asleep skip changed tick {tick} across worker counts");
         }
         assert_eq!(seq.fleet_metrics(), par.fleet_metrics());
@@ -1908,11 +1887,12 @@ mod tests {
     fn shard_metrics_are_byte_identical_across_worker_counts() {
         let mut seq = instrumented_rack();
         let mut par = instrumented_rack();
+        par.set_workers(4);
         seq.enable_metrics();
         par.enable_metrics();
         for _ in 0..40 {
             let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), 4);
+            let b = par.tick(Seconds::new(1.0));
             assert_eq!(a, b, "metrics collection must not perturb the tick");
         }
         let a = seq.take_metrics().expect("metrics were enabled");
@@ -1932,10 +1912,10 @@ mod tests {
         let mut profiled = instrumented_rack();
         let profiler = Arc::new(StageProfiler::new());
         profiled.set_profiler(Arc::clone(&profiler));
-        let pool = ShardPool::new(3);
+        profiled.set_workers(3);
         for tick in 0..20 {
             let a = plain.tick(Seconds::new(1.0));
-            let b = profiled.tick_pooled(Seconds::new(1.0), &pool);
+            let b = profiled.tick(Seconds::new(1.0));
             assert_eq!(a, b, "profiling changed tick {tick}");
         }
         assert!(profiler.nanos(Stage::NodeTick) > 0, "node ticking must be attributed");

@@ -25,7 +25,8 @@
 //! * [`stream`] — the traffic engine: capacity-scaled, diurnal and
 //!   flash-crowd-modulated arrival/departure streams of VMs;
 //! * [`cluster`] — the cluster driver: VM streams, proactive
-//!   migration, fleet metrics.
+//!   migration, fleet metrics, and the tick's per-node phase on scoped
+//!   worker threads.
 //!
 //! # Examples
 //!
@@ -48,14 +49,13 @@ pub mod lifecycle;
 pub mod migrate;
 pub mod node;
 pub mod policy;
-pub mod pool;
 pub mod scheduler;
 pub mod sla;
 pub mod stream;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterTickReport, CrashRecovery, PartWeight, Placement, PlacementId,
-    PowerStats,
+    cores, resolve_workers, Cluster, ClusterConfig, ClusterTickReport, CrashRecovery, PartWeight,
+    Placement, PlacementId, PowerStats,
 };
 pub use failure::{FailurePredictor, ScoreUpdate};
 pub use index::PlacementIndex;
@@ -66,7 +66,6 @@ pub use policy::{
     ConsolidatePolicy, EnergySlaPolicy, ManagementPlan, PlacementDecision, PlacementPolicy,
     PolicyKind, RackView, ReliabilityBlindPolicy,
 };
-pub use pool::{cores, resolve_workers, ShardPool};
 pub use scheduler::{Scheduler, SchedulerWeights};
 pub use sla::SlaClass;
 pub use stream::{

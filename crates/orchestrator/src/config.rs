@@ -84,8 +84,8 @@ pub struct OrchestratorConfig {
     /// Worker threads for deploy **and** the serving loop's sharded
     /// per-node phase; 0 = one per available core, and explicit counts
     /// are clamped to the available cores (oversubscribing a CPU-bound
-    /// phase only adds scheduling overhead). One persistent pool serves
-    /// deploy and every tick. Placement decisions and all reduces stay
+    /// phase only adds scheduling overhead). Deploy and every tick run
+    /// on that many scoped threads. Placement decisions and all reduces stay
     /// sequential in node-index order, so thread count can never change
     /// a summary.
     pub threads: usize,

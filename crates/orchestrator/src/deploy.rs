@@ -6,16 +6,15 @@
 //!
 //! Determinism is by construction: a node's silicon, part, ambient and
 //! operating point are pure functions of `(scenario seed, node index)`,
-//! results are re-sorted by node index after the join, and the advisor
-//! cache is pre-trained per part before workers spawn. Any worker count
-//! produces the identical cluster.
+//! each worker deploys one contiguous node-index range and the ranges
+//! concatenate in order after the join, and the advisor cache is
+//! pre-trained per part before workers spawn. Any worker count produces
+//! the identical cluster.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use uniserver_cloudmgr::cluster::Cluster;
+use uniserver_cloudmgr::cluster::{resolve_workers, Cluster};
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
-use uniserver_cloudmgr::pool::{resolve_workers, ShardPool};
 use uniserver_core::ecosystem::{provision_node, recharacterize_node, DeploymentConfig};
 use uniserver_core::eop::OperatingPoint;
 use uniserver_core::training::AdvisorCache;
@@ -88,51 +87,26 @@ fn deploy_one(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize) ->
     (managed, record)
 }
 
-/// Deploys the whole rack in parallel on a transient pool sized by
-/// [`resolve_workers`]. Returns the assembled cluster, the per-node
-/// deploy records (ordered by node index), the summed per-node deploy
-/// wall-clock in seconds, and the worker count used.
-///
-/// Per-run callers (the serving loop) should create one [`ShardPool`]
-/// and use [`deploy_cluster_on`] so the same workers serve every tick.
-///
-/// # Panics
-///
-/// Panics if the cluster has zero nodes or a worker panics.
-#[must_use]
-pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode>, f64, usize) {
-    let pool = ShardPool::new(resolve_workers(config.threads, config.cluster.nodes));
-    let (cluster, records, secs, _) = deploy_cluster_on(config, &pool);
-    (cluster, records, secs, pool.workers())
-}
-
-/// Deploys the whole rack on an existing [`ShardPool`] — the
-/// orchestrator's entry point, reusing the run's persistent workers.
-///
-/// The pool's threads are long-lived, so jobs own their inputs: the
-/// scenario configuration and the pre-trained advisor cache ride `Arc`s
-/// into one contiguous node-index range per worker, and results
-/// reassemble in job-index order — any worker count produces the
-/// identical cluster.
-///
-/// The advisor cache is returned alongside the cluster so rejoin-time
-/// re-characterizations ([`rejoin_node`]) reuse the per-part models
-/// trained at deploy time instead of retraining mid-run.
+/// Deploys the whole rack in parallel: one contiguous node-index range
+/// per worker ([`resolve_workers`] of `config.threads`) on scoped
+/// threads, the first range on the caller's thread. Returns the
+/// assembled cluster, the per-node deploy records (ordered by node
+/// index), the summed per-range deploy wall-clock in seconds, and the
+/// advisor cache, so rejoin-time re-characterizations ([`rejoin_node`])
+/// reuse the per-part models trained at deploy time instead of
+/// retraining mid-run.
 ///
 /// # Panics
 ///
 /// Panics if the cluster has zero nodes or a worker panics.
 #[must_use]
-pub fn deploy_cluster_on(
-    config: &OrchestratorConfig,
-    pool: &ShardPool,
-) -> (Cluster, Vec<DeployedNode>, f64, Arc<AdvisorCache>) {
+pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode>, f64, AdvisorCache) {
     let nodes = config.cluster.nodes;
     assert!(nodes > 0, "a cluster needs nodes");
-    let workers = pool.workers().min(nodes);
+    let chunk = nodes.div_ceil(resolve_workers(config.threads, nodes));
 
     // Pre-train every part of the mix so workers only ever hit the cache.
-    let cache = Arc::new(AdvisorCache::new());
+    let cache = AdvisorCache::new();
     if config.margins == MarginPolicy::Extended {
         for part in &config.cluster.part_mix {
             let dep = DeploymentConfig { spec: part.spec.clone(), ..config.deployment.clone() };
@@ -140,31 +114,30 @@ pub fn deploy_cluster_on(
         }
     }
 
-    let chunk = nodes.div_ceil(workers);
-    let jobs = nodes.div_ceil(chunk);
-    let shared_config = Arc::new(config.clone());
-    let results = pool.scatter(jobs, |w| {
-        let lo = (w * chunk).min(nodes);
-        let hi = ((w + 1) * chunk).min(nodes);
-        let config = Arc::clone(&shared_config);
-        let cache = Arc::clone(&cache);
-        Box::new(move || {
-            let start = Instant::now();
-            let out: Vec<_> = (lo..hi).map(|n| deploy_one(&config, &cache, n)).collect();
-            (out, start.elapsed().as_secs_f64())
-        })
+    let deploy_range = |lo: usize| {
+        let start = Instant::now();
+        let out: Vec<_> = (lo..(lo + chunk).min(nodes)).map(|n| deploy_one(config, &cache, n)).collect();
+        (out, start.elapsed().as_secs_f64())
+    };
+    let ranges = std::thread::scope(|scope| {
+        let spawned: Vec<_> =
+            (chunk..nodes).step_by(chunk).map(|lo| scope.spawn(move || deploy_range(lo))).collect();
+        let mut ranges = vec![deploy_range(0)];
+        ranges.extend(
+            spawned.into_iter().map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
+        );
+        ranges
     });
 
     let mut managed = Vec::with_capacity(nodes);
     let mut records = Vec::with_capacity(nodes);
     let mut deploy_secs = 0.0;
-    // Job-index order == node-index order (contiguous ranges).
-    for (chunk_out, chunk_secs) in results {
-        for (m, r) in chunk_out {
+    for (range, range_secs) in ranges {
+        for (m, r) in range {
             managed.push(m);
             records.push(r);
         }
-        deploy_secs += chunk_secs;
+        deploy_secs += range_secs;
     }
     let mut cluster =
         Cluster::from_nodes(managed, config.cluster.scheduler, config.cluster.migration);
@@ -206,31 +179,18 @@ mod tests {
 
     #[test]
     fn deploy_is_worker_count_independent() {
-        use uniserver_cloudmgr::pool::resolve_workers;
-
         let mut config = OrchestratorConfig::smoke(6, 11);
         config.threads = 1;
-        let (_, seq, _, w1) = deploy_cluster(&config);
-        config.threads = 3;
-        let (_, par, _, w3) = deploy_cluster(&config);
-        assert_eq!(w1, 1);
-        // Requests are clamped to the machine's cores (oversubscription
-        // buys nothing), so the resolved count is machine-dependent.
-        assert_eq!(w3, resolve_workers(3, 6));
-        assert_eq!(seq, par, "worker count must not perturb any node");
-    }
-
-    #[test]
-    fn deploy_on_a_shared_pool_matches_the_transient_path() {
-        let config = OrchestratorConfig::smoke(5, 23);
-        let (_, transient, _, _) = deploy_cluster(&config);
-        let pool = ShardPool::new(2);
-        let (cluster, pooled, secs, _) = deploy_cluster_on(&config, &pool);
-        assert_eq!(transient, pooled, "pool reuse must not perturb any node");
-        assert_eq!(cluster.nodes().len(), 5);
+        let (_, seq, secs, _) = deploy_cluster(&config);
         assert!(secs > 0.0);
-        // The pool survives deploy and stays usable for the serve phase.
-        assert_eq!(pool.scatter(2, |i| Box::new(move || i)), vec![0, 1]);
+        // Requests above the core count and 0 (one per core) both clamp
+        // to the machine; none may perturb any node.
+        for threads in [0, 2, 3, 64] {
+            config.threads = threads;
+            let (cluster, par, _, _) = deploy_cluster(&config);
+            assert_eq!(seq, par, "{threads} workers perturbed a node");
+            assert_eq!(cluster.nodes().len(), 6);
+        }
     }
 
     #[test]
@@ -256,8 +216,7 @@ mod tests {
     #[test]
     fn rejoin_recharacterizes_extended_racks_and_renominalizes_nominal_ones() {
         let config = OrchestratorConfig::smoke(2, 19);
-        let pool = ShardPool::new(1);
-        let (mut cluster, records, _, cache) = deploy_cluster_on(&config, &pool);
+        let (mut cluster, records, _, cache) = deploy_cluster(&config);
         let rejoined =
             rejoin_node(&config, &cache, 0, cluster.nodes_mut()[0].hypervisor.node_mut());
         assert!(rejoined.min_offset_mv() > 0.0, "the re-shmoo still finds real margin");
@@ -274,7 +233,7 @@ mod tests {
 
         let nominal =
             OrchestratorConfig { margins: MarginPolicy::Nominal, ..OrchestratorConfig::smoke(2, 19) };
-        let (mut cluster, _, _, cache) = deploy_cluster_on(&nominal, &pool);
+        let (mut cluster, _, _, cache) = deploy_cluster(&nominal);
         let point =
             rejoin_node(&nominal, &cache, 1, cluster.nodes_mut()[1].hypervisor.node_mut());
         assert_eq!(point.min_offset_mv(), 0.0, "nominal racks rejoin at nominal");

@@ -9,15 +9,17 @@
 //! * [`config`] — scenario parameters ([`OrchestratorConfig`]), the
 //!   extended-vs-nominal [`MarginPolicy`], and the [`AdmissionPolicy`]
 //!   governing what happens to rejected arrivals;
-//! * [`deploy`] — parallel deploy-into-cluster: per-node silicon
-//!   characterized to its Extended Operating Point, sharing one trained
-//!   advisor per part (`uniserver_core::training::AdvisorCache`);
+//! * [`deploy`] — parallel deploy-into-cluster on scoped threads over
+//!   contiguous node ranges: per-node silicon characterized to its
+//!   Extended Operating Point, sharing one trained advisor per part
+//!   (`uniserver_core::training::AdvisorCache`);
 //! * [`events`] — the deterministic time-ordered [`EventQueue`];
 //! * [`orchestrator`] — the serving loop: seeded arrival batches,
 //!   energy/SLA-aware placement, crash-driven eviction/migration via
 //!   `uniserver_cloudmgr`, with the per-node phase sharded across
-//!   worker threads (`Cluster::tick_sharded`) under a deterministic
-//!   sequential reduce;
+//!   scoped worker threads (`Cluster::tick`, worker count set once per
+//!   run with `Cluster::set_workers`) under a deterministic sequential
+//!   reduce;
 //! * [`summary`] — the deterministic [`ClusterSummary`] artefact plus
 //!   wall-clock [`OrchestratorTiming`];
 //! * [`watchdog`] — the gray-failure health watchdog: seeded probes

@@ -12,10 +12,10 @@
 //!    rejections either enter the bounded per-class retry queue or are
 //!    counted `abandoned`, per the [`crate::config::AdmissionPolicy`];
 //! 3. advance every node's hypervisor one tick — **sharded across the
-//!    run's persistent worker pool** (`Cluster::tick_pooled`; the same
-//!    threads that deployed the rack serve every tick), with energy,
-//!    crash events and predictor scores reduced sequentially in
-//!    node-index order;
+//!    run's workers** (`Cluster::tick` on scoped threads, one contiguous
+//!    node-index chunk each, the worker count set on the cluster once
+//!    after deploy), with energy, crash events and predictor scores
+//!    reduced sequentially in node-index order;
 //! 4. for every crashed node (deduplicated: several same-tick crash
 //!    events still recover once), run failure-driven recovery (migrate
 //!    what fits elsewhere, evict the rest). With the failure lifecycle
@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use uniserver_cloudmgr::lifecycle::{GrayState, NodePhase};
 use uniserver_cloudmgr::node::NodeId;
-use uniserver_cloudmgr::pool::{resolve_workers, ShardPool};
+use uniserver_cloudmgr::cluster::{cores, resolve_workers};
 use uniserver_core::eop::OperatingPoint;
 use uniserver_faultinject::chaos::ChaosPlan;
 use uniserver_platform::node::CrashEvent;
@@ -57,7 +57,7 @@ use uniserver_units::{Celsius, Seconds, Volts};
 use uniserver_cloudmgr::policy::PolicyKind;
 
 use crate::config::{MarginPolicy, OrchestratorConfig};
-use crate::deploy::{deploy_cluster_on, rejoin_node};
+use crate::deploy::{deploy_cluster, rejoin_node};
 use crate::events::EventQueue;
 use crate::serve::{CrashPolicy, RetryQueue, ServeCounters};
 use crate::summary::{
@@ -115,12 +115,11 @@ pub fn run_with_telemetry(
     }
     let ticks = config.ticks();
     let wall_start = Instant::now();
-    // One persistent worker pool for the whole run: the parallel deploy
-    // and all ~720 sharded ticks reuse the same threads instead of
-    // paying a `thread::scope` spawn per tick.
+    // `threads` drives the parallel deploy and every tick's per-node
+    // phase alike.
     let workers = resolve_workers(config.threads, config.cluster.nodes);
-    let pool = ShardPool::new(workers);
-    let (mut cluster, records, deploy_secs, cache) = deploy_cluster_on(config, &pool);
+    let (mut cluster, records, deploy_secs, cache) = deploy_cluster(config);
+    cluster.set_workers(workers);
     // The stage profiler is wall-clock (machine-local): it feeds the
     // timing report, never the deterministic summary or metrics.
     let profiler = Arc::new(StageProfiler::new());
@@ -364,12 +363,12 @@ pub fn run_with_telemetry(
             }
         }
 
-        // --- 3. Advance the fleet, sharded across the run's pool.
+        // --- 3. Advance the fleet, sharded across the run's workers.
         // Offline nodes are skipped wholesale: no energy, no load, no
         // crash surface while they repair.
         let mut report = {
             let _span = profiler.scoped(Stage::Tick);
-            cluster.tick_pooled(step, &pool)
+            cluster.tick(step)
         };
         c.energy_j += report.energy.as_joules();
         t_migrations += report.proactive_migrations;
@@ -641,7 +640,7 @@ pub fn run_with_telemetry(
         nodes: config.cluster.nodes,
         arrivals: c.offered,
         workers,
-        cores: uniserver_cloudmgr::pool::cores(),
+        cores: cores(),
         stages: StageBreakdown {
             placement_ms: profiler.ms(Stage::Placement),
             predictor_ms: profiler.ms(Stage::Predictor),

@@ -1,7 +1,7 @@
 //! Reduce-side bookkeeping of the serving loop.
 //!
 //! The per-node phase of a tick is sharded across workers (see
-//! [`uniserver_cloudmgr::cluster::Cluster::tick_sharded`]); everything
+//! [`uniserver_cloudmgr::cluster::Cluster::tick`]); everything
 //! in this module runs **after** the parallel phase, sequentially, on
 //! the orchestrator's thread — event drains, SLA charging and
 //! failure-driven recovery are placement-mutating and stay serial so a

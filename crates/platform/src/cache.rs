@@ -11,7 +11,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use uniserver_units::Volts;
 
-use uniserver_silicon::rng::skip_normal;
+use uniserver_silicon::rng::{deviate_bound, normal_radius, skip_normal};
 use uniserver_silicon::variation::ChipProfile;
 use uniserver_silicon::vmin::VminModel;
 
@@ -92,15 +92,24 @@ impl CacheSubsystem {
     }
 
     /// Samples corrected errors for every in-service bank over one
-    /// interval at supply voltage `v`, given a reference core crash
-    /// voltage for the same interval (bank onsets are anchored to it; see
+    /// interval at supply voltage `v`, given the interval's reference
+    /// core crash voltage (bank onsets are anchored to it; see
     /// [`VminModel::cache_onset_voltage`]). Banks with zero CEs are
     /// omitted, mirroring how MCA only reports actual events.
-    pub fn sample_interval<R: Rng + ?Sized>(
+    ///
+    /// The exact reference costs the caller a replay, so it arrives as
+    /// `crash_reference`, called at most once, together with an upper
+    /// bound `reference_bound` on it. A bank whose onset, bounded by its
+    /// deviate's radius and `reference_bound`, is at or below `v` logs
+    /// nothing: it only steps the stream past its onset draw, which is
+    /// all the exact path would draw. Only a bank the bound cannot rule
+    /// out rewinds and samples exactly.
+    pub fn sample_interval<R: Rng + Clone>(
         &self,
         v: Volts,
         nominal: Volts,
-        crash_reference: Volts,
+        reference_bound: Volts,
+        mut crash_reference: impl FnMut() -> Volts,
         vmin: &VminModel,
         rng: &mut R,
     ) -> Vec<BankCeSample> {
@@ -118,9 +127,21 @@ impl CacheSubsystem {
             }
             return Vec::new();
         }
+        let mut reference = None;
         let mut out = Vec::new();
         for bank in in_service {
-            let onset = vmin.cache_onset_voltage(crash_reference, bank.weakness, rng).min(screened);
+            let at_bank = rng.clone();
+            if let Some(radius) = normal_radius(rng, vmin.cache_onset_sigma_mv) {
+                let bound = vmin
+                    .cache_onset_bound(reference_bound, bank.weakness, deviate_bound(radius))
+                    .min(screened);
+                if v >= bound {
+                    continue;
+                }
+            }
+            *rng = at_bank;
+            let crash = *reference.get_or_insert_with(&mut crash_reference);
+            let onset = vmin.cache_onset_voltage(crash, bank.weakness, rng).min(screened);
             let corrected = vmin.cache_ce_count(v, onset, rng);
             if corrected > 0 {
                 out.push(BankCeSample { bank: bank.index, corrected });
@@ -161,7 +182,7 @@ mod tests {
         // Deep undervolt: every active bank produces CEs.
         let crash = Volts::from_millivolts(760.0);
         let samples =
-            s.sample_interval(Volts::from_millivolts(700.0), Volts::from_millivolts(844.0), crash, &VminModel::default(), &mut rng);
+            s.sample_interval(Volts::from_millivolts(700.0), Volts::from_millivolts(844.0), crash, || crash, &VminModel::default(), &mut rng);
         assert!(samples.iter().all(|c| c.bank >= 2), "isolated banks must stay silent");
         assert!(!samples.is_empty());
     }
@@ -181,12 +202,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let crash = Volts::from_millivolts(760.0);
         let samples =
-            s.sample_interval(Volts::from_millivolts(844.0), Volts::from_millivolts(844.0), crash, &VminModel::default(), &mut rng);
+            s.sample_interval(Volts::from_millivolts(844.0), Volts::from_millivolts(844.0), crash, || crash, &VminModel::default(), &mut rng);
         assert!(samples.is_empty(), "nominal voltage must be CE-free, got {samples:?}");
     }
 
     /// Every in-service bank through the onset and CE draws, with no
-    /// early exit: the reference the screened shortcut must match.
+    /// early exit and no bound: the reference both shortcuts must match.
     fn sample_every_bank(
         s: &CacheSubsystem,
         v: Volts,
@@ -207,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn screened_early_exit_matches_the_full_path() {
+    fn screened_exit_and_onset_bound_match_the_full_path() {
         let nominal = Volts::from_millivolts(844.0);
         let crash = Volts::from_millivolts(760.0);
         let mut isolated = subsystem();
@@ -220,17 +241,30 @@ mod tests {
         ];
         for s in [subsystem(), isolated] {
             for vmin in &models {
-                // At and above the screened onset (843 mV), then below it.
-                for v_mv in [843.0, 844.0, 900.0, 842.0] {
-                    let v = Volts::from_millivolts(v_mv);
-                    let mut fast = StdRng::seed_from_u64(9);
-                    let mut full = fast.clone();
-                    assert_eq!(
-                        s.sample_interval(v, nominal, crash, vmin, &mut fast),
-                        sample_every_bank(&s, v, nominal, crash, vmin, &mut full),
-                        "samples at {v_mv} mV"
-                    );
-                    assert_eq!(fast, full, "stream position at {v_mv} mV");
+                // At and above the screened onset (843 mV), then below
+                // it: past the bound, across the onset window and deep.
+                for v_mv in [843.0, 844.0, 900.0, 842.0, 800.0, 780.0, 775.0, 770.0, 700.0] {
+                    // The exact reference, and looser bounds on it.
+                    for slack_mv in [0.0, 0.5, 20.0] {
+                        let v = Volts::from_millivolts(v_mv);
+                        let bound = Volts::from_millivolts(crash.as_millivolts() + slack_mv);
+                        for seed in 0..8 {
+                            let mut fast = StdRng::seed_from_u64(seed);
+                            let mut full = fast.clone();
+                            let mut replays = 0;
+                            let reference = || {
+                                replays += 1;
+                                crash
+                            };
+                            assert_eq!(
+                                s.sample_interval(v, nominal, bound, reference, vmin, &mut fast),
+                                sample_every_bank(&s, v, nominal, crash, vmin, &mut full),
+                                "samples at {v_mv} mV, bound +{slack_mv} mV"
+                            );
+                            assert_eq!(fast, full, "stream position at {v_mv} mV, bound +{slack_mv} mV");
+                            assert!(replays <= 1, "the exact reference is computed at most once");
+                        }
+                    }
                 }
             }
         }
@@ -256,7 +290,7 @@ mod tests {
         let total = |v_mv: f64, rng: &mut StdRng| -> u64 {
             (0..50)
                 .map(|_| {
-                    s.sample_interval(Volts::from_millivolts(v_mv), Volts::from_millivolts(844.0), crash, &vmin, rng)
+                    s.sample_interval(Volts::from_millivolts(v_mv), Volts::from_millivolts(844.0), crash, || crash, &vmin, rng)
                         .iter()
                         .map(|c| c.corrected)
                         .sum::<u64>()

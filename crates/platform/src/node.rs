@@ -13,17 +13,28 @@
 //! and the onset draws of a cache that cannot log a CE, and it memoizes
 //! the pure power and retention terms on the bit patterns of their
 //! inputs.
+//!
+//! The crash dice and the cache onsets are bounded skips. Each core
+//! memoizes, per Box–Muller radius (on first use), the highest crash
+//! voltage its run jitter can reach and the crash probability there. An interval reads
+//! each core's normal uniforms untransformed, picks the radius they
+//! fall in and draws the bernoulli uniform: at or above the bounded
+//! probability the core cannot crash. Each cache bank's onset is
+//! bounded the same way, from the highest per-core crash bound. Only a
+//! core or bank the bound cannot rule out rewinds to its saved stream
+//! position and runs the exact Box–Muller, sigmoid and onset math.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Joules, Seconds, Volts, Watts};
 
 use uniserver_silicon::aging::AgingModel;
-use uniserver_silicon::rng::bernoulli;
+use uniserver_silicon::rng::{bernoulli, deviate_bound, normal_radius, NORMAL_RADII};
 use uniserver_silicon::variation::ChipProfile;
+use uniserver_silicon::vmin::VminModel;
 use uniserver_silicon::{ErrorSeverity, FaultKind};
 
 use crate::cache::CacheSubsystem;
@@ -76,6 +87,35 @@ struct CoreState {
     isolated: bool,
 }
 
+/// Upper bounds on one core's crash dice, one slot per radius of
+/// [`NORMAL_RADII`], each filled on first use: a run whose jitter
+/// deviate lies within the radius crashes at no higher voltage than the
+/// slot's, hence with at most the slot's probability.
+type CrashBounds = [Option<(Volts, f64)>; NORMAL_RADII.len()];
+
+/// The exact crash reference of an interval (the highest per-core crash
+/// voltage), replayed from the stream position its crash loop started
+/// at. The loop drew a bernoulli uniform after each active core's
+/// normal up to and including the `crashed` core, and none after.
+fn replay_crash_reference(
+    cores: &[CoreState],
+    vmin: &VminModel,
+    nominal: Volts,
+    aging: f64,
+    stress: f64,
+    crashed: Option<usize>,
+    mut rng: StdRng,
+) -> Volts {
+    let mut reference = Volts::ZERO;
+    for (idx, core) in cores.iter().enumerate().filter(|(_, core)| !core.isolated) {
+        reference = reference.max(vmin.crash_voltage(nominal, core.weakness + aging, stress, &mut rng));
+        if crashed.is_none_or(|c| idx <= c) {
+            let _: f64 = rng.gen();
+        }
+    }
+    reference
+}
+
 /// The simulated server node.
 #[derive(Debug, Clone)]
 pub struct ServerNode {
@@ -123,6 +163,11 @@ pub struct ServerNode {
     /// patterns in `window_failures_key`.
     window_failures: Vec<f64>,
     window_failures_key: Vec<Option<[u64; 2]>>,
+    /// Each core's crash-dice bounds, computed from the (effective
+    /// voltage, weakness + aging, stress) bit patterns in
+    /// `crash_bound_key`.
+    crash_bound: Vec<CrashBounds>,
+    crash_bound_key: Vec<Option<[u64; 3]>>,
     /// The RNG at the last interval's sensor-sweep position, and the
     /// ambient the sweep read (`None` before the first interval).
     sweep: Option<(StdRng, Celsius)>,
@@ -193,6 +238,8 @@ impl ServerNode {
             dram_power_key: Vec::new(),
             window_failures: vec![0.0; dimm_count],
             window_failures_key: vec![None; dimm_count],
+            crash_bound: vec![[None; NORMAL_RADII.len()]; core_count],
+            crash_bound_key: vec![None; core_count],
             sweep: None,
         }
     }
@@ -398,16 +445,28 @@ impl ServerNode {
     pub fn run_interval(&mut self, workload: &WorkloadProfile, duration: Seconds) -> IntervalReport {
         assert!(!self.crashed, "node is crashed; call reboot() before running");
         assert!(duration.as_secs() > 0.0, "interval must be positive");
+        let (crash, errors) = self.roll_logic_and_cache(workload, duration);
+        self.finish_interval(workload, duration, crash, errors)
+    }
 
+    /// The interval's crash dice and cache CE draws, as bounded skips
+    /// on the exact model's stream. Returns the crash, if any, and the
+    /// cache's corrected-error records.
+    fn roll_logic_and_cache(
+        &mut self,
+        workload: &WorkloadProfile,
+        duration: Seconds,
+    ) -> (Option<CrashEvent>, Vec<MceRecord>) {
         let stress = workload.stress_scalar(&self.spec.pdn);
+        let aging = self.aging_weakness();
         let nominal = self.spec.nominal_voltage;
-        let mut errors: Vec<MceRecord> = Vec::new();
+        let vmin = &self.spec.vmin;
         let mut crash: Option<CrashEvent> = None;
 
-        // --- Core logic: sample per-run crash voltages, check for crash.
-        let aging = self.aging_weakness();
+        // --- Core logic: per-run crash voltages, checked for a crash.
+        let at_loop = self.rng.clone();
         let mut min_active_voltage = nominal;
-        let mut crash_reference = Volts::ZERO;
+        let mut reference_bound = Volts::ZERO;
         let mut active = 0usize;
         for (idx, core) in self.cores.iter().enumerate() {
             if core.isolated {
@@ -417,10 +476,28 @@ impl ServerNode {
             let v = self.msr.effective_voltage(idx);
             min_active_voltage = min_active_voltage.min(v);
             let weakness = core.weakness + aging;
-            let crash_v =
-                self.spec.vmin.crash_voltage(nominal, weakness, stress, &mut self.rng);
-            crash_reference = crash_reference.max(crash_v);
-            let p = self.spec.vmin.crash_probability(v, crash_v);
+            let key = Some([v.as_volts().to_bits(), weakness.to_bits(), stress.to_bits()]);
+            if self.crash_bound_key[idx] != key {
+                self.crash_bound_key[idx] = key;
+                self.crash_bound[idx] = [None; NORMAL_RADII.len()];
+            }
+            let at_core = self.rng.clone();
+            if let Some(r) = normal_radius(&mut self.rng, vmin.run_jitter_sigma) {
+                let (crash_v_max, p_max) = *self.crash_bound[idx][r].get_or_insert_with(|| {
+                    let crash_v = vmin.crash_voltage_bound(nominal, weakness, stress, deviate_bound(r));
+                    (crash_v, vmin.crash_probability(v, crash_v))
+                });
+                reference_bound = reference_bound.max(crash_v_max);
+                // After a crash the exact loop draws only the normal.
+                if crash.is_some() || self.rng.gen::<f64>() >= p_max {
+                    continue;
+                }
+            }
+            // The bound cannot rule a crash out: rewind and roll exactly.
+            self.rng = at_core;
+            let crash_v = vmin.crash_voltage(nominal, weakness, stress, &mut self.rng);
+            reference_bound = reference_bound.max(crash_v);
+            let p = vmin.crash_probability(v, crash_v);
             if crash.is_none() && bernoulli(&mut self.rng, p) {
                 crash = Some(CrashEvent {
                     core: idx,
@@ -432,13 +509,27 @@ impl ServerNode {
         }
         if active == 0 {
             // A fully isolated node idles; nothing can crash it.
-            crash_reference = nominal.scaled(1.0 - self.spec.vmin.base_crash_offset);
+            reference_bound = nominal.scaled(1.0 - vmin.base_crash_offset);
         }
 
-        // --- Cache banks: corrected errors in the onset window.
-        for sample in
-            self.cache.sample_interval(min_active_voltage, nominal, crash_reference, &self.spec.vmin, &mut self.rng)
-        {
+        // --- Cache banks: corrected errors in the onset window, anchored
+        // to the exact crash reference only where the bound cannot rule
+        // a CE out.
+        let cores = &self.cores;
+        let crashed = crash.as_ref().map(|ev| ev.core);
+        let exact_reference = || match active {
+            0 => reference_bound,
+            _ => replay_crash_reference(cores, vmin, nominal, aging, stress, crashed, at_loop.clone()),
+        };
+        let mut errors: Vec<MceRecord> = Vec::new();
+        for sample in self.cache.sample_interval(
+            min_active_voltage,
+            nominal,
+            reference_bound,
+            exact_reference,
+            vmin,
+            &mut self.rng,
+        ) {
             for _ in 0..sample.corrected {
                 errors.push(MceRecord {
                     at: self.clock + duration,
@@ -448,6 +539,20 @@ impl ServerNode {
                 });
             }
         }
+        (crash, errors)
+    }
+
+    /// The rest of an interval after its crash dice and cache draws:
+    /// power, DRAM retention errors, the sensor-sweep skip, and posting
+    /// the interval's machine checks.
+    fn finish_interval(
+        &mut self,
+        workload: &WorkloadProfile,
+        duration: Seconds,
+        crash: Option<CrashEvent>,
+        mut errors: Vec<MceRecord>,
+    ) -> IntervalReport {
+        let nominal = self.spec.nominal_voltage;
 
         // --- Power & thermals. A core's power is a pure function of its
         // voltage, activity and temperature: recompute it only when one
@@ -737,6 +842,199 @@ mod tests {
             assert_eq!(r, reference.run_interval(&w, dt), "report diverged after {what}");
             assert_eq!(n.window_failures, reference.window_failures, "stale retention after {what}");
             assert_eq!(n.rng, reference.rng, "stream diverged after {what}");
+        }
+    }
+
+    /// A copy of the crash loop and cache path before the bounded
+    /// skips: every active core through Box–Muller, the sigmoid and a
+    /// bernoulli (none after a crash), and below the screened onset
+    /// every in-service bank through its exact onset and CE draws.
+    fn exact_logic_and_cache(
+        n: &mut ServerNode,
+        workload: &WorkloadProfile,
+        duration: Seconds,
+    ) -> (Option<CrashEvent>, Vec<MceRecord>) {
+        let stress = workload.stress_scalar(&n.spec.pdn);
+        let nominal = n.spec.nominal_voltage;
+        let mut errors: Vec<MceRecord> = Vec::new();
+        let mut crash: Option<CrashEvent> = None;
+        let aging = n.aging_weakness();
+        let mut min_active_voltage = nominal;
+        let mut crash_reference = Volts::ZERO;
+        let mut active = 0usize;
+        for (idx, core) in n.cores.iter().enumerate() {
+            if core.isolated {
+                continue;
+            }
+            active += 1;
+            let v = n.msr.effective_voltage(idx);
+            min_active_voltage = min_active_voltage.min(v);
+            let weakness = core.weakness + aging;
+            let crash_v = n.spec.vmin.crash_voltage(nominal, weakness, stress, &mut n.rng);
+            crash_reference = crash_reference.max(crash_v);
+            let p = n.spec.vmin.crash_probability(v, crash_v);
+            if crash.is_none() && bernoulli(&mut n.rng, p) {
+                crash = Some(CrashEvent {
+                    core: idx,
+                    at: n.clock + duration,
+                    voltage: v,
+                    workload: workload.name.clone(),
+                });
+            }
+        }
+        if active == 0 {
+            crash_reference = nominal.scaled(1.0 - n.spec.vmin.base_crash_offset);
+        }
+        let vmin = &n.spec.vmin;
+        let screened = Volts::from_millivolts(nominal.as_millivolts() - 1.0);
+        for bank in n.cache.iter().filter(|b| !b.isolated) {
+            if min_active_voltage >= screened {
+                uniserver_silicon::rng::skip_normal(&mut n.rng, vmin.cache_onset_sigma_mv);
+                continue;
+            }
+            let onset = vmin.cache_onset_voltage(crash_reference, bank.weakness, &mut n.rng).min(screened);
+            for _ in 0..vmin.cache_ce_count(min_active_voltage, onset, &mut n.rng) {
+                errors.push(MceRecord {
+                    at: n.clock + duration,
+                    kind: FaultKind::CacheBit,
+                    severity: ErrorSeverity::Corrected,
+                    origin: ErrorOrigin::CacheBank(bank.index),
+                });
+            }
+        }
+        (crash, errors)
+    }
+
+    /// What crash and CE volume a run of intervals saw.
+    #[derive(Debug, Default)]
+    struct Seen {
+        intervals: usize,
+        crashes: usize,
+        ces: usize,
+    }
+
+    /// Runs one interval on `n` and on a clone through the exact loop,
+    /// and asserts the two agree on the report, the stream position and
+    /// the crash feed. A crashed node is rebooted (offsets cleared).
+    fn interval_matches_exact(n: &mut ServerNode, w: &WorkloadProfile, seen: &mut Seen, what: &str) {
+        let dt = Seconds::from_millis(100.0);
+        let mut exact = n.clone();
+        let report = n.run_interval(w, dt);
+        let (crash, errors) = exact_logic_and_cache(&mut exact, w, dt);
+        assert_eq!(report, exact.finish_interval(w, dt, crash, errors), "report: {what}");
+        assert_eq!(n.rng, exact.rng, "stream position: {what}");
+        assert_eq!(n.pending_crashes, exact.pending_crashes, "crash feed: {what}");
+        seen.intervals += 1;
+        seen.ces += report.errors.iter().filter(|e| e.severity == ErrorSeverity::Corrected).count();
+        if report.crash.is_some() {
+            seen.crashes += 1;
+            n.reboot();
+        }
+    }
+
+    /// Sweeps every core of `n` from nominal to 20 % below it in 0.4 %
+    /// steps, once under a quiet and once under a stressful workload:
+    /// within a sweep only the voltage moves the bounds.
+    fn sweep_matches_exact(n: &mut ServerNode, what: &str) -> Seen {
+        let mut seen = Seen::default();
+        for w in [WorkloadProfile::spec_bzip2(), WorkloadProfile::spec_zeusmp()] {
+            for step in 0..=50 {
+                let fraction = f64::from(step) * 0.004;
+                for i in 0..3 {
+                    n.msr.set_voltage_offset_all(n.part().offset_mv(fraction).min(250.0)).unwrap();
+                    let what = format!("{what}, {}, {fraction:.3} below, interval {i}", w.name);
+                    interval_matches_exact(n, &w, &mut seen, &what);
+                }
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn bounded_dice_match_the_exact_loop_across_a_voltage_sweep() {
+        for (part, seed) in [
+            (PartSpec::arm_microserver(), 7),
+            (PartSpec::arm_microserver(), 4),
+            (PartSpec::i5_4200u(), 11),
+            (PartSpec::i7_3970x(), 3),
+        ] {
+            let name = part.name.clone();
+            let seen = sweep_matches_exact(&mut ServerNode::new(part, seed), &name);
+            assert!(seen.crashes > 0, "{name}: the sweep must reach the crash point: {seen:?}");
+            if !name.contains("i7") {
+                assert!(seen.ces > 0, "{name}: the sweep must cross the cache onset: {seen:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_dice_match_the_exact_loop_with_isolation() {
+        let mut some = node();
+        some.isolate_core(0);
+        some.isolate_core(3);
+        some.cache_mut().isolate(1);
+        let seen = sweep_matches_exact(&mut some, "cores 0 and 3 isolated");
+        assert!(seen.crashes > 0 && seen.ces > 0, "{seen:?}");
+
+        let mut all = node();
+        for core in 0..all.core_count() {
+            all.isolate_core(core);
+        }
+        let seen = sweep_matches_exact(&mut all, "every core isolated");
+        assert_eq!(seen.crashes, 0, "a fully isolated node cannot crash");
+    }
+
+    #[test]
+    fn bounded_dice_match_the_exact_loop_without_noise() {
+        let mut quiet_jitter = node();
+        quiet_jitter.spec.vmin.run_jitter_sigma = 0.0;
+        let seen = sweep_matches_exact(&mut quiet_jitter, "zero run jitter");
+        assert!(seen.crashes > 0 && seen.ces > 0, "{seen:?}");
+
+        let mut fixed_onset = node();
+        fixed_onset.spec.vmin.cache_onset_sigma_mv = 0.0;
+        let seen = sweep_matches_exact(&mut fixed_onset, "zero onset sigma");
+        assert!(seen.crashes > 0 && seen.ces > 0, "{seen:?}");
+    }
+
+    #[test]
+    fn bounded_dice_follow_aging_and_stress_at_a_fixed_voltage() {
+        // At a fixed undervolt only the weakness (aging) or the stress
+        // (workload) moves the bounds: a memo that missed either would
+        // keep ruling out the crashes and CEs the exact loop draws.
+        let quiet = WorkloadProfile::spec_bzip2();
+        let loud = WorkloadProfile::spec_zeusmp();
+        let mut seen = Seen::default();
+        for step in 0..=20 {
+            let fraction = 0.01 + f64::from(step) * 0.004;
+            let mut aged = node();
+            let mut stressed = node();
+            for i in 0..12 {
+                // Fresh silicon for the first interval, four years of
+                // drift from the second on.
+                if i == 1 {
+                    aged.age_by_months(48.0);
+                }
+                aged.msr.set_voltage_offset_all(aged.part().offset_mv(fraction)).unwrap();
+                interval_matches_exact(&mut aged, &quiet, &mut seen, &format!("{fraction} below, aged, interval {i}"));
+                // The quiet workload first, the stressful one after.
+                let w = if i == 0 { &quiet } else { &loud };
+                stressed.msr.set_voltage_offset_all(stressed.part().offset_mv(fraction)).unwrap();
+                interval_matches_exact(&mut stressed, w, &mut seen, &format!("{fraction} below, stressed, interval {i}"));
+            }
+        }
+        assert!(seen.crashes > 0 && seen.ces > 0, "{seen:?}");
+    }
+
+    #[test]
+    fn after_a_crash_later_cores_draw_only_their_normal() {
+        let mut n = node();
+        let mut seen = Seen::default();
+        for i in 0..20 {
+            // Core 0 far past its crash point, every other core nominal.
+            n.msr.set_voltage_offset(0, n.part().offset_mv(0.25)).unwrap();
+            interval_matches_exact(&mut n, &WorkloadProfile::spec_zeusmp(), &mut seen, &format!("core 0 crash {i}"));
+            assert_eq!(n.take_crash_events().first().map(|ev| ev.core), Some(0), "core 0 crashes the node");
         }
     }
 

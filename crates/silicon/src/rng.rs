@@ -52,6 +52,53 @@ pub fn skip_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) {
     let _: f64 = rng.gen();
 }
 
+/// Box–Muller radii a bounded skip tests a [`normal`] draw against,
+/// smallest first: the uniform `u1` of a draw bounds its standard
+/// deviate by `|z| ≤ sqrt(−2 ln u1)`, so `u1 ≥ exp(−r²/2)` gives
+/// `|z| ≤ r`. The last radius covers every `u1` a 53-bit uniform can
+/// produce (`u1 ≥ 2⁻⁵³`, so `|z| < 8.6`).
+pub const NORMAL_RADII: [f64; 5] = [1.5, 2.0, 3.0, 4.5, 9.0];
+
+/// `exp(−r²/2)` for each of [`NORMAL_RADII`].
+const RADIUS_FLOORS: [f64; 5] = [
+    0.324_652_467_358_349_74,
+    0.135_335_283_236_612_7,
+    0.011_108_996_538_242_306,
+    4.006_529_739_295_107e-5,
+    2.576_757_109_154_981e-18,
+];
+
+/// Added to a radius before it bounds a deviate, so libm rounding in
+/// `ln` and `sqrt` near a floor can never carry `|z|` past the bound.
+const RADIUS_SLACK: f64 = 1e-9;
+
+/// Draws the two uniforms of one [`normal`] with the same `sigma`
+/// without transforming them, and returns the index into
+/// [`NORMAL_RADII`] of the smallest radius bounding the draw's standard
+/// deviate, or `None` if none does. Zero `sigma` draws nothing and
+/// returns the first radius (the deviate is never read).
+///
+/// # Panics
+///
+/// Panics if `sigma` is negative or non-finite.
+pub fn normal_radius<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Option<usize> {
+    assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be finite and non-negative, got {sigma}");
+    if sigma == 0.0 {
+        return Some(0);
+    }
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let _: f64 = rng.gen();
+    RADIUS_FLOORS.iter().position(|&floor| u1 >= floor)
+}
+
+/// The bound on `|z|` a [`normal_radius`] index guarantees: the radius
+/// plus a 1e-9 slack, so libm rounding in `ln` and `sqrt` near a floor
+/// can never carry `|z|` past it.
+#[must_use]
+pub fn deviate_bound(radius: usize) -> f64 {
+    NORMAL_RADII[radius] + RADIUS_SLACK
+}
+
 /// Samples a normal deviate truncated to `[lo, hi]` by rejection (falls
 /// back to clamping after 64 rejections, which only triggers for extreme
 /// truncations).
@@ -346,6 +393,47 @@ mod tests {
     #[should_panic(expected = "sigma must be finite")]
     fn skip_normal_rejects_negative_sigma() {
         skip_normal(&mut rng(), -1.0);
+    }
+
+    #[test]
+    fn radius_floors_are_exp_of_minus_half_r_squared() {
+        for (r, floor) in NORMAL_RADII.iter().zip(RADIUS_FLOORS) {
+            assert_eq!(floor, (-(r * r) / 2.0).exp(), "floor of radius {r}");
+        }
+        assert!(RADIUS_FLOORS.windows(2).all(|w| w[0] > w[1]), "radii ascend");
+        // The last radius admits the smallest u1 a 53-bit uniform yields.
+        assert!(1.0 - (1.0 - f64::EPSILON / 2.0) >= RADIUS_FLOORS[NORMAL_RADII.len() - 1]);
+    }
+
+    #[test]
+    fn radius_bounds_hold_one_ulp_either_side_of_each_floor() {
+        for (i, floor) in RADIUS_FLOORS.into_iter().enumerate() {
+            for u1 in [f64::from_bits(floor.to_bits() - 1), floor, f64::from_bits(floor.to_bits() + 1)] {
+                let radius = (-2.0 * u1.ln()).sqrt();
+                assert!(radius <= deviate_bound(i), "u1 {u1:e}: radius {radius} past {}", deviate_bound(i));
+            }
+        }
+    }
+
+    #[test]
+    fn normal_radius_mirrors_normal_and_bounds_its_deviate() {
+        for sigma in [0.5, 3.0] {
+            let mut drawn = rng();
+            let mut bounded = rng();
+            let mut used = [0usize; NORMAL_RADII.len()];
+            for _ in 0..20_000 {
+                let z = (normal(&mut drawn, 0.0, sigma) / sigma).abs();
+                let radius = normal_radius(&mut bounded, sigma).expect("the last radius admits every draw");
+                assert_eq!(drawn, bounded, "sigma {sigma}: stream positions diverged");
+                assert!(z <= deviate_bound(radius), "|z| {z} past radius {}", NORMAL_RADII[radius]);
+                used[radius] += 1;
+            }
+            assert!(used[..4].iter().all(|&n| n > 0), "the common radii are all reached: {used:?}");
+        }
+        // Zero sigma draws nothing at all.
+        let mut r = rng();
+        assert_eq!(normal_radius(&mut r, 0.0), Some(0));
+        assert_eq!(r, rng());
     }
 
     #[test]

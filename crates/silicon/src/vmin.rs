@@ -69,6 +69,13 @@ impl VminModel {
     ) -> f64 {
         assert!((0.0..=1.0).contains(&stress), "stress must be in [0, 1], got {stress}");
         let jitter = normal(rng, 0.0, self.run_jitter_sigma);
+        self.jittered_offset(core_weakness, stress, jitter)
+    }
+
+    /// The crash offset for a given run jitter: monotone non-decreasing
+    /// in `jitter`, operation for operation, so a bound on the jitter
+    /// bounds the offset exactly.
+    fn jittered_offset(&self, core_weakness: f64, stress: f64, jitter: f64) -> f64 {
         // Stress strictly shrinks the margin; weak cores (positive
         // weakness) are extra stress-sensitive, strong cores are not
         // extra-tolerant (monotonicity of §3.B).
@@ -93,6 +100,21 @@ impl VminModel {
         nominal.scaled(1.0 - offset)
     }
 
+    /// The highest crash voltage [`VminModel::crash_voltage`] can return
+    /// when its run's standard normal deviate is at least `-z_max`: the
+    /// same arithmetic at the extreme jitter, so it is an exact upper
+    /// bound (every step is monotone in the deviate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stress` lies outside `[0, 1]`.
+    #[must_use]
+    pub fn crash_voltage_bound(&self, nominal: Volts, core_weakness: f64, stress: f64, z_max: f64) -> Volts {
+        assert!((0.0..=1.0).contains(&stress), "stress must be in [0, 1], got {stress}");
+        let jitter = 0.0 + self.run_jitter_sigma * -z_max;
+        nominal.scaled(1.0 - self.jittered_offset(core_weakness, stress, jitter))
+    }
+
     /// Voltage at which cache SECDED corrections begin for a bank, given
     /// the core crash voltage of the same run. May be *below* the crash
     /// voltage (then CEs are never observable on this part).
@@ -104,6 +126,21 @@ impl VminModel {
     ) -> Volts {
         let window_mv = normal(rng, self.cache_onset_above_crash_mv, self.cache_onset_sigma_mv)
             + bank_weakness * 1000.0;
+        Self::onset_above(crash, window_mv)
+    }
+
+    /// The highest onset [`VminModel::cache_onset_voltage`] can return
+    /// for a crash voltage at most `crash_bound` and an onset deviate at
+    /// most `z_max`: the same arithmetic at the extremes, monotone in
+    /// both, so an exact upper bound.
+    #[must_use]
+    pub fn cache_onset_bound(&self, crash_bound: Volts, bank_weakness: f64, z_max: f64) -> Volts {
+        let window_mv = (self.cache_onset_above_crash_mv + self.cache_onset_sigma_mv * z_max)
+            + bank_weakness * 1000.0;
+        Self::onset_above(crash_bound, window_mv)
+    }
+
+    fn onset_above(crash: Volts, window_mv: f64) -> Volts {
         let onset_mv = crash.as_millivolts() + window_mv;
         Volts::from_millivolts(onset_mv.max(0.0))
     }

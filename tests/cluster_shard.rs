@@ -1,7 +1,7 @@
 //! Determinism contract of the sharded serving tick: on a degraded rack
-//! — crash events present — `Cluster::tick_sharded` with any worker
-//! count must match the sequential `Cluster::tick`, report for report,
-//! metric for metric. Shard boundaries may never leak into energy sums
+//! — crash events present — `Cluster::tick` with any worker count
+//! (`Cluster::set_workers`) must match the single-threaded tick, report
+//! for report, metric for metric. Shard boundaries may never leak into energy sums
 //! (index-ordered float reduction), crash-event ordering
 //! (`(node index, event order)`) or predictor scores.
 
@@ -52,10 +52,11 @@ proptest! {
     ) {
         let mut seq = degraded_cluster(nodes, seed, vms);
         let mut par = degraded_cluster(nodes, seed, vms);
+        par.set_workers(workers);
         let mut crash_events = 0usize;
         for tick in 0..60 {
             let a = seq.tick(Seconds::new(1.0));
-            let b = par.tick_sharded(Seconds::new(1.0), workers);
+            let b = par.tick(Seconds::new(1.0));
             prop_assert_eq!(&a, &b, "tick {} diverged at {} workers", tick, workers);
             crash_events += a.crashes.len();
             // Stop a few ticks after the first crash: the interesting
@@ -72,5 +73,24 @@ proptest! {
             prop_assert_eq!(a.reliability, b.reliability, "predictor write-back diverged");
             prop_assert_eq!(a.metrics(), b.metrics());
         }
+    }
+}
+
+/// Zero workers (one per core, as `--threads 0` requests) and counts far
+/// past the node and core counts both clamp, and still equal the
+/// single-threaded tick.
+#[test]
+fn zero_and_oversubscribed_worker_counts_equal_sequential() {
+    for workers in [0, 64] {
+        let mut seq = degraded_cluster(5, 17, 6);
+        let mut par = degraded_cluster(5, 17, 6);
+        par.set_workers(workers);
+        for tick in 0..30 {
+            let a = seq.tick(Seconds::new(1.0));
+            let b = par.tick(Seconds::new(1.0));
+            assert_eq!(a, b, "tick {tick} diverged at {workers} workers");
+        }
+        assert_eq!(seq.fleet_metrics(), par.fleet_metrics());
+        assert_eq!(seq.placements(), par.placements());
     }
 }

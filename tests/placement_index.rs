@@ -68,6 +68,7 @@ proptest! {
         workers in 1usize..5,
     ) {
         let mut indexed = degraded_rack(nodes, seed, false);
+        indexed.set_workers(workers);
         let mut linear = degraded_rack(nodes, seed, true);
 
         let mut submitted = 0u64;
@@ -94,7 +95,7 @@ proptest! {
             // Advance: the indexed cluster shards across workers, the
             // linear one ticks sequentially — placement routing and
             // worker count must both be invisible.
-            let ra = indexed.tick_sharded(Seconds::new(2.0), workers);
+            let ra = indexed.tick(Seconds::new(2.0));
             let rb = linear.tick(Seconds::new(2.0));
             prop_assert_eq!(&ra, &rb, "tick report diverged at round {}", round);
             // Failure-driven recovery, once per crashed node.

@@ -90,6 +90,7 @@ proptest! {
     ) {
         for kind in PolicyKind::ALL {
             let mut indexed = policy_rack(nodes, seed, false, kind);
+            indexed.set_workers(workers);
             let mut linear = policy_rack(nodes, seed, true, kind);
 
             let mut submitted = 0u64;
@@ -124,7 +125,7 @@ proptest! {
                     "{} power accounting diverged at round {}", kind.label(), round
                 );
 
-                let ra = indexed.tick_sharded(Seconds::new(2.0), workers);
+                let ra = indexed.tick(Seconds::new(2.0));
                 let rb = linear.tick(Seconds::new(2.0));
                 prop_assert_eq!(&ra, &rb, "{} tick diverged at round {}", kind.label(), round);
                 let mut recovered = Vec::new();

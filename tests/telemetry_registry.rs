@@ -5,8 +5,8 @@
 //! min/max, histogram bucket counts) is commutative and associative,
 //! merging the shard registries in *any* order must render the same
 //! JSON. This is the property the orchestrator leans on when
-//! `Cluster::tick_pooled` accumulates per-shard registries and the
-//! reduce merges them in node-index order.
+//! `Cluster::tick` accumulates one registry per node chunk on its
+//! worker thread and the reduce merges them in node-index order.
 
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ proptest! {
         }
 
         // Sharded: contiguous chunks, one registry per worker, merged
-        // in shard (index) order — the tick_pooled reduce shape.
+        // in shard (index) order — the Cluster::tick reduce shape.
         let chunk = events.len().div_ceil(workers);
         let shards: Vec<MetricsRegistry> = events
             .chunks(chunk)
