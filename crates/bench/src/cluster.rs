@@ -1,11 +1,11 @@
 //! Machine-readable rendering of orchestrated cluster runs.
 //!
 //! The orchestrator crate produces structured, `PartialEq`-comparable
-//! summaries; this module renders them to the same stable-key-order JSON
-//! the fleet driver emits, so `fleet_sim --cluster` output is
-//! byte-diffable across thread counts and CI runs. Wall-clock timings
-//! render separately (the `BENCH_cluster.json` record shape) and are
-//! deliberately *not* part of the deterministic summary.
+//! summaries; this module renders them to stable-key-order JSON, so
+//! `fleet_sim` output is byte-diffable across thread counts and CI
+//! runs. Wall-clock timings render separately (the `BENCH_cluster.json`
+//! record shape) and are deliberately *not* part of the deterministic
+//! summary.
 
 use uniserver_orchestrator::summary::{ClusterSummary, OrchestratorTiming};
 

@@ -9,5 +9,4 @@
 
 pub mod cluster;
 pub mod experiments;
-pub mod fleet;
 pub mod render;

@@ -1,6 +1,6 @@
 //! CLI contract of the `fleet_sim` binary: flag validation exits
-//! non-zero with a usage message, and the cluster mode's stdout is
-//! byte-stable across thread counts.
+//! non-zero with a usage message, and stdout is byte-stable across
+//! thread counts and with or without the no-op `--cluster`.
 
 use std::process::{Command, Output};
 
@@ -27,29 +27,12 @@ fn flag_value_and_mode_mismatches_exit_nonzero() {
         &["--nodes", "zero"][..],
         &["--nodes", "0"][..],
         &["--secs", "-3"][..],
-        &["--nominal"][..],
-        &["--tick", "2"][..],
-        &["--no-per-tick"][..],
-        &["--cluster", "--mixed"][..],
-        &["--cluster", "--baseline"][..],
-        &["--cluster", "--no-per-node"][..],
-        &["--place", "linear"][..],
-        &["--place", "indexed"][..],
         &["--cluster", "--place"][..],
         &["--cluster", "--place", "bogus"][..],
-        &["--profile", "flash"][..],
-        &["--profile", "flat"][..],
-        &["--profile", "chaos"][..],
-        &["--profile", "gray"][..],
         &["--cluster", "--profile"][..],
         &["--cluster", "--profile", "bogus"][..],
-        &["--policy", "consolidate"][..],
-        &["--policy", "energy-sla"][..],
         &["--cluster", "--policy"][..],
         &["--cluster", "--policy", "bogus"][..],
-        &["--trace-out", "/tmp/x.ndjson"][..],
-        &["--metrics-out", "/tmp/x.json"][..],
-        &["--per-tick-every", "2"][..],
         &["--cluster", "--trace-out"][..],
         &["--cluster", "--metrics-out"][..],
         &["--cluster", "--per-tick-every"][..],
@@ -60,6 +43,16 @@ fn flag_value_and_mode_mismatches_exit_nonzero() {
         assert!(!out.status.success(), "{args:?} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("error:"), "{args:?} stderr: {stderr}");
+    }
+    // The flags of the deleted isolated-node fleet mode are unknown now.
+    for flag in ["--mixed", "--baseline", "--no-per-node"] {
+        let out = fleet_sim(&[flag]);
+        assert!(!out.status.success(), "{flag} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: unknown flag '{flag}'")),
+            "{flag} stderr: {stderr}"
+        );
     }
 }
 
@@ -88,6 +81,18 @@ fn help_exits_zero() {
     let out = fleet_sim(&["--help"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: fleet_sim"));
+}
+
+#[test]
+fn bare_invocation_is_the_rack() {
+    // `--cluster` survives as a no-op for existing scripts: a bare
+    // invocation must print the very same run.
+    let base = &["--nodes", "8", "--secs", "60"];
+    let bare = fleet_sim(base);
+    assert!(bare.status.success(), "stderr: {}", String::from_utf8_lossy(&bare.stderr));
+    let cluster = fleet_sim(&[&["--cluster"][..], base].concat());
+    assert!(cluster.status.success(), "stderr: {}", String::from_utf8_lossy(&cluster.stderr));
+    assert_eq!(bare.stdout, cluster.stdout, "--cluster must not change the run");
 }
 
 #[test]

@@ -73,9 +73,8 @@ impl ClusterConfig {
         }
     }
 
-    /// The heterogeneous UniServer rack: `n` nodes drawn from the
-    /// reference fleet's ARM+i5+i7 mix at 6:1:1 part shares (the same
-    /// ratios as `FleetConfig::mixed`), behind a 10 GbE migration
+    /// The heterogeneous UniServer rack: `n` nodes drawn from an
+    /// ARM+i5+i7 mix at 6:1:1 part shares, behind a 10 GbE migration
     /// network. Which node gets which part is a pure function of
     /// `(build seed, node index)`.
     #[must_use]
@@ -344,9 +343,11 @@ pub struct Cluster {
 impl Cluster {
     /// Provisions a cluster; node chips are manufactured from
     /// `seed`, `seed+1`, … (wrapping, so seeds near `u64::MAX` stay
-    /// valid — the same convention as `silicon::rng::indexed_seed`) so
-    /// every node is a *different* chip, with parts drawn from the
-    /// configured mix.
+    /// valid) so every node is a *different* chip, with parts drawn
+    /// from the configured mix. This is plain offsetting, not the
+    /// SplitMix64 `silicon::rng::indexed_seed` the orchestrator's
+    /// deploy uses, so a built cluster and a deployed rack from one
+    /// seed hold different chips.
     ///
     /// # Panics
     ///
@@ -1483,7 +1484,7 @@ mod tests {
     #[test]
     fn build_accepts_seeds_near_u64_max() {
         // `seed + i` used to panic on overflow in debug builds; the
-        // wrapping derivation matches silicon::rng::indexed_seed.
+        // derivation wraps instead.
         let cluster = Cluster::build(&ClusterConfig::small_edge_site(3), u64::MAX);
         assert_eq!(cluster.nodes().len(), 3);
         let again = Cluster::build(&ClusterConfig::small_edge_site(3), u64::MAX);

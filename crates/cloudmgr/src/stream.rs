@@ -36,7 +36,7 @@ use crate::node::NodeId;
 use crate::sla::SlaClass;
 
 /// Sub-stream salt for the arrival process (keeps arrival draws
-/// independent of the fleet's part/mix/ambient draws off the same seed).
+/// independent of the rack's part and ambient draws off the same seed).
 const ARRIVAL_SALT: u64 = 0x4528_21E6_38D0_1377;
 
 /// Sub-stream salt for the flash-crowd schedule (one burst draw per
@@ -44,9 +44,9 @@ const ARRIVAL_SALT: u64 = 0x4528_21E6_38D0_1377;
 const FLASH_SALT: u64 = 0x243F_6A88_85A3_08D3;
 
 /// Derives the RNG seed for one tick's arrival batch — a pure function
-/// of `(stream seed, tick index)` exactly as `fleet::node_seed` derives
-/// node silicon, so arrival streams are byte-stable however the driving
-/// loop is scheduled or threaded.
+/// of `(stream seed, tick index)` exactly as `silicon::rng::indexed_seed`
+/// derives node silicon, so arrival streams are byte-stable however the
+/// driving loop is scheduled or threaded.
 #[must_use]
 pub fn arrival_seed(stream_seed: u64, tick: u64) -> u64 {
     splitmix64(stream_seed ^ ARRIVAL_SALT ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))

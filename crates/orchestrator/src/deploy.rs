@@ -1,8 +1,9 @@
 //! Parallel deploy-into-cluster: every node of the rack is manufactured
 //! from its own seed, characterized, moved to its Extended Operating
 //! Point (under [`MarginPolicy::Extended`]) and wrapped into a
-//! [`ManagedNode`] — reusing the once-per-part [`AdvisorCache`] so a
-//! 256+-node mixed rack deploys at the fleet driver's fast-path speed.
+//! [`ManagedNode`] — reusing the once-per-part [`AdvisorCache`], so a
+//! 256+-node mixed rack trains the failure predictor once per part, not
+//! once per node.
 //!
 //! Determinism is by construction: a node's silicon, part, ambient and
 //! operating point are pure functions of `(scenario seed, node index)`,
@@ -47,8 +48,7 @@ pub fn node_deployment(config: &OrchestratorConfig, node: usize) -> DeploymentCo
     let mut dep = config.deployment.clone();
     dep.spec = config.cluster.node_spec(seed).clone();
     if config.ambient_spread > 0.0 {
-        // The fleet driver's draw: a rack and a fleet built from one
-        // seed agree on every node's ambient.
+        // A pure function of the node seed, like the part draw.
         dep.ambient = dep.ambient + Celsius::new(ambient_offset(seed, config.ambient_spread));
     }
     dep
@@ -242,14 +242,28 @@ mod tests {
 
     #[test]
     fn ambient_spread_and_parts_vary_across_the_rack() {
-        let config = OrchestratorConfig::datacenter(48, 3);
-        let ambients: Vec<f64> =
-            (0..48).map(|n| node_deployment(&config, n).ambient.as_celsius()).collect();
+        let config = OrchestratorConfig::datacenter(64, 3);
+        let mix = &config.cluster.part_mix;
+        let mut part_counts = vec![0usize; mix.len()];
+        let mut ambients = Vec::new();
+        for n in 0..64 {
+            let dep = node_deployment(&config, n);
+            let p = mix
+                .iter()
+                .position(|w| w.spec.name == dep.spec.name)
+                .expect("drawn part comes from the mix");
+            part_counts[p] += 1;
+            ambients.push(dep.ambient.as_celsius());
+        }
+        assert!(part_counts.iter().all(|&c| c > 0), "64 draws must hit every part: {part_counts:?}");
+        assert!(part_counts[0] > part_counts[1] + part_counts[2], "ARM dominates 6:1:1");
         let lo = ambients.iter().cloned().fold(f64::MAX, f64::min);
         let hi = ambients.iter().cloned().fold(f64::MIN, f64::max);
         assert!(hi - lo > 6.0, "±6 °C spread must show up ({lo}..{hi})");
-        let parts: std::collections::BTreeSet<String> =
-            (0..48).map(|n| node_deployment(&config, n).spec.name.clone()).collect();
-        assert!(parts.len() >= 2, "48 draws should mix parts: {parts:?}");
+        let (base, spread) = (config.deployment.ambient.as_celsius(), config.ambient_spread);
+        assert!(
+            lo >= base - spread && hi <= base + spread,
+            "every ambient stays within ±{spread} °C of {base} °C ({lo}..{hi})"
+        );
     }
 }

@@ -254,7 +254,7 @@ impl ServerNode {
     }
 
     /// Sets the ambient (inlet) temperature the node's sensors reference
-    /// — the fleet driver's per-node ambient spread knob.
+    /// — set per node by the rack deploy's ambient spread.
     pub fn set_ambient(&mut self, ambient: Celsius) {
         self.sensors.ambient = ambient;
     }

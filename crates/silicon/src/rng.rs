@@ -166,7 +166,7 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 /// SplitMix64 finalizer: a cheap stateless mixer for deriving
 /// independent seeds/words from an index (also the xoshiro seeding
 /// recommended by its authors). The single workspace copy — pattern
-/// generators and the fleet driver both key their streams off it.
+/// generators and the per-node rack draws all key their streams off it.
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -177,26 +177,23 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Derives an independent seed for item `index` of a family keyed by
-/// `family_seed` — the SplitMix64-finalized derivation the fleet and
-/// cluster drivers use for per-node silicon, so shard boundaries and
-/// thread schedules can never shift a node's identity.
+/// `family_seed` — the SplitMix64-finalized derivation the orchestrator
+/// uses for per-node silicon, so shard boundaries and thread schedules
+/// can never shift a node's identity.
 #[must_use]
 pub fn indexed_seed(family_seed: u64, index: usize) -> u64 {
     splitmix64(family_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Sub-stream salts for the per-node heterogeneity knobs. Each knob gets
-/// its own SplitMix64 sub-stream off the node seed, so adding a knob
-/// never shifts another knob's draw. These are the single workspace
-/// copies — the fleet driver, the cluster's part mix and the
-/// orchestrator's ambient spread all salt with the same constants, which
-/// is what keeps "a rack and a fleet built from one seed agree on every
-/// per-node draw" true across crates.
+/// Sub-stream salts for the seeded per-node draws. Each draw gets its
+/// own SplitMix64 sub-stream off the node (or scenario) seed, so adding
+/// a draw never shifts another one. These are the single workspace
+/// copies: the cluster's part mix, the orchestrator's ambient spread,
+/// the failure lifecycle and the fault campaigns each salt with their
+/// own constant here, so no two crates can collide on a sub-stream.
 pub mod salt {
     /// Part draw from a weighted mix.
     pub const PART: u64 = 0x9A97_1BD5_2C1E_0FF1;
-    /// Guest-set (workload mix) pick.
-    pub const MIX: u64 = 0x3C6E_F372_FE94_F82B;
     /// Ambient-temperature spread.
     pub const AMBIENT: u64 = 0x1F83_D9AB_FB41_BD6B;
     /// Mean-time-to-repair draw for a crashed node's offline window.
@@ -213,7 +210,7 @@ pub mod salt {
 
 /// Maps a 64-bit word onto `[0, 1)` using its top 53 bits — the single
 /// workspace copy of the mapping every seeded per-node knob (part draw,
-/// ambient spread) uses, so fleet and cluster drivers cannot drift.
+/// ambient spread) uses, so those draws cannot drift apart.
 #[must_use]
 pub fn unit_fraction(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
@@ -221,8 +218,7 @@ pub fn unit_fraction(x: u64) -> f64 {
 
 /// The per-node ambient-temperature offset (°C) for a node seed and a
 /// uniform spread half-width — the single workspace copy of the draw,
-/// so the fleet driver and the cluster orchestrator always hand the
-/// same node the same ambient.
+/// so a node's ambient is a pure function of its seed.
 #[must_use]
 pub fn ambient_offset(node_seed: u64, half_width: f64) -> f64 {
     (2.0 * unit_fraction(splitmix64(node_seed ^ salt::AMBIENT)) - 1.0) * half_width
@@ -230,7 +226,7 @@ pub fn ambient_offset(node_seed: u64, half_width: f64) -> f64 {
 
 /// Picks an index from `weights` proportionally to the weights, using a
 /// single 64-bit word of randomness (e.g. a [`splitmix64`] draw). A pure
-/// function of `(x, weights)`, so seeded fleet/cluster drivers can draw
+/// function of `(x, weights)`, so the seeded cluster build can draw
 /// per-node parts without threading an RNG through.
 ///
 /// # Panics

@@ -70,58 +70,3 @@ fn cross_crate_seed_isolation() {
         assert_eq!(a1.last_sensors(), a2.last_sensors(), "nor its sensor sweep");
     }
 }
-
-#[test]
-fn fleet_summary_json_is_bit_stable() {
-    // The fleet driver's contract: same seed → byte-identical aggregated
-    // JSON, for any worker count (parallelism must not leak into results).
-    use uniserver_bench::fleet::{simulate, FleetConfig};
-
-    let config = FleetConfig {
-        horizon: Seconds::new(20.0),
-        ..FleetConfig::quick(6, 2018)
-    };
-    let first = simulate(&config).to_json();
-    let second = simulate(&config).to_json();
-    assert_eq!(first, second, "same config must render identical JSON");
-
-    let serial = simulate(&FleetConfig { threads: 1, ..config.clone() }).to_json();
-    let wide = simulate(&FleetConfig { threads: 5, ..config }).to_json();
-    assert_eq!(first, serial, "thread count must not change the summary");
-    assert_eq!(first, wide, "uneven shards must not change the summary");
-
-    // And the seed genuinely matters.
-    let other = simulate(&FleetConfig {
-        horizon: Seconds::new(20.0),
-        ..FleetConfig::quick(6, 2019)
-    })
-    .to_json();
-    assert_ne!(first, other, "different fleet seeds must differ");
-}
-
-#[test]
-fn heterogeneous_fleet_json_is_bit_stable_across_threads() {
-    // Heterogeneity (part mix, guest mixes, ambient spread) and the
-    // shared training cache must not open any schedule dependence: every
-    // per-node draw is a pure function of the node seed, and training is
-    // a pure function of the part.
-    use uniserver_bench::fleet::{simulate, FleetConfig};
-
-    let config = FleetConfig {
-        horizon: Seconds::new(15.0),
-        threads: 1,
-        ..FleetConfig::mixed(10, 2018)
-    };
-    let serial = simulate(&config).to_json();
-    let wide = simulate(&FleetConfig { threads: 7, ..config.clone() }).to_json();
-    assert_eq!(serial, wide, "thread count must not change the mixed-fleet summary");
-    assert!(serial.contains("\"per_part\":["), "summary carries per-part aggregates");
-
-    let other_seed = simulate(&FleetConfig {
-        horizon: Seconds::new(15.0),
-        threads: 1,
-        ..FleetConfig::mixed(10, 2019)
-    })
-    .to_json();
-    assert_ne!(serial, other_seed, "different fleet seeds must differ");
-}
