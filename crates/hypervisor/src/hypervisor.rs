@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 use uniserver_units::{Bytes, Joules, Seconds, Watts};
 
-use uniserver_healthlog::{ErrorLedger, HealthAction, HealthLog, LedgerKey, OriginStats, ThresholdPolicy};
+use uniserver_healthlog::{HealthAction, HealthLog, LedgerKey, ThresholdPolicy};
 use uniserver_platform::mca::ErrorOrigin;
 use uniserver_platform::node::{CrashEvent, ServerNode};
 use uniserver_platform::workload::WorkloadProfile;
@@ -15,7 +15,7 @@ use uniserver_stresslog::MarginVector;
 
 use crate::memdomain::{MemoryMap, Placement, PlacementError};
 use crate::objects::ObjectInventory;
-use crate::protect::{ProtectionPolicy, Protector};
+use crate::protect::ProtectionPolicy;
 use crate::vm::{Vm, VmConfig, VmId, VmState};
 
 /// Static hypervisor configuration.
@@ -118,11 +118,10 @@ pub struct Hypervisor {
     vms: BTreeMap<VmId, Vm>,
     next_vm: u32,
     memory: MemoryMap,
-    /// Static-object inventory, shared copy-on-write across hypervisors
-    /// (fleet scale: thousands of instances, all booting the identical
-    /// 16 820-object set; a write un-shares via `Arc::make_mut`).
+    /// Static-object inventory, shared read-only across hypervisors
+    /// (rack scale: thousands of instances, all booting the identical
+    /// 16 820-object set).
     inventory: std::sync::Arc<ObjectInventory>,
-    protector: Protector,
     health: HealthLog,
     uptime: Seconds,
     downtime: Seconds,
@@ -152,17 +151,6 @@ impl Hypervisor {
         let relaxed = node.memory.domain_capacity(uniserver_platform::msr::DomainId(1));
         let memory = MemoryMap::new(reliable, relaxed);
         let inventory = ObjectInventory::standard_shared();
-        // The default policy over the standard inventory yields the same
-        // shadow set for every hypervisor: snapshot it once per process
-        // and clone (fleet deployments boot thousands of hypervisors).
-        static DEFAULT_PROTECTOR: std::sync::OnceLock<Protector> = std::sync::OnceLock::new();
-        let protector = if config.protection == ProtectionPolicy::top_categories(3) {
-            DEFAULT_PROTECTOR
-                .get_or_init(|| Protector::new(config.protection.clone(), &inventory))
-                .clone()
-        } else {
-            Protector::new(config.protection.clone(), &inventory)
-        };
         let health = HealthLog::new(config.thresholds);
         Hypervisor {
             node,
@@ -171,7 +159,6 @@ impl Hypervisor {
             next_vm: 0,
             memory,
             inventory,
-            protector,
             health,
             uptime: Seconds::ZERO,
             downtime: Seconds::ZERO,
@@ -205,18 +192,6 @@ impl Hypervisor {
     #[must_use]
     pub fn inventory(&self) -> &ObjectInventory {
         &self.inventory
-    }
-
-    /// Mutable inventory access (fault injection). Un-shares the
-    /// copy-on-write inventory, so this hypervisor pays for its own copy.
-    pub fn inventory_mut(&mut self) -> &mut ObjectInventory {
-        std::sync::Arc::make_mut(&mut self.inventory)
-    }
-
-    /// The object protector.
-    #[must_use]
-    pub fn protector(&self) -> &Protector {
-        &self.protector
     }
 
     /// Launches a VM, placing its guest memory in the relaxed domain.
@@ -296,7 +271,7 @@ impl Hypervisor {
         self.config.base_footprint
             + vm_overheads
             + self.inventory.total_size()
-            + self.protector.overhead()
+            + self.config.protection.overhead()
     }
 
     /// A Figure 3 footprint sample at the current instant.
@@ -457,10 +432,6 @@ impl Hypervisor {
             }
         }
 
-        // --- Periodic scrub of protected objects (no-op scan when the
-        // shared inventory is provably untouched).
-        self.protector.scrub_shared(&mut self.inventory);
-
         outcome
     }
 
@@ -515,18 +486,6 @@ impl Hypervisor {
     pub fn contained_uncorrected_total(&self) -> u64 {
         self.contained_uncorrected_total
     }
-
-    /// Per-origin error statistics (what the isolation logic consults).
-    #[must_use]
-    pub fn error_ledger(&self) -> &ErrorLedger {
-        self.health.ledger()
-    }
-
-    /// Stats of a specific ledger origin, for reporting.
-    #[must_use]
-    pub fn origin_stats(&self, key: LedgerKey) -> OriginStats {
-        self.health.ledger().stats(key)
-    }
 }
 
 impl Hypervisor {
@@ -572,6 +531,18 @@ mod tests {
         );
         assert!(!hv.can_host(&guest), "the reliable domain is exhausted");
         assert!(hv.launch_vm(guest).is_err(), "can_host must mirror launch_vm");
+    }
+
+    #[test]
+    fn fresh_footprint_charges_the_default_protection() {
+        // The Figure 3 red line of an idle hypervisor: baseline, static
+        // objects and the shadows of the 7 300 fs/kernel/net objects.
+        let hv = hypervisor();
+        let config = HypervisorConfig::default();
+        assert_eq!(
+            hv.own_footprint(),
+            config.base_footprint + hv.inventory().total_size() + Bytes::new(58_400)
+        );
     }
 
     #[test]

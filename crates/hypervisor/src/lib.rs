@@ -14,8 +14,11 @@
 //! * [`vm`] — virtual machines with LDBC-style footprint dynamics
 //!   (Figure 3's drivers);
 //! * [`memdomain`] — reliable vs relaxed placement and page retirement;
-//! * [`protect`] — selective checksum/shadow protection of critical
-//!   structures ("educated checking and selective checkpointing");
+//! * [`protect`] — selective shadow protection of critical structures
+//!   ("educated checking and selective checkpointing"): the policy,
+//!   whose modelled 8 B/object overhead the hypervisor charges to its
+//!   footprint, and the shadow-and-scrub protector the SDC campaign of
+//!   Figure 4 exercises;
 //! * [`hypervisor`] — the hypervisor proper: VM lifecycle, error
 //!   masking, isolation, the V-F-R governor and availability accounting.
 //!

@@ -177,10 +177,6 @@ impl HvObject {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObjectInventory {
     objects: Vec<HvObject>,
-    /// Times mutable access was handed out. A scrubber that remembers
-    /// the count it last saw can prove the inventory untouched since and
-    /// skip its scan (see [`crate::protect::Protector::scrub_shared`]).
-    mutations: u64,
 }
 
 impl ObjectInventory {
@@ -191,12 +187,11 @@ impl ObjectInventory {
     pub const STANDARD_SEED: u64 = 0xB00F;
 
     /// The standard inventory every hypervisor boots with, shared
-    /// copy-on-write. Built once per process: fleet simulations stand up
+    /// read-only. Built once per process: rack simulations stand up
     /// thousands of hypervisors, and re-sampling (or even deep-copying)
     /// the same 16 820 deterministic objects each time dominated
-    /// construction cost. Mutating accessors go through
-    /// [`std::sync::Arc::make_mut`], so a hypervisor that actually takes
-    /// corruption pays for its own copy then.
+    /// construction cost. Nothing on the serving path writes it; the SDC
+    /// campaign corrupts a private inventory from [`ObjectInventory::build`].
     #[must_use]
     pub fn standard_shared() -> std::sync::Arc<Self> {
         static PROTOTYPE: std::sync::OnceLock<std::sync::Arc<ObjectInventory>> =
@@ -228,14 +223,7 @@ impl ObjectInventory {
                 id += 1;
             }
         }
-        ObjectInventory { objects, mutations: 0 }
-    }
-
-    /// Times mutable access was handed out (monotone; a conservative
-    /// "possibly dirty" signal, since callers may not have written).
-    #[must_use]
-    pub fn mutation_count(&self) -> u64 {
-        self.mutations
+        ObjectInventory { objects }
     }
 
     /// Number of objects.
@@ -258,7 +246,6 @@ impl ObjectInventory {
 
     /// Mutable object access (for injection and repair).
     pub fn get_mut(&mut self, id: u32) -> Option<&mut HvObject> {
-        self.mutations += 1;
         self.objects.get_mut(id as usize)
     }
 

@@ -9,7 +9,6 @@
 //! copies plus periodic scrubbing for the categories worth the cost.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use uniserver_units::Bytes;
@@ -49,20 +48,31 @@ impl ProtectionPolicy {
     pub fn covers(&self, cat: ObjectCategory) -> bool {
         self.categories.contains(&cat)
     }
+
+    /// Number of objects the policy protects: every statically
+    /// allocated object of each covered category.
+    #[must_use]
+    pub fn protected_objects(&self) -> usize {
+        self.categories.iter().map(|c| c.object_count()).sum()
+    }
+
+    /// Modelled memory overhead of the shadow copies: 8 bytes (the
+    /// state word the model tracks) per protected object. This is the
+    /// protection term of the Figure 3 footprint, not host memory.
+    #[must_use]
+    pub fn overhead(&self) -> Bytes {
+        Bytes::new(self.protected_objects() as u64 * 8)
+    }
 }
 
 /// The runtime protector: shadow copies + scrub statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Protector {
     policy: ProtectionPolicy,
-    /// Shadow copies as an id-sorted vector: the scrub walks it linearly
-    /// every tick, so contiguity (and a deterministic order) beats a
-    /// hash map here.
+    /// Shadow copies as an id-sorted vector: every scrub pass walks it
+    /// linearly, so contiguity (and a deterministic order) beats a hash
+    /// map here.
     shadows: Vec<(u32, u64)>,
-    /// Inventory mutation count as of the last scrub (or construction):
-    /// when unchanged, a shared scrub proves cleanliness without
-    /// scanning.
-    clean_mutations: u64,
     /// Corruptions repaired over the protector's lifetime.
     pub recoveries: u64,
     /// Scrub passes performed.
@@ -81,32 +91,13 @@ impl Protector {
             .filter(|o| policy.covers(o.category))
             .map(|o| (o.id, o.pristine))
             .collect();
-        Protector {
-            policy,
-            shadows,
-            clean_mutations: inventory.mutation_count(),
-            recoveries: 0,
-            scrubs: 0,
-        }
+        Protector { policy, shadows, recoveries: 0, scrubs: 0 }
     }
 
     /// The active policy.
     #[must_use]
     pub fn policy(&self) -> &ProtectionPolicy {
         &self.policy
-    }
-
-    /// Number of protected objects.
-    #[must_use]
-    pub fn protected_objects(&self) -> usize {
-        self.shadows.len()
-    }
-
-    /// Memory overhead of the shadow copies (8 bytes per protected
-    /// object — the state words the model tracks).
-    #[must_use]
-    pub fn overhead(&self) -> Bytes {
-        Bytes::new(self.shadows.len() as u64 * 8)
     }
 
     /// One scrub pass: compares protected objects against their shadow
@@ -123,21 +114,7 @@ impl Protector {
             }
         }
         self.recoveries += repaired;
-        self.clean_mutations = inventory.mutation_count();
         repaired
-    }
-
-    /// Scrubs a copy-on-write inventory. When the inventory's mutation
-    /// count is unchanged since the last scrub, the pass is recorded
-    /// without touching (or copying) the shared data — the serving
-    /// tick's common case. A possibly-dirty inventory is un-shared via
-    /// [`Arc::make_mut`] and scrubbed in full.
-    pub fn scrub_shared(&mut self, inventory: &mut Arc<ObjectInventory>) -> u64 {
-        if inventory.mutation_count() == self.clean_mutations {
-            self.scrubs += 1;
-            return 0;
-        }
-        self.scrub(Arc::make_mut(inventory))
     }
 }
 
@@ -174,18 +151,21 @@ mod tests {
     }
 
     #[test]
-    fn overhead_scales_with_coverage() {
+    fn policy_counts_every_object_of_its_categories() {
         let inv = ObjectInventory::build(4);
-        let none = Protector::new(ProtectionPolicy::none(), &inv);
-        let some = Protector::new(ProtectionPolicy::top_categories(3), &inv);
-        let all = Protector::new(ProtectionPolicy::top_categories(11), &inv);
-        assert_eq!(none.overhead(), Bytes::ZERO);
-        assert!(some.overhead() > Bytes::ZERO);
-        assert_eq!(all.protected_objects(), inv.len());
-        assert!(some.overhead() < all.overhead());
-        // Selective protection is cheap: 3 categories cover fs+kernel+net
-        // = 7 300 objects = ~57 KiB of shadows.
-        assert!(some.overhead() < Bytes::kib(64));
+        for k in 0..=ObjectCategory::ALL.len() {
+            let policy = ProtectionPolicy::top_categories(k);
+            let covered = inv.iter().filter(|o| policy.covers(o.category)).count();
+            assert_eq!(policy.protected_objects(), covered, "top {k} categories");
+            assert_eq!(policy.overhead(), Bytes::new(covered as u64 * 8), "top {k} categories");
+        }
+        assert_eq!(ProtectionPolicy::none().overhead(), Bytes::ZERO);
+        assert_eq!(ProtectionPolicy::top_categories(11).protected_objects(), inv.len());
+        // Selective protection is cheap: fs + kernel + net = 7 300
+        // objects = 58 400 B (~57 KiB) of shadows.
+        let default = ProtectionPolicy::top_categories(3);
+        assert_eq!(default.protected_objects(), 7_300);
+        assert_eq!(default.overhead(), Bytes::new(58_400));
     }
 
     #[test]

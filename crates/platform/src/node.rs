@@ -78,20 +78,31 @@ pub struct IntervalReport {
     pub energy: Joules,
 }
 
-/// State of one core within a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct CoreState {
-    /// Manufactured fractional Vmin weakness (chip + core).
-    weakness: f64,
-    /// Isolated cores neither run work nor crash the node.
-    isolated: bool,
-}
-
 /// Upper bounds on one core's crash dice, one slot per radius of
 /// [`NORMAL_RADII`], each filled on first use: a run whose jitter
 /// deviate lies within the radius crashes at no higher voltage than the
 /// slot's, hence with at most the slot's probability.
 type CrashBounds = [Option<(Volts, f64)>; NORMAL_RADII.len()];
+
+/// State of one core within a node, with the interval memos keyed on it.
+#[derive(Debug, Clone, PartialEq)]
+struct CoreState {
+    /// Manufactured fractional Vmin weakness (chip + core).
+    weakness: f64,
+    /// Isolated cores neither run work nor crash the node.
+    isolated: bool,
+    /// Power and supply voltage over the last interval: the truths the
+    /// sensor sweep reads. `power` is also a memo of the part's power
+    /// model, computed from the (voltage, activity, temperature) bit
+    /// patterns in `power_key`.
+    power: Watts,
+    power_key: Option<[u64; 3]>,
+    voltage: Volts,
+    /// The crash-dice bounds, computed from the (effective voltage,
+    /// weakness + aging, stress) bit patterns in `bounds_key`.
+    bounds: CrashBounds,
+    bounds_key: Option<[u64; 3]>,
+}
 
 /// The exact crash reference of an interval (the highest per-core crash
 /// voltage), replayed from the stream position its crash loop started
@@ -146,14 +157,6 @@ pub struct ServerNode {
     /// The seed the node was manufactured from (daemons derive their own
     /// per-node sub-streams from it).
     seed: u64,
-    /// Per-core power and supply voltage over the last interval: the
-    /// truths the sensor sweep reads, in buffers reused across
-    /// intervals. `core_power[c]` is also a memo of the part's power
-    /// model, computed from the (voltage, activity, temperature) bit
-    /// patterns in `core_power_key[c]`.
-    core_power: Vec<Watts>,
-    core_power_key: Vec<Option<[u64; 3]>>,
-    core_voltage: Vec<Volts>,
     /// DRAM module power, computed from the bit patterns of the
     /// utilization and each DIMM's refresh interval in `dram_power_key`.
     dram_power: Watts,
@@ -163,11 +166,6 @@ pub struct ServerNode {
     /// patterns in `window_failures_key`.
     window_failures: Vec<f64>,
     window_failures_key: Vec<Option<[u64; 2]>>,
-    /// Each core's crash-dice bounds, computed from the (effective
-    /// voltage, weakness + aging, stress) bit patterns in
-    /// `crash_bound_key`.
-    crash_bound: Vec<CrashBounds>,
-    crash_bound_key: Vec<Option<[u64; 3]>>,
     /// The RNG at the last interval's sensor-sweep position, and the
     /// ambient the sweep read (`None` before the first interval).
     sweep: Option<(StdRng, Celsius)>,
@@ -209,11 +207,19 @@ impl ServerNode {
             chip = spec.variation.sample_chip(seed, spec.cores, spec.cache_banks, &mut rng);
         }
         let cores = (0..spec.cores)
-            .map(|c| CoreState { weakness: chip.core_vmin_offset(c), isolated: false })
+            .map(|c| CoreState {
+                weakness: chip.core_vmin_offset(c),
+                isolated: false,
+                power: Watts::ZERO,
+                power_key: None,
+                voltage: Volts::ZERO,
+                bounds: [None; NORMAL_RADII.len()],
+                bounds_key: None,
+            })
             .collect();
         let cache = CacheSubsystem::from_chip(&chip);
         let msr = MsrFile::new(spec.nominal_voltage, spec.cores, memory.domains().len().max(1));
-        let (core_count, dimm_count) = (spec.cores, memory.dimms().len());
+        let dimm_count = memory.dimms().len();
         ServerNode {
             spec,
             chip,
@@ -231,15 +237,10 @@ impl ServerNode {
             age_months: 0.0,
             rng,
             seed,
-            core_power: vec![Watts::ZERO; core_count],
-            core_power_key: vec![None; core_count],
-            core_voltage: vec![Volts::ZERO; core_count],
             dram_power: Watts::ZERO,
             dram_power_key: Vec::new(),
             window_failures: vec![0.0; dimm_count],
             window_failures_key: vec![None; dimm_count],
-            crash_bound: vec![[None; NORMAL_RADII.len()]; core_count],
-            crash_bound_key: vec![None; core_count],
             sweep: None,
         }
     }
@@ -275,7 +276,9 @@ impl ServerNode {
     pub fn last_sensors(&self) -> Option<SensorSnapshot> {
         let (rng, ambient) = self.sweep.as_ref()?;
         let sensors = SensorBlock { ambient: *ambient, ..self.sensors.clone() };
-        Some(sensors.sample(&self.core_power, &self.core_voltage, &mut rng.clone()))
+        let powers: Vec<Watts> = self.cores.iter().map(|c| c.power).collect();
+        let voltages: Vec<Volts> = self.cores.iter().map(|c| c.voltage).collect();
+        Some(sensors.sample(&powers, &voltages, &mut rng.clone()))
     }
 
     /// The part specification of this node.
@@ -351,11 +354,6 @@ impl ServerNode {
     #[must_use]
     pub fn now(&self) -> Seconds {
         self.clock
-    }
-
-    /// The machine-check banks (for daemons to drain).
-    pub fn mca_mut(&mut self) -> &mut McaBanks {
-        &mut self.mca
     }
 
     /// Read-only machine-check banks.
@@ -468,7 +466,7 @@ impl ServerNode {
         let mut min_active_voltage = nominal;
         let mut reference_bound = Volts::ZERO;
         let mut active = 0usize;
-        for (idx, core) in self.cores.iter().enumerate() {
+        for (idx, core) in self.cores.iter_mut().enumerate() {
             if core.isolated {
                 continue;
             }
@@ -477,13 +475,13 @@ impl ServerNode {
             min_active_voltage = min_active_voltage.min(v);
             let weakness = core.weakness + aging;
             let key = Some([v.as_volts().to_bits(), weakness.to_bits(), stress.to_bits()]);
-            if self.crash_bound_key[idx] != key {
-                self.crash_bound_key[idx] = key;
-                self.crash_bound[idx] = [None; NORMAL_RADII.len()];
+            if core.bounds_key != key {
+                core.bounds_key = key;
+                core.bounds = [None; NORMAL_RADII.len()];
             }
             let at_core = self.rng.clone();
             if let Some(r) = normal_radius(&mut self.rng, vmin.run_jitter_sigma) {
-                let (crash_v_max, p_max) = *self.crash_bound[idx][r].get_or_insert_with(|| {
+                let (crash_v_max, p_max) = *core.bounds[r].get_or_insert_with(|| {
                     let crash_v = vmin.crash_voltage_bound(nominal, weakness, stress, deviate_bound(r));
                     (crash_v, vmin.crash_probability(v, crash_v))
                 });
@@ -558,13 +556,13 @@ impl ServerNode {
         // voltage, activity and temperature: recompute it only when one
         // of them changed since the last interval.
         let temp = self.sensors.true_core_temp(Watts::new(5.0)); // first-order estimate
-        for (idx, core) in self.cores.iter().enumerate() {
+        for (idx, core) in self.cores.iter_mut().enumerate() {
             let v = self.msr.effective_voltage(idx);
             let activity = if core.isolated { 0.02 } else { workload.activity };
             let key = Some([v.as_volts().to_bits(), activity.to_bits(), temp.as_celsius().to_bits()]);
-            if self.core_power_key[idx] != key {
-                self.core_power_key[idx] = key;
-                self.core_power[idx] = self.spec.power.total(
+            if core.power_key != key {
+                core.power_key = key;
+                core.power = self.spec.power.total(
                     v,
                     self.spec.nominal_frequency,
                     activity,
@@ -573,11 +571,11 @@ impl ServerNode {
                     self.chip.leakage_factor,
                 );
             }
-            self.core_voltage[idx] = v;
+            core.voltage = v;
         }
+        let core_power = self.cores.iter().fold(Watts::ZERO, |a, c| a + c.power);
         let dram_power = self.dram_power(workload.mem_bw_util);
-        let package: Watts =
-            self.core_power.iter().fold(Watts::ZERO, |a, b| a + *b) + dram_power;
+        let package = core_power + dram_power;
         let energy = package * duration;
 
         // --- DRAM retention errors at the current refresh settings. The
@@ -606,7 +604,7 @@ impl ServerNode {
         // --- Sensor sweep. Nothing on the serving path reads it: keep
         // the stream position for `last_sensors` and step past its draws.
         self.sweep = Some((self.rng.clone(), self.sensors.ambient));
-        self.sensors.skip(&self.core_power, &self.core_voltage, &mut self.rng);
+        self.sensors.skip(self.cores.len(), core_power, &mut self.rng);
 
         // --- Post MCEs to the banks; a crash posts a fatal record.
         if let Some(ev) = &crash {
@@ -766,7 +764,8 @@ mod tests {
         // Nothing draws after the sweep in a crash-free interval: the
         // saved position plus one skipped sweep is the node's stream.
         let (mut at_sweep, _) = n.sweep.clone().expect("an interval ran");
-        n.sensors.skip(&n.core_power, &n.core_voltage, &mut at_sweep);
+        let core_power = n.cores.iter().fold(Watts::ZERO, |a, c| a + c.power);
+        n.sensors.skip(n.core_count(), core_power, &mut at_sweep);
         assert_eq!(at_sweep, n.rng);
         // The sweep belongs to the interval: later input changes do not
         // move it.
@@ -779,7 +778,7 @@ mod tests {
     /// each pure term from the models.
     fn cold(n: &ServerNode) -> ServerNode {
         let mut c = n.clone();
-        c.core_power_key.fill(None);
+        c.cores.iter_mut().for_each(|core| core.power_key = None);
         c.dram_power_key.clear();
         c.window_failures_key.fill(None);
         c

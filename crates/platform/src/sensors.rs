@@ -137,25 +137,23 @@ impl SensorBlock {
         SensorSnapshot { core_temps, package_power, core_voltages, dimm_temp }
     }
 
-    /// Advances `rng` exactly as [`SensorBlock::sample`] on the same
-    /// inputs would, draw for draw, without producing readings.
+    /// Advances `rng` exactly as [`SensorBlock::sample`] would over
+    /// `cores` cores whose powers sum to `core_power`, draw for draw,
+    /// without producing readings.
     ///
     /// # Panics
     ///
-    /// Panics if `core_powers` and `core_voltages` differ in length or
-    /// are empty.
-    pub fn skip<R: Rng + ?Sized>(&self, core_powers: &[Watts], core_voltages: &[Volts], rng: &mut R) {
-        assert_eq!(core_powers.len(), core_voltages.len(), "power/voltage lists must align");
-        assert!(!core_powers.is_empty(), "need at least one core");
+    /// Panics if `cores` is zero.
+    pub fn skip<R: Rng + ?Sized>(&self, cores: usize, core_power: Watts, rng: &mut R) {
+        assert!(cores > 0, "need at least one core");
 
-        let package_true: f64 = core_powers.iter().map(|p| p.as_watts()).sum();
-        for _ in core_powers {
+        for _ in 0..cores {
             skip_normal(rng, self.temp_noise);
         }
-        for _ in core_voltages {
+        for _ in 0..cores {
             skip_normal(rng, self.volt_noise_mv);
         }
-        skip_normal(rng, package_true * self.power_noise_rel);
+        skip_normal(rng, core_power.as_watts() * self.power_noise_rel);
         skip_normal(rng, self.temp_noise);
     }
 }
@@ -240,7 +238,7 @@ mod tests {
                 let mut sampled = rng();
                 let mut skipped = rng();
                 let _ = s.sample(&powers, &volts, &mut sampled);
-                s.skip(&powers, &volts, &mut skipped);
+                s.skip(powers.len(), powers.iter().fold(Watts::ZERO, |a, p| a + *p), &mut skipped);
                 assert_eq!(sampled, skipped);
             }
         }

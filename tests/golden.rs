@@ -10,11 +10,16 @@
 //! the committed pair. A behaviour change that is identical at every
 //! thread count therefore still fails here.
 //!
+//! The `repro` paper artefacts that read the hypervisor's footprint and
+//! protection model (Figures 3 and 4) are pinned the same way: the
+//! digest of each report's text at the paper seed.
+//!
 //! On a mismatch the failure names each scenario and prints its new
 //! table row. A change that is *meant* to move the output replaces the
 //! rows in [`GOLDEN`] with the printed ones, and says so in its commit.
 
 use uniserver_bench::cluster::summary_to_json;
+use uniserver_bench::experiments;
 use uniserver_orchestrator::{
     run_with_telemetry, ChaosPlan, MarginPolicy, MetricsRegistry, OrchestratorConfig, PolicyKind,
     Telemetry,
@@ -53,6 +58,9 @@ const GOLDEN: [(&str, u64, u64); 24] = [
     ("gray/reliability-blind/extended", 0x7eae6415f645b28c, 0x93ca0b8b914c52c4),
     ("gray/reliability-blind/nominal", 0x2c7424b2927414f5, 0x0155c4cffc2ac6e6),
 ];
+
+/// `(repro artefact, report digest)` at [`SEED`].
+const REPRO_GOLDEN: [(&str, u64); 2] = [("fig3", 0x15e978a022415bc1), ("fig4", 0x5a9a0bbc6fb84ee9)];
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -144,4 +152,21 @@ fn chaos_runs_match_the_golden_digests() {
 #[test]
 fn gray_runs_match_the_golden_digests() {
     check_profile("gray");
+}
+
+#[test]
+fn paper_artefacts_match_the_golden_digests() {
+    let mut mismatches = Vec::new();
+    for (name, digest) in REPRO_GOLDEN {
+        let report = match name {
+            "fig3" => experiments::fig3(SEED),
+            "fig4" => experiments::fig4(SEED),
+            other => panic!("no golden artefact {other}"),
+        };
+        let got = fnv1a(report.as_bytes());
+        if got != digest {
+            mismatches.push(format!("{name}: new row (\"{name}\", {got:#018x}),"));
+        }
+    }
+    assert!(mismatches.is_empty(), "golden digests changed:\n{}", mismatches.join("\n"));
 }
