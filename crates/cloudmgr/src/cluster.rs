@@ -15,7 +15,6 @@
 //! placement-mutating phases (proactive migration, recovery) — stay
 //! sequential. Worker count can therefore never change a report.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,7 +23,7 @@ use uniserver_telemetry::{MetricsRegistry, Stage, StageProfiler};
 use uniserver_units::{Joules, Seconds};
 
 use uniserver_hypervisor::vm::{VmConfig, VmId};
-use uniserver_platform::node::CrashEvent;
+use uniserver_platform::node::{CrashEvent, ServerNode};
 use uniserver_platform::part::PartSpec;
 use uniserver_silicon::rng::{salt, splitmix64, weighted_pick};
 
@@ -459,12 +458,21 @@ impl Cluster {
         &self.nodes
     }
 
-    /// Mutable node access, for experiments that degrade specific nodes.
-    /// Unrestricted mutation can move any placement score, so the whole
-    /// index is invalidated (re-scored lazily on the next placement).
+    /// Mutable access to every node, for experiments that degrade
+    /// specific nodes. Unrestricted mutation can move any placement
+    /// score, so this marks the whole rack dirty (all of it re-scored on
+    /// the next placement). To reprogram one node's platform, use
+    /// [`Cluster::server_mut`], which marks only that node.
     pub fn nodes_mut(&mut self) -> &mut [ManagedNode] {
         self.index.mark_all();
         &mut self.nodes
+    }
+
+    /// Mutable access to one node's platform (MSRs, operating point),
+    /// marking only that node dirty in the placement index.
+    pub fn server_mut(&mut self, id: NodeId) -> &mut ServerNode {
+        self.index.mark(id);
+        self.node_mut(id).hypervisor.node_mut()
     }
 
     /// Routes placement through [`Scheduler::place_linear`] instead of
@@ -1211,22 +1219,14 @@ impl Cluster {
         moved
     }
 
+    /// Node ids are dense `0..n` (asserted in [`Cluster::from_nodes`]),
+    /// so an id is its index.
     fn node_mut(&mut self, id: NodeId) -> &mut ManagedNode {
-        self.nodes.iter_mut().find(|n| n.id == id).expect("node ids are dense")
+        &mut self.nodes[id.0 as usize]
     }
 
     fn node_ref(&self, id: NodeId) -> &ManagedNode {
-        self.nodes.iter().find(|n| n.id == id).expect("node ids are dense")
-    }
-
-    /// Placement histogram per node, for load-balance assertions.
-    #[must_use]
-    pub fn placements_per_node(&self) -> HashMap<NodeId, usize> {
-        let mut map = HashMap::new();
-        for p in &self.placements {
-            *map.entry(p.node).or_insert(0) += 1;
-        }
-        map
+        &self.nodes[id.0 as usize]
     }
 }
 
@@ -1241,9 +1241,25 @@ mod tests {
         for _ in 0..8 {
             assert!(cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Silver).is_some());
         }
-        let per_node = cluster.placements_per_node();
-        assert_eq!(per_node.values().sum::<usize>(), 8);
-        assert!(per_node.len() >= 3, "placements should spread, got {per_node:?}");
+        let placements = cluster.placements();
+        assert_eq!(placements.len(), 8);
+        let mut hosts: Vec<NodeId> = placements.iter().map(|p| p.node).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        assert!(hosts.len() >= 3, "placements should spread, got {hosts:?}");
+    }
+
+    #[test]
+    fn server_mut_marks_only_its_node() {
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(4), 100);
+        cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Silver).expect("placed");
+        assert_eq!(cluster.index.dirty_count(), 1, "the launch marks its host");
+        cluster.index.flush(cluster.policy.scheduler(), &cluster.nodes);
+        assert_eq!(cluster.index.dirty_count(), 0);
+        cluster.server_mut(NodeId(2));
+        assert_eq!(cluster.index.dirty_count(), 1, "one node, not the rack");
+        cluster.nodes_mut();
+        assert_eq!(cluster.index.dirty_count(), 4, "nodes_mut marks the whole rack");
     }
 
     #[test]
@@ -1283,13 +1299,8 @@ mod tests {
         // Degrade both hosting nodes' relaxed DRAM domain so their logs
         // fill with corrected errors and reliability collapses.
         for id in [gold.node, bronze.node] {
-            let node =
-                cluster.nodes_mut().iter_mut().find(|n| n.id == id).expect("node exists");
-            node.hypervisor
-                .node_mut()
-                .msr
-                .set_refresh_interval(DomainId(1), Seconds::new(10.0))
-                .unwrap();
+            let server = cluster.server_mut(id);
+            server.msr.set_refresh_interval(DomainId(1), Seconds::new(10.0)).unwrap();
         }
 
         for _ in 0..60 {

@@ -13,11 +13,15 @@
 //! `Vec<f64>` keyed by node index plus a `BTreeSet<(score, NodeId)>`
 //! ranking. The cluster marks a node dirty on exactly the events that
 //! can move its score — VM launch, departure, migration (stop + start),
-//! crash recovery and predictor write-backs that change reliability —
-//! and [`PlacementIndex::place`] flushes the dirty set, then walks the
-//! ranking from the top, returning the first node that passes the
-//! *request-dependent* filter (capacity, crash state, availability and
-//! reliability floors are read live from the node).
+//! crash recovery, predictor write-backs that change reliability,
+//! lifecycle and gray transitions, and platform reprogramming through
+//! `Cluster::server_mut` (one node; `Cluster::nodes_mut` marks the
+//! rack) — and [`PlacementIndex::place`] flushes the dirty set, then
+//! walks the ranking from the top, returning the first node that passes
+//! the *request-dependent* filter (capacity, crash state, availability
+//! and reliability floors are read live from the node). Walks in
+//! another order (consolidation's band-keyed pack walk) read the cached
+//! score through [`PlacementIndex::score`] instead of re-weighing.
 //!
 //! # Equivalence with the linear scan
 //!
@@ -25,8 +29,9 @@
 //! explicit tie-break of [`Scheduler::place_linear`] — and the weigher
 //! is deterministic in its inputs, so a correctly-invalidated index
 //! returns the *identical* node for every request. CI byte-diffs the
-//! two paths end-to-end; `tests/placement_index.rs` property-tests them
-//! against each other under churn.
+//! two paths end-to-end; `tests/placement_index.rs` and
+//! `tests/policy_suite.rs` property-test them against each other under
+//! churn.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -108,6 +113,14 @@ impl PlacementIndex {
             #[allow(clippy::cast_possible_truncation)]
             self.pending.push(i as u32);
         }
+    }
+
+    /// One node's cached score. Callers must [`PlacementIndex::flush`]
+    /// first.
+    #[must_use]
+    pub fn score(&self, id: NodeId) -> f64 {
+        debug_assert!(!self.dirty[id.0 as usize], "score() requires a flushed index");
+        self.scores[id.0 as usize]
     }
 
     /// Number of nodes currently marked dirty (diagnostics/tests).
@@ -201,6 +214,9 @@ mod tests {
         config: &VmConfig,
     ) {
         index.flush(scheduler, ns);
+        for n in ns {
+            assert_eq!(index.score(n.id), scheduler.weigh(n), "stale cached score for {}", n.id);
+        }
         for class in [SlaClass::Gold, SlaClass::Silver, SlaClass::Bronze] {
             assert_eq!(
                 index.place(scheduler, ns, config, class, None),

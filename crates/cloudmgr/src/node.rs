@@ -172,12 +172,6 @@ impl ManagedNode {
         self.hypervisor.launch_vm(config)
     }
 
-    /// vCPUs committed across running VMs.
-    #[must_use]
-    pub fn committed_vcpus(&self) -> usize {
-        self.hypervisor.vms().filter(|vm| vm.is_running()).map(|vm| vm.config.vcpus).sum()
-    }
-
     /// Physical cores on the node.
     #[must_use]
     pub fn cores(&self) -> usize {
@@ -189,17 +183,12 @@ impl ManagedNode {
     /// the hypervisor's relaxed-domain accounting).
     #[must_use]
     pub fn fits(&self, config: &VmConfig) -> bool {
-        let cpu_ok = self.committed_vcpus() + config.vcpus <= self.vcpu_budget();
-        let mem_ok = self.hypervisor.memory_used_relaxed().checked_add(config.memory).is_some_and(
-            |needed| {
-                needed
-                    <= self
-                        .hypervisor
-                        .node()
-                        .memory
-                        .domain_capacity(uniserver_platform::msr::DomainId(1))
-            },
-        );
+        let cpu_ok = self.hypervisor.committed_vcpus() + config.vcpus <= self.vcpu_budget();
+        let mem_ok = self
+            .hypervisor
+            .memory_used_relaxed()
+            .checked_add(config.memory)
+            .is_some_and(|needed| needed <= self.hypervisor.relaxed_capacity());
         cpu_ok && mem_ok
     }
 
@@ -215,12 +204,18 @@ impl ManagedNode {
         }
     }
 
+    /// vCPUs committed / physical cores.
+    #[must_use]
+    pub fn utilization(&self) -> f64 {
+        self.hypervisor.committed_vcpus() as f64 / self.cores() as f64
+    }
+
     /// The current management metrics.
     #[must_use]
     pub fn metrics(&self) -> NodeMetrics {
         NodeMetrics {
             availability: self.hypervisor.availability(),
-            utilization: self.committed_vcpus() as f64 / self.cores() as f64,
+            utilization: self.utilization(),
             energy: self.energy,
             reliability: self.effective_reliability(),
         }

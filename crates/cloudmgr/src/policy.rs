@@ -144,6 +144,18 @@ impl<'a> RackView<'a> {
         RackView { nodes, index: None }
     }
 
+    /// The placement score of `node` under `policy`'s weigher: the
+    /// flushed index's cached score when indexed, a live
+    /// [`Scheduler::weigh`] on the linear reference path. The index
+    /// caches the same weigher, so both paths read the same number.
+    #[must_use]
+    pub fn score<P: PlacementPolicy + ?Sized>(&self, policy: &P, node: &ManagedNode) -> f64 {
+        match self.index {
+            Some(index) => index.score(node.id),
+            None => policy.scheduler().weigh(node),
+        }
+    }
+
     /// Whether `node` can take the request right now: awake and
     /// admitted by the policy's feasibility gates.
     fn feasible<P: PlacementPolicy + ?Sized>(
@@ -447,7 +459,7 @@ impl ConsolidatePolicy {
     /// watchdog's probes, and its fault clock must keep running in view.
     fn parkable(&self, node: &ManagedNode) -> bool {
         !node.is_degraded()
-            && node.metrics().availability >= SlaClass::Gold.min_availability() - 1e-12
+            && node.hypervisor.availability() >= SlaClass::Gold.min_availability() - 1e-12
     }
 
     /// Reliability band (quarters of the unit interval, top band
@@ -467,8 +479,11 @@ impl ConsolidatePolicy {
     /// off. Banding keeps the bin-packing behavior between comparable
     /// nodes but never prefers a node a full band less reliable.
     /// Degraded nodes are never packing targets: their capacity cap is
-    /// a symptom, not a bin to fill. The same linear scan serves the
-    /// indexed and linear placement paths, so both stay byte-identical.
+    /// a symptom, not a bin to fill. The band key does not follow the
+    /// index's `(score, id)` order, so both placement paths scan every
+    /// node; each candidate's score comes from [`RackView::score`] —
+    /// the index's cached value, or a live weigh on the linear path —
+    /// so the two stay byte-identical.
     fn pack_target(
         &self,
         view: &RackView<'_>,
@@ -484,7 +499,13 @@ impl ConsolidatePolicy {
                     && !avoid.contains(&n.id)
                     && self.admits(n, config, class)
             })
-            .map(|n| (Self::reliability_band(n.metrics().reliability), self.scheduler.weigh(n), n.id))
+            .map(|n| {
+                (
+                    Self::reliability_band(n.effective_reliability()),
+                    view.score(self, n),
+                    n.id,
+                )
+            })
             .min_by(|a, b| {
                 b.0.cmp(&a.0)
                     .then_with(|| a.1.partial_cmp(&b.1).expect("weights are finite"))
@@ -555,8 +576,8 @@ impl PlacementPolicy for ConsolidatePolicy {
         // [`ConsolidatePolicy::parkable`] nodes qualify — gray nodes
         // stay awake in the watchdog's view, availability-sunk nodes
         // stay awake because that metric freezes at park time. Scores
-        // come from the policy's own weigher so the selection is
-        // identical under indexed and linear placement.
+        // come from [`RackView::score`] (the policy's own weigher) so
+        // the selection is identical under indexed and linear placement.
         let mut empties: Vec<(f64, NodeId)> = view
             .nodes
             .iter()
@@ -566,7 +587,7 @@ impl PlacementPolicy for ConsolidatePolicy {
                     && occupancy[n.id.0 as usize] == 0
                     && self.parkable(n)
             })
-            .map(|n| (self.scheduler.weigh(n), n.id))
+            .map(|n| (view.score(self, n), n.id))
             .collect();
         empties.sort_by(|a, b| {
             b.0.partial_cmp(&a.0).expect("weights are finite").then_with(|| b.1.cmp(&a.1))

@@ -77,7 +77,7 @@ impl Scheduler {
     #[must_use]
     pub fn admits_awake(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
         self.admits_blind(node, config, class)
-            && node.metrics().reliability >= class.min_reliability()
+            && node.effective_reliability() >= class.min_reliability()
     }
 
     /// The pre-UniServer feasibility gates: capacity, liveness, and the
@@ -98,16 +98,15 @@ impl Scheduler {
             && !node.hypervisor.node().is_crashed()
             // Availability gating uses the class requirement directly;
             // fresh nodes (availability 1.0) pass every floor.
-            && node.metrics().availability >= class.min_availability() - 1e-12
+            && node.hypervisor.availability() >= class.min_availability() - 1e-12
     }
 
     /// Weigher phase: the placement score of a feasible node.
     #[must_use]
     pub fn weigh(&self, node: &ManagedNode) -> f64 {
-        let m = node.metrics();
-        let free = 1.0 - m.utilization.min(1.0);
+        let free = 1.0 - node.utilization().min(1.0);
         self.weights.free_capacity * free
-            + self.weights.reliability * m.reliability
+            + self.weights.reliability * node.effective_reliability()
             + self.weights.energy * self.energy_score(node)
     }
 

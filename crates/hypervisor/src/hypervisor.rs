@@ -116,6 +116,9 @@ pub struct Hypervisor {
     node: ServerNode,
     config: HypervisorConfig,
     vms: BTreeMap<VmId, Vm>,
+    /// vCPUs of the running VMs in `vms`, kept exact by every state
+    /// change so placement checks never walk the map.
+    committed: usize,
     next_vm: u32,
     memory: MemoryMap,
     /// Static-object inventory, shared read-only across hypervisors
@@ -156,6 +159,7 @@ impl Hypervisor {
             node,
             config,
             vms: BTreeMap::new(),
+            committed: 0,
             next_vm: 0,
             memory,
             inventory,
@@ -211,6 +215,7 @@ impl Hypervisor {
         }
         let id = VmId(self.next_vm);
         self.next_vm += 1;
+        self.committed += config.vcpus;
         self.vms.insert(id, Vm::launch(id, config));
         Ok(id)
     }
@@ -238,6 +243,9 @@ impl Hypervisor {
         let Some(vm) = self.vms.remove(&id) else {
             return false;
         };
+        if vm.is_running() {
+            self.committed -= vm.config.vcpus;
+        }
         let overhead = self.per_vm_overhead(&vm.config);
         self.memory.free(Placement::Relaxed, vm.config.memory);
         self.memory.free(Placement::Reliable, overhead);
@@ -253,6 +261,18 @@ impl Hypervisor {
     /// All VMs.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
         self.vms.values()
+    }
+
+    /// vCPUs committed across running VMs (a counter, not a walk).
+    #[must_use]
+    pub fn committed_vcpus(&self) -> usize {
+        self.committed
+    }
+
+    /// Capacity of the relaxed (guest) domain, fixed at boot.
+    #[must_use]
+    pub fn relaxed_capacity(&self) -> Bytes {
+        self.memory.relaxed_capacity
     }
 
     fn per_vm_overhead(&self, config: &VmConfig) -> Bytes {
@@ -369,6 +389,7 @@ impl Hypervisor {
                             if let Some(vm) = self.vms.get_mut(&victim) {
                                 if vm.is_running() {
                                     vm.kill();
+                                    self.committed -= vm.config.vcpus;
                                     outcome.contained_uncorrected += 1;
                                     self.contained_uncorrected_total += 1;
                                 }
@@ -414,6 +435,9 @@ impl Hypervisor {
             self.node.reboot();
             self.downtime = self.downtime + self.config.reboot_penalty;
             for vm in self.vms.values_mut() {
+                if !vm.is_running() {
+                    self.committed += vm.config.vcpus;
+                }
                 vm.kill();
                 vm.restart();
                 outcome.vm_restarts += 1;
@@ -424,6 +448,7 @@ impl Hypervisor {
             for vm in self.vms.values_mut() {
                 if vm.state == VmState::Failed {
                     vm.restart();
+                    self.committed += vm.config.vcpus;
                     outcome.vm_restarts += 1;
                 }
             }
@@ -678,6 +703,67 @@ mod tests {
             before.as_watts() < nominal_power.as_watts(),
             "EOP must save power: {before} vs {nominal_power}"
         );
+    }
+
+    /// The counters must equal a walk of the VM map and the DIMMs.
+    fn assert_counters_match_a_walk(hv: &Hypervisor) {
+        let running: usize = hv
+            .vms()
+            .filter(|vm| vm.is_running())
+            .map(|vm| vm.config.vcpus)
+            .sum();
+        assert_eq!(hv.committed_vcpus(), running);
+        let relaxed = hv.node().memory.domain_capacity(DomainId(1));
+        assert_eq!(hv.relaxed_capacity(), relaxed);
+    }
+
+    #[test]
+    fn committed_vcpus_and_relaxed_capacity_track_launch_stop_and_tick() {
+        // ECC off and a 10 s relaxed refresh make UEs (VM kills and
+        // restarts); a deep undervolt re-applied every 25 steps (reboots
+        // clear it) forces node crashes.
+        let node = ServerNode::with_memory(
+            PartSpec::arm_microserver(),
+            uniserver_platform::dram::MemorySystem::commodity_server(false),
+            7,
+        );
+        let mut hv = Hypervisor::new(node);
+        hv.node_mut().msr.set_refresh_interval(DomainId(1), Seconds::new(10.0)).unwrap();
+        let deep = hv.node().part().offset_mv(0.20);
+        let mut live = Vec::new();
+        let (mut contained, mut crashes) = (0, 0);
+        let mut draw = 17u64;
+        assert_counters_match_a_walk(&hv);
+        for step in 0..400 {
+            draw = uniserver_silicon::rng::splitmix64(draw);
+            match draw % 4 {
+                0 => {
+                    let config = if draw & 16 == 0 {
+                        VmConfig::ldbc_benchmark()
+                    } else {
+                        VmConfig::idle_guest()
+                    };
+                    if let Ok(id) = hv.launch_vm(config) {
+                        live.push(id);
+                    }
+                }
+                1 if !live.is_empty() => {
+                    let id = live.swap_remove((draw >> 8) as usize % live.len());
+                    assert!(hv.stop_vm(id));
+                }
+                _ => {
+                    if step % 25 == 0 {
+                        hv.node_mut().msr.set_voltage_offset_all(deep).unwrap();
+                    }
+                    let out = hv.tick(Seconds::new(2.0));
+                    contained += out.contained_uncorrected;
+                    crashes += u64::from(out.node_crashed);
+                }
+            }
+            assert_counters_match_a_walk(&hv);
+        }
+        assert!(contained > 0, "the sequence must contain UE kills");
+        assert!(crashes > 0, "the sequence must contain node crashes");
     }
 
     #[test]

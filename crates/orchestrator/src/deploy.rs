@@ -217,8 +217,7 @@ mod tests {
     fn rejoin_recharacterizes_extended_racks_and_renominalizes_nominal_ones() {
         let config = OrchestratorConfig::smoke(2, 19);
         let (mut cluster, records, _, cache) = deploy_cluster(&config);
-        let rejoined =
-            rejoin_node(&config, &cache, 0, cluster.nodes_mut()[0].hypervisor.node_mut());
+        let rejoined = rejoin_node(&config, &cache, 0, cluster.server_mut(NodeId(0)));
         assert!(rejoined.min_offset_mv() > 0.0, "the re-shmoo still finds real margin");
         assert!(
             rejoined.min_offset_mv() <= records[0].point.min_offset_mv() + 1e-9,
@@ -234,8 +233,7 @@ mod tests {
         let nominal =
             OrchestratorConfig { margins: MarginPolicy::Nominal, ..OrchestratorConfig::smoke(2, 19) };
         let (mut cluster, _, _, cache) = deploy_cluster(&nominal);
-        let point =
-            rejoin_node(&nominal, &cache, 1, cluster.nodes_mut()[1].hypervisor.node_mut());
+        let point = rejoin_node(&nominal, &cache, 1, cluster.server_mut(NodeId(1)));
         assert_eq!(point.min_offset_mv(), 0.0, "nominal racks rejoin at nominal");
         assert_eq!(cluster.nodes()[1].hypervisor.node().msr.voltage_offset_mv(0), 0.0);
     }

@@ -176,8 +176,7 @@ pub fn run_with_telemetry(
             let _span = profiler.scoped(Stage::Rejoin);
             for id in cluster.tick_repairs() {
                 let idx = id.0 as usize;
-                points[idx] =
-                    rejoin_node(config, &cache, idx, cluster.nodes_mut()[idx].hypervisor.node_mut());
+                points[idx] = rejoin_node(config, &cache, idx, cluster.server_mut(id));
                 cluster.complete_rejoin(id);
                 c.rejoins += 1;
                 tel.inc("rejoins");
@@ -263,7 +262,7 @@ pub fn run_with_telemetry(
                         // EOP off to nominal: while it is suspect it
                         // stops trading crash margin for energy.
                         if config.margins == MarginPolicy::Extended {
-                            let server = cluster.nodes_mut()[idx].hypervisor.node_mut();
+                            let server = cluster.server_mut(NodeId(node));
                             let nominal = OperatingPoint::nominal(server.part().cores);
                             nominal.apply_to(server);
                             points[idx] = nominal;
@@ -279,12 +278,8 @@ pub fn run_with_telemetry(
                         // Readmission re-characterizes like a repair
                         // rejoin: the silicon is re-shmooed as it is
                         // now, not restored from a stale point.
-                        points[idx] = rejoin_node(
-                            config,
-                            &cache,
-                            idx,
-                            cluster.nodes_mut()[idx].hypervisor.node_mut(),
-                        );
+                        points[idx] =
+                            rejoin_node(config, &cache, idx, cluster.server_mut(NodeId(node)));
                         c.readmissions += 1;
                         tel.inc("readmissions");
                         tel.emit(&TraceEvent::Readmit { node: u64::from(node) });

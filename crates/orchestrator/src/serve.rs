@@ -530,7 +530,7 @@ impl ServeCounters {
                 // nominal (or leave nominal racks alone).
                 let idx = node_id.0 as usize;
                 points[idx] = points[idx].backed_off(policy.backoff);
-                points[idx].apply_to(cluster.nodes_mut()[idx].hypervisor.node_mut());
+                points[idx].apply_to(cluster.server_mut(node_id));
             }
         }
         migrations

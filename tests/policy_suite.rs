@@ -4,14 +4,15 @@
 //! a run's JSON summary must be byte-identical for any worker count,
 //! and a cluster placing through the incremental `PlacementIndex` must
 //! behave identically to one placing through the linear reference scan
-//! under churn (launches, departures, ticks, crashes, recovery and the
-//! consolidation manage pass).
+//! under churn (launches, departures, ticks, crashes, recovery, gray
+//! onset/quarantine/clear transitions and the consolidation manage
+//! pass).
 
 use proptest::prelude::*;
 
 use uniserver_bench::cluster::summary_to_json;
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
-use uniserver_cloudmgr::{PolicyKind, SlaClass};
+use uniserver_cloudmgr::{GrayState, NodeId, NodePhase, PolicyKind, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_orchestrator::{run_timed, OrchestratorConfig};
 use uniserver_platform::msr::DomainId;
@@ -113,6 +114,42 @@ proptest! {
                             "{} terminate diverged at round {}", kind.label(), round
                         );
                     }
+                }
+                // A gray transition on one node per round: onset on a
+                // healthy awake node; then either the fault clears on
+                // its own or the watchdog quarantines the node (with a
+                // drain bite) and later readmits it. Each moves the
+                // node's effective reliability or capacity, so
+                // consolidation's cached-score pack walk must follow it.
+                #[allow(clippy::cast_possible_truncation)]
+                let id = NodeId(((seed + round) % nodes as u64) as u32);
+                let node = &linear.nodes()[id.0 as usize];
+                prop_assert_eq!(node.phase(), indexed.nodes()[id.0 as usize].phase());
+                if node.phase() == NodePhase::Online && !node.is_asleep() {
+                    let gray = GrayState {
+                        capacity_cap: 0.5,
+                        ce_multiplier: 1.5,
+                        clears_at_tick: round + 6,
+                        quarantined: false,
+                    };
+                    indexed.mark_degraded(id, gray);
+                    linear.mark_degraded(id, gray);
+                } else if node.is_quarantined() {
+                    for cluster in [&mut indexed, &mut linear] {
+                        cluster.set_quarantined(id, false);
+                        cluster.clear_degraded(id);
+                    }
+                } else if node.is_degraded() && round % 2 == 0 {
+                    indexed.clear_degraded(id);
+                    linear.clear_degraded(id);
+                } else if node.is_degraded() {
+                    indexed.set_quarantined(id, true);
+                    linear.set_quarantined(id, true);
+                    prop_assert_eq!(
+                        indexed.drain_degraded(id, 2),
+                        linear.drain_degraded(id, 2),
+                        "{} gray drain diverged at round {}", kind.label(), round
+                    );
                 }
                 // The manage pass: parks, wakes and consolidation
                 // drains must route identically through both paths (a
