@@ -2,9 +2,10 @@
 //!
 //! These quantify the design-choice costs DESIGN.md calls out: the real
 //! SECDED codec on the DRAM path, per-interval node simulation, the
-//! cluster tick at one and two workers, GA virus evolution, predictor
-//! training/inference, scheduler placement and the migration cost
-//! model.
+//! cluster tick at one and two workers, the CE-storm record path
+//! (HealthLog ingest and the hypervisor tick), GA virus evolution,
+//! predictor training/inference, scheduler placement and the migration
+//! cost model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,7 +15,10 @@ use rand::SeedableRng;
 
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
 use uniserver_cloudmgr::{Cluster, ClusterConfig, Scheduler, SlaClass};
+use uniserver_healthlog::{HealthLog, ThresholdPolicy};
 use uniserver_hypervisor::vm::{Vm, VmConfig, VmId};
+use uniserver_hypervisor::Hypervisor;
+use uniserver_platform::mca::{ErrorOrigin, MceRecord};
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
 use uniserver_platform::workload::WorkloadProfile;
@@ -22,7 +26,7 @@ use uniserver_predictor::harness::TrainingHarness;
 use uniserver_predictor::{FeatureVector, LogisticModel};
 use uniserver_silicon::droop::DroopModel;
 use uniserver_silicon::retention::RetentionModel;
-use uniserver_silicon::Secded72;
+use uniserver_silicon::{ErrorSeverity, FaultKind, Secded72};
 use uniserver_stress::genetic::{evolve, GaConfig};
 use uniserver_units::{Celsius, Seconds};
 
@@ -92,6 +96,54 @@ fn bench_cluster_tick(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_ce_storm(c: &mut Criterion) {
+    // One 5 s interval of a CE storm: 64 corrected errors spread over
+    // eight cache banks and four DIMMs, ingested into a log whose ledger
+    // is already warm (every origin past the isolation threshold).
+    let dt = Seconds::new(5.0);
+    let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
+    let mut template = node.run_interval(&WorkloadProfile::idle(), dt);
+    template.errors = (0..64u64)
+        .map(|i| MceRecord {
+            at: template.at,
+            kind: if i % 4 == 0 { FaultKind::DramBit } else { FaultKind::CacheBit },
+            severity: ErrorSeverity::Corrected,
+            origin: if i % 4 == 0 {
+                ErrorOrigin::Dimm { dimm: (i / 4 % 4) as usize, word: i * 977 }
+            } else {
+                ErrorOrigin::CacheBank((i % 8) as usize)
+            },
+        })
+        .collect();
+    let mut health = HealthLog::new(ThresholdPolicy::default());
+    let mut at = template.at;
+    let mut interval = || {
+        let mut report = template.clone();
+        at = at + dt;
+        report.at = at;
+        report
+    };
+    for _ in 0..16 {
+        health.ingest_owned(interval());
+    }
+    c.bench_function("healthlog_ingest_ce_storm", |b| {
+        b.iter(|| black_box(health.ingest_owned(interval())));
+    });
+    // The same die 2 % below nominal with one guest: cache CEs on every
+    // interval, so each tick runs containment, ingest and the
+    // isolation advice for banks already isolated.
+    let mut hv = Hypervisor::new(ServerNode::new(PartSpec::arm_microserver(), 7));
+    hv.launch_vm(VmConfig::ldbc_benchmark()).expect("one guest fits");
+    let offset = hv.node().part().offset_mv(0.02);
+    c.bench_function("hypervisor_tick_ce_storm", |b| {
+        b.iter(|| {
+            // A crash reboots at nominal: put the undervolt back.
+            hv.node_mut().msr.set_voltage_offset_all(offset).expect("offset within MSR limits");
+            black_box(hv.tick(Seconds::new(1.0)))
+        });
+    });
+}
+
 fn bench_ga(c: &mut Criterion) {
     let mut g = c.benchmark_group("genetic_virus");
     g.sample_size(10);
@@ -155,6 +207,7 @@ criterion_group!(
     bench_secded,
     bench_node_tick,
     bench_cluster_tick,
+    bench_ce_storm,
     bench_ga,
     bench_predictor,
     bench_scheduler,

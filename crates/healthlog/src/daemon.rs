@@ -157,16 +157,17 @@ impl HealthLog {
         }
     }
 
-    /// Evaluates thresholds against the current state.
+    /// Evaluates thresholds against the current state. Allocates only
+    /// when it returns an action.
     #[must_use]
     pub fn recommendations(&self) -> Vec<HealthAction> {
-        let mut actions = Vec::new();
-        if self.ce_rate_per_minute() > self.policy.ce_per_minute {
+        let stress = self.ce_rate_per_minute() > self.policy.ce_per_minute;
+        let hot = self.ledger.hot_origins(self.policy.isolate_origin_errors);
+        let mut actions = Vec::with_capacity(usize::from(stress) + hot.len());
+        if stress {
             actions.push(HealthAction::TriggerStressTest);
         }
-        for (key, _) in self.ledger.hot_origins(self.policy.isolate_origin_errors) {
-            actions.push(HealthAction::IsolateResource(key));
-        }
+        actions.extend(hot.into_iter().map(|(key, _)| HealthAction::IsolateResource(key)));
         actions
     }
 }
@@ -258,6 +259,31 @@ mod tests {
             Some(&EventCounts { crashed: false, ce: 2, ue: 1, fatal: 1 })
         );
         assert_eq!(health.ledger().stats(LedgerKey::CacheBank(2)).total(), 4);
+    }
+
+    #[test]
+    fn nothing_hot_allocates_nothing() {
+        // Five CEs a minute on five banks: under both thresholds.
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
+        let template = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
+        let policy = ThresholdPolicy::default();
+        let mut health = HealthLog::new(policy);
+        for i in 0..3 {
+            let mut report = template.clone();
+            report.at = Seconds::new(60.0 * f64::from(i + 1));
+            report.errors = (0..5)
+                .map(|b| MceRecord {
+                    at: report.at,
+                    kind: FaultKind::CacheBit,
+                    severity: ErrorSeverity::Corrected,
+                    origin: ErrorOrigin::CacheBank(b),
+                })
+                .collect();
+            assert_eq!(health.ingest_owned(report).capacity(), 0);
+        }
+        assert_eq!(health.ledger().grand_total(), 15);
+        assert_eq!(health.ledger().hot_origins(policy.isolate_origin_errors).capacity(), 0);
+        assert_eq!(health.recommendations().capacity(), 0);
     }
 
     /// Feeds `intervals` synthetic CE-storm intervals of `tick` each

@@ -5,8 +5,6 @@
 //! The ledger is the data structure behind that report: lifetime
 //! corrected/uncorrected counts per physical origin.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use uniserver_platform::mca::{ErrorOrigin, MceRecord};
@@ -65,10 +63,19 @@ impl std::fmt::Display for LedgerKey {
     }
 }
 
-/// The per-origin error ledger.
+/// One resource kind's slots and the constructor of its keys.
+type Slots<'a> = (&'a [OriginStats], fn(usize) -> LedgerKey);
+
+/// The per-origin error ledger: one dense slot vector per resource kind
+/// (cores, cache banks, DIMMs), indexed by the origin's index and grown
+/// on demand. A slot whose total is zero counts as never recorded.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ErrorLedger {
-    stats: HashMap<LedgerKey, OriginStats>,
+    cores: Vec<OriginStats>,
+    banks: Vec<OriginStats>,
+    dimms: Vec<OriginStats>,
+    /// Largest per-origin total: nothing is hot below it.
+    max_total: u64,
 }
 
 impl ErrorLedger {
@@ -80,38 +87,68 @@ impl ErrorLedger {
 
     /// Records one machine-check record.
     pub fn record(&mut self, rec: &MceRecord) {
-        let entry = self.stats.entry(LedgerKey::from_origin(rec.origin)).or_default();
+        let (slots, index) = match rec.origin {
+            ErrorOrigin::Core(c) => (&mut self.cores, c),
+            ErrorOrigin::CacheBank(b) => (&mut self.banks, b),
+            ErrorOrigin::Dimm { dimm, .. } => (&mut self.dimms, dimm),
+        };
+        if index >= slots.len() {
+            slots.resize(index + 1, OriginStats::default());
+        }
+        let entry = &mut slots[index];
         match rec.severity {
             ErrorSeverity::Corrected => entry.corrected += 1,
             ErrorSeverity::Uncorrected => entry.uncorrected += 1,
             ErrorSeverity::Fatal => entry.fatal += 1,
         }
+        self.max_total = self.max_total.max(entry.total());
     }
 
     /// Stats for one origin (zeros if never seen).
     #[must_use]
     pub fn stats(&self, key: LedgerKey) -> OriginStats {
-        self.stats.get(&key).copied().unwrap_or_default()
+        let (slots, index) = match key {
+            LedgerKey::Core(c) => (&self.cores, c),
+            LedgerKey::CacheBank(b) => (&self.banks, b),
+            LedgerKey::Dimm(d) => (&self.dimms, d),
+        };
+        slots.get(index).copied().unwrap_or_default()
+    }
+
+    /// The slot vectors with their key constructors, in [`LedgerKey`]
+    /// order.
+    fn kinds(&self) -> [Slots<'_>; 3] {
+        [(&self.cores, LedgerKey::Core), (&self.banks, LedgerKey::CacheBank), (&self.dimms, LedgerKey::Dimm)]
     }
 
     /// Origins whose total error count reaches `threshold`, sorted by
-    /// descending total — the isolation candidates.
+    /// descending total, ties in key order — the isolation candidates.
+    /// Allocates nothing when no origin qualifies.
     #[must_use]
     pub fn hot_origins(&self, threshold: u64) -> Vec<(LedgerKey, OriginStats)> {
-        let mut v: Vec<(LedgerKey, OriginStats)> = self
-            .stats
-            .iter()
-            .filter(|(_, s)| s.total() >= threshold)
-            .map(|(k, s)| (*k, *s))
-            .collect();
-        v.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(&b.0)));
-        v
+        if self.max_total < threshold {
+            return Vec::new();
+        }
+        // A zero-total slot was never recorded.
+        let floor = threshold.max(1);
+        let kinds = self.kinds();
+        let mut hot = Vec::with_capacity(kinds.iter().map(|(slots, _)| slots.len()).sum());
+        for (slots, key) in kinds {
+            for (index, stats) in slots.iter().enumerate() {
+                if stats.total() >= floor {
+                    hot.push((key(index), *stats));
+                }
+            }
+        }
+        // Stable: equal totals keep key order.
+        hot.sort_by_key(|(_, stats)| std::cmp::Reverse(stats.total()));
+        hot
     }
 
     /// Total errors recorded across all origins.
     #[must_use]
     pub fn grand_total(&self) -> u64 {
-        self.stats.values().map(OriginStats::total).sum()
+        self.kinds().iter().flat_map(|(slots, _)| slots.iter()).map(OriginStats::total).sum()
     }
 }
 
@@ -166,5 +203,89 @@ mod tests {
         ledger.record(&rec(ErrorOrigin::Core(0), ErrorSeverity::Fatal));
         let s = ledger.stats(LedgerKey::Core(0));
         assert_eq!((s.corrected, s.uncorrected, s.fatal), (1, 1, 1));
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Decodes one drawn word into a record: a core, cache-bank or
+        /// DIMM origin with index up to 40, and any severity. Three in
+        /// four records land on indices 0..3, so some origins pass
+        /// every tested threshold.
+        fn decode(word: u64) -> MceRecord {
+            let spread = if word >> 62 == 0 { 41 } else { 3 };
+            let index = (word / 3 % spread) as usize;
+            let origin = match word % 3 {
+                0 => ErrorOrigin::Core(index),
+                1 => ErrorOrigin::CacheBank(index),
+                _ => ErrorOrigin::Dimm { dimm: index, word: word >> 16 },
+            };
+            let severity = match word / 123 % 3 {
+                0 => ErrorSeverity::Corrected,
+                1 => ErrorSeverity::Uncorrected,
+                _ => ErrorSeverity::Fatal,
+            };
+            rec(origin, severity)
+        }
+
+        /// The map-backed ledger the dense one replaced.
+        fn reference(records: &[MceRecord]) -> BTreeMap<LedgerKey, OriginStats> {
+            let mut map: BTreeMap<LedgerKey, OriginStats> = BTreeMap::new();
+            for r in records {
+                let entry = map.entry(LedgerKey::from_origin(r.origin)).or_default();
+                match r.severity {
+                    ErrorSeverity::Corrected => entry.corrected += 1,
+                    ErrorSeverity::Uncorrected => entry.uncorrected += 1,
+                    ErrorSeverity::Fatal => entry.fatal += 1,
+                }
+            }
+            map
+        }
+
+        fn feed<'a>(records: impl IntoIterator<Item = &'a MceRecord>) -> ErrorLedger {
+            let mut ledger = ErrorLedger::new();
+            for r in records {
+                ledger.record(r);
+            }
+            ledger
+        }
+
+        proptest! {
+            #[test]
+            fn dense_ledger_matches_a_map(
+                words in collection::vec(0u64..u64::MAX, 0..400),
+                rotate in 0usize..400,
+            ) {
+                let records: Vec<MceRecord> = words.into_iter().map(decode).collect();
+                let ledger = feed(&records);
+                let map = reference(&records);
+                for index in 0..45 {
+                    for key in [LedgerKey::Core(index), LedgerKey::CacheBank(index), LedgerKey::Dimm(index)] {
+                        prop_assert_eq!(ledger.stats(key), map.get(&key).copied().unwrap_or_default());
+                    }
+                }
+                for threshold in [0, 1, 5, 20] {
+                    let mut hot: Vec<(LedgerKey, OriginStats)> = map
+                        .iter()
+                        .filter(|(_, s)| s.total() >= threshold)
+                        .map(|(k, s)| (*k, *s))
+                        .collect();
+                    hot.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(&b.0)));
+                    prop_assert_eq!(ledger.hot_origins(threshold), hot);
+                }
+                prop_assert_eq!(ledger.grand_total(), map.values().map(OriginStats::total).sum::<u64>());
+
+                // The ledger is a function of the record multiset.
+                prop_assert_eq!(&feed(records.iter().rev()), &ledger);
+                let mut rotated = records.clone();
+                if !rotated.is_empty() {
+                    let by = rotate % rotated.len();
+                    rotated.rotate_left(by);
+                }
+                prop_assert_eq!(&feed(&rotated), &ledger);
+            }
+        }
     }
 }

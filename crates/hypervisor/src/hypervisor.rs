@@ -416,7 +416,7 @@ impl Hypervisor {
                         self.node.isolate_core(c);
                         outcome.isolations += 1;
                     }
-                    LedgerKey::CacheBank(b) => {
+                    LedgerKey::CacheBank(b) if !self.node.cache().is_isolated(b) => {
                         self.node.cache_mut().isolate(b);
                         outcome.isolations += 1;
                     }
@@ -764,6 +764,30 @@ mod tests {
         }
         assert!(contained > 0, "the sequence must contain UE kills");
         assert!(crashes > 0, "the sequence must contain node crashes");
+    }
+
+    #[test]
+    fn a_ce_storm_counts_each_isolation_once() {
+        // 2 % below nominal this die logs cache CEs every interval: the
+        // ledger keeps recommending every bank past the threshold on
+        // every later ingest, but each resource is isolated only once.
+        let mut hv = Hypervisor::new(ServerNode::new(PartSpec::arm_microserver(), 7));
+        hv.launch_vm(VmConfig::ldbc_benchmark()).unwrap();
+        let offset = hv.node().part().offset_mv(0.02);
+        let threshold = HypervisorConfig::default().thresholds.isolate_origin_errors;
+        let (mut isolations, mut hot_ticks) = (0, 0);
+        for _ in 0..300 {
+            // A crash reboots at nominal: put the undervolt back.
+            hv.node_mut().msr.set_voltage_offset_all(offset).unwrap();
+            isolations += hv.tick(Seconds::new(1.0)).isolations;
+            hot_ticks += u64::from(!hv.health().ledger().hot_origins(threshold).is_empty());
+        }
+        let node = hv.node();
+        let isolated = (0..node.core_count()).filter(|&c| node.is_isolated(c)).count()
+            + node.cache().iter().filter(|b| b.isolated).count();
+        assert!(isolated > 0, "the storm must isolate a resource");
+        assert!(hot_ticks > 100, "isolation advice must repeat: {hot_ticks} hot ticks");
+        assert_eq!(isolations, isolated as u64);
     }
 
     #[test]

@@ -519,23 +519,27 @@ impl ServerNode {
             0 => reference_bound,
             _ => replay_crash_reference(cores, vmin, nominal, aging, stress, crashed, at_loop.clone()),
         };
-        let mut errors: Vec<MceRecord> = Vec::new();
-        for sample in self.cache.sample_interval(
+        let samples = self.cache.sample_interval(
             min_active_voltage,
             nominal,
             reference_bound,
             exact_reference,
             vmin,
             &mut self.rng,
-        ) {
-            for _ in 0..sample.corrected {
-                errors.push(MceRecord {
-                    at: self.clock + duration,
-                    kind: FaultKind::CacheBit,
-                    severity: ErrorSeverity::Corrected,
-                    origin: ErrorOrigin::CacheBank(sample.bank),
-                });
-            }
+        );
+        let at = self.clock + duration;
+        // One allocation for the interval's CE records, not one regrowth
+        // per doubling.
+        let count: u64 = samples.iter().map(|s| s.corrected).sum();
+        let mut errors: Vec<MceRecord> = Vec::with_capacity(count as usize);
+        for sample in samples {
+            let record = MceRecord {
+                at,
+                kind: FaultKind::CacheBit,
+                severity: ErrorSeverity::Corrected,
+                origin: ErrorOrigin::CacheBank(sample.bank),
+            };
+            errors.extend(std::iter::repeat_n(record, sample.corrected as usize));
         }
         (crash, errors)
     }
