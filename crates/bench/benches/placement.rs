@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the placement hot path: the reference
 //! `Scheduler::place_linear` full-rack scan against the incremental
-//! `PlacementIndex`, at the headline rack sizes (256 and 10⁴ nodes).
+//! `PlacementIndex` read through `RackView::best` under the reference
+//! policy, at the headline rack sizes (256 and 10⁴ nodes).
 //!
 //! The linear scan re-weighs every node per request (~10⁸ filter/weigh
 //! evaluations per simulated hour at 10⁴ nodes); the index walks a
@@ -14,7 +15,7 @@ use std::hint::black_box;
 
 use uniserver_cloudmgr::index::PlacementIndex;
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
-use uniserver_cloudmgr::{Scheduler, SlaClass};
+use uniserver_cloudmgr::{EnergySlaPolicy, RackView, Scheduler, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_platform::part::PartSpec;
 
@@ -32,6 +33,7 @@ fn rack(n: usize) -> Vec<ManagedNode> {
 
 fn bench_placement(c: &mut Criterion) {
     let scheduler = Scheduler::default();
+    let policy = EnergySlaPolicy::new(scheduler);
     let cfg = VmConfig::ldbc_benchmark();
     for nodes in RACK_SIZES {
         let ns = rack(nodes);
@@ -45,7 +47,9 @@ fn bench_placement(c: &mut Criterion) {
         let mut index = PlacementIndex::new(nodes);
         index.flush(&scheduler, &ns);
         g.bench_with_input(BenchmarkId::new("indexed", nodes), &ns, |b, ns| {
-            b.iter(|| black_box(index.place(&scheduler, ns, &cfg, SlaClass::Silver, None)));
+            b.iter(|| {
+                black_box(RackView::new(ns, &index).best(&policy, &cfg, SlaClass::Silver, &[]))
+            });
         });
 
         // The serving steady state: each request dirties a few nodes
@@ -56,7 +60,7 @@ fn bench_placement(c: &mut Criterion) {
                     index.mark(NodeId(i * 7 % ns.len() as u32));
                 }
                 index.flush(&scheduler, ns);
-                black_box(index.place(&scheduler, ns, &cfg, SlaClass::Silver, None))
+                black_box(RackView::new(ns, &index).best(&policy, &cfg, SlaClass::Silver, &[]))
             });
         });
         g.finish();

@@ -11,7 +11,7 @@
 //! fleet_sim [--cluster] [--nodes N] [--seed S] [--secs T] [--tick DT]
 //!           [--threads K] [--nominal] [--profile flat|flash|chaos|gray]
 //!           [--policy energy-sla|consolidate|reliability-blind]
-//!           [--place linear|indexed] [--bench PATH] [--label NAME]
+//!           [--bench PATH] [--label NAME]
 //!           [--no-per-tick] [--per-tick-every N]
 //!           [--trace-out PATH] [--metrics-out PATH]
 //! ```
@@ -44,10 +44,6 @@
 //!   `reliability-blind` is the ablation that ignores the failure
 //!   predictor entirely. Unknown names exit non-zero before anything
 //!   runs.
-//! * `--place linear` routes placement through the reference
-//!   `Scheduler::place_linear` scan instead of the default incremental
-//!   index — the two are equivalent by construction, and CI byte-diffs
-//!   their stdout to prove it.
 //! * `--bench PATH` appends one JSON timing line (label, nodes, threads,
 //!   wall/deploy/serve ms, deploy + serve ms per node, the arrival
 //!   count, margins, fleet energy and crash count) to PATH, e.g.
@@ -106,7 +102,6 @@ struct Args {
     nominal: bool,
     profile: Profile,
     policy: PolicyKind,
-    linear_place: bool,
     bench: Option<String>,
     label: Option<String>,
     /// NDJSON event-trace output path.
@@ -129,7 +124,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
         nominal: false,
         profile: Profile::Flat,
         policy: PolicyKind::EnergySla,
-        linear_place: false,
         bench: None,
         label: None,
         trace_out: None,
@@ -180,13 +174,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
                     )
                 })?;
             }
-            "--place" => {
-                args.linear_place = match value("--place")?.as_str() {
-                    "linear" => true,
-                    "indexed" => false,
-                    other => return Err(format!("--place must be linear or indexed, got '{other}'")),
-                };
-            }
             "--bench" => args.bench = Some(value("--bench")?),
             "--label" => args.label = Some(value("--label")?),
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
@@ -221,8 +208,8 @@ fn usage() {
     eprintln!(
         "usage: fleet_sim [--cluster] [--nodes N] [--seed S] [--secs T] [--tick DT] \
          [--threads K] [--nominal] [--profile flat|flash|chaos|gray] \
-         [--policy energy-sla|consolidate|reliability-blind] [--place linear|indexed] \
-         [--bench PATH] [--label NAME] [--no-per-tick] [--per-tick-every N] \
+         [--policy energy-sla|consolidate|reliability-blind] [--bench PATH] \
+         [--label NAME] [--no-per-tick] [--per-tick-every N] \
          [--trace-out PATH] [--metrics-out PATH]"
     );
 }
@@ -273,7 +260,6 @@ fn run(args: Args) -> ExitCode {
         }
     }
     config.threads = args.threads;
-    config.linear_placement = args.linear_place;
     config.policy = args.policy;
     if args.nominal {
         config.margins = MarginPolicy::Nominal;

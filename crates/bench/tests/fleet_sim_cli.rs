@@ -187,19 +187,6 @@ fn flat_profile_flag_is_the_default_stream() {
 }
 
 #[test]
-fn indexed_and_linear_placement_are_byte_identical() {
-    // The incremental placement index is a pure optimization: routing
-    // every decision through the reference linear scan must reproduce
-    // the run byte for byte.
-    let base = &["--cluster", "--nodes", "8", "--secs", "60", "--seed", "7"];
-    let indexed = fleet_sim(&[base, &["--place", "indexed"][..]].concat());
-    assert!(indexed.status.success());
-    let linear = fleet_sim(&[base, &["--place", "linear"][..]].concat());
-    assert!(linear.status.success());
-    assert_eq!(indexed.stdout, linear.stdout, "index diverged from the linear scan");
-}
-
-#[test]
 fn energy_sla_policy_flag_is_the_default_byte_for_byte() {
     // Explicitly selecting the reference policy must be a no-op
     // spelling of the default — no label, no power object, same bytes.

@@ -200,15 +200,6 @@ struct NodeAdvance {
     score: ScoreUpdate,
 }
 
-/// One node through the parallel phase of a sharded tick: hypervisor
-/// tick plus the predictor's immutable scoring. Touches only the node
-/// itself and the (shared, read-only) predictor, so shards never race.
-fn advance_node(node: &mut ManagedNode, predictor: &FailurePredictor, duration: Seconds) -> NodeAdvance {
-    let outcome = node.tick(duration);
-    let score = predictor.observe(node.id.0, node.hypervisor.health());
-    NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score }
-}
-
 /// Instrumentation one shard's advance produced on its thread:
 /// wall-clock nanos for the stage profiler (commutative, flushed to
 /// atomics per chunk) and an optional per-shard metrics registry
@@ -220,7 +211,10 @@ struct ShardStats {
     metrics: Option<MetricsRegistry>,
 }
 
-/// The per-node phase of one contiguous chunk of a tick: the same
+/// The per-node phase of one contiguous chunk of a tick: each awake,
+/// online node's hypervisor tick plus the predictor's immutable
+/// scoring. It touches only the chunk's nodes and the (shared,
+/// read-only) predictor, so shards never race, and it is the same
 /// computation for any chunking, so every worker count stays
 /// bit-identical. `profile` adds per-node span timing; `collect` fills
 /// a shard-local registry with integer tick-domain stats.
@@ -250,20 +244,18 @@ fn advance_slice(
                 }
                 return None;
             }
-            let adv = if profile {
-                let t0 = Instant::now();
-                let outcome = node.tick(duration);
-                let t1 = Instant::now();
-                let score = predictor.observe(node.id.0, node.hypervisor.health());
+            let t0 = profile.then(Instant::now);
+            let outcome = node.tick(duration);
+            let t1 = profile.then(Instant::now);
+            let score = predictor.observe(node.id.0, node.hypervisor.health());
+            if let (Some(t0), Some(t1)) = (t0, t1) {
                 #[allow(clippy::cast_possible_truncation)]
                 {
                     stats.tick_ns += (t1 - t0).as_nanos() as u64;
                     stats.predictor_ns += t1.elapsed().as_nanos() as u64;
                 }
-                NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score }
-            } else {
-                advance_node(node, predictor, duration)
-            };
+            }
+            let adv = NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score };
             if let Some(m) = &mut stats.metrics {
                 m.inc("node_ticks");
                 if matches!(adv.score, ScoreUpdate::Rescore { .. }) {
@@ -314,9 +306,6 @@ pub struct Cluster {
     migration: MigrationModel,
     /// Incremental placement index over `nodes` (see [`PlacementIndex`]).
     index: PlacementIndex,
-    /// Route placement through the reference linear scan instead of the
-    /// index — the ablation/CI-diff path.
-    linear_placement: bool,
     placements: Vec<Placement>,
     next_placement: u64,
     migrations: u64,
@@ -384,7 +373,6 @@ impl Cluster {
             predictor: FailurePredictor::new(),
             migration,
             index,
-            linear_placement: false,
             placements: Vec::new(),
             next_placement: 0,
             migrations: 0,
@@ -475,30 +463,16 @@ impl Cluster {
         self.node_mut(id).hypervisor.node_mut()
     }
 
-    /// Routes placement through [`Scheduler::place_linear`] instead of
-    /// the incremental index. The two are equivalent by construction
-    /// (CI byte-diffs them end-to-end); the linear scan is kept as the
-    /// reference for tests, ablations and micro-benchmarks.
-    pub fn set_linear_placement(&mut self, linear: bool) {
-        self.linear_placement = linear;
-    }
-
-    /// One policy decision over the current rack view: indexed (flushed
-    /// first) or the reference linear scan, identical ordering either
-    /// way.
+    /// One policy decision over the current rack view, read through the
+    /// freshly flushed placement index.
     fn decide_on(
         &mut self,
         config: &VmConfig,
         class: SlaClass,
         avoid: &[NodeId],
     ) -> PlacementDecision {
-        let policy = Arc::clone(&self.policy);
-        if self.linear_placement {
-            policy.decide(&RackView::linear(&self.nodes), config, class, avoid)
-        } else {
-            self.index.flush(policy.scheduler(), &self.nodes);
-            policy.decide(&RackView::indexed(&self.nodes, &self.index), config, class, avoid)
-        }
+        self.index.flush(self.policy.scheduler(), &self.nodes);
+        self.policy.decide(&RackView::new(&self.nodes, &self.index), config, class, avoid)
     }
 
     /// One placement decision, executing wake-on-demand: a policy that
@@ -604,17 +578,13 @@ impl Cluster {
                 self.rescore_sleepers();
             }
         }
-        let policy = Arc::clone(&self.policy);
         let mut occupancy = vec![0u32; self.nodes.len()];
         for p in &self.placements {
             occupancy[p.node.0 as usize] += 1;
         }
-        let plan = if self.linear_placement {
-            policy.manage(&RackView::linear(&self.nodes), &occupancy, tick, seed)
-        } else {
-            self.index.flush(policy.scheduler(), &self.nodes);
-            policy.manage(&RackView::indexed(&self.nodes, &self.index), &occupancy, tick, seed)
-        };
+        self.index.flush(self.policy.scheduler(), &self.nodes);
+        let plan =
+            self.policy.manage(&RackView::new(&self.nodes, &self.index), &occupancy, tick, seed);
         // Parks first: a freshly-parked node can then never be chosen
         // as a drain target below.
         for &id in &plan.park {
@@ -1548,30 +1518,27 @@ mod tests {
 
     #[test]
     fn offline_nodes_take_no_placements_and_consume_no_energy() {
-        for linear in [false, true] {
-            let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(2), 100);
-            cluster.set_linear_placement(linear);
-            cluster.mark_crashed(NodeId(1));
-            cluster.begin_repair(NodeId(1), 10);
-            // Node 0's relaxed domain fits four 4 GiB guests; all four
-            // land there, the fifth has nowhere to go.
-            for _ in 0..4 {
-                let p = cluster
-                    .submit(VmConfig::ldbc_benchmark(), SlaClass::Bronze)
-                    .expect("the online node fits");
-                assert_eq!(p.node, NodeId(0), "offline nodes never take placements");
-            }
-            assert!(cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Bronze).is_none());
-            for _ in 0..5 {
-                cluster.tick(Seconds::new(1.0));
-            }
-            assert!(cluster.nodes()[0].metrics().energy.as_joules() > 0.0);
-            assert_eq!(
-                cluster.nodes()[1].metrics().energy,
-                Joules::ZERO,
-                "offline nodes do not tick"
-            );
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(2), 100);
+        cluster.mark_crashed(NodeId(1));
+        cluster.begin_repair(NodeId(1), 10);
+        // Node 0's relaxed domain fits four 4 GiB guests; all four
+        // land there, the fifth has nowhere to go.
+        for _ in 0..4 {
+            let p = cluster
+                .submit(VmConfig::ldbc_benchmark(), SlaClass::Bronze)
+                .expect("the online node fits");
+            assert_eq!(p.node, NodeId(0), "offline nodes never take placements");
         }
+        assert!(cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Bronze).is_none());
+        for _ in 0..5 {
+            cluster.tick(Seconds::new(1.0));
+        }
+        assert!(cluster.nodes()[0].metrics().energy.as_joules() > 0.0);
+        assert_eq!(
+            cluster.nodes()[1].metrics().energy,
+            Joules::ZERO,
+            "offline nodes do not tick"
+        );
     }
 
     #[test]

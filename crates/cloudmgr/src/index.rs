@@ -16,31 +16,32 @@
 //! crash recovery, predictor write-backs that change reliability,
 //! lifecycle and gray transitions, and platform reprogramming through
 //! `Cluster::server_mut` (one node; `Cluster::nodes_mut` marks the
-//! rack) — and [`PlacementIndex::place`] flushes the dirty set, then
-//! walks the ranking from the top, returning the first node that passes
-//! the *request-dependent* filter (capacity, crash state, availability
-//! and reliability floors are read live from the node). Walks in
-//! another order (consolidation's band-keyed pack walk) read the cached
-//! score through [`PlacementIndex::score`] instead of re-weighing.
+//! rack) — and flushes the dirty set before every policy decision.
+//! [`crate::policy::RackView::best`] then walks the ranking from the
+//! top, returning the first node that passes the *request-dependent*
+//! filter (capacity, crash state, availability and reliability floors
+//! are read live from the node). Walks in another order (consolidation's
+//! band-keyed pack walk) read the cached score through
+//! [`PlacementIndex::score`] instead of re-weighing.
 //!
-//! # Equivalence with the linear scan
+//! # Freshness
 //!
-//! The scan order is descending `(score, NodeId)` — exactly the
+//! The walk order is descending `(score, NodeId)` — exactly the
 //! explicit tie-break of [`Scheduler::place_linear`] — and the weigher
-//! is deterministic in its inputs, so a correctly-invalidated index
-//! returns the *identical* node for every request. CI byte-diffs the
-//! two paths end-to-end; `tests/placement_index.rs` and
-//! `tests/policy_suite.rs` property-test them against each other under
-//! churn.
+//! is deterministic in its inputs, so an index whose cached scores are
+//! all fresh returns the *identical* node for every request. Debug
+//! builds check exactly that at the end of every
+//! [`PlacementIndex::flush`]: the ranking holds one entry per node and
+//! every cached score equals a live [`Scheduler::weigh`]. A missed
+//! invalidation therefore panics in every debug-built test and run,
+//! whether or not it would have changed a decision; release builds
+//! compile the check out.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use uniserver_hypervisor::vm::VmConfig;
-
 use crate::node::{ManagedNode, NodeId};
 use crate::scheduler::Scheduler;
-use crate::sla::SlaClass;
 
 /// A finite `f64` score with a total order, so scores can key the
 /// ranking set. Placement scores are finite by construction (the
@@ -130,6 +131,12 @@ impl PlacementIndex {
     }
 
     /// Re-scores every dirty node and repairs the ranking.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if, after the repair, the ranking does not
+    /// hold exactly one entry per node or any cached score differs
+    /// from a live [`Scheduler::weigh`] — a missed [`PlacementIndex::mark`].
     pub fn flush(&mut self, scheduler: &Scheduler, nodes: &[ManagedNode]) {
         for i in std::mem::take(&mut self.pending) {
             let i = i as usize;
@@ -144,49 +151,25 @@ impl PlacementIndex {
             self.indexed[i] = true;
             self.dirty[i] = false;
         }
-    }
-
-    /// Indexed placement: the feasible node with the highest
-    /// `(score, NodeId)`, walking the ranking from the top and
-    /// re-checking only the request-dependent filter per candidate.
-    /// Callers must [`PlacementIndex::flush`] first (the cluster's
-    /// placement wrapper does).
-    #[must_use]
-    pub fn place(
-        &self,
-        scheduler: &Scheduler,
-        nodes: &[ManagedNode],
-        config: &VmConfig,
-        class: SlaClass,
-        exclude: Option<NodeId>,
-    ) -> Option<NodeId> {
-        debug_assert_eq!(self.dirty_count(), 0, "place() requires a flushed index");
-        for &(_, id) in self.by_score.iter().rev() {
-            if Some(id) == exclude {
-                continue;
-            }
-            let node = &nodes[id.0 as usize];
-            if scheduler.filter(node, config, class) {
-                return Some(id);
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(self.by_score.len(), nodes.len(), "the ranking must hold one entry per node");
+            for node in nodes {
+                let live = scheduler.weigh(node);
+                assert!(
+                    self.scores[node.id.0 as usize] == live
+                        && self.by_score.contains(&(Score(live), node.id)),
+                    "stale cached score for {}",
+                    node.id
+                );
             }
         }
-        None
-    }
-
-    /// All indexed nodes in *ascending* `(score, NodeId)` order — the
-    /// other end of the ranking. A consolidation policy walks this to
-    /// find the lowest-scored (fullest, least desirable) node that still
-    /// fits a request, packing the rack instead of spreading it. Callers
-    /// must [`PlacementIndex::flush`] first.
-    pub fn ranked(&self) -> impl Iterator<Item = NodeId> + '_ {
-        debug_assert_eq!(self.dirty_count(), 0, "ranked() requires a flushed index");
-        self.by_score.iter().map(|&(_, id)| id)
     }
 
     /// All indexed nodes in *descending* `(score, NodeId)` order — the
-    /// best-first walk [`PlacementIndex::place`] uses, exposed so policy
-    /// implementations can apply their own per-candidate feasibility
-    /// checks. Callers must [`PlacementIndex::flush`] first.
+    /// best-first walk behind [`crate::policy::RackView::best`], which
+    /// applies the policy's own per-candidate feasibility checks.
+    /// Callers must [`PlacementIndex::flush`] first.
     pub fn ranked_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
         debug_assert_eq!(self.dirty_count(), 0, "ranked_rev() requires a flushed index");
         self.by_score.iter().rev().map(|&(_, id)| id)
@@ -196,6 +179,9 @@ impl PlacementIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{EnergySlaPolicy, RackView};
+    use crate::sla::SlaClass;
+    use uniserver_hypervisor::vm::VmConfig;
     use uniserver_platform::part::PartSpec;
 
     fn nodes(n: usize) -> Vec<ManagedNode> {
@@ -205,6 +191,18 @@ mod tests {
                 ManagedNode::provision(NodeId(i as u32), PartSpec::arm_microserver(), i as u64)
             })
             .collect()
+    }
+
+    /// The index's best-first pick under the reference policy.
+    fn best(
+        index: &PlacementIndex,
+        scheduler: &Scheduler,
+        ns: &[ManagedNode],
+        config: &VmConfig,
+        class: SlaClass,
+        avoid: &[NodeId],
+    ) -> Option<NodeId> {
+        RackView::new(ns, index).best(&EnergySlaPolicy::new(*scheduler), config, class, avoid)
     }
 
     fn assert_matches_linear(
@@ -219,7 +217,7 @@ mod tests {
         }
         for class in [SlaClass::Gold, SlaClass::Silver, SlaClass::Bronze] {
             assert_eq!(
-                index.place(scheduler, ns, config, class, None),
+                best(index, scheduler, ns, config, class, &[]),
                 scheduler.place_linear(ns.iter(), config, class),
                 "indexed placement diverged from the linear scan at {class}"
             );
@@ -261,9 +259,9 @@ mod tests {
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         let cfg = VmConfig::idle_guest();
-        assert_eq!(index.place(&s, &ns, &cfg, SlaClass::Gold, None), Some(NodeId(2)));
+        assert_eq!(best(&index, &s, &ns, &cfg, SlaClass::Gold, &[]), Some(NodeId(2)));
         assert_eq!(
-            index.place(&s, &ns, &cfg, SlaClass::Gold, Some(NodeId(2))),
+            best(&index, &s, &ns, &cfg, SlaClass::Gold, &[NodeId(2)]),
             Some(NodeId(1)),
             "excluding the winner must yield the runner-up"
         );
@@ -294,5 +292,18 @@ mod tests {
         index.mark_all();
         assert_eq!(index.dirty_count(), 3);
         assert_matches_linear(&mut index, &s, &ns, &VmConfig::idle_guest());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale cached score for node1")]
+    fn unmarked_changes_fail_the_debug_freshness_check() {
+        let mut ns = nodes(2);
+        let s = Scheduler::default();
+        let mut index = PlacementIndex::new(ns.len());
+        index.flush(&s, &ns);
+        // Mutate behind the index's back and flush without a mark.
+        ns[1].reliability = 0.4;
+        index.flush(&s, &ns);
     }
 }

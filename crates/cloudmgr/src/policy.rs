@@ -118,58 +118,33 @@ pub struct ManagementPlan {
 }
 
 /// A read-only view of the rack for policy decisions: the node slice
-/// plus, when the cluster runs indexed placement, the flushed
-/// [`PlacementIndex`] whose `BTreeSet` ranking serves *both* ends —
-/// best-first for spreading, worst-first for packing. With `index`
-/// absent (the `--place linear` reference path) every query falls back
-/// to a full scan with the identical `(score, NodeId)` ordering, so
-/// indexed and linear placement stay byte-comparable per policy.
+/// plus the cluster's flushed [`PlacementIndex`], whose cached scores
+/// and `(score, NodeId)` ranking serve every query — best-first for
+/// spreading and waking, cached scores for walks in another order.
 #[derive(Debug, Clone, Copy)]
 pub struct RackView<'a> {
     /// All managed nodes, dense by `NodeId`.
     pub nodes: &'a [ManagedNode],
-    index: Option<&'a PlacementIndex>,
+    index: &'a PlacementIndex,
 }
 
 impl<'a> RackView<'a> {
-    /// A view backed by the flushed placement index.
+    /// A view backed by the placement index, which must be flushed
+    /// against `nodes` under the deciding policy's weigher.
     #[must_use]
-    pub fn indexed(nodes: &'a [ManagedNode], index: &'a PlacementIndex) -> Self {
-        RackView { nodes, index: Some(index) }
+    pub fn new(nodes: &'a [ManagedNode], index: &'a PlacementIndex) -> Self {
+        RackView { nodes, index }
     }
 
-    /// A view that scans linearly (the reference path).
+    /// The placement score of `node`: the index's cached weigher score.
     #[must_use]
-    pub fn linear(nodes: &'a [ManagedNode]) -> Self {
-        RackView { nodes, index: None }
-    }
-
-    /// The placement score of `node` under `policy`'s weigher: the
-    /// flushed index's cached score when indexed, a live
-    /// [`Scheduler::weigh`] on the linear reference path. The index
-    /// caches the same weigher, so both paths read the same number.
-    #[must_use]
-    pub fn score<P: PlacementPolicy + ?Sized>(&self, policy: &P, node: &ManagedNode) -> f64 {
-        match self.index {
-            Some(index) => index.score(node.id),
-            None => policy.scheduler().weigh(node),
-        }
-    }
-
-    /// Whether `node` can take the request right now: awake and
-    /// admitted by the policy's feasibility gates.
-    fn feasible<P: PlacementPolicy + ?Sized>(
-        node: &ManagedNode,
-        policy: &P,
-        config: &VmConfig,
-        class: SlaClass,
-    ) -> bool {
-        !node.is_asleep() && policy.admits(node, config, class)
+    pub fn score(&self, node: &ManagedNode) -> f64 {
+        self.index.score(node.id)
     }
 
     /// The feasible node with the *highest* `(score, NodeId)` — the
-    /// spreading end of the ranking, byte-identical to
-    /// [`Scheduler::place_linear`] for the reference policy.
+    /// spreading end of the ranking, the same node
+    /// [`Scheduler::place_linear`] picks for the reference policy.
     #[must_use]
     pub fn best<P: PlacementPolicy + ?Sized>(
         &self,
@@ -178,53 +153,10 @@ impl<'a> RackView<'a> {
         class: SlaClass,
         avoid: &[NodeId],
     ) -> Option<NodeId> {
-        match self.index {
-            Some(index) => index.ranked_rev().find(|id| {
-                !avoid.contains(id)
-                    && Self::feasible(&self.nodes[id.0 as usize], policy, config, class)
-            }),
-            None => self
-                .nodes
-                .iter()
-                .filter(|n| {
-                    !avoid.contains(&n.id) && Self::feasible(n, policy, config, class)
-                })
-                .map(|n| (policy.scheduler().weigh(n), n.id))
-                .max_by(|a, b| {
-                    a.0.partial_cmp(&b.0).expect("weights are finite").then_with(|| a.1.cmp(&b.1))
-                })
-                .map(|(_, id)| id),
-        }
-    }
-
-    /// The feasible node with the *lowest* `(score, NodeId)` — the
-    /// packing end of the ranking, served by the same `BTreeSet` walked
-    /// forwards.
-    #[must_use]
-    pub fn worst<P: PlacementPolicy + ?Sized>(
-        &self,
-        policy: &P,
-        config: &VmConfig,
-        class: SlaClass,
-        avoid: &[NodeId],
-    ) -> Option<NodeId> {
-        match self.index {
-            Some(index) => index.ranked().find(|id| {
-                !avoid.contains(id)
-                    && Self::feasible(&self.nodes[id.0 as usize], policy, config, class)
-            }),
-            None => self
-                .nodes
-                .iter()
-                .filter(|n| {
-                    !avoid.contains(&n.id) && Self::feasible(n, policy, config, class)
-                })
-                .map(|n| (policy.scheduler().weigh(n), n.id))
-                .min_by(|a, b| {
-                    a.0.partial_cmp(&b.0).expect("weights are finite").then_with(|| a.1.cmp(&b.1))
-                })
-                .map(|(_, id)| id),
-        }
+        self.index.ranked_rev().find(|id| {
+            let node = &self.nodes[id.0 as usize];
+            !avoid.contains(id) && !node.is_asleep() && policy.admits(node, config, class)
+        })
     }
 
     /// The best-scored *asleep* node that would admit the request once
@@ -237,21 +169,10 @@ impl<'a> RackView<'a> {
         class: SlaClass,
         avoid: &[NodeId],
     ) -> Option<NodeId> {
-        let sleeping_fit = |n: &ManagedNode| {
-            n.is_asleep() && !avoid.contains(&n.id) && policy.admits(n, config, class)
-        };
-        match self.index {
-            Some(index) => index.ranked_rev().find(|id| sleeping_fit(&self.nodes[id.0 as usize])),
-            None => self
-                .nodes
-                .iter()
-                .filter(|n| sleeping_fit(n))
-                .map(|n| (policy.scheduler().weigh(n), n.id))
-                .max_by(|a, b| {
-                    a.0.partial_cmp(&b.0).expect("weights are finite").then_with(|| a.1.cmp(&b.1))
-                })
-                .map(|(_, id)| id),
-        }
+        self.index.ranked_rev().find(|id| {
+            let node = &self.nodes[id.0 as usize];
+            !avoid.contains(id) && node.is_asleep() && policy.admits(node, config, class)
+        })
     }
 }
 
@@ -480,10 +401,8 @@ impl ConsolidatePolicy {
     /// nodes but never prefers a node a full band less reliable.
     /// Degraded nodes are never packing targets: their capacity cap is
     /// a symptom, not a bin to fill. The band key does not follow the
-    /// index's `(score, id)` order, so both placement paths scan every
-    /// node; each candidate's score comes from [`RackView::score`] —
-    /// the index's cached value, or a live weigh on the linear path —
-    /// so the two stay byte-identical.
+    /// index's `(score, id)` order, so the walk scans every node and
+    /// reads each candidate's cached score through [`RackView::score`].
     fn pack_target(
         &self,
         view: &RackView<'_>,
@@ -502,7 +421,7 @@ impl ConsolidatePolicy {
             .map(|n| {
                 (
                     Self::reliability_band(n.effective_reliability()),
-                    view.score(self, n),
+                    view.score(n),
                     n.id,
                 )
             })
@@ -576,8 +495,8 @@ impl PlacementPolicy for ConsolidatePolicy {
         // [`ConsolidatePolicy::parkable`] nodes qualify — gray nodes
         // stay awake in the watchdog's view, availability-sunk nodes
         // stay awake because that metric freezes at park time. Scores
-        // come from [`RackView::score`] (the policy's own weigher) so
-        // the selection is identical under indexed and linear placement.
+        // are the index's cached ones ([`RackView::score`], the policy's
+        // own weigher).
         let mut empties: Vec<(f64, NodeId)> = view
             .nodes
             .iter()
@@ -587,7 +506,7 @@ impl PlacementPolicy for ConsolidatePolicy {
                     && occupancy[n.id.0 as usize] == 0
                     && self.parkable(n)
             })
-            .map(|n| (view.score(self, n), n.id))
+            .map(|n| (view.score(n), n.id))
             .collect();
         empties.sort_by(|a, b| {
             b.0.partial_cmp(&a.0).expect("weights are finite").then_with(|| b.1.cmp(&a.1))
@@ -632,6 +551,14 @@ mod tests {
             .collect()
     }
 
+    /// A placement index over `ns`, flushed under `policy`'s weigher —
+    /// what the cluster hands a policy before every decision.
+    fn flushed(ns: &[ManagedNode], policy: &dyn PlacementPolicy) -> PlacementIndex {
+        let mut index = PlacementIndex::new(ns.len());
+        index.flush(policy.scheduler(), ns);
+        index
+    }
+
     #[test]
     fn policy_names_parse_and_roundtrip() {
         for kind in PolicyKind::ALL {
@@ -653,12 +580,13 @@ mod tests {
         let scheduler = Scheduler::default();
         let policy = EnergySlaPolicy::new(scheduler);
         let cfg = VmConfig::ldbc_benchmark();
+        let index = flushed(&ns, &policy);
         for class in [SlaClass::Gold, SlaClass::Silver, SlaClass::Bronze] {
             let expected = match scheduler.place_linear(ns.iter(), &cfg, class) {
                 Some(id) => PlacementDecision::Place(id),
                 None => PlacementDecision::Reject,
             };
-            assert_eq!(policy.decide(&RackView::linear(&ns), &cfg, class, &[]), expected);
+            assert_eq!(policy.decide(&RackView::new(&ns, &index), &cfg, class, &[]), expected);
         }
     }
 
@@ -672,15 +600,15 @@ mod tests {
         let reference = EnergySlaPolicy::new(Scheduler::default());
         let blind = ReliabilityBlindPolicy::new();
         let cfg = VmConfig::ldbc_benchmark();
-        let view = RackView::linear(&ns);
+        let (reference_index, blind_index) = (flushed(&ns, &reference), flushed(&ns, &blind));
         for class in [SlaClass::Gold, SlaClass::Silver, SlaClass::Bronze] {
             assert_eq!(
-                reference.decide(&view, &cfg, class, &[]),
+                reference.decide(&RackView::new(&ns, &reference_index), &cfg, class, &[]),
                 PlacementDecision::Reject,
                 "the reference policy must quarantine at {class}"
             );
             assert_eq!(
-                blind.decide(&view, &cfg, class, &[]),
+                blind.decide(&RackView::new(&ns, &blind_index), &cfg, class, &[]),
                 PlacementDecision::Place(NodeId(0)),
                 "the blind ablation must place at {class}"
             );
@@ -694,9 +622,12 @@ mod tests {
         ns[0].launch(VmConfig::ldbc_benchmark()).unwrap();
         let scheduler = Scheduler::default();
         let cfg = VmConfig::ldbc_benchmark();
-        let view = RackView::linear(&ns);
         let reference = EnergySlaPolicy::new(scheduler);
         let pack = ConsolidatePolicy::new(scheduler);
+        // Both policies weigh with the same scheduler, so one index
+        // serves both.
+        let index = flushed(&ns, &pack);
+        let view = RackView::new(&ns, &index);
         assert_eq!(
             reference.decide(&view, &cfg, SlaClass::Bronze, &[]),
             PlacementDecision::Place(NodeId(1)),
@@ -719,15 +650,17 @@ mod tests {
         ns[1].power = NodePower::Asleep;
         let pack = ConsolidatePolicy::new(Scheduler::default());
         let cfg = VmConfig::ldbc_benchmark();
+        let index = flushed(&ns, &pack);
+        let view = RackView::new(&ns, &index);
         assert_eq!(
-            pack.decide(&RackView::linear(&ns), &cfg, SlaClass::Bronze, &[]),
+            pack.decide(&view, &cfg, SlaClass::Bronze, &[]),
             PlacementDecision::WakeAndPlace(NodeId(1)),
             "demand pressure must wake the sleeper"
         );
         // The reference policy never wakes anyone.
         let reference = EnergySlaPolicy::new(Scheduler::default());
         assert_eq!(
-            reference.decide(&RackView::linear(&ns), &cfg, SlaClass::Bronze, &[]),
+            reference.decide(&view, &cfg, SlaClass::Bronze, &[]),
             PlacementDecision::Reject
         );
     }
@@ -756,8 +689,9 @@ mod tests {
         // — the black hole where every launch fails. With it, demand
         // pressure falls through to the sleeper.
         let pack = ConsolidatePolicy::new(Scheduler::default());
+        let index = flushed(&ns, &pack);
         assert_eq!(
-            pack.decide(&RackView::linear(&ns), &cfg, SlaClass::Bronze, &[]),
+            pack.decide(&RackView::new(&ns, &index), &cfg, SlaClass::Bronze, &[]),
             PlacementDecision::WakeAndPlace(NodeId(1)),
             "consolidation must skip the launch-infeasible node"
         );
@@ -784,7 +718,8 @@ mod tests {
         ns[5].phase = NodePhase::Degraded { gray }; // gray straggler
         let occupancy = [0, 0, 0, 0, 0, 1];
         let pack = ConsolidatePolicy::new(Scheduler::default());
-        let plan = pack.manage(&RackView::linear(&ns), &occupancy, 0, 7);
+        let index = flushed(&ns, &pack);
+        let plan = pack.manage(&RackView::new(&ns, &index), &occupancy, 0, 7);
         // Healthy empties 2..=4 tie on score and sort desc by id; the
         // two highest-id ones stay as spares, then come node 2 and the
         // low-scored dipped node 0. The gray empty never appears.
@@ -821,17 +756,11 @@ mod tests {
         };
         let pack = ConsolidatePolicy::new(Scheduler::default());
         let cfg = VmConfig::ldbc_benchmark();
-        let view = RackView::linear(&ns);
-        // The raw ranking would still pack onto the flaky node …
+        let index = flushed(&ns, &pack);
+        // The band tie-break holds the pack inside the healthy band,
+        // and the gray node (cheapest there) is never a target.
         assert_eq!(
-            view.worst(&pack, &cfg, SlaClass::Bronze, &[]),
-            Some(NodeId(0)),
-            "low reliability drags the score down, so the raw walk picks node 0"
-        );
-        // … but the band tie-break holds the pack inside the healthy
-        // band, and the gray node (cheapest there) is never a target.
-        assert_eq!(
-            pack.decide(&view, &cfg, SlaClass::Bronze, &[]),
+            pack.decide(&RackView::new(&ns, &index), &cfg, SlaClass::Bronze, &[]),
             PlacementDecision::Place(NodeId(1)),
             "pack within the top band, skipping the gray node"
         );
@@ -850,7 +779,9 @@ mod tests {
         ns[2].launch(VmConfig::ldbc_benchmark()).unwrap();
         let occupancy = [3, 2, 1, 0, 0, 0];
         let pack = ConsolidatePolicy::new(Scheduler::default());
-        let plan = pack.manage(&RackView::linear(&ns), &occupancy, 0, 42);
+        let index = flushed(&ns, &pack);
+        let view = RackView::new(&ns, &index);
+        let plan = pack.manage(&view, &occupancy, 0, 42);
         // Identical empties tie on score; descending (score, id) keeps
         // the two highest-id spares awake and parks the rest.
         assert_eq!(plan.park, vec![NodeId(3)]);
@@ -858,6 +789,6 @@ mod tests {
         assert_eq!(plan.drain, vec![NodeId(2)]);
         assert!(plan.max_migration_secs > 0.0);
         // Off-period ticks are a no-op.
-        assert_eq!(pack.manage(&RackView::linear(&ns), &occupancy, 5, 42), ManagementPlan::default());
+        assert_eq!(pack.manage(&view, &occupancy, 5, 42), ManagementPlan::default());
     }
 }

@@ -89,10 +89,6 @@ pub struct OrchestratorConfig {
     /// sequential in node-index order, so thread count can never change
     /// a summary.
     pub threads: usize,
-    /// Route placement through [`uniserver_cloudmgr::Scheduler::place_linear`]
-    /// instead of the incremental index — the reference path CI
-    /// byte-diffs the index against. Defaults to `false` (indexed).
-    pub linear_placement: bool,
     /// The VM arrival process. Arrival batches are drawn at the rack's
     /// capacity-scaled rate (`tick_arrivals_scaled` with the cluster's
     /// node count).
@@ -154,7 +150,6 @@ impl OrchestratorConfig {
             horizon: Seconds::new(3_600.0),
             tick: Seconds::new(5.0),
             threads: 0,
-            linear_placement: false,
             stream: VmStream::datacenter(),
             admission: AdmissionPolicy::drop_all(),
             deployment: DeploymentConfig {

@@ -141,7 +141,6 @@ pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode
     }
     let mut cluster =
         Cluster::from_nodes(managed, config.cluster.scheduler, config.cluster.migration);
-    cluster.set_linear_placement(config.linear_placement);
     cluster.set_policy(config.policy.build(config.cluster.scheduler));
     (cluster, records, deploy_secs, cache)
 }

@@ -1,12 +1,13 @@
-//! Determinism and equivalence contract of the placement-policy suite:
-//! for **every** shipped policy — the energy/SLA reference, packing
-//! consolidation with sleep states, and the reliability-blind ablation —
-//! a run's JSON summary must be byte-identical for any worker count,
-//! and a cluster placing through the incremental `PlacementIndex` must
-//! behave identically to one placing through the linear reference scan
-//! under churn (launches, departures, ticks, crashes, recovery, gray
-//! onset/quarantine/clear transitions and the consolidation manage
-//! pass).
+//! Determinism contract of the placement-policy suite: for **every**
+//! shipped policy — the energy/SLA reference, packing consolidation
+//! with sleep states, and the reliability-blind ablation — a run's JSON
+//! summary must be byte-identical for any worker count, and a cluster
+//! ticking on several workers must behave identically to one on a
+//! single worker under churn (launches, departures, ticks, crashes,
+//! recovery, gray onset/quarantine/clear transitions and the
+//! consolidation manage pass). Debug builds check every flushed
+//! placement index for stale scores (`PlacementIndex::flush`), so the
+//! churn also exercises each policy's index invalidation.
 
 use proptest::prelude::*;
 
@@ -28,12 +29,11 @@ fn class_of(i: u64) -> SlaClass {
 
 /// A mixed-part rack with one node deep in its crash region and one
 /// raining corrected errors, placing through the given policy — the
-/// equivalence must hold under crash events, predictor re-scores and
+/// contract must hold under crash events, predictor re-scores and
 /// recovery, not just on clean racks.
-fn policy_rack(nodes: usize, seed: u64, linear: bool, kind: PolicyKind) -> Cluster {
+fn policy_rack(nodes: usize, seed: u64, kind: PolicyKind) -> Cluster {
     let config = ClusterConfig::uniserver_rack(nodes);
     let mut cluster = Cluster::build(&config, seed);
-    cluster.set_linear_placement(linear);
     cluster.set_policy(kind.build(config.scheduler));
     let deep = cluster.nodes()[0].hypervisor.node().part().offset_mv(0.22).min(250.0);
     cluster.nodes_mut()[0].hypervisor.node_mut().msr.set_voltage_offset_all(deep).unwrap();
@@ -78,28 +78,28 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Index-vs-linear equivalence per policy: the incremental index is
-    /// a pure optimization for every decide path — including the
-    /// consolidation policy's worst-feasible packing, sleep/wake
-    /// transitions and the periodic manage pass.
+    /// Worker-count invariance per policy under churn, decision by
+    /// decision: every decide path — including the consolidation
+    /// policy's band-keyed packing, sleep/wake transitions and the
+    /// periodic manage pass — runs against a freshness-checked index.
     #[test]
-    fn indexed_placement_equals_linear_scan_for_every_policy(
+    fn churn_is_worker_count_invariant_for_every_policy(
         seed in 0u64..500,
         nodes in 2usize..8,
         arrivals_per_round in 1u64..4,
         workers in 1usize..5,
     ) {
         for kind in PolicyKind::ALL {
-            let mut indexed = policy_rack(nodes, seed, false, kind);
-            indexed.set_workers(workers);
-            let mut linear = policy_rack(nodes, seed, true, kind);
+            let mut sharded = policy_rack(nodes, seed, kind);
+            sharded.set_workers(workers);
+            let mut sequential = policy_rack(nodes, seed, kind);
 
             let mut submitted = 0u64;
             for round in 0..40u64 {
                 for _ in 0..arrivals_per_round {
                     let class = class_of(submitted);
-                    let a = indexed.submit(VmConfig::idle_guest(), class);
-                    let b = linear.submit(VmConfig::idle_guest(), class);
+                    let a = sharded.submit(VmConfig::idle_guest(), class);
+                    let b = sequential.submit(VmConfig::idle_guest(), class);
                     prop_assert_eq!(
                         &a, &b,
                         "{} submit diverged at round {}", kind.label(), round
@@ -107,10 +107,10 @@ proptest! {
                     submitted += 1;
                 }
                 if round % 3 == 2 {
-                    if let Some(p) = linear.placements().first().cloned() {
+                    if let Some(p) = sequential.placements().first().cloned() {
                         prop_assert_eq!(
-                            indexed.terminate_by_id(p.id),
-                            linear.terminate_by_id(p.id),
+                            sharded.terminate_by_id(p.id),
+                            sequential.terminate_by_id(p.id),
                             "{} terminate diverged at round {}", kind.label(), round
                         );
                     }
@@ -123,8 +123,8 @@ proptest! {
                 // consolidation's cached-score pack walk must follow it.
                 #[allow(clippy::cast_possible_truncation)]
                 let id = NodeId(((seed + round) % nodes as u64) as u32);
-                let node = &linear.nodes()[id.0 as usize];
-                prop_assert_eq!(node.phase(), indexed.nodes()[id.0 as usize].phase());
+                let node = &sequential.nodes()[id.0 as usize];
+                prop_assert_eq!(node.phase(), sharded.nodes()[id.0 as usize].phase());
                 if node.phase() == NodePhase::Online && !node.is_asleep() {
                     let gray = GrayState {
                         capacity_cap: 0.5,
@@ -132,45 +132,45 @@ proptest! {
                         clears_at_tick: round + 6,
                         quarantined: false,
                     };
-                    indexed.mark_degraded(id, gray);
-                    linear.mark_degraded(id, gray);
+                    sharded.mark_degraded(id, gray);
+                    sequential.mark_degraded(id, gray);
                 } else if node.is_quarantined() {
-                    for cluster in [&mut indexed, &mut linear] {
+                    for cluster in [&mut sharded, &mut sequential] {
                         cluster.set_quarantined(id, false);
                         cluster.clear_degraded(id);
                     }
                 } else if node.is_degraded() && round % 2 == 0 {
-                    indexed.clear_degraded(id);
-                    linear.clear_degraded(id);
+                    sharded.clear_degraded(id);
+                    sequential.clear_degraded(id);
                 } else if node.is_degraded() {
-                    indexed.set_quarantined(id, true);
-                    linear.set_quarantined(id, true);
+                    sharded.set_quarantined(id, true);
+                    sequential.set_quarantined(id, true);
                     prop_assert_eq!(
-                        indexed.drain_degraded(id, 2),
-                        linear.drain_degraded(id, 2),
+                        sharded.drain_degraded(id, 2),
+                        sequential.drain_degraded(id, 2),
                         "{} gray drain diverged at round {}", kind.label(), round
                     );
                 }
                 // The manage pass: parks, wakes and consolidation
-                // drains must route identically through both paths (a
-                // free no-op for the non-managing policies).
-                indexed.manage(round, seed);
-                linear.manage(round, seed);
+                // drains must not depend on the worker count (a free
+                // no-op for the non-managing policies).
+                sharded.manage(round, seed);
+                sequential.manage(round, seed);
                 prop_assert_eq!(
-                    indexed.power_stats(),
-                    linear.power_stats(),
+                    sharded.power_stats(),
+                    sequential.power_stats(),
                     "{} power accounting diverged at round {}", kind.label(), round
                 );
 
-                let ra = indexed.tick(Seconds::new(2.0));
-                let rb = linear.tick(Seconds::new(2.0));
+                let ra = sharded.tick(Seconds::new(2.0));
+                let rb = sequential.tick(Seconds::new(2.0));
                 prop_assert_eq!(&ra, &rb, "{} tick diverged at round {}", kind.label(), round);
                 let mut recovered = Vec::new();
                 for (node, _) in &ra.crashes {
                     if !recovered.contains(node) {
                         recovered.push(*node);
-                        let xa = indexed.recover_from_crash(*node);
-                        let xb = linear.recover_from_crash(*node);
+                        let xa = sharded.recover_from_crash(*node);
+                        let xb = sequential.recover_from_crash(*node);
                         prop_assert_eq!(
                             &xa.migrated, &xb.migrated,
                             "{} recovery diverged at round {}", kind.label(), round
@@ -182,18 +182,18 @@ proptest! {
                     }
                 }
                 prop_assert_eq!(
-                    indexed.placements(),
-                    linear.placements(),
+                    sharded.placements(),
+                    sequential.placements(),
                     "{} placements diverged at round {}", kind.label(), round
                 );
                 prop_assert_eq!(
-                    indexed.asleep_count(),
-                    linear.asleep_count(),
+                    sharded.asleep_count(),
+                    sequential.asleep_count(),
                     "{} sleep states diverged at round {}", kind.label(), round
                 );
                 prop_assert_eq!(
-                    indexed.fleet_metrics(),
-                    linear.fleet_metrics(),
+                    sharded.fleet_metrics(),
+                    sequential.fleet_metrics(),
                     "{} fleet metrics diverged at round {}", kind.label(), round
                 );
             }
