@@ -13,7 +13,29 @@
 //! count), crash events are emitted ordered by `(node index, event
 //! order)`, and the predictor's score write-back — plus the
 //! placement-mutating phases (proactive migration, recovery) — stay
-//! sequential. Worker count can therefore never change a report.
+//! sequential. Worker count can therefore never change a report. The
+//! reduce also lists the nodes that cross the failure line, and the
+//! proactive pass visits only their placements.
+//!
+//! # Placement control plane
+//!
+//! Every serial decision path touches only the candidates and
+//! placements that can matter:
+//!
+//! * decisions read the [`PlacementIndex`]'s cached scores and node
+//!   facts, and a live node only to confirm a candidate;
+//! * tracked placements live in an id-keyed store (`Vec` position per
+//!   [`PlacementId`], id list per node), so departures, crash recovery,
+//!   watchdog and consolidation drains, proactive moves and the manage
+//!   pass's occupancy never scan every placement, while
+//!   [`Cluster::placements`] keeps the order of a plain `Vec` that
+//!   appends and `swap_remove`s;
+//! * a `Reject` is memoized per SLA class with its request and the
+//!   index generation; the same request at the same generation is
+//!   rejected again without a walk, and every tick clears the memo.
+//!
+//! Debug builds re-run every memo hit and, after every store
+//! mutation, check the store entries it touched.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +57,7 @@ use crate::node::{ManagedNode, NodeId};
 use crate::policy::{EnergySlaPolicy, PlacementDecision, PlacementPolicy, RackView};
 use crate::scheduler::Scheduler;
 use crate::sla::SlaClass;
+use crate::store::PlacementStore;
 
 /// One entry of a cluster's weighted part mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -293,6 +316,18 @@ pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
     workers.clamp(1, jobs.max(1))
 }
 
+/// A remembered `Reject`: the request it answered and the index
+/// generation it was decided at. Until a node is marked (the generation
+/// moves) or the cluster ticks (the memo is cleared — availability and
+/// crash state move without a mark), the same request is rejected
+/// again without a walk.
+#[derive(Debug, Clone)]
+struct RejectMemo {
+    generation: u64,
+    config: VmConfig,
+    exclude: Option<NodeId>,
+}
+
 /// The cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -306,7 +341,11 @@ pub struct Cluster {
     migration: MigrationModel,
     /// Incremental placement index over `nodes` (see [`PlacementIndex`]).
     index: PlacementIndex,
-    placements: Vec<Placement>,
+    /// The last `Reject` per SLA class (see [`RejectMemo`]), cleared at
+    /// every tick.
+    reject_memo: [Option<RejectMemo>; 3],
+    /// Tracked placements, indexed by id and by host node.
+    placements: PlacementStore,
     next_placement: u64,
     migrations: u64,
     crash_migrations: u64,
@@ -367,13 +406,15 @@ impl Cluster {
             assert_eq!(node.id.0 as usize, i, "cluster node ids must be dense 0..n");
         }
         let index = PlacementIndex::new(nodes.len());
+        let placements = PlacementStore::new(nodes.len());
         Cluster {
             nodes,
             policy: Arc::new(EnergySlaPolicy::new(scheduler)),
             predictor: FailurePredictor::new(),
             migration,
             index,
-            placements: Vec::new(),
+            reject_memo: Default::default(),
+            placements,
             next_placement: 0,
             migrations: 0,
             crash_migrations: 0,
@@ -464,15 +505,44 @@ impl Cluster {
     }
 
     /// One policy decision over the current rack view, read through the
-    /// freshly flushed placement index.
+    /// freshly flushed placement index — unless the class's reject memo
+    /// holds this exact request at the current index generation, in
+    /// which case the answer is `Reject` without a walk.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds re-run every memo hit and panic unless the fresh
+    /// decision is `Reject` too.
     fn decide_on(
         &mut self,
         config: &VmConfig,
         class: SlaClass,
-        avoid: &[NodeId],
+        exclude: Option<NodeId>,
     ) -> PlacementDecision {
+        let slot = class as usize;
+        let generation = self.index.generation();
+        if let Some(memo) = &self.reject_memo[slot] {
+            if memo.generation == generation && memo.exclude == exclude && memo.config == *config {
+                #[cfg(debug_assertions)]
+                {
+                    self.index.flush(self.policy.scheduler(), &self.nodes);
+                    let view = RackView::new(&self.nodes, &self.index);
+                    assert_eq!(
+                        self.policy.decide(&view, config, class, exclude.as_slice()),
+                        PlacementDecision::Reject,
+                        "stale reject memo for {class}"
+                    );
+                }
+                return PlacementDecision::Reject;
+            }
+        }
         self.index.flush(self.policy.scheduler(), &self.nodes);
-        self.policy.decide(&RackView::new(&self.nodes, &self.index), config, class, avoid)
+        let view = RackView::new(&self.nodes, &self.index);
+        let decision = self.policy.decide(&view, config, class, exclude.as_slice());
+        if decision == PlacementDecision::Reject {
+            self.reject_memo[slot] = Some(RejectMemo { generation, config: config.clone(), exclude });
+        }
+        decision
     }
 
     /// One placement decision, executing wake-on-demand: a policy that
@@ -484,15 +554,7 @@ impl Cluster {
         class: SlaClass,
         exclude: Option<NodeId>,
     ) -> Option<NodeId> {
-        let buf;
-        let avoid: &[NodeId] = match exclude {
-            Some(id) => {
-                buf = [id];
-                &buf
-            }
-            None => &[],
-        };
-        match self.decide_on(config, class, avoid) {
+        match self.decide_on(config, class, exclude) {
             PlacementDecision::Place(id) => Some(id),
             PlacementDecision::WakeAndPlace(id) => {
                 self.wake_node(id);
@@ -506,7 +568,7 @@ impl Cluster {
     /// drains use this so emptying one node can never power another one
     /// up.
     fn place_no_wake(&mut self, config: &VmConfig, class: SlaClass, source: NodeId) -> Option<NodeId> {
-        match self.decide_on(config, class, &[source]) {
+        match self.decide_on(config, class, Some(source)) {
             PlacementDecision::Place(id) => Some(id),
             _ => None,
         }
@@ -515,7 +577,7 @@ impl Cluster {
     /// Current placements.
     #[must_use]
     pub fn placements(&self) -> &[Placement] {
-        &self.placements
+        self.placements.all()
     }
 
     /// Parks an online, evacuated node into the low-power sleep state.
@@ -525,10 +587,7 @@ impl Cluster {
     /// Panics if the node is not online, is already asleep, or (debug
     /// builds) still hosts tracked placements.
     pub fn park_node(&mut self, id: NodeId) {
-        debug_assert!(
-            self.placements.iter().all(|p| p.node != id),
-            "{id} must be drained before parking"
-        );
+        debug_assert_eq!(self.placements.count_on(id), 0, "{id} must be drained before parking");
         let node = self.node_mut(id);
         assert!(node.is_online(), "only online nodes can sleep");
         assert!(!node.is_asleep(), "{id} is already asleep");
@@ -578,10 +637,9 @@ impl Cluster {
                 self.rescore_sleepers();
             }
         }
-        let mut occupancy = vec![0u32; self.nodes.len()];
-        for p in &self.placements {
-            occupancy[p.node.0 as usize] += 1;
-        }
+        #[allow(clippy::cast_possible_truncation)]
+        let occupancy: Vec<u32> =
+            self.nodes.iter().map(|n| self.placements.count_on(n.id) as u32).collect();
         self.index.flush(self.policy.scheduler(), &self.nodes);
         let plan =
             self.policy.manage(&RackView::new(&self.nodes, &self.index), &occupancy, tick, seed);
@@ -625,8 +683,7 @@ impl Cluster {
     /// keeps its node awake rather than strand half the set); aborts
     /// mid-way, leaving the source awake, if targets run out.
     fn drain_node(&mut self, source: NodeId, plan: &crate::policy::ManagementPlan) {
-        let victims: Vec<Placement> =
-            self.placements.iter().filter(|p| p.node == source).cloned().collect();
+        let victims: Vec<Placement> = self.placements.on(source).into_iter().cloned().collect();
         if victims.is_empty() {
             return; // departures raced the plan; the next pass parks it
         }
@@ -651,12 +708,7 @@ impl Cluster {
             self.index.mark(target);
             self.node_mut(source).hypervisor.stop_vm(victim.vm);
             self.index.mark(source);
-            let slot = self
-                .placements
-                .iter_mut()
-                .find(|p| p.id == victim.id)
-                .expect("victim is tracked");
-            *slot = Placement { id: victim.id, node: target, vm: new_vm, class: victim.class };
+            self.placements.relocate(victim.id, target, new_vm);
             self.power_stats.consolidation_migrations += 1;
             self.migration_downtime = self.migration_downtime + cost.downtime;
         }
@@ -704,49 +756,63 @@ impl Cluster {
     ///
     /// Re-raises, on the caller's thread, a panic from any node's tick.
     pub fn tick(&mut self, duration: Seconds) -> ClusterTickReport {
+        // Availability and crash state move inside node ticks without
+        // an index mark, so no reject outlives the tick it was made in.
+        self.reject_memo = Default::default();
         let advances = self.advance_nodes(duration);
 
         // --- Sequential reduce, in node-index order. Offline nodes
         // produced no advance: no tick, no energy, no crash feed, and
         // the predictor neither observes nor decays them — their score
-        // freezes until they rejoin.
+        // freezes until they rejoin. The reduce also lists the nodes
+        // the proactive pass must visit: online, predicted to fail, and
+        // not crashed *this tick* — those are failure-recovery business,
+        // not prediction business, so their placements stay for
+        // recover_from_crash, which classifies (and SLA-charges) them
+        // as crash-interrupted instead of laundering them into
+        // proactive moves by the crash line that just hit their own log.
         let mut crashes = Vec::new();
+        let mut failing = Vec::new();
         let mut energy = Joules::ZERO;
         let predictor = &mut self.predictor;
         let index = &mut self.index;
         for (node, adv) in self.nodes.iter_mut().zip(advances) {
-            let Some(adv) = adv else {
+            let crashed = match adv {
+                Some(adv) => {
+                    energy = energy + adv.energy;
+                    let crashed = !adv.crash_events.is_empty();
+                    crashes.extend(adv.crash_events.into_iter().map(|ev| (node.id, ev)));
+                    let reliability = predictor.apply(node.id.0, adv.score);
+                    // Reliability moves the placement score; healthy
+                    // nodes whose rolling score stays put (the common
+                    // case) stay clean.
+                    if reliability != node.reliability {
+                        node.reliability = reliability;
+                        index.mark(node.id);
+                    }
+                    crashed
+                }
                 // Asleep nodes produced no advance either, but unlike
                 // offline nodes they draw sleep power — charged here in
                 // the sequential reduce so the float sums stay in
                 // node-index order for any worker count.
-                if node.is_online() && node.is_asleep() {
-                    energy = energy + node.accrue_sleep_energy(duration);
+                None => {
+                    if node.is_online() && node.is_asleep() {
+                        energy = energy + node.accrue_sleep_energy(duration);
+                    }
+                    false
                 }
-                continue;
             };
-            energy = energy + adv.energy;
-            crashes.extend(adv.crash_events.into_iter().map(|ev| (node.id, ev)));
-            let reliability = predictor.apply(node.id.0, adv.score);
-            // Reliability moves the placement score; healthy nodes whose
-            // rolling score stays put (the common case) stay clean.
-            if reliability != node.reliability {
-                node.reliability = reliability;
-                index.mark(node.id);
+            if !crashed && node.is_online() && predictor.predicts_failure(node.reliability) {
+                failing.push(node.id);
             }
         }
 
-        // Nodes that crashed *this tick* are failure-recovery business,
-        // not prediction business: leave their placements for
-        // recover_from_crash so crash-interrupted VMs are classified
-        // (and SLA-charged) as such, never laundered into proactive
-        // moves by the crash line that just hit their own log.
-        let crashed_now: Vec<NodeId> = crashes.iter().map(|(id, _)| *id).collect();
         let before = self.migrations;
         // The blind ablation cannot see the predictor's signal, so it
         // never migrates proactively.
-        let evicted = if self.policy.proactive_migration() {
-            self.proactive_migrations(&crashed_now)
+        let evicted = if self.policy.proactive_migration() && !failing.is_empty() {
+            self.proactive_migrations(&failing)
         } else {
             Vec::new()
         };
@@ -795,12 +861,8 @@ impl Cluster {
     /// (preserving its SLA class and placement id, Gold first) or
     /// evicted. Post-condition: no tracked placement remains on `node`.
     pub fn recover_from_crash(&mut self, crashed: NodeId) -> CrashRecovery {
-        let mut victims: Vec<Placement> = self
-            .placements
-            .iter()
-            .filter(|p| p.node == crashed)
-            .cloned()
-            .collect();
+        let mut victims: Vec<Placement> =
+            self.placements.on(crashed).into_iter().cloned().collect();
         // Scarce spare capacity serves the highest classes first; ties
         // keep submission order (stable sort, Gold < Silver < Bronze).
         victims.sort_by_key(|p| p.class);
@@ -815,7 +877,7 @@ impl Cluster {
                     // The VM record vanished (should not happen); drop
                     // the stale placement.
                     None => {
-                        self.forget(victim.id);
+                        self.placements.remove(victim.id);
                         recovery.evicted.push(victim);
                         self.evictions += 1;
                         continue;
@@ -836,19 +898,14 @@ impl Cluster {
             match launched {
                 Some((t, new_vm)) => {
                     let moved = Placement { id: victim.id, node: t, vm: new_vm, class: victim.class };
-                    let slot = self
-                        .placements
-                        .iter_mut()
-                        .find(|p| p.id == victim.id)
-                        .expect("victim is tracked");
-                    *slot = moved.clone();
+                    self.placements.relocate(victim.id, t, new_vm);
                     self.crash_migrations += 1;
                     self.migration_downtime = self.migration_downtime + cost.downtime;
                     recovery.downtime = recovery.downtime + cost.downtime;
                     recovery.migrated.push((moved, cost));
                 }
                 None => {
-                    self.forget(victim.id);
+                    self.placements.remove(victim.id);
                     self.evictions += 1;
                     recovery.evicted.push(victim);
                 }
@@ -857,40 +914,24 @@ impl Cluster {
         recovery
     }
 
-    /// Drops a placement from tracking without touching its VM.
-    fn forget(&mut self, id: PlacementId) {
-        if let Some(idx) = self.placements.iter().position(|p| p.id == id) {
-            self.placements.swap_remove(idx);
-        }
-    }
-
-    /// Moves Gold/Silver VMs off nodes whose predicted reliability has
-    /// collapsed — skipping `exclude` (nodes that just crashed; their
-    /// placements belong to failure-driven recovery). Returns the
-    /// placements lost to failed relaunches.
-    fn proactive_migrations(&mut self, exclude: &[NodeId]) -> Vec<Placement> {
+    /// Moves Gold/Silver VMs off `failing` nodes — the online nodes the
+    /// tick's reduce found below the failure line, minus those that
+    /// crashed this tick (their placements belong to failure-driven
+    /// recovery). Returns the placements lost to failed relaunches.
+    fn proactive_migrations(&mut self, failing: &[NodeId]) -> Vec<Placement> {
         let mut lost = Vec::new();
-        let failing: Vec<NodeId> = self
-            .nodes
+        // Moves run in descending store position (the golden runs pin
+        // this order). Each move re-finds its placement by id, so the
+        // `swap_remove` of a failed relaunch cannot misdirect a later
+        // move.
+        let mut moves: Vec<(usize, Placement)> = failing
             .iter()
-            .filter(|n| {
-                n.is_online()
-                    && self.predictor.predicts_failure(n.reliability)
-                    && !exclude.contains(&n.id)
-            })
-            .map(|n| n.id)
+            .flat_map(|&node| self.placements.hosted(node))
+            .filter(|(_, p)| p.class.proactive_migration())
+            .map(|(pos, p)| (pos, p.clone()))
             .collect();
-        if failing.is_empty() {
-            return lost;
-        }
-        let mut moves: Vec<(usize, Placement)> = Vec::new();
-        for (idx, placement) in self.placements.iter().enumerate() {
-            if failing.contains(&placement.node) && placement.class.proactive_migration() {
-                moves.push((idx, placement.clone()));
-            }
-        }
-        // Process moves back-to-front so indices stay valid.
-        for (idx, placement) in moves.into_iter().rev() {
+        moves.sort_unstable_by_key(|&(pos, _)| std::cmp::Reverse(pos));
+        for (_, placement) in moves {
             let (config, cost) = {
                 let node = self.node_ref(placement.node);
                 let Some(vm) = node.hypervisor.vm(placement.vm) else { continue };
@@ -907,34 +948,18 @@ impl Cluster {
             self.index.mark(placement.node);
             if let Ok(new_vm) = self.node_mut(target).launch(config) {
                 self.index.mark(target);
-                self.placements[idx] =
-                    Placement { id: placement.id, node: target, vm: new_vm, class: placement.class };
+                self.placements.relocate(placement.id, target, new_vm);
                 self.migrations += 1;
                 self.migration_downtime = self.migration_downtime + cost.downtime;
             } else {
                 // The target filled up between weighing and launch; the
                 // VM is already stopped on the failing source, so the
-                // move became an eviction. (Back-to-front iteration
-                // keeps the remaining indices valid across swap_remove.)
-                lost.push(self.placements.swap_remove(idx));
+                // move became an eviction.
+                lost.push(self.placements.remove(placement.id).expect("the move is tracked"));
                 self.evictions += 1;
             }
         }
         lost
-    }
-
-    /// Terminates a tracked placement (the VM's lifetime ended).
-    /// Returns false when the placement is no longer tracked (e.g. its
-    /// record was replaced during a migration race).
-    pub fn terminate(&mut self, placement: &Placement) -> bool {
-        let Some(idx) = self
-            .placements
-            .iter()
-            .position(|p| p.node == placement.node && p.vm == placement.vm)
-        else {
-            return false;
-        };
-        self.terminate_idx(idx)
     }
 
     /// Terminates by stable placement id — migration-proof: the event
@@ -942,14 +967,9 @@ impl Cluster {
     /// nodes. Returns false when the id is no longer tracked (the
     /// placement was evicted).
     pub fn terminate_by_id(&mut self, id: PlacementId) -> bool {
-        let Some(idx) = self.placements.iter().position(|p| p.id == id) else {
+        let Some(record) = self.placements.remove(id) else {
             return false;
         };
-        self.terminate_idx(idx)
-    }
-
-    fn terminate_idx(&mut self, idx: usize) -> bool {
-        let record = self.placements.swap_remove(idx);
         self.index.mark(record.node);
         // stop_vm is idempotent: false means the VM was already stopped
         // (e.g. by a migration whose relaunch failed).
@@ -989,7 +1009,7 @@ impl Cluster {
     /// Tracked placements currently on `node`.
     #[must_use]
     pub fn placements_on(&self, node: NodeId) -> Vec<&Placement> {
-        self.placements.iter().filter(|p| p.node == node).collect()
+        self.placements.on(node)
     }
 
     // --- Failure lifecycle transitions. All phase changes go through
@@ -1155,8 +1175,7 @@ impl Cluster {
     /// capacity, so they count as proactive migrations (and accrue
     /// pre-copy downtime), not as SLA violations.
     pub fn drain_degraded(&mut self, source: NodeId, budget: usize) -> u64 {
-        let mut victims: Vec<Placement> =
-            self.placements.iter().filter(|p| p.node == source).cloned().collect();
+        let mut victims: Vec<Placement> = self.placements.on(source).into_iter().cloned().collect();
         // Gold first: the strictest SLA gets off the sick node before
         // the budget runs out. The sort is stable, so same-class
         // victims keep their (deterministic) placement order.
@@ -1176,12 +1195,7 @@ impl Cluster {
             self.index.mark(target);
             self.node_mut(source).hypervisor.stop_vm(victim.vm);
             self.index.mark(source);
-            let slot = self
-                .placements
-                .iter_mut()
-                .find(|p| p.id == victim.id)
-                .expect("victim is tracked");
-            *slot = Placement { id: victim.id, node: target, vm: new_vm, class: victim.class };
+            self.placements.relocate(victim.id, target, new_vm);
             self.migrations += 1;
             self.migration_downtime = self.migration_downtime + cost.downtime;
             moved += 1;
@@ -1835,6 +1849,127 @@ mod tests {
             cluster.nodes()[0].reliability >= SlaClass::Gold.min_reliability(),
             "a recovered sleeper must clear Gold's floor"
         );
+    }
+
+    /// Whether `class`'s reject memo is live: set, and decided at the
+    /// index's current generation.
+    fn memo_live(cluster: &Cluster, class: SlaClass) -> bool {
+        cluster.reject_memo[class as usize]
+            .as_ref()
+            .is_some_and(|m| m.generation == cluster.index.generation())
+    }
+
+    /// Rejects one Gold idle guest and checks the reject is memoized.
+    fn reject_gold(cluster: &mut Cluster) {
+        assert!(cluster.submit(VmConfig::idle_guest(), SlaClass::Gold).is_none());
+        assert!(memo_live(cluster, SlaClass::Gold), "a Gold reject is memoized");
+    }
+
+    /// A 3-node rack whose every node sits between Silver's and Gold's
+    /// reliability floors, so Silver places and Gold is rejected.
+    fn gold_shy_rack() -> Cluster {
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(3), 100);
+        for node in cluster.nodes_mut() {
+            node.reliability = 0.8;
+        }
+        cluster
+    }
+
+    #[test]
+    fn a_repeated_reject_hits_the_memo_until_the_request_changes() {
+        let mut cluster = gold_shy_rack();
+        reject_gold(&mut cluster);
+        let generation = cluster.index.generation();
+        reject_gold(&mut cluster);
+        assert_eq!(cluster.index.generation(), generation, "a memo hit marks nothing");
+        assert_eq!(cluster.fleet_metrics().rejected, 2, "a memo hit still counts as a reject");
+        // Another config is decided afresh and takes over the slot;
+        // another class has its own slot.
+        assert!(cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Gold).is_none());
+        let memo = cluster.reject_memo[SlaClass::Gold as usize].as_ref().expect("memoized");
+        assert_eq!(memo.config, VmConfig::ldbc_benchmark());
+        assert!(cluster.reject_memo[SlaClass::Silver as usize].is_none());
+        // An excluded node is part of the request.
+        let cfg = VmConfig::idle_guest();
+        assert_eq!(cluster.decide_on(&cfg, SlaClass::Gold, Some(NodeId(1))), PlacementDecision::Reject);
+        assert_eq!(cluster.reject_memo[SlaClass::Gold as usize].as_ref().unwrap().exclude, Some(NodeId(1)));
+    }
+
+    #[test]
+    fn a_launch_kills_the_reject_memo() {
+        let mut cluster = gold_shy_rack();
+        reject_gold(&mut cluster);
+        cluster.submit(VmConfig::idle_guest(), SlaClass::Silver).expect("Silver clears 0.8");
+        assert!(!memo_live(&cluster, SlaClass::Gold));
+    }
+
+    #[test]
+    fn a_stop_kills_the_reject_memo() {
+        let mut cluster = gold_shy_rack();
+        let silver = cluster.submit(VmConfig::idle_guest(), SlaClass::Silver).expect("placed");
+        reject_gold(&mut cluster);
+        assert!(cluster.terminate_by_id(silver.id));
+        assert!(!memo_live(&cluster, SlaClass::Gold));
+    }
+
+    #[test]
+    fn a_wake_kills_the_reject_memo() {
+        let mut cluster = gold_shy_rack();
+        cluster.park_node(NodeId(2));
+        reject_gold(&mut cluster);
+        cluster.wake_node(NodeId(2));
+        assert!(!memo_live(&cluster, SlaClass::Gold));
+    }
+
+    #[test]
+    fn a_reliability_change_kills_the_reject_memo() {
+        use crate::policy::ConsolidatePolicy;
+
+        let mut cluster = gold_shy_rack();
+        // Re-score sleepers every 60 ticks but never rebalance on tick
+        // 60, so the slow clock is the only thing manage does there.
+        let mut policy = ConsolidatePolicy::new(Scheduler::default());
+        policy.rebalance_every = 7;
+        cluster.set_policy(Arc::new(policy));
+        cluster.park_node(NodeId(2));
+        reject_gold(&mut cluster);
+        // The sleeper's silent log re-scores to 1.0: its reliability
+        // moves, and so does the index generation.
+        cluster.manage(60, 0);
+        assert_eq!(cluster.nodes()[2].reliability, 1.0);
+        assert!(!memo_live(&cluster, SlaClass::Gold));
+        let woken = cluster.submit(VmConfig::idle_guest(), SlaClass::Gold).expect("placed");
+        assert_eq!(woken.node, NodeId(2), "the recovered sleeper wakes for Gold");
+    }
+
+    #[test]
+    fn every_phase_change_kills_the_reject_memo() {
+        let gray = GrayState { capacity_cap: 0.5, ce_multiplier: 2.0, clears_at_tick: 9, quarantined: false };
+        let transitions: [&dyn Fn(&mut Cluster); 6] = [
+            &|c| c.mark_degraded(NodeId(0), gray),
+            &|c| c.set_quarantined(NodeId(0), true),
+            &|c| c.clear_degraded(NodeId(0)),
+            &|c| c.mark_crashed(NodeId(1)),
+            &|c| c.begin_repair(NodeId(1), 1),
+            &|c| {
+                assert_eq!(c.tick_repairs(), vec![NodeId(1)]);
+                c.complete_rejoin(NodeId(1));
+            },
+        ];
+        let mut cluster = gold_shy_rack();
+        for (step, transition) in transitions.iter().enumerate() {
+            reject_gold(&mut cluster);
+            transition(&mut cluster);
+            assert!(!memo_live(&cluster, SlaClass::Gold), "transition {step} kept the memo");
+        }
+    }
+
+    #[test]
+    fn a_tick_clears_the_reject_memo() {
+        let mut cluster = gold_shy_rack();
+        reject_gold(&mut cluster);
+        cluster.tick(Seconds::new(1.0));
+        assert!(cluster.reject_memo.iter().all(Option::is_none));
     }
 
     /// A 6-node rack with one deep-undervolted node, one noisy DRAM

@@ -9,8 +9,6 @@
 //! is the *integration*: the score feeds the scheduler and the proactive
 //! migrator directly.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use uniserver_healthlog::{EventCounts, HealthLog};
@@ -66,18 +64,19 @@ pub struct FailurePredictor {
     /// since its last event gradually regains trust (and re-enters the
     /// scheduler's pool) instead of being quarantined forever.
     pub silent_decay: f64,
-    /// Per-node `(events consumed, rolling score)`: a node whose log
-    /// logged no event since the last update decays its score instead
-    /// of re-scoring — the cluster loop calls this for every node every
-    /// tick.
-    scores: HashMap<u32, (usize, f64)>,
+    /// Per-node `(events consumed, rolling score)`, dense by node id
+    /// and grown on demand (`None` until a node's first re-score): a
+    /// node whose log logged no event since the last update decays its
+    /// score instead of re-scoring — the cluster loop calls this for
+    /// every node every tick, so the lookup is an index, not a hash.
+    scores: Vec<Option<(usize, f64)>>,
 }
 
 impl FailurePredictor {
     /// Creates a predictor.
     #[must_use]
     pub fn new() -> Self {
-        FailurePredictor { score_scale: 4.0, silent_decay: 0.97, scores: HashMap::new() }
+        FailurePredictor { score_scale: 4.0, silent_decay: 0.97, scores: Vec::new() }
     }
 
     /// Scores a node's health log into a reliability value in `[0, 1]`:
@@ -111,8 +110,8 @@ impl FailurePredictor {
     #[must_use]
     pub fn observe(&self, node_id: u32, health: &HealthLog) -> ScoreUpdate {
         let logged = health.events_logged();
-        match self.scores.get(&node_id) {
-            Some(&(seen, _)) if seen == logged => ScoreUpdate::Decay,
+        match self.scores.get(node_id as usize) {
+            Some(&Some((seen, _))) if seen == logged => ScoreUpdate::Decay,
             _ => ScoreUpdate::Rescore { consumed: logged, score: window_score(health) },
         }
     }
@@ -129,15 +128,18 @@ impl FailurePredictor {
     pub fn apply(&mut self, node_id: u32, update: ScoreUpdate) -> f64 {
         let score = match update {
             ScoreUpdate::Decay => {
-                let (_, score) = self
-                    .scores
-                    .get_mut(&node_id)
-                    .expect("Decay is only observed for already-tracked nodes");
+                let Some(Some((_, score))) = self.scores.get_mut(node_id as usize) else {
+                    panic!("Decay is only observed for already-tracked nodes");
+                };
                 *score *= self.silent_decay;
                 *score
             }
             ScoreUpdate::Rescore { consumed, score } => {
-                self.scores.insert(node_id, (consumed, score));
+                let i = node_id as usize;
+                if i >= self.scores.len() {
+                    self.scores.resize(i + 1, None);
+                }
+                self.scores[i] = Some((consumed, score));
                 score
             }
         };

@@ -1,4 +1,5 @@
-//! Incremental placement index: cached scores + a sorted candidate set.
+//! Incremental placement index: cached scores, cached node facts and a
+//! sorted candidate set.
 //!
 //! `Scheduler::place_linear` re-weighs the whole rack for every request
 //! — ~10⁸ filter/weigh evaluations per simulated hour at 10⁴ nodes.
@@ -17,12 +18,24 @@
 //! lifecycle and gray transitions, and platform reprogramming through
 //! `Cluster::server_mut` (one node; `Cluster::nodes_mut` marks the
 //! rack) — and flushes the dirty set before every policy decision.
-//! [`crate::policy::RackView::best`] then walks the ranking from the
-//! top, returning the first node that passes the *request-dependent*
-//! filter (capacity, crash state, availability and reliability floors
-//! are read live from the node). Walks in another order (consolidation's
-//! band-keyed pack walk) read the cached score through
-//! [`PlacementIndex::score`] instead of re-weighing.
+//!
+//! The same flush caches each node's `NodeFacts`: power state,
+//! lifecycle flags, effective reliability and vCPU / relaxed-memory
+//! headroom, in one dense `Vec` keyed by node index. Every decision
+//! filters candidates on these facts first (`NodeFacts::may_admit`:
+//! online, not quarantined, enough headroom — the gates of
+//! [`Scheduler::admits_blind`], which every policy's `admits` implies)
+//! and reads a [`ManagedNode`] only to confirm a survivor with the
+//! policy's live `admits`, so the prefilter can drop a node `admits`
+//! would refuse but never one it would take.
+//! [`crate::policy::RackView::best`] walks the ranking from the top;
+//! walks in another order (consolidation's band-keyed pack walk) read
+//! the cached score through [`PlacementIndex::score`].
+//!
+//! A generation counter moves on every clean→dirty
+//! [`PlacementIndex::mark`] and on every [`PlacementIndex::mark_all`]:
+//! two decisions at one generation see the same cached rack, which is
+//! what the cluster's reject memo keys on.
 //!
 //! # Freshness
 //!
@@ -31,14 +44,20 @@
 //! is deterministic in its inputs, so an index whose cached scores are
 //! all fresh returns the *identical* node for every request. Debug
 //! builds check exactly that at the end of every
-//! [`PlacementIndex::flush`]: the ranking holds one entry per node and
-//! every cached score equals a live [`Scheduler::weigh`]. A missed
-//! invalidation therefore panics in every debug-built test and run,
-//! whether or not it would have changed a decision; release builds
-//! compile the check out.
+//! [`PlacementIndex::flush`]: the ranking holds one entry per node,
+//! every cached score equals a live [`Scheduler::weigh`], every cached
+//! fact equals the live node's, and no cached headroom is below the
+//! live headroom (headroom is as of the last mark; a prefilter may
+//! overestimate it, never underestimate it). A missed invalidation
+//! therefore panics in every debug-built test and run, whether or not
+//! it would have changed a decision; release builds compile the check
+//! out.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
+
+use uniserver_hypervisor::vm::VmConfig;
+use uniserver_units::Bytes;
 
 use crate::node::{ManagedNode, NodeId};
 use crate::scheduler::Scheduler;
@@ -64,6 +83,60 @@ impl Ord for Score {
     }
 }
 
+/// What the index remembers about one node besides its score, as of
+/// the node's last flush: the request-independent inputs of the
+/// placement walks.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct NodeFacts {
+    /// Whether the node is serving (lifecycle phase `Online` or
+    /// `Degraded`).
+    pub(crate) online: bool,
+    /// Whether the node is parked asleep.
+    pub(crate) asleep: bool,
+    /// Whether the node is serving gray.
+    pub(crate) degraded: bool,
+    /// Whether the health watchdog has quarantined the node.
+    pub(crate) quarantined: bool,
+    /// [`ManagedNode::effective_reliability`].
+    pub(crate) reliability: f64,
+    /// vCPUs left under [`ManagedNode::vcpu_budget`].
+    pub(crate) vcpu_headroom: usize,
+    /// Relaxed-domain bytes left for guest memory.
+    pub(crate) mem_headroom: Bytes,
+}
+
+impl NodeFacts {
+    /// The live facts of `node`.
+    #[must_use]
+    pub(crate) fn of(node: &ManagedNode) -> Self {
+        let hv = &node.hypervisor;
+        NodeFacts {
+            online: node.is_online(),
+            asleep: node.is_asleep(),
+            degraded: node.is_degraded(),
+            quarantined: node.is_quarantined(),
+            reliability: node.effective_reliability(),
+            vcpu_headroom: node.vcpu_budget().saturating_sub(hv.committed_vcpus()),
+            mem_headroom: hv.relaxed_capacity().saturating_sub(hv.memory_used_relaxed()),
+        }
+    }
+
+    /// Whether a node with these facts can pass
+    /// [`Scheduler::admits_blind`] for `config`: it is online, not
+    /// quarantined, and has the vCPU and relaxed-memory headroom
+    /// [`ManagedNode::fits`] asks for. Every policy's `admits` implies
+    /// these gates, so this is a necessary condition only: `false`
+    /// proves the live check would refuse the node, `true` proves
+    /// nothing.
+    #[must_use]
+    pub(crate) fn may_admit(&self, config: &VmConfig) -> bool {
+        self.online
+            && !self.quarantined
+            && config.vcpus <= self.vcpu_headroom
+            && config.memory <= self.mem_headroom
+    }
+}
+
 /// The incremental placement index. One per [`crate::cluster::Cluster`];
 /// node ids must be the dense `0..n` the cluster builders produce.
 #[derive(Debug, Clone)]
@@ -72,12 +145,17 @@ pub struct PlacementIndex {
     scores: Vec<f64>,
     /// Ranking of all indexed nodes by `(score, NodeId)`.
     by_score: BTreeSet<(Score, NodeId)>,
-    /// Per-node dirty flag (score must be recomputed before use).
+    /// Per-node dirty flag (score and facts must be recomputed before
+    /// use).
     dirty: Vec<bool>,
     /// Dirty node indices pending a flush (each at most once).
     pending: Vec<u32>,
     /// Whether the node currently has an entry in `by_score`.
     indexed: Vec<bool>,
+    /// Cached facts per node index (valid when not dirty).
+    facts: Vec<NodeFacts>,
+    /// Bumped on every clean→dirty mark and every `mark_all`.
+    generation: u64,
 }
 
 impl PlacementIndex {
@@ -93,21 +171,25 @@ impl PlacementIndex {
             dirty: vec![true; n],
             pending,
             indexed: vec![false; n],
+            facts: vec![NodeFacts::default(); n],
+            generation: 0,
         }
     }
 
-    /// Marks one node's cached score stale.
+    /// Marks one node's cached score and facts stale.
     pub fn mark(&mut self, id: NodeId) {
         let i = id.0 as usize;
         if !self.dirty[i] {
             self.dirty[i] = true;
             self.pending.push(id.0);
+            self.generation += 1;
         }
     }
 
     /// Marks every node stale — the blunt hammer behind unrestricted
     /// mutable node access.
     pub fn mark_all(&mut self) {
+        self.generation += 1;
         self.pending.clear();
         for (i, d) in self.dirty.iter_mut().enumerate() {
             *d = true;
@@ -124,19 +206,38 @@ impl PlacementIndex {
         self.scores[id.0 as usize]
     }
 
+    /// Every node's cached facts, dense by node index. Callers must
+    /// [`PlacementIndex::flush`] first.
+    #[must_use]
+    pub(crate) fn facts(&self) -> &[NodeFacts] {
+        debug_assert_eq!(self.dirty_count(), 0, "facts() requires a flushed index");
+        &self.facts
+    }
+
+    /// The invalidation generation: it moves whenever a clean node is
+    /// marked or the whole rack is, so an unchanged generation means no
+    /// cached score or fact changed since it was read.
+    #[must_use]
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Number of nodes currently marked dirty (diagnostics/tests).
     #[must_use]
     pub fn dirty_count(&self) -> usize {
         self.pending.len()
     }
 
-    /// Re-scores every dirty node and repairs the ranking.
+    /// Re-scores every dirty node, refreshes its facts and repairs the
+    /// ranking.
     ///
     /// # Panics
     ///
     /// Debug builds panic if, after the repair, the ranking does not
-    /// hold exactly one entry per node or any cached score differs
-    /// from a live [`Scheduler::weigh`] — a missed [`PlacementIndex::mark`].
+    /// hold exactly one entry per node, any cached score differs from a
+    /// live [`Scheduler::weigh`], any cached fact differs from the live
+    /// node's, or any cached headroom is below the live headroom — a
+    /// missed [`PlacementIndex::mark`].
     pub fn flush(&mut self, scheduler: &Scheduler, nodes: &[ManagedNode]) {
         for i in std::mem::take(&mut self.pending) {
             let i = i as usize;
@@ -148,6 +249,7 @@ impl PlacementIndex {
             let score = scheduler.weigh(node);
             self.scores[i] = score;
             self.by_score.insert((Score(score), node.id));
+            self.facts[i] = NodeFacts::of(node);
             self.indexed[i] = true;
             self.dirty[i] = false;
         }
@@ -160,6 +262,15 @@ impl PlacementIndex {
                     self.scores[node.id.0 as usize] == live
                         && self.by_score.contains(&(Score(live), node.id)),
                     "stale cached score for {}",
+                    node.id
+                );
+                let (cached, live) = (self.facts[node.id.0 as usize], NodeFacts::of(node));
+                assert!(
+                    cached.vcpu_headroom >= live.vcpu_headroom
+                        && cached.mem_headroom >= live.mem_headroom
+                        && NodeFacts { vcpu_headroom: 0, mem_headroom: Bytes::ZERO, ..cached }
+                            == NodeFacts { vcpu_headroom: 0, mem_headroom: Bytes::ZERO, ..live },
+                    "stale cached facts for {}: {cached:?} vs live {live:?}",
                     node.id
                 );
             }
@@ -292,6 +403,39 @@ mod tests {
         index.mark_all();
         assert_eq!(index.dirty_count(), 3);
         assert_matches_linear(&mut index, &s, &ns, &VmConfig::idle_guest());
+    }
+
+    #[test]
+    fn a_mark_refreshes_the_facts_and_moves_the_generation_once() {
+        let mut ns = nodes(2);
+        let s = Scheduler::default();
+        let mut index = PlacementIndex::new(ns.len());
+        index.flush(&s, &ns);
+        let generation = index.generation();
+        ns[1].launch(VmConfig::ldbc_benchmark()).unwrap();
+        index.mark(NodeId(1));
+        ns[1].reliability = 0.6;
+        index.mark(NodeId(1));
+        assert_eq!(index.generation(), generation + 1, "only the clean→dirty mark moves it");
+        index.flush(&s, &ns);
+        assert_eq!(index.facts()[1], NodeFacts::of(&ns[1]));
+        assert_eq!(index.score(NodeId(1)), s.weigh(&ns[1]));
+        index.mark_all();
+        assert_eq!(index.generation(), generation + 2);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale cached facts for node1")]
+    fn understated_headroom_fails_the_debug_freshness_check() {
+        let ns = nodes(2);
+        let s = Scheduler::default();
+        let mut index = PlacementIndex::new(ns.len());
+        index.flush(&s, &ns);
+        // A cached headroom below the live one could hide the node
+        // from a decision the live `admits` would let it win.
+        index.facts[1].vcpu_headroom -= 1;
+        index.flush(&s, &ns);
     }
 
     #[test]

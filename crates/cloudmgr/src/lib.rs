@@ -24,9 +24,11 @@
 //! * [`migrate`] — live-migration cost model;
 //! * [`stream`] — the traffic engine: capacity-scaled, diurnal and
 //!   flash-crowd-modulated arrival/departure streams of VMs;
+//! * [`index`] — the incremental placement index: cached scores and
+//!   node facts behind every placement decision;
 //! * [`cluster`] — the cluster driver: VM streams, proactive
-//!   migration, fleet metrics, and the tick's per-node phase on scoped
-//!   worker threads.
+//!   migration, fleet metrics, the tick's per-node phase on scoped
+//!   worker threads, and the id-keyed placement store.
 //!
 //! # Examples
 //!
@@ -51,6 +53,7 @@ pub mod node;
 pub mod policy;
 pub mod scheduler;
 pub mod sla;
+mod store;
 pub mod stream;
 
 pub use cluster::{

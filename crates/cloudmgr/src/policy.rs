@@ -26,12 +26,22 @@
 //! rack view and the request, and the only draws a policy may make are
 //! pure in `(seed, tick)` — so every summary row is byte-stable across
 //! worker counts, per the workspace determinism contract.
+//!
+//! Decisions read the rack through [`RackView`], which filters every
+//! candidate on the placement index's cached node facts before it
+//! touches a [`ManagedNode`]: power state, and the online, quarantine
+//! and vCPU / relaxed-memory headroom gates of
+//! [`Scheduler::admits_blind`], which every policy's `admits` implies.
+//! The live [`PlacementPolicy::admits`] confirms the survivors and
+//! applies everything else (crash state, availability and reliability
+//! floors), so a decision over a mostly asleep or mostly full rack
+//! reads few nodes.
 
 use std::sync::Arc;
 
 use uniserver_hypervisor::vm::VmConfig;
 
-use crate::index::PlacementIndex;
+use crate::index::{NodeFacts, PlacementIndex};
 use crate::node::{ManagedNode, NodeId};
 use crate::scheduler::{Scheduler, SchedulerWeights};
 use crate::sla::SlaClass;
@@ -118,9 +128,12 @@ pub struct ManagementPlan {
 }
 
 /// A read-only view of the rack for policy decisions: the node slice
-/// plus the cluster's flushed [`PlacementIndex`], whose cached scores
-/// and `(score, NodeId)` ranking serve every query — best-first for
-/// spreading and waking, cached scores for walks in another order.
+/// plus the cluster's flushed [`PlacementIndex`], whose cached scores,
+/// cached node facts and `(score, NodeId)` ranking serve every query
+/// — best-first for spreading and waking, cached scores for walks in
+/// another order. Candidates are filtered on their cached facts first;
+/// a [`ManagedNode`] is read only to confirm a survivor with the
+/// policy's live [`PlacementPolicy::admits`].
 #[derive(Debug, Clone, Copy)]
 pub struct RackView<'a> {
     /// All managed nodes, dense by `NodeId`.
@@ -142,6 +155,31 @@ impl<'a> RackView<'a> {
         self.index.score(node.id)
     }
 
+    /// Every node's cached facts, dense by `NodeId`.
+    fn facts(&self) -> &'a [NodeFacts] {
+        self.index.facts()
+    }
+
+    /// The first node in descending `(score, NodeId)` order whose power
+    /// state is `asleep` and that `policy` admits.
+    fn first_ranked<P: PlacementPolicy + ?Sized>(
+        &self,
+        policy: &P,
+        config: &VmConfig,
+        class: SlaClass,
+        avoid: &[NodeId],
+        asleep: bool,
+    ) -> Option<NodeId> {
+        let facts = self.facts();
+        self.index.ranked_rev().find(|id| {
+            let f = &facts[id.0 as usize];
+            f.asleep == asleep
+                && f.may_admit(config)
+                && !avoid.contains(id)
+                && policy.admits(&self.nodes[id.0 as usize], config, class)
+        })
+    }
+
     /// The feasible node with the *highest* `(score, NodeId)` — the
     /// spreading end of the ranking, the same node
     /// [`Scheduler::place_linear`] picks for the reference policy.
@@ -153,10 +191,7 @@ impl<'a> RackView<'a> {
         class: SlaClass,
         avoid: &[NodeId],
     ) -> Option<NodeId> {
-        self.index.ranked_rev().find(|id| {
-            let node = &self.nodes[id.0 as usize];
-            !avoid.contains(id) && !node.is_asleep() && policy.admits(node, config, class)
-        })
+        self.first_ranked(policy, config, class, avoid, false)
     }
 
     /// The best-scored *asleep* node that would admit the request once
@@ -169,10 +204,7 @@ impl<'a> RackView<'a> {
         class: SlaClass,
         avoid: &[NodeId],
     ) -> Option<NodeId> {
-        self.index.ranked_rev().find(|id| {
-            let node = &self.nodes[id.0 as usize];
-            !avoid.contains(id) && node.is_asleep() && policy.admits(node, config, class)
-        })
+        self.first_ranked(policy, config, class, avoid, true)
     }
 }
 
@@ -195,6 +227,10 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     /// state (the view applies the sleep gate; the wake path checks
     /// feasibility of sleeping candidates through this too). The
     /// default is the reference filter's awake gates.
+    ///
+    /// Whatever it adds, it must imply [`Scheduler::admits_blind`] —
+    /// the view drops candidates whose cached node facts already fail
+    /// those gates without calling this.
     fn admits(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
         self.scheduler().admits_awake(node, config, class)
     }
@@ -400,9 +436,16 @@ impl ConsolidatePolicy {
     /// off. Banding keeps the bin-packing behavior between comparable
     /// nodes but never prefers a node a full band less reliable.
     /// Degraded nodes are never packing targets: their capacity cap is
-    /// a symptom, not a bin to fill. The band key does not follow the
-    /// index's `(score, id)` order, so the walk scans every node and
-    /// reads each candidate's cached score through [`RackView::score`].
+    /// a symptom, not a bin to fill.
+    ///
+    /// The band key does not follow the index's `(score, id)` order, so
+    /// the walk visits every node's cached facts in id order:
+    /// asleep, degraded and fact-infeasible nodes drop out there, the
+    /// key comes from the cached reliability and score, and the live
+    /// [`PlacementPolicy::admits`] runs only on a candidate whose key
+    /// beats the best admitted one so far. Visiting ids in ascending
+    /// order makes a tied key never beat, so the pick is the minimum
+    /// over all admitted nodes of `(band desc, score asc, id asc)`.
     fn pack_target(
         &self,
         view: &RackView<'_>,
@@ -410,27 +453,21 @@ impl ConsolidatePolicy {
         class: SlaClass,
         avoid: &[NodeId],
     ) -> Option<NodeId> {
-        view.nodes
-            .iter()
-            .filter(|n| {
-                !n.is_asleep()
-                    && !n.is_degraded()
-                    && !avoid.contains(&n.id)
-                    && self.admits(n, config, class)
-            })
-            .map(|n| {
-                (
-                    Self::reliability_band(n.effective_reliability()),
-                    view.score(n),
-                    n.id,
-                )
-            })
-            .min_by(|a, b| {
-                b.0.cmp(&a.0)
-                    .then_with(|| a.1.partial_cmp(&b.1).expect("weights are finite"))
-                    .then_with(|| a.2.cmp(&b.2))
-            })
-            .map(|(_, _, id)| id)
+        let mut best: Option<(u8, f64, NodeId)> = None;
+        for (i, f) in view.facts().iter().enumerate() {
+            if f.asleep || f.degraded || !f.may_admit(config) {
+                continue;
+            }
+            #[allow(clippy::cast_possible_truncation)]
+            let id = NodeId(i as u32);
+            let band = Self::reliability_band(f.reliability);
+            let score = view.index.score(id);
+            let beats = best.is_none_or(|(b, s, _)| band > b || (band == b && score < s));
+            if beats && !avoid.contains(&id) && self.admits(&view.nodes[i], config, class) {
+                best = Some((band, score, id));
+            }
+        }
+        best.map(|(_, _, id)| id)
     }
 }
 
