@@ -40,7 +40,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
 use uniserver_telemetry::{MetricsRegistry, Stage, StageProfiler};
 use uniserver_units::{Joules, Seconds};
 
@@ -60,7 +59,7 @@ use crate::sla::SlaClass;
 use crate::store::PlacementStore;
 
 /// One entry of a cluster's weighted part mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartWeight {
     /// The part this share provisions.
     pub spec: PartSpec,
@@ -69,7 +68,7 @@ pub struct PartWeight {
 }
 
 /// Cluster construction parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of nodes.
     pub nodes: usize,
@@ -132,11 +131,11 @@ impl ClusterConfig {
 /// Stable identifier of one placement across migrations: the VM may move
 /// nodes (and get a new per-node [`VmId`]), but its placement id never
 /// changes — event queues key departures off it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlacementId(pub u64);
 
 /// One tracked placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Stable identifier (survives migrations).
     pub id: PlacementId,
@@ -149,7 +148,7 @@ pub struct Placement {
 }
 
 /// Aggregated fleet statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetMetrics {
     /// Mean node availability.
     pub mean_availability: f64,
@@ -170,7 +169,7 @@ pub struct FleetMetrics {
 }
 
 /// What one cluster tick observed — the orchestrator's event feed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterTickReport {
     /// Crash events surfaced by the platform this tick, per node.
     pub crashes: Vec<(NodeId, CrashEvent)>,
@@ -185,7 +184,7 @@ pub struct ClusterTickReport {
 
 /// Power-management counters a consolidating policy accumulates. All
 /// zero under policies that never park anyone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PowerStats {
     /// Sleep transitions: nodes parked (drained or already empty).
     pub parks: u64,
@@ -197,7 +196,7 @@ pub struct PowerStats {
 }
 
 /// The outcome of failure-driven recovery after one node crash.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashRecovery {
     /// Placements moved to healthy nodes (class and id preserved), each
     /// with the predicted cost of its move — event-queue drivers

@@ -1,4 +1,4 @@
-//! Log-pattern failure prediction (paper §5.B, refs [21]–[24]).
+//! Log-pattern failure prediction (paper §5.B, refs \[21\]–\[24\]).
 //!
 //! "These techniques generally leverage machine learning or statistical
 //! analysis techniques to process the log data generated from the
@@ -8,8 +8,6 @@
 //! into a node reliability score in `[0, 1]`. UniServer's contribution
 //! is the *integration*: the score feeds the scheduler and the proactive
 //! migrator directly.
-
-use serde::{Deserialize, Serialize};
 
 use uniserver_healthlog::{EventCounts, HealthLog};
 
@@ -41,7 +39,7 @@ fn window_score(health: &HealthLog) -> f64 {
 /// back in by [`FailurePredictor::apply`]. Splitting the two lets the
 /// sharded cluster loop score logs on worker threads while keeping the
 /// state write-back sequential (and therefore deterministic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScoreUpdate {
     /// The log logged no event: decay the rolling score one step.
     Decay,
@@ -55,7 +53,7 @@ pub enum ScoreUpdate {
 }
 
 /// The failure predictor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailurePredictor {
     /// Log-score at which reliability reaches ~0.27 (e^-1.3).
     pub score_scale: f64,

@@ -17,7 +17,7 @@
 //!   primitives: the reference energy/SLA scorer, pack-and-power-down
 //!   consolidation with node sleep states, and the reliability-blind
 //!   ablation;
-//! * [`failure`] — log-pattern failure prediction (refs [21][24]);
+//! * [`failure`] — log-pattern failure prediction (refs \[21\]\[24\]);
 //! * [`lifecycle`] — the node failure lifecycle: crashed nodes go
 //!   offline (real downtime, lost capacity) for a seeded MTTR window,
 //!   then re-characterize and rejoin;

@@ -16,7 +16,6 @@
 //! workspace's SplitMix64 sub-stream convention ([`salt::MTTR`]), so a
 //! run's downtime schedule is byte-identical for any worker count.
 
-use serde::{Deserialize, Serialize};
 use uniserver_silicon::rng::{salt, splitmix64};
 
 use crate::node::NodeId;
@@ -25,7 +24,7 @@ use crate::node::NodeId;
 /// throttle and error-rate parameters drawn at onset, when the
 /// underlying fault clears, and whether the health watchdog has
 /// quarantined the node in the meantime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrayState {
     /// Usable fraction of nominal vCPU capacity while degraded,
     /// `(0, 1]` — the thermal-throttle cap honored by
@@ -45,7 +44,7 @@ pub struct GrayState {
 }
 
 /// Where a managed node is in its failure lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodePhase {
     /// Serving: ticked, placeable, consuming energy.
     Online,
@@ -100,7 +99,7 @@ impl NodePhase {
 /// on demand pressure: a placement decision that finds no awake
 /// feasible node may wake one and place onto it in the same tick
 /// (suspend-to-RAM resume is well under the 5 s datacenter tick).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodePower {
     /// Normal operation: ticking, placeable, consuming full power.
     #[default]
@@ -118,7 +117,7 @@ pub const SLEEP_POWER_WATTS: f64 = 2.5;
 ///
 /// Disabled (the default), crashed nodes never leave the pool and the
 /// legacy recover-and-back-off path runs unchanged, draw for draw.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureLifecycle {
     /// Whether crashes take nodes offline at all.
     pub enabled: bool,

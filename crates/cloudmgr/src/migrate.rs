@@ -6,13 +6,12 @@
 //! cluster uses it to cost proactive migrations ("proactively migrate
 //! the running workloads on the healthy nodes", §5.B).
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Bytes, Seconds};
 
 use uniserver_hypervisor::vm::Vm;
 
 /// Migration network/behaviour parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationModel {
     /// Management network bandwidth.
     pub bandwidth_bytes_per_sec: f64,
@@ -40,7 +39,7 @@ impl MigrationModel {
 }
 
 /// Predicted cost of one migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Total bytes moved (all pre-copy rounds + stop-and-copy).
     pub traffic: Bytes,

@@ -4,7 +4,6 @@
 //! the paper's four metrics — availability, utilization, energy usage
 //! and the UniServer-specific **reliability** score.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Joules, Seconds};
 
 use uniserver_hypervisor::hypervisor::Hypervisor;
@@ -15,7 +14,7 @@ use uniserver_platform::part::PartSpec;
 use crate::lifecycle::{GrayState, NodePhase, NodePower, SLEEP_POWER_WATTS};
 
 /// Identifier of a node within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -25,7 +24,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// The four management metrics of §2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeMetrics {
     /// Fraction of time the node was serving (uptime / total).
     pub availability: f64,

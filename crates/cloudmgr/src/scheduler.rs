@@ -7,15 +7,13 @@
 //! *filters* drop infeasible hosts, *weighers* rank the rest. UniServer
 //! adds reliability to the weigher set.
 
-use serde::{Deserialize, Serialize};
-
 use uniserver_hypervisor::vm::VmConfig;
 
 use crate::node::ManagedNode;
 use crate::sla::SlaClass;
 
 /// Weigher coefficients (higher weight = preferred).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerWeights {
     /// Preference for free CPU capacity (spreading).
     pub free_capacity: f64,
@@ -47,7 +45,7 @@ impl Default for SchedulerWeights {
 }
 
 /// The scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Scheduler {
     /// Weigher coefficients.
     pub weights: SchedulerWeights,

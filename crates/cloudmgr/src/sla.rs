@@ -5,10 +5,8 @@
 //! typically communicated to the Cloud provider through Service Level
 //! Agreements (SLAs)."
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse service classes, each mapping to concrete requirements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SlaClass {
     /// Latency-sensitive, user-facing, high-value.
     Gold,

@@ -25,7 +25,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_hypervisor::vm::VmConfig;
@@ -53,7 +52,7 @@ pub fn arrival_seed(stream_seed: u64, tick: u64) -> u64 {
 }
 
 /// How the offered arrival rate is shaped over simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficShape {
     /// Constant rate — the paper-era stream and the default (prior runs
     /// reproduce byte-for-byte).
@@ -64,7 +63,7 @@ pub enum TrafficShape {
 }
 
 /// Closed-form rate modulation over simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Modulation {
     /// Diurnal sine amplitude as a fraction of the base rate, in
     /// `[0, 1)` (0 disables the diurnal component).
@@ -80,7 +79,7 @@ pub struct Modulation {
 /// Seeded flash-crowd bursts: at most one burst starts per `epoch`,
 /// drawn from the stream seed's own sub-stream, spikes the rate by
 /// `peak_multiplier` and decays exponentially with constant `decay`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashCrowds {
     /// Window per burst draw.
     pub epoch: Seconds,
@@ -99,7 +98,7 @@ pub struct FlashCrowds {
 }
 
 /// How requested VM lifetimes are drawn.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LifetimeModel {
     /// Exponential around the stream's `mean_lifetime` (the legacy
     /// default).
@@ -118,7 +117,7 @@ pub enum LifetimeModel {
 }
 
 /// Stream configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmStream {
     /// Mean VM arrivals per second, independent of rack size.
     pub arrival_rate: f64,
@@ -143,7 +142,7 @@ pub struct VmStream {
 
 /// One VM arrival drawn from a stream: what to run, at which class, for
 /// how long.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arrival {
     /// Guest configuration.
     pub config: VmConfig,
@@ -438,7 +437,7 @@ fn pick_class<R: Rng>(rng: &mut R, gold: f64, silver: f64) -> SlaClass {
 }
 
 /// Statistics of one driven interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
     /// Arrivals offered to the scheduler.
     pub offered: u64,

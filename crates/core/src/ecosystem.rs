@@ -1,8 +1,5 @@
 //! The deployed ecosystem: the full UniServer lifecycle on one node.
 
-use std::sync::Arc;
-
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Joules, Seconds, Watts};
 
 use uniserver_hypervisor::hypervisor::Hypervisor;
@@ -17,7 +14,7 @@ use crate::eop::{EopPhase, OperatingPoint};
 use crate::optimizer::EopOptimizer;
 
 /// Everything needed to stand up an ecosystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentConfig {
     /// The part to deploy.
     pub spec: PartSpec,
@@ -73,7 +70,7 @@ impl DeploymentConfig {
 }
 
 /// The savings summary the ecosystem reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingsReport {
     /// Mean node power at the chosen EOP.
     pub eop_power: Watts,
@@ -91,17 +88,40 @@ pub struct SavingsReport {
     pub recharacterizations: u64,
 }
 
+/// Characterizes `node` with a fresh StressLog and chooses its EOP
+/// against `advisor` at the node's ambient, for the load the first
+/// configured guest runs (idle without guests). Returns the StressLog,
+/// that expected workload and the point, which is not yet programmed.
+fn characterize_and_choose(
+    config: &DeploymentConfig,
+    node: &mut ServerNode,
+    advisor: &ModeAdvisor,
+) -> (StressLog, WorkloadProfile, OperatingPoint) {
+    let mut stresslog = StressLog::new(config.stress_params.clone());
+    let margins = stresslog.characterize(node);
+    let expected_workload =
+        config.guests.first().map_or_else(WorkloadProfile::idle, |g| g.workload.clone());
+    let point = config.optimizer.choose(
+        &config.spec,
+        &margins,
+        advisor,
+        &expected_workload,
+        node.ambient(),
+    );
+    (stresslog, expected_workload, point)
+}
+
 /// Provisions one bare node at its Extended Operating Point — the
 /// deploy-into-cluster plumbing. The node is manufactured from `seed`,
 /// characterized by the StressLog (per-node silicon, exactly as
-/// [`Ecosystem::deploy_with_advisor`] does it), the optimizer chooses an
-/// EOP against the shared part-level `advisor`, and the point is
-/// programmed into the node's MSRs. Unlike a full [`Ecosystem`], no
-/// guests are launched and no baseline twin is kept: the caller (a
-/// cluster manager) owns VM placement and baseline accounting.
+/// [`Ecosystem::deploy`] does it), the optimizer chooses an EOP against
+/// the shared part-level `advisor`, and the point is programmed into
+/// the node's MSRs. Unlike a full [`Ecosystem`], no guests are launched
+/// and no baseline twin is kept: the caller (a cluster manager) owns VM
+/// placement and baseline accounting.
 ///
-/// `expected_workload` is the load the optimizer assumes when weighing
-/// crash risk; cluster deployments pass their dominant guest profile.
+/// The optimizer weighs crash risk under the first configured guest's
+/// workload; cluster deployments list their dominant guest profile first.
 #[must_use]
 pub fn provision_node(
     config: &DeploymentConfig,
@@ -110,15 +130,7 @@ pub fn provision_node(
 ) -> (ServerNode, OperatingPoint) {
     let mut node = ServerNode::new(config.spec.clone(), seed);
     node.set_ambient(config.ambient);
-    let mut stresslog = StressLog::new(config.stress_params.clone());
-    let margins = stresslog.characterize(&mut node);
-    let expected_workload = config
-        .guests
-        .first()
-        .map(|g| g.workload.clone())
-        .unwrap_or_else(WorkloadProfile::idle);
-    let point =
-        config.optimizer.choose(&config.spec, &margins, advisor, &expected_workload, config.ambient);
+    let (_, _, point) = characterize_and_choose(config, &mut node, advisor);
     point.apply_to(&mut node);
     (node, point)
 }
@@ -140,16 +152,7 @@ pub fn recharacterize_node(
     node: &mut ServerNode,
     advisor: &ModeAdvisor,
 ) -> OperatingPoint {
-    let ambient = node.ambient();
-    let mut stresslog = StressLog::new(config.stress_params.clone());
-    let margins = stresslog.characterize(node);
-    let expected_workload = config
-        .guests
-        .first()
-        .map(|g| g.workload.clone())
-        .unwrap_or_else(WorkloadProfile::idle);
-    let point =
-        config.optimizer.choose(&config.spec, &margins, advisor, &expected_workload, ambient);
+    let (_, _, point) = characterize_and_choose(config, node, advisor);
     point.apply_to(node);
     point
 }
@@ -162,9 +165,8 @@ pub struct Ecosystem {
     /// baseline (same seed → same silicon, nominal settings).
     baseline: Hypervisor,
     stresslog: StressLog,
-    /// Part-level risk model; `Arc` because fleets share one trained
-    /// model across every node of a part (see [`crate::training`]).
-    advisor: Arc<ModeAdvisor>,
+    /// Part-level risk model, trained at deploy.
+    advisor: ModeAdvisor,
     optimizer: EopOptimizer,
     schedule: Schedule,
     phase: EopPhase,
@@ -185,52 +187,21 @@ impl Ecosystem {
     /// the guests and moves to the chosen EOP.
     ///
     /// Training here is per-deployment; fleets deploying many nodes of
-    /// the same part should train once via [`crate::training`] and use
-    /// [`Ecosystem::deploy_with_advisor`].
+    /// the same part train once via [`crate::training`] and provision
+    /// each node with [`provision_node`].
     ///
     /// # Panics
     ///
     /// Panics if the configured guests do not fit the node's memory.
     #[must_use]
     pub fn deploy(config: &DeploymentConfig, seed: u64) -> Self {
-        Self::deploy_with_advisor(config, seed, Arc::new(crate::training::train_advisor(config)))
-    }
+        let advisor = crate::training::train_advisor(config);
 
-    /// Deploys with an already-trained part-level advisor — the fleet
-    /// fast path. The node's *silicon* is still characterized
-    /// individually (the StressLog shmoo runs per node); only the
-    /// part-level risk model is shared. Passing the advisor that
-    /// [`crate::training::train_advisor`] produces for `config` makes
-    /// this bit-identical to [`Ecosystem::deploy`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured guests do not fit the node's memory.
-    #[must_use]
-    pub fn deploy_with_advisor(
-        config: &DeploymentConfig,
-        seed: u64,
-        advisor: Arc<ModeAdvisor>,
-    ) -> Self {
-        // --- Phase 1: pre-deployment characterization.
+        // --- Phase 1: pre-deployment characterization and the EOP.
         let mut node = ServerNode::new(config.spec.clone(), seed);
         node.set_ambient(config.ambient);
-        let mut stresslog = StressLog::new(config.stress_params.clone());
-        let margins = stresslog.characterize(&mut node);
-
-        // --- Choose the EOP.
-        let expected_workload = config
-            .guests
-            .first()
-            .map(|g| g.workload.clone())
-            .unwrap_or_else(WorkloadProfile::idle);
-        let point = config.optimizer.choose(
-            &config.spec,
-            &margins,
-            &advisor,
-            &expected_workload,
-            config.ambient,
-        );
+        let (stresslog, expected_workload, point) =
+            characterize_and_choose(config, &mut node, &advisor);
 
         // --- Phase 2: deployment.
         let mut hypervisor = Hypervisor::new(node);

@@ -1,13 +1,12 @@
 //! Extended Operating Points: the V-F-R tuples UniServer reveals.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_platform::node::ServerNode;
 use uniserver_stresslog::MarginVector;
 
 /// Where the ecosystem is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EopPhase {
     /// Initial stress testing; the machine is not serving yet.
     PreDeployment,
@@ -22,7 +21,7 @@ pub enum EopPhase {
 const NOMINAL_REFRESH_SECS: f64 = 0.064;
 
 /// One concrete V-F-R operating point for a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// Per-core undervolt offsets in millivolts below nominal.
     pub core_offsets_mv: Vec<f64>,

@@ -4,7 +4,6 @@
 //! performance, while guaranteeing non-disruptive operation under
 //! EOP").
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Celsius;
 
 use uniserver_platform::part::PartSpec;
@@ -15,7 +14,7 @@ use uniserver_stresslog::MarginVector;
 use crate::eop::OperatingPoint;
 
 /// The optimizer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EopOptimizer {
     /// How much of the measured margin to actually use, before the
     /// predictor gets a veto (1.0 = all of it).

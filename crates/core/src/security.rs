@@ -8,10 +8,8 @@
 //! ships the threat model as structured data plus the countermeasure
 //! mapping, so the ecosystem can report its security posture.
 
-use serde::{Deserialize, Serialize};
-
 /// Threats introduced or amplified by operating at EOP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreatVector {
     /// A co-located tenant runs a voltage-noise virus to push a reduced-
     /// margin core over its crash point (denial of service).

@@ -14,12 +14,13 @@
 //!   [`TrainedAdvisor`], training on first request.
 //!
 //! Per-node *silicon* is still characterized individually by the
-//! StressLog; only the part-level risk model is shared.
+//! StressLog ([`provision_node`]); only the part-level risk model is
+//! shared.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use uniserver_core::ecosystem::{DeploymentConfig, Ecosystem};
+//! use uniserver_core::ecosystem::DeploymentConfig;
 //! use uniserver_core::training::AdvisorCache;
 //!
 //! let cache = AdvisorCache::new();
@@ -27,9 +28,10 @@
 //! let a = cache.get_or_train(&config); // trains
 //! let b = cache.get_or_train(&config); // cache hit: the same model
 //! assert!(std::sync::Arc::ptr_eq(&a.advisor, &b.advisor));
-//! let eco = Ecosystem::deploy_with_advisor(&config, 7, a.advisor);
-//! assert!(eco.operating_point().min_offset_mv() >= 0.0);
 //! ```
+//!
+//! [`Ecosystem::deploy`]: crate::ecosystem::Ecosystem::deploy
+//! [`provision_node`]: crate::ecosystem::provision_node
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -53,6 +55,8 @@ impl TrainedAdvisor {
     /// Trains an advisor for the part named in `config` — the exact
     /// training [`Ecosystem::deploy`] performs, factored out so it can
     /// run once per part instead of once per node.
+    ///
+    /// [`Ecosystem::deploy`]: crate::ecosystem::Ecosystem::deploy
     #[must_use]
     pub fn train(config: &DeploymentConfig) -> Self {
         TrainedAdvisor {
@@ -135,7 +139,6 @@ pub fn train_advisor(config: &DeploymentConfig) -> ModeAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ecosystem::Ecosystem;
     use uniserver_platform::part::PartSpec;
 
     #[test]
@@ -157,14 +160,5 @@ mod tests {
         let cached = AdvisorCache::new().get_or_train(&config);
         let fresh = train_advisor(&config);
         assert_eq!(*cached.advisor, fresh, "training must be a pure function of the config");
-    }
-
-    #[test]
-    fn deploy_with_cached_advisor_matches_plain_deploy() {
-        let config = DeploymentConfig::quick();
-        let cached = AdvisorCache::new().get_or_train(&config);
-        let via_cache = Ecosystem::deploy_with_advisor(&config, 77, cached.advisor);
-        let plain = Ecosystem::deploy(&config, 77);
-        assert_eq!(via_cache.operating_point(), plain.operating_point());
     }
 }

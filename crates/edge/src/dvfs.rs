@@ -1,10 +1,9 @@
 //! DVFS scaling arithmetic.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 /// A voltage/frequency operating point relative to peak.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsPoint {
     /// Frequency as a fraction of peak.
     pub freq_scale: f64,

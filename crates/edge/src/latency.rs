@@ -1,12 +1,11 @@
 //! End-to-end latency budgets for Cloud vs Edge placement.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use crate::dvfs::DvfsPoint;
 
 /// The network path between the data source and the compute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkPath {
     /// Round-trip time of the path.
     pub rtt: Seconds,
@@ -31,7 +30,7 @@ impl NetworkPath {
 }
 
 /// An end-to-end latency target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBudget {
     /// The service's end-to-end target.
     pub end_to_end: Seconds,
@@ -58,7 +57,7 @@ impl LatencyBudget {
 }
 
 /// The full placement comparison for one service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementAnalysis {
     /// Peak-frequency compute time the service needs.
     pub peak_compute: Seconds,

@@ -17,12 +17,10 @@
 //! *indices* and ambient deltas; the orchestrator owns turning those
 //! into crash events and MSR writes.
 
-use serde::{Deserialize, Serialize};
-
 use uniserver_silicon::rng::{salt, splitmix64, unit_fraction};
 
 /// One fault campaign of a chaos plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Campaign {
     /// Independent node crashes: each online node fails a seeded
     /// Bernoulli trial every tick of the window.
@@ -105,7 +103,7 @@ pub struct GrayOnset {
 }
 
 /// A seeded schedule of fault campaigns.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosPlan {
     /// The campaigns, applied independently each tick.
     pub campaigns: Vec<Campaign>,

@@ -32,7 +32,6 @@ pub use chaos::{Campaign, ChaosPlan};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use uniserver_hypervisor::objects::{ObjectCategory, ObjectInventory};
 use uniserver_hypervisor::protect::{ProtectionPolicy, Protector};
@@ -40,7 +39,7 @@ use uniserver_silicon::rng::bernoulli;
 use uniserver_silicon::BitFlip;
 
 /// Outcome of a single injection execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InjectionOutcome {
     /// The corrupted object was never exercised; the SDC stayed latent.
     Latent,
@@ -54,7 +53,7 @@ pub enum InjectionOutcome {
 }
 
 /// Load condition of an injection execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoadCondition {
     /// VMs actively running on the victim hypervisor.
     WithVms,
@@ -72,7 +71,7 @@ impl LoadCondition {
 }
 
 /// Per-category aggregate of a campaign (one Figure 4 bar pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CategoryResult {
     /// Object category.
     pub category: ObjectCategory,
@@ -87,7 +86,7 @@ pub struct CategoryResult {
 }
 
 /// The regenerated Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure4 {
     /// One row per category, in the figure's x-axis order.
     pub rows: Vec<CategoryResult>,
@@ -128,7 +127,7 @@ impl Figure4 {
 }
 
 /// The SDC campaign configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdcCampaign {
     /// Independent executions per object (the paper's 5).
     pub executions_per_object: usize,

@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_platform::node::IntervalReport;
@@ -18,7 +17,7 @@ pub const RECENT_EVENTS: usize = 64;
 /// Actions the HealthLog recommends to higher layers when thresholds
 /// trip (§3: "if the number of errors rises above a certain threshold a
 /// new stress-test cycle may be triggered").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HealthAction {
     /// Trigger an on-demand StressLog re-characterization.
     TriggerStressTest,
@@ -27,7 +26,7 @@ pub enum HealthAction {
 }
 
 /// Error-rate thresholds driving recommendations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdPolicy {
     /// Corrected errors per minute (node-wide) above which a stress test
     /// is recommended.

@@ -5,13 +5,11 @@
 //! The ledger is the data structure behind that report: lifetime
 //! corrected/uncorrected counts per physical origin.
 
-use serde::{Deserialize, Serialize};
-
 use uniserver_platform::mca::{ErrorOrigin, MceRecord};
 use uniserver_silicon::ErrorSeverity;
 
 /// Aggregated error counts for one origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OriginStats {
     /// Corrected errors attributed to the origin.
     pub corrected: u64,
@@ -31,7 +29,7 @@ impl OriginStats {
 
 /// Ledger origins are coarsened so DIMM word addresses collapse onto the
 /// DIMM (isolation happens at resource granularity, not per word).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LedgerKey {
     /// A CPU core.
     Core(usize),
@@ -69,7 +67,7 @@ type Slots<'a> = (&'a [OriginStats], fn(usize) -> LedgerKey);
 /// The per-origin error ledger: one dense slot vector per resource kind
 /// (cores, cache banks, DIMMs), indexed by the origin's index and grown
 /// on demand. A slot whose total is zero counts as never recorded.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ErrorLedger {
     cores: Vec<OriginStats>,
     banks: Vec<OriginStats>,

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Bytes, Joules, Seconds, Watts};
 
 use uniserver_healthlog::{HealthAction, HealthLog, LedgerKey, ThresholdPolicy};
@@ -19,7 +18,7 @@ use crate::protect::ProtectionPolicy;
 use crate::vm::{Vm, VmConfig, VmId, VmState};
 
 /// Static hypervisor configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HypervisorConfig {
     /// Host kernel + KVM baseline footprint.
     pub base_footprint: Bytes,
@@ -50,7 +49,7 @@ impl Default for HypervisorConfig {
 }
 
 /// What happened during one hypervisor tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TickOutcome {
     /// End-of-tick node time.
     pub at: Seconds,
@@ -80,7 +79,7 @@ pub struct TickOutcome {
 }
 
 /// One sample of the Figure 3 footprint series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FootprintSample {
     /// Node time of the sample.
     pub at: Seconds,

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Bytes;
 
 use uniserver_platform::msr::DomainId;
@@ -18,7 +17,7 @@ use uniserver_platform::msr::DomainId;
 pub const PAGE_BYTES: u64 = 4_096;
 
 /// Placement decision for an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Reliable domain: nominal refresh, hypervisor-critical state.
     Reliable,
@@ -44,7 +43,7 @@ impl std::fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// The memory placement map of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryMap {
     /// Capacity of the reliable domain.
     pub reliable_capacity: Bytes,

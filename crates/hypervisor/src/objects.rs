@@ -16,11 +16,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use uniserver_units::Bytes;
 
 /// Linux-subsystem categories of hypervisor objects (Figure 4's x-axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ObjectCategory {
     /// Block-layer structures (request queues, elevators).
     Block,
@@ -129,7 +128,7 @@ impl ObjectCategory {
 
     /// Exercise rate on an unloaded (no VM) hypervisor: an order of
     /// magnitude lower activity, uniformly — which is why Figure 4 shows
-    /// "the same fault injection rate lead[ing] to an order of magnitude
+    /// "the same fault injection rate lead\[ing\] to an order of magnitude
     /// more Hypervisor crashes in the presence of active VMs" while the
     /// sensitivity *ranking* is load-invariant.
     #[must_use]
@@ -145,7 +144,7 @@ impl std::fmt::Display for ObjectCategory {
 }
 
 /// One statically allocated hypervisor object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HvObject {
     /// Stable object identifier (index into the inventory).
     pub id: u32,
@@ -174,7 +173,7 @@ impl HvObject {
 }
 
 /// The full inventory: the paper's 16 820 objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectInventory {
     objects: Vec<HvObject>,
 }

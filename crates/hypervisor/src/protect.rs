@@ -10,13 +10,12 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Bytes;
 
 use crate::objects::{ObjectCategory, ObjectInventory};
 
 /// Which categories to protect.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProtectionPolicy {
     /// The protected categories.
     pub categories: BTreeSet<ObjectCategory>,
@@ -66,7 +65,7 @@ impl ProtectionPolicy {
 }
 
 /// The runtime protector: shadow copies + scrub statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Protector {
     policy: ProtectionPolicy,
     /// Shadow copies as an id-sorted vector: every scrub pass walks it

@@ -7,13 +7,12 @@
 //! heap that grows through each benchmark execution and resets when the
 //! run restarts.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Bytes, Seconds};
 
 use uniserver_platform::workload::WorkloadProfile;
 
 /// Identifier of a VM within one hypervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u32);
 
 impl std::fmt::Display for VmId {
@@ -23,7 +22,7 @@ impl std::fmt::Display for VmId {
 }
 
 /// Lifecycle state of a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmState {
     /// Scheduled and executing.
     Running,
@@ -34,7 +33,7 @@ pub enum VmState {
 }
 
 /// Static configuration of a VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmConfig {
     /// Human-readable name.
     pub name: String,
@@ -88,7 +87,7 @@ impl VmConfig {
 }
 
 /// A live VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identifier within the hypervisor.
     pub id: VmId,

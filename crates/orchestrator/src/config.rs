@@ -1,6 +1,5 @@
 //! Orchestrator scenario configuration.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_cloudmgr::cluster::ClusterConfig;
@@ -15,7 +14,7 @@ use uniserver_hypervisor::vm::VmConfig;
 use crate::watchdog::WatchdogConfig;
 
 /// Which margins the fleet's nodes deploy at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarginPolicy {
     /// Characterize every node and run it at its Extended Operating
     /// Point — the paper's savings story, with its elevated crash risk.
@@ -44,7 +43,7 @@ impl MarginPolicy {
 /// departures and crash recovery just freed); it is counted `abandoned`
 /// only once its budget is exhausted, the queue overflows, or the
 /// horizon ends with it still waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Re-offer attempts granted per class (gold, silver, bronze order)
     /// before a rejection is abandoned. 0 = legacy drop-on-rejection.

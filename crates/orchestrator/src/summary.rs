@@ -1,9 +1,7 @@
 //! Deterministic run summaries: everything the JSON artefact reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-SLA-class accounting (indexed gold/silver/bronze).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClassStats {
     /// Arrivals offered at this class.
     pub offered: u64,
@@ -31,7 +29,7 @@ pub struct ClassStats {
 }
 
 /// One tick's fleet metrics — the summary's time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickMetrics {
     /// Tick index.
     pub tick: u64,
@@ -54,7 +52,7 @@ pub struct TickMetrics {
 /// What the failure lifecycle and the chaos engine did to one run —
 /// present only when either is active, so legacy summaries stay
 /// byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosOutcome {
     /// Synthetic crash events injected by the chaos plan (natural
     /// crashes are counted in the summary's `crashes` alongside them).
@@ -81,7 +79,7 @@ pub struct ChaosOutcome {
 /// What a power-managing placement policy did to one run — `Some` only
 /// when the active policy manages node power (consolidation), so
 /// reference summaries stay byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerOutcome {
     /// Times a drained node was parked into the sleep state.
     pub parks: u64,
@@ -99,7 +97,7 @@ pub struct PowerOutcome {
 /// What the gray-failure campaign and the health watchdog did to one
 /// run — `Some` only when the chaos plan carries a gray or power-cap
 /// campaign, so every other summary stays byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrayOutcome {
     /// Gray-failure onsets injected (nodes that silently degraded).
     pub gray_onsets: u64,
@@ -123,7 +121,7 @@ pub struct GrayOutcome {
 }
 
 /// Per-part aggregation of the rack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartUsage {
     /// Part name.
     pub part: String,
@@ -138,7 +136,7 @@ pub struct PartUsage {
 /// The deterministic summary of one orchestrated run. `PartialEq` is the
 /// determinism contract: two runs of the same config must compare equal
 /// whatever the deploy worker count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSummary {
     /// Node count.
     pub nodes: usize,
@@ -285,11 +283,5 @@ impl MarginComparison {
         } else {
             0.0
         }
-    }
-
-    /// SLA violations the extended margins added over the baseline.
-    #[must_use]
-    pub fn added_sla_violations(&self) -> i64 {
-        self.extended.sla_violations as i64 - self.nominal.sla_violations as i64
     }
 }

@@ -21,14 +21,13 @@
 //! [`probe_fails`] — pure in `(seed, node, tick)`, so runs are
 //! byte-identical across worker counts.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use uniserver_silicon::rng::{salt, splitmix64, unit_fraction};
 
 /// Health-watchdog tuning. `disabled()` keeps every legacy profile
 /// byte-identical; `standard()` is the gray-profile default.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Master switch. Disabled watchdogs never probe, never quarantine.
     pub enabled: bool,
@@ -102,7 +101,7 @@ struct NodeWatch {
     quarantined: bool,
 }
 
-/// The watchdog: one [`NodeWatch`] per node currently under watch.
+/// The watchdog: one `NodeWatch` per node currently under watch.
 /// Iteration order is node-id order (`BTreeMap`), so probe sequencing
 /// is deterministic whatever order nodes went gray in.
 #[derive(Debug, Clone)]

@@ -8,7 +8,6 @@
 //! isolated (taken out of the allocation map) by the hypervisor.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::Volts;
 
 use uniserver_silicon::rng::{deviate_bound, normal_radius, skip_normal};
@@ -16,7 +15,7 @@ use uniserver_silicon::variation::ChipProfile;
 use uniserver_silicon::vmin::VminModel;
 
 /// State of one cache bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheBankState {
     /// Bank index on the die.
     pub index: usize,
@@ -27,7 +26,7 @@ pub struct CacheBankState {
 }
 
 /// Corrected-error sample for one bank over one interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankCeSample {
     /// Bank index.
     pub bank: usize,
@@ -36,7 +35,7 @@ pub struct BankCeSample {
 }
 
 /// The cache subsystem of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheSubsystem {
     banks: Vec<CacheBankState>,
 }

@@ -12,7 +12,6 @@
 //! errors).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::{BitErrorRate, Bytes, Celsius, Seconds, Watts};
 
 use uniserver_silicon::ecc::{DecodeOutcome, Secded72};
@@ -25,7 +24,7 @@ use crate::mca::{ErrorOrigin, MceRecord};
 use crate::msr::{DomainId, MsrFile};
 
 /// Static configuration of one DIMM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DimmConfig {
     /// Usable capacity.
     pub capacity: Bytes,
@@ -36,7 +35,7 @@ pub struct DimmConfig {
 }
 
 /// One DIMM with its lifetime error counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dimm {
     /// Static configuration.
     pub config: DimmConfig,
@@ -64,7 +63,7 @@ impl Dimm {
 
 /// Result of a full-memory test pass at one refresh setting — what the
 /// paper's random-pattern experiments measure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryScan {
     /// Refresh interval under test.
     pub refresh: Seconds,
@@ -89,7 +88,7 @@ impl MemoryScan {
 }
 
 /// The memory system of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystem {
     dimms: Vec<Dimm>,
     retention: RetentionModel,

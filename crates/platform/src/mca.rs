@@ -6,13 +6,12 @@
 //! counts. Records carry the physical origin (which core / cache bank / DIMM), the
 //! severity and a simulation timestamp.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_silicon::{ErrorSeverity, FaultKind};
 
 /// Physical origin of an error record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorOrigin {
     /// A CPU core (logic/pipeline).
     Core(usize),
@@ -38,7 +37,7 @@ impl std::fmt::Display for ErrorOrigin {
 }
 
 /// One machine-check record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MceRecord {
     /// Simulation time at which the error was signalled.
     pub at: Seconds,
@@ -53,7 +52,7 @@ pub struct MceRecord {
 /// The machine-check banks of one node, reduced to what software reads
 /// of them: lifetime totals by severity. The records themselves leave
 /// the node in each interval report.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct McaBanks {
     corrected_total: u64,
     uncorrected_total: u64,

@@ -6,12 +6,11 @@
 //! same semantics (offsets are *subtracted* from the nominal VID; refresh
 //! intervals are set per memory domain).
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Seconds, Volts};
 
 /// Identifier of a DRAM refresh domain (one per channel in the paper's
 /// setup, §6.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub usize);
 
 impl std::fmt::Display for DomainId {
@@ -63,7 +62,7 @@ impl std::fmt::Display for MsrWriteError {
 impl std::error::Error for MsrWriteError {}
 
 /// The modeled register file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MsrFile {
     nominal_voltage: Volts,
     /// Per-core undervolt offsets in millivolts (subtracted from nominal).

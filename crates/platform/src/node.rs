@@ -28,7 +28,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Joules, Seconds, Volts, Watts};
 
 use uniserver_silicon::aging::AgingModel;
@@ -46,7 +45,7 @@ use crate::sensors::{SensorBlock, SensorSnapshot};
 use crate::workload::WorkloadProfile;
 
 /// A node crash: which core went down, when, and at what voltage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashEvent {
     /// Core whose logic failed first.
     pub core: usize,
@@ -61,7 +60,7 @@ pub struct CrashEvent {
 
 /// Everything observed during one simulated interval. The interval's
 /// sensor sweep is read separately, through [`ServerNode::last_sensors`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntervalReport {
     /// Simulation time at the *end* of the interval.
     pub at: Seconds,

@@ -15,7 +15,6 @@
 //! Calibration targets are Table 2 of the paper; the numbers regenerate
 //! through `uniserver-stress`'s shmoo campaign, not by transcription.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Bytes, Megahertz, Volts};
 
 use uniserver_silicon::droop::DroopModel;
@@ -24,7 +23,7 @@ use uniserver_silicon::variation::VariationParams;
 use uniserver_silicon::vmin::VminModel;
 
 /// Static description of a processor part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartSpec {
     /// Marketing name of the part.
     pub name: String,

@@ -1,4 +1,4 @@
-//! RAIDR-style retention-aware refresh binning (paper ref [26],
+//! RAIDR-style retention-aware refresh binning (paper ref \[26\],
 //! Liu et al., ISCA'12) — the DESIGN.md §7 extension.
 //!
 //! UniServer's §6.B experiment relaxes the refresh of a whole domain to
@@ -7,10 +7,9 @@
 //! one weak row no longer taxes the other million. This module
 //! implements the binning policy over the same calibrated retention
 //! model, giving the reproduction an ablation: flat relaxation (the
-//! paper's §6.B) vs retention-aware binning (its ref [26]).
+//! paper's §6.B) vs retention-aware binning (its ref \[26\]).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Bytes, Celsius, Seconds};
 
 use uniserver_silicon::retention::RetentionModel;
@@ -21,7 +20,7 @@ const ROW_BYTES: u64 = 64 * 1024;
 
 /// One refresh bin: rows whose weakest cell retains at least
 /// `interval`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshBin {
     /// Refresh interval applied to the bin.
     pub interval: Seconds,
@@ -30,7 +29,7 @@ pub struct RefreshBin {
 }
 
 /// A profiled, binned module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedModule {
     /// Bins, ascending by interval; the last bin holds the strong bulk.
     pub bins: Vec<RefreshBin>,

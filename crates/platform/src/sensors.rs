@@ -10,13 +10,12 @@
 //! non-trivial.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Volts, Watts};
 
 use uniserver_silicon::rng::{normal, skip_normal};
 
 /// A single point-in-time sensor sweep of the node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSnapshot {
     /// Per-core junction temperatures.
     pub core_temps: Vec<Celsius>,
@@ -45,7 +44,7 @@ impl SensorSnapshot {
 }
 
 /// The sensor block: thermal model plus measurement noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorBlock {
     /// Ambient (inlet) temperature.
     pub ambient: Celsius,

@@ -15,11 +15,10 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use uniserver_silicon::droop::DroopModel;
 
 /// A workload's excitation profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Workload name (as it appears in tables). Shared (`Arc<str>`) so
     /// the serving tick and crash records can carry the name without

@@ -3,7 +3,6 @@
 //! operation mode", §3.E; "possible execution modes (e.g.
 //! high-performance or low-power)", §3).
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Celsius;
 
 use uniserver_platform::workload::WorkloadProfile;
@@ -13,7 +12,7 @@ use crate::features::FeatureVector;
 use crate::logistic::LogisticModel;
 
 /// Execution modes the Hypervisor can be advised into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingMode {
     /// Nominal settings; maximum safety margin.
     Safe,
@@ -27,7 +26,7 @@ pub enum OperatingMode {
 }
 
 /// Advice returned to the hypervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Advice {
     /// Suggested mode.
     pub mode: OperatingMode,
@@ -38,7 +37,7 @@ pub struct Advice {
 }
 
 /// The advisor: a trained model plus a risk budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModeAdvisor {
     model: LogisticModel,
     /// Maximum acceptable predicted crash probability per interval.

@@ -1,19 +1,17 @@
 //! Gaussian naive-Bayes comparator.
 //!
 //! The paper's related-work section surveys Bayesian failure detection
-//! ([21]); this model doubles as the reproduction's second opinion: a
+//! (\[21\]); this model doubles as the reproduction's second opinion: a
 //! generative classifier with per-class Gaussian feature likelihoods.
 //! It trades the logistic model's discriminative sharpness for
 //! closed-form training — useful as a sanity cross-check in tests and as
 //! a cheap online-updatable alternative.
 
-use serde::{Deserialize, Serialize};
-
 use crate::features::{FeatureVector, FEATURE_DIM};
 use crate::harness::Dataset;
 
 /// Per-class Gaussian statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ClassStats {
     mean: [f64; FEATURE_DIM],
     var: [f64; FEATURE_DIM],
@@ -21,7 +19,7 @@ struct ClassStats {
 }
 
 /// A trained Gaussian naive-Bayes classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianNaiveBayes {
     crash: ClassStats,
     survive: ClassStats,

@@ -5,7 +5,6 @@
 //! node runs and how many corrected errors it has been producing. All
 //! features are normalized to O(1) ranges so one SGD learning rate fits.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Celsius;
 
 use uniserver_platform::workload::WorkloadProfile;
@@ -15,7 +14,7 @@ use uniserver_silicon::droop::DroopModel;
 pub const FEATURE_DIM: usize = 4;
 
 /// One normalized feature vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureVector {
     /// `[offset_fraction×10, stress, temp_delta/50, ce_rate/10]`.
     pub values: [f64; FEATURE_DIM],

@@ -8,7 +8,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_platform::node::ServerNode;
@@ -18,7 +17,7 @@ use uniserver_platform::workload::WorkloadProfile;
 use crate::features::FeatureVector;
 
 /// One labeled training sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Input features.
     pub features: FeatureVector,
@@ -27,7 +26,7 @@ pub struct Sample {
 }
 
 /// A labeled dataset.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     /// The samples, in generation order.
     pub samples: Vec<Sample>,
@@ -73,7 +72,7 @@ impl FromIterator<Sample> for Dataset {
 }
 
 /// Sweeps nodes across operating points to label outcomes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingHarness {
     /// Part to exercise.
     pub spec: PartSpec,

@@ -5,15 +5,13 @@
 //! the regime logistic regression handles well. Trained by damped
 //! Newton/IRLS iterations; evaluated with accuracy, log-loss and AUC.
 
-use serde::{Deserialize, Serialize};
-
 use uniserver_silicon::math::sigmoid;
 
 use crate::features::{FeatureVector, FEATURE_DIM};
 use crate::harness::Dataset;
 
 /// A trained logistic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticModel {
     /// Per-feature weights.
     pub weights: [f64; FEATURE_DIM],

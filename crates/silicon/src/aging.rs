@@ -8,11 +8,10 @@
 //! down, which is why periodic re-characterization (every 2–3 months)
 //! works.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Volts;
 
 /// Power-law Vmin drift model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingModel {
     /// Drift coefficient in millivolts (drift after one month).
     pub coeff_mv: f64,

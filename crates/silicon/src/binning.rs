@@ -6,14 +6,13 @@
 //! capability. This module reproduces the binning view of a population and
 //! the yield numbers the TCO model consumes.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Megahertz;
 
 use crate::variation::ChipProfile;
 
 /// A discrete speed bin: chips whose maximum frequency is at least
 /// `floor_mhz` (but below the next bin's floor) are sold at `floor_mhz`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedBin {
     /// Frequency the bin is sold at.
     pub floor: Megahertz,
@@ -22,7 +21,7 @@ pub struct SpeedBin {
 }
 
 /// Result of binning a population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinningReport {
     /// Bins in ascending frequency order; all non-empty edges kept.
     pub bins: Vec<SpeedBin>,

@@ -1,25 +1,24 @@
 //! Baseline techniques the paper positions UniServer against (§5.A).
 //!
-//! * **Razor-style in-situ timing-error detection** (refs [10][11]):
+//! * **Razor-style in-situ timing-error detection** (refs \[10\]\[11\]):
 //!   shadow latches detect late transitions and replay the failing
 //!   instruction, letting the pipeline run below the conservative
 //!   margin at the cost of per-stage hardware, a detection energy tax
 //!   and replay stalls. UniServer's contrast: "minimum hardware
 //!   intrusion and does not require application side modification".
-//! * **ArchShield-style fault-map tolerance** (ref [27]): expose known
+//! * **ArchShield-style fault-map tolerance** (ref \[27\]): expose known
 //!   faulty words in a fault map and replicate them, tolerating raw
 //!   error rates up to ~1e-4 — two orders beyond SECDED — at a small
 //!   capacity tax. The reproduction uses it to bound how far DRAM
 //!   refresh could be pushed beyond the paper's 5 s point.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{BitErrorRate, Ratio, Seconds};
 
 use crate::retention::RetentionModel;
 use uniserver_units::Celsius;
 
 /// A Razor-equipped core running below the conservative margin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RazorCore {
     /// Energy overhead of shadow latches and detection logic, as a
     /// fraction of core energy (published designs: ~3 %).
@@ -122,7 +121,7 @@ pub fn uniserver_vs_razor(margin_percent: f64, razor: &RazorCore) -> (f64, f64) 
 }
 
 /// ArchShield-style fault-map tolerance for DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchShield {
     /// Maximum raw bit-error rate the fault map + replication absorbs.
     pub tolerable_ber: BitErrorRate,

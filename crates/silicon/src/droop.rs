@@ -7,11 +7,9 @@
 //! combination; normal workloads sit far below them, which is precisely
 //! why the worst-case droop guard-band is pessimistic.
 
-use serde::{Deserialize, Serialize};
-
 /// First-order droop model mapping workload excitation to the fraction of
 /// nominal voltage lost at the worst on-die point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DroopModel {
     /// Droop present even at idle (clock grid, background activity).
     pub idle_fraction: f64,

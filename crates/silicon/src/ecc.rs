@@ -26,8 +26,6 @@
 //! }
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bits in a codeword.
 pub const CODEWORD_BITS: u8 = 72;
 /// Number of data bits per codeword.
@@ -39,7 +37,7 @@ pub const DATA_BITS: u8 = 64;
 pub struct Secded72;
 
 /// Result of decoding a (possibly corrupted) codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DecodeOutcome {
     /// No error was present.
     Clean {

@@ -5,10 +5,9 @@
 //! the hypervisor's masking logic and the fault-injection campaigns.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Where a fault physically originated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// SRAM (cache) cell upset or low-voltage read failure.
     CacheBit,
@@ -44,7 +43,7 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// How the RAS machinery classified an error's effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ErrorSeverity {
     /// Corrected in hardware (CE) — logged, no software impact.
     Corrected,
@@ -74,7 +73,7 @@ impl std::fmt::Display for ErrorSeverity {
 
 /// A single-bit flip in a 64-bit word: the SDC primitive used by the
 /// QEMU-style injection campaigns (§6.C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BitFlip {
     /// Bit index in `0..64`.
     pub bit: u8,

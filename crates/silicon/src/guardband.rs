@@ -7,7 +7,6 @@
 //! own models so Table 1 can be *regenerated* rather than transcribed.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::Ratio;
 
 use crate::droop::DroopModel;
@@ -16,7 +15,7 @@ use crate::vmin::VminModel;
 
 /// The sources of voltage guard-band and their magnitudes as fractions of
 /// nominal voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardbandBreakdown {
     /// Margin held against worst-case supply droop.
     pub voltage_droops: Ratio,

@@ -6,14 +6,13 @@
 //!   temperature, modulated by the die's manufactured leakage factor.
 //! * DRAM module power splits into background, access and refresh parts;
 //!   the refresh share grows with chip density (9 % for 2 Gb chips,
-//!   ~34 % projected for 32 Gb — §6.B, after RAIDR [26]), and shrinks
+//!   ~34 % projected for 32 Gb — §6.B, after RAIDR \[26\]), and shrinks
 //!   proportionally as the refresh interval is relaxed.
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::{Celsius, Megahertz, Seconds, Volts, Watts};
 
 /// Per-core power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorePowerModel {
     /// Effective switched capacitance in nanofarads.
     pub ceff_nf: f64,
@@ -85,7 +84,7 @@ impl CorePowerModel {
 }
 
 /// DRAM module power model with a density-dependent refresh share.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramPowerModel {
     /// DRAM chip density in gigabits (2 for the paper's DDR3 era, 32 for
     /// its projection).

@@ -14,17 +14,16 @@
 //! across thermal conditions. A small population of variable-retention-
 //! time (VRT) cells — cells that intermittently drop to a fraction of
 //! their nominal retention — adds the stochastic component observed in
-//! retention studies (Liu et al. [32]).
+//! retention studies (Liu et al. \[32\]).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::{BitErrorRate, Celsius, Seconds};
 
 use crate::math::normal_cdf;
 use crate::rng::poisson;
 
 /// Lognormal retention-time model for one DRAM generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetentionModel {
     /// Mean of ln(retention seconds) at the reference temperature.
     pub mu_ln: f64,

@@ -8,12 +8,11 @@
 //! more, a correlation the TCO yield model relies on.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::rng::{normal, truncated_normal};
 
 /// Parameters of the process-variation model for one technology node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationParams {
     /// Die-to-die sigma of the speed factor (fraction of nominal Fmax).
     pub chip_speed_sigma: f64,
@@ -130,7 +129,7 @@ impl Default for VariationParams {
 
 /// The manufactured identity of one chip: its systematic offsets plus the
 /// per-core and per-bank random components.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipProfile {
     /// Identifier within its population.
     pub chip_id: u64,
@@ -161,12 +160,6 @@ impl ChipProfile {
         self.vmin_shift + self.cores[core].vmin_offset
     }
 
-    /// Combined fractional Vmin offset of a cache bank.
-    #[must_use]
-    pub fn bank_vmin_offset(&self, bank: usize) -> f64 {
-        self.vmin_shift + self.banks[bank].vmin_offset
-    }
-
     /// The weakest core's combined Vmin offset — what manufacturing
     /// screening checks against the part's shippable margin.
     ///
@@ -193,7 +186,7 @@ impl ChipProfile {
 }
 
 /// Per-core manufactured random variation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreProfile {
     /// Index of the core on its die.
     pub index: usize,
@@ -204,7 +197,7 @@ pub struct CoreProfile {
 }
 
 /// Per-cache-bank manufactured random variation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankProfile {
     /// Index of the bank on its die.
     pub index: usize,

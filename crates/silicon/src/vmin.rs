@@ -6,7 +6,6 @@
 //! free parameters are calibrated per part in `uniserver-platform`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::Volts;
 
 use crate::math::sigmoid;
@@ -18,7 +17,7 @@ use crate::rng::{normal, poisson};
 /// (`0.10` = the part crashes 10 % below nominal). A *weak* core (positive
 /// manufactured `vmin_offset` in [`crate::variation::CoreProfile`]) crashes
 /// earlier, i.e. at a smaller undervolt offset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VminModel {
     /// Mean crash offset of a typical core running a quiet workload.
     pub base_crash_offset: f64,

@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::{BitErrorRate, Celsius, Seconds, Volts, Watts};
 
 use uniserver_platform::dram::MemorySystem;
@@ -37,7 +36,7 @@ use uniserver_silicon::{ErrorSeverity, FaultKind};
 use crate::patterns::TestPattern;
 
 /// Configuration of an undervolting shmoo campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShmooCampaign {
     /// Voltage step between points (the paper's offsets move in small
     /// steps; 5 mV here).
@@ -299,7 +298,7 @@ impl Default for ShmooCampaign {
 }
 
 /// Outcome of one voltage ladder: one (core, benchmark, run) triple.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreRunResult {
     /// Core under test.
     pub core: usize,
@@ -319,7 +318,7 @@ pub struct CoreRunResult {
 }
 
 /// Raw result of a shmoo campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShmooResult {
     /// Part the campaign ran on.
     pub part_name: String,
@@ -391,7 +390,7 @@ impl ShmooResult {
 }
 
 /// The condensed Table 2 rows for one part.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Summary {
     /// Part the summary describes.
     pub part_name: String,
@@ -460,7 +459,7 @@ impl Table2Summary {
 }
 
 /// One point of a refresh-interval sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshPoint {
     /// Refresh interval under test.
     pub interval: Seconds,
@@ -477,7 +476,7 @@ pub struct RefreshPoint {
 }
 
 /// A refresh-relaxation campaign over one DIMM (paper §6.B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefreshSweep {
     /// Intervals to test, ascending.
     pub intervals: Vec<Seconds>,

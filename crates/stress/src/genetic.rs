@@ -16,7 +16,6 @@
 //! than hand enumeration.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use uniserver_platform::workload::WorkloadProfile;
 use uniserver_silicon::droop::DroopModel;
@@ -25,7 +24,7 @@ use uniserver_silicon::droop::DroopModel;
 pub const RESONANCE_PERIOD: usize = 8;
 
 /// One instruction block kind and its characteristic power level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// A stall/NOP stretch.
     Idle,
@@ -63,7 +62,7 @@ impl BlockKind {
 }
 
 /// A stress-virus genome: a loop of instruction blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirusGenome {
     blocks: Vec<BlockKind>,
 }
@@ -184,7 +183,7 @@ impl VirusGenome {
 }
 
 /// Genetic-algorithm configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaConfig {
     /// Genome length in blocks.
     pub genome_len: usize,
@@ -228,7 +227,7 @@ impl Default for GaConfig {
 }
 
 /// Result of a GA run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvolutionReport {
     /// The fittest genome found.
     pub best: VirusGenome,

@@ -8,12 +8,11 @@
 //! random passes asymptotically see all of them.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use uniserver_silicon::rng::splitmix64;
 
 /// A memory test pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestPattern {
     /// Fresh pseudo-random data per pass (the paper's choice).
     Random {

@@ -26,7 +26,6 @@
 //! assert!(margins.safe_refresh.as_secs() >= 1.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use uniserver_units::Seconds;
 
 use uniserver_platform::node::ServerNode;
@@ -38,7 +37,7 @@ use uniserver_stress::kernels;
 /// Input parameters handed down by higher layers ("as soon as the
 /// monitor receives the input stress target parameters from the higher
 /// system layers, it will initiate the stress test scenarios").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StressTargetParams {
     /// Workload suite: benchmarks representing real applications plus
     /// hand-coded component stressors.
@@ -90,7 +89,7 @@ impl Default for StressTargetParams {
 /// The output vector "containing the new safe system V-F-R margins that
 /// will be suggested to the software (i.e. Hypervisor) for future
 /// usage" (§2.ii).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarginVector {
     /// Node time at which the characterization finished.
     pub produced_at: Seconds,
@@ -119,7 +118,7 @@ impl MarginVector {
 }
 
 /// Periodic/triggered scheduling of re-characterizations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Schedule {
     /// Period between routine runs (the paper suggests 2–3 months).
     pub period: Seconds,

@@ -3,12 +3,10 @@
 //! parameters, the TCO tool will consider specific requirements and
 //! architecture of both the Cloud and the Edge.").
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{tco_improvement_energy_only, TcoParams};
 
 /// One point of the exploration grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExplorationPoint {
     /// Facility PUE at this point.
     pub pue: f64,

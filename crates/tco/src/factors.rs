@@ -16,10 +16,8 @@
 //! the extraction; the product — the table's headline — is invariant,
 //! and [`EeFactors::table3_swapped`] exposes the other reading.
 
-use serde::{Deserialize, Serialize};
-
 /// The four multiplicative energy-efficiency factors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EeFactors {
     /// Technology scaling + FinFET leakage reduction.
     pub scaling: f64,

@@ -1,5 +1,5 @@
 //! Total-cost-of-ownership tool (paper §2.vii, §6.D, Table 3; after
-//! Hardy et al.'s analytical TCO framework [31]).
+//! Hardy et al.'s analytical TCO framework \[31\]).
 //!
 //! * [`factors`] — the energy-efficiency improvement stack of Table 3
 //!   (scaling × software maturity × fog × margins = 36×) and the 1.15×

@@ -1,4 +1,4 @@
-//! The capex/opex TCO model (after Hardy et al. [31]).
+//! The capex/opex TCO model (after Hardy et al. \[31\]).
 //!
 //! TCO over the deployment horizon = server capex + infrastructure
 //! capex (provisioned per kW) + energy opex (server power × PUE ×
@@ -6,10 +6,8 @@
 //! ~13 % of baseline TCO — the share at which the paper's overall 36×
 //! energy-efficiency gain yields its quoted 1.15× TCO improvement.
 
-use serde::{Deserialize, Serialize};
-
 /// Deployment parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcoParams {
     /// Number of servers.
     pub servers: u32,
@@ -64,7 +62,7 @@ impl TcoParams {
 }
 
 /// A TCO breakdown in USD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcoBreakdown {
     /// Server acquisition cost.
     pub server_capex: f64,

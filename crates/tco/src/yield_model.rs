@@ -8,14 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use uniserver_units::Megahertz;
 
 use uniserver_silicon::binning::bin_population;
 use uniserver_silicon::variation::VariationParams;
 
 /// Yield comparison between conventional binning and UniServer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldComparison {
     /// Sellable fraction under conventional binning.
     pub binned_yield: f64,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A data size in bytes.
 ///
 /// # Examples
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(dimm.as_u64(), 8 * 1024 * 1024 * 1024);
 /// assert_eq!(dimm.bits(), dimm.as_u64() * 8);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A supply voltage in volts.
 ///
 /// Voltages in this workspace are always non-negative supply rails; the
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let offset = nominal - Volts::from_millivolts(150.0);
 /// assert!((offset.as_millivolts() - 1215.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Volts(f64);
 
 impl Volts {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::Seconds;
 
 /// Electrical power in watts.
@@ -18,7 +16,7 @@ use crate::Seconds;
 /// let energy = sustained * Seconds::new(3600.0);
 /// assert_eq!(energy.as_watt_hours(), 30.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -122,7 +120,7 @@ impl Mul<Seconds> for Watts {
 /// Energy in joules.
 ///
 /// Produced by integrating [`Watts`] over [`Seconds`].
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Joules(f64);
 
 impl Joules {

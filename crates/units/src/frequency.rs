@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A clock frequency in megahertz.
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.as_mhz(), 4000.0);
 /// assert_eq!(f.scaled(0.5).as_ghz(), 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Megahertz(f64);
 
 impl Megahertz {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 /// A dimensionless ratio, typically in `[0, 1]` but allowed to exceed 1 for
 /// improvement factors (e.g. a 36× energy-efficiency gain).
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let stacked = guardband * Ratio::new(0.5);
 /// assert_eq!(stacked.as_percent(), 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Ratio(f64);
 
 impl Ratio {
@@ -107,7 +105,7 @@ impl Mul for Ratio {
 /// assert!(measured <= BitErrorRate::DRAM_TARGET);
 /// assert!(measured.is_correctable_by_secded());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct BitErrorRate(f64);
 
 impl BitErrorRate {
@@ -116,7 +114,7 @@ impl BitErrorRate {
     /// The BER targeted by commercial DRAM parts (paper §6.B): 1e-9.
     pub const DRAM_TARGET: BitErrorRate = BitErrorRate(1e-9);
     /// The maximum raw BER classical SECDED ECC can absorb (paper §6.B,
-    /// ref [27]): 1e-6.
+    /// ref \[27\]): 1e-6.
     pub const SECDED_LIMIT: BitErrorRate = BitErrorRate(1e-6);
 
     /// Creates a BER from a raw per-bit error probability.

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A temperature in degrees Celsius.
 ///
 /// Unlike the other quantities, temperatures may be negative (cold aisles
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let hot = ambient + Celsius::new(40.0);
 /// assert_eq!(hot.as_celsius(), 65.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Celsius(f64);
 
 impl Celsius {

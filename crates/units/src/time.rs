@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative time interval in seconds.
 ///
 /// Used for simulation windows, DRAM refresh intervals and latency budgets.
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let relaxed = nominal_refresh * 78.0; // the paper's extreme point
 /// assert!((relaxed.as_secs() - 4.992).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Seconds(f64);
 
 impl Seconds {
