@@ -2,7 +2,9 @@
 //!
 //! These quantify the design-choice costs DESIGN.md calls out: the real
 //! SECDED codec on the DRAM path, per-interval node simulation, the
-//! cluster tick at one and two workers, the CE-storm record path
+//! cluster tick at a cap of one and two workers (a 512-node nominal
+//! rack, and a 64-node extended one whose ticks are mostly too small to
+//! spread), the CE-storm record path
 //! (HealthLog ingest and the hypervisor tick), GA virus evolution,
 //! predictor training/inference, scheduler placement and the migration
 //! cost model.
@@ -18,6 +20,7 @@ use uniserver_cloudmgr::{Cluster, ClusterConfig, Scheduler, SlaClass};
 use uniserver_healthlog::{HealthLog, ThresholdPolicy};
 use uniserver_hypervisor::vm::{Vm, VmConfig, VmId};
 use uniserver_hypervisor::Hypervisor;
+use uniserver_orchestrator::{deploy_cluster, OrchestratorConfig};
 use uniserver_platform::mca::{ErrorOrigin, MceRecord};
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
@@ -89,6 +92,28 @@ fn bench_cluster_tick(c: &mut Criterion) {
             cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze);
         }
         cluster.set_workers(workers);
+        g.bench_function(BenchmarkId::new("workers", workers), |b| {
+            b.iter(|| black_box(cluster.tick(Seconds::new(5.0))));
+        });
+    }
+    g.finish();
+    let mut g = c.benchmark_group("cluster_tick_64_extended");
+    g.sample_size(100);
+    for workers in [1, 2] {
+        // The soak rack: 64 mixed nodes deployed at their Extended
+        // Operating Points, one guest each. Its per-tick node work is
+        // about what one spawn and join cost, so at a cap of two most
+        // ticks should run on the calling thread.
+        let (mut cluster, ..) = deploy_cluster(&OrchestratorConfig::datacenter(64, 2018));
+        for _ in 0..64 {
+            cluster.submit(VmConfig::ldbc_benchmark(), SlaClass::Bronze);
+        }
+        cluster.set_workers(workers);
+        // Settle the fan-out decision first: the opening ticks fan out
+        // at the cap to sample the spawn cost.
+        for _ in 0..16 {
+            cluster.tick(Seconds::new(5.0));
+        }
         g.bench_function(BenchmarkId::new("workers", workers), |b| {
             b.iter(|| black_box(cluster.tick(Seconds::new(5.0))));
         });

@@ -60,11 +60,12 @@
 //! * `--per-tick-every N` keeps only every Nth row of the per-tick
 //!   series (tick 0 always included); `1` — the default — reproduces the
 //!   legacy stdout byte-for-byte.
-//! * `--threads K` drives the deploy workers **and** the sharded serving
-//!   loop (`Cluster::tick` on scoped threads, one contiguous node chunk
-//!   each): per-node advancement runs on K workers (0 = one per core;
-//!   clamped to the core count), every reduce stays sequential in
-//!   node-index order.
+//! * `--threads K` drives the deploy workers **and** caps the sharded
+//!   serving loop (0 = one per core; clamped to the core count): each
+//!   tick's per-node advancement runs on up to K workers, one contiguous
+//!   chunk of awake nodes each, or on the calling thread alone when its
+//!   measured work is too small to spread. Every reduce stays
+//!   sequential in node-index order.
 //!
 //! Stdout is byte-identical for any `--threads` value — the determinism
 //! the paper's methodology demands of every experiment in this

@@ -217,6 +217,7 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
     w.field_u64("nodes", t.nodes as u64);
     w.field_u64("arrivals", t.arrivals);
     w.field_u64("threads", t.workers as u64);
+    w.field_f64("tick_workers_mean", t.tick_workers_mean);
     w.field_u64("cores", t.cores as u64);
     w.field_u64("host_cores", host_cores() as u64);
     // Per-phase serve attribution from the stage profiler — wall-clock,
@@ -230,9 +231,11 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
         o.field_f64("events_ms", t.stages.events_ms);
         o.field_f64("rejoin_ms", t.stages.rejoin_ms);
         o.field_f64("tick_wall_ms", t.stages.tick_wall_ms);
+        o.field_f64("reduce_ms", t.stages.reduce_ms);
     });
     w.field_f64("wall_ms", t.wall_ms);
     w.field_f64("deploy_ms", t.deploy_ms);
+    w.field_f64("deploy_wall_ms", t.deploy_wall_ms);
     w.field_f64("serve_ms", t.serve_ms);
     w.field_f64("deploy_ms_per_node", t.deploy_ms / t.nodes.max(1) as f64);
     w.field_f64("serve_ms_per_node", t.serve_ms / t.nodes.max(1) as f64);
@@ -280,6 +283,9 @@ mod tests {
             "\"stages\":{\"placement_ms\":",
             "\"hypervisor_tick_ms\":",
             "\"tick_wall_ms\":",
+            "\"reduce_ms\":",
+            "\"tick_workers_mean\":",
+            "\"deploy_wall_ms\":",
             "\"wall_ms\":",
             "\"deploy_ms_per_node\":",
             "\"serve_ms_per_node\":",

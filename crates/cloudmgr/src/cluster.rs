@@ -4,18 +4,26 @@
 //! # Sharded ticks
 //!
 //! Per-tick node advancement (hypervisor tick + failure-predictor log
-//! scan) is embarrassingly parallel between placement decisions, so
-//! [`Cluster::tick`] splits it into one contiguous node-index chunk per
-//! worker (see [`Cluster::set_workers`]) on scoped threads that borrow
-//! the chunk and the predictor in place; the caller's thread runs the
-//! first chunk. It then **reduces sequentially in node order**: energy
-//! is summed index-by-index (bit-identical floats for any worker
-//! count), crash events are emitted ordered by `(node index, event
-//! order)`, and the predictor's score write-back — plus the
-//! placement-mutating phases (proactive migration, recovery) — stay
-//! sequential. Worker count can therefore never change a report. The
-//! reduce also lists the nodes that cross the failure line, and the
-//! proactive pass visits only their placements.
+//! scan) is embarrassingly parallel between placement decisions.
+//! [`Cluster::set_workers`] sets a **cap** on the threads it may use,
+//! and each tick picks its width under that cap from measured costs
+//! (see the `fanout` module): a tick whose awake-node work is cheaper
+//! than spreading it runs directly on the calling thread, and a heavier
+//! one is cut into contiguous node-index chunks that hold equal shares
+//! of the *awake* nodes, run on scoped threads that borrow the chunk,
+//! its result slots and the predictor in place, the caller's thread
+//! taking the first chunk. A cap of 1 is a plain call, with no
+//! awake-node count and no timing.
+//!
+//! The tick then **reduces sequentially in node order**: energy is
+//! summed index-by-index (bit-identical floats for any width), crash
+//! events are emitted ordered by `(node index, event order)`, shard
+//! stats merge in node order, and the predictor's score write-back —
+//! plus the placement-mutating phases (proactive migration, recovery) —
+//! stay sequential. Neither the cap nor the width a tick picks can
+//! therefore change a report. The reduce also lists the nodes that
+//! cross the failure line, and the proactive pass visits only their
+//! placements.
 //!
 //! # Placement control plane
 //!
@@ -49,6 +57,7 @@ use uniserver_platform::part::PartSpec;
 use uniserver_silicon::rng::{salt, splitmix64, weighted_pick};
 
 use crate::failure::{FailurePredictor, ScoreUpdate};
+use crate::fanout::{awake_cuts, FanOut};
 use crate::index::PlacementIndex;
 use crate::lifecycle::{GrayState, NodePhase, NodePower};
 use crate::migrate::MigrationModel;
@@ -235,20 +244,22 @@ struct ShardStats {
 
 /// The per-node phase of one contiguous chunk of a tick: each awake,
 /// online node's hypervisor tick plus the predictor's immutable
-/// scoring. It touches only the chunk's nodes and the (shared,
-/// read-only) predictor, so shards never race, and it is the same
-/// computation for any chunking, so every worker count stays
-/// bit-identical. `profile` adds per-node span timing; `collect` fills
-/// a shard-local registry with integer tick-domain stats.
+/// scoring, written into the node's slot of `slots` (the same chunk of
+/// the cluster's advance buffer). It touches only the chunk's nodes and
+/// slots and the (shared, read-only) predictor, so shards never race,
+/// and it is the same computation for any chunking, so every width
+/// stays bit-identical. `profile` adds per-node span timing; `collect`
+/// fills a shard-local registry with integer tick-domain stats.
 fn advance_slice(
     nodes: &mut [ManagedNode],
+    slots: &mut [Option<NodeAdvance>],
     predictor: &FailurePredictor,
     duration: Seconds,
     profile: bool,
     collect: bool,
-) -> (Vec<Option<NodeAdvance>>, ShardStats) {
+) -> ShardStats {
     let mut stats = ShardStats { metrics: collect.then(MetricsRegistry::new), ..ShardStats::default() };
-    let advances = nodes
+    nodes
         .iter_mut()
         .map(|node| {
             if !node.is_online() {
@@ -289,8 +300,9 @@ fn advance_slice(
             }
             Some(adv)
         })
-        .collect();
-    (advances, stats)
+        .zip(slots)
+        .for_each(|(adv, slot)| *slot = adv);
+    stats
 }
 
 /// CPU cores available to this process (1 when the probe fails) — the
@@ -361,9 +373,15 @@ pub struct Cluster {
     /// [`ClusterTickReport`] so the report's `PartialEq` determinism
     /// contract is untouched.
     metrics: Option<MetricsRegistry>,
-    /// Threads the per-node phase of a tick runs on (see
+    /// Most threads the per-node phase of a tick may run on (see
     /// [`Cluster::set_workers`]).
     workers: usize,
+    /// The measured costs each tick's width under the cap is picked
+    /// from.
+    fanout: FanOut,
+    /// One result slot per node: the per-node phase writes it and the
+    /// reduce takes it, so ticks reuse one buffer.
+    advances: Vec<Option<NodeAdvance>>,
 }
 
 impl Cluster {
@@ -406,6 +424,7 @@ impl Cluster {
         }
         let index = PlacementIndex::new(nodes.len());
         let placements = PlacementStore::new(nodes.len());
+        let advances = vec![None; nodes.len()];
         Cluster {
             nodes,
             policy: Arc::new(EnergySlaPolicy::new(scheduler)),
@@ -424,16 +443,29 @@ impl Cluster {
             profiler: None,
             metrics: None,
             workers: 1,
+            fanout: FanOut::default(),
+            advances,
         }
     }
 
-    /// Sets how many threads run the per-node phase of each tick: `0`
-    /// and `1` keep it on the caller's thread, and counts above the
-    /// node count clamp to it. Any count produces the identical report,
-    /// so callers resolve it once against the machine
+    /// Caps the threads the per-node phase of each tick may run on.
+    /// `0` and `1` make every tick a plain call on the caller's thread.
+    /// Above that, each tick picks its own width up to the cap (and the
+    /// awake-node count) from measured per-node and fan-out costs, and
+    /// runs on the caller's thread alone when spreading the work would
+    /// cost more than it saves. Any cap and width produce the identical
+    /// report, so callers resolve the cap once against the machine
     /// ([`resolve_workers`]).
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers;
+    }
+
+    /// Mean number of threads the per-node phase of a tick actually
+    /// ran on, over every tick so far (0 before the first tick).
+    /// Wall-clock-driven, hence machine-local: never part of a report.
+    #[must_use]
+    pub fn tick_workers_mean(&self) -> f64 {
+        self.fanout.mean_width()
     }
 
     /// Installs a placement policy; subsequent placement decisions and
@@ -743,13 +775,16 @@ impl Cluster {
     /// events (drained from each node's platform feed) so event-driven
     /// callers can trigger failure-driven recovery.
     ///
-    /// The per-node phase runs on [`Cluster::set_workers`] threads, one
-    /// contiguous node-index chunk each; the results are reduced
-    /// sequentially in node order, so **any worker count produces the
-    /// identical report**: energy sums in index order (bit-identical
-    /// floats), crash events order by `(node index, event order)`, and
-    /// the predictor write-back and placement-mutating phases run on the
-    /// caller's thread.
+    /// The per-node phase runs on at most [`Cluster::set_workers`]
+    /// threads, one contiguous node-index chunk each, or on the caller's
+    /// thread alone when the tick's work is too small to spread; the
+    /// results are reduced sequentially in node order, so **any cap and
+    /// any width produce the identical report**: energy sums in index
+    /// order (bit-identical floats), crash events order by
+    /// `(node index, event order)`, and the predictor write-back and
+    /// placement-mutating phases run on the caller's thread. With a
+    /// profiler installed, the reduce and the proactive pass are timed
+    /// as [`Stage::Reduce`].
     ///
     /// # Panics
     ///
@@ -758,7 +793,8 @@ impl Cluster {
         // Availability and crash state move inside node ticks without
         // an index mark, so no reject outlives the tick it was made in.
         self.reject_memo = Default::default();
-        let advances = self.advance_nodes(duration);
+        self.advance_nodes(duration);
+        let reduce_start = self.profiler.is_some().then(Instant::now);
 
         // --- Sequential reduce, in node-index order. Offline nodes
         // produced no advance: no tick, no energy, no crash feed, and
@@ -775,8 +811,8 @@ impl Cluster {
         let mut energy = Joules::ZERO;
         let predictor = &mut self.predictor;
         let index = &mut self.index;
-        for (node, adv) in self.nodes.iter_mut().zip(advances) {
-            let crashed = match adv {
+        for (node, slot) in self.nodes.iter_mut().zip(&mut self.advances) {
+            let crashed = match slot.take() {
                 Some(adv) => {
                     energy = energy + adv.energy;
                     let crashed = !adv.crash_events.is_empty();
@@ -815,6 +851,10 @@ impl Cluster {
         } else {
             Vec::new()
         };
+        if let (Some(p), Some(start)) = (&self.profiler, reduce_start) {
+            #[allow(clippy::cast_possible_truncation)]
+            p.add_nanos(Stage::Reduce, start.elapsed().as_nanos() as u64);
+        }
         ClusterTickReport {
             crashes,
             energy,
@@ -823,36 +863,68 @@ impl Cluster {
         }
     }
 
-    /// The parallel phase of a tick: every node's hypervisor advances and
-    /// its health log is scored, one contiguous chunk per worker on
-    /// scoped threads that borrow the chunk and the (read-only)
-    /// predictor, the first chunk on the caller's thread. Returns
-    /// per-node advances **in node-index order**; shard stats absorb in
-    /// the same order, so the metrics merge order equals node order for
-    /// any worker count.
-    fn advance_nodes(&mut self, duration: Seconds) -> Vec<Option<NodeAdvance>> {
+    /// The parallel phase of a tick: every awake node's hypervisor
+    /// advances and its health log is scored into its slot of the
+    /// advance buffer. Under a cap above 1 the width comes from
+    /// [`FanOut::width`]: width 1 runs on the caller's thread (timed, to
+    /// keep the per-node cost current); a wider tick cuts the rack into
+    /// chunks holding equal awake-node shares ([`awake_cuts`]) on scoped
+    /// threads that borrow each chunk of nodes and slots and the
+    /// (read-only) predictor, the first chunk on the caller's thread.
+    /// Shard stats absorb in chunk order, so the metrics merge order
+    /// equals node order for any width.
+    fn advance_nodes(&mut self, duration: Seconds) {
         let profile = self.profiler.is_some();
         let collect = self.metrics.is_some();
-        let n = self.nodes.len();
-        let chunk = n.div_ceil(self.workers.clamp(1, n));
         let predictor = &self.predictor;
-        let advance = move |shard: &mut [ManagedNode]| advance_slice(shard, predictor, duration, profile, collect);
-        let shards = std::thread::scope(|scope| {
-            let mut chunks = self.nodes.chunks_mut(chunk);
-            let first = chunks.next().expect("a cluster has nodes");
-            let spawned: Vec<_> = chunks.map(|shard| scope.spawn(move || advance(shard))).collect();
-            let mut shards = vec![advance(first)];
+        let advance = move |nodes: &mut [ManagedNode], slots: &mut [Option<NodeAdvance>]| {
+            advance_slice(nodes, slots, predictor, duration, profile, collect)
+        };
+        if self.workers <= 1 {
+            let stats = advance(&mut self.nodes, &mut self.advances);
+            self.fanout.record(1);
+            self.absorb_shard_stats(stats);
+            return;
+        }
+        // The nodes `advance_slice` ticks; the rest cost nothing.
+        let ticks = |n: &ManagedNode| n.is_online() && !n.is_asleep();
+        let awake = self.nodes.iter().filter(|n| ticks(n)).count();
+        let width = self.fanout.width(awake, self.workers);
+        if width == 1 {
+            let start = Instant::now();
+            let stats = advance(&mut self.nodes, &mut self.advances);
+            self.fanout.observe_inline(awake, start.elapsed());
+            self.absorb_shard_stats(stats);
+            return;
+        }
+        awake_cuts(self.nodes.iter().map(ticks), awake, width, &mut self.fanout.cuts);
+        let cuts = &self.fanout.cuts;
+        let wall = Instant::now();
+        let (chunk, shards) = std::thread::scope(|scope| {
+            let (first_nodes, mut nodes) = self.nodes.split_at_mut(cuts[0]);
+            let (first_slots, mut slots) = self.advances.split_at_mut(cuts[0]);
+            let spawned: Vec<_> = cuts
+                .windows(2)
+                .map(|w| {
+                    let (shard, rest) = std::mem::take(&mut nodes).split_at_mut(w[1] - w[0]);
+                    nodes = rest;
+                    let (shard_slots, rest) = std::mem::take(&mut slots).split_at_mut(w[1] - w[0]);
+                    slots = rest;
+                    scope.spawn(move || advance(shard, shard_slots))
+                })
+                .collect();
+            let start = Instant::now();
+            let mut shards = vec![advance(first_nodes, first_slots)];
+            let chunk = start.elapsed();
             for handle in spawned {
                 shards.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
-            shards
+            (chunk, shards)
         });
-        let mut advances = Vec::with_capacity(n);
-        for (shard, stats) in shards {
-            advances.extend(shard);
+        self.fanout.observe_fanout(awake.div_ceil(width), chunk, wall.elapsed());
+        for stats in shards {
             self.absorb_shard_stats(stats);
         }
-        advances
     }
 
     /// Failure-driven recovery after a node crash: every tracked
@@ -2033,6 +2105,73 @@ mod tests {
         }
         assert!(profiler.nanos(Stage::NodeTick) > 0, "node ticking must be attributed");
         assert!(profiler.nanos(Stage::Predictor) > 0, "predictor scans must be attributed");
+        assert!(profiler.nanos(Stage::Reduce) > 0, "the reduce must be attributed");
         assert_eq!(profiler.nanos(Stage::Placement), 0, "the cluster only times its own phase");
+    }
+
+    /// A rack whose nodes follow `mask` (0 online, 1 asleep, 2 offline),
+    /// with a guest on every online node and the first online node deep
+    /// in its crash region, so ticks carry crashes and re-scores.
+    fn masked_rack(mask: &[u8]) -> Cluster {
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(mask.len()), 100);
+        for (i, &state) in mask.iter().enumerate() {
+            let id = NodeId(i as u32);
+            match state {
+                1 => cluster.park_node(id),
+                2 => {
+                    cluster.mark_crashed(id);
+                    cluster.begin_repair(id, 1000);
+                }
+                _ => {}
+            }
+        }
+        for i in 0..mask.len() {
+            let class = if i % 2 == 0 { SlaClass::Gold } else { SlaClass::Bronze };
+            cluster.submit(VmConfig::idle_guest(), class);
+        }
+        if let Some(first) = mask.iter().position(|&state| state == 0) {
+            let server = cluster.nodes_mut()[first].hypervisor.node_mut();
+            let deep = server.part().offset_mv(0.20);
+            server.msr.set_voltage_offset_all(deep).unwrap();
+        }
+        cluster
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Any cap and any width (measured, or forced through the test
+        /// hook) give the cap-1 cluster's reports, placements and
+        /// metrics, while nodes sleep, wake and sit offline.
+        #[test]
+        fn any_cap_and_width_matches_the_cap_one_cluster(
+            mask in proptest::collection::vec(0u8..3, 1..10),
+            cap in 1usize..5,
+            forced in 0usize..5,
+        ) {
+            let mut reference = masked_rack(&mask);
+            let mut under = masked_rack(&mask);
+            under.set_workers(cap);
+            under.fanout.forced = (forced > 0).then_some(forced);
+            reference.enable_metrics();
+            under.enable_metrics();
+            let sleeper = mask.iter().position(|&state| state == 1).map(|i| NodeId(i as u32));
+            for tick in 0..16 {
+                if tick == 8 {
+                    if let Some(id) = sleeper {
+                        reference.wake_node(id);
+                        under.wake_node(id);
+                    }
+                }
+                let a = reference.tick(Seconds::new(1.0));
+                let b = under.tick(Seconds::new(1.0));
+                proptest::prop_assert_eq!(a, b, "tick {} of {:?} at cap {} width {}", tick, mask, cap, forced);
+                proptest::prop_assert_eq!(reference.placements(), under.placements());
+            }
+            let a = reference.take_metrics().expect("metrics were enabled");
+            let b = under.take_metrics().expect("metrics were enabled");
+            proptest::prop_assert_eq!(a.to_json(), b.to_json());
+            proptest::prop_assert!(under.tick_workers_mean() <= cap.max(1) as f64);
+        }
     }
 }

@@ -27,8 +27,9 @@
 //! * [`index`] — the incremental placement index: cached scores and
 //!   node facts behind every placement decision;
 //! * [`cluster`] — the cluster driver: VM streams, proactive
-//!   migration, fleet metrics, the tick's per-node phase on scoped
-//!   worker threads, and the id-keyed placement store.
+//!   migration, fleet metrics, the tick's per-node phase (on the
+//!   caller's thread, or on scoped worker threads when the work pays
+//!   for them), and the id-keyed placement store.
 //!
 //! # Examples
 //!
@@ -46,6 +47,7 @@
 
 pub mod cluster;
 pub mod failure;
+mod fanout;
 pub mod index;
 pub mod lifecycle;
 pub mod migrate;

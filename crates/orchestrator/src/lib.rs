@@ -16,9 +16,9 @@
 //! * [`events`] — the deterministic time-ordered [`EventQueue`];
 //! * [`orchestrator`] — the serving loop: seeded arrival batches,
 //!   energy/SLA-aware placement, crash-driven eviction/migration via
-//!   `uniserver_cloudmgr`, with the per-node phase sharded across
-//!   scoped worker threads (`Cluster::tick`, worker count set once per
-//!   run with `Cluster::set_workers`) under a deterministic sequential
+//!   `uniserver_cloudmgr`, with the per-node phase sharded across up
+//!   to the run's workers (`Cluster::tick`, the cap set once per run
+//!   with `Cluster::set_workers`) under a deterministic sequential
 //!   reduce;
 //! * [`summary`] — the deterministic [`ClusterSummary`] artefact plus
 //!   wall-clock [`OrchestratorTiming`];

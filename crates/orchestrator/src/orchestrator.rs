@@ -11,11 +11,13 @@
 //!    sub-stream and offer it to the energy/SLA-aware scheduler;
 //!    rejections either enter the bounded per-class retry queue or are
 //!    counted `abandoned`, per the [`crate::config::AdmissionPolicy`];
-//! 3. advance every node's hypervisor one tick — **sharded across the
-//!    run's workers** (`Cluster::tick` on scoped threads, one contiguous
-//!    node-index chunk each, the worker count set on the cluster once
-//!    after deploy), with energy, crash events and predictor scores
-//!    reduced sequentially in node-index order;
+//! 3. advance every node's hypervisor one tick — **sharded across up to
+//!    the run's workers** (`Cluster::tick`, the worker count set on the
+//!    cluster once after deploy as a cap: each tick runs on the calling
+//!    thread or on scoped threads with one contiguous node-index chunk
+//!    each, whichever its measured work pays for), with energy, crash
+//!    events and predictor scores reduced sequentially in node-index
+//!    order;
 //! 4. for every crashed node (deduplicated: several same-tick crash
 //!    events still recover once), run failure-driven recovery (migrate
 //!    what fits elsewhere, evict the rest). With the failure lifecycle
@@ -118,7 +120,9 @@ pub fn run_with_telemetry(
     // `threads` drives the parallel deploy and every tick's per-node
     // phase alike.
     let workers = resolve_workers(config.threads, config.cluster.nodes);
+    let deploy_start = Instant::now();
     let (mut cluster, records, deploy_secs, cache) = deploy_cluster(config);
+    let deploy_wall_ms = deploy_start.elapsed().as_secs_f64() * 1e3;
     cluster.set_workers(workers);
     // The stage profiler is wall-clock (machine-local): it feeds the
     // timing report, never the deterministic summary or metrics.
@@ -631,10 +635,12 @@ pub fn run_with_telemetry(
     let timing = OrchestratorTiming {
         wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
         deploy_ms: deploy_secs * 1e3,
+        deploy_wall_ms,
         serve_ms: serve_start.elapsed().as_secs_f64() * 1e3,
         nodes: config.cluster.nodes,
         arrivals: c.offered,
         workers,
+        tick_workers_mean: cluster.tick_workers_mean(),
         cores: cores(),
         stages: StageBreakdown {
             placement_ms: profiler.ms(Stage::Placement),
@@ -645,6 +651,7 @@ pub fn run_with_telemetry(
             events_ms: profiler.ms(Stage::Events),
             rejoin_ms: profiler.ms(Stage::Rejoin),
             tick_wall_ms: profiler.ms(Stage::Tick),
+            reduce_ms: profiler.ms(Stage::Reduce),
         },
     };
     (summary, timing)

@@ -232,9 +232,13 @@ pub struct StageBreakdown {
     pub events_ms: f64,
     /// Repair countdowns and rejoin re-characterization passes.
     pub rejoin_ms: f64,
-    /// The whole sharded fleet-tick phase, scatter and reduce included
-    /// (a superset of the hypervisor-tick and predictor shard time).
+    /// The whole fleet-tick phase, fan-out and reduce included (a
+    /// superset of the hypervisor-tick and predictor shard time and of
+    /// `reduce_ms`).
     pub tick_wall_ms: f64,
+    /// The tick's sequential reduce and proactive-migration pass, timed
+    /// directly on the caller's thread.
+    pub reduce_ms: f64,
 }
 
 /// Wall-clock accounting of one run — machine-local, deliberately kept
@@ -244,18 +248,27 @@ pub struct StageBreakdown {
 pub struct OrchestratorTiming {
     /// End-to-end wall-clock, in milliseconds.
     pub wall_ms: f64,
-    /// Summed per-node deploy time, in milliseconds.
+    /// Deploy CPU time, in milliseconds: the sum of every deploy
+    /// worker's wall-clock over its node range, so it does not fall as
+    /// workers are added.
     pub deploy_ms: f64,
+    /// Deploy wall-clock, in milliseconds.
+    pub deploy_wall_ms: f64,
     /// Event-loop (serve) wall-clock, in milliseconds.
     pub serve_ms: f64,
     /// Nodes deployed.
     pub nodes: usize,
     /// VM arrivals driven.
     pub arrivals: u64,
-    /// Worker threads used for deploy and the sharded serving loop (the
-    /// resolved count: `threads: 0` means one per core, and explicit
-    /// requests clamp to the core count).
+    /// Worker threads used for deploy, and the cap on the threads each
+    /// serving tick may fan out to (the resolved count: `threads: 0`
+    /// means one per core, and explicit requests clamp to the core
+    /// count).
     pub workers: usize,
+    /// Mean number of threads a serving tick's per-node phase actually
+    /// ran on: below `workers` when ticks too small to spread ran on
+    /// the calling thread.
+    pub tick_workers_mean: f64,
     /// CPU cores available on the benching machine — recorded so a
     /// wall-clock from a single-core container is never mistaken for a
     /// multi-worker regression.

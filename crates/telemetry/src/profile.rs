@@ -26,8 +26,9 @@ pub enum Stage {
     RetryQueue,
     /// First-time arrival admission (placement decisions).
     Placement,
-    /// The whole sharded node-advance phase (wall-clock of the tick
-    /// fan-out; parent of `NodeTick` and `Predictor`).
+    /// The whole node-advance phase (wall-clock of the tick, fan-out
+    /// and reduce included; parent of `NodeTick`, `Predictor` and
+    /// `Reduce`).
     Tick,
     /// Per-node hypervisor ticking, summed across workers (child of
     /// `Tick`).
@@ -35,12 +36,15 @@ pub enum Stage {
     /// Per-node predictor scoring, summed across workers (child of
     /// `Tick`).
     Predictor,
+    /// The tick's sequential reduce and proactive-migration pass, on
+    /// the caller's thread (child of `Tick`).
+    Reduce,
     /// Failure-driven recovery (crash migration/eviction).
     Recovery,
 }
 
 /// All stages, in display order.
-pub const STAGES: [Stage; 9] = [
+pub const STAGES: [Stage; 10] = [
     Stage::Deploy,
     Stage::Rejoin,
     Stage::Events,
@@ -49,6 +53,7 @@ pub const STAGES: [Stage; 9] = [
     Stage::Tick,
     Stage::NodeTick,
     Stage::Predictor,
+    Stage::Reduce,
     Stage::Recovery,
 ];
 
@@ -64,6 +69,7 @@ impl Stage {
             Stage::NodeTick => 6,
             Stage::Predictor => 7,
             Stage::Recovery => 8,
+            Stage::Reduce => 9,
         }
     }
 
@@ -80,15 +86,16 @@ impl Stage {
             Stage::NodeTick => "node_tick",
             Stage::Predictor => "predictor",
             Stage::Recovery => "recovery",
+            Stage::Reduce => "reduce",
         }
     }
 
-    /// The enclosing stage, for the two spans nested inside the tick
-    /// fan-out.
+    /// The enclosing stage, for the three spans nested inside the
+    /// tick.
     #[must_use]
     pub fn parent(self) -> Option<Stage> {
         match self {
-            Stage::NodeTick | Stage::Predictor => Some(Stage::Tick),
+            Stage::NodeTick | Stage::Predictor | Stage::Reduce => Some(Stage::Tick),
             _ => None,
         }
     }
@@ -98,7 +105,7 @@ impl Stage {
 /// spans add their elapsed nanoseconds on drop.
 #[derive(Debug, Default)]
 pub struct StageProfiler {
-    nanos: [AtomicU64; 9],
+    nanos: [AtomicU64; STAGES.len()],
 }
 
 impl StageProfiler {
@@ -171,6 +178,7 @@ mod tests {
     fn hierarchy_names_the_tick_children() {
         assert_eq!(Stage::NodeTick.parent(), Some(Stage::Tick));
         assert_eq!(Stage::Predictor.parent(), Some(Stage::Tick));
+        assert_eq!(Stage::Reduce.parent(), Some(Stage::Tick));
         assert_eq!(Stage::Placement.parent(), None);
         for stage in STAGES {
             assert!(!stage.label().is_empty());
