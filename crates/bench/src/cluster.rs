@@ -11,6 +11,52 @@ use uniserver_orchestrator::summary::{ClusterSummary, OrchestratorTiming};
 
 use crate::render::json::JsonWriter;
 
+/// Class labels in the summary's per-class order.
+const CLASS_NAMES: [&str; 3] = ["gold", "silver", "bronze"];
+
+/// Writes the optional outcome objects, in their fixed order, for both
+/// the summary and the bench record. Each is present only when its
+/// subsystem ran, so legacy renders stay byte-identical: `chaos` when
+/// the lifecycle or a fault plan was active, `power` when the policy
+/// manages node power (consolidation), `gray` when the plan carried a
+/// gray or power-cap campaign.
+fn write_outcomes(w: &mut JsonWriter, s: &ClusterSummary) {
+    if let Some(chaos) = &s.chaos {
+        w.field_object("chaos", |o| {
+            o.field_u64("injected_crashes", chaos.injected_crashes);
+            o.field_u64("nodes_offlined", chaos.nodes_offlined);
+            o.field_u64("rejoins", chaos.rejoins);
+            o.field_u64("peak_offline", chaos.peak_offline);
+            o.field_f64("downtime_secs", chaos.downtime_secs);
+            o.field_f64("lost_capacity_node_hours", chaos.lost_capacity_node_hours);
+            o.field_f64("availability", chaos.availability);
+            o.field_u64("shed", chaos.shed);
+        });
+    }
+    if let Some(power) = &s.power {
+        w.field_object("power", |o| {
+            o.field_u64("parks", power.parks);
+            o.field_u64("wakes", power.wakes);
+            o.field_u64("consolidation_migrations", power.consolidation_migrations);
+            o.field_f64("asleep_node_secs", power.asleep_node_secs);
+            o.field_u64("peak_asleep", power.peak_asleep);
+        });
+    }
+    if let Some(gray) = &s.gray {
+        w.field_object("gray", |o| {
+            o.field_u64("gray_onsets", gray.gray_onsets);
+            o.field_u64("probe_failures", gray.probe_failures);
+            o.field_u64("quarantines", gray.quarantines);
+            o.field_u64("readmissions", gray.readmissions);
+            o.field_f64("degraded_node_secs", gray.degraded_node_secs);
+            o.field_f64("degraded_node_hours", gray.degraded_node_hours);
+            o.field_u64("peak_degraded", gray.peak_degraded);
+            o.field_f64("powercap_deficit_watt_secs", gray.powercap_deficit_watt_secs);
+            o.field_u64("powercap_sheds", gray.powercap_sheds);
+        });
+    }
+}
+
 /// Renders a cluster summary as JSON with a stable key order. Identical
 /// summaries render to byte-identical strings. `per_tick` controls
 /// whether the (long) time series is included.
@@ -48,10 +94,9 @@ pub fn summary_to_json(s: &ClusterSummary, per_tick: bool) -> String {
     w.field_f64("min_availability", s.min_availability);
     w.field_f64("mean_utilization", s.mean_utilization);
     w.field_f64("min_offset_mv_mean", s.min_offset_mv_mean);
-    let class_names = ["gold", "silver", "bronze"];
     w.field_array("per_class", s.per_class.iter().enumerate(), |(i, c), out| {
         let mut cw = JsonWriter::object();
-        cw.field_str("class", class_names[i]);
+        cw.field_str("class", CLASS_NAMES[i]);
         cw.field_u64("offered", c.offered);
         cw.field_u64("placed", c.placed);
         cw.field_u64("rejected", c.rejected);
@@ -62,40 +107,7 @@ pub fn summary_to_json(s: &ClusterSummary, per_tick: bool) -> String {
         cw.field_u64("violations", c.violations);
         out.push_str(&cw.finish());
     });
-    if let Some(chaos) = &s.chaos {
-        w.field_object("chaos", |o| {
-            o.field_u64("injected_crashes", chaos.injected_crashes);
-            o.field_u64("nodes_offlined", chaos.nodes_offlined);
-            o.field_u64("rejoins", chaos.rejoins);
-            o.field_u64("peak_offline", chaos.peak_offline);
-            o.field_f64("downtime_secs", chaos.downtime_secs);
-            o.field_f64("lost_capacity_node_hours", chaos.lost_capacity_node_hours);
-            o.field_f64("availability", chaos.availability);
-            o.field_u64("shed", chaos.shed);
-        });
-    }
-    if let Some(power) = &s.power {
-        w.field_object("power", |o| {
-            o.field_u64("parks", power.parks);
-            o.field_u64("wakes", power.wakes);
-            o.field_u64("consolidation_migrations", power.consolidation_migrations);
-            o.field_f64("asleep_node_secs", power.asleep_node_secs);
-            o.field_u64("peak_asleep", power.peak_asleep);
-        });
-    }
-    if let Some(gray) = &s.gray {
-        w.field_object("gray", |o| {
-            o.field_u64("gray_onsets", gray.gray_onsets);
-            o.field_u64("probe_failures", gray.probe_failures);
-            o.field_u64("quarantines", gray.quarantines);
-            o.field_u64("readmissions", gray.readmissions);
-            o.field_f64("degraded_node_secs", gray.degraded_node_secs);
-            o.field_f64("degraded_node_hours", gray.degraded_node_hours);
-            o.field_u64("peak_degraded", gray.peak_degraded);
-            o.field_f64("powercap_deficit_watt_secs", gray.powercap_deficit_watt_secs);
-            o.field_u64("powercap_sheds", gray.powercap_sheds);
-        });
-    }
+    write_outcomes(&mut w, s);
     w.field_array("per_part", s.per_part.iter(), |part, out| {
         let mut pw = JsonWriter::object();
         pw.field_str("part", &part.part);
@@ -164,56 +176,16 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
     w.field_u64("placed", s.placed);
     w.field_u64("retried", s.retried);
     w.field_u64("abandoned", s.abandoned);
-    let class_names = ["gold", "silver", "bronze"];
     w.field_array("per_class", s.per_class.iter().enumerate(), |(i, c), out| {
         let mut cw = JsonWriter::object();
-        cw.field_str("class", class_names[i]);
+        cw.field_str("class", CLASS_NAMES[i]);
         cw.field_u64("offered", c.offered);
         cw.field_u64("placed", c.placed);
         cw.field_u64("retried", c.retried);
         cw.field_u64("abandoned", c.abandoned);
         out.push_str(&cw.finish());
     });
-    // Chaos accounting rides along only when the run had the lifecycle
-    // or a fault plan active, so legacy rows stay byte-identical.
-    if let Some(chaos) = &s.chaos {
-        w.field_object("chaos", |o| {
-            o.field_u64("injected_crashes", chaos.injected_crashes);
-            o.field_u64("nodes_offlined", chaos.nodes_offlined);
-            o.field_u64("rejoins", chaos.rejoins);
-            o.field_u64("peak_offline", chaos.peak_offline);
-            o.field_f64("downtime_secs", chaos.downtime_secs);
-            o.field_f64("lost_capacity_node_hours", chaos.lost_capacity_node_hours);
-            o.field_f64("availability", chaos.availability);
-            o.field_u64("shed", chaos.shed);
-        });
-    }
-    // Power accounting rides along only when the run's policy manages
-    // node power (consolidation), same gating as the chaos object.
-    if let Some(power) = &s.power {
-        w.field_object("power", |o| {
-            o.field_u64("parks", power.parks);
-            o.field_u64("wakes", power.wakes);
-            o.field_u64("consolidation_migrations", power.consolidation_migrations);
-            o.field_f64("asleep_node_secs", power.asleep_node_secs);
-            o.field_u64("peak_asleep", power.peak_asleep);
-        });
-    }
-    // Gray-failure accounting rides along only when the plan carried a
-    // gray or power-cap campaign — same gating as the summary object.
-    if let Some(gray) = &s.gray {
-        w.field_object("gray", |o| {
-            o.field_u64("gray_onsets", gray.gray_onsets);
-            o.field_u64("probe_failures", gray.probe_failures);
-            o.field_u64("quarantines", gray.quarantines);
-            o.field_u64("readmissions", gray.readmissions);
-            o.field_f64("degraded_node_secs", gray.degraded_node_secs);
-            o.field_f64("degraded_node_hours", gray.degraded_node_hours);
-            o.field_u64("peak_degraded", gray.peak_degraded);
-            o.field_f64("powercap_deficit_watt_secs", gray.powercap_deficit_watt_secs);
-            o.field_u64("powercap_sheds", gray.powercap_sheds);
-        });
-    }
+    write_outcomes(&mut w, s);
     w.field_u64("nodes", t.nodes as u64);
     w.field_u64("arrivals", t.arrivals);
     w.field_u64("threads", t.workers as u64);

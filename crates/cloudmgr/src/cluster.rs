@@ -231,15 +231,12 @@ struct NodeAdvance {
     score: ScoreUpdate,
 }
 
-/// Instrumentation one shard's advance produced on its thread:
-/// wall-clock nanos for the stage profiler (commutative, flushed to
-/// atomics per chunk) and an optional per-shard metrics registry
-/// (merged in chunk == node-index order by the reduce).
+/// Wall-clock nanos one shard's advance spent on its thread, for the
+/// stage profiler (commutative, flushed to atomics per chunk).
 #[derive(Debug, Default)]
 struct ShardStats {
     tick_ns: u64,
     predictor_ns: u64,
-    metrics: Option<MetricsRegistry>,
 }
 
 /// The per-node phase of one contiguous chunk of a tick: each awake,
@@ -248,33 +245,22 @@ struct ShardStats {
 /// the cluster's advance buffer). It touches only the chunk's nodes and
 /// slots and the (shared, read-only) predictor, so shards never race,
 /// and it is the same computation for any chunking, so every width
-/// stays bit-identical. `profile` adds per-node span timing; `collect`
-/// fills a shard-local registry with integer tick-domain stats.
+/// stays bit-identical. `profile` adds per-node span timing.
 fn advance_slice(
     nodes: &mut [ManagedNode],
     slots: &mut [Option<NodeAdvance>],
     predictor: &FailurePredictor,
     duration: Seconds,
     profile: bool,
-    collect: bool,
 ) -> ShardStats {
-    let mut stats = ShardStats { metrics: collect.then(MetricsRegistry::new), ..ShardStats::default() };
+    let mut stats = ShardStats::default();
     nodes
         .iter_mut()
         .map(|node| {
-            if !node.is_online() {
-                if let Some(m) = &mut stats.metrics {
-                    m.inc("node_ticks_skipped_offline");
-                }
-                return None;
-            }
-            // Asleep nodes are frozen: no hypervisor tick, no crash
-            // draws, no predictor observation. Their sleep-state energy
-            // is charged by the sequential reduce, not here.
-            if node.is_asleep() {
-                if let Some(m) = &mut stats.metrics {
-                    m.inc("node_ticks_skipped_asleep");
-                }
+            // Offline nodes are skipped, and asleep nodes are frozen: no
+            // hypervisor tick, no crash draws, no predictor observation.
+            // Sleep-state energy is charged by the sequential reduce.
+            if !node.is_online() || node.is_asleep() {
                 return None;
             }
             let t0 = profile.then(Instant::now);
@@ -288,17 +274,7 @@ fn advance_slice(
                     stats.predictor_ns += t1.elapsed().as_nanos() as u64;
                 }
             }
-            let adv = NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score };
-            if let Some(m) = &mut stats.metrics {
-                m.inc("node_ticks");
-                if matches!(adv.score, ScoreUpdate::Rescore { .. }) {
-                    m.inc("predictor_rescores");
-                }
-                if !adv.crash_events.is_empty() {
-                    m.record("crash_events_per_node_tick", adv.crash_events.len() as u64);
-                }
-            }
-            Some(adv)
+            Some(NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score })
         })
         .zip(slots)
         .for_each(|(adv, slot)| *slot = adv);
@@ -369,9 +345,9 @@ pub struct Cluster {
     /// Wall-clock stage attribution for the per-node phase, when a
     /// caller installed one (machine-local; never in a report).
     profiler: Option<Arc<StageProfiler>>,
-    /// Accumulated tick-domain metrics, when enabled — kept out of
-    /// [`ClusterTickReport`] so the report's `PartialEq` determinism
-    /// contract is untouched.
+    /// Accumulated tick-domain metrics, when enabled, counted by the
+    /// tick's sequential reduce — kept out of [`ClusterTickReport`] so
+    /// the report's `PartialEq` determinism contract is untouched.
     metrics: Option<MetricsRegistry>,
     /// Most threads the per-node phase of a tick may run on (see
     /// [`Cluster::set_workers`]).
@@ -490,8 +466,9 @@ impl Cluster {
     }
 
     /// Switches on tick-domain metrics collection: subsequent ticks
-    /// accumulate per-shard registries merged in node-index order, so
-    /// the result is byte-identical for any worker count.
+    /// count into one registry from the sequential reduce, in
+    /// node-index order, so the result is byte-identical for any
+    /// worker count.
     pub fn enable_metrics(&mut self) {
         self.metrics = Some(MetricsRegistry::new());
     }
@@ -502,13 +479,10 @@ impl Cluster {
         self.metrics.take()
     }
 
-    fn absorb_shard_stats(&mut self, stats: ShardStats) {
+    fn absorb_shard_stats(&self, stats: &ShardStats) {
         if let Some(p) = &self.profiler {
             p.add_nanos(Stage::NodeTick, stats.tick_ns);
             p.add_nanos(Stage::Predictor, stats.predictor_ns);
-        }
-        if let (Some(registry), Some(shard)) = (&mut self.metrics, stats.metrics) {
-            registry.merge(&shard);
         }
     }
 
@@ -811,11 +785,21 @@ impl Cluster {
         let mut energy = Joules::ZERO;
         let predictor = &mut self.predictor;
         let index = &mut self.index;
+        let mut metrics = self.metrics.as_mut();
         for (node, slot) in self.nodes.iter_mut().zip(&mut self.advances) {
             let crashed = match slot.take() {
                 Some(adv) => {
                     energy = energy + adv.energy;
                     let crashed = !adv.crash_events.is_empty();
+                    if let Some(m) = &mut metrics {
+                        m.inc("node_ticks");
+                        if matches!(adv.score, ScoreUpdate::Rescore { .. }) {
+                            m.inc("predictor_rescores");
+                        }
+                        if crashed {
+                            m.record("crash_events_per_node_tick", adv.crash_events.len() as u64);
+                        }
+                    }
                     crashes.extend(adv.crash_events.into_iter().map(|ev| (node.id, ev)));
                     let reliability = predictor.apply(node.id.0, adv.score);
                     // Reliability moves the placement score; healthy
@@ -827,14 +811,21 @@ impl Cluster {
                     }
                     crashed
                 }
+                None if !node.is_online() => {
+                    if let Some(m) = &mut metrics {
+                        m.inc("node_ticks_skipped_offline");
+                    }
+                    false
+                }
                 // Asleep nodes produced no advance either, but unlike
                 // offline nodes they draw sleep power — charged here in
                 // the sequential reduce so the float sums stay in
                 // node-index order for any worker count.
                 None => {
-                    if node.is_online() && node.is_asleep() {
-                        energy = energy + node.accrue_sleep_energy(duration);
+                    if let Some(m) = &mut metrics {
+                        m.inc("node_ticks_skipped_asleep");
                     }
+                    energy = energy + node.accrue_sleep_energy(duration);
                     false
                 }
             };
@@ -871,19 +862,16 @@ impl Cluster {
     /// chunks holding equal awake-node shares ([`awake_cuts`]) on scoped
     /// threads that borrow each chunk of nodes and slots and the
     /// (read-only) predictor, the first chunk on the caller's thread.
-    /// Shard stats absorb in chunk order, so the metrics merge order
-    /// equals node order for any width.
     fn advance_nodes(&mut self, duration: Seconds) {
         let profile = self.profiler.is_some();
-        let collect = self.metrics.is_some();
         let predictor = &self.predictor;
         let advance = move |nodes: &mut [ManagedNode], slots: &mut [Option<NodeAdvance>]| {
-            advance_slice(nodes, slots, predictor, duration, profile, collect)
+            advance_slice(nodes, slots, predictor, duration, profile)
         };
         if self.workers <= 1 {
             let stats = advance(&mut self.nodes, &mut self.advances);
             self.fanout.record(1);
-            self.absorb_shard_stats(stats);
+            self.absorb_shard_stats(&stats);
             return;
         }
         // The nodes `advance_slice` ticks; the rest cost nothing.
@@ -894,7 +882,7 @@ impl Cluster {
             let start = Instant::now();
             let stats = advance(&mut self.nodes, &mut self.advances);
             self.fanout.observe_inline(awake, start.elapsed());
-            self.absorb_shard_stats(stats);
+            self.absorb_shard_stats(&stats);
             return;
         }
         awake_cuts(self.nodes.iter().map(ticks), awake, width, &mut self.fanout.cuts);
@@ -922,7 +910,7 @@ impl Cluster {
             (chunk, shards)
         });
         self.fanout.observe_fanout(awake.div_ceil(width), chunk, wall.elapsed());
-        for stats in shards {
+        for stats in &shards {
             self.absorb_shard_stats(stats);
         }
     }

@@ -23,13 +23,15 @@
 //!   then re-characterize and rejoin;
 //! * [`migrate`] — live-migration cost model;
 //! * [`stream`] — the traffic engine: capacity-scaled, diurnal and
-//!   flash-crowd-modulated arrival/departure streams of VMs;
+//!   flash-crowd-modulated VM arrival batches, each with its drawn
+//!   lifetime (the orchestrator's serve loop offers them and schedules
+//!   the departures);
 //! * [`index`] — the incremental placement index: cached scores and
 //!   node facts behind every placement decision;
-//! * [`cluster`] — the cluster driver: VM streams, proactive
-//!   migration, fleet metrics, the tick's per-node phase (on the
-//!   caller's thread, or on scoped worker threads when the work pays
-//!   for them), and the id-keyed placement store.
+//! * [`cluster`] — the managed rack: submit/terminate, crash recovery,
+//!   proactive migration, fleet metrics, the tick's per-node phase (on
+//!   the caller's thread, or on scoped worker threads when the work
+//!   pays for them), and the id-keyed placement store.
 //!
 //! # Examples
 //!
@@ -74,6 +76,5 @@ pub use policy::{
 pub use scheduler::{Scheduler, SchedulerWeights};
 pub use sla::SlaClass;
 pub use stream::{
-    arrival_seed, Arrival, FlashCrowds, LifetimeModel, Modulation, StreamDriver, TrafficShape,
-    VmStream,
+    arrival_seed, Arrival, FlashCrowds, LifetimeModel, Modulation, TrafficShape, VmStream,
 };

@@ -30,8 +30,6 @@ use uniserver_units::Seconds;
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_silicon::rng::{exponential, poisson, splitmix64, unit_fraction};
 
-use crate::cluster::{Cluster, Placement};
-use crate::node::NodeId;
 use crate::sla::SlaClass;
 
 /// Sub-stream salt for the arrival process (keeps arrival draws
@@ -168,22 +166,6 @@ fn check_mix(what: &str, gold: f64, silver: f64) -> Result<(), String> {
 }
 
 impl VmStream {
-    /// A busy edge-site stream: ~one arrival per 20 s, 2-minute
-    /// lifetimes, 20 % gold / 30 % silver.
-    #[must_use]
-    pub fn edge_site() -> Self {
-        VmStream {
-            arrival_rate: 0.05,
-            per_node_rate: 0.0,
-            mean_lifetime: Seconds::new(120.0),
-            template: VmConfig::idle_guest(),
-            gold_fraction: 0.2,
-            silver_fraction: 0.3,
-            shape: TrafficShape::Flat,
-            lifetimes: LifetimeModel::Exponential,
-        }
-    }
-
     /// A datacenter-scale stream: three LDBC guests arriving per second,
     /// 5-minute lifetimes, 20 % gold / 30 % silver — ≥10⁴ arrivals over
     /// a simulated hour, the orchestrator's flat-profile headline load.
@@ -345,13 +327,6 @@ impl VmStream {
         }
     }
 
-    /// The arrival batch of one tick for a capacity-independent stream —
-    /// [`VmStream::tick_arrivals_scaled`] with zero rack nodes.
-    #[must_use]
-    pub fn tick_arrivals(&self, stream_seed: u64, tick: u64, duration: Seconds) -> Vec<Arrival> {
-        self.tick_arrivals_scaled(stream_seed, tick, duration, 0)
-    }
-
     /// The arrival batch of one tick, drawn from a per-tick sub-stream
     /// of `stream_seed` (see [`arrival_seed`]) at the rate the rack's
     /// capacity and the traffic shape prescribe for this tick's start
@@ -436,157 +411,17 @@ fn pick_class<R: Rng>(rng: &mut R, gold: f64, silver: f64) -> SlaClass {
     }
 }
 
-/// Statistics of one driven interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamStats {
-    /// Arrivals offered to the scheduler.
-    pub offered: u64,
-    /// Arrivals successfully placed.
-    pub placed: u64,
-    /// VMs terminated (lifetime expired).
-    pub terminated: u64,
-    /// Tracked placements lost to evictions (crash recovery that found
-    /// no healthy capacity, or proactive moves whose relaunch failed).
-    pub evicted: u64,
-}
-
-/// The stream driver: owns the live-placement lifetimes.
-#[derive(Debug, Clone)]
-pub struct StreamDriver {
-    config: VmStream,
-    live: Vec<(Placement, Seconds)>,
-    stats: StreamStats,
-    seed: u64,
-    tick: u64,
-}
-
-impl StreamDriver {
-    /// Creates a driver with a deterministic seed. Arrival draws derive
-    /// from per-tick sub-streams of `seed` (see [`arrival_seed`]), so a
-    /// driven run is reproducible tick-by-tick.
-    #[must_use]
-    pub fn new(config: VmStream, seed: u64) -> Self {
-        StreamDriver { config, live: Vec::new(), stats: StreamStats::default(), seed, tick: 0 }
-    }
-
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> StreamStats {
-        self.stats
-    }
-
-    /// Live (stream-tracked) placements.
-    #[must_use]
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Drives one interval: terminate expired guests, then offer new
-    /// arrivals, then tick the cluster and reconcile its feedback —
-    /// crashed nodes run failure-driven recovery, and placements the
-    /// cluster evicted (crash recovery or failed proactive relaunches)
-    /// leave the live table immediately instead of lingering until
-    /// their lifetime expires and overstating `live_count`.
-    pub fn drive(&mut self, cluster: &mut Cluster, duration: Seconds) {
-        // --- Departures, keyed by stable placement id so a VM that was
-        // migrated (new node, new per-node VmId) still terminates.
-        let mut survivors = Vec::with_capacity(self.live.len());
-        for (placement, mut remaining) in self.live.drain(..) {
-            if remaining <= duration {
-                if cluster.terminate_by_id(placement.id) {
-                    self.stats.terminated += 1;
-                }
-            } else {
-                remaining = remaining - duration;
-                survivors.push((placement, remaining));
-            }
-        }
-        self.live = survivors;
-
-        // --- Arrivals, from this tick's sub-stream, at the rack's
-        // capacity-scaled rate.
-        let nodes = cluster.nodes().len();
-        for arrival in self.config.tick_arrivals_scaled(self.seed, self.tick, duration, nodes) {
-            self.stats.offered += 1;
-            if let Some(placement) = cluster.submit(arrival.config, arrival.class) {
-                self.stats.placed += 1;
-                self.live.push((placement, arrival.lifetime));
-            }
-        }
-        self.tick += 1;
-
-        // --- Advance the cluster and reconcile its eviction feedback.
-        let report = cluster.tick(duration);
-        let mut lost: Vec<_> = report.evicted.iter().map(|p| p.id).collect();
-        let mut crashed: Vec<NodeId> = Vec::new();
-        for (node_id, _event) in &report.crashes {
-            if !crashed.contains(node_id) {
-                crashed.push(*node_id);
-            }
-        }
-        for node_id in crashed {
-            let recovery = cluster.recover_from_crash(node_id);
-            lost.extend(recovery.evicted.iter().map(|p| p.id));
-        }
-        if !lost.is_empty() {
-            let stats = &mut self.stats;
-            self.live.retain(|(p, _)| {
-                let evicted = lost.contains(&p.id);
-                if evicted {
-                    stats.evicted += 1;
-                }
-                !evicted
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterConfig;
-
-    #[test]
-    fn stream_churns_vms_through_the_cluster() {
-        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(3), 7);
-        let mut driver = StreamDriver::new(VmStream::edge_site(), 7);
-        for _ in 0..300 {
-            driver.drive(&mut cluster, Seconds::new(5.0));
-        }
-        let s = driver.stats();
-        assert!(s.offered > 40, "offered {}", s.offered);
-        assert!(s.placed > 0 && s.placed <= s.offered);
-        assert!(s.terminated > 0, "lifetimes must expire during the run");
-        // Steady state: the live population stays bounded by capacity.
-        assert!(driver.live_count() < 60);
-    }
-
-    #[test]
-    fn placement_rate_degrades_gracefully_under_overload() {
-        let overloaded = VmStream {
-            arrival_rate: 0.5,
-            mean_lifetime: Seconds::new(600.0),
-            template: VmConfig::ldbc_benchmark(),
-            ..VmStream::edge_site()
-        };
-        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(2), 9);
-        let mut driver = StreamDriver::new(overloaded, 9);
-        for _ in 0..120 {
-            driver.drive(&mut cluster, Seconds::new(5.0));
-        }
-        let s = driver.stats();
-        assert!(s.placed < s.offered, "an overloaded site must reject some arrivals");
-        assert!(cluster.fleet_metrics().rejected > 0);
-        // But what was placed keeps running: no crashes from churn alone.
-        assert_eq!(cluster.fleet_metrics().mean_availability, 1.0);
-    }
 
     #[test]
     fn tick_arrivals_are_pure_and_order_independent() {
         let s = VmStream::datacenter();
-        let forward: Vec<_> = (0..50).map(|t| s.tick_arrivals(9, t, Seconds::new(5.0))).collect();
+        let forward: Vec<_> =
+            (0..50).map(|t| s.tick_arrivals_scaled(9, t, Seconds::new(5.0), 0)).collect();
         let backward: Vec<_> =
-            (0..50).rev().map(|t| s.tick_arrivals(9, t, Seconds::new(5.0))).collect();
+            (0..50).rev().map(|t| s.tick_arrivals_scaled(9, t, Seconds::new(5.0), 0)).collect();
         for (t, batch) in forward.iter().enumerate() {
             assert_eq!(batch, &backward[49 - t], "tick {t} must not depend on draw order");
         }
@@ -601,20 +436,6 @@ mod tests {
         assert_ne!(arrival_seed(1, 0), arrival_seed(1, 1));
         assert_ne!(arrival_seed(1, 0), arrival_seed(2, 0));
         assert_eq!(arrival_seed(7, 42), arrival_seed(7, 42));
-    }
-
-    #[test]
-    fn driver_is_deterministic() {
-        let run = |seed: u64| {
-            let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(2), seed);
-            let mut driver = StreamDriver::new(VmStream::edge_site(), seed);
-            for _ in 0..50 {
-                driver.drive(&mut cluster, Seconds::new(5.0));
-            }
-            driver.stats()
-        };
-        assert_eq!(run(3), run(3));
-        assert_ne!(run(3), run(4));
     }
 
     #[test]
@@ -705,7 +526,6 @@ mod tests {
         let ok = VmStream::datacenter().with_class_mix(0.5, 0.5).expect("valid mix");
         assert_eq!(ok.gold_fraction, 0.5);
         assert!(VmStream::datacenter().validate().is_ok());
-        assert!(VmStream::edge_site().validate().is_ok());
     }
 
     #[test]
@@ -713,7 +533,7 @@ mod tests {
     #[should_panic(expected = "invalid stream")]
     fn sampling_an_overfull_mix_panics_in_debug() {
         let bad = VmStream { gold_fraction: 0.8, silver_fraction: 0.4, ..VmStream::datacenter() };
-        let _ = bad.tick_arrivals(1, 0, Seconds::new(5.0));
+        let _ = bad.tick_arrivals_scaled(1, 0, Seconds::new(5.0), 0);
     }
 
     #[test]
@@ -734,47 +554,5 @@ mod tests {
         assert!(s.validate().is_err(), "inverted pareto bounds");
         let s = VmStream { per_node_rate: -1.0, ..VmStream::datacenter() };
         assert!(s.validate().is_err(), "negative rates");
-    }
-
-    #[test]
-    fn crash_evictions_reconcile_the_live_table() {
-        // A single-node site: when the node crashes, recovery has
-        // nowhere to migrate, so every live placement is evicted. The
-        // driver must learn this from the cluster's feedback instead of
-        // carrying the placements until their lifetimes expire.
-        let stream = VmStream {
-            arrival_rate: 0.5,
-            mean_lifetime: Seconds::new(3_600.0),
-            template: VmConfig::idle_guest(),
-            ..VmStream::edge_site()
-        };
-        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(1), 21);
-        let mut driver = StreamDriver::new(stream, 21);
-        for _ in 0..4 {
-            driver.drive(&mut cluster, Seconds::new(5.0));
-        }
-        assert!(driver.live_count() > 0, "long-lived guests must accumulate");
-
-        // Undervolt the only node deep into its crash region.
-        let deep = cluster.nodes()[0].hypervisor.node().part().offset_mv(0.20);
-        cluster.nodes_mut()[0].hypervisor.node_mut().msr.set_voltage_offset_all(deep).unwrap();
-
-        let mut crashed = false;
-        for _ in 0..60 {
-            driver.drive(&mut cluster, Seconds::new(5.0));
-            // The live table must always agree with the cluster's
-            // tracked placements — stale evicted entries are the bug.
-            assert_eq!(
-                driver.live_count(),
-                cluster.placements().len(),
-                "driver live table diverged from the cluster"
-            );
-            if driver.stats().evicted > 0 {
-                crashed = true;
-                break;
-            }
-        }
-        assert!(crashed, "a 20 % undervolt must crash and evict within 60 ticks");
-        assert_eq!(driver.live_count(), 0, "a 1-node site cannot absorb its own crash");
     }
 }

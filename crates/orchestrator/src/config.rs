@@ -83,10 +83,11 @@ pub struct OrchestratorConfig {
     /// Worker threads for deploy **and** the serving loop's sharded
     /// per-node phase; 0 = one per available core, and explicit counts
     /// are clamped to the available cores (oversubscribing a CPU-bound
-    /// phase only adds scheduling overhead). Deploy and every tick run
-    /// on that many scoped threads. Placement decisions and all reduces stay
-    /// sequential in node-index order, so thread count can never change
-    /// a summary.
+    /// phase only adds scheduling overhead). Deploy runs on that many
+    /// scoped threads; for ticks it is a cap, and each tick runs on the
+    /// calling thread or fans out up to it as its measured work pays
+    /// for. Placement decisions and all reduces stay sequential in
+    /// node-index order, so thread count can never change a summary.
     pub threads: usize,
     /// The VM arrival process. Arrival batches are drawn at the rack's
     /// capacity-scaled rate (`tick_arrivals_scaled` with the cluster's

@@ -61,7 +61,7 @@ use uniserver_cloudmgr::policy::PolicyKind;
 use crate::config::{MarginPolicy, OrchestratorConfig};
 use crate::deploy::{deploy_cluster, rejoin_node};
 use crate::events::EventQueue;
-use crate::serve::{CrashPolicy, RetryQueue, ServeCounters};
+use crate::serve::{RetryQueue, ServeCounters, CLASS_NAMES};
 use crate::summary::{
     ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
     PowerOutcome, StageBreakdown, TickMetrics,
@@ -146,12 +146,6 @@ pub fn run_with_telemetry(
     let mut per_tick = Vec::with_capacity(ticks as usize);
     let mut c = ServeCounters::new(config.cluster.part_mix.len());
     let mut retry = RetryQueue::new(config.admission);
-    let crash_policy = CrashPolicy {
-        margins: config.margins,
-        backoff: config.crash_backoff,
-        lifecycle: config.lifecycle,
-        seed: config.seed,
-    };
     // The cooling-failure ambient step currently programmed into the
     // fleet (0 = the deploy-time baseline).
     let mut ambient_applied = 0.0f64;
@@ -461,7 +455,7 @@ pub fn run_with_telemetry(
                 &report.crashes,
                 tick_end,
                 tick,
-                &crash_policy,
+                config,
                 tel,
             );
         }
@@ -511,11 +505,11 @@ pub fn run_with_telemetry(
     // Whatever is still waiting for re-admission when the horizon ends
     // was never served: count it abandoned so admission ties out too.
     c.flush_pending(&mut retry, ticks, tel);
-    // Shard-accumulated metrics (node ticks, predictor rescores, crash
-    // histograms) merge into the run's registry in node-index order.
-    if let Some(shard_metrics) = cluster.take_metrics() {
+    // The cluster's tick metrics (node ticks, predictor rescores, crash
+    // histograms), counted by its reduce, join the run's registry.
+    if let Some(tick_metrics) = cluster.take_metrics() {
         if let Some(m) = &mut tel.metrics {
-            m.merge(&shard_metrics);
+            m.merge(&tick_metrics);
         }
     }
     if cluster.policy().manages() {
@@ -525,16 +519,25 @@ pub fn run_with_telemetry(
     }
     // Checked in every build: a run that loses or double-counts a VM
     // must not report a summary (fleet_sim exits non-zero).
+    let (offered, placed, abandoned) =
+        (c.total(|s| s.offered), c.total(|s| s.placed), c.total(|s| s.abandoned));
     assert_eq!(
-        c.placed,
+        placed,
         c.completed + c.evicted + cluster.placements().len() as u64,
         "lifecycle accounting must tie out"
     );
     assert_eq!(
-        c.offered,
-        c.placed + c.abandoned,
+        offered,
+        placed + abandoned,
         "admission accounting must tie out: every offer is placed or abandoned"
     );
+    for (stats, class) in c.per_class.iter().zip(CLASS_NAMES) {
+        assert_eq!(
+            stats.offered,
+            stats.placed + stats.abandoned,
+            "{class} admission accounting must tie out"
+        );
+    }
 
     let fleet = cluster.fleet_metrics();
     let mut min_availability = f64::MAX;
@@ -571,12 +574,12 @@ pub fn run_with_telemetry(
         horizon_secs: config.horizon.as_secs(),
         tick_secs: dt.as_secs(),
         ticks,
-        offered: c.offered,
-        placed: c.placed,
-        rejected: c.rejected,
-        retried: c.retried,
-        abandoned: c.abandoned,
-        expired_at_horizon: c.expired_at_horizon,
+        offered,
+        placed,
+        rejected: c.total(|s| s.rejected),
+        retried: c.total(|s| s.retried),
+        abandoned,
+        expired_at_horizon: c.total(|s| s.expired_at_horizon),
         completed: c.completed,
         evicted: c.evicted,
         live_at_end: cluster.placements().len() as u64,
@@ -584,7 +587,7 @@ pub fn run_with_telemetry(
         crash_migrations: c.crash_migrations,
         migrations_settled: c.settled,
         proactive_migrations: fleet.migrations,
-        sla_violations: c.sla_violations,
+        sla_violations: c.total(|s| s.violations),
         migration_downtime_secs: fleet.migration_downtime.as_secs(),
         energy_j: c.energy_j,
         mean_availability: fleet.mean_availability,
@@ -605,7 +608,7 @@ pub fn run_with_telemetry(
                 downtime_secs: c.downtime_secs,
                 lost_capacity_node_hours: c.downtime_secs / 3600.0,
                 availability: 1.0 - c.downtime_secs / node_secs,
-                shed: c.shed,
+                shed: c.total(|s| s.shed),
             }
         }),
         policy: (config.policy != PolicyKind::EnergySla)
@@ -638,7 +641,7 @@ pub fn run_with_telemetry(
         deploy_wall_ms,
         serve_ms: serve_start.elapsed().as_secs_f64() * 1e3,
         nodes: config.cluster.nodes,
-        arrivals: c.offered,
+        arrivals: offered,
         workers,
         tick_workers_mean: cluster.tick_workers_mean(),
         cores: cores(),

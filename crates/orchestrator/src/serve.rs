@@ -5,10 +5,17 @@
 //! in this module runs **after** the parallel phase, sequentially, on
 //! the orchestrator's thread — event drains, SLA charging and
 //! failure-driven recovery are placement-mutating and stay serial so a
-//! run is a pure function of its configuration.
+//! run is a pure function of its configuration. The orchestrator's
+//! serve loop is the only code that drives a VM stream into a
+//! [`Cluster`], and every offer — first-time or re-offer from the
+//! retry queue — goes through one submit step here.
 //!
-//! Two accounting rules live here and are locked by tests:
+//! Accounting rules that live here and are locked by tests:
 //!
+//! * **count once** — admission and SLA outcomes are counted per class
+//!   only ([`crate::summary::ClassStats`]); the summary's totals are
+//!   their sums, and the run checks `offered = placed + abandoned` per
+//!   class and in total;
 //! * **crash events vs. crashed nodes** — `crashes` / `part_crashes`
 //!   count *events* (one per platform-surfaced [`CrashEvent`]), but a
 //!   node surfacing several events in one tick recovers — and backs off
@@ -24,7 +31,6 @@
 use std::collections::VecDeque;
 
 use uniserver_cloudmgr::cluster::{Cluster, Placement};
-use uniserver_cloudmgr::lifecycle::FailureLifecycle;
 use uniserver_cloudmgr::node::NodeId;
 use uniserver_cloudmgr::sla::SlaClass;
 use uniserver_cloudmgr::stream::Arrival;
@@ -33,7 +39,7 @@ use uniserver_platform::node::CrashEvent;
 use uniserver_telemetry::{Telemetry, TraceEvent};
 use uniserver_units::Seconds;
 
-use crate::config::{AdmissionPolicy, MarginPolicy};
+use crate::config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig};
 use crate::events::{Event, EventQueue};
 use crate::summary::ClassStats;
 
@@ -88,14 +94,10 @@ impl RetryQueue {
 }
 
 /// The serving loop's running totals — everything the summary reports
-/// that is not an end-of-run fleet metric.
-#[derive(Debug)]
+/// that is not an end-of-run fleet metric. Admission and SLA counts are
+/// kept per class only; [`ServeCounters::total`] sums them.
+#[derive(Debug, Default)]
 pub(crate) struct ServeCounters {
-    pub offered: u64,
-    pub placed: u64,
-    pub rejected: u64,
-    pub retried: u64,
-    pub abandoned: u64,
     pub completed: u64,
     pub evicted: u64,
     /// Platform-surfaced crash *events* (a node can surface several in
@@ -103,16 +105,10 @@ pub(crate) struct ServeCounters {
     pub crashes: u64,
     pub crash_migrations: u64,
     pub settled: u64,
-    pub sla_violations: u64,
     pub per_class: [ClassStats; 3],
     /// Crash events attributed per part-mix entry.
     pub part_crashes: Vec<u64>,
     pub energy_j: f64,
-    /// Of `abandoned`: still queued when the horizon flushed them.
-    pub expired_at_horizon: u64,
-    /// Placements shed (bronze first) to free capacity for premium
-    /// re-offers while nodes were offline.
-    pub shed: u64,
     /// Synthetic crash events injected by the chaos plan.
     pub injected_crashes: u64,
     /// Times a crashed node was taken offline for repair (lifecycle).
@@ -145,42 +141,23 @@ pub(crate) struct ServeCounters {
     pub powercap_sheds: u64,
 }
 
+/// What one offer to the scheduler came to.
+enum Offer {
+    Placed,
+    /// No feasible node. Carries the arrival back when the caller asked
+    /// to keep it for a re-offer.
+    Rejected(Option<Arrival>),
+}
+
 impl ServeCounters {
     /// Zeroed counters for a rack drawn from `parts` part-mix entries.
     pub fn new(parts: usize) -> Self {
-        ServeCounters {
-            offered: 0,
-            placed: 0,
-            rejected: 0,
-            retried: 0,
-            abandoned: 0,
-            completed: 0,
-            evicted: 0,
-            crashes: 0,
-            crash_migrations: 0,
-            settled: 0,
-            sla_violations: 0,
-            per_class: [ClassStats::default(); 3],
-            part_crashes: vec![0; parts],
-            energy_j: 0.0,
-            expired_at_horizon: 0,
-            shed: 0,
-            injected_crashes: 0,
-            nodes_offlined: 0,
-            rejoins: 0,
-            downtime_secs: 0.0,
-            peak_offline: 0,
-            asleep_node_secs: 0.0,
-            peak_asleep: 0,
-            gray_onsets: 0,
-            probe_failures: 0,
-            quarantines: 0,
-            readmissions: 0,
-            degraded_node_secs: 0.0,
-            peak_degraded: 0,
-            powercap_deficit_watt_secs: 0.0,
-            powercap_sheds: 0,
-        }
+        ServeCounters { part_crashes: vec![0; parts], ..ServeCounters::default() }
+    }
+
+    /// One per-class count summed over the classes.
+    pub fn total(&self, field: fn(&ClassStats) -> u64) -> u64 {
+        self.per_class.iter().map(field).sum()
     }
 
     /// Fires every event due at or before `until`, earliest first:
@@ -224,51 +201,24 @@ impl ServeCounters {
         tick: u64,
         tel: &mut Telemetry,
     ) -> bool {
-        self.offered += 1;
         let class = class_idx(arrival.class);
-        let label = CLASS_NAMES[class];
         self.per_class[class].offered += 1;
         tel.inc("arrivals");
-        tel.emit(&TraceEvent::Arrival { class: label });
+        tel.emit(&TraceEvent::Arrival { class: CLASS_NAMES[class] });
         let budget = retry.policy.retry_budget[class];
-        // Only a retryable class pays for the config clone the re-offer
-        // needs; the legacy path submits the original untouched.
-        let backup = (budget > 0).then(|| arrival.config.clone());
-        match cluster.submit(arrival.config, arrival.class) {
-            Some(placement) => {
-                self.placed += 1;
-                self.per_class[class].placed += 1;
-                queue.schedule(now + arrival.lifetime, Event::Departure(placement.id));
-                tel.inc("placed");
-                tel.record("queue_wait_ticks", 0);
-                tel.record("vm_lifetime_ticks", tel.lifetime_ticks(arrival.lifetime.as_secs()));
-                tel.emit(&TraceEvent::Place {
-                    class: label,
-                    node: u64::from(placement.node.0),
-                    placement: placement.id.0,
-                    wait_ticks: 0,
+        match self.offer(cluster, queue, arrival, budget > 0, now, 0, None, tel) {
+            Offer::Placed => return true,
+            Offer::Rejected(Some(arrival)) if retry.pending[class].len() < retry.policy.queue_depth => {
+                retry.pending[class].push_back(PendingArrival {
+                    arrival,
+                    retries_left: budget,
+                    offered_tick: tick,
                 });
-                true
             }
-            None => {
-                self.rejected += 1;
-                self.per_class[class].rejected += 1;
-                tel.inc("rejected");
-                tel.emit(&TraceEvent::Reject { class: label });
-                match backup {
-                    Some(config) if retry.pending[class].len() < retry.policy.queue_depth => {
-                        retry.pending[class].push_back(PendingArrival {
-                            arrival: Arrival { config, class: arrival.class, lifetime: arrival.lifetime },
-                            retries_left: budget,
-                            offered_tick: tick,
-                        });
-                    }
-                    // Budget zero or queue full: dropped for good.
-                    _ => self.abandon(class, 0, tel),
-                }
-                false
-            }
+            // Budget zero or queue full: dropped for good.
+            Offer::Rejected(_) => self.abandon(class, 0, tel),
         }
+        false
     }
 
     /// Re-offers queued rejections at the start of a tick, gold first,
@@ -295,63 +245,88 @@ impl ServeCounters {
         tel: &mut Telemetry,
     ) -> u64 {
         let mut placed_now = 0;
-        #[allow(clippy::needless_range_loop)] // class indexes four parallel arrays
-        for class in 0..3 {
-            let label = CLASS_NAMES[class];
+        for (class, label) in CLASS_NAMES.into_iter().enumerate() {
             let budget = retry.policy.retry_budget[class];
             let waiting = retry.pending[class].len();
             for _ in 0..waiting {
-                let Some(mut p) = retry.pending[class].pop_front() else { break };
-                self.retried += 1;
+                let Some(p) = retry.pending[class].pop_front() else { break };
                 self.per_class[class].retried += 1;
                 tel.inc("reoffered");
                 tel.emit(&TraceEvent::Reoffer {
                     class: label,
                     retries_left: u64::from(p.retries_left - 1),
                 });
-                let backup = (p.retries_left > 1).then(|| p.arrival.config.clone());
-                let lifetime = p.arrival.lifetime;
-                match cluster.submit(p.arrival.config, p.arrival.class) {
-                    Some(placement) => {
-                        self.placed += 1;
-                        placed_now += 1;
-                        self.per_class[class].placed += 1;
-                        queue.schedule(now + lifetime, Event::Departure(placement.id));
-                        let wait = tick - p.offered_tick;
-                        tel.inc("placed");
-                        tel.record("queue_wait_ticks", wait);
-                        tel.record("vm_lifetime_ticks", tel.lifetime_ticks(lifetime.as_secs()));
-                        tel.record("retry_depth", u64::from(budget - p.retries_left + 1));
-                        tel.emit(&TraceEvent::Place {
-                            class: label,
-                            node: u64::from(placement.node.0),
-                            placement: placement.id.0,
-                            wait_ticks: wait,
+                let wait = tick - p.offered_tick;
+                let depth = u64::from(budget - p.retries_left + 1);
+                let keep = p.retries_left > 1;
+                match self.offer(cluster, queue, p.arrival, keep, now, wait, Some(depth), tel) {
+                    Offer::Placed => placed_now += 1,
+                    Offer::Rejected(Some(arrival)) => {
+                        retry.pending[class].push_back(PendingArrival {
+                            arrival,
+                            retries_left: p.retries_left - 1,
+                            offered_tick: p.offered_tick,
                         });
-                    }
-                    None => {
-                        self.rejected += 1;
-                        self.per_class[class].rejected += 1;
-                        tel.inc("rejected");
-                        tel.emit(&TraceEvent::Reject { class: label });
-                        p.retries_left -= 1;
-                        match backup {
-                            Some(config) => {
-                                p.arrival.config = config;
-                                retry.pending[class].push_back(p);
-                                // Degraded capacity plus a premium
-                                // arrival still waiting: make room.
-                                if shed && class < 2 && cluster.offline_count() > 0 {
-                                    self.shed_lowest(cluster, class, tel);
-                                }
-                            }
-                            None => self.abandon(class, tick - p.offered_tick, tel),
+                        // Degraded capacity plus a premium arrival
+                        // still waiting: make room.
+                        if shed && class < 2 && cluster.offline_count() > 0 {
+                            self.shed_lowest(cluster, class, tel);
                         }
                     }
+                    Offer::Rejected(None) => self.abandon(class, wait, tel),
                 }
             }
         }
         placed_now
+    }
+
+    /// The submit step every offer shares, first or re-offer: a
+    /// placement schedules its departure and records its queue wait
+    /// (`wait` ticks, 0 first-try), lifetime and — for re-offers — its
+    /// `retry_depth`; a rejection is counted, and with `keep` set hands
+    /// the arrival back for the caller to requeue. Only a kept offer
+    /// pays for the config clone a re-offer needs.
+    #[allow(clippy::too_many_arguments)]
+    fn offer(
+        &mut self,
+        cluster: &mut Cluster,
+        queue: &mut EventQueue,
+        arrival: Arrival,
+        keep: bool,
+        now: Seconds,
+        wait: u64,
+        retry_depth: Option<u64>,
+        tel: &mut Telemetry,
+    ) -> Offer {
+        let Arrival { config, class: sla, lifetime } = arrival;
+        let class = class_idx(sla);
+        let label = CLASS_NAMES[class];
+        let backup = keep.then(|| config.clone());
+        match cluster.submit(config, sla) {
+            Some(placement) => {
+                self.per_class[class].placed += 1;
+                queue.schedule(now + lifetime, Event::Departure(placement.id));
+                tel.inc("placed");
+                tel.record("queue_wait_ticks", wait);
+                tel.record("vm_lifetime_ticks", tel.lifetime_ticks(lifetime.as_secs()));
+                if let Some(depth) = retry_depth {
+                    tel.record("retry_depth", depth);
+                }
+                tel.emit(&TraceEvent::Place {
+                    class: label,
+                    node: u64::from(placement.node.0),
+                    placement: placement.id.0,
+                    wait_ticks: wait,
+                });
+                Offer::Placed
+            }
+            None => {
+                self.per_class[class].rejected += 1;
+                tel.inc("rejected");
+                tel.emit(&TraceEvent::Reject { class: label });
+                Offer::Rejected(backup.map(|config| Arrival { config, class: sla, lifetime }))
+            }
+        }
     }
 
     /// Sheds one placement of the lowest class below `above_class` —
@@ -370,7 +345,6 @@ impl ServeCounters {
             if let Some(victim) = victim {
                 let terminated = cluster.terminate_by_id(victim.id);
                 debug_assert!(terminated, "a tracked placement terminates exactly once");
-                self.shed += 1;
                 self.per_class[class].shed += 1;
                 tel.inc("shed");
                 tel.emit(&TraceEvent::Shed {
@@ -417,7 +391,6 @@ impl ServeCounters {
         for class in 0..3 {
             while let Some(p) = retry.pending[class].pop_front() {
                 self.abandon(class, final_tick.saturating_sub(p.offered_tick), tel);
-                self.expired_at_horizon += 1;
                 self.per_class[class].expired_at_horizon += 1;
                 tel.inc("expired_at_horizon");
             }
@@ -425,7 +398,6 @@ impl ServeCounters {
     }
 
     fn abandon(&mut self, class: usize, wait_ticks: u64, tel: &mut Telemetry) {
-        self.abandoned += 1;
         self.per_class[class].abandoned += 1;
         tel.inc("abandoned");
         tel.record(ABANDON_WAIT[class], wait_ticks);
@@ -435,7 +407,6 @@ impl ServeCounters {
     /// whatever the class promised.
     pub fn charge_eviction(&mut self, lost: &Placement, tel: &mut Telemetry) {
         self.evicted += 1;
-        self.sla_violations += 1;
         self.per_class[class_idx(lost.class)].violations += 1;
         tel.inc("evictions");
     }
@@ -466,7 +437,7 @@ impl ServeCounters {
         crashes: &[(NodeId, CrashEvent)],
         tick_end: Seconds,
         tick: u64,
-        policy: &CrashPolicy,
+        config: &OrchestratorConfig,
         tel: &mut Telemetry,
     ) -> u64 {
         let mut crashed: Vec<NodeId> = Vec::new();
@@ -486,7 +457,7 @@ impl ServeCounters {
         }
         let mut migrations = 0;
         for node_id in crashed {
-            if policy.lifecycle.enabled {
+            if config.lifecycle.enabled {
                 cluster.mark_crashed(node_id);
             }
             let recovery = cluster.recover_from_crash(node_id);
@@ -504,18 +475,17 @@ impl ServeCounters {
                 // Gold/Silver promise continuity; a crash-forced move
                 // interrupted them.
                 if moved.class != SlaClass::Bronze {
-                    self.sla_violations += 1;
                     self.per_class[class_idx(moved.class)].violations += 1;
                 }
             }
             for lost in &recovery.evicted {
                 self.charge_eviction(lost, tel);
             }
-            if policy.lifecycle.enabled {
+            if config.lifecycle.enabled {
                 // The crash costs capacity, not margin: the node leaves
                 // the fleet for its repair window and the rejoin
                 // re-shmoo re-derives its operating point honestly.
-                let mttr = policy.lifecycle.draw_mttr(policy.seed, node_id, tick);
+                let mttr = config.lifecycle.draw_mttr(config.seed, node_id, tick);
                 cluster.begin_repair(node_id, mttr);
                 self.nodes_offlined += 1;
                 tel.inc("nodes_offlined");
@@ -524,12 +494,12 @@ impl ServeCounters {
                     node: u64::from(node_id.0),
                     mttr_ticks: u64::from(mttr),
                 });
-            } else if policy.margins == MarginPolicy::Extended {
+            } else if config.margins == MarginPolicy::Extended {
                 // Reboot firmware cleared the undervolts: re-deploy the
                 // node at a backed-off point instead of silently running
                 // nominal (or leave nominal racks alone).
                 let idx = node_id.0 as usize;
-                points[idx] = points[idx].backed_off(policy.backoff);
+                points[idx] = points[idx].backed_off(config.crash_backoff);
                 points[idx].apply_to(cluster.server_mut(node_id));
             }
         }
@@ -537,30 +507,16 @@ impl ServeCounters {
     }
 }
 
-/// How the serving loop treats a crashed node — the legacy in-place
-/// recovery knobs plus the failure lifecycle that supersedes them.
-pub(crate) struct CrashPolicy {
-    /// Fleet margin policy (nominal racks never back off).
-    pub margins: MarginPolicy,
-    /// Legacy geometric EOP backoff fraction, used only with the
-    /// lifecycle disabled.
-    pub backoff: f64,
-    /// The failure lifecycle; enabled, crashes cost capacity (offline
-    /// MTTR window + rejoin re-characterization) instead of margin.
-    pub lifecycle: FailureLifecycle,
-    /// Scenario seed, for the pure per-`(node, tick)` MTTR draw.
-    pub seed: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use uniserver_cloudmgr::lifecycle::FailureLifecycle;
     use uniserver_hypervisor::vm::VmConfig;
+    use uniserver_telemetry::MetricsRegistry;
     use uniserver_units::Volts;
 
-    use crate::config::OrchestratorConfig;
     use crate::deploy::deploy_cluster;
 
     fn crash_event(at: f64) -> CrashEvent {
@@ -581,17 +537,6 @@ mod tests {
         let (mut cluster, _, _, _) = deploy_cluster(&config);
         while cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).is_some() {}
         cluster
-    }
-
-    /// The pre-lifecycle crash policy: recover in place with the
-    /// config's geometric backoff.
-    fn legacy_policy(config: &OrchestratorConfig) -> CrashPolicy {
-        CrashPolicy {
-            margins: config.margins,
-            backoff: config.crash_backoff,
-            lifecycle: FailureLifecycle::disabled(),
-            seed: config.seed,
-        }
     }
 
     #[test]
@@ -628,7 +573,7 @@ mod tests {
         assert_eq!(c.per_class[0].abandoned, 1, "budget exhausted: now it abandons");
         assert_eq!(c.per_class[0].rejected, 5, "the initial rejection plus four failed re-offers");
         assert_eq!(retry.pending_len(), 0);
-        assert_eq!(c.offered, c.placed + c.abandoned, "the lifecycle invariant must tie out");
+        assert_eq!(c.total(|s| s.offered), c.total(|s| s.placed) + c.total(|s| s.abandoned), "the lifecycle invariant must tie out");
     }
 
     #[test]
@@ -653,7 +598,7 @@ mod tests {
         assert_eq!(c.per_class[0].retried, 1);
         assert_eq!(c.per_class[0].abandoned, 0);
         assert_eq!(retry.pending_len(), 0);
-        assert_eq!(c.offered, c.placed + c.abandoned);
+        assert_eq!(c.total(|s| s.offered), c.total(|s| s.placed) + c.total(|s| s.abandoned));
     }
 
     #[test]
@@ -667,8 +612,32 @@ mod tests {
         assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
         assert_eq!(c.per_class[0].rejected, 1);
         assert_eq!(c.per_class[0].abandoned, 1, "zero budget is the legacy drop path");
-        assert_eq!(c.retried, 0);
+        assert_eq!(c.total(|s| s.retried), 0);
         assert_eq!(retry.pending_len(), 0);
+    }
+
+    #[test]
+    fn full_retry_queue_abandons_a_first_offer_at_once() {
+        let mut cluster = overloaded_rack(45);
+        let mut queue = EventQueue::new();
+        let mut retry = RetryQueue::new(AdmissionPolicy { retry_budget: [4, 0, 0], queue_depth: 1 });
+        let mut c = ServeCounters::new(1);
+        let mut tel = Telemetry::disabled();
+        tel.metrics = Some(MetricsRegistry::new());
+
+        assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
+        assert_eq!(retry.pending_len(), 1, "the first gold rejection queues");
+        assert_eq!(c.per_class[0].abandoned, 0);
+
+        // Same tick, queue already at depth: the budget is there but
+        // the queue is not, so the second rejection abandons on the spot.
+        assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
+        assert_eq!(retry.pending_len(), 1, "an overflowing rejection must not queue");
+        assert_eq!(c.per_class[0].rejected, 2);
+        assert_eq!(c.per_class[0].abandoned, 1);
+        let metrics = tel.metrics.as_ref().expect("metrics registry was enabled");
+        let waited = metrics.histogram("abandon_wait_ticks_gold").expect("the abandon was recorded");
+        assert_eq!((waited.count, waited.max), (1, 0), "an overflow abandons after zero ticks");
     }
 
     #[test]
@@ -685,10 +654,10 @@ mod tests {
         assert_eq!(retry.pending_len(), 3);
         c.flush_pending(&mut retry, 60, &mut tel);
         assert_eq!(retry.pending_len(), 0);
-        assert_eq!(c.abandoned, 3);
-        assert_eq!(c.expired_at_horizon, 3, "horizon drops are annotated as expirations");
+        assert_eq!(c.total(|s| s.abandoned), 3);
+        assert_eq!(c.total(|s| s.expired_at_horizon), 3, "horizon drops are annotated as expirations");
         assert_eq!(c.per_class[0].expired_at_horizon, 3);
-        assert_eq!(c.offered, c.placed + c.abandoned);
+        assert_eq!(c.total(|s| s.offered), c.total(|s| s.placed) + c.total(|s| s.abandoned));
     }
 
     #[test]
@@ -721,7 +690,7 @@ mod tests {
             &crashes,
             Seconds::new(5.0),
             1,
-            &legacy_policy(&config),
+            &config,
             &mut tel,
         );
 
@@ -754,7 +723,6 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut counters = ServeCounters::new(config.cluster.part_mix.len());
         let mut tel = Telemetry::disabled();
-        let policy = legacy_policy(&config);
         // The same node crashes on two CONSECUTIVE ticks — each tick's
         // dedup set is fresh, so the backoff legitimately compounds …
         for tick in 1..=2u64 {
@@ -766,7 +734,7 @@ mod tests {
                 &[(victim, crash_event(tick as f64 * 5.0))],
                 Seconds::new(tick as f64 * 5.0),
                 tick,
-                &policy,
+                &config,
                 &mut tel,
             );
         }
@@ -789,7 +757,10 @@ mod tests {
 
     #[test]
     fn lifecycle_crash_takes_the_node_offline_and_skips_the_backoff() {
-        let config = OrchestratorConfig::smoke(3, 17);
+        let config = OrchestratorConfig {
+            lifecycle: FailureLifecycle::standard(),
+            ..OrchestratorConfig::smoke(3, 17)
+        };
         let (mut cluster, records, _, _) = deploy_cluster(&config);
         let mut points: Vec<OperatingPoint> = records.iter().map(|r| r.point.clone()).collect();
         let node_parts = vec![None; records.len()];
@@ -804,12 +775,6 @@ mod tests {
         let mut queue = EventQueue::new();
         let mut counters = ServeCounters::new(config.cluster.part_mix.len());
         let mut tel = Telemetry::disabled();
-        let policy = CrashPolicy {
-            margins: config.margins,
-            backoff: config.crash_backoff,
-            lifecycle: FailureLifecycle::standard(),
-            seed: config.seed,
-        };
         counters.recover_crashes(
             &mut cluster,
             &mut queue,
@@ -818,7 +783,7 @@ mod tests {
             &[(victim, crash_event(5.0))],
             Seconds::new(5.0),
             1,
-            &policy,
+            &config,
             &mut tel,
         );
 
@@ -855,7 +820,7 @@ mod tests {
         // With every node healthy, a failed re-offer sheds nothing even
         // with the shed gate open — degradation only under degradation.
         c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(5.0), 1, true, &mut tel);
-        assert_eq!(c.shed, 0, "no shedding while the fleet is at full capacity");
+        assert_eq!(c.total(|s| s.shed), 0, "no shedding while the fleet is at full capacity");
 
         // A node goes offline; the still-queued gold re-offer now sheds
         // one bronze victim (youngest first) to make room …
@@ -864,7 +829,7 @@ mod tests {
         cluster.begin_repair(NodeId(0), 12);
         let bronze_before = cluster.placements().len();
         c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(10.0), 2, true, &mut tel);
-        assert_eq!(c.shed, 1, "degraded capacity plus a waiting gold must shed");
+        assert_eq!(c.total(|s| s.shed), 1, "degraded capacity plus a waiting gold must shed");
         assert_eq!(c.per_class[2].shed, 1, "bronze is shed first");
         assert_eq!(c.evicted, 1, "a shed is charged as an eviction");
         assert_eq!(cluster.placements().len(), bronze_before - 1);
@@ -874,7 +839,7 @@ mod tests {
             c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(15.0), 3, true, &mut tel);
         assert_eq!(placed, 1, "the freed capacity admits the queued gold next tick");
         assert_eq!(c.per_class[0].placed, 1);
-        assert_eq!(c.offered, c.placed + c.abandoned);
+        assert_eq!(c.total(|s| s.offered), c.total(|s| s.placed) + c.total(|s| s.abandoned));
     }
 
     #[test]
@@ -894,7 +859,7 @@ mod tests {
             &[(NodeId(0), crash_event(1.0))],
             Seconds::new(5.0),
             1,
-            &legacy_policy(&config),
+            &config,
             &mut tel,
         );
         assert_eq!(counters.crashes, 1);

@@ -5,9 +5,9 @@
 //!
 //! * [`MetricsRegistry`] — **sim-domain**, deterministic. Counters,
 //!   min/max gauges and fixed-log2-bucket histograms over integer
-//!   tick-domain values, accumulated per shard and merged in
-//!   node-index order. Byte-identical across worker counts and event
-//!   permutations within a tick.
+//!   tick-domain values, accumulated by the sequential phases of the
+//!   serve loop in node-index order. Byte-identical across worker
+//!   counts and event permutations within a tick.
 //! * [`TraceSink`] — **sim-domain**, deterministic. An opt-in NDJSON
 //!   stream of sim-time-stamped events with stable field ordering: the
 //!   replayable audit trail of a run.

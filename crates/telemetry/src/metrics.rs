@@ -3,9 +3,9 @@
 //! Everything in here is **sim-domain and integer-valued**: counters
 //! add, gauges fold min/max, and histograms bucket by the position of
 //! the value's highest set bit. All three operations are commutative
-//! and associative over merges, so per-shard registries merged in
-//! node-index order render byte-identically whatever the worker count
-//! — and, stronger, whatever the *order* events were recorded in
+//! and associative over merges, so registries merged in any order
+//! render byte-identically whatever the worker count — and,
+//! stronger, whatever the *order* events were recorded in
 //! within one tick (the proptest in `tests/telemetry_registry.rs`
 //! locks exactly that permutation invariance).
 //!
@@ -66,8 +66,8 @@ pub const BUCKETS: usize = 65;
 ///
 /// Integer-only on purpose: `count`, `sum`, `min`, `max` and every
 /// bucket are exact under any merge order, so histograms accumulated
-/// per shard and merged in node-index order are byte-identical to a
-/// single sequential accumulation.
+/// separately and merged are byte-identical to a single sequential
+/// accumulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Values recorded.

@@ -94,7 +94,7 @@ proptest! {
         // And the flat legacy stream must ignore capacity entirely.
         let flat = VmStream::datacenter();
         let a = flat.tick_arrivals_scaled(seed, 3, Seconds::new(5.0), nodes);
-        let b = flat.tick_arrivals(seed, 3, Seconds::new(5.0));
+        let b = flat.tick_arrivals_scaled(seed, 3, Seconds::new(5.0), 0);
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }
