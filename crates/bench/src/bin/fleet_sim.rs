@@ -74,24 +74,9 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use uniserver_bench::cluster::{bench_record, summary_to_json};
-use uniserver_orchestrator::{run_with_telemetry, MarginPolicy, OrchestratorConfig, PolicyKind};
+use uniserver_bench::cluster::{bench_record, scenario, summary_to_json, Profile};
+use uniserver_orchestrator::{run_with_telemetry, MarginPolicy, PolicyKind};
 use uniserver_telemetry::{MetricsRegistry, Telemetry, TraceSink};
-use uniserver_units::Seconds;
-
-/// The scenario profile behind `--profile`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Profile {
-    /// The legacy flat arrival stream (the default).
-    Flat,
-    /// The traffic engine's flash-crowd scenario.
-    Flash,
-    /// Flash crowd plus the failure lifecycle and fault campaigns.
-    Chaos,
-    /// Flash crowd plus gray failures, the health watchdog and a
-    /// brownout power cap.
-    Gray,
-}
 
 struct Args {
     nodes: usize,
@@ -153,19 +138,7 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
             }
             "--no-per-tick" => args.per_tick = false,
             "--nominal" => args.nominal = true,
-            "--profile" => {
-                args.profile = match value("--profile")?.as_str() {
-                    "flash" => Profile::Flash,
-                    "flat" => Profile::Flat,
-                    "chaos" => Profile::Chaos,
-                    "gray" => Profile::Gray,
-                    other => {
-                        return Err(format!(
-                            "--profile must be flat, flash, chaos or gray, got '{other}'"
-                        ))
-                    }
-                };
-            }
+            "--profile" => args.profile = Profile::parse(&value("--profile")?)?,
             "--policy" => {
                 let name = value("--policy")?;
                 args.policy = PolicyKind::parse(&name).ok_or_else(|| {
@@ -228,38 +201,7 @@ fn append_bench(path: &str, line: &str) -> ExitCode {
 }
 
 fn run(args: Args) -> ExitCode {
-    let mut config = match args.profile {
-        Profile::Flat => OrchestratorConfig::datacenter(args.nodes, args.seed),
-        Profile::Flash => OrchestratorConfig::flash_crowd(args.nodes, args.seed),
-        Profile::Chaos => OrchestratorConfig::chaos_profile(args.nodes, args.seed),
-        Profile::Gray => OrchestratorConfig::gray_profile(args.nodes, args.seed),
-    };
-    if let Some(secs) = args.secs {
-        config.horizon = Seconds::new(secs);
-    }
-    if let Some(tick) = args.tick {
-        config.tick = Seconds::new(tick);
-    }
-    if args.secs.is_some() || args.tick.is_some() {
-        // The fault campaigns anchor to tick fractions of the horizon:
-        // re-derive the plan so the rack, cooling and brownout windows
-        // land inside whatever span was actually requested.
-        match args.profile {
-            Profile::Chaos => {
-                config.chaos =
-                    Some(uniserver_orchestrator::ChaosPlan::rack_and_flash(config.ticks()));
-            }
-            Profile::Gray => {
-                #[allow(clippy::cast_possible_truncation)]
-                let fleet_width = args.nodes as u32;
-                config.chaos = Some(uniserver_orchestrator::ChaosPlan::gray_brownout(
-                    config.ticks(),
-                    fleet_width,
-                ));
-            }
-            Profile::Flat | Profile::Flash => {}
-        }
-    }
+    let mut config = scenario(args.profile, args.nodes, args.seed, args.secs, args.tick);
     config.threads = args.threads;
     config.policy = args.policy;
     if args.nominal {

@@ -1,4 +1,9 @@
-//! Machine-readable rendering of orchestrated cluster runs.
+//! Scenario assembly and machine-readable rendering of orchestrated
+//! cluster runs.
+//!
+//! [`scenario`] builds the configuration `fleet_sim` runs from its
+//! profile and horizon flags, so tests that pin `fleet_sim`'s output
+//! run exactly what the binary runs.
 //!
 //! The orchestrator crate produces structured, `PartialEq`-comparable
 //! summaries; this module renders them to stable-key-order JSON, so
@@ -8,8 +13,81 @@
 //! summary.
 
 use uniserver_orchestrator::summary::{ClusterSummary, OrchestratorTiming};
+use uniserver_orchestrator::{ChaosPlan, OrchestratorConfig};
+use uniserver_units::Seconds;
 
 use crate::render::json::JsonWriter;
+
+/// The scenario preset behind `fleet_sim --profile`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profile {
+    /// The legacy flat arrival stream (the default).
+    Flat,
+    /// The traffic engine's flash-crowd scenario.
+    Flash,
+    /// Flash crowd plus the failure lifecycle and fault campaigns.
+    Chaos,
+    /// Flash crowd plus gray failures, the health watchdog and a
+    /// brownout power cap.
+    Gray,
+}
+
+impl Profile {
+    /// The profile named `name` (`flat`, `flash`, `chaos` or `gray`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the `--profile` usage message for any other name.
+    pub fn parse(name: &str) -> Result<Profile, String> {
+        match name {
+            "flat" => Ok(Profile::Flat),
+            "flash" => Ok(Profile::Flash),
+            "chaos" => Ok(Profile::Chaos),
+            "gray" => Ok(Profile::Gray),
+            other => Err(format!("--profile must be flat, flash, chaos or gray, got '{other}'")),
+        }
+    }
+}
+
+/// The configuration `fleet_sim --profile P --nodes N --seed S
+/// [--secs T] [--tick DT]` runs: the profile's preset, with `secs` and
+/// `tick` overriding its horizon and tick. The fault campaigns anchor
+/// to tick fractions of the horizon, so an override re-derives the
+/// plan and the rack, cooling and brownout windows land inside the
+/// span actually requested.
+#[must_use]
+pub fn scenario(
+    profile: Profile,
+    nodes: usize,
+    seed: u64,
+    secs: Option<f64>,
+    tick: Option<f64>,
+) -> OrchestratorConfig {
+    let mut config = match profile {
+        Profile::Flat => OrchestratorConfig::datacenter(nodes, seed),
+        Profile::Flash => OrchestratorConfig::flash_crowd(nodes, seed),
+        Profile::Chaos => OrchestratorConfig::chaos_profile(nodes, seed),
+        Profile::Gray => OrchestratorConfig::gray_profile(nodes, seed),
+    };
+    if let Some(secs) = secs {
+        config.horizon = Seconds::new(secs);
+    }
+    if let Some(tick) = tick {
+        config.tick = Seconds::new(tick);
+    }
+    if secs.is_some() || tick.is_some() {
+        match profile {
+            Profile::Chaos => config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks())),
+            Profile::Gray => {
+                #[allow(clippy::cast_possible_truncation)]
+                let fleet_width = nodes as u32;
+                config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), fleet_width));
+            }
+            Profile::Flat | Profile::Flash => {}
+        }
+    }
+    config
+}
 
 /// Class labels in the summary's per-class order.
 const CLASS_NAMES: [&str; 3] = ["gold", "silver", "bronze"];
@@ -312,11 +390,7 @@ mod tests {
 
     #[test]
     fn chaos_outcomes_render_only_when_present() {
-        use uniserver_orchestrator::ChaosPlan;
-
-        let mut config = OrchestratorConfig::chaos_profile(4, 5);
-        config.horizon = uniserver_units::Seconds::new(600.0);
-        config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks()));
+        let config = scenario(Profile::Chaos, 4, 5, Some(600.0), None);
         let (summary, timing) = run_timed(&config);
         assert!(summary.chaos.is_some());
         let record = bench_record(&summary, &timing, "chaos");
@@ -343,11 +417,7 @@ mod tests {
 
     #[test]
     fn gray_outcomes_render_only_under_a_gray_plan() {
-        use uniserver_orchestrator::ChaosPlan;
-
-        let mut config = OrchestratorConfig::gray_profile(4, 5);
-        config.horizon = uniserver_units::Seconds::new(600.0);
-        config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), 4));
+        let config = scenario(Profile::Gray, 4, 5, Some(600.0), None);
         let (summary, timing) = run_timed(&config);
         assert!(summary.gray.is_some());
         let record = bench_record(&summary, &timing, "gray");

@@ -165,7 +165,8 @@ pub struct FleetMetrics {
     pub mean_utilization: f64,
     /// Total energy consumed.
     pub total_energy: Joules,
-    /// Proactive migrations performed.
+    /// Migrations not forced by a crash or a consolidation drain:
+    /// predictor-driven moves plus [`Cluster::drain_degraded`] moves.
     pub migrations: u64,
     /// Failure-driven migrations performed after node crashes.
     pub crash_migrations: u64,
@@ -214,8 +215,6 @@ pub struct CrashRecovery {
     /// Placements that no healthy node could absorb; their VMs were
     /// stopped on the crashed host.
     pub evicted: Vec<Placement>,
-    /// Migration blackout paid by the moved placements.
-    pub downtime: Seconds,
 }
 
 /// What one node's share of a sharded tick produced — computed on its
@@ -926,8 +925,7 @@ impl Cluster {
         // keep submission order (stable sort, Gold < Silver < Bronze).
         victims.sort_by_key(|p| p.class);
 
-        let mut recovery =
-            CrashRecovery { migrated: Vec::new(), evicted: Vec::new(), downtime: Seconds::ZERO };
+        let mut recovery = CrashRecovery { migrated: Vec::new(), evicted: Vec::new() };
         for victim in victims {
             let (config, cost) = {
                 let node = self.node_ref(victim.node);
@@ -960,7 +958,6 @@ impl Cluster {
                     self.placements.relocate(victim.id, t, new_vm);
                     self.crash_migrations += 1;
                     self.migration_downtime = self.migration_downtime + cost.downtime;
-                    recovery.downtime = recovery.downtime + cost.downtime;
                     recovery.migrated.push((moved, cost));
                 }
                 None => {

@@ -66,7 +66,7 @@ pub use cluster::{
 };
 pub use failure::{FailurePredictor, ScoreUpdate};
 pub use index::PlacementIndex;
-pub use lifecycle::{FailureLifecycle, GrayState, NodePhase, NodePower, SLEEP_POWER_WATTS};
+pub use lifecycle::{GrayState, NodePhase, NodePower, SLEEP_POWER_WATTS};
 pub use migrate::{MigrationCost, MigrationModel};
 pub use node::{ManagedNode, NodeId, NodeMetrics};
 pub use policy::{

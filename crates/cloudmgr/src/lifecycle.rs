@@ -12,9 +12,14 @@
 //! measures what margins the aged silicon *actually* has instead of
 //! guessing with geometric EOP backoff.
 //!
-//! Every MTTR draw is a pure function of `(seed, node, tick)` via the
-//! workspace's SplitMix64 sub-stream convention ([`salt::MTTR`]), so a
-//! run's downtime schedule is byte-identical for any worker count.
+//! The repair policy has no settings: the window bounds are the
+//! [`MTTR_TICKS`] constant in this module, and [`draw_mttr`] picks each
+//! repair's length from them. Every MTTR draw is a pure function of
+//! `(seed, node, tick)` via the workspace's SplitMix64 sub-stream
+//! convention ([`salt::MTTR`]), so a run's downtime schedule is
+//! byte-identical for any worker count.
+
+use std::ops::RangeInclusive;
 
 use uniserver_silicon::rng::{salt, splitmix64};
 
@@ -113,73 +118,26 @@ pub enum NodePower {
 /// sleeping is cheap but not free and energy totals stay comparable.
 pub const SLEEP_POWER_WATTS: f64 = 2.5;
 
-/// Configuration of the failure lifecycle.
-///
-/// Disabled (the default), crashed nodes never leave the pool and the
-/// legacy recover-and-back-off path runs unchanged, draw for draw.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailureLifecycle {
-    /// Whether crashes take nodes offline at all.
-    pub enabled: bool,
-    /// Shortest repair, in ticks (inclusive). Must be at least 1.
-    pub mttr_min_ticks: u32,
-    /// Longest repair, in ticks (inclusive).
-    pub mttr_max_ticks: u32,
-    /// Graceful degradation: when a premium re-offer fails while
-    /// capacity is short, shed one best-effort placement (bronze first)
-    /// so the next re-offer lands in the freed slot.
-    pub shed: bool,
-}
+/// Repair window of a crashed node, in ticks (inclusive): a seeded
+/// 12–96-tick repair, 1–8 minutes at the datacenter's 5 s ticks. The
+/// orchestrator's `lifecycle` switch decides whether crashes take nodes
+/// offline at all; this is the one repair policy when they do.
+pub const MTTR_TICKS: RangeInclusive<u32> = 12..=96;
 
-impl FailureLifecycle {
-    /// Lifecycle off: crashed nodes stay in the pool (legacy behavior,
-    /// preserved draw-for-draw).
-    #[must_use]
-    pub fn disabled() -> Self {
-        FailureLifecycle { enabled: false, mttr_min_ticks: 1, mttr_max_ticks: 1, shed: false }
-    }
-
-    /// The standard repair policy: crashed nodes go offline for a
-    /// seeded 12–96-tick repair (1–8 minutes at the datacenter's 5 s
-    /// ticks) and load sheds bronze-first under capacity pressure.
-    #[must_use]
-    pub fn standard() -> Self {
-        FailureLifecycle { enabled: true, mttr_min_ticks: 12, mttr_max_ticks: 96, shed: true }
-    }
-
-    /// The bounded MTTR for a node crashing at `tick` — a pure function
-    /// of `(seed, node, tick)`, so the repair schedule is independent of
-    /// worker count and discovery order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured MTTR bounds are invalid
-    /// (`min < 1` or `max < min`).
-    #[must_use]
-    pub fn draw_mttr(&self, seed: u64, node: NodeId, tick: u64) -> u32 {
-        assert!(self.mttr_min_ticks >= 1, "repairs take at least one tick");
-        assert!(
-            self.mttr_max_ticks >= self.mttr_min_ticks,
-            "MTTR bounds are inverted: [{}, {}]",
-            self.mttr_min_ticks,
-            self.mttr_max_ticks
-        );
-        let word = splitmix64(
-            seed ^ salt::MTTR
-                ^ u64::from(node.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ tick.wrapping_mul(0xBF58_476D_1CE4_E5B9),
-        );
-        let span = u64::from(self.mttr_max_ticks - self.mttr_min_ticks) + 1;
-        #[allow(clippy::cast_possible_truncation)]
-        let draw = (word % span) as u32;
-        self.mttr_min_ticks + draw
-    }
-}
-
-impl Default for FailureLifecycle {
-    fn default() -> Self {
-        FailureLifecycle::disabled()
-    }
+/// The bounded MTTR for a node crashing at `tick` — a pure function of
+/// `(seed, node, tick)`, so the repair schedule is independent of
+/// worker count and discovery order.
+#[must_use]
+pub fn draw_mttr(seed: u64, node: NodeId, tick: u64) -> u32 {
+    let word = splitmix64(
+        seed ^ salt::MTTR
+            ^ u64::from(node.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ tick.wrapping_mul(0xBF58_476D_1CE4_E5B9),
+    );
+    let span = u64::from(MTTR_TICKS.end() - MTTR_TICKS.start()) + 1;
+    #[allow(clippy::cast_possible_truncation)]
+    let draw = (word % span) as u32;
+    MTTR_TICKS.start() + draw
 }
 
 #[cfg(test)]
@@ -188,33 +146,25 @@ mod tests {
 
     #[test]
     fn mttr_draws_are_pure_and_bounded() {
-        let lc = FailureLifecycle::standard();
         for tick in 0..200u64 {
             for node in 0..8u32 {
-                let a = lc.draw_mttr(42, NodeId(node), tick);
-                let b = lc.draw_mttr(42, NodeId(node), tick);
+                let a = draw_mttr(42, NodeId(node), tick);
+                let b = draw_mttr(42, NodeId(node), tick);
                 assert_eq!(a, b, "draws must be pure in (seed, node, tick)");
-                assert!(
-                    (lc.mttr_min_ticks..=lc.mttr_max_ticks).contains(&a),
-                    "draw {a} escaped [{}, {}]",
-                    lc.mttr_min_ticks,
-                    lc.mttr_max_ticks
-                );
+                assert!(MTTR_TICKS.contains(&a), "draw {a} escaped {MTTR_TICKS:?}");
             }
         }
     }
 
     #[test]
     fn mttr_draws_spread_across_the_range() {
-        let lc = FailureLifecycle::standard();
-        let draws: Vec<u32> =
-            (0..500).map(|t| lc.draw_mttr(7, NodeId(3), t)).collect();
+        let draws: Vec<u32> = (0..500).map(|t| draw_mttr(7, NodeId(3), t)).collect();
         let lo = *draws.iter().min().unwrap();
         let hi = *draws.iter().max().unwrap();
         assert!(hi - lo > 40, "500 draws should span most of 12..=96: {lo}..{hi}");
         assert_ne!(
-            lc.draw_mttr(7, NodeId(0), 5),
-            lc.draw_mttr(8, NodeId(0), 5),
+            draw_mttr(7, NodeId(0), 5),
+            draw_mttr(8, NodeId(0), 5),
             "different seeds must decorrelate repairs"
         );
     }
@@ -240,12 +190,5 @@ mod tests {
             assert!(!phase.is_online());
             assert!(!phase.is_degraded());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one tick")]
-    fn zero_mttr_is_rejected() {
-        let lc = FailureLifecycle { mttr_min_ticks: 0, ..FailureLifecycle::standard() };
-        let _ = lc.draw_mttr(1, NodeId(0), 0);
     }
 }

@@ -3,15 +3,12 @@
 use uniserver_units::Seconds;
 
 use uniserver_cloudmgr::cluster::ClusterConfig;
-use uniserver_cloudmgr::lifecycle::FailureLifecycle;
 use uniserver_cloudmgr::policy::PolicyKind;
 use uniserver_cloudmgr::stream::VmStream;
 use uniserver_core::ecosystem::DeploymentConfig;
 use uniserver_core::optimizer::EopOptimizer;
 use uniserver_faultinject::chaos::ChaosPlan;
 use uniserver_hypervisor::vm::VmConfig;
-
-use crate::watchdog::WatchdogConfig;
 
 /// Which margins the fleet's nodes deploy at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,12 +108,15 @@ pub struct OrchestratorConfig {
     /// window, where NBTI drift has eroded the margins the StressLog
     /// measured at deploy time (§3.D). Zero = freshly characterized.
     pub age_months: f64,
-    /// The node failure lifecycle. Disabled (the default), crashed
+    /// The node failure lifecycle switch. Off (the default), crashed
     /// nodes recover in place with the geometric EOP backoff — the
-    /// legacy behavior, preserved draw-for-draw. Enabled, a crash takes
-    /// the node offline for a seeded MTTR window and it rejoins through
-    /// a re-characterization pass.
-    pub lifecycle: FailureLifecycle,
+    /// legacy behavior, preserved draw-for-draw. On, a crash takes the
+    /// node offline for a seeded MTTR window
+    /// ([`uniserver_cloudmgr::lifecycle::MTTR_TICKS`]) and it rejoins
+    /// through a re-characterization pass; while any node is offline,
+    /// a premium re-offer that still fails sheds a bronze-first
+    /// placement to make room.
+    pub lifecycle: bool,
     /// Seeded fault campaigns injected on top of the fleet's natural
     /// crashes. `None` (the default) = no chaos.
     pub chaos: Option<ChaosPlan>,
@@ -124,10 +124,6 @@ pub struct OrchestratorConfig {
     /// [`PolicyKind::EnergySla`] (the default) reproduces pre-trait
     /// behavior byte-for-byte.
     pub policy: PolicyKind,
-    /// The gray-failure health watchdog. Disabled (the default), no
-    /// probes run and degraded nodes are only ever cleared by their
-    /// fault expiring — the legacy profiles never see any of it.
-    pub watchdog: WatchdogConfig,
 }
 
 impl OrchestratorConfig {
@@ -162,10 +158,9 @@ impl OrchestratorConfig {
             margins: MarginPolicy::Extended,
             crash_backoff: 0.25,
             age_months: 18.0,
-            lifecycle: FailureLifecycle::disabled(),
+            lifecycle: false,
             chaos: None,
             policy: PolicyKind::EnergySla,
-            watchdog: WatchdogConfig::disabled(),
         }
     }
 
@@ -205,7 +200,7 @@ impl OrchestratorConfig {
     #[must_use]
     pub fn chaos_profile(nodes: usize, seed: u64) -> Self {
         let mut config = OrchestratorConfig::flash_crowd(nodes, seed);
-        config.lifecycle = FailureLifecycle::standard();
+        config.lifecycle = true;
         config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks()));
         config
     }
@@ -214,15 +209,15 @@ impl OrchestratorConfig {
     /// failure lifecycle, the [`ChaosPlan::gray_brownout`] campaign —
     /// a steady trickle of silent degradations (capacity capped at
     /// 50 %, CE rate 8×, no crash) plus a fleet-wide power cap over
-    /// the back half of the run — and the standard health watchdog:
-    /// 3-of-8 probe failures quarantine a node, a budgeted drain
-    /// empties it, and 5 consecutive clean probes readmit it.
+    /// the back half of the run. The gray campaign brings the health
+    /// watchdog ([`crate::watchdog`]) with it: 3-of-8 probe failures
+    /// quarantine a node, a budgeted drain empties it, and 5
+    /// consecutive clean probes readmit it.
     #[must_use]
     pub fn gray_profile(nodes: usize, seed: u64) -> Self {
         let mut config = OrchestratorConfig::flash_crowd(nodes, seed);
-        config.lifecycle = FailureLifecycle::standard();
+        config.lifecycle = true;
         config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), nodes as u32));
-        config.watchdog = WatchdogConfig::standard();
         config
     }
 

@@ -52,8 +52,8 @@ pub use summary::{
     ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
     PowerOutcome, StageBreakdown, TickMetrics,
 };
-pub use watchdog::{Watchdog, WatchdogConfig};
+pub use watchdog::Watchdog;
 pub use uniserver_telemetry::{MetricsRegistry, Telemetry, TraceSink};
-pub use uniserver_cloudmgr::lifecycle::{FailureLifecycle, NodePhase};
+pub use uniserver_cloudmgr::lifecycle::NodePhase;
 pub use uniserver_cloudmgr::policy::PolicyKind;
 pub use uniserver_faultinject::chaos::{Campaign, ChaosPlan};

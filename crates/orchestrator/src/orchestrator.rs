@@ -29,9 +29,8 @@
 //!    [`crate::config::OrchestratorConfig::chaos`] plan injects seeded
 //!    fault campaigns — background node crashes, correlated rack/PSU
 //!    failures, cooling-failure ambient steps — on top of the natural
-//!    crash stream, and while capacity is degraded premium re-offers
-//!    shed bronze-first ([`crate::config::OrchestratorConfig`]'s
-//!    lifecycle `shed` knob).
+//!    crash stream, and while nodes are offline premium re-offers shed
+//!    bronze-first.
 //!
 //! After the loop, events due in the final `(last tick start, horizon]`
 //! window are drained so end-of-horizon departures and settlements are
@@ -66,7 +65,9 @@ use crate::summary::{
     ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
     PowerOutcome, StageBreakdown, TickMetrics,
 };
-use crate::watchdog::{probe_fails, Verdict, Watchdog};
+use crate::watchdog::{
+    probe_fails, Verdict, Watchdog, DRAIN_BUDGET, PROBE_FAIL_DEGRADED, PROBE_FAIL_HEALTHY,
+};
 
 /// Runs one orchestrated scenario.
 ///
@@ -153,7 +154,7 @@ pub fn run_with_telemetry(
     // a gray or power-cap campaign — every other profile must not even
     // touch the new code paths, so their summaries stay byte-identical.
     let gray_active = config.chaos.as_ref().is_some_and(ChaosPlan::has_gray);
-    let mut watchdog = Watchdog::new(config.watchdog);
+    let mut watchdog = Watchdog::default();
 
     for tick in 0..ticks {
         let now = Seconds::new(tick as f64 * dt.as_secs());
@@ -221,9 +222,7 @@ pub fn run_with_telemetry(
                             quarantined: false,
                         },
                     );
-                    if config.watchdog.enabled {
-                        watchdog.begin_watch(onset.node);
-                    }
+                    watchdog.begin_watch(onset.node);
                     c.gray_onsets += 1;
                     tel.inc("gray_onsets");
                     tel.emit(&TraceEvent::GrayOnset {
@@ -244,9 +243,9 @@ pub fn run_with_telemetry(
                 }
                 let gray = cluster.nodes()[idx].gray().expect("degraded nodes carry gray state");
                 let p = if tick < gray.clears_at_tick {
-                    config.watchdog.probe_fail_degraded
+                    PROBE_FAIL_DEGRADED
                 } else {
-                    config.watchdog.probe_fail_healthy
+                    PROBE_FAIL_HEALTHY
                 };
                 let failed = probe_fails(config.seed, node, tick, p);
                 if failed {
@@ -288,8 +287,7 @@ pub fn run_with_telemetry(
                 // first, pre-copy, never evicting — a bite per tick
                 // until the node is empty.
                 if watchdog.in_quarantine(node) {
-                    t_migrations +=
-                        cluster.drain_degraded(NodeId(node), config.watchdog.drain_budget);
+                    t_migrations += cluster.drain_degraded(NodeId(node), DRAIN_BUDGET);
                 }
             }
         }
@@ -315,15 +313,7 @@ pub fn run_with_telemetry(
         // and free — under the default drop-all admission policy.)
         {
             let _span = profiler.scoped(Stage::RetryQueue);
-            t_placed += c.reoffer_pending(
-                &mut retry,
-                &mut cluster,
-                &mut queue,
-                now,
-                tick,
-                config.lifecycle.shed,
-                tel,
-            );
+            t_placed += c.reoffer_pending(&mut retry, &mut cluster, &mut queue, now, tick, tel);
         }
 
         // --- 2b. This tick's arrival batch, from its own sub-stream,
@@ -584,7 +574,7 @@ pub fn run_with_telemetry(
         evicted: c.evicted,
         live_at_end: cluster.placements().len() as u64,
         crashes: c.crashes,
-        crash_migrations: c.crash_migrations,
+        crash_migrations: fleet.crash_migrations,
         migrations_settled: c.settled,
         proactive_migrations: fleet.migrations,
         sla_violations: c.total(|s| s.violations),
@@ -598,7 +588,7 @@ pub fn run_with_telemetry(
         per_class: c.per_class,
         per_part,
         per_tick,
-        chaos: (config.lifecycle.enabled || config.chaos.is_some()).then(|| {
+        chaos: (config.lifecycle || config.chaos.is_some()).then(|| {
             let node_secs = config.cluster.nodes as f64 * config.horizon.as_secs();
             ChaosOutcome {
                 injected_crashes: c.injected_crashes,
@@ -778,6 +768,28 @@ mod tests {
         let summary = run(&OrchestratorConfig::smoke(4, 42));
         assert!(summary.chaos.is_none(), "lifecycle off + no plan must keep the legacy shape");
         assert_eq!(summary.expired_at_horizon, 0, "drop-all leaves nothing queued to expire");
+
+        // Crashes and re-offers with the lifecycle off: crashed nodes
+        // recover in place, so no node is ever offline and no premium
+        // re-offer sheds anyone. Shedding rides on the lifecycle switch
+        // alone because of this.
+        let config = OrchestratorConfig {
+            horizon: Seconds::new(900.0),
+            ..OrchestratorConfig::flash_crowd(64, 2018)
+        };
+        let mut tel = Telemetry::disabled();
+        tel.metrics = Some(uniserver_telemetry::MetricsRegistry::new());
+        let (summary, _) = run_with_telemetry(&config, &mut tel);
+        assert!(summary.crashes >= 1, "the flash rack must crash at least once");
+        assert!(summary.retried >= 1, "gold re-admission must re-offer");
+        let metrics = tel.metrics.expect("metrics registry was enabled");
+        let offline = metrics.gauge("offline_nodes").expect("offline nodes are sampled every tick");
+        assert_eq!(offline.max, 0, "without the lifecycle no node goes offline");
+        assert!(
+            summary.per_class.iter().all(|c| c.shed == 0),
+            "nothing sheds without offline nodes"
+        );
+        assert!(summary.chaos.is_none());
     }
 
     #[test]
@@ -881,7 +893,7 @@ mod tests {
         // Lifecycle on, no chaos plan: only natural crashes offline
         // nodes, and every placement must respect the exclusion.
         let mut config = OrchestratorConfig::smoke(6, 9);
-        config.lifecycle = uniserver_cloudmgr::lifecycle::FailureLifecycle::standard();
+        config.lifecycle = true;
         let summary = run(&config);
         let chaos = summary.chaos.expect("lifecycle alone must report an outcome");
         if summary.crashes > 0 {

@@ -31,6 +31,7 @@
 use std::collections::VecDeque;
 
 use uniserver_cloudmgr::cluster::{Cluster, Placement};
+use uniserver_cloudmgr::lifecycle::draw_mttr;
 use uniserver_cloudmgr::node::NodeId;
 use uniserver_cloudmgr::sla::SlaClass;
 use uniserver_cloudmgr::stream::Arrival;
@@ -103,7 +104,6 @@ pub(crate) struct ServeCounters {
     /// Platform-surfaced crash *events* (a node can surface several in
     /// one tick; recovery still runs once per node).
     pub crashes: u64,
-    pub crash_migrations: u64,
     pub settled: u64,
     pub per_class: [ClassStats; 3],
     /// Crash events attributed per part-mix entry.
@@ -228,12 +228,11 @@ impl ServeCounters {
     /// them for the next tick (or abandons at zero). Returns the
     /// placements made, for the per-tick series.
     ///
-    /// With `shed` set (graceful degradation), a premium re-offer that
-    /// fails *while nodes are offline* sheds one lower-class placement
-    /// — bronze first — so the next tick's re-offer lands in the freed
-    /// slot; a shed counts as an eviction, so the SLA books still tie
-    /// out.
-    #[allow(clippy::too_many_arguments)]
+    /// Graceful degradation: a premium re-offer that fails *while nodes
+    /// are offline* sheds one lower-class placement — bronze first — so
+    /// the next tick's re-offer lands in the freed slot; a shed counts
+    /// as an eviction, so the SLA books still tie out. Only the failure
+    /// lifecycle takes nodes offline, so without it nothing is shed.
     pub fn reoffer_pending(
         &mut self,
         retry: &mut RetryQueue,
@@ -241,7 +240,6 @@ impl ServeCounters {
         queue: &mut EventQueue,
         now: Seconds,
         tick: u64,
-        shed: bool,
         tel: &mut Telemetry,
     ) -> u64 {
         let mut placed_now = 0;
@@ -269,7 +267,7 @@ impl ServeCounters {
                         });
                         // Degraded capacity plus a premium arrival
                         // still waiting: make room.
-                        if shed && class < 2 && cluster.offline_count() > 0 {
+                        if class < 2 && cluster.offline_count() > 0 {
                             self.shed_lowest(cluster, class, tel);
                         }
                     }
@@ -457,12 +455,11 @@ impl ServeCounters {
         }
         let mut migrations = 0;
         for node_id in crashed {
-            if config.lifecycle.enabled {
+            if config.lifecycle {
                 cluster.mark_crashed(node_id);
             }
             let recovery = cluster.recover_from_crash(node_id);
             for (moved, cost) in &recovery.migrated {
-                self.crash_migrations += 1;
                 migrations += 1;
                 queue.schedule(cost.completes_at(tick_end), Event::MigrationSettled(moved.id));
                 tel.inc("crash_migrations");
@@ -481,11 +478,11 @@ impl ServeCounters {
             for lost in &recovery.evicted {
                 self.charge_eviction(lost, tel);
             }
-            if config.lifecycle.enabled {
+            if config.lifecycle {
                 // The crash costs capacity, not margin: the node leaves
                 // the fleet for its repair window and the rejoin
                 // re-shmoo re-derives its operating point honestly.
-                let mttr = config.lifecycle.draw_mttr(config.seed, node_id, tick);
+                let mttr = draw_mttr(config.seed, node_id, tick);
                 cluster.begin_repair(node_id, mttr);
                 self.nodes_offlined += 1;
                 tel.inc("nodes_offlined");
@@ -512,7 +509,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use uniserver_cloudmgr::lifecycle::FailureLifecycle;
     use uniserver_hypervisor::vm::VmConfig;
     use uniserver_telemetry::MetricsRegistry;
     use uniserver_units::Volts;
@@ -561,7 +557,6 @@ mod tests {
                 &mut queue,
                 Seconds::new(attempt as f64 * 5.0),
                 attempt,
-                false,
                 &mut tel,
             );
             assert_eq!(placed, 0);
@@ -592,7 +587,7 @@ mod tests {
         assert!(cluster.terminate_by_id(victim));
         // … and the next re-offer claims it.
         let placed =
-            c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(5.0), 1, false, &mut tel);
+            c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(5.0), 1, &mut tel);
         assert_eq!(placed, 1);
         assert_eq!(c.per_class[0].placed, 1);
         assert_eq!(c.per_class[0].retried, 1);
@@ -708,8 +703,9 @@ mod tests {
             "compounded backoff would overdrive the margin towards nominal"
         );
         assert!(cluster.placements_on(victim).is_empty(), "recovery still clears the node");
-        assert_eq!(counters.crash_migrations + counters.evicted, on_victim);
-        assert_eq!(migrations, counters.crash_migrations);
+        let crash_migrations = cluster.fleet_metrics().crash_migrations;
+        assert_eq!(crash_migrations + counters.evicted, on_victim);
+        assert_eq!(migrations, crash_migrations);
     }
 
     #[test]
@@ -758,7 +754,7 @@ mod tests {
     #[test]
     fn lifecycle_crash_takes_the_node_offline_and_skips_the_backoff() {
         let config = OrchestratorConfig {
-            lifecycle: FailureLifecycle::standard(),
+            lifecycle: true,
             ..OrchestratorConfig::smoke(3, 17)
         };
         let (mut cluster, records, _, _) = deploy_cluster(&config);
@@ -795,7 +791,7 @@ mod tests {
             before.min_offset_mv(),
             "the lifecycle replaces the geometric backoff with the rejoin re-shmoo"
         );
-        assert_eq!(counters.crash_migrations + counters.evicted, on_victim);
+        assert_eq!(cluster.fleet_metrics().crash_migrations + counters.evicted, on_victim);
         // The scheduler must refuse the offline node while it repairs.
         for _ in 0..8 {
             if let Some(p) = cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze) {
@@ -817,9 +813,9 @@ mod tests {
         // Gold rejected against the packed rack: it queues.
         assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
 
-        // With every node healthy, a failed re-offer sheds nothing even
-        // with the shed gate open — degradation only under degradation.
-        c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(5.0), 1, true, &mut tel);
+        // With every node healthy, a failed re-offer sheds nothing —
+        // degradation only under degradation.
+        c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(5.0), 1, &mut tel);
         assert_eq!(c.total(|s| s.shed), 0, "no shedding while the fleet is at full capacity");
 
         // A node goes offline; the still-queued gold re-offer now sheds
@@ -828,7 +824,7 @@ mod tests {
         let _ = cluster.recover_from_crash(NodeId(0));
         cluster.begin_repair(NodeId(0), 12);
         let bronze_before = cluster.placements().len();
-        c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(10.0), 2, true, &mut tel);
+        c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(10.0), 2, &mut tel);
         assert_eq!(c.total(|s| s.shed), 1, "degraded capacity plus a waiting gold must shed");
         assert_eq!(c.per_class[2].shed, 1, "bronze is shed first");
         assert_eq!(c.evicted, 1, "a shed is charged as an eviction");
@@ -836,7 +832,7 @@ mod tests {
 
         // … and the next tick's re-offer places into the freed slot.
         let placed =
-            c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(15.0), 3, true, &mut tel);
+            c.reoffer_pending(&mut retry, &mut cluster, &mut queue, Seconds::new(15.0), 3, &mut tel);
         assert_eq!(placed, 1, "the freed capacity admits the queued gold next tick");
         assert_eq!(c.per_class[0].placed, 1);
         assert_eq!(c.total(|s| s.offered), c.total(|s| s.placed) + c.total(|s| s.abandoned));

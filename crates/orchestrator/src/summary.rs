@@ -43,7 +43,9 @@ pub struct TickMetrics {
     pub live: u64,
     /// Node crashes observed this tick.
     pub crashes: u64,
-    /// Migrations (proactive + failure-driven) this tick.
+    /// Migrations this tick: crash evacuations, predictor-driven moves
+    /// and watchdog drains. Consolidation drains are left out; the
+    /// `power` outcome counts them.
     pub migrations: u64,
     /// Fleet energy consumed this tick, in joules.
     pub energy_j: f64,
@@ -178,7 +180,10 @@ pub struct ClusterSummary {
     /// Crash migrations whose pre-copy settled within the horizon (the
     /// event queue's `MigrationSettled` events that fired).
     pub migrations_settled: u64,
-    /// Proactive (prediction-driven) migrations performed.
+    /// Migrations not forced by a crash: moves off nodes the failure
+    /// predictor flagged plus watchdog drains of quarantined nodes. The
+    /// metrics registry's `proactive_migrations` counter holds only the
+    /// predictor moves; consolidation drains are counted in `power`.
     pub proactive_migrations: u64,
     /// Total SLA violations (all classes).
     pub sla_violations: u64,

@@ -20,61 +20,42 @@
 //! sequences, and the orchestrator supplies the seeded draw from
 //! [`probe_fails`] — pure in `(seed, node, tick)`, so runs are
 //! byte-identical across worker counts.
+//!
+//! The policy has no settings. Its numbers are the constants at the top
+//! of this module: the K-of-N gate ([`QUARANTINE_FAILS`] of
+//! [`WINDOW`]), [`PROBATION_PASSES`] clean probes to readmit,
+//! [`DRAIN_BUDGET`] migrations per tick, and the probe failure odds
+//! [`PROBE_FAIL_DEGRADED`] / [`PROBE_FAIL_HEALTHY`]. The watchdog runs
+//! whenever the run's chaos plan carries a gray campaign, the only
+//! source of degraded nodes.
 
 use std::collections::BTreeMap;
 
 use uniserver_silicon::rng::{salt, splitmix64, unit_fraction};
 
-/// Health-watchdog tuning. `disabled()` keeps every legacy profile
-/// byte-identical; `standard()` is the gray-profile default.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Master switch. Disabled watchdogs never probe, never quarantine.
-    pub enabled: bool,
-    /// Probe-history window N: quarantine looks at the last N probes.
-    pub window: u32,
-    /// Quarantine threshold K: ≥ K failures inside the window trip it.
-    pub quarantine_fails: u32,
-    /// Consecutive probe passes required to end probation. Any single
-    /// failure resets the streak — the flap-proofing.
-    pub probation_passes: u32,
-    /// Max placements migrated off a quarantined node per tick.
-    pub drain_budget: usize,
-    /// Probe failure probability while the node's gray fault is live.
-    pub probe_fail_degraded: f64,
-    /// Residual probe failure probability once the fault has cleared
-    /// (probes are not oracles; a healthy node can still flake).
-    pub probe_fail_healthy: f64,
-}
+/// Probe-history window N: quarantine looks at the last N probes.
+pub const WINDOW: u32 = 8;
+/// Quarantine threshold K: ≥ K failures inside the window trip it.
+pub const QUARANTINE_FAILS: u32 = 3;
+/// Consecutive probe passes required to end probation. Any single
+/// failure resets the streak — the flap-proofing.
+pub const PROBATION_PASSES: u32 = 5;
+/// Max placements migrated off a quarantined node per tick.
+pub const DRAIN_BUDGET: usize = 4;
+/// Probe failure probability while the node's gray fault is live.
+pub const PROBE_FAIL_DEGRADED: f64 = 0.9;
+/// Residual probe failure probability once the fault has cleared
+/// (probes are not oracles; a healthy node can still flake).
+pub const PROBE_FAIL_HEALTHY: f64 = 0.02;
 
-impl WatchdogConfig {
-    /// No watchdog at all — the legacy default.
-    #[must_use]
-    pub fn disabled() -> Self {
-        WatchdogConfig {
-            enabled: false,
-            window: 8,
-            quarantine_fails: 3,
-            probation_passes: 5,
-            drain_budget: 4,
-            probe_fail_degraded: 0.9,
-            probe_fail_healthy: 0.02,
-        }
-    }
+// The probe history is a `u64` bit-ring masked to the window, and the
+// K-of-N gate and the probation streak must both be reachable.
+const _: () = assert!(
+    0 < QUARANTINE_FAILS && QUARANTINE_FAILS <= WINDOW && WINDOW < 64 && PROBATION_PASSES > 0
+);
 
-    /// The gray-profile watchdog: 3-of-8 quarantine entry, 5 clean
-    /// probes to readmit, 4 migrations per tick of drain budget.
-    #[must_use]
-    pub fn standard() -> Self {
-        WatchdogConfig { enabled: true, ..WatchdogConfig::disabled() }
-    }
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig::disabled()
-    }
-}
+/// The probe-history bits inside the window.
+const WINDOW_MASK: u64 = (1 << WINDOW) - 1;
 
 /// What [`Watchdog::observe`] decided about one probe outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +68,7 @@ pub enum Verdict {
     Readmit,
 }
 
-/// Per-node probe history: a bit-ring of the last `window` outcomes
+/// Per-node probe history: a bit-ring of the last [`WINDOW`] outcomes
 /// plus the probation pass streak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NodeWatch {
@@ -104,37 +85,12 @@ struct NodeWatch {
 /// The watchdog: one `NodeWatch` per node currently under watch.
 /// Iteration order is node-id order (`BTreeMap`), so probe sequencing
 /// is deterministic whatever order nodes went gray in.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Watchdog {
-    config: WatchdogConfig,
     watches: BTreeMap<u32, NodeWatch>,
 }
 
 impl Watchdog {
-    /// A watchdog with the given tuning and no nodes under watch.
-    #[must_use]
-    pub fn new(config: WatchdogConfig) -> Self {
-        assert!(
-            config.window >= 1 && config.window <= 64,
-            "probe window must be 1..=64, got {}",
-            config.window
-        );
-        assert!(
-            config.quarantine_fails >= 1 && config.quarantine_fails <= config.window,
-            "quarantine_fails must be 1..=window, got {} of {}",
-            config.quarantine_fails,
-            config.window
-        );
-        assert!(config.probation_passes >= 1, "probation needs at least one pass");
-        Watchdog { config, watches: BTreeMap::new() }
-    }
-
-    /// The tuning this watchdog runs.
-    #[must_use]
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
-    }
-
     /// Starts watching `node` (idempotent — an existing watch, and its
     /// accumulated history, is kept).
     pub fn begin_watch(&mut self, node: u32) {
@@ -155,12 +111,6 @@ impl Watchdog {
         self.watches.keys().copied().collect()
     }
 
-    /// Whether `node` is under watch.
-    #[must_use]
-    pub fn is_watching(&self, node: u32) -> bool {
-        self.watches.contains_key(&node)
-    }
-
     /// Whether this watchdog currently holds `node` in quarantine.
     #[must_use]
     pub fn in_quarantine(&self, node: u32) -> bool {
@@ -170,10 +120,10 @@ impl Watchdog {
     /// Records one probe outcome for a watched node and returns the
     /// transition it caused, if any.
     ///
-    /// Entry: a node with ≥ `quarantine_fails` failures among its last
-    /// `window` probes is quarantined (K-of-N; a single flaky probe
+    /// Entry: a node with ≥ [`QUARANTINE_FAILS`] failures among its last
+    /// [`WINDOW`] probes is quarantined (K-of-N; a single flaky probe
     /// cannot trip it). Exit: a quarantined node must pass
-    /// `probation_passes` probes *in a row*; any failure zeroes the
+    /// [`PROBATION_PASSES`] probes *in a row*; any failure zeroes the
     /// streak, so the verdicts can never alternate
     /// Quarantine/Readmit/Quarantine on a flapping node faster than a
     /// full probation run.
@@ -185,13 +135,13 @@ impl Watchdog {
     pub fn observe(&mut self, node: u32, failed: bool) -> Verdict {
         let w = self.watches.get_mut(&node).expect("observe() requires an active watch");
         w.history = (w.history << 1) | u64::from(failed);
-        w.len = (w.len + 1).min(self.config.window);
+        w.len = (w.len + 1).min(WINDOW);
         if w.quarantined {
             if failed {
                 w.streak = 0;
             } else {
                 w.streak += 1;
-                if w.streak >= self.config.probation_passes {
+                if w.streak >= PROBATION_PASSES {
                     // Readmission resets the history: the node starts
                     // its next watch (if any) with a clean record.
                     *w = NodeWatch { history: 0, len: 0, streak: 0, quarantined: false };
@@ -200,9 +150,8 @@ impl Watchdog {
             }
             return Verdict::None;
         }
-        let mask = if self.config.window == 64 { u64::MAX } else { (1 << self.config.window) - 1 };
-        let fails = (w.history & mask).count_ones();
-        if w.len >= self.config.quarantine_fails && fails >= self.config.quarantine_fails {
+        let fails = (w.history & WINDOW_MASK).count_ones();
+        if w.len >= QUARANTINE_FAILS && fails >= QUARANTINE_FAILS {
             w.quarantined = true;
             w.streak = 0;
             return Verdict::Quarantine;
@@ -232,7 +181,7 @@ mod tests {
 
     #[test]
     fn k_of_n_tolerates_sparse_failures() {
-        let mut wd = Watchdog::new(WatchdogConfig::standard());
+        let mut wd = Watchdog::default();
         wd.begin_watch(7);
         // Fail every 4th probe: never 3 fails inside any 8-window.
         for i in 0..64 {
@@ -244,7 +193,7 @@ mod tests {
 
     #[test]
     fn dense_failures_quarantine_exactly_once() {
-        let mut wd = Watchdog::new(WatchdogConfig::standard());
+        let mut wd = Watchdog::default();
         wd.begin_watch(3);
         assert_eq!(wd.observe(3, true), Verdict::None);
         assert_eq!(wd.observe(3, true), Verdict::None);
@@ -257,8 +206,7 @@ mod tests {
 
     #[test]
     fn probation_requires_consecutive_passes() {
-        let config = WatchdogConfig::standard();
-        let mut wd = Watchdog::new(config);
+        let mut wd = Watchdog::default();
         wd.begin_watch(0);
         for _ in 0..3 {
             wd.observe(0, true);
@@ -283,7 +231,7 @@ mod tests {
         // Pinned regression: a node alternating pass/fail looks 50 %
         // healthy, but must neither dodge quarantine forever nor ever
         // earn readmission (streak never reaches 5).
-        let mut wd = Watchdog::new(WatchdogConfig::standard());
+        let mut wd = Watchdog::default();
         wd.begin_watch(11);
         let mut quarantined_at = None;
         for i in 0u32..200 {
@@ -305,7 +253,7 @@ mod tests {
 
     #[test]
     fn readmitted_node_restarts_with_clean_history() {
-        let mut wd = Watchdog::new(WatchdogConfig::standard());
+        let mut wd = Watchdog::default();
         wd.begin_watch(5);
         for _ in 0..3 {
             wd.observe(5, true);
@@ -322,13 +270,12 @@ mod tests {
 
     #[test]
     fn forget_drops_the_watch() {
-        let mut wd = Watchdog::new(WatchdogConfig::standard());
+        let mut wd = Watchdog::default();
         wd.begin_watch(1);
         wd.begin_watch(9);
         assert_eq!(wd.watched(), vec![1, 9]);
         wd.forget(1);
         assert_eq!(wd.watched(), vec![9]);
-        assert!(!wd.is_watching(1));
     }
 
     #[test]
@@ -349,7 +296,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "active watch")]
     fn observing_an_unwatched_node_panics() {
-        let mut wd = Watchdog::new(WatchdogConfig::standard());
+        let mut wd = Watchdog::default();
         let _ = wd.observe(0, false);
     }
 }

@@ -192,6 +192,12 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// A gauge, if any sample was observed under `name`.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<&Gauge> {
+        self.gauges.get(name)
+    }
+
     /// A histogram, if any value was recorded under `name`.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {

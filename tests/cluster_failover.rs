@@ -9,9 +9,7 @@ use uniserver_bench::cluster::summary_to_json;
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
 use uniserver_cloudmgr::{NodeId, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
-use uniserver_orchestrator::{
-    run, AdmissionPolicy, Campaign, ChaosPlan, FailureLifecycle, OrchestratorConfig,
-};
+use uniserver_orchestrator::{run, AdmissionPolicy, Campaign, ChaosPlan, OrchestratorConfig};
 use uniserver_units::Seconds;
 
 fn class_of(i: u64) -> SlaClass {
@@ -96,7 +94,7 @@ proptest! {
     ) {
         let mut config = OrchestratorConfig::smoke(4, seed);
         config.horizon = Seconds::new(120.0);
-        config.lifecycle = FailureLifecycle::standard();
+        config.lifecycle = true;
         config.admission = AdmissionPolicy::gold_priority();
         config.chaos = Some(ChaosPlan {
             campaigns: vec![

@@ -19,13 +19,12 @@
 //! table row. A change that is *meant* to move the output replaces the
 //! rows in [`GOLDEN`] with the printed ones, and says so in its commit.
 
-use uniserver_bench::cluster::summary_to_json;
+use uniserver_bench::cluster::{scenario as fleet_sim_scenario, summary_to_json, Profile};
 use uniserver_bench::experiments;
 use uniserver_orchestrator::{
-    run_with_telemetry, ChaosPlan, MarginPolicy, MetricsRegistry, OrchestratorConfig, PolicyKind,
-    Telemetry, TraceSink,
+    run_with_telemetry, MarginPolicy, MetricsRegistry, OrchestratorConfig, PolicyKind, Telemetry,
+    TraceSink,
 };
-use uniserver_units::Seconds;
 
 const NODES: usize = 64;
 const SEED: u64 = 2018;
@@ -74,26 +73,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The configuration `fleet_sim --cluster --nodes 64 --secs 900
-/// --profile P --policy Q [--nominal]` runs, including its re-derivation
-/// of the fault campaigns for the shortened horizon.
+/// --profile P --policy Q [--nominal]` runs, built by the same
+/// scenario builder the binary calls.
 fn scenario(name: &str) -> OrchestratorConfig {
     let mut parts = name.split('/');
     let (profile, policy, margins) = (parts.next(), parts.next(), parts.next());
-    let mut config = match profile {
-        Some("flat") => OrchestratorConfig::datacenter(NODES, SEED),
-        Some("flash") => OrchestratorConfig::flash_crowd(NODES, SEED),
-        Some("chaos") => OrchestratorConfig::chaos_profile(NODES, SEED),
-        Some("gray") => OrchestratorConfig::gray_profile(NODES, SEED),
-        other => panic!("unknown profile {other:?} in {name}"),
-    };
-    config.horizon = Seconds::new(HORIZON_SECS);
-    match profile {
-        Some("chaos") => config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks())),
-        Some("gray") => {
-            config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), NODES as u32));
-        }
-        _ => {}
-    }
+    let profile = Profile::parse(profile.unwrap_or_default())
+        .unwrap_or_else(|e| panic!("{e} in {name}"));
+    let mut config = fleet_sim_scenario(profile, NODES, SEED, Some(HORIZON_SECS), None);
     config.policy = policy
         .and_then(PolicyKind::parse)
         .unwrap_or_else(|| panic!("unknown policy in {name}"));

@@ -6,23 +6,16 @@
 
 use proptest::prelude::*;
 
-use uniserver_bench::cluster::summary_to_json;
-use uniserver_faultinject::chaos::ChaosPlan;
-use uniserver_orchestrator::watchdog::Verdict;
-use uniserver_orchestrator::{run_timed, OrchestratorConfig, Watchdog, WatchdogConfig};
-use uniserver_units::Seconds;
+use uniserver_bench::cluster::{scenario, summary_to_json, Profile};
+use uniserver_orchestrator::watchdog::{Verdict, PROBATION_PASSES};
+use uniserver_orchestrator::{run_timed, OrchestratorConfig, Watchdog};
 
 /// A CI-sized gray scenario: the full gray headline (gray onsets,
-/// watchdog, power cap) shrunk to a 10-minute horizon. The chaos plan
-/// is re-derived for the shortened horizon so the brownout window
-/// still lands inside the run.
+/// watchdog, power cap) shrunk to a 10-minute horizon, as
+/// `fleet_sim --profile gray --secs 600` builds it (the brownout window
+/// is re-derived to land inside the run).
 fn gray_smoke(nodes: usize, seed: u64) -> OrchestratorConfig {
-    let mut config = OrchestratorConfig::gray_profile(nodes, seed);
-    config.horizon = Seconds::new(600.0);
-    #[allow(clippy::cast_possible_truncation)]
-    let width = nodes as u32;
-    config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), width));
-    config
+    scenario(Profile::Gray, nodes, seed, Some(600.0), None)
 }
 
 proptest! {
@@ -55,15 +48,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Hysteresis safety: whatever the probe sequence, `Readmit` is only
-    /// ever issued after `probation_passes` **consecutive** clean probes
+    /// ever issued after `PROBATION_PASSES` **consecutive** clean probes
     /// while quarantined — a still-failing (or flapping) node can never
     /// sneak back into the placement pool.
     #[test]
     fn watchdog_never_readmits_without_a_full_clean_streak(
         probes in proptest::collection::vec(0u8..2, 1..200),
     ) {
-        let config = WatchdogConfig::standard();
-        let mut dog = Watchdog::new(config);
+        let mut dog = Watchdog::default();
         dog.begin_watch(7);
 
         let mut clean_streak = 0u32;
@@ -79,9 +71,9 @@ proptest! {
                     prop_assert!(quarantined, "readmit without quarantine at probe {}", i);
                     prop_assert!(!failed, "readmitted on a failing probe at probe {}", i);
                     prop_assert!(
-                        clean_streak >= config.probation_passes,
+                        clean_streak >= PROBATION_PASSES,
                         "readmitted after only {} clean probes (need {}) at probe {}",
-                        clean_streak, config.probation_passes, i
+                        clean_streak, PROBATION_PASSES, i
                     );
                     quarantined = false;
                     clean_streak = 0;
