@@ -11,9 +11,9 @@
 //! equal the committed row. A behaviour change that is identical at every
 //! thread count therefore still fails here.
 //!
-//! The `repro` paper artefacts that read the hypervisor's footprint and
-//! protection model (Figures 3 and 4) are pinned the same way: the
-//! digest of each report's text at the paper seed.
+//! Every `repro` paper artefact, and the `repro validate` scoreboard, is
+//! pinned the same way: the digest of each report's text at the paper
+//! seed.
 //!
 //! On a mismatch the failure names each scenario and prints its new
 //! table row. A change that is *meant* to move the output replaces the
@@ -60,7 +60,21 @@ const GOLDEN: [(&str, u64, u64, u64); 24] = [
 ];
 
 /// `(repro artefact, report digest)` at [`SEED`].
-const REPRO_GOLDEN: [(&str, u64); 2] = [("fig3", 0x15e978a022415bc1), ("fig4", 0x5a9a0bbc6fb84ee9)];
+const REPRO_GOLDEN: [(&str, u64); 13] = [
+    ("table1", 0xcb60e91dc801301a),
+    ("table2", 0x86606035cdd59160),
+    ("table3", 0x385b2784bfbcdb1d),
+    ("fig1", 0x3582c01a57a31963),
+    ("fig2", 0xa6892899814dc21a),
+    ("fig3", 0x15e978a022415bc1),
+    ("fig4", 0x5a9a0bbc6fb84ee9),
+    ("dram", 0x3708ee8f9db16c27),
+    ("edge", 0xb48076810ddc6779),
+    ("cloud", 0xcffcecbaf2616a07),
+    ("margins", 0xf57293753cc601c5),
+    ("compare", 0x4c5627ae376f32d9),
+    ("validate", 0x2d40ffd2d9a339bb),
+];
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -154,8 +168,19 @@ fn paper_artefacts_match_the_golden_digests() {
     let mut mismatches = Vec::new();
     for (name, digest) in REPRO_GOLDEN {
         let report = match name {
+            "table1" => experiments::table1(SEED),
+            "table2" => experiments::table2(SEED),
+            "table3" => experiments::table3(),
+            "fig1" => experiments::fig1(SEED),
+            "fig2" => experiments::fig2(SEED),
             "fig3" => experiments::fig3(SEED),
             "fig4" => experiments::fig4(SEED),
+            "dram" => experiments::dram(SEED),
+            "edge" => experiments::edge(),
+            "cloud" => experiments::cloud(SEED),
+            "margins" => experiments::margins(SEED),
+            "compare" => experiments::compare(SEED),
+            "validate" => experiments::validate(SEED).0,
             other => panic!("no golden artefact {other}"),
         };
         let got = fnv1a(report.as_bytes());
