@@ -218,7 +218,7 @@ pub fn summary_to_json(s: &ClusterSummary, per_tick: bool) -> String {
 /// core container is not a regression). Falls back to the available
 /// parallelism when the probe fails (non-Linux hosts).
 #[must_use]
-pub fn host_cores() -> usize {
+pub(crate) fn host_cores() -> usize {
     std::fs::read_to_string("/proc/cpuinfo")
         .map(|info| info.lines().filter(|l| l.starts_with("processor")).count())
         .ok()

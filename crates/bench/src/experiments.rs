@@ -259,7 +259,7 @@ pub fn fig3(seed: u64) -> String {
 
 /// The campaign results behind Figure 4 (unprotected + protected).
 #[must_use]
-pub fn fig4_results(seed: u64) -> (Figure4, Figure4) {
+pub(crate) fn fig4_results(seed: u64) -> (Figure4, Figure4) {
     let campaign = SdcCampaign { seed, ..SdcCampaign::paper_campaign() };
     (campaign.run(&ProtectionPolicy::none()), campaign.run(&ProtectionPolicy::top_categories(3)))
 }

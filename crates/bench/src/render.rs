@@ -19,7 +19,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row width does not match the header.
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
+    pub(crate) fn row<S: Into<String>>(&mut self, cells: Vec<S>) -> &mut Self {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
@@ -28,7 +28,7 @@ impl Table {
 
     /// Renders the table with aligned columns.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -69,7 +69,7 @@ impl Table {
 
 /// A horizontal ASCII bar scaled to `max`.
 #[must_use]
-pub fn bar(value: f64, max: f64, width: usize) -> String {
+pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     if max <= 0.0 {
         return String::new();
     }

@@ -606,7 +606,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the node is not asleep.
-    pub fn wake_node(&mut self, id: NodeId) {
+    pub(crate) fn wake_node(&mut self, id: NodeId) {
         let node = self.node_mut(id);
         assert!(node.is_asleep(), "{id} is not asleep");
         node.power = NodePower::Awake;

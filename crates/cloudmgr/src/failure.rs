@@ -36,7 +36,7 @@ fn window_score(health: &HealthLog) -> f64 {
 
 /// What one predictor update should do to a node's rolling score — the
 /// outcome of the immutable [`FailurePredictor::observe`] phase, folded
-/// back in by [`FailurePredictor::apply`]. Splitting the two lets the
+/// back in by `FailurePredictor::apply`. Splitting the two lets the
 /// sharded cluster loop score logs on worker threads while keeping the
 /// state write-back sequential (and therefore deterministic).
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +92,7 @@ impl FailurePredictor {
     /// 1.0.
     ///
     /// Equivalent to [`FailurePredictor::observe`] followed by
-    /// [`FailurePredictor::apply`] — the sharded cluster loop uses the
+    /// `FailurePredictor::apply` — the sharded cluster loop uses the
     /// split form so the scoring runs on worker threads while the
     /// write-back stays sequential.
     pub fn update_node(&mut self, node_id: u32, health: &HealthLog) -> f64 {
@@ -123,7 +123,7 @@ impl FailurePredictor {
     /// Panics if a [`ScoreUpdate::Decay`] arrives for a node this
     /// predictor has never scored (decays are only ever observed for
     /// tracked nodes).
-    pub fn apply(&mut self, node_id: u32, update: ScoreUpdate) -> f64 {
+    pub(crate) fn apply(&mut self, node_id: u32, update: ScoreUpdate) -> f64 {
         let score = match update {
             ScoreUpdate::Decay => {
                 let Some(Some((_, score))) = self.scores.get_mut(node_id as usize) else {

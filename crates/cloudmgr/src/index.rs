@@ -24,16 +24,16 @@
 //! headroom, in one dense `Vec` keyed by node index. Every decision
 //! filters candidates on these facts first (`NodeFacts::may_admit`:
 //! online, not quarantined, enough headroom — the gates of
-//! [`Scheduler::admits_blind`], which every policy's `admits` implies)
+//! `Scheduler::admits_blind`, which every policy's `admits` implies)
 //! and reads a [`ManagedNode`] only to confirm a survivor with the
 //! policy's live `admits`, so the prefilter can drop a node `admits`
 //! would refuse but never one it would take.
 //! [`crate::policy::RackView::best`] walks the ranking from the top;
 //! walks in another order (consolidation's band-keyed pack walk) read
-//! the cached score through [`PlacementIndex::score`].
+//! the cached score through `PlacementIndex::score`.
 //!
 //! A generation counter moves on every clean→dirty
-//! [`PlacementIndex::mark`] and on every [`PlacementIndex::mark_all`]:
+//! [`PlacementIndex::mark`] and on every `PlacementIndex::mark_all`:
 //! two decisions at one generation see the same cached rack, which is
 //! what the cluster's reject memo keys on.
 //!
@@ -188,7 +188,7 @@ impl PlacementIndex {
 
     /// Marks every node stale — the blunt hammer behind unrestricted
     /// mutable node access.
-    pub fn mark_all(&mut self) {
+    pub(crate) fn mark_all(&mut self) {
         self.generation += 1;
         self.pending.clear();
         for (i, d) in self.dirty.iter_mut().enumerate() {
@@ -201,7 +201,7 @@ impl PlacementIndex {
     /// One node's cached score. Callers must [`PlacementIndex::flush`]
     /// first.
     #[must_use]
-    pub fn score(&self, id: NodeId) -> f64 {
+    pub(crate) fn score(&self, id: NodeId) -> f64 {
         debug_assert!(!self.dirty[id.0 as usize], "score() requires a flushed index");
         self.scores[id.0 as usize]
     }
@@ -224,7 +224,7 @@ impl PlacementIndex {
 
     /// Number of nodes currently marked dirty (diagnostics/tests).
     #[must_use]
-    pub fn dirty_count(&self) -> usize {
+    pub(crate) fn dirty_count(&self) -> usize {
         self.pending.len()
     }
 
@@ -281,7 +281,7 @@ impl PlacementIndex {
     /// best-first walk behind [`crate::policy::RackView::best`], which
     /// applies the policy's own per-candidate feasibility checks.
     /// Callers must [`PlacementIndex::flush`] first.
-    pub fn ranked_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn ranked_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
         debug_assert_eq!(self.dirty_count(), 0, "ranked_rev() requires a flushed index");
         self.by_score.iter().rev().map(|&(_, id)| id)
     }

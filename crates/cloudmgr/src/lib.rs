@@ -66,15 +66,12 @@ pub use cluster::{
 };
 pub use failure::{FailurePredictor, ScoreUpdate};
 pub use index::PlacementIndex;
-pub use lifecycle::{GrayState, NodePhase, NodePower, SLEEP_POWER_WATTS};
+pub use lifecycle::{GrayState, NodePhase};
 pub use migrate::{MigrationCost, MigrationModel};
 pub use node::{ManagedNode, NodeId, NodeMetrics};
 pub use policy::{
-    ConsolidatePolicy, EnergySlaPolicy, ManagementPlan, PlacementDecision, PlacementPolicy,
-    PolicyKind, RackView, ReliabilityBlindPolicy,
+    EnergySlaPolicy, ManagementPlan, PlacementDecision, PlacementPolicy, PolicyKind, RackView,
 };
 pub use scheduler::{Scheduler, SchedulerWeights};
 pub use sla::SlaClass;
-pub use stream::{
-    arrival_seed, Arrival, FlashCrowds, LifetimeModel, Modulation, TrafficShape, VmStream,
-};
+pub use stream::{Arrival, FlashCrowds, LifetimeModel, Modulation, TrafficShape, VmStream};

@@ -5,7 +5,7 @@
 //! evacuated, backed off its operating point, and kept taking
 //! placements in the very same tick. With the lifecycle enabled, a
 //! crash takes the node *out of the pool* — it stops ticking, consumes
-//! no energy, is excluded from [`crate::scheduler::Scheduler::filter`]
+//! no energy, is excluded from `crate::scheduler::Scheduler::filter`
 //! (and therefore from the [`crate::index::PlacementIndex`], which
 //! re-checks the filter live per candidate) — for a seeded, bounded
 //! MTTR window, then rejoins through a re-characterization pass that
@@ -13,7 +13,7 @@
 //! guessing with geometric EOP backoff.
 //!
 //! The repair policy has no settings: the window bounds are the
-//! [`MTTR_TICKS`] constant in this module, and [`draw_mttr`] picks each
+//! `MTTR_TICKS` constant in this module, and [`draw_mttr`] picks each
 //! repair's length from them. Every MTTR draw is a pure function of
 //! `(seed, node, tick)` via the workspace's SplitMix64 sub-stream
 //! convention ([`salt::MTTR`]), so a run's downtime schedule is
@@ -33,7 +33,7 @@ use crate::node::NodeId;
 pub struct GrayState {
     /// Usable fraction of nominal vCPU capacity while degraded,
     /// `(0, 1]` — the thermal-throttle cap honored by
-    /// [`crate::node::ManagedNode::fits`].
+    /// `crate::node::ManagedNode::fits`.
     pub capacity_cap: f64,
     /// CE-rate multiplier while the fault is active: the node's
     /// effective reliability is divided by it, so schedulers and the
@@ -105,7 +105,7 @@ impl NodePhase {
 /// feasible node may wake one and place onto it in the same tick
 /// (suspend-to-RAM resume is well under the 5 s datacenter tick).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NodePower {
+pub(crate) enum NodePower {
     /// Normal operation: ticking, placeable, consuming full power.
     #[default]
     Awake,
@@ -116,13 +116,13 @@ pub enum NodePower {
 /// Wall power of a sleeping node (suspend-to-RAM: DRAM refresh plus the
 /// BMC). Charged per tick by the cluster's deterministic reduce, so
 /// sleeping is cheap but not free and energy totals stay comparable.
-pub const SLEEP_POWER_WATTS: f64 = 2.5;
+pub(crate) const SLEEP_POWER_WATTS: f64 = 2.5;
 
 /// Repair window of a crashed node, in ticks (inclusive): a seeded
 /// 12–96-tick repair, 1–8 minutes at the datacenter's 5 s ticks. The
 /// orchestrator's `lifecycle` switch decides whether crashes take nodes
 /// offline at all; this is the one repair policy when they do.
-pub const MTTR_TICKS: RangeInclusive<u32> = 12..=96;
+pub(crate) const MTTR_TICKS: RangeInclusive<u32> = 12..=96;
 
 /// The bounded MTTR for a node crashing at `tick` — a pure function of
 /// `(seed, node, tick)`, so the repair schedule is independent of

@@ -91,12 +91,6 @@ impl ManagedNode {
         self.phase.is_online()
     }
 
-    /// The node's power state.
-    #[must_use]
-    pub fn power(&self) -> NodePower {
-        self.power
-    }
-
     /// Whether the node is parked in the low-power sleep state. Asleep
     /// nodes are online (lifecycle-wise) but do not tick and are
     /// excluded from the scheduler filter.
@@ -133,7 +127,7 @@ impl ManagedNode {
     /// overcommit, throttled by the gray capacity cap while the node is
     /// degraded. A healthy node's budget is exactly `cores * 2`.
     #[must_use]
-    pub fn vcpu_budget(&self) -> usize {
+    pub(crate) fn vcpu_budget(&self) -> usize {
         let full = self.cores() * 2;
         match self.phase {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -164,7 +158,7 @@ impl ManagedNode {
     ///
     /// Propagates the hypervisor's placement error when memory is
     /// exhausted.
-    pub fn launch(
+    pub(crate) fn launch(
         &mut self,
         config: VmConfig,
     ) -> Result<VmId, uniserver_hypervisor::memdomain::PlacementError> {
@@ -181,7 +175,7 @@ impl ManagedNode {
     /// by the gray capacity cap while degraded — and memory checked by
     /// the hypervisor's relaxed-domain accounting).
     #[must_use]
-    pub fn fits(&self, config: &VmConfig) -> bool {
+    pub(crate) fn fits(&self, config: &VmConfig) -> bool {
         let cpu_ok = self.hypervisor.committed_vcpus() + config.vcpus <= self.vcpu_budget();
         let mem_ok = self
             .hypervisor
@@ -205,7 +199,7 @@ impl ManagedNode {
 
     /// vCPUs committed / physical cores.
     #[must_use]
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.hypervisor.committed_vcpus() as f64 / self.cores() as f64
     }
 

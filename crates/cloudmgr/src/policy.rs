@@ -11,14 +11,14 @@
 //! * [`EnergySlaPolicy`] — the reference: the Nova-style filter +
 //!   weigher pipeline of [`Scheduler`], byte-identical to the
 //!   pre-trait behavior.
-//! * [`ConsolidatePolicy`] — pack-and-power-down consolidation in the
+//! * `ConsolidatePolicy` — pack-and-power-down consolidation in the
 //!   Beloglazov et al. taxonomy: place onto the *lowest*-scored
 //!   feasible node (packing), park drained nodes in
-//!   [`NodePower::Asleep`](crate::lifecycle::NodePower) at near-zero
+//!   `NodePower::Asleep` at near-zero
 //!   power, wake them on demand pressure, and rebalance with
 //!   migration-cost-aware drain thresholds.
-//! * [`ReliabilityBlindPolicy`] — the ablation:
-//!   [`SchedulerWeights::reliability_blind`] weighing plus a filter
+//! * `ReliabilityBlindPolicy` — the ablation:
+//!   `SchedulerWeights::reliability_blind` weighing plus a filter
 //!   with the reliability floor removed, quantifying what the
 //!   UniServer reliability signal buys.
 //!
@@ -31,7 +31,7 @@
 //! candidate on the placement index's cached node facts before it
 //! touches a [`ManagedNode`]: power state, and the online, quarantine
 //! and vCPU / relaxed-memory headroom gates of
-//! [`Scheduler::admits_blind`], which every policy's `admits` implies.
+//! `Scheduler::admits_blind`, which every policy's `admits` implies.
 //! The live [`PlacementPolicy::admits`] confirms the survivors and
 //! applies everything else (crash state, availability and reliability
 //! floors), so a decision over a mostly asleep or mostly full rack
@@ -151,7 +151,7 @@ impl<'a> RackView<'a> {
 
     /// The placement score of `node`: the index's cached weigher score.
     #[must_use]
-    pub fn score(&self, node: &ManagedNode) -> f64 {
+    pub(crate) fn score(&self, node: &ManagedNode) -> f64 {
         self.index.score(node.id)
     }
 
@@ -197,7 +197,7 @@ impl<'a> RackView<'a> {
     /// The best-scored *asleep* node that would admit the request once
     /// woken — the wake-on-demand candidate.
     #[must_use]
-    pub fn best_asleep<P: PlacementPolicy + ?Sized>(
+    pub(crate) fn best_asleep<P: PlacementPolicy + ?Sized>(
         &self,
         policy: &P,
         config: &VmConfig,
@@ -228,7 +228,7 @@ pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
     /// feasibility of sleeping candidates through this too). The
     /// default is the reference filter's awake gates.
     ///
-    /// Whatever it adds, it must imply [`Scheduler::admits_blind`] —
+    /// Whatever it adds, it must imply `Scheduler::admits_blind` —
     /// the view drops candidates whose cached node facts already fail
     /// those gates without calling this.
     fn admits(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
@@ -320,7 +320,7 @@ impl PlacementPolicy for EnergySlaPolicy {
 /// migration. Running the matrix with and without this policy prices
 /// the UniServer reliability signal.
 #[derive(Debug, Clone, Copy)]
-pub struct ReliabilityBlindPolicy {
+pub(crate) struct ReliabilityBlindPolicy {
     scheduler: Scheduler,
 }
 
@@ -328,7 +328,7 @@ impl ReliabilityBlindPolicy {
     /// The ablation always uses the blind weights; a configured
     /// scheduler would defeat its purpose.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ReliabilityBlindPolicy { scheduler: Scheduler::new(SchedulerWeights::reliability_blind()) }
     }
 }
@@ -364,7 +364,7 @@ impl PlacementPolicy for ReliabilityBlindPolicy {
 /// a large fraction of peak power, a parked one draws
 /// [`crate::lifecycle::SLEEP_POWER_WATTS`].
 #[derive(Debug, Clone, Copy)]
-pub struct ConsolidatePolicy {
+pub(crate) struct ConsolidatePolicy {
     scheduler: Scheduler,
     /// Management pass period, in ticks.
     pub rebalance_every: u64,
@@ -391,7 +391,7 @@ impl ConsolidatePolicy {
     /// move VMs whose predicted pre-copy completes within 10 s, and
     /// re-score sleepers every 60 ticks (five minutes at 5 s ticks).
     #[must_use]
-    pub fn new(scheduler: Scheduler) -> Self {
+    pub(crate) fn new(scheduler: Scheduler) -> Self {
         ConsolidatePolicy {
             scheduler,
             rebalance_every: 12,

@@ -26,14 +26,14 @@ pub struct SchedulerWeights {
 impl SchedulerWeights {
     /// Balanced production weights.
     #[must_use]
-    pub fn balanced() -> Self {
+    pub(crate) fn balanced() -> Self {
         SchedulerWeights { free_capacity: 1.0, energy: 0.5, reliability: 2.0 }
     }
 
     /// A legacy scheduler that ignores reliability (the ablation
     /// baseline).
     #[must_use]
-    pub fn reliability_blind() -> Self {
+    pub(crate) fn reliability_blind() -> Self {
         SchedulerWeights { free_capacity: 1.0, energy: 0.5, reliability: 0.0 }
     }
 }
@@ -64,7 +64,7 @@ impl Scheduler {
     /// (not parked in [`crate::lifecycle::NodePower::Asleep`]) and pass
     /// [`Scheduler::admits_awake`].
     #[must_use]
-    pub fn filter(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
+    pub(crate) fn filter(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
         !node.is_asleep() && self.admits_awake(node, config, class)
     }
 
@@ -73,7 +73,7 @@ impl Scheduler {
     /// the predicate a consolidation policy checks against *asleep*
     /// candidates before spending a wake transition on them.
     #[must_use]
-    pub fn admits_awake(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
+    pub(crate) fn admits_awake(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
         self.admits_blind(node, config, class)
             && node.effective_reliability() >= class.min_reliability()
     }
@@ -87,7 +87,7 @@ impl Scheduler {
     /// because a quarantined node is operationally out of the pool, not
     /// merely predicted unreliable.
     #[must_use]
-    pub fn admits_blind(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
+    pub(crate) fn admits_blind(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
         node.fits(config)
             // The failure lifecycle pulls crashed nodes out of the pool
             // entirely; an offline or rejoining node hosts nothing.

@@ -19,7 +19,7 @@ pub enum SlaClass {
 impl SlaClass {
     /// Minimum node availability required to host this class.
     #[must_use]
-    pub fn min_availability(self) -> f64 {
+    pub(crate) fn min_availability(self) -> f64 {
         match self {
             SlaClass::Gold => 0.9995,
             SlaClass::Silver => 0.995,
@@ -30,7 +30,7 @@ impl SlaClass {
     /// Minimum node reliability score (predicted absence of imminent
     /// failure) required to host this class.
     #[must_use]
-    pub fn min_reliability(self) -> f64 {
+    pub(crate) fn min_reliability(self) -> f64 {
         match self {
             SlaClass::Gold => 0.9,
             SlaClass::Silver => 0.7,
@@ -43,7 +43,7 @@ impl SlaClass {
     /// high-availability especially for high value and user-facing
     /// workloads").
     #[must_use]
-    pub fn proactive_migration(self) -> bool {
+    pub(crate) fn proactive_migration(self) -> bool {
         !matches!(self, SlaClass::Bronze)
     }
 

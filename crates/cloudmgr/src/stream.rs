@@ -45,7 +45,7 @@ const FLASH_SALT: u64 = 0x243F_6A88_85A3_08D3;
 /// derives node silicon, so arrival streams are byte-stable however the
 /// driving loop is scheduled or threaded.
 #[must_use]
-pub fn arrival_seed(stream_seed: u64, tick: u64) -> u64 {
+pub(crate) fn arrival_seed(stream_seed: u64, tick: u64) -> u64 {
     splitmix64(stream_seed ^ ARRIVAL_SALT ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -215,20 +215,6 @@ impl VmStream {
         }
     }
 
-    /// Returns `self` with the base class mix replaced, rejecting mixes
-    /// that would silently starve bronze (gold + silver > 1) or are
-    /// otherwise degenerate.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the violated constraint.
-    pub fn with_class_mix(mut self, gold: f64, silver: f64) -> Result<Self, String> {
-        check_mix("class mix", gold, silver)?;
-        self.gold_fraction = gold;
-        self.silver_fraction = silver;
-        Ok(self)
-    }
-
     /// Validates every knob of the stream. Drivers call this once at
     /// startup; the sampling paths `debug_assert` it so a hand-rolled
     /// invalid stream fails fast in tests instead of silently skewing
@@ -315,7 +301,7 @@ impl VmStream {
     /// simulated time `t` — a closed-form pure function of
     /// `(self, stream_seed, nodes, t)`.
     #[must_use]
-    pub fn rate_at(&self, stream_seed: u64, nodes: usize, t: Seconds) -> f64 {
+    pub(crate) fn rate_at(&self, stream_seed: u64, nodes: usize, t: Seconds) -> f64 {
         let base = self.effective_rate(nodes);
         match &self.shape {
             TrafficShape::Flat => base,
@@ -328,7 +314,7 @@ impl VmStream {
     }
 
     /// The arrival batch of one tick, drawn from a per-tick sub-stream
-    /// of `stream_seed` (see [`arrival_seed`]) at the rate the rack's
+    /// of `stream_seed` (see `arrival_seed`) at the rate the rack's
     /// capacity and the traffic shape prescribe for this tick's start
     /// time (`tick × duration`). Pure in
     /// `(self, stream_seed, tick, duration, nodes)`: the event-queue
@@ -520,15 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn class_mix_constructor_rejects_bronze_starvation() {
-        assert!(VmStream::datacenter().with_class_mix(0.8, 0.4).is_err());
-        assert!(VmStream::datacenter().with_class_mix(-0.1, 0.3).is_err());
-        let ok = VmStream::datacenter().with_class_mix(0.5, 0.5).expect("valid mix");
-        assert_eq!(ok.gold_fraction, 0.5);
-        assert!(VmStream::datacenter().validate().is_ok());
-    }
-
-    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "invalid stream")]
     fn sampling_an_overfull_mix_panics_in_debug() {
@@ -554,5 +531,13 @@ mod tests {
         assert!(s.validate().is_err(), "inverted pareto bounds");
         let s = VmStream { per_node_rate: -1.0, ..VmStream::datacenter() };
         assert!(s.validate().is_err(), "negative rates");
+        for (gold, silver) in [(0.8, 0.4), (-0.1, 0.3)] {
+            let s =
+                VmStream { gold_fraction: gold, silver_fraction: silver, ..VmStream::datacenter() };
+            assert!(s.validate().is_err(), "class mix {gold}/{silver}");
+        }
+        let s = VmStream { gold_fraction: 0.5, silver_fraction: 0.5, ..VmStream::datacenter() };
+        assert!(s.validate().is_ok(), "gold + silver = 1 leaves bronze empty but valid");
+        assert!(VmStream::datacenter().validate().is_ok());
     }
 }

@@ -43,7 +43,7 @@ impl DeploymentConfig {
     /// A production-flavoured deployment: ARM micro-server, four LDBC
     /// guests, cautious optimizer.
     #[must_use]
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         DeploymentConfig {
             spec: PartSpec::arm_microserver(),
             stress_params: StressTargetParams::standard(),
@@ -251,12 +251,6 @@ impl Ecosystem {
         self.phase
     }
 
-    /// The production hypervisor (read-only).
-    #[must_use]
-    pub fn hypervisor(&self) -> &Hypervisor {
-        &self.hypervisor
-    }
-
     /// Runs one serving interval, handling the monitored-operation
     /// loop: health-triggered or scheduled re-characterization.
     pub fn run(&mut self, duration: Seconds) {
@@ -388,7 +382,7 @@ mod tests {
         let (node, point) = provision_node(&config, 77, &advisor);
         let eco = Ecosystem::deploy(&config, 77);
         assert_eq!(&point, eco.operating_point());
-        assert_eq!(node.chip().speed_factor, eco.hypervisor().node().chip().speed_factor);
+        assert_eq!(node.chip().speed_factor, eco.hypervisor.node().chip().speed_factor);
         // And the point is actually programmed into the MSRs.
         assert!(node.msr.voltage_offset_mv(0) > 0.0);
     }

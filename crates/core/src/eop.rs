@@ -50,7 +50,7 @@ impl OperatingPoint {
     ///
     /// Panics if `aggressiveness` is outside `[0, 1]`.
     #[must_use]
-    pub fn from_margins(margins: &MarginVector, aggressiveness: f64) -> Self {
+    pub(crate) fn from_margins(margins: &MarginVector, aggressiveness: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&aggressiveness),
             "aggressiveness must be in [0, 1], got {aggressiveness}"

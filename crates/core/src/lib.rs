@@ -30,7 +30,6 @@
 pub mod ecosystem;
 pub mod eop;
 pub mod optimizer;
-pub mod security;
 pub mod training;
 
 pub use ecosystem::{provision_node, DeploymentConfig, Ecosystem, SavingsReport};

@@ -30,7 +30,7 @@ impl EopOptimizer {
 
     /// Keeps a quarter of the measured margin in reserve.
     #[must_use]
-    pub fn cautious() -> Self {
+    pub(crate) fn cautious() -> Self {
         EopOptimizer { aggressiveness: 0.75 }
     }
 
@@ -38,7 +38,7 @@ impl EopOptimizer {
     /// then cap each core's offset by the depth the Predictor considers
     /// safe for the expected workload.
     #[must_use]
-    pub fn choose(
+    pub(crate) fn choose(
         &self,
         spec: &PartSpec,
         margins: &MarginVector,

@@ -58,7 +58,7 @@ impl TrainedAdvisor {
     ///
     /// [`Ecosystem::deploy`]: crate::ecosystem::Ecosystem::deploy
     #[must_use]
-    pub fn train(config: &DeploymentConfig) -> Self {
+    pub(crate) fn train(config: &DeploymentConfig) -> Self {
         TrainedAdvisor {
             part_name: Arc::from(config.spec.name.as_str()),
             advisor: Arc::new(train_advisor(config)),
@@ -104,32 +104,12 @@ impl AdvisorCache {
         let mut map = self.trained.lock().unwrap();
         map.entry(config.spec.name.clone()).or_insert(fresh).clone()
     }
-
-    /// Number of parts trained so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking trainer.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trained.lock().unwrap().len()
-    }
-
-    /// Whether no part has been trained yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking trainer.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trained.lock().unwrap().is_empty()
-    }
 }
 
 /// Free-function form of the training step (what [`TrainedAdvisor::train`]
 /// wraps): exposed for callers that want an unshared advisor.
 #[must_use]
-pub fn train_advisor(config: &DeploymentConfig) -> ModeAdvisor {
+pub(crate) fn train_advisor(config: &DeploymentConfig) -> ModeAdvisor {
     let harness = TrainingHarness { spec: config.spec.clone(), ..TrainingHarness::quick() };
     let data = harness.generate(config.training_chips);
     let model = LogisticModel::fit(&data, 200, 0.7);
@@ -151,7 +131,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a.advisor, &b.advisor), "second lookup must share the model");
         let c = cache.get_or_train(&i5);
         assert!(!Arc::ptr_eq(&a.advisor, &c.advisor), "distinct parts train distinct models");
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.trained.lock().unwrap().len(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub struct DvfsPoint {
 
 impl DvfsPoint {
     /// Peak operation.
-    pub const PEAK: DvfsPoint = DvfsPoint { freq_scale: 1.0, voltage_scale: 1.0 };
+    pub(crate) const PEAK: DvfsPoint = DvfsPoint { freq_scale: 1.0, voltage_scale: 1.0 };
 
     /// Creates a point.
     ///
@@ -50,7 +50,7 @@ impl DvfsPoint {
 
     /// Runtime stretch for fixed work: `1/f`.
     #[must_use]
-    pub fn runtime_scale(self) -> f64 {
+    pub(crate) fn runtime_scale(self) -> f64 {
         1.0 / self.freq_scale
     }
 

@@ -12,14 +12,14 @@
 //! # Examples
 //!
 //! ```
-//! use uniserver_edge::dvfs::DvfsPoint;
+//! use uniserver_edge::DvfsPoint;
 //!
 //! let p = DvfsPoint::paper_edge_point(); // f x0.5, V x0.7
 //! assert!((p.power_scale() - 0.245).abs() < 1e-12);        // ~75 % less power
 //! assert!((p.energy_scale_fixed_work() - 0.49).abs() < 1e-12); // ~50 % less energy
 //! ```
 
-pub mod dvfs;
+pub(crate) mod dvfs;
 pub mod latency;
 
 pub use dvfs::DvfsPoint;

@@ -110,12 +110,6 @@ pub struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    /// No chaos — every query returns nothing.
-    #[must_use]
-    pub fn none() -> Self {
-        ChaosPlan { campaigns: Vec::new() }
-    }
-
     /// The headline fault profile for a `ticks`-long horizon: a steady
     /// background of independent node crashes (0.15 per node-hour), a
     /// rack/PSU failure taking out 12.5 % of the fleet a third of the
@@ -361,7 +355,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_quiet() {
-        let plan = ChaosPlan::none();
+        let plan = ChaosPlan::default();
         for tick in 0..100 {
             assert!(plan.crash_indices_at(1, tick, 5.0, 64).is_empty());
             assert_eq!(plan.ambient_delta_at(tick), 0.0);
@@ -492,7 +486,7 @@ mod tests {
 
     #[test]
     fn gray_gate_distinguishes_plans() {
-        assert!(!ChaosPlan::none().has_gray());
+        assert!(!ChaosPlan::default().has_gray());
         assert!(!ChaosPlan::rack_and_flash(720).has_gray());
         let gray = ChaosPlan::gray_brownout(720, 256);
         assert!(gray.has_gray());

@@ -40,7 +40,7 @@ use uniserver_silicon::BitFlip;
 
 /// Outcome of a single injection execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InjectionOutcome {
+pub(crate) enum InjectionOutcome {
     /// The corrupted object was never exercised; the SDC stayed latent.
     Latent,
     /// The object was exercised but the corruption was benign.
@@ -54,7 +54,7 @@ pub enum InjectionOutcome {
 
 /// Load condition of an injection execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoadCondition {
+pub(crate) enum LoadCondition {
     /// VMs actively running on the victim hypervisor.
     WithVms,
     /// Unloaded hypervisor.

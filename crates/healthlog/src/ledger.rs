@@ -22,7 +22,7 @@ pub struct OriginStats {
 impl OriginStats {
     /// Total error count regardless of severity.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.corrected + self.uncorrected + self.fatal
     }
 }
@@ -37,18 +37,6 @@ pub enum LedgerKey {
     CacheBank(usize),
     /// A DIMM.
     Dimm(usize),
-}
-
-impl LedgerKey {
-    /// Coarsens a machine-check origin onto a ledger key.
-    #[must_use]
-    pub fn from_origin(origin: ErrorOrigin) -> Self {
-        match origin {
-            ErrorOrigin::Core(c) => LedgerKey::Core(c),
-            ErrorOrigin::CacheBank(b) => LedgerKey::CacheBank(b),
-            ErrorOrigin::Dimm { dimm, .. } => LedgerKey::Dimm(dimm),
-        }
-    }
 }
 
 impl std::fmt::Display for LedgerKey {
@@ -84,7 +72,7 @@ impl ErrorLedger {
     }
 
     /// Records one machine-check record.
-    pub fn record(&mut self, rec: &MceRecord) {
+    pub(crate) fn record(&mut self, rec: &MceRecord) {
         let (slots, index) = match rec.origin {
             ErrorOrigin::Core(c) => (&mut self.cores, c),
             ErrorOrigin::CacheBank(b) => (&mut self.banks, b),
@@ -100,17 +88,6 @@ impl ErrorLedger {
             ErrorSeverity::Fatal => entry.fatal += 1,
         }
         self.max_total = self.max_total.max(entry.total());
-    }
-
-    /// Stats for one origin (zeros if never seen).
-    #[must_use]
-    pub fn stats(&self, key: LedgerKey) -> OriginStats {
-        let (slots, index) = match key {
-            LedgerKey::Core(c) => (&self.cores, c),
-            LedgerKey::CacheBank(b) => (&self.banks, b),
-            LedgerKey::Dimm(d) => (&self.dimms, d),
-        };
-        slots.get(index).copied().unwrap_or_default()
     }
 
     /// The slot vectors with their key constructors, in [`LedgerKey`]
@@ -142,11 +119,18 @@ impl ErrorLedger {
         hot.sort_by_key(|(_, stats)| std::cmp::Reverse(stats.total()));
         hot
     }
+}
 
-    /// Total errors recorded across all origins.
-    #[must_use]
-    pub fn grand_total(&self) -> u64 {
-        self.kinds().iter().flat_map(|(slots, _)| slots.iter()).map(OriginStats::total).sum()
+#[cfg(test)]
+impl ErrorLedger {
+    /// Stats for one origin (zeros if never seen).
+    pub(crate) fn stats(&self, key: LedgerKey) -> OriginStats {
+        let (slots, index) = match key {
+            LedgerKey::Core(c) => (&self.cores, c),
+            LedgerKey::CacheBank(b) => (&self.banks, b),
+            LedgerKey::Dimm(d) => (&self.dimms, d),
+        };
+        slots.get(index).copied().unwrap_or_default()
     }
 }
 
@@ -184,7 +168,7 @@ mod tests {
         assert_eq!(hot.len(), 2);
         assert_eq!(hot[0].0, LedgerKey::CacheBank(0));
         assert_eq!(hot[1].0, LedgerKey::Core(1));
-        assert_eq!(ledger.grand_total(), 8);
+        assert_eq!(ledger.hot_origins(0).iter().map(|(_, s)| s.total()).sum::<u64>(), 8);
     }
 
     #[test]
@@ -228,11 +212,20 @@ mod tests {
             rec(origin, severity)
         }
 
+        /// Coarsens a machine-check origin onto a ledger key.
+        fn key_of(origin: ErrorOrigin) -> LedgerKey {
+            match origin {
+                ErrorOrigin::Core(c) => LedgerKey::Core(c),
+                ErrorOrigin::CacheBank(b) => LedgerKey::CacheBank(b),
+                ErrorOrigin::Dimm { dimm, .. } => LedgerKey::Dimm(dimm),
+            }
+        }
+
         /// The map-backed ledger the dense one replaced.
         fn reference(records: &[MceRecord]) -> BTreeMap<LedgerKey, OriginStats> {
             let mut map: BTreeMap<LedgerKey, OriginStats> = BTreeMap::new();
             for r in records {
-                let entry = map.entry(LedgerKey::from_origin(r.origin)).or_default();
+                let entry = map.entry(key_of(r.origin)).or_default();
                 match r.severity {
                     ErrorSeverity::Corrected => entry.corrected += 1,
                     ErrorSeverity::Uncorrected => entry.uncorrected += 1,
@@ -273,7 +266,6 @@ mod tests {
                     hot.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(&b.0)));
                     prop_assert_eq!(ledger.hot_origins(threshold), hot);
                 }
-                prop_assert_eq!(ledger.grand_total(), map.values().map(OriginStats::total).sum::<u64>());
 
                 // The ledger is a function of the record multiset.
                 prop_assert_eq!(&feed(records.iter().rev()), &ledger);

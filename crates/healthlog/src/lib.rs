@@ -21,7 +21,7 @@
 //!   are evaluated, and actions may be recommended to higher layers
 //!   (trigger a StressLog cycle, isolate a resource).
 //! * **On-demand**: higher layers (Predictor, Hypervisor) query the
-//!   ledger, the error rate and the recent event counts.
+//!   ledger and the recent event counts.
 //!
 //! # Examples
 //!
@@ -35,7 +35,6 @@
 //! let report = node.run_interval(&WorkloadProfile::spec_bzip2(), Seconds::new(1.0));
 //! assert!(health.ingest_owned(report).is_empty());
 //! assert_eq!(health.events_logged(), 0, "a clean interval is not an event");
-//! assert_eq!(health.ce_rate_per_minute(), 0.0);
 //! ```
 
 mod daemon;

@@ -91,24 +91,6 @@ pub struct FootprintSample {
     pub application: Bytes,
 }
 
-impl FootprintSample {
-    /// Total utilized memory in the sample.
-    #[must_use]
-    pub fn total(&self) -> Bytes {
-        self.hypervisor + self.vms + self.application
-    }
-
-    /// Hypervisor share of utilized memory (the Figure 3 red line).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample is empty (total zero).
-    #[must_use]
-    pub fn hypervisor_fraction(&self) -> f64 {
-        self.hypervisor.fraction_of(self.total())
-    }
-}
-
 /// The error-resilient hypervisor.
 #[derive(Debug, Clone)]
 pub struct Hypervisor {
@@ -129,7 +111,6 @@ pub struct Hypervisor {
     downtime: Seconds,
     crashes: u64,
     masked_corrected_total: u64,
-    contained_uncorrected_total: u64,
     /// Cached merge of the running guests' profiles, keyed by the VM-id
     /// set it was computed for: the serving tick compares the running
     /// set in place and only recomputes (and rewrites the id list) when
@@ -167,7 +148,6 @@ impl Hypervisor {
             downtime: Seconds::ZERO,
             crashes: 0,
             masked_corrected_total: 0,
-            contained_uncorrected_total: 0,
             merged_cache: None,
             merged_cache_vms: Vec::new(),
         }
@@ -189,12 +169,6 @@ impl Hypervisor {
     #[must_use]
     pub fn health(&self) -> &HealthLog {
         &self.health
-    }
-
-    /// The static-object inventory (the fault injector's target set).
-    #[must_use]
-    pub fn inventory(&self) -> &ObjectInventory {
-        &self.inventory
     }
 
     /// Launches a VM, placing its guest memory in the relaxed domain.
@@ -283,7 +257,7 @@ impl Hypervisor {
     /// static objects + protection shadows. This is the red line of
     /// Figure 3 and it lives entirely in the reliable domain.
     #[must_use]
-    pub fn own_footprint(&self) -> Bytes {
+    pub(crate) fn own_footprint(&self) -> Bytes {
         // Stopped VMs are dropped from the map, so every record counts.
         let vm_overheads: Bytes =
             self.vms.values().map(|vm| self.per_vm_overhead(&vm.config)).sum();
@@ -390,7 +364,6 @@ impl Hypervisor {
                                     vm.kill();
                                     self.committed -= vm.config.vcpus;
                                     outcome.contained_uncorrected += 1;
-                                    self.contained_uncorrected_total += 1;
                                 }
                             }
                         }
@@ -504,12 +477,6 @@ impl Hypervisor {
     pub fn masked_corrected_total(&self) -> u64 {
         self.masked_corrected_total
     }
-
-    /// Lifetime uncorrected errors contained at VM granularity.
-    #[must_use]
-    pub fn contained_uncorrected_total(&self) -> u64 {
-        self.contained_uncorrected_total
-    }
 }
 
 impl Hypervisor {
@@ -565,7 +532,7 @@ mod tests {
         let config = HypervisorConfig::default();
         assert_eq!(
             hv.own_footprint(),
-            config.base_footprint + hv.inventory().total_size() + Bytes::new(58_400)
+            config.base_footprint + hv.inventory.total_size() + Bytes::new(58_400)
         );
     }
 
@@ -606,7 +573,8 @@ mod tests {
         for _ in 0..240 {
             hv.tick(Seconds::new(2.5));
             let sample = hv.footprint_sample();
-            max_share = max_share.max(sample.hypervisor_fraction());
+            let total = sample.hypervisor + sample.vms + sample.application;
+            max_share = max_share.max(sample.hypervisor.as_gib() / total.as_gib());
         }
         assert!(
             max_share < 0.07,

@@ -14,7 +14,7 @@ use uniserver_units::Bytes;
 use uniserver_platform::msr::DomainId;
 
 /// 4 KiB pages, the retirement granularity.
-pub const PAGE_BYTES: u64 = 4_096;
+pub(crate) const PAGE_BYTES: u64 = 4_096;
 
 /// Placement decision for an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,7 +87,7 @@ impl MemoryMap {
     /// Bytes still available in a domain (accounting for retired pages in
     /// the relaxed domain).
     #[must_use]
-    pub fn available(&self, placement: Placement) -> Bytes {
+    pub(crate) fn available(&self, placement: Placement) -> Bytes {
         match placement {
             Placement::Reliable => self.reliable_capacity.saturating_sub(self.reliable_used),
             Placement::Relaxed => self
@@ -134,19 +134,19 @@ impl MemoryMap {
 
     /// Retires the (relaxed-domain) page containing `word_index`.
     /// Returns whether the page was newly retired.
-    pub fn retire_page_of_word(&mut self, word_index: u64) -> bool {
+    pub(crate) fn retire_page_of_word(&mut self, word_index: u64) -> bool {
         self.retired_pages.insert(word_index * 8 / PAGE_BYTES)
     }
 
     /// Number of retired pages.
     #[must_use]
-    pub fn retired_page_count(&self) -> usize {
+    pub(crate) fn retired_page_count(&self) -> usize {
         self.retired_pages.len()
     }
 
     /// Capacity lost to retirement.
     #[must_use]
-    pub fn retired_bytes(&self) -> Bytes {
+    pub(crate) fn retired_bytes(&self) -> Bytes {
         Bytes::new(self.retired_pages.len() as u64 * PAGE_BYTES)
     }
 }

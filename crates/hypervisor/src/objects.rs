@@ -82,7 +82,7 @@ impl ObjectCategory {
     /// Number of statically allocated objects in the category (sums to
     /// the paper's 16 820).
     #[must_use]
-    pub fn object_count(self) -> usize {
+    pub(crate) fn object_count(self) -> usize {
         match self {
             ObjectCategory::Drivers => 4_200,
             ObjectCategory::Fs => 2_800,
@@ -180,10 +180,10 @@ pub struct ObjectInventory {
 
 impl ObjectInventory {
     /// Total number of statically allocated objects (the paper's count).
-    pub const TOTAL_OBJECTS: usize = 16_820;
+    pub(crate) const TOTAL_OBJECTS: usize = 16_820;
 
     /// Seed of the standard (hypervisor-default) inventory.
-    pub const STANDARD_SEED: u64 = 0xB00F;
+    pub(crate) const STANDARD_SEED: u64 = 0xB00F;
 
     /// The standard inventory every hypervisor boots with, shared
     /// read-only. Built once per process: rack simulations stand up
@@ -192,7 +192,7 @@ impl ObjectInventory {
     /// construction cost. Nothing on the serving path writes it; the SDC
     /// campaign corrupts a private inventory from [`ObjectInventory::build`].
     #[must_use]
-    pub fn standard_shared() -> std::sync::Arc<Self> {
+    pub(crate) fn standard_shared() -> std::sync::Arc<Self> {
         static PROTOTYPE: std::sync::OnceLock<std::sync::Arc<ObjectInventory>> =
             std::sync::OnceLock::new();
         std::sync::Arc::clone(
@@ -249,19 +249,14 @@ impl ObjectInventory {
     }
 
     /// Iterates over all objects.
-    pub fn iter(&self) -> impl Iterator<Item = &HvObject> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &HvObject> {
         self.objects.iter()
     }
 
     /// Total static footprint of the inventory.
     #[must_use]
-    pub fn total_size(&self) -> Bytes {
+    pub(crate) fn total_size(&self) -> Bytes {
         self.objects.iter().map(|o| o.size).sum()
-    }
-
-    /// Objects in one category.
-    pub fn in_category(&self, cat: ObjectCategory) -> impl Iterator<Item = &HvObject> {
-        self.objects.iter().filter(move |o| o.category == cat)
     }
 }
 
@@ -335,7 +330,8 @@ mod tests {
     #[test]
     fn category_filter_counts() {
         let inv = ObjectInventory::build(3);
-        assert_eq!(inv.in_category(ObjectCategory::Vdso).count(), 220);
-        assert_eq!(inv.in_category(ObjectCategory::Drivers).count(), 4_200);
+        let count = |cat| inv.iter().filter(|o| o.category == cat).count();
+        assert_eq!(count(ObjectCategory::Vdso), 220);
+        assert_eq!(count(ObjectCategory::Drivers), 4_200);
     }
 }

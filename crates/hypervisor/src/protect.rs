@@ -51,7 +51,7 @@ impl ProtectionPolicy {
     /// Number of objects the policy protects: every statically
     /// allocated object of each covered category.
     #[must_use]
-    pub fn protected_objects(&self) -> usize {
+    pub(crate) fn protected_objects(&self) -> usize {
         self.categories.iter().map(|c| c.object_count()).sum()
     }
 
@@ -59,7 +59,7 @@ impl ProtectionPolicy {
     /// state word the model tracks) per protected object. This is the
     /// protection term of the Figure 3 footprint, not host memory.
     #[must_use]
-    pub fn overhead(&self) -> Bytes {
+    pub(crate) fn overhead(&self) -> Bytes {
         Bytes::new(self.protected_objects() as u64 * 8)
     }
 }
@@ -136,8 +136,8 @@ mod tests {
         let mut inv = ObjectInventory::build(4);
         let mut protector = Protector::new(ProtectionPolicy::top_categories(3), &inv);
         // Corrupt one fs object (protected) and one vdso object (not).
-        let fs_id = inv.in_category(ObjectCategory::Fs).next().unwrap().id;
-        let vdso_id = inv.in_category(ObjectCategory::Vdso).next().unwrap().id;
+        let first = |cat| inv.iter().find(|o| o.category == cat).unwrap().id;
+        let (fs_id, vdso_id) = (first(ObjectCategory::Fs), first(ObjectCategory::Vdso));
         for id in [fs_id, vdso_id] {
             let obj = inv.get_mut(id).unwrap();
             obj.value = BitFlip::new(5).apply(obj.value);

@@ -130,7 +130,7 @@ impl Vm {
 
     /// Guest-OS baseline footprint (kernel, daemons, page cache floor).
     #[must_use]
-    pub fn os_baseline(&self) -> Bytes {
+    pub(crate) fn os_baseline(&self) -> Bytes {
         // ~12 % of configured memory, floor of 192 MiB.
         Bytes::new(((self.config.memory.as_u64() as f64 * 0.12) as u64).max(Bytes::mib(192).as_u64()))
     }
@@ -139,7 +139,7 @@ impl Vm {
     /// early in the run that saturates towards the ceiling (graph load,
     /// then query working set).
     #[must_use]
-    pub fn application_heap(&self) -> Bytes {
+    pub(crate) fn application_heap(&self) -> Bytes {
         if self.state != VmState::Running {
             return Bytes::ZERO;
         }
@@ -159,12 +159,12 @@ impl Vm {
     }
 
     /// Kills the VM (UE containment path).
-    pub fn kill(&mut self) {
+    pub(crate) fn kill(&mut self) {
         self.state = VmState::Failed;
     }
 
     /// Restarts a failed VM (heap resets, restart counted).
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         if self.state == VmState::Failed {
             self.restarts += 1;
         }

@@ -53,7 +53,7 @@ impl AdmissionPolicy {
     /// The legacy policy: every rejection is dropped (abandoned)
     /// immediately. The default, so prior flat-stream runs reproduce.
     #[must_use]
-    pub fn drop_all() -> Self {
+    pub(crate) fn drop_all() -> Self {
         AdmissionPolicy { retry_budget: [0, 0, 0], queue_depth: 0 }
     }
 
@@ -112,7 +112,7 @@ pub struct OrchestratorConfig {
     /// nodes recover in place with the geometric EOP backoff — the
     /// legacy behavior, preserved draw-for-draw. On, a crash takes the
     /// node offline for a seeded MTTR window
-    /// ([`uniserver_cloudmgr::lifecycle::MTTR_TICKS`]) and it rejoins
+    /// (`uniserver_cloudmgr::lifecycle::MTTR_TICKS`) and it rejoins
     /// through a re-characterization pass; while any node is offline,
     /// a premium re-offer that still fails sheds a bronze-first
     /// placement to make room.

@@ -43,7 +43,7 @@ pub struct DeployedNode {
 /// The per-node deployment configuration: the scenario template with
 /// part and ambient resolved from the node's seed.
 #[must_use]
-pub fn node_deployment(config: &OrchestratorConfig, node: usize) -> DeploymentConfig {
+pub(crate) fn node_deployment(config: &OrchestratorConfig, node: usize) -> DeploymentConfig {
     let seed = indexed_seed(config.seed, node);
     let mut dep = config.deployment.clone();
     dep.spec = config.cluster.node_spec(seed).clone();
@@ -92,7 +92,7 @@ fn deploy_one(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize) ->
 /// threads, the first range on the caller's thread. Returns the
 /// assembled cluster, the per-node deploy records (ordered by node
 /// index), the summed per-range deploy wall-clock in seconds, and the
-/// advisor cache, so rejoin-time re-characterizations ([`rejoin_node`])
+/// advisor cache, so rejoin-time re-characterizations (`rejoin_node`)
 /// reuse the per-part models trained at deploy time instead of
 /// retraining mid-run.
 ///
@@ -152,7 +152,7 @@ pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode
 /// simply re-program the conservative point. Returns the point now in
 /// the node's MSRs.
 #[must_use]
-pub fn rejoin_node(
+pub(crate) fn rejoin_node(
     config: &OrchestratorConfig,
     cache: &AdvisorCache,
     node: usize,

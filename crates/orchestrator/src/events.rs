@@ -56,7 +56,7 @@ impl Ord for Scheduled {
 
 /// The time-ordered event queue.
 #[derive(Debug, Clone, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Scheduled>,
     seq: u64,
 }
@@ -64,36 +64,24 @@ pub struct EventQueue {
 impl EventQueue {
     /// An empty queue.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
     /// Schedules `event` at absolute simulated time `at`.
-    pub fn schedule(&mut self, at: Seconds, event: Event) {
+    pub(crate) fn schedule(&mut self, at: Seconds, event: Event) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Pops the next event due at or before `until`, earliest first.
-    pub fn pop_due(&mut self, until: Seconds) -> Option<(Seconds, Event)> {
+    pub(crate) fn pop_due(&mut self, until: Seconds) -> Option<(Seconds, Event)> {
         if self.heap.peek().is_some_and(|s| s.at <= until) {
             self.heap.pop().map(|s| (s.at, s.event))
         } else {
             None
         }
-    }
-
-    /// Events still pending.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether nothing is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -111,7 +99,8 @@ mod tests {
         assert_eq!((at, ev), (Seconds::new(2.0), Event::Departure(PlacementId(2))));
         let (at, _) = q.pop_due(Seconds::new(10.0)).unwrap();
         assert_eq!(at, Seconds::new(5.0));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_due(Seconds::new(10.0)).map(|(at, _)| at), Some(Seconds::new(9.0)));
+        assert!(q.pop_due(Seconds::new(10.0)).is_none());
     }
 
     #[test]
@@ -120,7 +109,7 @@ mod tests {
         q.schedule(Seconds::new(7.0), Event::Departure(PlacementId(1)));
         assert!(q.pop_due(Seconds::new(6.999)).is_none());
         assert!(q.pop_due(Seconds::new(7.0)).is_some());
-        assert!(q.is_empty());
+        assert!(q.pop_due(Seconds::new(1e9)).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   contiguous node ranges: per-node silicon characterized to its
 //!   Extended Operating Point, sharing one trained advisor per part
 //!   (`uniserver_core::training::AdvisorCache`);
-//! * [`events`] — the deterministic time-ordered [`EventQueue`];
+//! * [`events`] — the deterministic time-ordered `EventQueue`;
 //! * [`orchestrator`] — the serving loop: seeded arrival batches,
 //!   energy/SLA-aware placement, crash-driven eviction/migration via
 //!   `uniserver_cloudmgr`, with the per-node phase sharded across up
@@ -45,8 +45,8 @@ pub mod summary;
 pub mod watchdog;
 
 pub use config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig};
-pub use deploy::{deploy_cluster, rejoin_node, DeployedNode};
-pub use events::{Event, EventQueue};
+pub use deploy::{deploy_cluster, DeployedNode};
+pub use events::Event;
 pub use orchestrator::{compare, run, run_timed, run_with_telemetry};
 pub use summary::{
     ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,

@@ -84,12 +84,12 @@ pub(crate) struct RetryQueue {
 }
 
 impl RetryQueue {
-    pub fn new(policy: AdmissionPolicy) -> Self {
+    pub(crate) fn new(policy: AdmissionPolicy) -> Self {
         RetryQueue { policy, pending: [VecDeque::new(), VecDeque::new(), VecDeque::new()] }
     }
 
     /// Rejections currently waiting, across all classes.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.iter().map(VecDeque::len).sum()
     }
 }
@@ -151,12 +151,12 @@ enum Offer {
 
 impl ServeCounters {
     /// Zeroed counters for a rack drawn from `parts` part-mix entries.
-    pub fn new(parts: usize) -> Self {
+    pub(crate) fn new(parts: usize) -> Self {
         ServeCounters { part_crashes: vec![0; parts], ..ServeCounters::default() }
     }
 
     /// One per-class count summed over the classes.
-    pub fn total(&self, field: fn(&ClassStats) -> u64) -> u64 {
+    pub(crate) fn total(&self, field: fn(&ClassStats) -> u64) -> u64 {
         self.per_class.iter().map(field).sum()
     }
 
@@ -167,7 +167,7 @@ impl ServeCounters {
     /// once per tick with the tick-start time and once after the loop
     /// with the horizon, so events due in the final partial window
     /// still fire.
-    pub fn drain_due(&mut self, queue: &mut EventQueue, cluster: &mut Cluster, until: Seconds) -> u64 {
+    pub(crate) fn drain_due(&mut self, queue: &mut EventQueue, cluster: &mut Cluster, until: Seconds) -> u64 {
         let mut completed_now = 0;
         while let Some((_, event)) = queue.pop_due(until) {
             match event {
@@ -191,7 +191,7 @@ impl ServeCounters {
     /// and queue depth permitting) or abandoned on the spot — the
     /// legacy drop-on-rejection path is exactly the zero-budget case.
     #[allow(clippy::too_many_arguments)]
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         retry: &mut RetryQueue,
         cluster: &mut Cluster,
@@ -233,7 +233,7 @@ impl ServeCounters {
     /// the next tick's re-offer lands in the freed slot; a shed counts
     /// as an eviction, so the SLA books still tie out. Only the failure
     /// lifecycle takes nodes offline, so without it nothing is shed.
-    pub fn reoffer_pending(
+    pub(crate) fn reoffer_pending(
         &mut self,
         retry: &mut RetryQueue,
         cluster: &mut Cluster,
@@ -362,7 +362,7 @@ impl ServeCounters {
     /// books as a capacity shed — charged as an eviction (the cap *is*
     /// an SLA event) — plus the power-cap counter. Returns how many
     /// victims actually existed.
-    pub fn shed_for_powercap(
+    pub(crate) fn shed_for_powercap(
         &mut self,
         cluster: &mut Cluster,
         count: usize,
@@ -385,7 +385,7 @@ impl ServeCounters {
     /// ends, so `offered = placed + abandoned` ties out. These drops are
     /// counted separately from budget-exhausted abandons: the horizon
     /// expired them while they were still waiting for a verdict.
-    pub fn flush_pending(&mut self, retry: &mut RetryQueue, final_tick: u64, tel: &mut Telemetry) {
+    pub(crate) fn flush_pending(&mut self, retry: &mut RetryQueue, final_tick: u64, tel: &mut Telemetry) {
         for class in 0..3 {
             while let Some(p) = retry.pending[class].pop_front() {
                 self.abandon(class, final_tick.saturating_sub(p.offered_tick), tel);
@@ -403,7 +403,7 @@ impl ServeCounters {
 
     /// Charges one lost placement: an eviction is an SLA violation
     /// whatever the class promised.
-    pub fn charge_eviction(&mut self, lost: &Placement, tel: &mut Telemetry) {
+    pub(crate) fn charge_eviction(&mut self, lost: &Placement, tel: &mut Telemetry) {
         self.evicted += 1;
         self.per_class[class_idx(lost.class)].violations += 1;
         tel.inc("evictions");
@@ -426,7 +426,7 @@ impl ServeCounters {
     ///
     /// Returns the migrations performed (the per-tick series' column).
     #[allow(clippy::too_many_arguments)]
-    pub fn recover_crashes(
+    pub(crate) fn recover_crashes(
         &mut self,
         cluster: &mut Cluster,
         queue: &mut EventQueue,

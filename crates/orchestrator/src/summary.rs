@@ -291,15 +291,3 @@ pub struct MarginComparison {
     /// The conservative twin run.
     pub nominal: ClusterSummary,
 }
-
-impl MarginComparison {
-    /// Fractional fleet energy saving of extended over nominal.
-    #[must_use]
-    pub fn energy_saving_fraction(&self) -> f64 {
-        if self.nominal.energy_j > 0.0 {
-            1.0 - self.extended.energy_j / self.nominal.energy_j
-        } else {
-            0.0
-        }
-    }
-}

@@ -18,14 +18,14 @@
 //! than drawn inside it, which keeps the hysteresis a pure state
 //! machine: property tests can drive it with arbitrary pass/fail
 //! sequences, and the orchestrator supplies the seeded draw from
-//! [`probe_fails`] — pure in `(seed, node, tick)`, so runs are
+//! `probe_fails` — pure in `(seed, node, tick)`, so runs are
 //! byte-identical across worker counts.
 //!
 //! The policy has no settings. Its numbers are the constants at the top
-//! of this module: the K-of-N gate ([`QUARANTINE_FAILS`] of
-//! [`WINDOW`]), [`PROBATION_PASSES`] clean probes to readmit,
-//! [`DRAIN_BUDGET`] migrations per tick, and the probe failure odds
-//! [`PROBE_FAIL_DEGRADED`] / [`PROBE_FAIL_HEALTHY`]. The watchdog runs
+//! of this module: the K-of-N gate (`QUARANTINE_FAILS` of
+//! `WINDOW`), [`PROBATION_PASSES`] clean probes to readmit,
+//! `DRAIN_BUDGET` migrations per tick, and the probe failure odds
+//! `PROBE_FAIL_DEGRADED` / `PROBE_FAIL_HEALTHY`. The watchdog runs
 //! whenever the run's chaos plan carries a gray campaign, the only
 //! source of degraded nodes.
 
@@ -34,19 +34,19 @@ use std::collections::BTreeMap;
 use uniserver_silicon::rng::{salt, splitmix64, unit_fraction};
 
 /// Probe-history window N: quarantine looks at the last N probes.
-pub const WINDOW: u32 = 8;
+pub(crate) const WINDOW: u32 = 8;
 /// Quarantine threshold K: ≥ K failures inside the window trip it.
-pub const QUARANTINE_FAILS: u32 = 3;
+pub(crate) const QUARANTINE_FAILS: u32 = 3;
 /// Consecutive probe passes required to end probation. Any single
 /// failure resets the streak — the flap-proofing.
 pub const PROBATION_PASSES: u32 = 5;
 /// Max placements migrated off a quarantined node per tick.
-pub const DRAIN_BUDGET: usize = 4;
+pub(crate) const DRAIN_BUDGET: usize = 4;
 /// Probe failure probability while the node's gray fault is live.
-pub const PROBE_FAIL_DEGRADED: f64 = 0.9;
+pub(crate) const PROBE_FAIL_DEGRADED: f64 = 0.9;
 /// Residual probe failure probability once the fault has cleared
 /// (probes are not oracles; a healthy node can still flake).
-pub const PROBE_FAIL_HEALTHY: f64 = 0.02;
+pub(crate) const PROBE_FAIL_HEALTHY: f64 = 0.02;
 
 // The probe history is a `u64` bit-ring masked to the window, and the
 // K-of-N gate and the probation streak must both be reachable.
@@ -101,13 +101,13 @@ impl Watchdog {
 
     /// Stops watching `node` (e.g. it crashed outright and the failure
     /// lifecycle took over).
-    pub fn forget(&mut self, node: u32) {
+    pub(crate) fn forget(&mut self, node: u32) {
         self.watches.remove(&node);
     }
 
     /// The nodes currently under watch, in ascending id order.
     #[must_use]
-    pub fn watched(&self) -> Vec<u32> {
+    pub(crate) fn watched(&self) -> Vec<u32> {
         self.watches.keys().copied().collect()
     }
 
@@ -120,8 +120,8 @@ impl Watchdog {
     /// Records one probe outcome for a watched node and returns the
     /// transition it caused, if any.
     ///
-    /// Entry: a node with ≥ [`QUARANTINE_FAILS`] failures among its last
-    /// [`WINDOW`] probes is quarantined (K-of-N; a single flaky probe
+    /// Entry: a node with ≥ `QUARANTINE_FAILS` failures among its last
+    /// `WINDOW` probes is quarantined (K-of-N; a single flaky probe
     /// cannot trip it). Exit: a quarantined node must pass
     /// [`PROBATION_PASSES`] probes *in a row*; any failure zeroes the
     /// streak, so the verdicts can never alternate
@@ -166,7 +166,7 @@ impl Watchdog {
 /// shape as the chaos engine's per-node draws, on its own salt, so
 /// probes never correlate with crash or gray-onset draws.
 #[must_use]
-pub fn probe_fails(seed: u64, node: u32, tick: u64, p: f64) -> bool {
+pub(crate) fn probe_fails(seed: u64, node: u32, tick: u64, p: f64) -> bool {
     let word = splitmix64(
         seed ^ salt::PROBE
             ^ u64::from(node).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -27,7 +27,7 @@ pub struct CacheBankState {
 
 /// Corrected-error sample for one bank over one interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankCeSample {
+pub(crate) struct BankCeSample {
     /// Bank index.
     pub bank: usize,
     /// Corrected errors observed in the interval.
@@ -46,19 +46,13 @@ impl CacheSubsystem {
     /// chip-level Vmin shift is already reflected in the core crash
     /// reference that onset voltages are anchored to.
     #[must_use]
-    pub fn from_chip(chip: &ChipProfile) -> Self {
+    pub(crate) fn from_chip(chip: &ChipProfile) -> Self {
         let banks = chip
             .banks
             .iter()
             .map(|b| CacheBankState { index: b.index, weakness: b.vmin_offset, isolated: false })
             .collect();
         CacheSubsystem { banks }
-    }
-
-    /// Number of banks (isolated or not).
-    #[must_use]
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     /// Number of banks still in service.
@@ -91,15 +85,6 @@ impl CacheSubsystem {
         self.banks[bank].isolated
     }
 
-    /// Returns a previously isolated bank to service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank does not exist.
-    pub fn restore(&mut self, bank: usize) {
-        self.banks[bank].isolated = false;
-    }
-
     /// Samples corrected errors for every in-service bank over one
     /// interval at supply voltage `v`, given the interval's reference
     /// core crash voltage (bank onsets are anchored to it; see
@@ -113,7 +98,7 @@ impl CacheSubsystem {
     /// nothing: it only steps the stream past its onset draw, which is
     /// all the exact path would draw. Only a bank the bound cannot rule
     /// out rewinds and samples exactly.
-    pub fn sample_interval<R: Rng + Clone>(
+    pub(crate) fn sample_interval<R: Rng + Clone>(
         &self,
         v: Volts,
         nominal: Volts,
@@ -176,7 +161,7 @@ mod tests {
     #[test]
     fn banks_inherit_chip_variation() {
         let s = subsystem();
-        assert_eq!(s.bank_count(), 4);
+        assert_eq!(s.banks.len(), 4);
         let weaknesses: Vec<f64> = s.iter().map(|b| b.weakness).collect();
         assert!(weaknesses.windows(2).any(|w| w[0] != w[1]), "banks must differ");
     }
@@ -194,15 +179,6 @@ mod tests {
             s.sample_interval(Volts::from_millivolts(700.0), Volts::from_millivolts(844.0), crash, || crash, &VminModel::default(), &mut rng);
         assert!(samples.iter().all(|c| c.bank >= 2), "isolated banks must stay silent");
         assert!(!samples.is_empty());
-    }
-
-    #[test]
-    fn restore_returns_bank_to_service() {
-        let mut s = subsystem();
-        s.isolate(3);
-        assert_eq!(s.active_banks(), 3);
-        s.restore(3);
-        assert_eq!(s.active_banks(), 4);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! errors).
 
 use rand::Rng;
-use uniserver_units::{BitErrorRate, Bytes, Celsius, Seconds, Watts};
+use uniserver_units::{Bytes, Celsius, Seconds, Watts};
 
 use uniserver_silicon::ecc::{DecodeOutcome, Secded72};
 use uniserver_silicon::power::DramPowerModel;
@@ -56,7 +56,7 @@ impl Dimm {
 
     /// Number of 64-bit words on the DIMM.
     #[must_use]
-    pub fn words(&self) -> u64 {
+    pub(crate) fn words(&self) -> u64 {
         self.config.capacity.bits() / 64
     }
 }
@@ -77,14 +77,6 @@ pub struct MemoryScan {
     pub corrected: u64,
     /// Errors ECC detected but could not correct.
     pub uncorrected: u64,
-}
-
-impl MemoryScan {
-    /// Cumulative bit-error rate of the scan.
-    #[must_use]
-    pub fn ber(&self) -> BitErrorRate {
-        BitErrorRate::from_counts(self.raw_bit_errors, self.bits)
-    }
 }
 
 /// The memory system of one node.
@@ -122,12 +114,6 @@ impl MemorySystem {
         )
     }
 
-    /// Total capacity across DIMMs.
-    #[must_use]
-    pub fn total_capacity(&self) -> Bytes {
-        self.dimms.iter().map(|d| d.config.capacity).sum()
-    }
-
     /// Capacity belonging to one refresh domain.
     #[must_use]
     pub fn domain_capacity(&self, domain: DomainId) -> Bytes {
@@ -140,7 +126,7 @@ impl MemorySystem {
 
     /// All distinct refresh domains present.
     #[must_use]
-    pub fn domains(&self) -> Vec<DomainId> {
+    pub(crate) fn domains(&self) -> Vec<DomainId> {
         let mut ds: Vec<DomainId> = self.dimms.iter().map(|d| d.config.domain).collect();
         ds.sort();
         ds.dedup();
@@ -153,16 +139,10 @@ impl MemorySystem {
         &self.dimms
     }
 
-    /// The retention model in force.
-    #[must_use]
-    pub fn retention(&self) -> &RetentionModel {
-        &self.retention
-    }
-
     /// Module power summed over DIMMs at the domain refresh settings in
     /// `msr` and the given utilization.
     #[must_use]
-    pub fn power(&self, msr: &MsrFile, utilization: f64) -> Watts {
+    pub(crate) fn power(&self, msr: &MsrFile, utilization: f64) -> Watts {
         self.dimms
             .iter()
             .map(|d| self.power.module_power(msr.refresh_interval(d.config.domain), utilization))
@@ -261,48 +241,26 @@ impl MemorySystem {
     ///
     /// Panics if `dimm` is out of range or `interval` is zero.
     #[must_use]
-    pub fn window_failures(&self, dimm: usize, interval: Seconds, temp: Celsius) -> f64 {
+    pub(crate) fn window_failures(&self, dimm: usize, interval: Seconds, temp: Celsius) -> f64 {
         self.retention.expected_failures(interval, temp, self.dimms[dimm].words() * 64)
     }
 
-    /// Samples runtime retention errors over a deployment interval and
-    /// returns machine-check records. Each refresh window re-exposes the
-    /// weak cells; `touch_fraction` models how much of memory the
-    /// workload actually reads (undiscovered corruption stays silent,
-    /// exactly the hazard the hypervisor's reliable domain avoids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `touch_fraction` is outside `[0, 1]`.
-    pub fn step_errors<R: Rng + ?Sized>(
-        &mut self,
-        msr: &MsrFile,
-        temp: Celsius,
-        duration: Seconds,
-        now: Seconds,
-        touch_fraction: f64,
-        rng: &mut R,
-    ) -> Vec<MceRecord> {
-        let window_failures: Vec<f64> = (0..self.dimms.len())
-            .map(|i| self.window_failures(i, msr.refresh_interval(self.dimms[i].config.domain), temp))
-            .collect();
-        let mut records = Vec::new();
-        self.sample_errors_into(msr, &window_failures, duration, now, touch_fraction, rng, &mut records);
-        records
-    }
-
-    /// Like [`MemorySystem::step_errors`], but takes each DIMM's
+    /// Samples runtime retention errors over a deployment interval into a
+    /// caller-provided buffer of machine-check records (nominal intervals
+    /// produce no records, so no buffer ever grows). Each refresh window
+    /// re-exposes the weak cells; `touch_fraction` models how much of
+    /// memory the workload actually reads (undiscovered corruption stays
+    /// silent, exactly the hazard the hypervisor's reliable domain
+    /// avoids). `window_failures` holds each DIMM's
     /// [`MemorySystem::window_failures`] at the current refresh settings
-    /// and temperature (the serving tick memoizes them), and appends into
-    /// a caller-provided buffer (nominal intervals produce no records, so
-    /// no buffer ever grows).
+    /// and temperature (the serving tick memoizes them).
     ///
     /// # Panics
     ///
     /// Panics if `touch_fraction` is outside `[0, 1]` or
     /// `window_failures` does not hold one term per DIMM.
     #[allow(clippy::too_many_arguments)]
-    pub fn sample_errors_into<R: Rng + ?Sized>(
+    pub(crate) fn sample_errors_into<R: Rng + ?Sized>(
         &mut self,
         msr: &MsrFile,
         window_failures: &[f64],
@@ -366,9 +324,9 @@ mod tests {
     #[test]
     fn commodity_topology_matches_paper() {
         let mem = MemorySystem::commodity_server(false);
-        assert_eq!(mem.total_capacity(), Bytes::gib(32));
         assert_eq!(mem.domains(), vec![DomainId(0), DomainId(1)]);
         assert_eq!(mem.domain_capacity(DomainId(0)), Bytes::gib(16));
+        assert_eq!(mem.domain_capacity(DomainId(1)), Bytes::gib(16));
     }
 
     #[test]
@@ -376,7 +334,6 @@ mod tests {
         let mut mem = MemorySystem::commodity_server(false);
         let scan = mem.scan_dimm(0, Seconds::from_millis(64.0), Celsius::new(45.0), &mut rng());
         assert_eq!(scan.raw_bit_errors, 0);
-        assert_eq!(scan.ber(), BitErrorRate::ZERO);
     }
 
     #[test]
@@ -407,19 +364,39 @@ mod tests {
         assert!(scan.corrected >= scan.uncorrected * 10);
     }
 
+    /// One serving interval's retention errors at 45 °C, sampled the way
+    /// `ServerNode` does: each DIMM's window failures at its domain's
+    /// refresh interval, then `sample_errors_into`.
+    fn step_errors(
+        mem: &mut MemorySystem,
+        msr: &MsrFile,
+        duration: Seconds,
+        touch_fraction: f64,
+        rng: &mut StdRng,
+    ) -> Vec<MceRecord> {
+        let temp = Celsius::new(45.0);
+        let window_failures: Vec<f64> = (0..mem.dimms.len())
+            .map(|i| mem.window_failures(i, msr.refresh_interval(mem.dimms[i].config.domain), temp))
+            .collect();
+        let mut records = Vec::new();
+        mem.sample_errors_into(
+            msr,
+            &window_failures,
+            duration,
+            Seconds::ZERO,
+            touch_fraction,
+            rng,
+            &mut records,
+        );
+        records
+    }
+
     #[test]
     fn step_errors_only_in_relaxed_domain() {
         let mut mem = MemorySystem::commodity_server(false);
         let msr = msr_with(Seconds::new(5.0));
         let mut r = rng();
-        let recs = mem.step_errors(
-            &msr,
-            Celsius::new(45.0),
-            Seconds::new(60.0),
-            Seconds::ZERO,
-            1.0,
-            &mut r,
-        );
+        let recs = step_errors(&mut mem, &msr, Seconds::new(60.0), 1.0, &mut r);
         assert!(!recs.is_empty(), "a minute at 5 s refresh must surface errors");
         for rec in &recs {
             let ErrorOrigin::Dimm { dimm, .. } = rec.origin else {
@@ -438,16 +415,12 @@ mod tests {
         let mut r = rng();
         let full: usize = (0..20)
             .map(|_| {
-                mem_full
-                    .step_errors(&msr, Celsius::new(45.0), Seconds::new(30.0), Seconds::ZERO, 1.0, &mut r)
-                    .len()
+                step_errors(&mut mem_full, &msr, Seconds::new(30.0), 1.0, &mut r).len()
             })
             .sum();
         let idle: usize = (0..20)
             .map(|_| {
-                mem_idle
-                    .step_errors(&msr, Celsius::new(45.0), Seconds::new(30.0), Seconds::ZERO, 0.05, &mut r)
-                    .len()
+                step_errors(&mut mem_idle, &msr, Seconds::new(30.0), 0.05, &mut r).len()
             })
             .sum();
         assert!(idle * 5 < full, "idle {idle} should be far below full {full}");

@@ -99,14 +99,8 @@ impl MsrFile {
 
     /// Number of cores addressed by this register file.
     #[must_use]
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.core_offsets_mv.len()
-    }
-
-    /// Number of refresh domains.
-    #[must_use]
-    pub fn domains(&self) -> usize {
-        self.refresh.len()
     }
 
     /// Hardware limit on the undervolt offset magnitude, in millivolts.
@@ -165,15 +159,9 @@ impl MsrFile {
     ///
     /// Panics if `core` is out of range.
     #[must_use]
-    pub fn effective_voltage(&self, core: usize) -> Volts {
+    pub(crate) fn effective_voltage(&self, core: usize) -> Volts {
         self.nominal_voltage
             .saturating_sub(Volts::from_millivolts(self.core_offsets_mv[core]))
-    }
-
-    /// The nominal voltage the offsets are relative to.
-    #[must_use]
-    pub fn nominal_voltage(&self) -> Volts {
-        self.nominal_voltage
     }
 
     /// Sets the refresh interval of one memory domain.
@@ -226,7 +214,6 @@ mod tests {
         assert_eq!(m.effective_voltage(0), Volts::new(0.844));
         assert_eq!(m.refresh_interval(DomainId(0)), Seconds::from_millis(64.0));
         assert_eq!(m.cores(), 2);
-        assert_eq!(m.domains(), 2);
     }
 
     #[test]

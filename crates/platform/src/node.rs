@@ -2,7 +2,7 @@
 //!
 //! A [`ServerNode`] binds a manufactured chip instance (sampled from the
 //! part's variation model) to the MSR control plane, cache and memory
-//! subsystems, sensors and machine-check banks, and advances them in
+//! subsystems and sensors, and advances them in
 //! discrete intervals. The stress campaigns, daemons and hypervisor all
 //! drive nodes exclusively through this interface — the same observables
 //! the paper's stack gets from real hardware.
@@ -38,7 +38,7 @@ use uniserver_silicon::{ErrorSeverity, FaultKind};
 
 use crate::cache::CacheSubsystem;
 use crate::dram::MemorySystem;
-use crate::mca::{ErrorOrigin, McaBanks, MceRecord};
+use crate::mca::{ErrorOrigin, MceRecord};
 use crate::msr::MsrFile;
 use crate::part::PartSpec;
 use crate::sensors::{SensorBlock, SensorSnapshot};
@@ -141,10 +141,8 @@ pub struct ServerNode {
     /// utilization and temperature only.
     pub memory: MemorySystem,
     sensors: SensorBlock,
-    mca: McaBanks,
     clock: Seconds,
     crashed: bool,
-    reboots: u64,
     /// Crash events since the last drain — the cluster orchestrator's
     /// failure feed. Bounded: a crash halts the node until reboot, the
     /// hypervisor drains the feed when it recovers the crash, and the
@@ -227,10 +225,8 @@ impl ServerNode {
             cache,
             memory,
             sensors: SensorBlock::server_room(),
-            mca: McaBanks::default(),
             clock: Seconds::ZERO,
             crashed: false,
-            reboots: 0,
             pending_crashes: Vec::new(),
             aging: AgingModel::typical_nbti(),
             age_months: 0.0,
@@ -304,12 +300,6 @@ impl ServerNode {
         self.crashed
     }
 
-    /// Times the node has been rebooted.
-    #[must_use]
-    pub fn reboots(&self) -> u64 {
-        self.reboots
-    }
-
     /// Crash events recorded since the last drain (read-only view).
     #[must_use]
     pub fn pending_crashes(&self) -> &[CrashEvent] {
@@ -336,16 +326,10 @@ impl ServerNode {
         self.age_months += months;
     }
 
-    /// Accumulated deployment age in months.
-    #[must_use]
-    pub fn age_months(&self) -> f64 {
-        self.age_months
-    }
-
     /// The aging-induced Vmin drift at the current age, as a fraction of
     /// nominal voltage (added to every core's manufactured weakness).
     #[must_use]
-    pub fn aging_weakness(&self) -> f64 {
+    pub(crate) fn aging_weakness(&self) -> f64 {
         self.aging.drift_mv(self.age_months) / self.spec.nominal_voltage.as_millivolts()
     }
 
@@ -353,12 +337,6 @@ impl ServerNode {
     #[must_use]
     pub fn now(&self) -> Seconds {
         self.clock
-    }
-
-    /// Read-only machine-check banks.
-    #[must_use]
-    pub fn mca(&self) -> &McaBanks {
-        &self.mca
     }
 
     /// Marks a core as isolated: it stops running work and stops being
@@ -405,9 +383,6 @@ impl ServerNode {
     /// are cleared by firmware on the way up, exactly like a real
     /// machine coming back from a crash).
     pub fn reboot(&mut self) {
-        if self.crashed {
-            self.reboots += 1;
-        }
         self.crashed = false;
         self.msr
             .set_voltage_offset_all(0.0)
@@ -609,7 +584,7 @@ impl ServerNode {
         self.sweep = Some((self.rng.clone(), self.sensors.ambient));
         self.sensors.skip(self.cores.len(), core_power, &mut self.rng);
 
-        // --- Post MCEs to the banks; a crash posts a fatal record.
+        // --- Report MCEs; a crash adds a fatal record.
         if let Some(ev) = &crash {
             errors.push(MceRecord {
                 at: ev.at,
@@ -619,9 +594,6 @@ impl ServerNode {
             });
             self.crashed = true;
             self.pending_crashes.push(ev.clone());
-        }
-        for rec in &errors {
-            self.mca.post(*rec);
         }
 
         self.clock = self.clock + duration;
@@ -670,7 +642,6 @@ mod tests {
         }
         assert!(crashed, "a 20 % undervolt must crash");
         assert!(n.is_crashed());
-        assert_eq!(n.mca().fatal_total(), 1);
     }
 
     #[test]
@@ -692,7 +663,6 @@ mod tests {
         while n.run_interval(&w, Seconds::from_millis(100.0)).crash.is_none() {}
         n.reboot();
         assert!(!n.is_crashed());
-        assert_eq!(n.reboots(), 1);
         assert_eq!(n.msr.voltage_offset_mv(0), 0.0, "firmware clears offsets");
         // And it runs again.
         let r = n.run_interval(&w, Seconds::from_millis(100.0));

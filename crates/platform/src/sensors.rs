@@ -2,7 +2,7 @@
 //!
 //! The paper's HealthLog information vectors include "sensor readings"
 //! (§3.C); this module produces them on demand. An interval only steps
-//! the node's RNG past its sweep ([`SensorBlock::skip`]); the
+//! the node's RNG past its sweep (`SensorBlock::skip`); the
 //! Predictor's training harness, which reads the temperature feature,
 //! replays the sweep through `ServerNode::last_sensors`. Real sensors
 //! quantize and jitter, so readings carry configurable noise around the
@@ -45,7 +45,7 @@ impl SensorSnapshot {
 
 /// The sensor block: thermal model plus measurement noise.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SensorBlock {
+pub(crate) struct SensorBlock {
     /// Ambient (inlet) temperature.
     pub ambient: Celsius,
     /// Junction heat-up per watt of core power (°C/W).
@@ -64,7 +64,7 @@ impl SensorBlock {
     /// Sensors for a machine in an air-conditioned server room (the
     /// paper's DRAM testbed environment).
     #[must_use]
-    pub fn server_room() -> Self {
+    pub(crate) fn server_room() -> Self {
         SensorBlock {
             ambient: Celsius::new(22.0),
             thermal_resistance: 0.9,
@@ -75,22 +75,16 @@ impl SensorBlock {
         }
     }
 
-    /// Sensors for an edge deployment without dedicated cooling.
-    #[must_use]
-    pub fn edge_closet() -> Self {
-        SensorBlock { ambient: Celsius::new(32.0), ..SensorBlock::server_room() }
-    }
-
     /// True (noise-free) junction temperature for a core dissipating
     /// `core_power`.
     #[must_use]
-    pub fn true_core_temp(&self, core_power: Watts) -> Celsius {
+    pub(crate) fn true_core_temp(&self, core_power: Watts) -> Celsius {
         self.ambient + Celsius::new(self.thermal_resistance * core_power.as_watts())
     }
 
     /// True DIMM temperature given the package power.
     #[must_use]
-    pub fn true_dimm_temp(&self, package_power: Watts) -> Celsius {
+    pub(crate) fn true_dimm_temp(&self, package_power: Watts) -> Celsius {
         self.ambient + Celsius::new(self.dimm_coupling * package_power.as_watts())
     }
 
@@ -103,7 +97,7 @@ impl SensorBlock {
     ///
     /// Panics if `core_powers` and `core_voltages` differ in length or
     /// are empty.
-    pub fn sample<R: Rng + ?Sized>(
+    pub(crate) fn sample<R: Rng + ?Sized>(
         &self,
         core_powers: &[Watts],
         core_voltages: &[Volts],
@@ -143,7 +137,7 @@ impl SensorBlock {
     /// # Panics
     ///
     /// Panics if `cores` is zero.
-    pub fn skip<R: Rng + ?Sized>(&self, cores: usize, core_power: Watts, rng: &mut R) {
+    pub(crate) fn skip<R: Rng + ?Sized>(&self, cores: usize, core_power: Watts, rng: &mut R) {
         assert!(cores > 0, "need at least one core");
 
         for _ in 0..cores {
@@ -222,7 +216,7 @@ mod tests {
     #[test]
     fn edge_deployment_is_hotter() {
         let dc = SensorBlock::server_room();
-        let edge = SensorBlock::edge_closet();
+        let edge = SensorBlock { ambient: Celsius::new(32.0), ..SensorBlock::server_room() };
         assert!(edge.ambient > dc.ambient);
         assert!(edge.true_dimm_temp(Watts::new(30.0)) > dc.true_dimm_temp(Watts::new(30.0)));
     }

@@ -110,19 +110,19 @@ impl WorkloadProfile {
 
     /// `456.hmmer` — profile HMM search, tight integer loops.
     #[must_use]
-    pub fn spec_hmmer() -> Self {
+    pub(crate) fn spec_hmmer() -> Self {
         WorkloadProfile::new("hmmer", 0.75, 0.25, 0.05, 2.3, 0.8, 0.10, 62)
     }
 
     /// `464.h264ref` — video encoding, bursty SIMD-ish activity.
     #[must_use]
-    pub fn spec_h264ref() -> Self {
+    pub(crate) fn spec_h264ref() -> Self {
         WorkloadProfile::new("h264ref", 0.70, 0.50, 0.30, 1.8, 1.9, 0.20, 113)
     }
 
     /// `445.gobmk` — game tree search, branchy with phase changes.
     #[must_use]
-    pub fn spec_gobmk() -> Self {
+    pub(crate) fn spec_gobmk() -> Self {
         WorkloadProfile::new("gobmk", 0.60, 0.45, 0.25, 1.1, 2.7, 0.18, 128)
     }
 

@@ -7,11 +7,9 @@
 
 use uniserver_units::Celsius;
 
-use uniserver_platform::workload::WorkloadProfile;
-use uniserver_silicon::droop::DroopModel;
 
 /// Number of features in a [`FeatureVector`].
-pub const FEATURE_DIM: usize = 4;
+pub(crate) const FEATURE_DIM: usize = 4;
 
 /// One normalized feature vector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,21 +48,6 @@ impl FeatureVector {
             ],
         }
     }
-
-    /// Builds the features for *proposing* an operating point given the
-    /// current workload and the hottest junction of the latest sensor
-    /// sweep (45 °C when the node has no sweep yet).
-    #[must_use]
-    pub fn for_proposal(
-        offset_fraction: f64,
-        workload: &WorkloadProfile,
-        pdn: &DroopModel,
-        max_core_temp: Option<Celsius>,
-        ce_per_minute: f64,
-    ) -> Self {
-        let temp = max_core_temp.unwrap_or(Celsius::new(45.0));
-        Self::from_observables(offset_fraction, workload.stress_scalar(pdn), temp, ce_per_minute)
-    }
 }
 
 #[cfg(test)]
@@ -85,15 +68,6 @@ mod tests {
     fn ce_rate_is_capped() {
         let f = FeatureVector::from_observables(0.0, 0.0, Celsius::new(25.0), 1e9);
         assert_eq!(f.values[3], 10.0);
-    }
-
-    #[test]
-    fn proposal_defaults_temperature_without_history() {
-        let w = WorkloadProfile::spec_bzip2();
-        let pdn = DroopModel::typical_server_pdn();
-        let f = FeatureVector::for_proposal(0.08, &w, &pdn, None, 0.0);
-        assert!((f.values[2] - 0.4).abs() < 1e-12, "45 °C default -> 0.4");
-        assert!(f.values[1] > 0.0, "stress comes from the workload profile");
     }
 
     #[test]

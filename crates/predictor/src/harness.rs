@@ -33,36 +33,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Fraction of positive (crash) labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty.
-    #[must_use]
-    pub fn positive_rate(&self) -> f64 {
-        assert!(!self.samples.is_empty(), "empty dataset");
-        self.samples.iter().filter(|s| s.crashed).count() as f64 / self.samples.len() as f64
-    }
-
-    /// Splits into (train, test) at the given fraction, preserving
-    /// generation order (time-based split, as a deployed predictor
-    /// would face).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `train_fraction` is outside `(0, 1)`.
-    #[must_use]
-    pub fn split(&self, train_fraction: f64) -> (Dataset, Dataset) {
-        assert!(
-            train_fraction > 0.0 && train_fraction < 1.0,
-            "train fraction must be in (0, 1), got {train_fraction}"
-        );
-        let cut = ((self.samples.len() as f64) * train_fraction) as usize;
-        (
-            Dataset { samples: self.samples[..cut].to_vec() },
-            Dataset { samples: self.samples[cut..].to_vec() },
-        )
-    }
 }
 
 impl FromIterator<Sample> for Dataset {
@@ -92,7 +62,7 @@ impl TrainingHarness {
     /// A harness spanning safe, marginal and fatal depths on the ARM
     /// micro-server part.
     #[must_use]
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         TrainingHarness {
             spec: PartSpec::arm_microserver(),
             workloads: WorkloadProfile::spec2006_subset(),
@@ -174,6 +144,20 @@ impl TrainingHarness {
 }
 
 #[cfg(test)]
+impl Dataset {
+    /// Splits into (train, test) at the given fraction, preserving
+    /// generation order (time-based split, as a deployed predictor
+    /// would face).
+    pub(crate) fn split(&self, train_fraction: f64) -> (Dataset, Dataset) {
+        let cut = ((self.samples.len() as f64) * train_fraction) as usize;
+        (
+            Dataset { samples: self.samples[..cut].to_vec() },
+            Dataset { samples: self.samples[cut..].to_vec() },
+        )
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -181,7 +165,8 @@ mod tests {
     fn dataset_covers_both_classes() {
         let data = TrainingHarness::quick().generate(2);
         assert!(data.samples.len() > 100);
-        let rate = data.positive_rate();
+        let crashed = data.samples.iter().filter(|s| s.crashed).count();
+        let rate = crashed as f64 / data.samples.len() as f64;
         assert!(rate > 0.05 && rate < 0.75, "positive rate {rate}");
     }
 
@@ -214,11 +199,5 @@ mod tests {
         let a = TrainingHarness::quick().generate(1);
         let b = TrainingHarness::quick().generate(1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty dataset")]
-    fn positive_rate_of_empty_panics() {
-        let _ = Dataset::default().positive_rate();
     }
 }

@@ -8,9 +8,8 @@
 //!
 //! * [`features`] — feature extraction from operating points, sensor
 //!   sweeps and HealthLog error rates;
-//! * [`logistic`] — the failure-probability model (logistic regression
-//!   trained with SGD) plus evaluation metrics;
-//! * [`bayes`] — a Gaussian naive-Bayes comparator;
+//! * [`LogisticModel`] — the failure-probability model (logistic
+//!   regression fitted by Newton/IRLS) plus evaluation metrics;
 //! * [`harness`] — labeled-sample generation by exercising platform
 //!   nodes across operating points;
 //! * [`advisor`] — the operating-mode advisor consuming the model.
@@ -19,19 +18,17 @@
 //!
 //! ```
 //! use uniserver_predictor::harness::TrainingHarness;
-//! use uniserver_predictor::logistic::LogisticModel;
+//! use uniserver_predictor::LogisticModel;
 //!
-//! let data = TrainingHarness::quick().generate(3);
-//! let (train, test) = data.split(0.8);
-//! let model = LogisticModel::fit(&train, 150, 0.5);
-//! assert!(model.accuracy(&test) > 0.8);
+//! let model = LogisticModel::fit(&TrainingHarness::quick().generate(3), 150, 0.5);
+//! let held_out = TrainingHarness::quick().generate(4);
+//! assert!(model.accuracy(&held_out) > 0.8);
 //! ```
 
 pub mod advisor;
-pub mod bayes;
 pub mod features;
 pub mod harness;
-pub mod logistic;
+pub(crate) mod logistic;
 
 pub use advisor::{ModeAdvisor, OperatingMode};
 pub use features::FeatureVector;

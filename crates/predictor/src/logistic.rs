@@ -3,7 +3,7 @@
 //! Small, dependency-free and entirely adequate: the crash boundary in
 //! feature space (offset vs stress) is close to linear, which is exactly
 //! the regime logistic regression handles well. Trained by damped
-//! Newton/IRLS iterations; evaluated with accuracy, log-loss and AUC.
+//! Newton/IRLS iterations; evaluated with accuracy and AUC.
 
 use uniserver_silicon::math::sigmoid;
 
@@ -58,7 +58,7 @@ fn solve<const N: usize>(mut a: [[f64; N]; N], mut b: [f64; N]) -> [f64; N] {
 impl LogisticModel {
     /// An untrained (all-zero) model predicting 0.5 everywhere.
     #[must_use]
-    pub fn zeroed() -> Self {
+    pub(crate) fn zeroed() -> Self {
         LogisticModel { weights: [0.0; FEATURE_DIM], bias: 0.0 }
     }
 
@@ -190,7 +190,7 @@ impl LogisticModel {
 
     /// Hard classification at the 0.5 threshold.
     #[must_use]
-    pub fn predict(&self, f: &FeatureVector) -> bool {
+    pub(crate) fn predict(&self, f: &FeatureVector) -> bool {
         self.predict_proba(f) >= 0.5
     }
 
@@ -205,30 +205,6 @@ impl LogisticModel {
         let correct =
             data.samples.iter().filter(|s| self.predict(&s.features) == s.crashed).count();
         correct as f64 / data.samples.len() as f64
-    }
-
-    /// Mean negative log-likelihood on a dataset (lower is better).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset is empty.
-    #[must_use]
-    pub fn log_loss(&self, data: &Dataset) -> f64 {
-        assert!(!data.samples.is_empty(), "empty dataset");
-        let eps = 1e-12;
-        let total: f64 = data
-            .samples
-            .iter()
-            .map(|s| {
-                let p = self.predict_proba(&s.features).clamp(eps, 1.0 - eps);
-                if s.crashed {
-                    -p.ln()
-                } else {
-                    -(1.0 - p).ln()
-                }
-            })
-            .sum();
-        total / data.samples.len() as f64
     }
 
     /// Area under the ROC curve via the rank-sum (Mann–Whitney)
@@ -276,12 +252,30 @@ mod tests {
         assert!(auc > 0.9, "AUC {auc}");
     }
 
+    /// Mean negative log-likelihood on a dataset (lower is better).
+    fn log_loss(model: &LogisticModel, data: &Dataset) -> f64 {
+        let eps = 1e-12;
+        let total: f64 = data
+            .samples
+            .iter()
+            .map(|s| {
+                let p = model.predict_proba(&s.features).clamp(eps, 1.0 - eps);
+                if s.crashed {
+                    -p.ln()
+                } else {
+                    -(1.0 - p).ln()
+                }
+            })
+            .sum();
+        total / data.samples.len() as f64
+    }
+
     #[test]
     fn training_reduces_log_loss() {
         let data = TrainingHarness::quick().generate(2);
         let untrained = LogisticModel::zeroed();
         let model = LogisticModel::fit(&data, 100, 0.5);
-        assert!(model.log_loss(&data) < untrained.log_loss(&data) * 0.8);
+        assert!(log_loss(&model, &data) < log_loss(&untrained, &data) * 0.8);
     }
 
     #[test]

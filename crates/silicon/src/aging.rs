@@ -8,7 +8,6 @@
 //! down, which is why periodic re-characterization (every 2–3 months)
 //! works.
 
-use uniserver_units::Volts;
 
 /// Power-law Vmin drift model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,22 +35,6 @@ impl AgingModel {
     pub fn drift_mv(&self, months: f64) -> f64 {
         assert!(months >= 0.0, "deployment time must be non-negative, got {months}");
         self.coeff_mv * months.powf(self.time_exponent)
-    }
-
-    /// The aged crash voltage: manufacturing-time crash voltage plus the
-    /// accumulated drift.
-    #[must_use]
-    pub fn aged_crash_voltage(&self, fresh: Volts, months: f64) -> Volts {
-        fresh + Volts::from_millivolts(self.drift_mv(months))
-    }
-
-    /// Additional drift accumulated between two points in time — what a
-    /// re-characterization at `from_months` fails to cover by
-    /// `to_months`. Drives the choice of the StressLog period.
-    #[must_use]
-    pub fn drift_between_mv(&self, from_months: f64, to_months: f64) -> f64 {
-        assert!(from_months <= to_months, "interval must be ordered");
-        self.drift_mv(to_months) - self.drift_mv(from_months)
     }
 }
 
@@ -84,21 +67,12 @@ mod tests {
     }
 
     #[test]
-    fn aged_crash_voltage_rises() {
-        let m = AgingModel::typical_nbti();
-        let fresh = Volts::new(0.760);
-        let aged = m.aged_crash_voltage(fresh, 24.0);
-        assert!(aged > fresh);
-        assert!(aged.as_millivolts() - fresh.as_millivolts() < 30.0);
-    }
-
-    #[test]
     fn later_recharacterization_intervals_drift_less() {
         let m = AgingModel::typical_nbti();
         // The same 3-month window drifts less the older the machine is —
         // the rationale for a fixed re-characterization period being safe.
-        let early = m.drift_between_mv(0.0, 3.0);
-        let late = m.drift_between_mv(24.0, 27.0);
+        let early = m.drift_mv(3.0) - m.drift_mv(0.0);
+        let late = m.drift_mv(27.0) - m.drift_mv(24.0);
         assert!(late < early / 3.0, "early {early} vs late {late}");
     }
 

@@ -54,39 +54,12 @@ impl BinningReport {
         let total: f64 = self.bins.iter().map(|b| b.floor.as_mhz() * b.count as f64).sum();
         Megahertz::new(total / sold as f64)
     }
-
-    /// Average *capability* thrown away per sold chip: the gap between
-    /// each chip's true Fmax and the bin floor it is sold at, in MHz.
-    /// This is the headroom UniServer reclaims.
-    #[must_use]
-    pub fn mean_wasted_headroom(
-        &self,
-        population: &[ChipProfile],
-        nominal: Megahertz,
-        bin_step: Megahertz,
-        lowest_bin: Megahertz,
-    ) -> Megahertz {
-        let mut wasted = 0.0;
-        let mut sold = 0usize;
-        for chip in population {
-            let fmax = chip_fmax(chip, nominal);
-            if let Some(bin) = bin_for(fmax, bin_step, lowest_bin) {
-                wasted += fmax.as_mhz() - bin.as_mhz();
-                sold += 1;
-            }
-        }
-        if sold == 0 {
-            Megahertz::new(0.0)
-        } else {
-            Megahertz::new(wasted / sold as f64)
-        }
-    }
 }
 
 /// Maximum stable chip frequency: limited by its *slowest* core, which is
 /// exactly the worst-case coupling the paper criticizes.
 #[must_use]
-pub fn chip_fmax(chip: &ChipProfile, nominal: Megahertz) -> Megahertz {
+pub(crate) fn chip_fmax(chip: &ChipProfile, nominal: Megahertz) -> Megahertz {
     let worst = (0..chip.cores.len())
         .map(|c| chip.core_fmax_factor(c))
         .fold(f64::MAX, f64::min);
@@ -96,7 +69,7 @@ pub fn chip_fmax(chip: &ChipProfile, nominal: Megahertz) -> Megahertz {
 /// The bin floor for a chip of the given Fmax, or `None` if it is below
 /// the lowest sellable bin.
 #[must_use]
-pub fn bin_for(fmax: Megahertz, bin_step: Megahertz, lowest_bin: Megahertz) -> Option<Megahertz> {
+pub(crate) fn bin_for(fmax: Megahertz, bin_step: Megahertz, lowest_bin: Megahertz) -> Option<Megahertz> {
     if fmax < lowest_bin {
         return None;
     }
@@ -180,18 +153,6 @@ mod tests {
         assert_eq!(bin_for(Megahertz::new(2_351.0), step, lowest), Some(Megahertz::new(2_300.0)));
         assert_eq!(bin_for(Megahertz::new(2_000.0), step, lowest), Some(Megahertz::new(2_000.0)));
         assert_eq!(bin_for(Megahertz::new(1_999.0), step, lowest), None);
-    }
-
-    #[test]
-    fn wasted_headroom_is_positive_and_below_step() {
-        let pop = population(2_000);
-        let nominal = Megahertz::from_ghz(2.6);
-        let step = Megahertz::new(100.0);
-        let lowest = Megahertz::from_ghz(2.0);
-        let report = bin_population(&pop, nominal, step, lowest);
-        let waste = report.mean_wasted_headroom(&pop, nominal, step, lowest);
-        assert!(waste.as_mhz() > 0.0);
-        assert!(waste.as_mhz() < step.as_mhz());
     }
 
     #[test]

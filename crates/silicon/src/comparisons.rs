@@ -57,7 +57,7 @@ impl RazorCore {
     ///
     /// Panics if `percent_below_pof` is negative.
     #[must_use]
-    pub fn error_rate(&self, percent_below_pof: f64) -> f64 {
+    pub(crate) fn error_rate(&self, percent_below_pof: f64) -> f64 {
         assert!(percent_below_pof >= 0.0, "depth below PoF must be non-negative");
         (self.per_cycle_error_rate_at_pof
             * 10f64.powf(self.decade_per_percent * percent_below_pof))
@@ -66,7 +66,7 @@ impl RazorCore {
 
     /// Throughput retained after replay stalls at the given depth.
     #[must_use]
-    pub fn throughput_factor(&self, percent_below_pof: f64) -> f64 {
+    pub(crate) fn throughput_factor(&self, percent_below_pof: f64) -> f64 {
         let rate = self.error_rate(percent_below_pof);
         1.0 / (1.0 + rate * self.replay_penalty_cycles)
     }
@@ -77,7 +77,7 @@ impl RazorCore {
     /// conservative point. Energy ∝ V²; replay re-executes work;
     /// detection taxes everything.
     #[must_use]
-    pub fn energy_per_instruction(&self, pof_margin_percent: f64, percent_below_pof: f64) -> f64 {
+    pub(crate) fn energy_per_instruction(&self, pof_margin_percent: f64, percent_below_pof: f64) -> f64 {
         let v = 1.0 - (pof_margin_percent + percent_below_pof) / 100.0;
         let base = v * v * (1.0 + self.detection_overhead);
         base / self.throughput_factor(percent_below_pof)
@@ -87,7 +87,7 @@ impl RazorCore {
     /// the classic Razor sweet spot just past the PoF, where replay
     /// costs start to win.
     #[must_use]
-    pub fn optimal_depth(&self, pof_margin_percent: f64) -> f64 {
+    pub(crate) fn optimal_depth(&self, pof_margin_percent: f64) -> f64 {
         let mut best = (0.0, self.energy_per_instruction(pof_margin_percent, 0.0));
         let mut d = 0.0;
         while d <= 5.0 {

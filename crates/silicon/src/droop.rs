@@ -61,7 +61,7 @@ impl DroopModel {
 
     /// The droop of the theoretical worst virus (all excitations 1.0).
     #[must_use]
-    pub fn virus_ceiling(&self) -> f64 {
+    pub(crate) fn virus_ceiling(&self) -> f64 {
         self.droop_fraction(1.0, 1.0, 1.0)
     }
 

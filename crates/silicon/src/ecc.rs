@@ -27,9 +27,9 @@
 //! ```
 
 /// Number of bits in a codeword.
-pub const CODEWORD_BITS: u8 = 72;
+pub(crate) const CODEWORD_BITS: u8 = 72;
 /// Number of data bits per codeword.
-pub const DATA_BITS: u8 = 64;
+pub(crate) const DATA_BITS: u8 = 64;
 
 /// The SECDED(72,64) codec. Stateless; all methods are associated
 /// functions.
@@ -57,20 +57,6 @@ pub enum DecodeOutcome {
 }
 
 impl DecodeOutcome {
-    /// The recovered data, if the word was usable.
-    #[must_use]
-    pub fn data(self) -> Option<u64> {
-        match self {
-            DecodeOutcome::Clean { data } | DecodeOutcome::Corrected { data, .. } => Some(data),
-            DecodeOutcome::Uncorrectable => None,
-        }
-    }
-
-    /// Whether the outcome counts as a corrected error.
-    #[must_use]
-    pub fn is_corrected(self) -> bool {
-        matches!(self, DecodeOutcome::Corrected { .. })
-    }
 }
 
 /// Codeword layout: bit 0 of the `u128` is the overall parity; bits
@@ -228,14 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn outcome_accessors() {
+    fn decode_reports_clean_and_corrected() {
         let data = 42u64;
         let w = Secded72::encode(data);
-        assert_eq!(Secded72::decode(w).data(), Some(42));
-        assert!(!Secded72::decode(w).is_corrected());
+        assert_eq!(Secded72::decode(w), DecodeOutcome::Clean { data: 42 });
+        assert!(!matches!(Secded72::decode(w), DecodeOutcome::Corrected { .. }));
         let upset = Secded72::flip_bit(w, 9);
-        assert!(Secded72::decode(upset).is_corrected());
-        assert_eq!(DecodeOutcome::Uncorrectable.data(), None);
+        assert!(matches!(Secded72::decode(upset), DecodeOutcome::Corrected { .. }));
     }
 
     #[test]

@@ -20,13 +20,9 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// All fault kinds, for iteration in reports.
-    pub const ALL: [FaultKind; 4] =
-        [FaultKind::CacheBit, FaultKind::DramBit, FaultKind::CoreLogic, FaultKind::Interconnect];
-
     /// Short label used in log lines and tables.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::CacheBit => "cache",
             FaultKind::DramBit => "dram",
@@ -56,7 +52,7 @@ pub enum ErrorSeverity {
 impl ErrorSeverity {
     /// Short label used in log lines and tables.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ErrorSeverity::Corrected => "CE",
             ErrorSeverity::Uncorrected => "UE",
@@ -101,13 +97,6 @@ impl BitFlip {
     pub fn apply(self, word: u64) -> u64 {
         word ^ (1u64 << self.bit)
     }
-
-    /// Whether applying the flip to `word` changes its value (always true
-    /// for XOR, kept for symmetry with multi-bit fault types).
-    #[must_use]
-    pub fn corrupts(self, word: u64) -> bool {
-        self.apply(word) != word
-    }
 }
 
 impl std::fmt::Display for BitFlip {
@@ -127,7 +116,6 @@ mod tests {
         let flip = BitFlip::new(17);
         let w = 0xDEAD_BEEFu64;
         assert_eq!(flip.apply(flip.apply(w)), w);
-        assert!(flip.corrupts(w));
     }
 
     #[test]
@@ -156,6 +144,5 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(FaultKind::CacheBit.to_string(), "cache");
         assert_eq!(ErrorSeverity::Fatal.to_string(), "FATAL");
-        assert_eq!(FaultKind::ALL.len(), 4);
     }
 }

@@ -1,22 +1,13 @@
 //! Special functions used by the statistical models.
 //!
 //! Implemented locally (rather than pulling a numerics dependency) because
-//! only four functions are needed: `erf`, the standard normal CDF and
-//! quantile, and a numerically safe `log2`.
+//! only three functions are needed: `erf`, the standard normal CDF and
+//! the logistic sigmoid.
 
 /// Error function, via the Abramowitz & Stegun 7.1.26 rational
 /// approximation (max absolute error ≈ 1.5e-7, ample for model work).
-///
-/// # Examples
-///
-/// ```
-/// use uniserver_silicon::math::erf;
-/// assert!((erf(0.0)).abs() < 1e-6);
-/// assert!((erf(1.0) - 0.8427).abs() < 1e-3);
-/// assert!((erf(-1.0) + 0.8427).abs() < 1e-3);
-/// ```
 #[must_use]
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     // A&S 7.1.26 with symmetry erf(-x) = -erf(x).
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
@@ -34,16 +25,8 @@ pub fn erf(x: f64) -> f64 {
 /// `φ(z)/|z| · (1 − 1/z²)` is used instead so tail probabilities like
 /// Φ(−6) ≈ 1e-9 — exactly the regime of the paper's DRAM BER — stay
 /// accurate.
-///
-/// # Examples
-///
-/// ```
-/// use uniserver_silicon::math::normal_cdf;
-/// assert!((normal_cdf(0.0) - 0.5).abs() < 1e-9);
-/// assert!(normal_cdf(-6.0) > 0.0 && normal_cdf(-6.0) < 1e-8);
-/// ```
 #[must_use]
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     if z < -6.0 {
         // Asymptotic tail: Φ(z) ≈ φ(z)/|z| · (1 − 1/z² + 3/z⁴).
         let pdf = (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
@@ -53,69 +36,6 @@ pub fn normal_cdf(z: f64) -> f64 {
         1.0 - normal_cdf(-z)
     } else {
         0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
-    }
-}
-
-/// Standard normal quantile Φ⁻¹(p) via Acklam's rational approximation
-/// (relative error below 1.15e-9 over (0, 1)).
-///
-/// # Panics
-///
-/// Panics if `p` is not strictly inside `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use uniserver_silicon::math::normal_quantile;
-/// assert!(normal_quantile(0.5).abs() < 1e-8);
-/// assert!((normal_quantile(0.975) - 1.959964).abs() < 1e-4);
-/// ```
-#[must_use]
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile argument must be in (0, 1), got {p}");
-
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_69e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        -normal_quantile(1.0 - p)
     }
 }
 
@@ -168,22 +88,6 @@ mod tests {
         // Φ(-7) ≈ 1.28e-12.
         let p7 = normal_cdf(-7.0);
         assert!((p7 - 1.28e-12).abs() / 1.28e-12 < 0.05, "got {p7}");
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for p in [1e-9, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.999] {
-            let z = normal_quantile(p);
-            let back = normal_cdf(z);
-            let tol = if p < 1e-6 { 0.1 * p } else { 1e-5 };
-            assert!((back - p).abs() < tol.max(1e-12), "p={p} z={z} back={back}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "in (0, 1)")]
-    fn quantile_rejects_bounds() {
-        let _ = normal_quantile(0.0);
     }
 
     #[test]

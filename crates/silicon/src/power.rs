@@ -45,7 +45,7 @@ impl CorePowerModel {
     ///
     /// Panics if `activity` is outside `[0, 1]`.
     #[must_use]
-    pub fn dynamic(&self, v: Volts, f: Megahertz, activity: f64) -> Watts {
+    pub(crate) fn dynamic(&self, v: Volts, f: Megahertz, activity: f64) -> Watts {
         assert!((0.0..=1.0).contains(&activity), "activity must be in [0, 1], got {activity}");
         // P = C·V²·f·α ; C in nF and f in MHz conveniently yield milliwatts.
         let mw = self.ceff_nf * v.as_volts() * v.as_volts() * f.as_mhz() * activity;
@@ -59,7 +59,7 @@ impl CorePowerModel {
     ///
     /// Panics if `vnom` is zero or `leakage_factor` is negative.
     #[must_use]
-    pub fn leakage(&self, v: Volts, temp: Celsius, vnom: Volts, leakage_factor: f64) -> Watts {
+    pub(crate) fn leakage(&self, v: Volts, temp: Celsius, vnom: Volts, leakage_factor: f64) -> Watts {
         assert!(vnom.as_volts() > 0.0, "nominal voltage must be positive");
         assert!(leakage_factor >= 0.0, "leakage factor must be non-negative");
         let v_scale = (v.as_volts() / vnom.as_volts()).powf(self.leak_voltage_exp);

@@ -16,11 +16,9 @@
 //! their nominal retention — adds the stochastic component observed in
 //! retention studies (Liu et al. \[32\]).
 
-use rand::Rng;
-use uniserver_units::{BitErrorRate, Celsius, Seconds};
+use uniserver_units::{Celsius, Seconds};
 
 use crate::math::normal_cdf;
-use crate::rng::poisson;
 
 /// Lognormal retention-time model for one DRAM generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,24 +87,6 @@ impl RetentionModel {
         self.fail_probability(refresh, temp) * bits as f64
     }
 
-    /// Samples an observed failing-bit count (Poisson around the
-    /// expectation, as independent rare events).
-    pub fn sample_failures<R: Rng + ?Sized>(
-        &self,
-        refresh: Seconds,
-        temp: Celsius,
-        bits: u64,
-        rng: &mut R,
-    ) -> u64 {
-        poisson(rng, self.expected_failures(refresh, temp, bits))
-    }
-
-    /// The cumulative bit-error rate at the given operating point.
-    #[must_use]
-    pub fn ber(&self, refresh: Seconds, temp: Celsius) -> BitErrorRate {
-        BitErrorRate::new(self.fail_probability(refresh, temp).clamp(0.0, 1.0))
-    }
-
     /// Longest refresh interval whose expected failure count over `bits`
     /// cells stays at or below `target_expected` (binary search between
     /// 1 ms and 10 min).
@@ -139,8 +119,7 @@ impl Default for RetentionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use uniserver_units::BitErrorRate;
     use uniserver_units::Bytes;
 
     const MODULE_BITS: u64 = Bytes::gib(8).bits();
@@ -167,7 +146,7 @@ mod tests {
 
     #[test]
     fn paper_point_5s_ber_1e9() {
-        let ber = model().ber(Seconds::new(5.0), op_temp());
+        let ber = BitErrorRate::new(model().fail_probability(Seconds::new(5.0), op_temp()));
         // "in the order of 1e-9".
         assert!(ber.value() > 2e-10 && ber.value() < 5e-9, "BER {ber}");
         assert!(ber.is_correctable_by_secded());
@@ -209,19 +188,6 @@ mod tests {
         // And it is consistent with its own definition.
         let e = m.expected_failures(safe, op_temp(), MODULE_BITS);
         assert!(e <= 0.1 + 1e-6);
-    }
-
-    #[test]
-    fn sampled_failures_match_expectation() {
-        let m = model();
-        let mut rng = StdRng::seed_from_u64(77);
-        let t = Seconds::new(5.0);
-        let runs = 300;
-        let total: u64 =
-            (0..runs).map(|_| m.sample_failures(t, op_temp(), MODULE_BITS, &mut rng)).sum();
-        let mean = total as f64 / runs as f64;
-        let expected = m.expected_failures(t, op_temp(), MODULE_BITS);
-        assert!((mean - expected).abs() < 0.15 * expected + 1.0, "mean {mean} vs {expected}");
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn deviate_bound(radius: usize) -> f64 {
 /// # Panics
 ///
 /// Panics if `lo > hi` or `sigma` is negative.
-pub fn truncated_normal<R: Rng + ?Sized>(
+pub(crate) fn truncated_normal<R: Rng + ?Sized>(
     rng: &mut R,
     mean: f64,
     sigma: f64,
@@ -121,19 +121,6 @@ pub fn truncated_normal<R: Rng + ?Sized>(
         }
     }
     normal(rng, mean, sigma).clamp(lo, hi)
-}
-
-/// Samples a half-normal deviate `|N(0, sigma²)|`.
-pub fn half_normal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-    normal(rng, 0.0, sigma).abs()
-}
-
-/// Samples a lognormal deviate: `exp(N(mu_ln, sigma_ln²))`.
-///
-/// `mu_ln`/`sigma_ln` are the parameters of the underlying normal (natural
-/// log scale), matching how the DRAM retention literature reports fits.
-pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu_ln: f64, sigma_ln: f64) -> f64 {
-    normal(rng, mu_ln, sigma_ln).exp()
 }
 
 /// Samples a Poisson-distributed count with the given rate.
@@ -195,7 +182,7 @@ pub mod salt {
     /// Part draw from a weighted mix.
     pub const PART: u64 = 0x9A97_1BD5_2C1E_0FF1;
     /// Ambient-temperature spread.
-    pub const AMBIENT: u64 = 0x1F83_D9AB_FB41_BD6B;
+    pub(crate) const AMBIENT: u64 = 0x1F83_D9AB_FB41_BD6B;
     /// Mean-time-to-repair draw for a crashed node's offline window.
     pub const MTTR: u64 = 0x5BE0_CD19_137E_2179;
     /// Independent per-node chaos crash draws.
@@ -291,23 +278,6 @@ mod tests {
             let x = truncated_normal(&mut r, 0.0, 1.0, -0.5, 0.5);
             assert!((-0.5..=0.5).contains(&x));
         }
-    }
-
-    #[test]
-    fn half_normal_is_non_negative() {
-        let mut r = rng();
-        assert!((0..2_000).all(|_| half_normal(&mut r, 2.0) >= 0.0));
-    }
-
-    #[test]
-    fn lognormal_median() {
-        let mut r = rng();
-        let n = 40_000;
-        let mut xs: Vec<f64> = (0..n).map(|_| lognormal(&mut r, 1.0, 0.5)).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = xs[n / 2];
-        // Median of a lognormal is exp(mu).
-        assert!((median - 1.0f64.exp()).abs() < 0.1, "median {median}");
     }
 
     #[test]

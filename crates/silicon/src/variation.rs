@@ -47,22 +47,6 @@ impl VariationParams {
         }
     }
 
-    /// Tighter distribution for a mature 14 nm FinFET node: FinFETs cut
-    /// random variation and leakage spread (the paper's Table 3 banks on
-    /// FinFET adoption for part of its efficiency gains).
-    #[must_use]
-    pub fn server_14nm_finfet() -> Self {
-        VariationParams {
-            chip_speed_sigma: 0.035,
-            core_speed_sigma: 0.010,
-            chip_vmin_sigma: 0.018,
-            core_vmin_sigma: 0.008,
-            bank_vmin_sigma: 0.007,
-            leakage_sigma_ln: 0.15,
-            speed_leakage_correlation: 0.5,
-        }
-    }
-
     /// Samples one manufactured chip with `cores` CPU cores and `banks`
     /// cache banks.
     ///
@@ -149,7 +133,7 @@ impl ChipProfile {
     /// Maximum stable frequency of a core, as a fraction of the nominal
     /// part frequency (chip systematic × core random).
     #[must_use]
-    pub fn core_fmax_factor(&self, core: usize) -> f64 {
+    pub(crate) fn core_fmax_factor(&self, core: usize) -> f64 {
         let c = &self.cores[core];
         (1.0 + self.speed_factor) * (1.0 + c.speed_offset)
     }
@@ -172,16 +156,6 @@ impl ChipProfile {
         (0..self.cores.len())
             .map(|c| self.core_vmin_offset(c))
             .fold(f64::MIN, f64::max)
-    }
-
-    /// Spread between the strongest and weakest core's Vmin offset — the
-    /// paper's "core-to-core variation" axis of Table 2.
-    #[must_use]
-    pub fn core_to_core_spread(&self) -> f64 {
-        let offsets: Vec<f64> = (0..self.cores.len()).map(|c| self.core_vmin_offset(c)).collect();
-        let max = offsets.iter().cloned().fold(f64::MIN, f64::max);
-        let min = offsets.iter().cloned().fold(f64::MAX, f64::min);
-        max - min
     }
 }
 
@@ -251,32 +225,6 @@ mod tests {
             .sum::<f64>()
             / n;
         assert!(cov > 0.0, "covariance {cov} should be positive");
-    }
-
-    #[test]
-    fn finfet_node_is_tighter() {
-        let planar = VariationParams::server_28nm();
-        let finfet = VariationParams::server_14nm_finfet();
-        assert!(finfet.chip_speed_sigma < planar.chip_speed_sigma);
-        assert!(finfet.core_vmin_sigma < planar.core_vmin_sigma);
-        assert!(finfet.leakage_sigma_ln < planar.leakage_sigma_ln);
-    }
-
-    #[test]
-    fn core_to_core_spread_is_non_negative_and_grows_with_cores() {
-        let params = VariationParams::server_28nm();
-        let mut r = rng();
-        let avg_spread = |cores: usize, r: &mut StdRng| {
-            (0..300)
-                .map(|i| params.sample_chip(i, cores, 4, r).core_to_core_spread())
-                .sum::<f64>()
-                / 300.0
-        };
-        let two = avg_spread(2, &mut r);
-        let eight = avg_spread(8, &mut r);
-        assert!(two >= 0.0);
-        // Order statistics: the expected range widens with the sample count.
-        assert!(eight > two, "8-core spread {eight} vs 2-core {two}");
     }
 
     #[test]

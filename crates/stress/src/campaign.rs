@@ -333,7 +333,7 @@ pub struct ShmooResult {
 impl ShmooResult {
     /// Distinct benchmark names, in first-seen order.
     #[must_use]
-    pub fn workloads(&self) -> Vec<Arc<str>> {
+    pub(crate) fn workloads(&self) -> Vec<Arc<str>> {
         let mut names: Vec<Arc<str>> = Vec::new();
         for r in &self.runs {
             // The distinct-name count is tiny (the paper uses 8), so a
@@ -361,7 +361,7 @@ impl ShmooResult {
     /// raw runs (Table 2, margin vectors) goes through this instead of
     /// rescanning the run list per cell.
     #[must_use]
-    pub fn mean_offset_cells(&self) -> (Vec<Arc<str>>, Vec<usize>, Vec<Vec<f64>>) {
+    pub(crate) fn mean_offset_cells(&self) -> (Vec<Arc<str>>, Vec<usize>, Vec<Vec<f64>>) {
         let workloads = self.workloads();
         let cores = self.cores();
         let core_pos = |core: usize| cores.binary_search(&core).expect("core seen in first pass");

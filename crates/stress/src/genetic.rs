@@ -21,7 +21,7 @@ use uniserver_platform::workload::WorkloadProfile;
 use uniserver_silicon::droop::DroopModel;
 
 /// Period (in blocks) at which the modeled PDN resonates.
-pub const RESONANCE_PERIOD: usize = 8;
+pub(crate) const RESONANCE_PERIOD: usize = 8;
 
 /// One instruction block kind and its characteristic power level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,7 +45,7 @@ impl BlockKind {
 
     /// Normalized power level of the block in `[0, 1]`.
     #[must_use]
-    pub fn power_level(self) -> f64 {
+    pub(crate) fn power_level(self) -> f64 {
         match self {
             BlockKind::Idle => 0.04,
             BlockKind::Alu => 0.55,
@@ -56,7 +56,7 @@ impl BlockKind {
     }
 
     /// Samples a uniformly random kind.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
+    pub(crate) fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Self::ALL[rng.gen_range(0..Self::ALL.len())]
     }
 }
@@ -80,7 +80,7 @@ impl VirusGenome {
     }
 
     /// Samples a uniformly random genome of the given length.
-    pub fn random<R: Rng + ?Sized>(len: usize, rng: &mut R) -> Self {
+    pub(crate) fn random<R: Rng + ?Sized>(len: usize, rng: &mut R) -> Self {
         assert!(len >= 2, "a virus needs at least two blocks");
         VirusGenome { blocks: (0..len).map(|_| BlockKind::random(rng)).collect() }
     }
@@ -88,7 +88,7 @@ impl VirusGenome {
     /// The hand-crafted optimum: a square wave of SIMD bursts and idles
     /// at the resonance period. Used as a reference ceiling in tests.
     #[must_use]
-    pub fn resonant_square_wave(len: usize) -> Self {
+    pub(crate) fn resonant_square_wave(len: usize) -> Self {
         assert!(len >= 2, "a virus needs at least two blocks");
         let half = RESONANCE_PERIOD / 2;
         let blocks = (0..len)
@@ -99,7 +99,7 @@ impl VirusGenome {
 
     /// The genome's blocks.
     #[must_use]
-    pub fn blocks(&self) -> &[BlockKind] {
+    pub(crate) fn blocks(&self) -> &[BlockKind] {
         &self.blocks
     }
 
@@ -132,7 +132,7 @@ impl VirusGenome {
         ((hi - lo) / max_step).clamp(0.0, 1.0)
     }
 
-    /// Spectral energy of the power waveform at [`RESONANCE_PERIOD`],
+    /// Spectral energy of the power waveform at `RESONANCE_PERIOD`,
     /// normalized to `[0, 1]` (the resonance excitation). A square wave
     /// at the period scores ~1; white noise scores near 0.
     #[must_use]
@@ -177,7 +177,7 @@ impl VirusGenome {
 
     /// The droop this virus provokes under a PDN model — the GA fitness.
     #[must_use]
-    pub fn fitness(&self, pdn: &DroopModel) -> f64 {
+    pub(crate) fn fitness(&self, pdn: &DroopModel) -> f64 {
         pdn.droop_fraction(self.activity(), self.didt(), self.resonance())
     }
 }

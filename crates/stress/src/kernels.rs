@@ -8,12 +8,12 @@
 
 use uniserver_platform::workload::WorkloadProfile;
 
-use crate::genetic::{BlockKind, VirusGenome, RESONANCE_PERIOD};
+use crate::genetic::{BlockKind, VirusGenome};
 
 /// A power virus: sustained maximum switching activity (thermal/IR
 /// stress, not resonance).
 #[must_use]
-pub fn power_virus() -> WorkloadProfile {
+pub(crate) fn power_virus() -> WorkloadProfile {
     VirusGenome::new(vec![BlockKind::Simd; 64]).to_profile("power-virus")
 }
 
@@ -28,7 +28,7 @@ pub fn droop_resonator() -> WorkloadProfile {
 /// A cache thrasher: pointer chases that hammer the LLC with misses,
 /// keeping SRAM peripheral circuits busy at low voltage.
 #[must_use]
-pub fn cache_thrash() -> WorkloadProfile {
+pub(crate) fn cache_thrash() -> WorkloadProfile {
     let blocks = (0..64)
         .map(|i| if i % 2 == 0 { BlockKind::Miss } else { BlockKind::Mem })
         .collect();
@@ -38,7 +38,7 @@ pub fn cache_thrash() -> WorkloadProfile {
 /// A memory hammer: streaming writes that maximize DRAM bandwidth and
 /// row activations (retention-test companion).
 #[must_use]
-pub fn memory_hammer() -> WorkloadProfile {
+pub(crate) fn memory_hammer() -> WorkloadProfile {
     let blocks = (0..64)
         .map(|i| if i % 8 == 7 { BlockKind::Alu } else { BlockKind::Mem })
         .collect();
@@ -50,10 +50,6 @@ pub fn memory_hammer() -> WorkloadProfile {
 pub fn suite() -> Vec<WorkloadProfile> {
     vec![power_virus(), droop_resonator(), cache_thrash(), memory_hammer()]
 }
-
-/// Sanity constant re-exported for callers that align phases to the
-/// resonator (equal to [`RESONANCE_PERIOD`]).
-pub const RESONATOR_PERIOD: usize = RESONANCE_PERIOD;
 
 #[cfg(test)]
 mod tests {

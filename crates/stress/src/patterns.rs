@@ -9,7 +9,6 @@
 
 use rand::Rng;
 
-use uniserver_silicon::rng::splitmix64;
 
 /// A memory test pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,28 +29,10 @@ pub enum TestPattern {
 }
 
 impl TestPattern {
-    /// The data word the pattern writes at word index `i`.
-    #[must_use]
-    pub fn word_at(self, i: u64) -> u64 {
-        match self {
-            TestPattern::Random { seed } => splitmix64(i ^ seed),
-            TestPattern::Checkerboard => {
-                if i.is_multiple_of(2) {
-                    0xAAAA_AAAA_AAAA_AAAA
-                } else {
-                    0x5555_5555_5555_5555
-                }
-            }
-            TestPattern::AllOnes => u64::MAX,
-            TestPattern::AllZeros => 0,
-            TestPattern::WalkingOnes => 1u64 << (i % 64),
-        }
-    }
-
     /// Probability that one retention failure is *detectable* under this
     /// pattern (the failing cell was written to its charged state).
     #[must_use]
-    pub fn detection_coverage(self) -> f64 {
+    pub(crate) fn detection_coverage(self) -> f64 {
         match self {
             // Random data charges any given cell with probability 1/2.
             TestPattern::Random { .. } => 0.5,
@@ -65,21 +46,9 @@ impl TestPattern {
 
     /// Thins a raw failure count down to the detected count (binomial
     /// sampling with the pattern's coverage).
-    pub fn detected_failures<R: Rng + ?Sized>(self, raw: u64, rng: &mut R) -> u64 {
+    pub(crate) fn detected_failures<R: Rng + ?Sized>(self, raw: u64, rng: &mut R) -> u64 {
         let p = self.detection_coverage();
         (0..raw).filter(|_| rng.gen::<f64>() < p).count() as u64
-    }
-
-    /// Coverage of `passes` repeated passes. Re-seeded random passes are
-    /// independent (coverage grows towards 1); fixed patterns test the
-    /// same cells every time (coverage stays flat).
-    #[must_use]
-    pub fn multi_pass_coverage(self, passes: u32) -> f64 {
-        assert!(passes >= 1, "need at least one pass");
-        match self {
-            TestPattern::Random { .. } => 1.0 - 0.5f64.powi(passes as i32),
-            other => other.detection_coverage(),
-        }
     }
 }
 
@@ -90,32 +59,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn patterns_produce_expected_words() {
-        assert_eq!(TestPattern::AllOnes.word_at(7), u64::MAX);
-        assert_eq!(TestPattern::AllZeros.word_at(7), 0);
-        assert_eq!(TestPattern::Checkerboard.word_at(0), 0xAAAA_AAAA_AAAA_AAAA);
-        assert_eq!(TestPattern::Checkerboard.word_at(1), 0x5555_5555_5555_5555);
-        assert_eq!(TestPattern::WalkingOnes.word_at(65), 2);
-    }
-
-    #[test]
-    fn random_pattern_is_reproducible_and_varied() {
-        let p = TestPattern::Random { seed: 42 };
-        assert_eq!(p.word_at(10), p.word_at(10));
-        assert_ne!(p.word_at(10), p.word_at(11));
-        let q = TestPattern::Random { seed: 43 };
-        assert_ne!(p.word_at(10), q.word_at(10));
-    }
-
-    #[test]
-    fn random_words_have_balanced_bits() {
-        let p = TestPattern::Random { seed: 7 };
-        let ones: u32 = (0..1000).map(|i| p.word_at(i).count_ones()).sum();
-        let frac = ones as f64 / (1000.0 * 64.0);
-        assert!((frac - 0.5).abs() < 0.02, "bit balance {frac}");
-    }
-
-    #[test]
     fn detection_thinning_matches_coverage() {
         let mut rng = StdRng::seed_from_u64(1);
         let p = TestPattern::Random { seed: 0 };
@@ -124,23 +67,5 @@ mod tests {
         let w = TestPattern::WalkingOnes;
         let detected = w.detected_failures(100_000, &mut rng);
         assert!((detected as f64 / 100_000.0 - 1.0 / 64.0).abs() < 0.005);
-    }
-
-    #[test]
-    fn repeated_random_passes_approach_full_coverage() {
-        let p = TestPattern::Random { seed: 0 };
-        assert!(p.multi_pass_coverage(1) < p.multi_pass_coverage(4));
-        assert!(p.multi_pass_coverage(10) > 0.999);
-        // Fixed patterns plateau.
-        assert_eq!(
-            TestPattern::Checkerboard.multi_pass_coverage(10),
-            TestPattern::Checkerboard.detection_coverage()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one pass")]
-    fn zero_passes_panics() {
-        let _ = TestPattern::AllOnes.multi_pass_coverage(0);
     }
 }

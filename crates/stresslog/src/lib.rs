@@ -133,12 +133,6 @@ impl Schedule {
         Schedule { period, last_run: None }
     }
 
-    /// The paper's suggested cadence (~2.5 months).
-    #[must_use]
-    pub fn paper_cadence() -> Self {
-        Schedule::every(Seconds::new(2.5 * 30.0 * 24.0 * 3600.0))
-    }
-
     /// Whether a characterization is due: never ran, period elapsed, or
     /// an anomaly was flagged by the HealthLog.
     #[must_use]
@@ -162,26 +156,13 @@ impl Schedule {
 #[derive(Debug, Clone)]
 pub struct StressLog {
     params: StressTargetParams,
-    history: Vec<MarginVector>,
 }
 
 impl StressLog {
     /// Creates a daemon with the given stress target parameters.
     #[must_use]
     pub fn new(params: StressTargetParams) -> Self {
-        StressLog { params, history: Vec::new() }
-    }
-
-    /// The configured parameters.
-    #[must_use]
-    pub fn params(&self) -> &StressTargetParams {
-        &self.params
-    }
-
-    /// All previously produced margin vectors, oldest first.
-    #[must_use]
-    pub fn history(&self) -> &[MarginVector] {
-        &self.history
+        StressLog { params }
     }
 
     /// Takes the node offline and characterizes it.
@@ -229,7 +210,6 @@ impl StressLog {
         // failures — drain them so the cluster's crash feed only ever
         // reports production crashes.
         let _ = node.take_crash_events();
-        self.history.push(vector.clone());
         vector
     }
 }
@@ -331,13 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_cadence_is_months() {
-        let s = Schedule::paper_cadence();
-        let days = s.period.as_secs() / 86_400.0;
-        assert!((60.0..100.0).contains(&days), "cadence {days} days");
-    }
-
-    #[test]
     fn recharacterization_tracks_aging() {
         // The reason the StressLog re-runs "several times over the
         // lifetime of a server": after years of drift the safe margins
@@ -359,12 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn history_accumulates() {
+    fn each_characterization_is_stamped_later() {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 19);
         let mut daemon = StressLog::new(StressTargetParams::quick());
-        let _ = daemon.characterize(&mut node);
-        let _ = daemon.characterize(&mut node);
-        assert_eq!(daemon.history().len(), 2);
-        assert!(daemon.history()[1].produced_at > daemon.history()[0].produced_at);
+        let first = daemon.characterize(&mut node);
+        let second = daemon.characterize(&mut node);
+        assert!(second.produced_at > first.produced_at);
     }
 }

@@ -13,8 +13,7 @@
 //! four EE factors are {4, 2, 3, 1.5} with `margins = 1.5` (the EOP
 //! factor, consistent with reclaiming the Table 1 guard-bands). The
 //! assignment between `sw_maturity` and `fog` of {2, 3} is ambiguous in
-//! the extraction; the product — the table's headline — is invariant,
-//! and [`EeFactors::table3_swapped`] exposes the other reading.
+//! the extraction; the product — the table's headline — is invariant.
 
 /// The four multiplicative energy-efficiency factors.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,36 +35,10 @@ impl EeFactors {
         EeFactors { scaling: 4.0, sw_maturity: 2.0, fog: 3.0, margins: 1.5 }
     }
 
-    /// The alternative reading with `sw_maturity` and `fog` swapped
-    /// (same overall product).
-    #[must_use]
-    pub fn table3_swapped() -> Self {
-        EeFactors { scaling: 4.0, sw_maturity: 3.0, fog: 2.0, margins: 1.5 }
-    }
-
-    /// The factors *without* UniServer (no margin reclamation): what a
-    /// conventional 2019 platform would reach.
-    #[must_use]
-    pub fn without_uniserver(self) -> Self {
-        EeFactors { margins: 1.0, ..self }
-    }
-
     /// Overall energy-efficiency improvement (the product).
     #[must_use]
     pub fn overall(self) -> f64 {
         self.scaling * self.sw_maturity * self.fog * self.margins
-    }
-
-    /// Table rows for rendering: (source, factor).
-    #[must_use]
-    pub fn rows(self) -> [(&'static str, f64); 5] {
-        [
-            ("Scaling", self.scaling),
-            ("Sw maturity", self.sw_maturity),
-            ("Fog", self.fog),
-            ("Margins", self.margins),
-            ("Overall", self.overall()),
-        ]
     }
 }
 
@@ -79,20 +52,12 @@ mod tests {
     #[test]
     fn overall_is_36x() {
         assert_eq!(EeFactors::table3().overall(), 36.0);
-        assert_eq!(EeFactors::table3_swapped().overall(), 36.0);
     }
 
     #[test]
     fn uniserver_contributes_its_margin_factor() {
         let with = EeFactors::table3();
-        let without = with.without_uniserver();
+        let without = EeFactors { margins: 1.0, ..with };
         assert_eq!(with.overall() / without.overall(), 1.5);
-    }
-
-    #[test]
-    fn rows_cover_table3() {
-        let rows = EeFactors::table3().rows();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[4], ("Overall", 36.0));
     }
 }

@@ -7,8 +7,7 @@
 //! * [`model`] — the capex/opex TCO model itself;
 //! * [`yield_model`] — chip-cost effects of reclaiming binned-out parts
 //!   ("the actual TCO improvement will be even more because of lower
-//!   chip cost due to higher yield");
-//! * [`explore`] — design-space sweeps over deployment parameters.
+//!   chip cost due to higher yield").
 //!
 //! # Examples
 //!
@@ -19,10 +18,9 @@
 //! assert_eq!(table3.overall(), 36.0);
 //! ```
 
-pub mod explore;
 pub mod factors;
 pub mod model;
 pub mod yield_model;
 
 pub use factors::EeFactors;
-pub use model::{TcoBreakdown, TcoParams};
+pub use model::TcoParams;

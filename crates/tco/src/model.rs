@@ -63,7 +63,7 @@ impl TcoParams {
 
 /// A TCO breakdown in USD.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TcoBreakdown {
+pub(crate) struct TcoBreakdown {
     /// Server acquisition cost.
     pub server_capex: f64,
     /// Facility power/cooling provisioning cost.
@@ -77,7 +77,7 @@ pub struct TcoBreakdown {
 impl TcoBreakdown {
     /// Computes the breakdown for a deployment.
     #[must_use]
-    pub fn compute(p: &TcoParams) -> Self {
+    pub(crate) fn compute(p: &TcoParams) -> Self {
         let servers = f64::from(p.servers);
         let server_capex = servers * p.server_price;
         let provisioned_kw = servers * p.server_power_w * p.pue / 1_000.0;
@@ -90,14 +90,8 @@ impl TcoBreakdown {
 
     /// Total cost of ownership.
     #[must_use]
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.server_capex + self.infra_capex + self.energy_opex + self.maintenance_opex
-    }
-
-    /// Energy's share of the total.
-    #[must_use]
-    pub fn energy_share(&self) -> f64 {
-        self.energy_opex / self.total()
     }
 }
 
@@ -130,7 +124,7 @@ mod tests {
     #[test]
     fn baseline_energy_share_is_around_13_percent() {
         let b = TcoBreakdown::compute(&TcoParams::cloud_microserver_rack());
-        let share = b.energy_share();
+        let share = b.energy_opex / b.total();
         assert!((0.10..0.16).contains(&share), "energy share {share}");
     }
 

@@ -26,7 +26,7 @@ pub mod profile;
 pub mod trace;
 
 pub use metrics::{Gauge, Histogram, MetricsRegistry};
-pub use profile::{Stage, StageProfiler, StageSpan, STAGES};
+pub use profile::{Stage, StageProfiler, StageSpan};
 pub use trace::{TraceEvent, TraceSink};
 
 /// The per-run telemetry bundle threaded through the serving loop.
@@ -50,12 +50,6 @@ impl Telemetry {
     #[must_use]
     pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// Whether either instrument is live.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.metrics.is_some() || self.trace.is_some()
     }
 
     /// Announces the run's tick length, for duration→tick conversion.
@@ -139,7 +133,6 @@ mod tests {
     #[test]
     fn disabled_bundle_noops_everywhere() {
         let mut tel = Telemetry::disabled();
-        assert!(!tel.enabled());
         tel.begin_run(5.0);
         tel.begin_tick(3, 15.0);
         tel.inc("x");
@@ -155,7 +148,6 @@ mod tests {
     fn enabled_bundle_stamps_ticks_and_records() {
         let mut tel =
             Telemetry { metrics: Some(MetricsRegistry::new()), trace: Some(TraceSink::buffered()), ..Telemetry::disabled() };
-        assert!(tel.enabled());
         tel.begin_run(5.0);
         tel.begin_tick(2, 10.0);
         tel.inc("arrivals");

@@ -60,7 +60,7 @@ impl Gauge {
 /// Number of fixed log2 buckets: bucket 0 holds exactly-zero values,
 /// bucket `i >= 1` holds values in `[2^(i-1), 2^i)`, up to bucket 64
 /// for the top half of the `u64` range.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A fixed-log2-bucket histogram over `u64` values.
 ///
@@ -78,7 +78,7 @@ pub struct Histogram {
     pub min: u64,
     /// Largest recorded value.
     pub max: u64,
-    /// Log2 bucket occupancy; see [`Histogram::bucket_index`].
+    /// Log2 bucket occupancy; see `Histogram::bucket_index`.
     pub buckets: [u64; BUCKETS],
 }
 
@@ -93,7 +93,7 @@ impl Histogram {
     /// of the highest set bit plus one (`1 → 1`, `2..=3 → 2`,
     /// `4..=7 → 3`, …).
     #[must_use]
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         if value == 0 {
             0
         } else {

@@ -44,7 +44,7 @@ pub enum Stage {
 }
 
 /// All stages, in display order.
-pub const STAGES: [Stage; 10] = [
+pub(crate) const STAGES: [Stage; 10] = [
     Stage::Deploy,
     Stage::Rejoin,
     Stage::Events,
@@ -87,16 +87,6 @@ impl Stage {
             Stage::Predictor => "predictor",
             Stage::Recovery => "recovery",
             Stage::Reduce => "reduce",
-        }
-    }
-
-    /// The enclosing stage, for the three spans nested inside the
-    /// tick.
-    #[must_use]
-    pub fn parent(self) -> Option<Stage> {
-        match self {
-            Stage::NodeTick | Stage::Predictor | Stage::Reduce => Some(Stage::Tick),
-            _ => None,
         }
     }
 }
@@ -175,11 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn hierarchy_names_the_tick_children() {
-        assert_eq!(Stage::NodeTick.parent(), Some(Stage::Tick));
-        assert_eq!(Stage::Predictor.parent(), Some(Stage::Tick));
-        assert_eq!(Stage::Reduce.parent(), Some(Stage::Tick));
-        assert_eq!(Stage::Placement.parent(), None);
+    fn every_stage_has_a_label() {
         for stage in STAGES {
             assert!(!stage.label().is_empty());
         }

@@ -106,7 +106,7 @@ pub enum TraceEvent<'a> {
 impl TraceEvent<'_> {
     /// The `ev` field value naming this event.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TraceEvent::Arrival { .. } => "arrival",
             TraceEvent::Place { .. } => "place",
@@ -226,12 +226,6 @@ impl TraceSink {
         }
     }
 
-    /// Lines successfully written so far.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
     /// Flushes and closes the sink, surfacing the first write error if
     /// any occurred. Returns the line count on success.
     ///
@@ -276,7 +270,7 @@ mod tests {
             &TraceEvent::Place { class: "gold", node: 7, placement: 41, wait_ticks: 2 },
         );
         sink.emit(9, 45.5, &TraceEvent::Crash { node: 7, workload: "chaos" });
-        assert_eq!(sink.lines(), 3);
+        assert_eq!(sink.lines, 3);
         assert_eq!(
             sink.into_string(),
             "{\"tick\":3,\"at\":15.0,\"ev\":\"arrival\",\"class\":\"gold\"}\n\

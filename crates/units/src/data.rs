@@ -60,7 +60,7 @@ impl Bytes {
 
     /// Returns the size in mebibytes as a float.
     #[must_use]
-    pub fn as_mib(self) -> f64 {
+    pub(crate) fn as_mib(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0)
     }
 
@@ -68,17 +68,6 @@ impl Bytes {
     #[must_use]
     pub fn as_gib(self) -> f64 {
         self.0 as f64 / (1024.0 * 1024.0 * 1024.0)
-    }
-
-    /// Fraction of `self` relative to `total`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total` is zero.
-    #[must_use]
-    pub fn fraction_of(self, total: Bytes) -> f64 {
-        assert!(total.0 > 0, "total size must be positive");
-        self.0 as f64 / total.0 as f64
     }
 
     /// Saturating subtraction clamping at zero.
@@ -157,13 +146,6 @@ mod tests {
     #[test]
     fn bits_of_a_dimm() {
         assert_eq!(Bytes::gib(8).bits(), 68_719_476_736);
-    }
-
-    #[test]
-    fn fraction_used_for_footprints() {
-        let hypervisor = Bytes::mib(700);
-        let total = Bytes::gib(10);
-        assert!(hypervisor.fraction_of(total) < 0.07);
     }
 
     #[test]

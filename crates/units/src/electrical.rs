@@ -64,20 +64,6 @@ impl Volts {
         Volts::new(self.0 * factor)
     }
 
-    /// Returns the fractional offset of `self` below `reference`.
-    ///
-    /// A result of `0.10` means `self` is 10 % below `reference`. Negative
-    /// results mean `self` is above the reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` is zero.
-    #[must_use]
-    pub fn offset_below(self, reference: Volts) -> f64 {
-        assert!(reference.0 > 0.0, "reference voltage must be positive");
-        (reference.0 - self.0) / reference.0
-    }
-
     /// Saturating subtraction: returns zero volts instead of panicking when
     /// the subtrahend exceeds `self`.
     #[must_use]
@@ -164,14 +150,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_voltage_panics() {
         let _ = Volts::new(f64::NAN);
-    }
-
-    #[test]
-    fn offset_below_reference() {
-        let nominal = Volts::new(1.0);
-        let low = Volts::new(0.9);
-        assert!((low.offset_below(nominal) - 0.10).abs() < 1e-12);
-        assert!(nominal.offset_below(low) < 0.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::Seconds;
 ///
 /// let sustained = Watts::new(30.0);
 /// let energy = sustained * Seconds::new(3600.0);
-/// assert_eq!(energy.as_watt_hours(), 30.0);
+/// assert_eq!(energy.as_joules(), 108_000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Watts(f64);
@@ -48,7 +48,7 @@ impl Watts {
 
     /// Returns the value in milliwatts.
     #[must_use]
-    pub fn as_milliwatts(self) -> f64 {
+    pub(crate) fn as_milliwatts(self) -> f64 {
         self.0 * 1e3
     }
 
@@ -60,17 +60,6 @@ impl Watts {
     #[must_use]
     pub fn scaled(self, factor: f64) -> Self {
         Watts::new(self.0 * factor)
-    }
-
-    /// Fraction of `self` relative to `total` (e.g. refresh power share).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total` is zero.
-    #[must_use]
-    pub fn fraction_of(self, total: Watts) -> f64 {
-        assert!(total.0 > 0.0, "total power must be positive");
-        self.0 / total.0
     }
 }
 
@@ -144,15 +133,9 @@ impl Joules {
         self.0
     }
 
-    /// Returns the value in watt-hours.
-    #[must_use]
-    pub fn as_watt_hours(self) -> f64 {
-        self.0 / 3600.0
-    }
-
     /// Returns the value in kilowatt-hours.
     #[must_use]
-    pub fn as_kwh(self) -> f64 {
+    pub(crate) fn as_kwh(self) -> f64 {
         self.0 / 3.6e6
     }
 
@@ -232,13 +215,6 @@ mod tests {
         let e = Watts::new(1000.0) * Seconds::new(3600.0);
         assert!((e.as_kwh() - 1.0).abs() < 1e-12);
         assert_eq!(e.to_string(), "1.00 kWh");
-    }
-
-    #[test]
-    fn fraction_of_total() {
-        let refresh = Watts::new(0.9);
-        let total = Watts::new(10.0);
-        assert!((refresh.fraction_of(total) - 0.09).abs() < 1e-12);
     }
 
     #[test]

@@ -47,12 +47,6 @@ impl Megahertz {
         self.0 / 1000.0
     }
 
-    /// Returns the value in Hz.
-    #[must_use]
-    pub fn as_hz(self) -> f64 {
-        self.0 * 1e6
-    }
-
     /// Returns this frequency multiplied by a dimensionless factor.
     ///
     /// # Panics
@@ -61,12 +55,6 @@ impl Megahertz {
     #[must_use]
     pub fn scaled(self, factor: f64) -> Self {
         Megahertz::new(self.0 * factor)
-    }
-
-    /// Number of clock cycles elapsed over `seconds` at this frequency.
-    #[must_use]
-    pub fn cycles_in(self, seconds: crate::Seconds) -> f64 {
-        self.as_hz() * seconds.as_secs()
     }
 }
 
@@ -108,20 +96,12 @@ impl Sub for Megahertz {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Seconds;
 
     #[test]
     fn ghz_conversion() {
         let f = Megahertz::from_ghz(2.6);
         assert!((f.as_mhz() - 2600.0).abs() < 1e-9);
         assert!((f.as_ghz() - 2.6).abs() < 1e-12);
-        assert_eq!(f.as_hz(), 2.6e9);
-    }
-
-    #[test]
-    fn cycles_in_window() {
-        let f = Megahertz::from_ghz(1.0);
-        assert_eq!(f.cycles_in(Seconds::new(2.0)), 2e9);
     }
 
     #[test]

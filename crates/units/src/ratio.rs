@@ -22,8 +22,6 @@ pub struct Ratio(f64);
 impl Ratio {
     /// The zero ratio.
     pub const ZERO: Ratio = Ratio(0.0);
-    /// The unit ratio.
-    pub const ONE: Ratio = Ratio(1.0);
 
     /// Creates a ratio from a raw value.
     ///
@@ -102,7 +100,6 @@ impl Mul for Ratio {
 /// use uniserver_units::BitErrorRate;
 ///
 /// let measured = BitErrorRate::new(0.8e-9);
-/// assert!(measured <= BitErrorRate::DRAM_TARGET);
 /// assert!(measured.is_correctable_by_secded());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
@@ -111,8 +108,6 @@ pub struct BitErrorRate(f64);
 impl BitErrorRate {
     /// Zero errors.
     pub const ZERO: BitErrorRate = BitErrorRate(0.0);
-    /// The BER targeted by commercial DRAM parts (paper §6.B): 1e-9.
-    pub const DRAM_TARGET: BitErrorRate = BitErrorRate(1e-9);
     /// The maximum raw BER classical SECDED ECC can absorb (paper §6.B,
     /// ref \[27\]): 1e-6.
     pub const SECDED_LIMIT: BitErrorRate = BitErrorRate(1e-6);
@@ -153,12 +148,6 @@ impl BitErrorRate {
     #[must_use]
     pub fn is_correctable_by_secded(self) -> bool {
         self <= Self::SECDED_LIMIT
-    }
-
-    /// Whether the rate meets commercial DRAM BER targets.
-    #[must_use]
-    pub fn meets_dram_target(self) -> bool {
-        self <= Self::DRAM_TARGET
     }
 }
 
@@ -209,8 +198,6 @@ mod tests {
 
     #[test]
     fn ber_thresholds() {
-        assert!(BitErrorRate::new(5e-10).meets_dram_target());
-        assert!(!BitErrorRate::new(5e-8).meets_dram_target());
         assert!(BitErrorRate::new(5e-8).is_correctable_by_secded());
         assert!(!BitErrorRate::new(5e-5).is_correctable_by_secded());
     }

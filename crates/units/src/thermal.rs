@@ -24,14 +24,14 @@ impl Celsius {
     /// Lowest representable temperature (liquid-nitrogen territory).
     pub const MIN: Celsius = Celsius(-200.0);
     /// Highest representable temperature (beyond any junction limit).
-    pub const MAX: Celsius = Celsius(300.0);
+    pub(crate) const MAX: Celsius = Celsius(300.0);
 
     /// Creates a temperature in °C.
     ///
     /// # Panics
     ///
     /// Panics if `c` is NaN/infinite or outside [`Celsius::MIN`],
-    /// [`Celsius::MAX`].
+    /// 300 °C.
     #[must_use]
     pub fn new(c: f64) -> Self {
         assert!(
@@ -47,22 +47,10 @@ impl Celsius {
         self.0
     }
 
-    /// Returns the value in kelvin.
-    #[must_use]
-    pub fn as_kelvin(self) -> f64 {
-        self.0 + 273.15
-    }
-
     /// Degrees of `self` above `reference`; negative when below.
     #[must_use]
     pub fn delta_above(self, reference: Celsius) -> f64 {
         self.0 - reference.0
-    }
-
-    /// Clamps into `[lo, hi]`.
-    #[must_use]
-    pub fn clamp(self, lo: Celsius, hi: Celsius) -> Celsius {
-        Celsius(self.0.clamp(lo.0, hi.0))
     }
 }
 
@@ -109,16 +97,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kelvin_conversion() {
-        assert!((Celsius::new(25.0).as_kelvin() - 298.15).abs() < 1e-9);
-        assert!((Celsius::new(-40.0).as_kelvin() - 233.15).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delta_and_clamp() {
+    fn delta_above_reference() {
         let t = Celsius::new(85.0);
         assert_eq!(t.delta_above(Celsius::new(25.0)), 60.0);
-        assert_eq!(t.clamp(Celsius::new(0.0), Celsius::new(70.0)), Celsius::new(70.0));
     }
 
     #[test]

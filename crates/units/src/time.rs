@@ -60,7 +60,7 @@ impl Seconds {
 
     /// Returns the value in microseconds.
     #[must_use]
-    pub fn as_micros(self) -> f64 {
+    pub(crate) fn as_micros(self) -> f64 {
         self.0 * 1e6
     }
 
