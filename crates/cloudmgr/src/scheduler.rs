@@ -73,7 +73,12 @@ impl Scheduler {
     /// the predicate a consolidation policy checks against *asleep*
     /// candidates before spending a wake transition on them.
     #[must_use]
-    pub(crate) fn admits_awake(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
+    pub(crate) fn admits_awake(
+        &self,
+        node: &ManagedNode,
+        config: &VmConfig,
+        class: SlaClass,
+    ) -> bool {
         self.admits_blind(node, config, class)
             && node.effective_reliability() >= class.min_reliability()
     }
@@ -87,7 +92,12 @@ impl Scheduler {
     /// because a quarantined node is operationally out of the pool, not
     /// merely predicted unreliable.
     #[must_use]
-    pub(crate) fn admits_blind(&self, node: &ManagedNode, config: &VmConfig, class: SlaClass) -> bool {
+    pub(crate) fn admits_blind(
+        &self,
+        node: &ManagedNode,
+        config: &VmConfig,
+        class: SlaClass,
+    ) -> bool {
         node.fits(config)
             // The failure lifecycle pulls crashed nodes out of the pool
             // entirely; an offline or rejoining node hosts nothing.

@@ -167,7 +167,12 @@ impl ServeCounters {
     /// once per tick with the tick-start time and once after the loop
     /// with the horizon, so events due in the final partial window
     /// still fire.
-    pub(crate) fn drain_due(&mut self, queue: &mut EventQueue, cluster: &mut Cluster, until: Seconds) -> u64 {
+    pub(crate) fn drain_due(
+        &mut self,
+        queue: &mut EventQueue,
+        cluster: &mut Cluster,
+        until: Seconds,
+    ) -> u64 {
         let mut completed_now = 0;
         while let Some((_, event)) = queue.pop_due(until) {
             match event {
@@ -385,7 +390,12 @@ impl ServeCounters {
     /// ends, so `offered = placed + abandoned` ties out. These drops are
     /// counted separately from budget-exhausted abandons: the horizon
     /// expired them while they were still waiting for a verdict.
-    pub(crate) fn flush_pending(&mut self, retry: &mut RetryQueue, final_tick: u64, tel: &mut Telemetry) {
+    pub(crate) fn flush_pending(
+        &mut self,
+        retry: &mut RetryQueue,
+        final_tick: u64,
+        tel: &mut Telemetry,
+    ) {
         for class in 0..3 {
             while let Some(p) = retry.pending[class].pop_front() {
                 self.abandon(class, final_tick.saturating_sub(p.offered_tick), tel);

@@ -49,7 +49,6 @@ pub struct MceRecord {
     pub origin: ErrorOrigin,
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;

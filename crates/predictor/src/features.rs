@@ -7,7 +7,6 @@
 
 use uniserver_units::Celsius;
 
-
 /// Number of features in a [`FeatureVector`].
 pub(crate) const FEATURE_DIM: usize = 4;
 

@@ -32,9 +32,6 @@ pub struct Dataset {
     pub samples: Vec<Sample>,
 }
 
-impl Dataset {
-}
-
 impl FromIterator<Sample> for Dataset {
     fn from_iter<I: IntoIterator<Item = Sample>>(iter: I) -> Self {
         Dataset { samples: iter.into_iter().collect() }

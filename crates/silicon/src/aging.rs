@@ -8,7 +8,6 @@
 //! down, which is why periodic re-characterization (every 2–3 months)
 //! works.
 
-
 /// Power-law Vmin drift model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgingModel {

@@ -69,7 +69,11 @@ pub(crate) fn chip_fmax(chip: &ChipProfile, nominal: Megahertz) -> Megahertz {
 /// The bin floor for a chip of the given Fmax, or `None` if it is below
 /// the lowest sellable bin.
 #[must_use]
-pub(crate) fn bin_for(fmax: Megahertz, bin_step: Megahertz, lowest_bin: Megahertz) -> Option<Megahertz> {
+pub(crate) fn bin_for(
+    fmax: Megahertz,
+    bin_step: Megahertz,
+    lowest_bin: Megahertz,
+) -> Option<Megahertz> {
     if fmax < lowest_bin {
         return None;
     }

@@ -77,7 +77,11 @@ impl RazorCore {
     /// conservative point. Energy ∝ V²; replay re-executes work;
     /// detection taxes everything.
     #[must_use]
-    pub(crate) fn energy_per_instruction(&self, pof_margin_percent: f64, percent_below_pof: f64) -> f64 {
+    pub(crate) fn energy_per_instruction(
+        &self,
+        pof_margin_percent: f64,
+        percent_below_pof: f64,
+    ) -> f64 {
         let v = 1.0 - (pof_margin_percent + percent_below_pof) / 100.0;
         let base = v * v * (1.0 + self.detection_overhead);
         base / self.throughput_factor(percent_below_pof)

@@ -56,9 +56,6 @@ pub enum DecodeOutcome {
     Uncorrectable,
 }
 
-impl DecodeOutcome {
-}
-
 /// Codeword layout: bit 0 of the `u128` is the overall parity; bits
 /// 1..=71 are the Hamming positions (check bits at 1, 2, 4, 8, 16, 32,
 /// 64; data at the remaining 64 positions).

@@ -59,7 +59,13 @@ impl CorePowerModel {
     ///
     /// Panics if `vnom` is zero or `leakage_factor` is negative.
     #[must_use]
-    pub(crate) fn leakage(&self, v: Volts, temp: Celsius, vnom: Volts, leakage_factor: f64) -> Watts {
+    pub(crate) fn leakage(
+        &self,
+        v: Volts,
+        temp: Celsius,
+        vnom: Volts,
+        leakage_factor: f64,
+    ) -> Watts {
         assert!(vnom.as_volts() > 0.0, "nominal voltage must be positive");
         assert!(leakage_factor >= 0.0, "leakage factor must be non-negative");
         let v_scale = (v.as_volts() / vnom.as_volts()).powf(self.leak_voltage_exp);

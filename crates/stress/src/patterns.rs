@@ -9,7 +9,6 @@
 
 use rand::Rng;
 
-
 /// A memory test pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestPattern {
