@@ -1,6 +1,6 @@
 //! Seeded samplers for the statistical models.
 //!
-//! `rand` 0.8 ships only uniform distributions; the normal, lognormal and
+//! `rand` 0.8 ships only uniform distributions; the normal, exponential and
 //! Poisson samplers the models need are implemented here so that the
 //! workspace stays within its declared dependency set. All samplers take
 //! `&mut impl Rng` so experiments remain reproducible from a single seed.
