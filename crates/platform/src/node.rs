@@ -633,15 +633,13 @@ mod tests {
         let off = n.part().offset_mv(0.20);
         n.msr.set_voltage_offset_all(off).unwrap();
         let w = WorkloadProfile::spec_zeusmp();
-        let mut crashed = false;
-        for _ in 0..20 {
-            if n.run_interval(&w, Seconds::from_millis(100.0)).crash.is_some() {
-                crashed = true;
-                break;
-            }
-        }
-        assert!(crashed, "a 20 % undervolt must crash");
+        let crashing = (0..20)
+            .map(|_| n.run_interval(&w, Seconds::from_millis(100.0)))
+            .find(|r| r.crash.is_some())
+            .expect("a 20 % undervolt must crash");
         assert!(n.is_crashed());
+        let fatal = |e: &&MceRecord| e.severity == ErrorSeverity::Fatal;
+        assert_eq!(crashing.errors.iter().filter(fatal).count(), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! use uniserver_predictor::LogisticModel;
 //!
 //! let model = LogisticModel::fit(&TrainingHarness::quick().generate(3), 150, 0.5);
-//! let held_out = TrainingHarness::quick().generate(4);
+//! let held_out = TrainingHarness { seed: 1, ..TrainingHarness::quick() }.generate(1);
 //! assert!(model.accuracy(&held_out) > 0.8);
 //! ```
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Public functions and constants no other crate names: every `pub fn` and
 # `pub const` in the non-test part of crates/*/src (the lines before a
-# file's first `#[cfg(test)]`, binaries excluded) whose name appears in
+# file's test module: a column-0 `#[cfg(test)]` whose next line opens a
+# column-0 `mod`; binaries excluded) whose name appears in
 # no .rs file outside that crate's library source. Outside means any other
 # .rs file in the tree: other crates, binaries under src/bin/, tests/,
 # benches/, examples/, the facade's src/ and rackbench/replay. Prints one
@@ -25,8 +26,11 @@ find . \( -name target -o -name .git \) -prune -o -name '*.rs' -type f -print |
             split(path, parts, "/")
             return parts[2]
         }
-        FNR == 1 { crate = owner(FILENAME); in_test = 0 }
-        crate != "" && /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        FNR == 1 { crate = owner(FILENAME); in_test = 0; gated = 0 }
+        # A `#[cfg(test)]` on a field, block or impl gates only that item;
+        # the test module, and everything after it, starts at a gated `mod`.
+        crate != "" && gated && /^mod / { in_test = 1 }
+        crate != "" { gated = /^#\[cfg\(test\)\]/ }
         crate != "" && !in_test &&
             match($0, /^[[:space:]]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*|^[[:space:]]*pub const [A-Za-z_][A-Za-z0-9_]*/) {
             n = split(substr($0, RSTART, RLENGTH), words, " ")
