@@ -210,6 +210,7 @@ mod tests {
                     kind: FaultKind::CacheBit,
                     severity,
                     origin: ErrorOrigin::CacheBank(0),
+                    count: 1,
                 })
                 .collect();
             self.health.ingest_owned(report);

@@ -48,7 +48,7 @@ impl Default for ThresholdPolicy {
 }
 
 /// What one event interval (one carrying an error record or a crash)
-/// reported, by severity.
+/// reported, by severity. Each field sums the records' counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventCounts {
     /// Whether the node crashed during the interval.
@@ -75,6 +75,11 @@ pub struct HealthLog {
     recent_events: VecDeque<EventCounts>,
     /// Event intervals ingested over the log's lifetime.
     events_logged: usize,
+    /// The advice [`HealthLog::ingest_owned`] returns a slice of: a
+    /// stress-test slot, then one isolation per hot origin, hottest
+    /// first. The hot origins are a function of the ledger, so they are
+    /// re-derived only on an interval that recorded something.
+    advice: Vec<HealthAction>,
 }
 
 impl HealthLog {
@@ -87,20 +92,24 @@ impl HealthLog {
             rate_window: VecDeque::new(),
             recent_events: VecDeque::new(),
             events_logged: 0,
+            advice: vec![HealthAction::TriggerStressTest],
         }
     }
 
     /// Event-driven service: ingests one platform interval in a single
     /// pass over its error records (ledger, event counts, rate window)
-    /// and returns the recommended actions (possibly empty).
-    pub fn ingest_owned(&mut self, report: IntervalReport) -> Vec<HealthAction> {
+    /// and returns the recommended actions (possibly empty): a stress
+    /// test while the CE rate is above the policy's, then every origin
+    /// at or past the isolation threshold, hottest first.
+    pub fn ingest_owned(&mut self, report: IntervalReport) -> &[HealthAction] {
         let mut counts = EventCounts { crashed: report.crash.is_some(), ..EventCounts::default() };
         for err in &report.errors {
             self.ledger.record(err);
+            let n = err.count as usize;
             match err.severity {
-                ErrorSeverity::Corrected => counts.ce += 1,
-                ErrorSeverity::Uncorrected => counts.ue += 1,
-                ErrorSeverity::Fatal => counts.fatal += 1,
+                ErrorSeverity::Corrected => counts.ce += n,
+                ErrorSeverity::Uncorrected => counts.ue += n,
+                ErrorSeverity::Fatal => counts.fatal += n,
             }
         }
         // Node clocks never run backwards, so an interval that has left
@@ -117,7 +126,16 @@ impl HealthLog {
             self.recent_events.push_back(counts);
             self.events_logged += 1;
         }
-        self.recommendations()
+        if !report.errors.is_empty() {
+            let hot = self.ledger.hot_origins(self.policy.isolate_origin_errors);
+            self.advice.truncate(1);
+            self.advice.extend(hot.into_iter().map(|(key, _)| HealthAction::IsolateResource(key)));
+        }
+        let stress = self.ce_rate_per_minute() > self.policy.ce_per_minute;
+        let advice = &self.advice[usize::from(!stress)..];
+        #[cfg(debug_assertions)]
+        assert_eq!(advice, self.recommendations(), "stale cached advice");
+        advice
     }
 
     /// On-demand service: the per-origin ledger.
@@ -156,8 +174,10 @@ impl HealthLog {
         }
     }
 
-    /// Evaluates thresholds against the current state. Allocates only
+    /// Evaluates thresholds against the current state from scratch: the
+    /// reference the cached advice is checked against. Allocates only
     /// when it returns an action.
+    #[cfg(any(test, debug_assertions))]
     #[must_use]
     pub(crate) fn recommendations(&self) -> Vec<HealthAction> {
         let stress = self.ce_rate_per_minute() > self.policy.ce_per_minute;
@@ -219,7 +239,7 @@ mod tests {
         let mut actions = Vec::new();
         for _ in 0..40 {
             let report = node.run_interval(&w, Seconds::new(2.0));
-            actions = health.ingest_owned(report);
+            actions = health.ingest_owned(report).to_vec();
             if !actions.is_empty() {
                 break;
             }
@@ -249,6 +269,7 @@ mod tests {
             kind: FaultKind::CacheBit,
             severity,
             origin: ErrorOrigin::CacheBank(2),
+            count: 1,
         })
         .collect();
         let mut health = HealthLog::new(ThresholdPolicy::default());
@@ -258,6 +279,51 @@ mod tests {
             Some(&EventCounts { crashed: false, ce: 2, ue: 1, fatal: 1 })
         );
         assert_eq!(health.ledger().stats(LedgerKey::CacheBank(2)).total(), 4);
+    }
+
+    #[test]
+    fn counted_records_weigh_their_count() {
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
+        let mut report = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
+        report.errors = vec![MceRecord {
+            at: report.at,
+            kind: FaultKind::DramBit,
+            severity: ErrorSeverity::Corrected,
+            origin: ErrorOrigin::Dimm { dimm: 3, word: 0x40 },
+            count: 45,
+        }];
+        let mut health = HealthLog::new(ThresholdPolicy::default());
+        let advice = health.ingest_owned(report).to_vec();
+        assert_eq!(
+            advice,
+            [HealthAction::TriggerStressTest, HealthAction::IsolateResource(LedgerKey::Dimm(3))]
+        );
+        assert_eq!(health.recent_events().back().map(|e| e.ce), Some(45));
+        assert_eq!(health.ledger().stats(LedgerKey::Dimm(3)).corrected, 45);
+        assert_eq!(health.ce_rate_per_minute(), 45.0);
+        // A clean interval keeps the isolation advice; the storm has
+        // left the rate window.
+        let clean = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
+        assert!(clean.errors.is_empty());
+        assert_eq!(health.ingest_owned(clean), [HealthAction::IsolateResource(LedgerKey::Dimm(3))]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale cached advice")]
+    fn a_ledger_change_outside_ingest_fails_the_debug_freshness_check() {
+        let mut health = HealthLog::new(ThresholdPolicy::default());
+        health.ledger.record(&MceRecord {
+            at: Seconds::ZERO,
+            kind: FaultKind::CacheBit,
+            severity: ErrorSeverity::Corrected,
+            origin: ErrorOrigin::CacheBank(0),
+            count: 20,
+        });
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
+        let clean = node.run_interval(&WorkloadProfile::idle(), Seconds::new(1.0));
+        assert!(clean.errors.is_empty());
+        let _ = health.ingest_owned(clean);
     }
 
     #[test]
@@ -276,9 +342,10 @@ mod tests {
                     kind: FaultKind::CacheBit,
                     severity: ErrorSeverity::Corrected,
                     origin: ErrorOrigin::CacheBank(b),
+                    count: 1,
                 })
                 .collect();
-            assert_eq!(health.ingest_owned(report).capacity(), 0);
+            assert!(health.ingest_owned(report).is_empty());
         }
         let total: u64 =
             (0..5).map(|b| health.ledger().stats(LedgerKey::CacheBank(b)).total()).sum();
@@ -311,6 +378,7 @@ mod tests {
                     kind: FaultKind::CacheBit,
                     severity: ErrorSeverity::Corrected,
                     origin: ErrorOrigin::CacheBank(b % 4),
+                    count: 1,
                 })
                 .collect();
             health.ingest_owned(report);
@@ -343,5 +411,69 @@ mod tests {
         // 60 s of 10 ms intervals is 6000 entries, more than any fixed
         // ring of a few thousand would hold.
         storm_stays_bounded(0.01, 8_000);
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+        use uniserver_platform::node::CrashEvent;
+        use uniserver_units::Volts;
+
+        /// Decodes one drawn word into a record at `at`: a core,
+        /// cache-bank or DIMM origin with index below 4, any severity
+        /// and a count of 1 to 12, so origins cross the isolation
+        /// threshold and intervals the CE-rate trigger.
+        fn decode(word: u64, at: Seconds) -> MceRecord {
+            let index = (word / 3 % 4) as usize;
+            let origin = match word % 3 {
+                0 => ErrorOrigin::Core(index),
+                1 => ErrorOrigin::CacheBank(index),
+                _ => ErrorOrigin::Dimm { dimm: index, word: word >> 16 },
+            };
+            let severity = match word / 123 % 4 {
+                0 | 1 => ErrorSeverity::Corrected,
+                2 => ErrorSeverity::Uncorrected,
+                _ => ErrorSeverity::Fatal,
+            };
+            let (kind, count) = (FaultKind::CacheBit, (word >> 32) % 12 + 1);
+            MceRecord { at, kind, severity, origin, count }
+        }
+
+        proptest! {
+            #[test]
+            fn counted_records_ingest_like_their_singles(
+                intervals in collection::vec(collection::vec(0u64..u64::MAX, 0..5), 1..150),
+                tick_ms in 500u64..20_000,
+            ) {
+                let tick = Seconds::from_millis(tick_ms as f64);
+                let mut node = ServerNode::new(PartSpec::arm_microserver(), 9);
+                let template = node.run_interval(&WorkloadProfile::idle(), tick);
+                let mut counted = HealthLog::new(ThresholdPolicy::default());
+                let mut singles = HealthLog::new(ThresholdPolicy::default());
+                for (i, words) in intervals.iter().enumerate() {
+                    let at = Seconds::new((i + 1) as f64 * tick.as_secs());
+                    let mut report = template.clone();
+                    report.at = at;
+                    report.errors = words.iter().map(|&w| decode(w, at)).collect();
+                    let fatal = report.errors.iter().any(|e| e.severity == ErrorSeverity::Fatal);
+                    report.crash = fatal.then(|| CrashEvent {
+                        core: 0,
+                        at,
+                        voltage: Volts::ZERO,
+                        workload: "idle".into(),
+                    });
+                    let single =
+                        |e: &MceRecord| std::iter::repeat_n(MceRecord { count: 1, ..*e }, e.count as usize);
+                    let mut expanded = report.clone();
+                    expanded.errors = report.errors.iter().flat_map(single).collect();
+                    let advice = counted.ingest_owned(report).to_vec();
+                    prop_assert_eq!(singles.ingest_owned(expanded), &advice[..], "advice at {}", i);
+                    prop_assert_eq!(counted.ledger(), singles.ledger());
+                    prop_assert_eq!(counted.recent_events(), singles.recent_events());
+                    prop_assert_eq!(&counted.rate_window, &singles.rate_window);
+                    prop_assert_eq!(counted.events_logged(), singles.events_logged());
+                }
+            }
+        }
     }
 }

@@ -71,7 +71,7 @@ impl ErrorLedger {
         ErrorLedger::default()
     }
 
-    /// Records one machine-check record.
+    /// Records one machine-check record: its `count` errors.
     pub(crate) fn record(&mut self, rec: &MceRecord) {
         let (slots, index) = match rec.origin {
             ErrorOrigin::Core(c) => (&mut self.cores, c),
@@ -83,9 +83,9 @@ impl ErrorLedger {
         }
         let entry = &mut slots[index];
         match rec.severity {
-            ErrorSeverity::Corrected => entry.corrected += 1,
-            ErrorSeverity::Uncorrected => entry.uncorrected += 1,
-            ErrorSeverity::Fatal => entry.fatal += 1,
+            ErrorSeverity::Corrected => entry.corrected += rec.count,
+            ErrorSeverity::Uncorrected => entry.uncorrected += rec.count,
+            ErrorSeverity::Fatal => entry.fatal += rec.count,
         }
         self.max_total = self.max_total.max(entry.total());
     }
@@ -142,7 +142,7 @@ mod tests {
     use uniserver_units::Seconds;
 
     fn rec(origin: ErrorOrigin, severity: ErrorSeverity) -> MceRecord {
-        MceRecord { at: Seconds::ZERO, kind: FaultKind::DramBit, severity, origin }
+        MceRecord { at: Seconds::ZERO, kind: FaultKind::DramBit, severity, origin, count: 1 }
     }
 
     #[test]
@@ -193,9 +193,9 @@ mod tests {
         use std::collections::BTreeMap;
 
         /// Decodes one drawn word into a record: a core, cache-bank or
-        /// DIMM origin with index up to 40, and any severity. Three in
-        /// four records land on indices 0..3, so some origins pass
-        /// every tested threshold.
+        /// DIMM origin with index up to 40, any severity and a count of
+        /// 1 to 8. Three in four records land on indices 0..3, so some
+        /// origins pass every tested threshold.
         fn decode(word: u64) -> MceRecord {
             let spread = if word >> 62 == 0 { 41 } else { 3 };
             let index = (word / 3 % spread) as usize;
@@ -209,7 +209,7 @@ mod tests {
                 1 => ErrorSeverity::Uncorrected,
                 _ => ErrorSeverity::Fatal,
             };
-            rec(origin, severity)
+            MceRecord { count: (word >> 32) % 8 + 1, ..rec(origin, severity) }
         }
 
         /// Coarsens a machine-check origin onto a ledger key.
@@ -226,11 +226,12 @@ mod tests {
             let mut map: BTreeMap<LedgerKey, OriginStats> = BTreeMap::new();
             for r in records {
                 let entry = map.entry(key_of(r.origin)).or_default();
-                match r.severity {
-                    ErrorSeverity::Corrected => entry.corrected += 1,
-                    ErrorSeverity::Uncorrected => entry.uncorrected += 1,
-                    ErrorSeverity::Fatal => entry.fatal += 1,
-                }
+                let stat = match r.severity {
+                    ErrorSeverity::Corrected => &mut entry.corrected,
+                    ErrorSeverity::Uncorrected => &mut entry.uncorrected,
+                    ErrorSeverity::Fatal => &mut entry.fatal,
+                };
+                *stat += r.count;
             }
             map
         }
@@ -267,7 +268,12 @@ mod tests {
                     prop_assert_eq!(ledger.hot_origins(threshold), hot);
                 }
 
-                // The ledger is a function of the record multiset.
+                // The ledger is a function of the error multiset: a
+                // counted record equals its errors recorded one by one.
+                let single =
+                    |r: &MceRecord| std::iter::repeat_n(MceRecord { count: 1, ..*r }, r.count as usize);
+                let singles: Vec<MceRecord> = records.iter().flat_map(single).collect();
+                prop_assert_eq!(&feed(&singles), &ledger);
                 prop_assert_eq!(&feed(records.iter().rev()), &ledger);
                 let mut rotated = records.clone();
                 if !rotated.is_empty() {

@@ -346,8 +346,8 @@ impl Hypervisor {
             match err.severity {
                 ErrorSeverity::Corrected => {
                     // Masked: guests never see corrected errors.
-                    outcome.masked_corrected += 1;
-                    self.masked_corrected_total += 1;
+                    outcome.masked_corrected += err.count;
+                    self.masked_corrected_total += err.count;
                 }
                 ErrorSeverity::Uncorrected => {
                     if let ErrorOrigin::Dimm { word, .. } = err.origin {
@@ -383,7 +383,7 @@ impl Hypervisor {
         for action in actions {
             match action {
                 HealthAction::TriggerStressTest => outcome.recharacterization_requested = true,
-                HealthAction::IsolateResource(key) => match key {
+                HealthAction::IsolateResource(key) => match *key {
                     LedgerKey::Core(c) if !self.node.is_isolated(c) => {
                         self.node.isolate_core(c);
                         outcome.isolations += 1;

@@ -280,26 +280,34 @@ impl MemorySystem {
             let windows = (duration.as_secs() / interval.as_secs()).max(0.0);
             let expected = per_window * windows * touch_fraction;
             let hits = poisson(rng, expected);
-            for _ in 0..hits {
-                let word = rng.gen_range(0..words);
-                let severity = if ecc {
-                    // Single retention failure per word per window:
-                    // SECDED corrects it.
-                    ErrorSeverity::Corrected
-                } else {
-                    ErrorSeverity::Uncorrected
-                };
-                let d = &mut self.dimms[i];
-                match severity {
-                    ErrorSeverity::Corrected => d.corrected += 1,
-                    _ => d.raw_corruptions += 1,
+            if hits == 0 {
+                continue;
+            }
+            let d = &mut self.dimms[i];
+            let dram = |severity, word, count| MceRecord {
+                at: now,
+                kind: FaultKind::DramBit,
+                severity,
+                origin: ErrorOrigin::Dimm { dimm: i, word },
+                count,
+            };
+            if ecc {
+                // Single retention failure per word per window: SECDED
+                // corrects it. One counted record stands for the DIMM's
+                // interval; every hit still draws its word, so the
+                // stream advances as it would for one record per hit.
+                let first = rng.gen_range(0..words);
+                for _ in 1..hits {
+                    rng.gen_range(0..words);
                 }
-                records.push(MceRecord {
-                    at: now,
-                    kind: FaultKind::DramBit,
-                    severity,
-                    origin: ErrorOrigin::Dimm { dimm: i, word },
-                });
+                d.corrected += hits;
+                records.push(dram(ErrorSeverity::Corrected, first, hits));
+            } else {
+                // Raw corruption: containment retires each word's page.
+                d.raw_corruptions += hits;
+                records.extend(
+                    (0..hits).map(|_| dram(ErrorSeverity::Uncorrected, rng.gen_range(0..words), 1)),
+                );
             }
         }
     }
@@ -424,6 +432,91 @@ mod tests {
             })
             .sum();
         assert!(idle * 5 < full, "idle {idle} should be far below full {full}");
+    }
+
+    /// A copy of the sampling loop before counted records: one record
+    /// per hit, each drawing its word.
+    fn per_hit_errors(
+        mem: &mut MemorySystem,
+        msr: &MsrFile,
+        window_failures: &[f64],
+        duration: Seconds,
+        rng: &mut StdRng,
+    ) -> Vec<MceRecord> {
+        let mut records = Vec::new();
+        for (i, &per_window) in window_failures.iter().enumerate() {
+            let d = &mut mem.dimms[i];
+            let interval = msr.refresh_interval(d.config.domain);
+            let windows = (duration.as_secs() / interval.as_secs()).max(0.0);
+            for _ in 0..poisson(rng, per_window * windows) {
+                let word = rng.gen_range(0..d.words());
+                let severity = if d.config.ecc_enabled {
+                    d.corrected += 1;
+                    ErrorSeverity::Corrected
+                } else {
+                    d.raw_corruptions += 1;
+                    ErrorSeverity::Uncorrected
+                };
+                records.push(MceRecord {
+                    at: Seconds::ZERO,
+                    kind: FaultKind::DramBit,
+                    severity,
+                    origin: ErrorOrigin::Dimm { dimm: i, word },
+                    count: 1,
+                });
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn counted_sampling_draws_like_one_record_per_hit() {
+        let msr = msr_with(Seconds::new(5.0));
+        let duration = Seconds::new(5.0);
+        // Expected hits per DIMM on both sides of poisson's normal
+        // cutoff at 30, and none.
+        let terms = [0.0, 0.8, 6.0, 30.0, 31.0, 450.0];
+        for ecc in [true, false] {
+            for seed in 0..40u64 {
+                let mut r = StdRng::seed_from_u64(seed);
+                let failures: Vec<f64> =
+                    (0..4).map(|_| terms[r.gen_range(0..terms.len())]).collect();
+                let mut counted = MemorySystem::commodity_server(ecc);
+                let mut single = counted.clone();
+                let mut rng_counted = r.clone();
+                let mut records = Vec::new();
+                counted.sample_errors_into(
+                    &msr,
+                    &failures,
+                    duration,
+                    Seconds::ZERO,
+                    1.0,
+                    &mut rng_counted,
+                    &mut records,
+                );
+                let singles = per_hit_errors(&mut single, &msr, &failures, duration, &mut r);
+                assert_eq!(rng_counted, r, "stream position: ecc {ecc}, failures {failures:?}");
+                assert_eq!(counted.dimms, single.dimms, "DIMM counters: ecc {ecc}");
+                if !ecc {
+                    assert_eq!(records, singles, "uncorrected errors stay one record per word");
+                    continue;
+                }
+                // One record per DIMM that had hits, carrying the
+                // count and the first hit's word.
+                let dimm_of = |rec: &MceRecord| match rec.origin {
+                    ErrorOrigin::Dimm { dimm, .. } => dimm,
+                    other => panic!("unexpected origin {other:?}"),
+                };
+                let mut expected: Vec<MceRecord> = Vec::new();
+                for rec in singles {
+                    match expected.last_mut() {
+                        Some(last) if dimm_of(last) == dimm_of(&rec) => last.count += 1,
+                        _ => expected.push(rec),
+                    }
+                }
+                assert_eq!(records, expected, "counted records: failures {failures:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,18 @@
 //! Corrected and uncorrected errors leave the node in each interval
 //! report, which the HealthLog daemon consumes into its per-origin
 //! ledger, CE-rate window and event counts. Records carry the physical
-//! origin (which core / cache bank / DIMM), the severity and a
-//! simulation timestamp.
+//! origin (which core / cache bank / DIMM), the severity, a simulation
+//! timestamp and a count.
+//!
+//! A record is *counted*, like the corrected-error count field of an
+//! x86 `MCi_STATUS` bank: it stands for `count` identical errors of one
+//! interval. A cache bank reports its interval's corrected errors as one
+//! record, and an ECC DIMM its interval's corrected retention errors as
+//! one record carrying the first failing word. Uncorrected DRAM errors
+//! stay one record per word, since containment retires the page and
+//! picks the victim VM by word. Every reader that counts errors sums
+//! `count` rather than counting records, so a CE storm costs
+//! O(DIMMs + banks) per interval, not O(errors).
 
 use uniserver_units::Seconds;
 
@@ -36,7 +46,7 @@ impl std::fmt::Display for ErrorOrigin {
     }
 }
 
-/// One machine-check record.
+/// One machine-check record: `count` identical errors of one interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MceRecord {
     /// Simulation time at which the error was signalled.
@@ -47,6 +57,8 @@ pub struct MceRecord {
     pub severity: ErrorSeverity,
     /// Where it happened.
     pub origin: ErrorOrigin,
+    /// How many identical errors the record stands for (at least 1).
+    pub count: u64,
 }
 
 #[cfg(test)]

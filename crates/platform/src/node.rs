@@ -502,19 +502,17 @@ impl ServerNode {
             &mut self.rng,
         );
         let at = self.clock + duration;
-        // One allocation for the interval's CE records, not one regrowth
-        // per doubling.
-        let count: u64 = samples.iter().map(|s| s.corrected).sum();
-        let mut errors: Vec<MceRecord> = Vec::with_capacity(count as usize);
-        for sample in samples {
-            let record = MceRecord {
+        // One counted record per bank that logged corrected errors.
+        let errors: Vec<MceRecord> = samples
+            .into_iter()
+            .map(|sample| MceRecord {
                 at,
                 kind: FaultKind::CacheBit,
                 severity: ErrorSeverity::Corrected,
                 origin: ErrorOrigin::CacheBank(sample.bank),
-            };
-            errors.extend(std::iter::repeat_n(record, sample.corrected as usize));
-        }
+                count: sample.corrected,
+            })
+            .collect();
         (crash, errors)
     }
 
@@ -591,6 +589,7 @@ impl ServerNode {
                 kind: FaultKind::CoreLogic,
                 severity: ErrorSeverity::Fatal,
                 origin: ErrorOrigin::Core(ev.core),
+                count: 1,
             });
             self.crashed = true;
             self.pending_crashes.push(ev.clone());
@@ -863,12 +862,14 @@ mod tests {
                 continue;
             }
             let onset = vmin.cache_onset_voltage(crash_reference, bank.weakness, &mut n.rng).min(screened);
-            for _ in 0..vmin.cache_ce_count(min_active_voltage, onset, &mut n.rng) {
+            let count = vmin.cache_ce_count(min_active_voltage, onset, &mut n.rng);
+            if count > 0 {
                 errors.push(MceRecord {
                     at: n.clock + duration,
                     kind: FaultKind::CacheBit,
                     severity: ErrorSeverity::Corrected,
                     origin: ErrorOrigin::CacheBank(bank.index),
+                    count,
                 });
             }
         }
@@ -880,7 +881,7 @@ mod tests {
     struct Seen {
         intervals: usize,
         crashes: usize,
-        ces: usize,
+        ces: u64,
     }
 
     /// Runs one interval on `n` and on a clone through the exact loop,
@@ -895,7 +896,12 @@ mod tests {
         assert_eq!(n.rng, exact.rng, "stream position: {what}");
         assert_eq!(n.pending_crashes, exact.pending_crashes, "crash feed: {what}");
         seen.intervals += 1;
-        seen.ces += report.errors.iter().filter(|e| e.severity == ErrorSeverity::Corrected).count();
+        seen.ces += report
+            .errors
+            .iter()
+            .filter(|e| e.severity == ErrorSeverity::Corrected)
+            .map(|e| e.count)
+            .sum::<u64>();
         if report.crash.is_some() {
             seen.crashes += 1;
             n.reboot();

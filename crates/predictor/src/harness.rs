@@ -122,8 +122,8 @@ impl TrainingHarness {
                             prev_ce_rate,
                         );
                         let report = node.run_interval(workload, self.dwell);
-                        prev_ce_rate =
-                            report.errors.len() as f64 * 60.0 / self.dwell.as_secs().max(1e-9);
+                        let errors: u64 = report.errors.iter().map(|e| e.count).sum();
+                        prev_ce_rate = errors as f64 * 60.0 / self.dwell.as_secs().max(1e-9);
                         prev_temp =
                             node.last_sensors().expect("an interval just ran").max_core_temp();
                         samples.push(Sample { features, crashed: report.crash.is_some() });

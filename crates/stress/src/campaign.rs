@@ -265,7 +265,8 @@ impl ShmooCampaign {
                 .errors
                 .iter()
                 .filter(|e| e.kind == FaultKind::CacheBit && e.severity == ErrorSeverity::Corrected)
-                .count() as u64;
+                .map(|e| e.count)
+                .sum();
             if ces > 0 {
                 ce.total += ces;
                 // The *shallowest* offset that ever exposed a CE defines
