@@ -3,18 +3,25 @@
 //! Provides the macro and builder API the workspace benches use
 //! (`criterion_group!`, `criterion_main!`, `bench_function`,
 //! `benchmark_group`, `bench_with_input`, `BenchmarkId`) backed by a
-//! simple wall-clock timer: each benchmark runs a fixed warm-up plus a
-//! timed batch and prints mean time per iteration. No statistics, HTML
-//! reports, or CLI filtering — just enough to keep the benches compiling,
-//! runnable, and honest about relative cost.
+//! simple wall-clock timer: each benchmark runs one warm-up call, then
+//! repeats a batch until 20 ms have passed, and prints the mean time
+//! per iteration. No statistics, HTML reports, or CLI filtering — just
+//! enough to keep the benches compiling, runnable, and honest about
+//! relative cost.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Number of timed iterations per benchmark (after one warm-up call).
+/// Iterations per timed batch (after one warm-up call), unless a group
+/// sets its `sample_size`.
 const DEFAULT_BATCH: u32 = 10;
+
+/// Least wall time a benchmark is timed over: batches repeat until it
+/// has passed, so a sub-microsecond routine is not timed over a few
+/// microseconds.
+const MIN_TIME: Duration = Duration::from_millis(20);
 
 /// Stand-in for `criterion::BenchmarkId`.
 #[derive(Debug, Clone)]
@@ -67,11 +74,17 @@ impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         black_box(routine()); // warm-up, untimed
         let start = Instant::now();
-        for _ in 0..self.batch {
-            black_box(routine());
+        self.iters = 0;
+        loop {
+            for _ in 0..self.batch {
+                black_box(routine());
+            }
+            self.iters += self.batch;
+            self.elapsed = start.elapsed();
+            if self.elapsed >= MIN_TIME {
+                break;
+            }
         }
-        self.elapsed = start.elapsed();
-        self.iters = self.batch;
     }
 }
 

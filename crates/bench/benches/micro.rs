@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
 use uniserver_cloudmgr::{Cluster, ClusterConfig, Scheduler, SlaClass};
-use uniserver_healthlog::{HealthLog, ThresholdPolicy};
+use uniserver_healthlog::HealthLog;
 use uniserver_hypervisor::vm::{Vm, VmConfig, VmId};
 use uniserver_hypervisor::Hypervisor;
 use uniserver_orchestrator::{deploy_cluster, OrchestratorConfig};
@@ -127,8 +127,9 @@ fn bench_ce_storm(c: &mut Criterion) {
     // margins cause on a hot node's relaxed refresh domain: ~470
     // corrected errors, nearly all on the two relaxed-domain DIMMs, as
     // the counted records the node reports (one per DIMM, one per cache
-    // bank). The log's ledger is already warm: every origin is past the
-    // isolation threshold.
+    // bank). The log is already warm: the bank is past the isolation
+    // threshold, and the DIMM errors, which memory contains by page
+    // retirement, count only as events and in the CE rate.
     let dt = Seconds::new(5.0);
     let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
     let mut template = node.run_interval(&WorkloadProfile::idle(), dt);
@@ -145,7 +146,7 @@ fn bench_ce_storm(c: &mut Criterion) {
         record(FaultKind::DramBit, ErrorOrigin::Dimm { dimm: 3, word: 0x2b0c9 }, 226),
         record(FaultKind::CacheBit, ErrorOrigin::CacheBank(5), 3),
     ];
-    let mut health = HealthLog::new(ThresholdPolicy::default());
+    let mut health = HealthLog::new();
     let mut interval = || {
         let mut report = template.clone();
         at = at + dt;
@@ -161,8 +162,7 @@ fn bench_ce_storm(c: &mut Criterion) {
     // One guest on an ECC node whose relaxed domain refreshes every 8 s
     // at a 30 °C inlet: several hundred DRAM CEs per 5 s tick, so each
     // tick runs the counted containment, the ingest and the cached
-    // isolation advice, whose DIMM entries the hypervisor leaves to
-    // page retirement.
+    // advice; the DIMM errors are left to page retirement.
     let mut hv = Hypervisor::new(ServerNode::new(PartSpec::arm_microserver(), 7));
     hv.launch_vm(VmConfig::ldbc_benchmark()).expect("one guest fits");
     hv.node_mut().set_ambient(Celsius::new(30.0));

@@ -3,27 +3,27 @@
 //!
 //! # Sharded ticks
 //!
-//! Per-tick node advancement (hypervisor tick + failure-predictor log
-//! scan) is embarrassingly parallel between placement decisions.
-//! [`Cluster::set_workers`] sets a **cap** on the threads it may use,
-//! and each tick picks its width under that cap from measured costs
-//! (see the `fanout` module): a tick whose awake-node work is cheaper
-//! than spreading it runs directly on the calling thread, and a heavier
-//! one is cut into contiguous node-index chunks that hold equal shares
-//! of the *awake* nodes, run on scoped threads that borrow the chunk,
-//! its result slots and the predictor in place, the caller's thread
-//! taking the first chunk. A cap of 1 is a plain call, with no
+//! Per-tick node advancement (hypervisor tick + the update of the
+//! node's own rolling failure score) is embarrassingly parallel between
+//! placement decisions. [`Cluster::set_workers`] sets a **cap** on the
+//! threads it may use, and each tick picks its width under that cap
+//! from measured costs (see the `fanout` module): a tick whose
+//! awake-node work is cheaper than spreading it runs directly on the
+//! calling thread, and a heavier one is cut into contiguous node-index
+//! chunks that hold equal shares of the *awake* nodes, run on scoped
+//! threads that borrow the chunk and its result slots, the caller's
+//! thread taking the first chunk. A cap of 1 is a plain call, with no
 //! awake-node count and no timing.
 //!
-//! The tick then **reduces sequentially in node order**: energy is
-//! summed index-by-index (bit-identical floats for any width), crash
-//! events are emitted ordered by `(node index, event order)`, shard
-//! stats merge in node order, and the predictor's score write-back —
-//! plus the placement-mutating phases (proactive migration, recovery) —
-//! stay sequential. Neither the cap nor the width a tick picks can
-//! therefore change a report. The reduce also lists the nodes that
-//! cross the failure line, and the proactive pass visits only their
-//! placements.
+//! The tick then **reduces sequentially in node order** over the result
+//! slots: energy is summed index-by-index (bit-identical floats for any
+//! width), crash events are emitted ordered by `(node index, event
+//! order)`, shard stats merge in node order, and the index marks of
+//! nodes whose reliability moved — plus the placement-mutating phases
+//! (proactive migration, recovery) — stay sequential. Neither the cap
+//! nor the width a tick picks can therefore change a report. The reduce
+//! also lists the nodes that cross the failure line, and the proactive
+//! pass visits only their placements.
 //!
 //! # Placement control plane
 //!
@@ -56,13 +56,15 @@ use uniserver_platform::node::{CrashEvent, ServerNode};
 use uniserver_platform::part::PartSpec;
 use uniserver_silicon::rng::{salt, splitmix64, weighted_pick};
 
-use crate::failure::{FailurePredictor, ScoreUpdate};
+use crate::failure::predicts_failure;
 use crate::fanout::{awake_cuts, FanOut};
 use crate::index::PlacementIndex;
 use crate::lifecycle::{GrayState, NodePhase, NodePower};
 use crate::migrate::MigrationModel;
 use crate::node::{ManagedNode, NodeId};
-use crate::policy::{EnergySlaPolicy, PlacementDecision, PlacementPolicy, RackView};
+use crate::policy::{
+    EnergySlaPolicy, PlacementDecision, PlacementPolicy, RackView, MAX_MIGRATION_SECS,
+};
 use crate::scheduler::Scheduler;
 use crate::sla::SlaClass;
 use crate::store::PlacementStore;
@@ -225,9 +227,13 @@ struct NodeAdvance {
     energy: Joules,
     /// Crash events the platform surfaced this tick, in drain order.
     crash_events: Vec<CrashEvent>,
-    /// The predictor's worker-side scoring outcome, applied during the
-    /// sequential reduce.
-    score: ScoreUpdate,
+    /// The predictor update re-summed the node's event window.
+    rescored: bool,
+    /// The update moved the node's reliability (its placement score).
+    reliability_changed: bool,
+    /// Predicted to fail and not crashed *this tick*: the proactive
+    /// pass visits its placements.
+    failing: bool,
 }
 
 /// Wall-clock nanos one shard's advance spent on its thread, for the
@@ -239,16 +245,15 @@ struct ShardStats {
 }
 
 /// The per-node phase of one contiguous chunk of a tick: each awake,
-/// online node's hypervisor tick plus the predictor's immutable
-/// scoring, written into the node's slot of `slots` (the same chunk of
-/// the cluster's advance buffer). It touches only the chunk's nodes and
-/// slots and the (shared, read-only) predictor, so shards never race,
-/// and it is the same computation for any chunking, so every width
-/// stays bit-identical. `profile` adds per-node span timing.
+/// online node's hypervisor tick plus the update of its own rolling
+/// failure score, written into the node's slot of `slots` (the same
+/// chunk of the cluster's advance buffer). It touches only the chunk's
+/// nodes and slots, so shards never race, and it is the same
+/// computation for any chunking, so every width stays bit-identical.
+/// `profile` adds per-node span timing.
 fn advance_slice(
     nodes: &mut [ManagedNode],
     slots: &mut [Option<NodeAdvance>],
-    predictor: &FailurePredictor,
     duration: Seconds,
     profile: bool,
 ) -> ShardStats {
@@ -257,7 +262,7 @@ fn advance_slice(
         .iter_mut()
         .map(|node| {
             // Offline nodes are skipped, and asleep nodes are frozen: no
-            // hypervisor tick, no crash draws, no predictor observation.
+            // hypervisor tick, no crash draws, no predictor update.
             // Sleep-state energy is charged by the sequential reduce.
             if !node.is_online() || node.is_asleep() {
                 return None;
@@ -265,7 +270,7 @@ fn advance_slice(
             let t0 = profile.then(Instant::now);
             let outcome = node.tick(duration);
             let t1 = profile.then(Instant::now);
-            let score = predictor.observe(node.id.0, node.hypervisor.health());
+            let (rescored, reliability_changed) = node.update_reliability();
             if let (Some(t0), Some(t1)) = (t0, t1) {
                 #[allow(clippy::cast_possible_truncation)]
                 {
@@ -273,7 +278,20 @@ fn advance_slice(
                     stats.predictor_ns += t1.elapsed().as_nanos() as u64;
                 }
             }
-            Some(NodeAdvance { energy: outcome.energy, crash_events: outcome.crash_events, score })
+            // A node that crashed this tick is failure-recovery
+            // business, not prediction business: its placements stay
+            // for `recover_from_crash`, which classifies (and
+            // SLA-charges) them as crash-interrupted instead of
+            // laundering them into proactive moves by the crash line
+            // that just hit its own log.
+            let failing = outcome.crash_events.is_empty() && predicts_failure(node.reliability);
+            Some(NodeAdvance {
+                energy: outcome.energy,
+                crash_events: outcome.crash_events,
+                rescored,
+                reliability_changed,
+                failing,
+            })
         })
         .zip(slots)
         .for_each(|(adv, slot)| *slot = adv);
@@ -323,7 +341,6 @@ pub struct Cluster {
     /// shared; defaults to the reference [`EnergySlaPolicy`] over the
     /// configured scheduler.
     policy: Arc<dyn PlacementPolicy>,
-    predictor: FailurePredictor,
     migration: MigrationModel,
     /// Incremental placement index over `nodes` (see [`PlacementIndex`]).
     index: PlacementIndex,
@@ -403,7 +420,6 @@ impl Cluster {
         Cluster {
             nodes,
             policy: Arc::new(EnergySlaPolicy::new(scheduler)),
-            predictor: FailurePredictor::new(),
             migration,
             index,
             reject_memo: Default::default(),
@@ -653,29 +669,23 @@ impl Cluster {
             self.park_node(id);
         }
         for &id in &plan.drain {
-            self.drain_node(id, &plan);
+            self.drain_node(id);
         }
     }
 
-    /// Re-runs the failure predictor over every asleep node — the slow
-    /// clock behind recoverable parks. A sleeping node's hypervisor log
-    /// is frozen, so each visit is a no-new-events observation and the
-    /// predictor's silent decay ages the rolling error score down
+    /// Runs the rolling-score update of the tick's per-node phase on
+    /// every asleep node — the slow clock behind recoverable parks. A
+    /// sleeping node's hypervisor log is frozen, so each visit is a
+    /// no-new-events update and the predictor's silent decay ages the
+    /// rolling error score down
     /// exactly as it would were the node awake and idle: a node parked
     /// mid-reliability-dip recovers towards 1.0 while it sleeps instead
     /// of freezing below the wake floors forever. Sequential, in
     /// node-index order, so runs are worker-count invariant.
     fn rescore_sleepers(&mut self) {
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].is_asleep() {
-                continue;
-            }
-            let id = self.nodes[i].id;
-            let update = self.predictor.observe(id.0, self.nodes[i].hypervisor.health());
-            let reliability = self.predictor.apply(id.0, update);
-            if reliability != self.nodes[i].reliability {
-                self.nodes[i].reliability = reliability;
-                self.index.mark(id);
+        for node in &mut self.nodes {
+            if node.is_asleep() && node.update_reliability().1 {
+                self.index.mark(node.id);
             }
         }
     }
@@ -683,10 +693,10 @@ impl Cluster {
     /// Drains one node for consolidation: live-migrates every resident
     /// VM to a policy-chosen awake target, then parks the source.
     /// Aborts with no side effects if any resident VM's predicted
-    /// migration exceeds the plan's budget (all-or-nothing — a hot VM
-    /// keeps its node awake rather than strand half the set); aborts
+    /// migration exceeds [`MAX_MIGRATION_SECS`] (all-or-nothing — a hot
+    /// VM keeps its node awake rather than strand half the set); aborts
     /// mid-way, leaving the source awake, if targets run out.
-    fn drain_node(&mut self, source: NodeId, plan: &crate::policy::ManagementPlan) {
+    fn drain_node(&mut self, source: NodeId) {
         let victims: Vec<Placement> = self.placements.on(source).into_iter().cloned().collect();
         if victims.is_empty() {
             return; // departures raced the plan; the next pass parks it
@@ -694,7 +704,7 @@ impl Cluster {
         for victim in &victims {
             let node = self.node_ref(source);
             let Some(vm) = node.hypervisor.vm(victim.vm) else { return };
-            if self.migration.cost(vm).duration.as_secs() > plan.max_migration_secs {
+            if self.migration.cost(vm).duration.as_secs() > MAX_MIGRATION_SECS {
                 return;
             }
         }
@@ -754,7 +764,7 @@ impl Cluster {
     /// results are reduced sequentially in node order, so **any cap and
     /// any width produce the identical report**: energy sums in index
     /// order (bit-identical floats), crash events order by
-    /// `(node index, event order)`, and the predictor write-back and
+    /// `(node index, event order)`, and the index marks and
     /// placement-mutating phases run on the caller's thread. With a
     /// profiler installed, the reduce and the proactive pass are timed
     /// as [`Stage::Reduce`].
@@ -770,66 +780,53 @@ impl Cluster {
         let reduce_start = self.profiler.is_some().then(Instant::now);
 
         // --- Sequential reduce, in node-index order. Offline nodes
-        // produced no advance: no tick, no energy, no crash feed, and
-        // the predictor neither observes nor decays them — their score
-        // freezes until they rejoin. The reduce also lists the nodes
-        // the proactive pass must visit: online, predicted to fail, and
-        // not crashed *this tick* — those are failure-recovery business,
-        // not prediction business, so their placements stay for
-        // recover_from_crash, which classifies (and SLA-charges) them
-        // as crash-interrupted instead of laundering them into
-        // proactive moves by the crash line that just hit their own log.
+        // produced no advance: no tick, no energy, no crash feed, and no
+        // predictor update — their score freezes until they rejoin.
+        // Asleep nodes produced none either, and they host no placement
+        // (a node parks only once drained), so neither kind is failing.
         let mut crashes = Vec::new();
         let mut failing = Vec::new();
         let mut energy = Joules::ZERO;
-        let predictor = &mut self.predictor;
         let index = &mut self.index;
         let mut metrics = self.metrics.as_mut();
         for (node, slot) in self.nodes.iter_mut().zip(&mut self.advances) {
-            let crashed = match slot.take() {
+            match slot.take() {
                 Some(adv) => {
                     energy = energy + adv.energy;
-                    let crashed = !adv.crash_events.is_empty();
                     if let Some(m) = &mut metrics {
                         m.inc("node_ticks");
-                        if matches!(adv.score, ScoreUpdate::Rescore { .. }) {
+                        if adv.rescored {
                             m.inc("predictor_rescores");
                         }
-                        if crashed {
+                        if !adv.crash_events.is_empty() {
                             m.record("crash_events_per_node_tick", adv.crash_events.len() as u64);
                         }
                     }
                     crashes.extend(adv.crash_events.into_iter().map(|ev| (node.id, ev)));
-                    let reliability = predictor.apply(node.id.0, adv.score);
                     // Reliability moves the placement score; healthy
                     // nodes whose rolling score stays put (the common
                     // case) stay clean.
-                    if reliability != node.reliability {
-                        node.reliability = reliability;
+                    if adv.reliability_changed {
                         index.mark(node.id);
                     }
-                    crashed
+                    if adv.failing {
+                        failing.push(node.id);
+                    }
                 }
                 None if !node.is_online() => {
                     if let Some(m) = &mut metrics {
                         m.inc("node_ticks_skipped_offline");
                     }
-                    false
                 }
-                // Asleep nodes produced no advance either, but unlike
-                // offline nodes they draw sleep power — charged here in
-                // the sequential reduce so the float sums stay in
-                // node-index order for any worker count.
+                // Asleep nodes draw sleep power — charged here in the
+                // sequential reduce so the float sums stay in node-index
+                // order for any worker count.
                 None => {
                     if let Some(m) = &mut metrics {
                         m.inc("node_ticks_skipped_asleep");
                     }
                     energy = energy + node.accrue_sleep_energy(duration);
-                    false
                 }
-            };
-            if !crashed && node.is_online() && predictor.predicts_failure(node.reliability) {
-                failing.push(node.id);
             }
         }
 
@@ -854,18 +851,18 @@ impl Cluster {
     }
 
     /// The parallel phase of a tick: every awake node's hypervisor
-    /// advances and its health log is scored into its slot of the
-    /// advance buffer. Under a cap above 1 the width comes from
-    /// [`FanOut::width`]: width 1 runs on the caller's thread (timed, to
-    /// keep the per-node cost current); a wider tick cuts the rack into
-    /// chunks holding equal awake-node shares ([`awake_cuts`]) on scoped
-    /// threads that borrow each chunk of nodes and slots and the
-    /// (read-only) predictor, the first chunk on the caller's thread.
+    /// advances, the node updates its rolling failure score, and the
+    /// outcome lands in the node's slot of the advance buffer. Under a
+    /// cap above 1 the width comes from [`FanOut::width`]: width 1 runs
+    /// on the caller's thread (timed, to keep the per-node cost
+    /// current); a wider tick cuts the rack into chunks holding equal
+    /// awake-node shares ([`awake_cuts`]) on scoped threads that borrow
+    /// each chunk of nodes and slots, the first chunk on the caller's
+    /// thread.
     fn advance_nodes(&mut self, duration: Seconds) {
         let profile = self.profiler.is_some();
-        let predictor = &self.predictor;
         let advance = move |nodes: &mut [ManagedNode], slots: &mut [Option<NodeAdvance>]| {
-            advance_slice(nodes, slots, predictor, duration, profile)
+            advance_slice(nodes, slots, duration, profile)
         };
         if self.workers <= 1 {
             let stats = advance(&mut self.nodes, &mut self.advances);
@@ -1273,6 +1270,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FailurePredictor;
     use uniserver_platform::msr::DomainId;
 
     #[test]
@@ -1490,6 +1488,36 @@ mod tests {
             assert_eq!(a.reliability, b.reliability);
             assert_eq!(a.metrics(), b.metrics());
         }
+    }
+
+    #[test]
+    fn a_standalone_predictor_tracks_every_node_score() {
+        // The replay's timed path: a predictor kept current by calling
+        // `update_node` on every online awake node after each tick must
+        // see exactly the reliability the cluster computed on the node.
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(6), 100);
+        for _ in 0..4 {
+            cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze);
+        }
+        let deep = cluster.nodes()[0].hypervisor.node().part().offset_mv(0.20);
+        cluster.nodes_mut()[0].hypervisor.node_mut().msr.set_voltage_offset_all(deep).unwrap();
+        cluster.nodes_mut()[1]
+            .hypervisor
+            .node_mut()
+            .msr
+            .set_refresh_interval(DomainId(1), Seconds::new(10.0))
+            .unwrap();
+        let mut predictor = FailurePredictor::new();
+        let mut dipped = 0;
+        for _ in 0..60 {
+            cluster.tick(Seconds::new(1.0));
+            for node in cluster.nodes().iter().filter(|n| n.is_online() && !n.is_asleep()) {
+                let r = predictor.update_node(node.id.0, node.hypervisor.health());
+                assert_eq!(r, node.reliability, "{} diverged", node.id);
+                dipped += usize::from(r < 1.0);
+            }
+        }
+        assert!(dipped > 0, "the noisy nodes must move their scores");
     }
 
     #[test]
@@ -1982,16 +2010,12 @@ mod tests {
         use crate::policy::ConsolidatePolicy;
 
         let mut cluster = gold_shy_rack();
-        // Re-score sleepers every 60 ticks but never rebalance on tick
-        // 60, so the slow clock is the only thing manage does there.
-        let mut policy = ConsolidatePolicy::new(Scheduler::default());
-        policy.rebalance_every = 7;
-        cluster.set_policy(Arc::new(policy));
+        cluster.set_policy(Arc::new(ConsolidatePolicy::new(Scheduler::default())));
         cluster.park_node(NodeId(2));
         reject_gold(&mut cluster);
         // The sleeper's silent log re-scores to 1.0: its reliability
         // moves, and so does the index generation.
-        cluster.manage(60, 0);
+        cluster.rescore_sleepers();
         assert_eq!(cluster.nodes()[2].reliability, 1.0);
         assert!(!memo_live(&cluster, SlaClass::Gold));
         let woken = cluster.submit(VmConfig::idle_guest(), SlaClass::Gold).expect("placed");

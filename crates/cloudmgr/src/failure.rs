@@ -34,133 +34,107 @@ fn window_score(health: &HealthLog) -> f64 {
     health.recent_events().iter().map(event_score).sum()
 }
 
-/// What one predictor update should do to a node's rolling score — the
-/// outcome of the immutable [`FailurePredictor::observe`] phase, folded
-/// back in by `FailurePredictor::apply`. Splitting the two lets the
-/// sharded cluster loop score logs on worker threads while keeping the
-/// state write-back sequential (and therefore deterministic).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScoreUpdate {
-    /// The log logged no event: decay the rolling score one step.
-    Decay,
-    /// The log logged events: the rolling score becomes the window's.
-    Rescore {
-        /// Lifetime event count the score covers.
-        consumed: usize,
-        /// Score of the log's retained event window.
-        score: f64,
-    },
+/// Log-score at which reliability reaches ~0.27 (e^-1.3).
+const SCORE_SCALE: f64 = 4.0;
+
+/// Per-update decay of the rolling score while a node's log stays
+/// silent: error evidence ages out, so a node that has run clean since
+/// its last event gradually regains trust (and re-enters the
+/// scheduler's pool) instead of being quarantined forever.
+const SILENT_DECAY: f64 = 0.97;
+
+/// The reliability in `[0, 1]` of a log-score: `exp(-score / scale)`.
+fn reliability_of(score: f64) -> f64 {
+    (-score / SCORE_SCALE).exp()
 }
 
-/// The failure predictor.
-#[derive(Debug, Clone, PartialEq)]
+/// Whether a reliability crosses the "about to fail" line.
+pub(crate) fn predicts_failure(reliability: f64) -> bool {
+    reliability < 0.5
+}
+
+/// One node's rolling failure score: the lifetime event count of its
+/// health log that the score covers, and the score (`None` before the
+/// first update). An update re-sums the log's event window when the log
+/// grew since the last one; while the log stays silent it decays the
+/// score by [`SILENT_DECAY`] instead, so past error evidence ages out
+/// and the node's reliability recovers towards 1.0.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct RollingScore(Option<(usize, f64)>);
+
+impl RollingScore {
+    /// The score the next update over `health` holds, and whether it
+    /// re-sums the event window.
+    fn next(self, health: &HealthLog) -> (f64, bool) {
+        match self.0 {
+            Some((seen, score)) if seen == health.events_logged() => (score * SILENT_DECAY, false),
+            _ => (window_score(health), true),
+        }
+    }
+
+    /// Advances the score over `health` and returns the new reliability
+    /// and whether the update re-summed the event window.
+    pub(crate) fn update(&mut self, health: &HealthLog) -> (f64, bool) {
+        let (score, rescored) = self.next(health);
+        *self = RollingScore(Some((health.events_logged(), score)));
+        (reliability_of(score), rescored)
+    }
+}
+
+/// The failure predictor for callers that drive health logs outside a
+/// cluster: the rolling-score update every cluster node runs on its own
+/// score, over one score per node id (grown on demand).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailurePredictor {
-    /// Log-score at which reliability reaches ~0.27 (e^-1.3).
-    pub score_scale: f64,
-    /// Per-update decay of the rolling score while a node's log stays
-    /// silent: error evidence ages out, so a node that has run clean
-    /// since its last event gradually regains trust (and re-enters the
-    /// scheduler's pool) instead of being quarantined forever.
-    pub silent_decay: f64,
-    /// Per-node `(events consumed, rolling score)`, dense by node id
-    /// and grown on demand (`None` until a node's first re-score): a
-    /// node whose log logged no event since the last update decays its
-    /// score instead of re-scoring — the cluster loop calls this for
-    /// every node every tick, so the lookup is an index, not a hash.
-    scores: Vec<Option<(usize, f64)>>,
+    scores: Vec<RollingScore>,
 }
 
 impl FailurePredictor {
     /// Creates a predictor.
     #[must_use]
     pub fn new() -> Self {
-        FailurePredictor { score_scale: 4.0, silent_decay: 0.97, scores: Vec::new() }
+        FailurePredictor::default()
     }
 
     /// Scores a node's health log into a reliability value in `[0, 1]`:
     /// `exp(-window_score / scale)`. A silent log scores 1.0.
     #[must_use]
     pub fn reliability(&self, health: &HealthLog) -> f64 {
-        (-window_score(health) / self.score_scale).exp()
+        reliability_of(window_score(health))
     }
 
-    /// Incremental variant keyed by node id: the log is only re-scored
-    /// when it logged an event since the last update, and while it stays
-    /// silent the rolling score decays by
-    /// [`FailurePredictor::silent_decay`] per update, so past error
-    /// evidence ages out and the node's reliability recovers towards
-    /// 1.0.
-    ///
-    /// Equivalent to [`FailurePredictor::observe`] followed by
-    /// `FailurePredictor::apply` — the sharded cluster loop uses the
-    /// split form so the scoring runs on worker threads while the
-    /// write-back stays sequential.
+    /// Advances node `node_id`'s rolling score over its log and returns
+    /// the node's reliability: the log is re-scored only when it logged
+    /// an event since the last update, and while it stays silent the
+    /// score decays, so past error evidence ages out and the reliability
+    /// recovers towards 1.0.
     pub fn update_node(&mut self, node_id: u32, health: &HealthLog) -> f64 {
-        let update = self.observe(node_id, health);
-        self.apply(node_id, update)
-    }
-
-    /// The read-only half of [`FailurePredictor::update_node`]: re-sums
-    /// the log's event window when the log grew since the last apply and
-    /// returns what the write-back should do. Immutable, so the cluster
-    /// loop's workers can score whole node shards in parallel; the
-    /// resulting updates are applied sequentially in node-index order.
-    #[must_use]
-    pub fn observe(&self, node_id: u32, health: &HealthLog) -> ScoreUpdate {
-        let logged = health.events_logged();
-        match self.scores.get(node_id as usize) {
-            Some(&Some((seen, _))) if seen == logged => ScoreUpdate::Decay,
-            _ => ScoreUpdate::Rescore { consumed: logged, score: window_score(health) },
+        let i = node_id as usize;
+        if i >= self.scores.len() {
+            self.scores.resize(i + 1, RollingScore::default());
         }
+        self.scores[i].update(health).0
     }
 
-    /// The write-back half of [`FailurePredictor::update_node`]: folds a
-    /// worker-computed [`ScoreUpdate`] into the rolling per-node state
-    /// and returns the node's reliability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a [`ScoreUpdate::Decay`] arrives for a node this
-    /// predictor has never scored (decays are only ever observed for
-    /// tracked nodes).
-    pub(crate) fn apply(&mut self, node_id: u32, update: ScoreUpdate) -> f64 {
-        let score = match update {
-            ScoreUpdate::Decay => {
-                let Some(Some((_, score))) = self.scores.get_mut(node_id as usize) else {
-                    panic!("Decay is only observed for already-tracked nodes");
-                };
-                *score *= self.silent_decay;
-                *score
-            }
-            ScoreUpdate::Rescore { consumed, score } => {
-                let i = node_id as usize;
-                if i >= self.scores.len() {
-                    self.scores.resize(i + 1, None);
-                }
-                self.scores[i] = Some((consumed, score));
-                score
-            }
-        };
-        (-score / self.score_scale).exp()
+    /// The reliability [`FailurePredictor::update_node`] would return
+    /// for the same arguments, without changing any state.
+    #[must_use]
+    pub fn observe(&self, node_id: u32, health: &HealthLog) -> f64 {
+        let score = self.scores.get(node_id as usize).copied().unwrap_or_default();
+        reliability_of(score.next(health).0)
     }
 
     /// Whether the score crosses the "about to fail" line.
     #[must_use]
     pub fn predicts_failure(&self, reliability: f64) -> bool {
-        reliability < 0.5
-    }
-}
-
-impl Default for FailurePredictor {
-    fn default() -> Self {
-        FailurePredictor::new()
+        predicts_failure(reliability)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniserver_healthlog::{ThresholdPolicy, RECENT_EVENTS};
+    use uniserver_healthlog::RECENT_EVENTS;
     use uniserver_platform::mca::{ErrorOrigin, MceRecord};
     use uniserver_platform::node::{CrashEvent, ServerNode};
     use uniserver_platform::part::PartSpec;
@@ -182,7 +156,7 @@ mod tests {
         fn new() -> Self {
             Logged {
                 node: ServerNode::new(PartSpec::arm_microserver(), 5),
-                health: HealthLog::new(ThresholdPolicy::default()),
+                health: HealthLog::new(),
             }
         }
 
@@ -271,9 +245,8 @@ mod tests {
         assert_eq!(first, p.reliability(&h.health));
         // A clean interval is no event: the score decays.
         h.interval(false, &[]);
-        assert_eq!(p.observe(7, &h.health), ScoreUpdate::Decay);
         let second = p.update_node(7, &h.health);
-        assert!(second >= first, "silent ticks must not erode trust: {second} vs {first}");
+        assert!(second > first, "silent ticks must restore trust: {second} vs {first}");
         h.interval(true, &[FATAL]);
         let after = p.update_node(7, &h.health);
         assert!(after < second, "a new crash must re-score: {after} vs {second}");
@@ -300,32 +273,19 @@ mod tests {
     }
 
     #[test]
-    fn observe_then_apply_equals_update_node() {
-        // The sharded loop's split form must be indistinguishable from
-        // the fused update, tick for tick.
-        let mut fused = FailurePredictor::new();
-        let mut split = FailurePredictor::new();
-        let mut h = Logged::with(&[ONE_CE]);
+    fn observe_previews_update_node_without_mutating() {
+        let mut p = FailurePredictor::new();
+        let mut h = Logged::with(&[ONE_UE]);
         for round in 0..6 {
             if round == 3 {
                 h.interval(true, &[FATAL]);
             }
-            let a = fused.update_node(4, &h.health);
-            let update = split.observe(4, &h.health);
-            let b = split.apply(4, update);
-            assert_eq!(a, b, "round {round} diverged");
+            let before = p.clone();
+            let preview = p.observe(4, &h.health);
+            assert_eq!(p, before, "observe must not mutate the predictor");
+            assert_eq!(p.update_node(4, &h.health), preview, "round {round} diverged");
         }
-        assert_eq!(fused, split, "internal rolling state must match too");
-    }
-
-    #[test]
-    fn observe_is_pure() {
-        let p = FailurePredictor::new();
-        let h = Logged::with(&[ONE_UE]);
-        let a = p.observe(9, &h.health);
-        let b = p.observe(9, &h.health);
-        assert_eq!(a, b, "observe must not mutate predictor state");
-        assert_eq!(a, ScoreUpdate::Rescore { consumed: 1, score: UE_WEIGHT });
+        assert_eq!(p.observe(9, &h.health), p.reliability(&h.health), "an unseen node re-scores");
     }
 
     #[test]

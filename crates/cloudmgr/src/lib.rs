@@ -64,7 +64,7 @@ pub use cluster::{
     cores, resolve_workers, Cluster, ClusterConfig, ClusterTickReport, CrashRecovery, PartWeight,
     Placement, PlacementId, PowerStats,
 };
-pub use failure::{FailurePredictor, ScoreUpdate};
+pub use failure::FailurePredictor;
 pub use index::PlacementIndex;
 pub use lifecycle::{GrayState, NodePhase};
 pub use migrate::{MigrationCost, MigrationModel};

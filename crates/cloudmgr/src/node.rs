@@ -11,6 +11,7 @@ use uniserver_hypervisor::vm::{VmConfig, VmId};
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
 
+use crate::failure::RollingScore;
 use crate::lifecycle::{GrayState, NodePhase, NodePower, SLEEP_POWER_WATTS};
 
 /// Identifier of a node within a cluster.
@@ -47,6 +48,9 @@ pub struct ManagedNode {
     energy: Joules,
     /// Most recent reliability score (updated by the failure predictor).
     pub reliability: f64,
+    /// The failure predictor's rolling score over the node's health log,
+    /// which [`ManagedNode::update_reliability`] advances.
+    score: RollingScore,
     /// Failure-lifecycle phase; transitions go through the cluster's
     /// lifecycle methods so the placement index stays consistent.
     pub(crate) phase: NodePhase,
@@ -73,6 +77,7 @@ impl ManagedNode {
             hypervisor: Hypervisor::new(node),
             energy: Joules::ZERO,
             reliability: 1.0,
+            score: RollingScore::default(),
             phase: NodePhase::Online,
             power: NodePower::Awake,
         }
@@ -141,6 +146,17 @@ impl ManagedNode {
         let outcome = self.hypervisor.tick(duration);
         self.energy = self.energy + outcome.energy;
         outcome
+    }
+
+    /// Advances the failure predictor's rolling score over the node's
+    /// health log and stores the new reliability. Returns whether the
+    /// update re-summed the log's event window and whether the
+    /// reliability moved.
+    pub(crate) fn update_reliability(&mut self) -> (bool, bool) {
+        let (reliability, rescored) = self.score.update(self.hypervisor.health());
+        let moved = reliability != self.reliability;
+        self.reliability = reliability;
+        (rescored, moved)
     }
 
     /// Charges one sleep interval at [`SLEEP_POWER_WATTS`] and returns

@@ -121,10 +121,6 @@ pub struct ManagementPlan {
     pub park: Vec<NodeId>,
     /// Lightly-loaded nodes to drain towards the pack, then park.
     pub drain: Vec<NodeId>,
-    /// Per-VM migration budget: a drain aborts if any resident VM's
-    /// predicted pre-copy duration exceeds this (migration-cost-aware
-    /// rebalancing — moving a hot VM costs more than the sleep saves).
-    pub max_migration_secs: f64,
 }
 
 /// A read-only view of the rack for policy decisions: the node slice
@@ -366,41 +362,34 @@ impl PlacementPolicy for ReliabilityBlindPolicy {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ConsolidatePolicy {
     scheduler: Scheduler,
-    /// Management pass period, in ticks.
-    pub rebalance_every: u64,
-    /// Empty nodes kept awake as a demand buffer (hysteresis against
-    /// park/wake thrash).
-    pub spare_nodes: usize,
-    /// Nodes drained per management pass — one, so a pass can never
-    /// ping-pong VMs between two draining nodes.
-    pub max_drains_per_pass: usize,
-    /// Only nodes at or below this many placements are drain
-    /// candidates.
-    pub drain_max_placements: u32,
-    /// Per-VM predicted migration-duration budget for drains.
-    pub max_migration_secs: f64,
     /// Slow-clock cadence, in ticks, at which the cluster re-runs the
     /// failure predictor over *asleep* nodes so a mid-dip park recovers
     /// in its sleep (silent decay ages the error evidence out).
     pub sleeper_rescore_every: u64,
 }
 
+/// Consolidation pass period, in ticks (one minute at 5 s ticks).
+const REBALANCE_EVERY: u64 = 12;
+/// Empty nodes kept awake as a demand buffer (hysteresis against
+/// park/wake thrash).
+const SPARE_NODES: usize = 2;
+/// Nodes drained per consolidation pass — one, so a pass can never
+/// ping-pong VMs between two draining nodes.
+const MAX_DRAINS_PER_PASS: usize = 1;
+/// Only nodes at or below this many placements are drain candidates.
+const DRAIN_MAX_PLACEMENTS: u32 = 2;
+/// Per-VM migration budget: a drain aborts if any resident VM's
+/// predicted pre-copy duration exceeds this many seconds
+/// (migration-cost-aware rebalancing — moving a hot VM costs more than
+/// the sleep saves).
+pub(crate) const MAX_MIGRATION_SECS: f64 = 10.0;
+
 impl ConsolidatePolicy {
-    /// Production defaults: rebalance every 12 ticks (one minute at 5 s
-    /// ticks), two spares, drain one ≤2-placement node per pass, only
-    /// move VMs whose predicted pre-copy completes within 10 s, and
-    /// re-score sleepers every 60 ticks (five minutes at 5 s ticks).
+    /// The consolidation policy over `scheduler`, re-scoring sleepers
+    /// every 60 ticks (five minutes at 5 s ticks).
     #[must_use]
     pub(crate) fn new(scheduler: Scheduler) -> Self {
-        ConsolidatePolicy {
-            scheduler,
-            rebalance_every: 12,
-            spare_nodes: 2,
-            max_drains_per_pass: 1,
-            drain_max_placements: 2,
-            max_migration_secs: 10.0,
-            sleeper_rescore_every: 60,
-        }
+        ConsolidatePolicy { scheduler, sleeper_rescore_every: 60 }
     }
 
     /// Whether parking `node` is safe. The availability wake floor must
@@ -524,10 +513,10 @@ impl PlacementPolicy for ConsolidatePolicy {
         tick: u64,
         _seed: u64,
     ) -> ManagementPlan {
-        if !tick.is_multiple_of(self.rebalance_every) {
+        if !tick.is_multiple_of(REBALANCE_EVERY) {
             return ManagementPlan::default();
         }
-        // Empty awake nodes, best-scored first: the top `spare_nodes`
+        // Empty awake nodes, best-scored first: the top `SPARE_NODES`
         // stay awake as the demand buffer, the rest park. Only
         // [`ConsolidatePolicy::parkable`] nodes qualify — gray nodes
         // stay awake in the watchdog's view, availability-sunk nodes
@@ -549,7 +538,7 @@ impl PlacementPolicy for ConsolidatePolicy {
             b.0.partial_cmp(&a.0).expect("weights are finite").then_with(|| b.1.cmp(&a.1))
         });
         let park: Vec<NodeId> =
-            empties.iter().skip(self.spare_nodes).map(|&(_, id)| id).collect();
+            empties.iter().skip(SPARE_NODES).map(|&(_, id)| id).collect();
 
         // Drain the lightest straggler (lowest occupancy, then lowest
         // id) so its handful of VMs join the pack and it can park next.
@@ -560,16 +549,16 @@ impl PlacementPolicy for ConsolidatePolicy {
             .filter(|n| {
                 n.is_online()
                     && !n.is_asleep()
-                    && (1..=self.drain_max_placements).contains(&occupancy[n.id.0 as usize])
+                    && (1..=DRAIN_MAX_PLACEMENTS).contains(&occupancy[n.id.0 as usize])
                     && self.parkable(n)
             })
             .map(|n| (occupancy[n.id.0 as usize], n.id))
             .collect();
         stragglers.sort_unstable();
         let drain: Vec<NodeId> =
-            stragglers.iter().take(self.max_drains_per_pass).map(|&(_, id)| id).collect();
+            stragglers.iter().take(MAX_DRAINS_PER_PASS).map(|&(_, id)| id).collect();
 
-        ManagementPlan { park, drain, max_migration_secs: self.max_migration_secs }
+        ManagementPlan { park, drain }
     }
 }
 
@@ -824,7 +813,6 @@ mod tests {
         assert_eq!(plan.park, vec![NodeId(3)]);
         // The lightest loaded node (node 2, one placement) drains.
         assert_eq!(plan.drain, vec![NodeId(2)]);
-        assert!(plan.max_migration_secs > 0.0);
         // Off-period ticks are a no-op.
         assert_eq!(pack.manage(&view, &occupancy, 5, 42), ManagementPlan::default());
     }

@@ -25,27 +25,15 @@ pub enum HealthAction {
     IsolateResource(LedgerKey),
 }
 
-/// Error-rate thresholds driving recommendations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdPolicy {
-    /// Corrected errors per minute (node-wide) above which a stress test
-    /// is recommended.
-    pub ce_per_minute: f64,
-    /// Per-origin total errors above which isolation is recommended.
-    pub isolate_origin_errors: u64,
-    /// Window over which rates are evaluated.
-    pub rate_window: Seconds,
-}
+/// Corrected errors per minute (node-wide) above which a stress test is
+/// recommended.
+const CE_PER_MINUTE: f64 = 30.0;
 
-impl Default for ThresholdPolicy {
-    fn default() -> Self {
-        ThresholdPolicy {
-            ce_per_minute: 30.0,
-            isolate_origin_errors: 20,
-            rate_window: Seconds::new(60.0),
-        }
-    }
-}
+/// Per-origin total errors at which isolation is recommended.
+pub const ISOLATE_ORIGIN_ERRORS: u64 = 20;
+
+/// Seconds of intervals the CE rate is evaluated over.
+const RATE_WINDOW_SECS: f64 = 60.0;
 
 /// What one event interval (one carrying an error record or a crash)
 /// reported, by severity. Each field sums the records' counts.
@@ -67,7 +55,6 @@ pub struct EventCounts {
 #[derive(Debug, Clone)]
 pub struct HealthLog {
     ledger: ErrorLedger,
-    policy: ThresholdPolicy,
     /// `(end of interval, interval length, corrected errors)` of every
     /// interval inside the rate window, oldest first.
     rate_window: VecDeque<(Seconds, Seconds, usize)>,
@@ -85,10 +72,9 @@ pub struct HealthLog {
 impl HealthLog {
     /// Creates an empty daemon.
     #[must_use]
-    pub fn new(policy: ThresholdPolicy) -> Self {
+    pub fn new() -> Self {
         HealthLog {
             ledger: ErrorLedger::new(),
-            policy,
             rate_window: VecDeque::new(),
             recent_events: VecDeque::new(),
             events_logged: 0,
@@ -99,8 +85,8 @@ impl HealthLog {
     /// Event-driven service: ingests one platform interval in a single
     /// pass over its error records (ledger, event counts, rate window)
     /// and returns the recommended actions (possibly empty): a stress
-    /// test while the CE rate is above the policy's, then every origin
-    /// at or past the isolation threshold, hottest first.
+    /// test while the CE rate is above 30 a minute, then every origin
+    /// at or past [`ISOLATE_ORIGIN_ERRORS`], hottest first.
     pub fn ingest_owned(&mut self, report: IntervalReport) -> &[HealthAction] {
         let mut counts = EventCounts { crashed: report.crash.is_some(), ..EventCounts::default() };
         for err in &report.errors {
@@ -115,7 +101,7 @@ impl HealthLog {
         // Node clocks never run backwards, so an interval that has left
         // the window can never re-enter it.
         self.rate_window.push_back((report.at, report.duration, counts.ce));
-        let from = report.at.saturating_sub(self.policy.rate_window);
+        let from = report.at.saturating_sub(Seconds::new(RATE_WINDOW_SECS));
         while self.rate_window.front().is_some_and(|&(at, ..)| at <= from) {
             self.rate_window.pop_front();
         }
@@ -127,11 +113,11 @@ impl HealthLog {
             self.events_logged += 1;
         }
         if !report.errors.is_empty() {
-            let hot = self.ledger.hot_origins(self.policy.isolate_origin_errors);
+            let hot = self.ledger.hot_origins(ISOLATE_ORIGIN_ERRORS);
             self.advice.truncate(1);
             self.advice.extend(hot.into_iter().map(|(key, _)| HealthAction::IsolateResource(key)));
         }
-        let stress = self.ce_rate_per_minute() > self.policy.ce_per_minute;
+        let stress = self.ce_rate_per_minute() > CE_PER_MINUTE;
         let advice = &self.advice[usize::from(!stress)..];
         #[cfg(debug_assertions)]
         assert_eq!(advice, self.recommendations(), "stale cached advice");
@@ -157,7 +143,7 @@ impl HealthLog {
         self.events_logged
     }
 
-    /// Corrected errors per minute over the policy's rate window ending
+    /// Corrected errors per minute over the rate window ending
     /// at the latest interval.
     #[must_use]
     pub(crate) fn ce_rate_per_minute(&self) -> f64 {
@@ -180,8 +166,8 @@ impl HealthLog {
     #[cfg(any(test, debug_assertions))]
     #[must_use]
     pub(crate) fn recommendations(&self) -> Vec<HealthAction> {
-        let stress = self.ce_rate_per_minute() > self.policy.ce_per_minute;
-        let hot = self.ledger.hot_origins(self.policy.isolate_origin_errors);
+        let stress = self.ce_rate_per_minute() > CE_PER_MINUTE;
+        let hot = self.ledger.hot_origins(ISOLATE_ORIGIN_ERRORS);
         let mut actions = Vec::with_capacity(usize::from(stress) + hot.len());
         if stress {
             actions.push(HealthAction::TriggerStressTest);
@@ -191,11 +177,16 @@ impl HealthLog {
     }
 }
 
+impl Default for HealthLog {
+    fn default() -> Self {
+        HealthLog::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use uniserver_platform::mca::{ErrorOrigin, MceRecord};
-    use uniserver_platform::msr::DomainId;
     use uniserver_platform::node::ServerNode;
     use uniserver_platform::part::PartSpec;
     use uniserver_platform::workload::WorkloadProfile;
@@ -212,7 +203,7 @@ mod tests {
 
     #[test]
     fn clean_operation_recommends_nothing() {
-        let mut health = HealthLog::new(ThresholdPolicy::default());
+        let mut health = HealthLog::new();
         run_clean(&mut health, 20);
         assert!(health.recommendations().is_empty());
         assert_eq!(health.events_logged(), 0, "clean intervals are not events");
@@ -222,34 +213,28 @@ mod tests {
 
     #[test]
     fn error_storm_triggers_stress_test_and_isolation() {
-        // Drive a node with a deeply relaxed refresh (ECC off) to rain
-        // uncorrected DRAM errors.
-        let mut node = ServerNode::with_memory(
-            PartSpec::arm_microserver(),
-            uniserver_platform::dram::MemorySystem::commodity_server(true),
-            3,
-        );
-        node.msr.set_refresh_interval(DomainId(1), Seconds::new(10.0)).unwrap();
-        let mut health = HealthLog::new(ThresholdPolicy {
-            ce_per_minute: 5.0,
-            isolate_origin_errors: 5,
-            rate_window: Seconds::new(120.0),
-        });
+        // 2 % below nominal this die logs cache CEs every interval: the
+        // node-wide CE rate passes its threshold and a bank turns hot.
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
+        let offset = node.part().offset_mv(0.02);
+        let mut health = HealthLog::new();
         let w = WorkloadProfile::spec_mcf();
-        let mut actions = Vec::new();
-        for _ in 0..40 {
-            let report = node.run_interval(&w, Seconds::new(2.0));
-            actions = health.ingest_owned(report).to_vec();
-            if !actions.is_empty() {
-                break;
+        let (mut stress, mut isolate) = (false, false);
+        for _ in 0..120 {
+            // A crash reboots at nominal: put the undervolt back.
+            node.msr.set_voltage_offset_all(offset).unwrap();
+            let report = node.run_interval(&w, Seconds::new(1.0));
+            let crashed = report.crash.is_some();
+            for action in health.ingest_owned(report) {
+                stress |= *action == HealthAction::TriggerStressTest;
+                isolate |= matches!(action, HealthAction::IsolateResource(_));
+            }
+            if crashed {
+                node.reboot();
             }
         }
-        assert!(
-            actions.contains(&HealthAction::TriggerStressTest)
-                || actions.iter().any(|a| matches!(a, HealthAction::IsolateResource(_))),
-            "an error storm must trigger a recommendation; ledger {:?}",
-            health.ledger().hot_origins(0)
-        );
+        assert!(stress, "an error storm must trigger a stress test");
+        assert!(isolate, "an error storm must isolate a resource: {:?}", health.ledger().hot_origins(0));
         assert!(health.events_logged() > 0, "error intervals are events");
     }
 
@@ -272,7 +257,7 @@ mod tests {
             count: 1,
         })
         .collect();
-        let mut health = HealthLog::new(ThresholdPolicy::default());
+        let mut health = HealthLog::new();
         health.ingest_owned(report);
         assert_eq!(
             health.recent_events().back(),
@@ -281,38 +266,64 @@ mod tests {
         assert_eq!(health.ledger().stats(LedgerKey::CacheBank(2)).total(), 4);
     }
 
+    /// A one-minute idle interval whose only record is `record`.
+    fn minute_with(node: &mut ServerNode, record: MceRecord) -> IntervalReport {
+        let mut report = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
+        report.errors = vec![MceRecord { at: report.at, ..record }];
+        report
+    }
+
     #[test]
     fn counted_records_weigh_their_count() {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
-        let mut report = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
-        report.errors = vec![MceRecord {
-            at: report.at,
-            kind: FaultKind::DramBit,
+        let storm = MceRecord {
+            at: Seconds::ZERO,
+            kind: FaultKind::CacheBit,
             severity: ErrorSeverity::Corrected,
-            origin: ErrorOrigin::Dimm { dimm: 3, word: 0x40 },
+            origin: ErrorOrigin::CacheBank(3),
             count: 45,
-        }];
-        let mut health = HealthLog::new(ThresholdPolicy::default());
-        let advice = health.ingest_owned(report).to_vec();
+        };
+        let mut health = HealthLog::new();
+        let advice = health.ingest_owned(minute_with(&mut node, storm)).to_vec();
         assert_eq!(
             advice,
-            [HealthAction::TriggerStressTest, HealthAction::IsolateResource(LedgerKey::Dimm(3))]
+            [HealthAction::TriggerStressTest, HealthAction::IsolateResource(LedgerKey::CacheBank(3))]
         );
         assert_eq!(health.recent_events().back().map(|e| e.ce), Some(45));
-        assert_eq!(health.ledger().stats(LedgerKey::Dimm(3)).corrected, 45);
+        assert_eq!(health.ledger().stats(LedgerKey::CacheBank(3)).corrected, 45);
         assert_eq!(health.ce_rate_per_minute(), 45.0);
         // A clean interval keeps the isolation advice; the storm has
         // left the rate window.
         let clean = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
         assert!(clean.errors.is_empty());
-        assert_eq!(health.ingest_owned(clean), [HealthAction::IsolateResource(LedgerKey::Dimm(3))]);
+        assert_eq!(
+            health.ingest_owned(clean),
+            [HealthAction::IsolateResource(LedgerKey::CacheBank(3))]
+        );
+    }
+
+    #[test]
+    fn dimm_records_are_events_but_stay_out_of_the_ledger() {
+        let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
+        let storm = MceRecord {
+            at: Seconds::ZERO,
+            kind: FaultKind::DramBit,
+            severity: ErrorSeverity::Corrected,
+            origin: ErrorOrigin::Dimm { dimm: 3, word: 0x40 },
+            count: 45,
+        };
+        let mut health = HealthLog::new();
+        assert_eq!(health.ingest_owned(minute_with(&mut node, storm)), [HealthAction::TriggerStressTest]);
+        assert_eq!(health.recent_events().back().map(|e| e.ce), Some(45));
+        assert_eq!(health.ce_rate_per_minute(), 45.0);
+        assert_eq!(health.ledger(), &ErrorLedger::new(), "memory is contained by page retirement");
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "stale cached advice")]
     fn a_ledger_change_outside_ingest_fails_the_debug_freshness_check() {
-        let mut health = HealthLog::new(ThresholdPolicy::default());
+        let mut health = HealthLog::new();
         health.ledger.record(&MceRecord {
             at: Seconds::ZERO,
             kind: FaultKind::CacheBit,
@@ -331,8 +342,7 @@ mod tests {
         // Five CEs a minute on five banks: under both thresholds.
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 5);
         let template = node.run_interval(&WorkloadProfile::idle(), Seconds::new(60.0));
-        let policy = ThresholdPolicy::default();
-        let mut health = HealthLog::new(policy);
+        let mut health = HealthLog::new();
         for i in 0..3 {
             let mut report = template.clone();
             report.at = Seconds::new(60.0 * f64::from(i + 1));
@@ -350,7 +360,7 @@ mod tests {
         let total: u64 =
             (0..5).map(|b| health.ledger().stats(LedgerKey::CacheBank(b)).total()).sum();
         assert_eq!(total, 15);
-        assert_eq!(health.ledger().hot_origins(policy.isolate_origin_errors).capacity(), 0);
+        assert_eq!(health.ledger().hot_origins(ISOLATE_ORIGIN_ERRORS).capacity(), 0);
         assert_eq!(health.recommendations().capacity(), 0);
     }
 
@@ -359,12 +369,10 @@ mod tests {
     /// that the rate window stays bounded and the rate equals a
     /// brute-force recount over the test's own unbounded history.
     fn storm_stays_bounded(tick: f64, intervals: usize) {
-        let policy = ThresholdPolicy::default();
-        let window = policy.rate_window.as_secs();
-        let rate_bound = (window / tick).ceil() as usize + 1;
+        let rate_bound = (RATE_WINDOW_SECS / tick).ceil() as usize + 1;
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 7);
         let template = node.run_interval(&WorkloadProfile::idle(), Seconds::new(tick));
-        let mut health = HealthLog::new(policy);
+        let mut health = HealthLog::new();
         let mut history: Vec<(Seconds, Seconds, usize)> = Vec::new();
         for i in 0..intervals {
             let at = Seconds::new((i + 1) as f64 * tick);
@@ -387,7 +395,7 @@ mod tests {
             assert!(health.rate_window.len() <= rate_bound, "rate window grew at {i}");
             assert!(health.recent_events.len() <= RECENT_EVENTS, "event window grew at {i}");
             // The recount sums every in-window interval in ingest order.
-            let from = at.saturating_sub(policy.rate_window);
+            let from = at.saturating_sub(Seconds::new(RATE_WINDOW_SECS));
             let first = history.iter().rposition(|&(t, ..)| t <= from).map_or(0, |p| p + 1);
             let (mut total, mut span) = (0usize, 0.0);
             for &(_, duration, c) in &history[first..] {
@@ -448,8 +456,8 @@ mod tests {
                 let tick = Seconds::from_millis(tick_ms as f64);
                 let mut node = ServerNode::new(PartSpec::arm_microserver(), 9);
                 let template = node.run_interval(&WorkloadProfile::idle(), tick);
-                let mut counted = HealthLog::new(ThresholdPolicy::default());
-                let mut singles = HealthLog::new(ThresholdPolicy::default());
+                let mut counted = HealthLog::new();
+                let mut singles = HealthLog::new();
                 for (i, words) in intervals.iter().enumerate() {
                     let at = Seconds::new((i + 1) as f64 * tick.as_secs());
                     let mut report = template.clone();

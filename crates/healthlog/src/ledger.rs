@@ -3,7 +3,9 @@
 //! The hypervisor isolates "problematic processing and memory resources
 //! experiencing high error rates, as reported by the HealthLog" (§4.A).
 //! The ledger is the data structure behind that report: lifetime
-//! corrected/uncorrected counts per physical origin.
+//! corrected/uncorrected counts per core and cache bank. DIMM records
+//! are not kept: memory errors are contained by page retirement, not by
+//! isolating a resource.
 
 use uniserver_platform::mca::{ErrorOrigin, MceRecord};
 use uniserver_silicon::ErrorSeverity;
@@ -27,16 +29,14 @@ impl OriginStats {
     }
 }
 
-/// Ledger origins are coarsened so DIMM word addresses collapse onto the
-/// DIMM (isolation happens at resource granularity, not per word).
+/// A resource the ledger counts errors for, and the hypervisor can
+/// isolate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LedgerKey {
     /// A CPU core.
     Core(usize),
     /// A cache bank.
     CacheBank(usize),
-    /// A DIMM.
-    Dimm(usize),
 }
 
 impl std::fmt::Display for LedgerKey {
@@ -44,7 +44,6 @@ impl std::fmt::Display for LedgerKey {
         match self {
             LedgerKey::Core(c) => write!(f, "core{c}"),
             LedgerKey::CacheBank(b) => write!(f, "l3bank{b}"),
-            LedgerKey::Dimm(d) => write!(f, "dimm{d}"),
         }
     }
 }
@@ -53,13 +52,12 @@ impl std::fmt::Display for LedgerKey {
 type Slots<'a> = (&'a [OriginStats], fn(usize) -> LedgerKey);
 
 /// The per-origin error ledger: one dense slot vector per resource kind
-/// (cores, cache banks, DIMMs), indexed by the origin's index and grown
+/// (cores, cache banks), indexed by the origin's index and grown
 /// on demand. A slot whose total is zero counts as never recorded.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ErrorLedger {
     cores: Vec<OriginStats>,
     banks: Vec<OriginStats>,
-    dimms: Vec<OriginStats>,
     /// Largest per-origin total: nothing is hot below it.
     max_total: u64,
 }
@@ -71,12 +69,13 @@ impl ErrorLedger {
         ErrorLedger::default()
     }
 
-    /// Records one machine-check record: its `count` errors.
+    /// Records one machine-check record: its `count` errors. A DIMM
+    /// record leaves the ledger unchanged.
     pub(crate) fn record(&mut self, rec: &MceRecord) {
         let (slots, index) = match rec.origin {
             ErrorOrigin::Core(c) => (&mut self.cores, c),
             ErrorOrigin::CacheBank(b) => (&mut self.banks, b),
-            ErrorOrigin::Dimm { dimm, .. } => (&mut self.dimms, dimm),
+            ErrorOrigin::Dimm { .. } => return,
         };
         if index >= slots.len() {
             slots.resize(index + 1, OriginStats::default());
@@ -92,8 +91,8 @@ impl ErrorLedger {
 
     /// The slot vectors with their key constructors, in [`LedgerKey`]
     /// order.
-    fn kinds(&self) -> [Slots<'_>; 3] {
-        [(&self.cores, LedgerKey::Core), (&self.banks, LedgerKey::CacheBank), (&self.dimms, LedgerKey::Dimm)]
+    fn kinds(&self) -> [Slots<'_>; 2] {
+        [(&self.cores, LedgerKey::Core), (&self.banks, LedgerKey::CacheBank)]
     }
 
     /// Origins whose total error count reaches `threshold`, sorted by
@@ -128,7 +127,6 @@ impl ErrorLedger {
         let (slots, index) = match key {
             LedgerKey::Core(c) => (&self.cores, c),
             LedgerKey::CacheBank(b) => (&self.banks, b),
-            LedgerKey::Dimm(d) => (&self.dimms, d),
         };
         slots.get(index).copied().unwrap_or_default()
     }
@@ -146,11 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn words_collapse_onto_dimms() {
+    fn bank_records_add_up_on_their_bank() {
         let mut ledger = ErrorLedger::new();
-        ledger.record(&rec(ErrorOrigin::Dimm { dimm: 1, word: 10 }, ErrorSeverity::Corrected));
-        ledger.record(&rec(ErrorOrigin::Dimm { dimm: 1, word: 99 }, ErrorSeverity::Corrected));
-        assert_eq!(ledger.stats(LedgerKey::Dimm(1)).corrected, 2);
+        ledger.record(&rec(ErrorOrigin::CacheBank(1), ErrorSeverity::Corrected));
+        ledger.record(&rec(ErrorOrigin::CacheBank(1), ErrorSeverity::Corrected));
+        assert_eq!(ledger.stats(LedgerKey::CacheBank(1)).corrected, 2);
+        assert_eq!(ledger.stats(LedgerKey::CacheBank(0)).total(), 0);
     }
 
     #[test]
@@ -192,17 +191,16 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
-        /// Decodes one drawn word into a record: a core, cache-bank or
-        /// DIMM origin with index up to 40, any severity and a count of
-        /// 1 to 8. Three in four records land on indices 0..3, so some
+        /// Decodes one drawn word into a record: a core or cache-bank
+        /// origin with index up to 40, any severity and a count of 1 to
+        /// 8. Three in four records land on indices 0..3, so some
         /// origins pass every tested threshold.
         fn decode(word: u64) -> MceRecord {
             let spread = if word >> 62 == 0 { 41 } else { 3 };
-            let index = (word / 3 % spread) as usize;
-            let origin = match word % 3 {
+            let index = (word / 2 % spread) as usize;
+            let origin = match word % 2 {
                 0 => ErrorOrigin::Core(index),
-                1 => ErrorOrigin::CacheBank(index),
-                _ => ErrorOrigin::Dimm { dimm: index, word: word >> 16 },
+                _ => ErrorOrigin::CacheBank(index),
             };
             let severity = match word / 123 % 3 {
                 0 => ErrorSeverity::Corrected,
@@ -217,7 +215,7 @@ mod tests {
             match origin {
                 ErrorOrigin::Core(c) => LedgerKey::Core(c),
                 ErrorOrigin::CacheBank(b) => LedgerKey::CacheBank(b),
-                ErrorOrigin::Dimm { dimm, .. } => LedgerKey::Dimm(dimm),
+                ErrorOrigin::Dimm { .. } => unreachable!("decode draws no DIMM record"),
             }
         }
 
@@ -254,7 +252,7 @@ mod tests {
                 let ledger = feed(&records);
                 let map = reference(&records);
                 for index in 0..45 {
-                    for key in [LedgerKey::Core(index), LedgerKey::CacheBank(index), LedgerKey::Dimm(index)] {
+                    for key in [LedgerKey::Core(index), LedgerKey::CacheBank(index)] {
                         prop_assert_eq!(ledger.stats(key), map.get(&key).copied().unwrap_or_default());
                     }
                 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use uniserver_units::{Bytes, Joules, Seconds, Watts};
 
-use uniserver_healthlog::{HealthAction, HealthLog, LedgerKey, ThresholdPolicy};
+use uniserver_healthlog::{HealthAction, HealthLog, LedgerKey};
 use uniserver_platform::mca::ErrorOrigin;
 use uniserver_platform::node::{CrashEvent, ServerNode};
 use uniserver_platform::workload::WorkloadProfile;
@@ -29,8 +29,6 @@ pub struct HypervisorConfig {
     pub per_vm_fraction: f64,
     /// Downtime charged per full node crash (reboot + VM restart).
     pub reboot_penalty: Seconds,
-    /// Error thresholds used by the embedded HealthLog.
-    pub thresholds: ThresholdPolicy,
     /// Categories of hypervisor objects to protect with shadows.
     pub protection: ProtectionPolicy,
 }
@@ -42,7 +40,6 @@ impl Default for HypervisorConfig {
             per_vm_fixed: Bytes::mib(32),
             per_vm_fraction: 0.015,
             reboot_penalty: Seconds::new(120.0),
-            thresholds: ThresholdPolicy::default(),
             protection: ProtectionPolicy::top_categories(3),
         }
     }
@@ -134,7 +131,7 @@ impl Hypervisor {
         let relaxed = node.memory.domain_capacity(uniserver_platform::msr::DomainId(1));
         let memory = MemoryMap::new(reliable, relaxed);
         let inventory = ObjectInventory::standard_shared();
-        let health = HealthLog::new(config.thresholds);
+        let health = HealthLog::new();
         Hypervisor {
             node,
             config,
@@ -383,19 +380,18 @@ impl Hypervisor {
         for action in actions {
             match action {
                 HealthAction::TriggerStressTest => outcome.recharacterization_requested = true,
-                HealthAction::IsolateResource(key) => match *key {
-                    LedgerKey::Core(c) if !self.node.is_isolated(c) => {
-                        self.node.isolate_core(c);
+                HealthAction::IsolateResource(LedgerKey::Core(c)) => {
+                    if !self.node.is_isolated(*c) {
+                        self.node.isolate_core(*c);
                         outcome.isolations += 1;
                     }
-                    LedgerKey::CacheBank(b) if !self.node.cache().is_isolated(b) => {
-                        self.node.cache_mut().isolate(b);
+                }
+                HealthAction::IsolateResource(LedgerKey::CacheBank(b)) => {
+                    if !self.node.cache().is_isolated(*b) {
+                        self.node.cache_mut().isolate(*b);
                         outcome.isolations += 1;
                     }
-                    // DIMM-level isolation happens through page
-                    // retirement rather than whole-DIMM offlining.
-                    _ => {}
-                },
+                }
             }
         }
 
@@ -741,7 +737,7 @@ mod tests {
         let mut hv = Hypervisor::new(ServerNode::new(PartSpec::arm_microserver(), 7));
         hv.launch_vm(VmConfig::ldbc_benchmark()).unwrap();
         let offset = hv.node().part().offset_mv(0.02);
-        let threshold = HypervisorConfig::default().thresholds.isolate_origin_errors;
+        let threshold = uniserver_healthlog::ISOLATE_ORIGIN_ERRORS;
         let (mut isolations, mut hot_ticks) = (0, 0);
         for _ in 0..300 {
             // A crash reboots at nominal: put the undervolt back.

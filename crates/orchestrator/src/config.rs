@@ -95,19 +95,8 @@ pub struct OrchestratorConfig {
     /// Per-node deployment template (stress params, optimizer, base
     /// ambient). The part is overridden per node from the cluster mix.
     pub deployment: DeploymentConfig,
-    /// Half-width (°C) of the uniform per-node ambient spread.
-    pub ambient_spread: f64,
     /// Margin policy for the whole fleet.
     pub margins: MarginPolicy,
-    /// How far a node's operating point is scaled back towards nominal
-    /// after it crashes (0.0 = reapply unchanged, 1.0 = fall back to
-    /// nominal for good).
-    pub crash_backoff: f64,
-    /// Months of silicon aging applied after characterization — the
-    /// scenario models a rack partway into its re-characterization
-    /// window, where NBTI drift has eroded the margins the StressLog
-    /// measured at deploy time (§3.D). Zero = freshly characterized.
-    pub age_months: f64,
     /// The node failure lifecycle switch. Off (the default), crashed
     /// nodes recover in place with the geometric EOP backoff — the
     /// legacy behavior, preserved draw-for-draw. On, a crash takes the
@@ -154,10 +143,7 @@ impl OrchestratorConfig {
                 risk_tolerance: 0.05,
                 ..DeploymentConfig::quick()
             },
-            ambient_spread: 6.0,
             margins: MarginPolicy::Extended,
-            crash_backoff: 0.25,
-            age_months: 18.0,
             lifecycle: false,
             chaos: None,
             policy: PolicyKind::EnergySla,

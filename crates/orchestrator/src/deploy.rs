@@ -25,6 +25,15 @@ use uniserver_units::Celsius;
 
 use crate::config::{MarginPolicy, OrchestratorConfig};
 
+/// Half-width (°C) of the uniform per-node ambient spread.
+const AMBIENT_SPREAD: f64 = 6.0;
+
+/// Months of silicon aging applied after characterization: the rack is
+/// modeled partway into its re-characterization window, where NBTI
+/// drift has eroded the margins the StressLog measured at deploy time
+/// (§3.D).
+const AGE_MONTHS: f64 = 18.0;
+
 /// What one node deployed as (the summary's per-node provenance).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeployedNode {
@@ -47,10 +56,8 @@ pub(crate) fn node_deployment(config: &OrchestratorConfig, node: usize) -> Deplo
     let seed = indexed_seed(config.seed, node);
     let mut dep = config.deployment.clone();
     dep.spec = config.cluster.node_spec(seed).clone();
-    if config.ambient_spread > 0.0 {
-        // A pure function of the node seed, like the part draw.
-        dep.ambient = dep.ambient + Celsius::new(ambient_offset(seed, config.ambient_spread));
-    }
+    // A pure function of the node seed, like the part draw.
+    dep.ambient = dep.ambient + Celsius::new(ambient_offset(seed, AMBIENT_SPREAD));
     dep
 }
 
@@ -69,12 +76,9 @@ fn deploy_one(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize) ->
         }
     };
     let mut server = server;
-    if config.age_months > 0.0 {
-        // The scenario models a rack partway into its
-        // re-characterization window: margins were measured on fresh
-        // silicon, then NBTI drift eroded them in service.
-        server.age_by_months(config.age_months);
-    }
+    // Margins were measured on fresh silicon, then NBTI drift eroded
+    // them in service.
+    server.age_by_months(AGE_MONTHS);
     let record = DeployedNode {
         node,
         seed,
@@ -257,7 +261,7 @@ mod tests {
         let lo = ambients.iter().cloned().fold(f64::MAX, f64::min);
         let hi = ambients.iter().cloned().fold(f64::MIN, f64::max);
         assert!(hi - lo > 6.0, "±6 °C spread must show up ({lo}..{hi})");
-        let (base, spread) = (config.deployment.ambient.as_celsius(), config.ambient_spread);
+        let (base, spread) = (config.deployment.ambient.as_celsius(), AMBIENT_SPREAD);
         assert!(
             lo >= base - spread && hi <= base + spread,
             "every ambient stays within ±{spread} °C of {base} °C ({lo}..{hi})"

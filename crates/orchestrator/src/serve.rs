@@ -56,6 +56,11 @@ pub(crate) fn class_idx(class: SlaClass) -> usize {
 /// Class labels in accounting-array order, for telemetry payloads.
 pub(crate) const CLASS_NAMES: [&str; 3] = ["gold", "silver", "bronze"];
 
+/// How far a crashed node's operating point is scaled back towards
+/// nominal (0.0 = reapply unchanged, 1.0 = fall back to nominal for
+/// good).
+const CRASH_BACKOFF: f64 = 0.25;
+
 /// Per-class time-to-abandon histogram names (telemetry keys are
 /// `&'static str`, so the class rides in the name).
 const ABANDON_WAIT: [&str; 3] =
@@ -506,7 +511,7 @@ impl ServeCounters {
                 // node at a backed-off point instead of silently running
                 // nominal (or leave nominal racks alone).
                 let idx = node_id.0 as usize;
-                points[idx] = points[idx].backed_off(config.crash_backoff);
+                points[idx] = points[idx].backed_off(CRASH_BACKOFF);
                 points[idx].apply_to(cluster.server_mut(node_id));
             }
         }
@@ -701,8 +706,8 @@ mod tests {
 
         assert_eq!(counters.crashes, 2, "crashes counts events, not nodes");
         assert_eq!(counters.part_crashes.iter().sum::<u64>(), 2);
-        let once = before.backed_off(config.crash_backoff);
-        let twice = once.backed_off(config.crash_backoff);
+        let once = before.backed_off(CRASH_BACKOFF);
+        let twice = once.backed_off(CRASH_BACKOFF);
         assert_eq!(
             points[victim.0 as usize].min_offset_mv(),
             once.min_offset_mv(),
@@ -744,7 +749,7 @@ mod tests {
                 &mut tel,
             );
         }
-        let twice = before.backed_off(config.crash_backoff).backed_off(config.crash_backoff);
+        let twice = before.backed_off(CRASH_BACKOFF).backed_off(CRASH_BACKOFF);
         assert_eq!(
             points[0].min_offset_mv(),
             twice.min_offset_mv(),
@@ -753,7 +758,7 @@ mod tests {
         // … but however many times it crashes, the clamped backoff can
         // never overdrive any core's offset past nominal (> 0 mV).
         for _ in 0..50 {
-            points[0] = points[0].backed_off(config.crash_backoff);
+            points[0] = points[0].backed_off(CRASH_BACKOFF);
         }
         assert!(
             points[0].core_offsets_mv.iter().all(|&mv| mv >= 0.0),

@@ -88,7 +88,7 @@ fn margins_flow_from_stresslog_through_hypervisor() {
 #[test]
 fn healthlog_feeds_cloud_failure_prediction() {
     use uniserver_cloudmgr::FailurePredictor;
-    use uniserver_healthlog::{HealthLog, ThresholdPolicy};
+    use uniserver_healthlog::HealthLog;
     use uniserver_platform::node::ServerNode;
     use uniserver_platform::part::PartSpec;
     use uniserver_platform::workload::WorkloadProfile;
@@ -96,7 +96,7 @@ fn healthlog_feeds_cloud_failure_prediction() {
     // A node driven over its crash point produces a health log whose
     // pattern score collapses the predicted reliability.
     let mut node = ServerNode::new(PartSpec::arm_microserver(), 17);
-    let mut health = HealthLog::new(ThresholdPolicy::default());
+    let mut health = HealthLog::new();
     node.msr.set_voltage_offset_all(node.part().offset_mv(0.22)).unwrap();
     let w = WorkloadProfile::spec_zeusmp();
     loop {
