@@ -65,7 +65,7 @@ pub struct HealthLog {
     /// The advice [`HealthLog::ingest_owned`] returns a slice of: a
     /// stress-test slot, then one isolation per hot origin, hottest
     /// first. The hot origins are a function of the ledger, so they are
-    /// re-derived only on an interval that recorded something.
+    /// re-derived only on an interval that changed it.
     advice: Vec<HealthAction>,
 }
 
@@ -89,8 +89,9 @@ impl HealthLog {
     /// at or past [`ISOLATE_ORIGIN_ERRORS`], hottest first.
     pub fn ingest_owned(&mut self, report: IntervalReport) -> &[HealthAction] {
         let mut counts = EventCounts { crashed: report.crash.is_some(), ..EventCounts::default() };
+        let mut recorded = false;
         for err in &report.errors {
-            self.ledger.record(err);
+            recorded |= self.ledger.record(err);
             let n = err.count as usize;
             match err.severity {
                 ErrorSeverity::Corrected => counts.ce += n,
@@ -112,7 +113,7 @@ impl HealthLog {
             self.recent_events.push_back(counts);
             self.events_logged += 1;
         }
-        if !report.errors.is_empty() {
+        if recorded {
             let hot = self.ledger.hot_origins(ISOLATE_ORIGIN_ERRORS);
             self.advice.truncate(1);
             self.advice.extend(hot.into_iter().map(|(key, _)| HealthAction::IsolateResource(key)));

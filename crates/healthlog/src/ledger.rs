@@ -69,13 +69,13 @@ impl ErrorLedger {
         ErrorLedger::default()
     }
 
-    /// Records one machine-check record: its `count` errors. A DIMM
-    /// record leaves the ledger unchanged.
-    pub(crate) fn record(&mut self, rec: &MceRecord) {
+    /// Records one machine-check record: its `count` errors. Returns
+    /// whether the ledger changed: a DIMM record leaves it unchanged.
+    pub(crate) fn record(&mut self, rec: &MceRecord) -> bool {
         let (slots, index) = match rec.origin {
             ErrorOrigin::Core(c) => (&mut self.cores, c),
             ErrorOrigin::CacheBank(b) => (&mut self.banks, b),
-            ErrorOrigin::Dimm { .. } => return,
+            ErrorOrigin::Dimm { .. } => return false,
         };
         if index >= slots.len() {
             slots.resize(index + 1, OriginStats::default());
@@ -87,6 +87,7 @@ impl ErrorLedger {
             ErrorSeverity::Fatal => entry.fatal += rec.count,
         }
         self.max_total = self.max_total.max(entry.total());
+        true
     }
 
     /// The slot vectors with their key constructors, in [`LedgerKey`]
@@ -191,16 +192,17 @@ mod tests {
         use proptest::prelude::*;
         use std::collections::BTreeMap;
 
-        /// Decodes one drawn word into a record: a core or cache-bank
-        /// origin with index up to 40, any severity and a count of 1 to
-        /// 8. Three in four records land on indices 0..3, so some
+        /// Decodes one drawn word into a record: a core, cache-bank or
+        /// DIMM origin with index up to 40, any severity and a count of
+        /// 1 to 8. Three in four records land on indices 0..3, so some
         /// origins pass every tested threshold.
         fn decode(word: u64) -> MceRecord {
             let spread = if word >> 62 == 0 { 41 } else { 3 };
-            let index = (word / 2 % spread) as usize;
-            let origin = match word % 2 {
+            let index = (word / 3 % spread) as usize;
+            let origin = match word % 3 {
                 0 => ErrorOrigin::Core(index),
-                _ => ErrorOrigin::CacheBank(index),
+                1 => ErrorOrigin::CacheBank(index),
+                _ => ErrorOrigin::Dimm { dimm: index, word: word >> 16 },
             };
             let severity = match word / 123 % 3 {
                 0 => ErrorSeverity::Corrected,
@@ -210,20 +212,21 @@ mod tests {
             MceRecord { count: (word >> 32) % 8 + 1, ..rec(origin, severity) }
         }
 
-        /// Coarsens a machine-check origin onto a ledger key.
-        fn key_of(origin: ErrorOrigin) -> LedgerKey {
+        /// The ledger key of a machine-check origin; DIMMs have none.
+        fn key_of(origin: ErrorOrigin) -> Option<LedgerKey> {
             match origin {
-                ErrorOrigin::Core(c) => LedgerKey::Core(c),
-                ErrorOrigin::CacheBank(b) => LedgerKey::CacheBank(b),
-                ErrorOrigin::Dimm { .. } => unreachable!("decode draws no DIMM record"),
+                ErrorOrigin::Core(c) => Some(LedgerKey::Core(c)),
+                ErrorOrigin::CacheBank(b) => Some(LedgerKey::CacheBank(b)),
+                ErrorOrigin::Dimm { .. } => None,
             }
         }
 
-        /// The map-backed ledger the dense one replaced.
+        /// The map-backed ledger the dense one replaced, less DIMMs.
         fn reference(records: &[MceRecord]) -> BTreeMap<LedgerKey, OriginStats> {
             let mut map: BTreeMap<LedgerKey, OriginStats> = BTreeMap::new();
             for r in records {
-                let entry = map.entry(key_of(r.origin)).or_default();
+                let Some(key) = key_of(r.origin) else { continue };
+                let entry = map.entry(key).or_default();
                 let stat = match r.severity {
                     ErrorSeverity::Corrected => &mut entry.corrected,
                     ErrorSeverity::Uncorrected => &mut entry.uncorrected,
