@@ -207,7 +207,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let nodes: Vec<ManagedNode> = (0..32)
         .map(|i| ManagedNode::provision(NodeId(i), PartSpec::arm_microserver(), u64::from(i)))
         .collect();
-    let scheduler = Scheduler::default();
+    let scheduler = Scheduler::BALANCED;
     let cfg = VmConfig::ldbc_benchmark();
     c.bench_function("scheduler_place_32_nodes", |b| {
         b.iter(|| black_box(scheduler.place_linear(nodes.iter(), &cfg, SlaClass::Silver)));

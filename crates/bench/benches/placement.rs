@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 use uniserver_cloudmgr::index::PlacementIndex;
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
-use uniserver_cloudmgr::{EnergySlaPolicy, RackView, Scheduler, SlaClass};
+use uniserver_cloudmgr::{PolicyKind, RackView, Scheduler, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_platform::part::PartSpec;
 
@@ -32,8 +32,8 @@ fn rack(n: usize) -> Vec<ManagedNode> {
 }
 
 fn bench_placement(c: &mut Criterion) {
-    let scheduler = Scheduler::default();
-    let policy = EnergySlaPolicy::new(scheduler);
+    let scheduler = Scheduler::BALANCED;
+    let policy = PolicyKind::EnergySla;
     let cfg = VmConfig::ldbc_benchmark();
     for nodes in RACK_SIZES {
         let ns = rack(nodes);
@@ -48,7 +48,7 @@ fn bench_placement(c: &mut Criterion) {
         index.flush(&scheduler, &ns);
         g.bench_with_input(BenchmarkId::new("indexed", nodes), &ns, |b, ns| {
             b.iter(|| {
-                black_box(RackView::new(ns, &index).best(&policy, &cfg, SlaClass::Silver, &[]))
+                black_box(RackView::new(ns, &index).best(policy, &cfg, SlaClass::Silver, &[]))
             });
         });
 
@@ -60,7 +60,7 @@ fn bench_placement(c: &mut Criterion) {
                     index.mark(NodeId(i * 7 % ns.len() as u32));
                 }
                 index.flush(&scheduler, ns);
-                black_box(RackView::new(ns, &index).best(&policy, &cfg, SlaClass::Silver, &[]))
+                black_box(RackView::new(ns, &index).best(policy, &cfg, SlaClass::Silver, &[]))
             });
         });
         g.finish();

@@ -295,15 +295,16 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uniserver_orchestrator::{run_timed, OrchestratorConfig};
+    use uniserver_orchestrator::{run, run_with_telemetry, OrchestratorConfig};
+    use uniserver_telemetry::Telemetry;
 
     #[test]
     fn summary_json_is_byte_stable_across_worker_counts() {
         let mut config = OrchestratorConfig::smoke(4, 77);
         config.threads = 1;
-        let (a, _) = run_timed(&config);
+        let a = run(&config);
         config.threads = 4;
-        let (b, _) = run_timed(&config);
+        let b = run(&config);
         assert_eq!(summary_to_json(&a, true), summary_to_json(&b, true));
         assert_eq!(summary_to_json(&a, false), summary_to_json(&b, false));
         assert!(summary_to_json(&a, true).contains("\"per_tick\":["));
@@ -313,7 +314,7 @@ mod tests {
     #[test]
     fn bench_record_carries_the_headline_and_timing_shape() {
         let config = OrchestratorConfig::smoke(2, 5);
-        let (summary, timing) = run_timed(&config);
+        let (summary, timing) = run_with_telemetry(&config, &mut Telemetry::disabled());
         let json = bench_record(&summary, &timing, "smoke");
         for key in [
             "\"label\":\"smoke\"",
@@ -354,7 +355,7 @@ mod tests {
 
         let mut config = OrchestratorConfig::smoke(4, 77);
         config.policy = PolicyKind::Consolidate;
-        let (summary, timing) = run_timed(&config);
+        let (summary, timing) = run_with_telemetry(&config, &mut Telemetry::disabled());
         assert_eq!(summary.policy.as_deref(), Some("consolidate"));
         assert!(summary.power.is_some());
         let record = bench_record(&summary, &timing, "consolidate");
@@ -373,7 +374,7 @@ mod tests {
 
         // The ablation is labeled but manages no power.
         config.policy = PolicyKind::ReliabilityBlind;
-        let (summary, _) = run_timed(&config);
+        let summary = run(&config);
         assert_eq!(summary.policy.as_deref(), Some("reliability-blind"));
         assert!(summary.power.is_none());
         let json = summary_to_json(&summary, false);
@@ -383,7 +384,7 @@ mod tests {
         // Explicitly selecting the reference is indistinguishable from
         // the default: no label, no power object.
         config.policy = PolicyKind::EnergySla;
-        let (summary, _) = run_timed(&config);
+        let summary = run(&config);
         assert!(summary.policy.is_none());
         assert!(summary.power.is_none());
     }
@@ -391,7 +392,7 @@ mod tests {
     #[test]
     fn chaos_outcomes_render_only_when_present() {
         let config = scenario(Profile::Chaos, 4, 5, Some(600.0), None);
-        let (summary, timing) = run_timed(&config);
+        let (summary, timing) = run_with_telemetry(&config, &mut Telemetry::disabled());
         assert!(summary.chaos.is_some());
         let record = bench_record(&summary, &timing, "chaos");
         let json = summary_to_json(&summary, false);
@@ -418,7 +419,7 @@ mod tests {
     #[test]
     fn gray_outcomes_render_only_under_a_gray_plan() {
         let config = scenario(Profile::Gray, 4, 5, Some(600.0), None);
-        let (summary, timing) = run_timed(&config);
+        let (summary, timing) = run_with_telemetry(&config, &mut Telemetry::disabled());
         assert!(summary.gray.is_some());
         let record = bench_record(&summary, &timing, "gray");
         let json = summary_to_json(&summary, false);

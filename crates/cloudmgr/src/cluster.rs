@@ -51,7 +51,7 @@ use std::time::Instant;
 use uniserver_telemetry::{MetricsRegistry, Stage, StageProfiler};
 use uniserver_units::{Joules, Seconds};
 
-use uniserver_hypervisor::vm::{VmConfig, VmId};
+use uniserver_hypervisor::vm::{Vm, VmConfig, VmId};
 use uniserver_platform::node::{CrashEvent, ServerNode};
 use uniserver_platform::part::PartSpec;
 use uniserver_silicon::rng::{salt, splitmix64, weighted_pick};
@@ -62,10 +62,7 @@ use crate::index::PlacementIndex;
 use crate::lifecycle::{GrayState, NodePhase, NodePower};
 use crate::migrate::MigrationModel;
 use crate::node::{ManagedNode, NodeId};
-use crate::policy::{
-    EnergySlaPolicy, PlacementDecision, PlacementPolicy, RackView, MAX_MIGRATION_SECS,
-};
-use crate::scheduler::Scheduler;
+use crate::policy::{PlacementDecision, PolicyKind, RackView, MAX_MIGRATION_SECS};
 use crate::sla::SlaClass;
 use crate::store::PlacementStore;
 
@@ -86,10 +83,6 @@ pub struct ClusterConfig {
     /// Weighted part mix the rack is populated from; a single entry
     /// builds a homogeneous cluster.
     pub part_mix: Vec<PartWeight>,
-    /// Placement policy.
-    pub scheduler: Scheduler,
-    /// Migration network model.
-    pub migration: MigrationModel,
 }
 
 impl ClusterConfig {
@@ -100,15 +93,12 @@ impl ClusterConfig {
         ClusterConfig {
             nodes: n,
             part_mix: vec![PartWeight { spec: PartSpec::arm_microserver(), weight: 1.0 }],
-            scheduler: Scheduler::default(),
-            migration: MigrationModel::ten_gbe(),
         }
     }
 
     /// The heterogeneous UniServer rack: `n` nodes drawn from an
-    /// ARM+i5+i7 mix at 6:1:1 part shares, behind a 10 GbE migration
-    /// network. Which node gets which part is a pure function of
-    /// `(build seed, node index)`.
+    /// ARM+i5+i7 mix at 6:1:1 part shares. Which node gets which part
+    /// is a pure function of `(build seed, node index)`.
     #[must_use]
     pub fn uniserver_rack(n: usize) -> Self {
         ClusterConfig {
@@ -118,8 +108,6 @@ impl ClusterConfig {
                 PartWeight { spec: PartSpec::i5_4200u(), weight: 1.0 },
                 PartWeight { spec: PartSpec::i7_3970x(), weight: 1.0 },
             ],
-            scheduler: Scheduler::default(),
-            migration: MigrationModel::ten_gbe(),
         }
     }
 
@@ -332,16 +320,21 @@ struct RejectMemo {
     exclude: Option<NodeId>,
 }
 
+/// The network every live migration is costed on: 10 GbE.
+const MIGRATION: MigrationModel = MigrationModel::ten_gbe();
+
+/// Cadence, in ticks, of a managing policy's sleeper re-score
+/// (`Cluster::rescore_sleepers`): five minutes at 5 s ticks.
+const SLEEPER_RESCORE_EVERY: u64 = 60;
+
 /// The cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<ManagedNode>,
     /// The placement policy every submit/re-offer/recovery decision and
-    /// the periodic management pass route through. Immutable and
-    /// shared; defaults to the reference [`EnergySlaPolicy`] over the
-    /// configured scheduler.
-    policy: Arc<dyn PlacementPolicy>,
-    migration: MigrationModel,
+    /// the periodic management pass route through; the reference
+    /// [`PolicyKind::EnergySla`] until [`Cluster::set_policy`].
+    policy: PolicyKind,
     /// Incremental placement index over `nodes` (see [`PlacementIndex`]).
     index: PlacementIndex,
     /// The last `Reject` per SLA class (see [`RejectMemo`]), cleared at
@@ -398,18 +391,18 @@ impl Cluster {
                 ManagedNode::provision(NodeId(i as u32), spec, node_seed)
             })
             .collect();
-        Self::from_nodes(nodes, config.scheduler, config.migration)
+        Self::from_nodes(nodes)
     }
 
-    /// Assembles a cluster from already-provisioned nodes — the
-    /// orchestrator's entry point after deploying nodes at their
-    /// Extended Operating Points.
+    /// Assembles a cluster from already-provisioned nodes, placing
+    /// through the reference policy — the orchestrator's entry point
+    /// after deploying nodes at their Extended Operating Points.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is empty.
     #[must_use]
-    pub fn from_nodes(nodes: Vec<ManagedNode>, scheduler: Scheduler, migration: MigrationModel) -> Self {
+    pub fn from_nodes(nodes: Vec<ManagedNode>) -> Self {
         assert!(!nodes.is_empty(), "a cluster needs nodes");
         for (i, node) in nodes.iter().enumerate() {
             assert_eq!(node.id.0 as usize, i, "cluster node ids must be dense 0..n");
@@ -419,8 +412,7 @@ impl Cluster {
         let advances = vec![None; nodes.len()];
         Cluster {
             nodes,
-            policy: Arc::new(EnergySlaPolicy::new(scheduler)),
-            migration,
+            policy: PolicyKind::EnergySla,
             index,
             reject_memo: Default::default(),
             placements,
@@ -459,18 +451,18 @@ impl Cluster {
         self.fanout.mean_width()
     }
 
-    /// Installs a placement policy; subsequent placement decisions and
+    /// Selects the placement policy; subsequent placement decisions and
     /// management passes route through it. The index keeps caching the
     /// policy's weigher, so the whole rack is re-scored.
-    pub fn set_policy(&mut self, policy: Arc<dyn PlacementPolicy>) {
-        self.policy = policy;
+    pub fn set_policy(&mut self, kind: PolicyKind) {
+        self.policy = kind;
         self.index.mark_all();
     }
 
-    /// The installed placement policy.
+    /// The selected placement policy.
     #[must_use]
-    pub fn policy(&self) -> &dyn PlacementPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> PolicyKind {
+        self.policy
     }
 
     /// Installs a stage profiler: the per-node phase attributes its
@@ -646,23 +638,18 @@ impl Cluster {
     /// stragglers within the plan's migration budget, and parks
     /// fully-drained sources. A no-op (no flush, no occupancy scan)
     /// under policies that do not manage power states.
-    pub fn manage(&mut self, tick: u64, seed: u64) {
+    pub fn manage(&mut self, tick: u64) {
         if !self.policy.manages() {
             return;
         }
-        // The sleeper slow clock, on the policy's cadence: parked nodes
-        // age their error evidence out so a mid-dip park recovers.
-        if let Some(every) = self.policy.sleeper_rescore_every() {
-            if every > 0 && tick > 0 && tick.is_multiple_of(every) {
-                self.rescore_sleepers();
-            }
+        if tick > 0 && tick.is_multiple_of(SLEEPER_RESCORE_EVERY) {
+            self.rescore_sleepers();
         }
         #[allow(clippy::cast_possible_truncation)]
         let occupancy: Vec<u32> =
             self.nodes.iter().map(|n| self.placements.count_on(n.id) as u32).collect();
         self.index.flush(self.policy.scheduler(), &self.nodes);
-        let plan =
-            self.policy.manage(&RackView::new(&self.nodes, &self.index), &occupancy, tick, seed);
+        let plan = self.policy.manage(&RackView::new(&self.nodes, &self.index), &occupancy, tick);
         // Parks first: a freshly-parked node can then never be chosen
         // as a drain target below.
         for &id in &plan.park {
@@ -674,14 +661,15 @@ impl Cluster {
     }
 
     /// Runs the rolling-score update of the tick's per-node phase on
-    /// every asleep node — the slow clock behind recoverable parks. A
+    /// every asleep node, once per [`SLEEPER_RESCORE_EVERY`] ticks. A
     /// sleeping node's hypervisor log is frozen, so each visit is a
-    /// no-new-events update and the predictor's silent decay ages the
-    /// rolling error score down
-    /// exactly as it would were the node awake and idle: a node parked
-    /// mid-reliability-dip recovers towards 1.0 while it sleeps instead
-    /// of freezing below the wake floors forever. Sequential, in
-    /// node-index order, so runs are worker-count invariant.
+    /// no-new-events update: one silent-decay step (×0.97) of the
+    /// rolling error score. An idle awake node takes that step every
+    /// tick, so a sleeper's score ages about 60× slower than it would
+    /// awake, and a node parked deep in a reliability dip can stay
+    /// below the class floors for the rest of a run (ROADMAP item 1).
+    /// Sequential, in node-index order, so runs are worker-count
+    /// invariant.
     fn rescore_sleepers(&mut self) {
         for node in &mut self.nodes {
             if node.is_asleep() && node.update_reliability().1 {
@@ -704,29 +692,38 @@ impl Cluster {
         for victim in &victims {
             let node = self.node_ref(source);
             let Some(vm) = node.hypervisor.vm(victim.vm) else { return };
-            if self.migration.cost(vm).duration.as_secs() > MAX_MIGRATION_SECS {
+            if MIGRATION.cost(vm).duration.as_secs() > MAX_MIGRATION_SECS {
                 return;
             }
         }
-        for victim in victims {
-            let (config, cost) = {
-                let Some(vm) = self.node_ref(source).hypervisor.vm(victim.vm) else { return };
-                (vm.config.clone(), self.migration.cost(vm))
-            };
-            let Some(target) = self.place_no_wake(&config, victim.class, source) else { return };
-            // Pre-copy semantics: the source copy keeps running until
-            // the target launch succeeds, so a failed cutover leaves
-            // the VM untouched (unlike crash evacuation, nothing forces
-            // it off).
-            let Ok(new_vm) = self.node_mut(target).launch(config) else { return };
-            self.index.mark(target);
-            self.node_mut(source).hypervisor.stop_vm(victim.vm);
-            self.index.mark(source);
-            self.placements.relocate(victim.id, target, new_vm);
+        for victim in &victims {
+            if !self.precopy_move(source, victim) {
+                return;
+            }
             self.power_stats.consolidation_migrations += 1;
-            self.migration_downtime = self.migration_downtime + cost.downtime;
         }
         self.park_node(source);
+    }
+
+    /// One pre-copy move of `victim` off `source` onto an awake target
+    /// that [`Cluster::place_no_wake`] picks. The source copy keeps
+    /// running until the target launch succeeds, so a move that finds
+    /// no target or fails its launch leaves the VM untouched (unlike
+    /// crash evacuation, nothing forces it off). Returns whether the VM
+    /// moved; the caller counts the move.
+    fn precopy_move(&mut self, source: NodeId, victim: &Placement) -> bool {
+        let (config, cost) = {
+            let Some(vm) = self.node_ref(source).hypervisor.vm(victim.vm) else { return false };
+            (vm.config.clone(), MIGRATION.cost(vm))
+        };
+        let Some(target) = self.place_no_wake(&config, victim.class, source) else { return false };
+        let Ok(new_vm) = self.node_mut(target).launch(config) else { return false };
+        self.index.mark(target);
+        self.node_mut(source).hypervisor.stop_vm(victim.vm);
+        self.index.mark(source);
+        self.placements.relocate(victim.id, target, new_vm);
+        self.migration_downtime = self.migration_downtime + cost.downtime;
+        true
     }
 
     /// Submits a VM request; returns its placement if a node was found.
@@ -927,7 +924,7 @@ impl Cluster {
             let (config, cost) = {
                 let node = self.node_ref(victim.node);
                 match node.hypervisor.vm(victim.vm) {
-                    Some(vm) => (vm.config.clone(), self.migration.cost(vm)),
+                    Some(vm) => (vm.config.clone(), MIGRATION.cost(vm)),
                     // The VM record vanished (should not happen); drop
                     // the stale placement.
                     None => {
@@ -991,7 +988,7 @@ impl Cluster {
                 if !vm.is_running() {
                     continue;
                 }
-                (vm.config.clone(), self.migration.cost(vm))
+                (vm.config.clone(), MIGRATION.cost(vm))
             };
             let target = self.place_on(&config, placement.class, Some(placement.node));
             let Some(target) = target else { continue };
@@ -1235,23 +1232,12 @@ impl Cluster {
         victims.sort_by_key(|p| p.class);
         victims.truncate(budget);
         let mut moved = 0u64;
-        for victim in victims {
-            let (config, cost) = {
-                let Some(vm) = self.node_ref(source).hypervisor.vm(victim.vm) else { continue };
-                if !vm.is_running() {
-                    continue;
-                }
-                (vm.config.clone(), self.migration.cost(vm))
-            };
-            let Some(target) = self.place_no_wake(&config, victim.class, source) else { continue };
-            let Ok(new_vm) = self.node_mut(target).launch(config) else { continue };
-            self.index.mark(target);
-            self.node_mut(source).hypervisor.stop_vm(victim.vm);
-            self.index.mark(source);
-            self.placements.relocate(victim.id, target, new_vm);
-            self.migrations += 1;
-            self.migration_downtime = self.migration_downtime + cost.downtime;
-            moved += 1;
+        for victim in &victims {
+            let vm = self.node_ref(source).hypervisor.vm(victim.vm);
+            if vm.is_some_and(Vm::is_running) && self.precopy_move(source, victim) {
+                self.migrations += 1;
+                moved += 1;
+            }
         }
         moved
     }
@@ -1271,7 +1257,9 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::failure::FailurePredictor;
+    use crate::scheduler::Scheduler;
     use uniserver_platform::msr::DomainId;
+    use uniserver_units::Bytes;
 
     #[test]
     fn submissions_spread_across_nodes() {
@@ -1740,10 +1728,8 @@ mod tests {
 
     #[test]
     fn consolidating_cluster_packs_drains_and_parks() {
-        use crate::policy::{ConsolidatePolicy, EnergySlaPolicy};
-
         let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(6), 100);
-        cluster.set_policy(Arc::new(ConsolidatePolicy::new(Scheduler::default())));
+        cluster.set_policy(PolicyKind::Consolidate);
         // Six bronze guests pack onto one node (ties break to the lowest
         // id on the packing end, so the empty rack fills node 0 first)
         // instead of spreading.
@@ -1754,22 +1740,22 @@ mod tests {
         assert_eq!(hosts, std::collections::HashSet::from([NodeId(0)]), "consolidation must pack");
         // The management pass parks the empties beyond the spare buffer
         // (identical empties tie, so the two highest ids stay awake).
-        cluster.manage(0, 42);
+        cluster.manage(0);
         assert_eq!(cluster.asleep_count(), 3, "6 nodes - 1 host - 2 spares = 3 parked");
         assert_eq!(cluster.power_stats().parks, 3);
 
         // Strand one tracked straggler on a spare via the spreading
         // reference policy (it picks the best-scored awake node — an
         // empty spare, tie-broken to the highest id: node 5).
-        cluster.set_policy(Arc::new(EnergySlaPolicy::new(Scheduler::default())));
+        cluster.set_policy(PolicyKind::EnergySla);
         let straggler =
             cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).expect("placed");
         assert_eq!(straggler.node, NodeId(5));
-        cluster.set_policy(Arc::new(ConsolidatePolicy::new(Scheduler::default())));
+        cluster.set_policy(PolicyKind::Consolidate);
 
         // The next pass drains the straggler into the pack (a cheap,
         // within-budget migration) and parks its node.
-        cluster.manage(12, 42);
+        cluster.manage(12);
         assert_eq!(cluster.power_stats().consolidation_migrations, 1);
         assert_eq!(cluster.asleep_count(), 4, "the drained source joins the sleepers");
         assert!(cluster.nodes()[5].is_asleep());
@@ -1783,6 +1769,56 @@ mod tests {
             cluster.fleet_metrics().migration_downtime.as_secs() > 0.0,
             "consolidation moves pay real blackout"
         );
+    }
+
+    /// A consolidating 4-node rack: three idle guests packed on node 0,
+    /// nodes 1 and 2 empty (the spare buffer), and one straggler on
+    /// node 3 running `guest`, stranded there by the spreading
+    /// reference policy.
+    fn straggler_rack(guest: VmConfig) -> (Cluster, Placement) {
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(4), 100);
+        cluster.set_policy(PolicyKind::Consolidate);
+        for _ in 0..3 {
+            let p = cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).expect("placed");
+            assert_eq!(p.node, NodeId(0), "consolidation packs onto node 0");
+        }
+        cluster.set_policy(PolicyKind::EnergySla);
+        let straggler = cluster.submit(guest, SlaClass::Bronze).expect("placed");
+        assert_eq!(straggler.node, NodeId(3), "the reference spreads to the highest empty id");
+        cluster.set_policy(PolicyKind::Consolidate);
+        (cluster, straggler)
+    }
+
+    #[test]
+    fn a_drain_aborts_whole_when_a_guest_costs_more_than_the_budget() {
+        // A 12 GiB resident set takes over 11 s to pre-copy at 10 GbE,
+        // past the 10 s per-VM budget: the straggler keeps its VM and
+        // stays awake, and nothing moves.
+        let heavy = VmConfig {
+            name: "heavy".into(),
+            memory: Bytes::gib(14),
+            resident_set: Bytes::gib(12),
+            ..VmConfig::idle_guest()
+        };
+        let (mut cluster, straggler) = straggler_rack(heavy);
+        let vm = cluster.nodes()[3].hypervisor.vm(straggler.vm).expect("running");
+        assert!(MIGRATION.cost(vm).duration.as_secs() > MAX_MIGRATION_SECS);
+        cluster.manage(0);
+        assert!(!cluster.nodes()[3].is_asleep(), "a hot straggler keeps its node awake");
+        assert_eq!(cluster.placements_on(NodeId(3)).len(), 1, "its VM stays in place");
+        assert!(cluster.nodes()[3].hypervisor.vm(straggler.vm).is_some_and(Vm::is_running));
+        assert_eq!(cluster.power_stats().consolidation_migrations, 0);
+        assert_eq!(cluster.power_stats().parks, 0, "two empties are the spare buffer");
+        assert_eq!(cluster.fleet_metrics().migration_downtime, Seconds::ZERO);
+
+        // The same rack with a cheap straggler drains it and parks.
+        let (mut cluster, straggler) = straggler_rack(VmConfig::idle_guest());
+        cluster.manage(0);
+        assert!(cluster.nodes()[3].is_asleep(), "a cheap straggler is drained and parked");
+        assert!(cluster.placements_on(NodeId(3)).is_empty());
+        let moved = cluster.placements().iter().find(|p| p.id == straggler.id).expect("tracked");
+        assert_eq!(moved.node, NodeId(0), "the straggler joined the pack");
+        assert_eq!(cluster.power_stats().consolidation_migrations, 1);
     }
 
     #[test]
@@ -1801,7 +1837,7 @@ mod tests {
         // Degraded but not quarantined: the filter still admits it at
         // Bronze (effective reliability 0.5 clears the 0.3 floor) but
         // the halved reliability fails the premium floors.
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let cfg = VmConfig::idle_guest();
         assert!(s.filter(&cluster.nodes()[1], &cfg, SlaClass::Bronze));
         assert!(!s.filter(&cluster.nodes()[1], &cfg, SlaClass::Gold));
@@ -1878,10 +1914,8 @@ mod tests {
 
     #[test]
     fn parked_mid_dip_nodes_recover_on_the_sleeper_slow_clock() {
-        use crate::policy::ConsolidatePolicy;
-
         let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(3), 100);
-        cluster.set_policy(Arc::new(ConsolidatePolicy::new(Scheduler::default())));
+        cluster.set_policy(PolicyKind::Consolidate);
         // Pack two bronze guests onto node 0 and make its DRAM noisy so
         // the predictor's rolling error score climbs for real (bronze
         // placements are never proactively migrated, so they stay put).
@@ -1914,7 +1948,7 @@ mod tests {
         let mut last = dipped;
         let mut recovered_at = None;
         for k in 1..=400u64 {
-            cluster.manage(60 * k, 42);
+            cluster.manage(60 * k);
             let r = cluster.nodes()[0].reliability;
             assert!(r >= last, "slow-clock re-scores must never worsen a frozen log: {r} < {last}");
             last = r;
@@ -2007,10 +2041,8 @@ mod tests {
 
     #[test]
     fn a_reliability_change_kills_the_reject_memo() {
-        use crate::policy::ConsolidatePolicy;
-
         let mut cluster = gold_shy_rack();
-        cluster.set_policy(Arc::new(ConsolidatePolicy::new(Scheduler::default())));
+        cluster.set_policy(PolicyKind::Consolidate);
         cluster.park_node(NodeId(2));
         reject_gold(&mut cluster);
         // The sleeper's silent log re-scores to 1.0: its reliability

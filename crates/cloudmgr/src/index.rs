@@ -290,7 +290,7 @@ impl PlacementIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{EnergySlaPolicy, RackView};
+    use crate::policy::{PolicyKind, RackView};
     use crate::sla::SlaClass;
     use uniserver_hypervisor::vm::VmConfig;
     use uniserver_platform::part::PartSpec;
@@ -307,13 +307,12 @@ mod tests {
     /// The index's best-first pick under the reference policy.
     fn best(
         index: &PlacementIndex,
-        scheduler: &Scheduler,
         ns: &[ManagedNode],
         config: &VmConfig,
         class: SlaClass,
         avoid: &[NodeId],
     ) -> Option<NodeId> {
-        RackView::new(ns, index).best(&EnergySlaPolicy::new(*scheduler), config, class, avoid)
+        RackView::new(ns, index).best(PolicyKind::EnergySla, config, class, avoid)
     }
 
     fn assert_matches_linear(
@@ -328,7 +327,7 @@ mod tests {
         }
         for class in [SlaClass::Gold, SlaClass::Silver, SlaClass::Bronze] {
             assert_eq!(
-                best(index, scheduler, ns, config, class, &[]),
+                best(index, ns, config, class, &[]),
                 scheduler.place_linear(ns.iter(), config, class),
                 "indexed placement diverged from the linear scan at {class}"
             );
@@ -338,7 +337,7 @@ mod tests {
     #[test]
     fn fresh_index_matches_linear_scan() {
         let ns = nodes(5);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         assert_matches_linear(&mut index, &s, &ns, &VmConfig::idle_guest());
     }
@@ -346,7 +345,7 @@ mod tests {
     #[test]
     fn dirty_marks_track_load_and_reliability_changes() {
         let mut ns = nodes(4);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         assert_eq!(index.dirty_count(), 0);
@@ -366,13 +365,13 @@ mod tests {
     #[test]
     fn excluded_nodes_are_skipped() {
         let ns = nodes(3);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         let cfg = VmConfig::idle_guest();
-        assert_eq!(best(&index, &s, &ns, &cfg, SlaClass::Gold, &[]), Some(NodeId(2)));
+        assert_eq!(best(&index, &ns, &cfg, SlaClass::Gold, &[]), Some(NodeId(2)));
         assert_eq!(
-            best(&index, &s, &ns, &cfg, SlaClass::Gold, &[NodeId(2)]),
+            best(&index, &ns, &cfg, SlaClass::Gold, &[NodeId(2)]),
             Some(NodeId(1)),
             "excluding the winner must yield the runner-up"
         );
@@ -381,7 +380,7 @@ mod tests {
     #[test]
     fn duplicate_marks_flush_once() {
         let ns = nodes(2);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         index.mark(NodeId(1));
@@ -394,7 +393,7 @@ mod tests {
     #[test]
     fn mark_all_rescores_the_rack() {
         let mut ns = nodes(3);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         // Mutate behind the index's back, then invalidate wholesale.
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn a_mark_refreshes_the_facts_and_moves_the_generation_once() {
         let mut ns = nodes(2);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         let generation = index.generation();
@@ -429,7 +428,7 @@ mod tests {
     #[should_panic(expected = "stale cached facts for node1")]
     fn understated_headroom_fails_the_debug_freshness_check() {
         let ns = nodes(2);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         // A cached headroom below the live one could hide the node
@@ -443,7 +442,7 @@ mod tests {
     #[should_panic(expected = "stale cached score for node1")]
     fn unmarked_changes_fail_the_debug_freshness_check() {
         let mut ns = nodes(2);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let mut index = PlacementIndex::new(ns.len());
         index.flush(&s, &ns);
         // Mutate behind the index's back and flush without a mark.

@@ -13,10 +13,10 @@
 //!   the four management metrics;
 //! * [`sla`] — service classes and their requirements;
 //! * [`scheduler`] — Nova-style filter + weigher placement;
-//! * [`policy`] — pluggable placement policies over the scheduler
-//!   primitives: the reference energy/SLA scorer, pack-and-power-down
-//!   consolidation with node sleep states, and the reliability-blind
-//!   ablation;
+//! * [`policy`] — the three placement policies over the scheduler
+//!   primitives, one closed enum: the reference energy/SLA scorer,
+//!   pack-and-power-down consolidation with node sleep states, and the
+//!   reliability-blind ablation;
 //! * [`failure`] — log-pattern failure prediction (refs \[21\]\[24\]);
 //! * [`lifecycle`] — the node failure lifecycle: crashed nodes go
 //!   offline (real downtime, lost capacity) for a seeded MTTR window,
@@ -69,9 +69,7 @@ pub use index::PlacementIndex;
 pub use lifecycle::{GrayState, NodePhase};
 pub use migrate::{MigrationCost, MigrationModel};
 pub use node::{ManagedNode, NodeId, NodeMetrics};
-pub use policy::{
-    EnergySlaPolicy, ManagementPlan, PlacementDecision, PlacementPolicy, PolicyKind, RackView,
-};
-pub use scheduler::{Scheduler, SchedulerWeights};
+pub use policy::{PlacementDecision, PolicyKind, RackView};
+pub use scheduler::Scheduler;
 pub use sla::SlaClass;
 pub use stream::{Arrival, FlashCrowds, LifetimeModel, Modulation, TrafficShape, VmStream};

@@ -26,9 +26,10 @@ pub struct MigrationModel {
 }
 
 impl MigrationModel {
-    /// 10 GbE management network, modestly dirty guests.
+    /// 10 GbE management network, modestly dirty guests — the model the
+    /// cluster costs every move with.
     #[must_use]
-    pub fn ten_gbe() -> Self {
+    pub const fn ten_gbe() -> Self {
         MigrationModel {
             bandwidth_bytes_per_sec: 1.1e9,
             dirty_fraction_per_sec: 0.02,
@@ -90,12 +91,6 @@ impl MigrationModel {
             downtime: Seconds::new(downtime),
             rounds,
         }
-    }
-}
-
-impl Default for MigrationModel {
-    fn default() -> Self {
-        MigrationModel::ten_gbe()
     }
 }
 

@@ -12,51 +12,29 @@ use uniserver_hypervisor::vm::VmConfig;
 use crate::node::ManagedNode;
 use crate::sla::SlaClass;
 
-/// Weigher coefficients (higher weight = preferred).
+/// The scheduler: the filter predicates plus one set of weigher
+/// coefficients (higher weight = preferred). The two weigher sets in
+/// use are [`Scheduler::BALANCED`] and the reliability-blind ablation's;
+/// [`crate::policy::PolicyKind::scheduler`] picks one per policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulerWeights {
-    /// Preference for free CPU capacity (spreading).
-    pub free_capacity: f64,
-    /// Preference for energy-efficient (low power-per-core) nodes.
-    pub energy: f64,
-    /// Preference for reliable nodes — the UniServer addition.
-    pub reliability: f64,
-}
-
-impl SchedulerWeights {
-    /// Balanced production weights.
-    #[must_use]
-    pub(crate) fn balanced() -> Self {
-        SchedulerWeights { free_capacity: 1.0, energy: 0.5, reliability: 2.0 }
-    }
-
-    /// A legacy scheduler that ignores reliability (the ablation
-    /// baseline).
-    #[must_use]
-    pub(crate) fn reliability_blind() -> Self {
-        SchedulerWeights { free_capacity: 1.0, energy: 0.5, reliability: 0.0 }
-    }
-}
-
-impl Default for SchedulerWeights {
-    fn default() -> Self {
-        SchedulerWeights::balanced()
-    }
-}
-
-/// The scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Scheduler {
-    /// Weigher coefficients.
-    pub weights: SchedulerWeights,
+    /// Preference for free CPU capacity (spreading).
+    free_capacity: f64,
+    /// Preference for energy-efficient (low power-per-core) nodes.
+    energy: f64,
+    /// Preference for reliable nodes — the UniServer addition.
+    reliability: f64,
 }
 
 impl Scheduler {
-    /// Creates a scheduler with the given weights.
-    #[must_use]
-    pub fn new(weights: SchedulerWeights) -> Self {
-        Scheduler { weights }
-    }
+    /// Balanced production weights.
+    pub const BALANCED: Scheduler =
+        Scheduler { free_capacity: 1.0, energy: 0.5, reliability: 2.0 };
+
+    /// A legacy scheduler that ignores reliability (the ablation
+    /// baseline).
+    pub(crate) const BLIND: Scheduler =
+        Scheduler { free_capacity: 1.0, energy: 0.5, reliability: 0.0 };
 
     /// Filter phase: can `node` host `config` at `class`?
     ///
@@ -85,7 +63,7 @@ impl Scheduler {
 
     /// The pre-UniServer feasibility gates: capacity, liveness, and the
     /// availability floor — everything *except* the reliability floor.
-    /// The `reliability_blind()` ablation admits exactly this set.
+    /// The reliability-blind ablation admits exactly this set.
     /// `fits` is capacity-capped while a node serves gray, and a
     /// watchdog-quarantined node hosts nothing until it survives
     /// probation — even the blind ablation respects the quarantine,
@@ -113,9 +91,9 @@ impl Scheduler {
     #[must_use]
     pub fn weigh(&self, node: &ManagedNode) -> f64 {
         let free = 1.0 - node.utilization().min(1.0);
-        self.weights.free_capacity * free
-            + self.weights.reliability * node.effective_reliability()
-            + self.weights.energy * self.energy_score(node)
+        self.free_capacity * free
+            + self.reliability * node.effective_reliability()
+            + self.energy * self.energy_score(node)
     }
 
     /// Energy score in `[0, 1]`: cooler parts (lower nominal per-core
@@ -176,7 +154,7 @@ mod tests {
             ns[0].launch(uniserver_hypervisor::vm::VmConfig::ldbc_benchmark()).unwrap();
         }
         ns[1].reliability = 0.2;
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let chosen = s
             .place_linear(ns.iter(), &uniserver_hypervisor::vm::VmConfig::ldbc_benchmark(), SlaClass::Gold)
             .expect("a node fits");
@@ -187,7 +165,7 @@ mod tests {
     fn gold_rejects_unreliable_nodes_bronze_tolerates() {
         let mut ns = nodes(1);
         ns[0].reliability = 0.5;
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let cfg = uniserver_hypervisor::vm::VmConfig::idle_guest();
         assert!(s.place_linear(ns.iter(), &cfg, SlaClass::Gold).is_none());
         assert!(s.place_linear(ns.iter(), &cfg, SlaClass::Bronze).is_some());
@@ -197,8 +175,8 @@ mod tests {
     fn blind_scheduler_ignores_reliability_in_weighing() {
         let mut ns = nodes(2);
         ns[0].reliability = 0.31; // just above Bronze's floor
-        let blind = Scheduler::new(SchedulerWeights::reliability_blind());
-        let aware = Scheduler::new(SchedulerWeights::balanced());
+        let blind = Scheduler::BLIND;
+        let aware = Scheduler::BALANCED;
         let cfg = uniserver_hypervisor::vm::VmConfig::idle_guest();
         // The blind scheduler sees two identical nodes and picks the max
         // — tie-broken explicitly towards the higher NodeId; the aware
@@ -235,7 +213,7 @@ mod tests {
             "reboot penalty must sink availability below the lowest floor: {}",
             m.availability
         );
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let cfg = uniserver_hypervisor::vm::VmConfig::idle_guest();
         for class in [SlaClass::Gold, SlaClass::Silver, SlaClass::Bronze] {
             assert!(!s.filter(&ns[0], &cfg, class), "{class} must reject the node");
@@ -251,7 +229,7 @@ mod tests {
         // (The old `max_by`-only scan returned the *last* maximum, so a
         // reversed iterator silently flipped the pick to NodeId(0).)
         let ns = nodes(3);
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         let cfg = uniserver_hypervisor::vm::VmConfig::idle_guest();
         let w: Vec<f64> = ns.iter().map(|n| s.weigh(n)).collect();
         assert!(w.iter().all(|&x| x == w[0]), "fresh same-part nodes must tie: {w:?}");
@@ -267,7 +245,7 @@ mod tests {
         for _ in 0..4 {
             ns[0].launch(uniserver_hypervisor::vm::VmConfig::ldbc_benchmark()).unwrap();
         }
-        let s = Scheduler::default();
+        let s = Scheduler::BALANCED;
         assert!(s
             .place_linear(ns.iter(), &uniserver_hypervisor::vm::VmConfig::ldbc_benchmark(), SlaClass::Bronze)
             .is_none());

@@ -143,9 +143,8 @@ pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode
         }
         deploy_secs += range_secs;
     }
-    let mut cluster =
-        Cluster::from_nodes(managed, config.cluster.scheduler, config.cluster.migration);
-    cluster.set_policy(config.policy.build(config.cluster.scheduler));
+    let mut cluster = Cluster::from_nodes(managed);
+    cluster.set_policy(config.policy);
     (cluster, records, deploy_secs, cache)
 }
 

@@ -47,7 +47,7 @@ pub mod watchdog;
 pub use config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig};
 pub use deploy::{deploy_cluster, DeployedNode};
 pub use events::Event;
-pub use orchestrator::{compare, run, run_timed, run_with_telemetry};
+pub use orchestrator::{compare, run, run_with_telemetry};
 pub use summary::{
     ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
     PowerOutcome, StageBreakdown, TickMetrics,

@@ -73,41 +73,28 @@ use crate::watchdog::{
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (zero nodes, non-positive
-/// tick or horizon).
+/// Panics as [`run_with_telemetry`] does.
 #[must_use]
 pub fn run(config: &OrchestratorConfig) -> ClusterSummary {
-    run_timed(config).0
-}
-
-/// Runs one orchestrated scenario and reports wall-clock timings.
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate (zero nodes, non-positive
-/// tick or horizon, or an invalid [`VmStream`] — e.g. a class mix whose
-/// gold and silver fractions exceed 1.0).
-///
-/// [`VmStream`]: uniserver_cloudmgr::stream::VmStream
-#[must_use]
-pub fn run_timed(config: &OrchestratorConfig) -> (ClusterSummary, OrchestratorTiming) {
-    let mut tel = Telemetry::disabled();
-    run_with_telemetry(config, &mut tel)
+    run_with_telemetry(config, &mut Telemetry::disabled()).0
 }
 
 /// Runs one orchestrated scenario with a live [`Telemetry`] bundle:
 /// sim-domain metrics and trace events land in `tel` (both byte-stable
 /// for any worker count — accumulation is sequential, in node-index
 /// order), wall-clock stage attribution lands in the returned timing's
-/// `stages` block. `Telemetry::disabled()` makes this exactly
-/// [`run_timed`].
+/// `stages` block. `Telemetry::disabled()` gives [`run`]'s summary plus
+/// the timings.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (see [`run_timed`]), or if
-/// the run's accounting does not tie out at the horizon:
-/// `offered = placed + abandoned` and
+/// Panics if the configuration is degenerate (zero nodes, non-positive
+/// tick or horizon, or an invalid [`VmStream`] — e.g. a class mix whose
+/// gold and silver fractions exceed 1.0), or if the run's accounting
+/// does not tie out at the horizon: `offered = placed + abandoned` and
 /// `placed = completed + evicted + live_at_end`.
+///
+/// [`VmStream`]: uniserver_cloudmgr::stream::VmStream
 #[must_use]
 pub fn run_with_telemetry(
     config: &OrchestratorConfig,
@@ -305,7 +292,7 @@ pub fn run_with_telemetry(
         // non-managing policies.
         {
             let _span = profiler.scoped(Stage::Placement);
-            cluster.manage(tick, config.seed);
+            cluster.manage(tick);
         }
 
         // --- 2a. Queued rejections re-offer first, gold before silver,

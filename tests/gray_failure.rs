@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use uniserver_bench::cluster::{scenario, summary_to_json, Profile};
 use uniserver_orchestrator::watchdog::{Verdict, PROBATION_PASSES};
-use uniserver_orchestrator::{run_timed, OrchestratorConfig, Watchdog};
+use uniserver_orchestrator::{run, OrchestratorConfig, Watchdog};
 
 /// A CI-sized gray scenario: the full gray headline (gray onsets,
 /// watchdog, power cap) shrunk to a 10-minute horizon, as
@@ -32,9 +32,9 @@ proptest! {
     ) {
         let mut config = gray_smoke(nodes, seed);
         config.threads = 1;
-        let (sequential, _) = run_timed(&config);
+        let sequential = run(&config);
         config.threads = workers;
-        let (sharded, _) = run_timed(&config);
+        let sharded = run(&config);
         prop_assert!(sequential.gray.is_some(), "gray profile must report a gray outcome");
         prop_assert_eq!(
             summary_to_json(&sequential, true),

@@ -43,9 +43,8 @@ fn degraded_rack(nodes: usize, seed: u64) -> Cluster {
 
 /// [`degraded_rack`] placing through the given policy.
 fn policy_rack(nodes: usize, seed: u64, kind: PolicyKind) -> Cluster {
-    let config = ClusterConfig::uniserver_rack(nodes);
-    let mut cluster = Cluster::build(&config, seed);
-    cluster.set_policy(kind.build(config.scheduler));
+    let mut cluster = Cluster::build(&ClusterConfig::uniserver_rack(nodes), seed);
+    cluster.set_policy(kind);
     // Clamped to the MSR's 250 mV limit: the mixed rack can draw an i7
     // whose nominal voltage puts a 22 % offset past it.
     let deep = cluster.nodes()[0].hypervisor.node().part().offset_mv(0.22).min(250.0);
@@ -299,7 +298,7 @@ proptest! {
                     for ready in cluster.tick_repairs() {
                         cluster.complete_rejoin(ready);
                     }
-                    cluster.manage(round, seed);
+                    cluster.manage(round);
                     // A rejected request right after the manage pass: a
                     // park, wake or drain must have killed its memo.
                     submit_against_reference(&mut cluster, kind, &config, SlaClass::Gold);
@@ -385,7 +384,7 @@ proptest! {
                 for ready in cluster.tick_repairs() {
                     cluster.complete_rejoin(ready);
                 }
-                cluster.manage(round, seed);
+                cluster.manage(round);
                 let report = cluster.tick(Seconds::new(2.0));
                 for lost in &report.evicted {
                     model_remove(&mut model, lost.id);

@@ -15,7 +15,7 @@ use uniserver_bench::cluster::summary_to_json;
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
 use uniserver_cloudmgr::{GrayState, NodeId, NodePhase, PolicyKind, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
-use uniserver_orchestrator::{run_timed, OrchestratorConfig};
+use uniserver_orchestrator::{run, OrchestratorConfig};
 use uniserver_platform::msr::DomainId;
 use uniserver_units::Seconds;
 
@@ -32,9 +32,8 @@ fn class_of(i: u64) -> SlaClass {
 /// contract must hold under crash events, predictor re-scores and
 /// recovery, not just on clean racks.
 fn policy_rack(nodes: usize, seed: u64, kind: PolicyKind) -> Cluster {
-    let config = ClusterConfig::uniserver_rack(nodes);
-    let mut cluster = Cluster::build(&config, seed);
-    cluster.set_policy(kind.build(config.scheduler));
+    let mut cluster = Cluster::build(&ClusterConfig::uniserver_rack(nodes), seed);
+    cluster.set_policy(kind);
     let deep = cluster.nodes()[0].hypervisor.node().part().offset_mv(0.22).min(250.0);
     cluster.nodes_mut()[0].hypervisor.node_mut().msr.set_voltage_offset_all(deep).unwrap();
     if nodes > 1 {
@@ -63,9 +62,9 @@ proptest! {
             let mut config = OrchestratorConfig::smoke(nodes, seed);
             config.policy = kind;
             config.threads = 1;
-            let (sequential, _) = run_timed(&config);
+            let sequential = run(&config);
             config.threads = workers;
-            let (sharded, _) = run_timed(&config);
+            let sharded = run(&config);
             prop_assert_eq!(
                 summary_to_json(&sequential, true),
                 summary_to_json(&sharded, true),
@@ -154,8 +153,8 @@ proptest! {
                 // The manage pass: parks, wakes and consolidation
                 // drains must not depend on the worker count (a free
                 // no-op for the non-managing policies).
-                sharded.manage(round, seed);
-                sequential.manage(round, seed);
+                sharded.manage(round);
+                sequential.manage(round);
                 prop_assert_eq!(
                     sharded.power_stats(),
                     sequential.power_stats(),
@@ -209,9 +208,9 @@ proptest! {
 #[test]
 fn blind_runs_differ_from_the_reference_on_the_same_seed() {
     let mut config = OrchestratorConfig::smoke(6, 2018);
-    let (reference, _) = run_timed(&config);
+    let reference = run(&config);
     config.policy = PolicyKind::ReliabilityBlind;
-    let (blind, _) = run_timed(&config);
+    let blind = run(&config);
     assert_eq!(reference.offered, blind.offered, "the policy must not change the stream");
     assert!(
         summary_to_json(&reference, false) != summary_to_json(&blind, false),
