@@ -33,8 +33,8 @@
 //!   scenario: a seeded trickle of silent degradations (capacity capped,
 //!   CE rate elevated, no crash), the orchestrator's probe watchdog
 //!   quarantining, draining and readmitting suspects on K-of-N
-//!   hysteresis, and a fleet-wide power cap over the back half of the
-//!   run (the summary grows a `gray` object). `--profile flat` is the
+//!   hysteresis, and a fleet-wide power cap over the third quarter of
+//!   the run (the summary grows a `gray` object). `--profile flat` is the
 //!   default and reproduces the legacy stream byte-for-byte.
 //! * `--policy` selects the placement policy the rack routes every
 //!   decision through. `energy-sla` is the reference energy/SLA scorer

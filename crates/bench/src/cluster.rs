@@ -13,7 +13,7 @@
 //! summary.
 
 use uniserver_orchestrator::summary::{ClusterSummary, OrchestratorTiming};
-use uniserver_orchestrator::{ChaosPlan, OrchestratorConfig};
+use uniserver_orchestrator::OrchestratorConfig;
 use uniserver_units::Seconds;
 
 use crate::render::json::JsonWriter;
@@ -51,10 +51,9 @@ impl Profile {
 
 /// The configuration `fleet_sim --profile P --nodes N --seed S
 /// [--secs T] [--tick DT]` runs: the profile's preset, with `secs` and
-/// `tick` overriding its horizon and tick. The fault campaigns anchor
-/// to tick fractions of the horizon, so an override re-derives the
-/// plan and the rack, cooling and brownout windows land inside the
-/// span actually requested.
+/// `tick` overriding its horizon and tick. The fault plans anchor to
+/// tick fractions of the run's own horizon, so the rack, cooling and
+/// brownout windows land inside the span actually requested.
 #[must_use]
 pub fn scenario(
     profile: Profile,
@@ -75,17 +74,6 @@ pub fn scenario(
     if let Some(tick) = tick {
         config.tick = Seconds::new(tick);
     }
-    if secs.is_some() || tick.is_some() {
-        match profile {
-            Profile::Chaos => config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks())),
-            Profile::Gray => {
-                #[allow(clippy::cast_possible_truncation)]
-                let fleet_width = nodes as u32;
-                config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), fleet_width));
-            }
-            Profile::Flat | Profile::Flash => {}
-        }
-    }
     config
 }
 
@@ -95,9 +83,8 @@ const CLASS_NAMES: [&str; 3] = ["gold", "silver", "bronze"];
 /// Writes the optional outcome objects, in their fixed order, for both
 /// the summary and the bench record. Each is present only when its
 /// subsystem ran, so legacy renders stay byte-identical: `chaos` when
-/// the lifecycle or a fault plan was active, `power` when the policy
-/// manages node power (consolidation), `gray` when the plan carried a
-/// gray or power-cap campaign.
+/// a fault plan was active, `power` when the policy manages node power
+/// (consolidation), `gray` under the gray plan.
 fn write_outcomes(w: &mut JsonWriter, s: &ClusterSummary) {
     if let Some(chaos) = &s.chaos {
         w.field_object("chaos", |o| {

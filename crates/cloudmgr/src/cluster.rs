@@ -323,6 +323,10 @@ struct RejectMemo {
 /// The network every live migration is costed on: 10 GbE.
 const MIGRATION: MigrationModel = MigrationModel::ten_gbe();
 
+/// Cadence, in ticks, of a managing policy's consolidation pass
+/// (`Cluster::manage`): one minute at 5 s ticks.
+const REBALANCE_EVERY: u64 = 12;
+
 /// Cadence, in ticks, of a managing policy's sleeper re-score
 /// (`Cluster::rescore_sleepers`): five minutes at 5 s ticks.
 const SLEEPER_RESCORE_EVERY: u64 = 60;
@@ -634,10 +638,11 @@ impl Cluster {
         self.power_stats
     }
 
-    /// Runs the policy's periodic management pass: parks empties, drains
-    /// stragglers within the plan's migration budget, and parks
-    /// fully-drained sources. A no-op (no flush, no occupancy scan)
-    /// under policies that do not manage power states.
+    /// Runs the policy's periodic management pass every
+    /// `REBALANCE_EVERY` ticks: parks empties, drains stragglers
+    /// within the plan's migration budget, and parks fully-drained
+    /// sources. A no-op (no flush, no occupancy scan) on every other
+    /// tick and under policies that do not manage power states.
     pub fn manage(&mut self, tick: u64) {
         if !self.policy.manages() {
             return;
@@ -645,11 +650,14 @@ impl Cluster {
         if tick > 0 && tick.is_multiple_of(SLEEPER_RESCORE_EVERY) {
             self.rescore_sleepers();
         }
+        if !tick.is_multiple_of(REBALANCE_EVERY) {
+            return;
+        }
         #[allow(clippy::cast_possible_truncation)]
         let occupancy: Vec<u32> =
             self.nodes.iter().map(|n| self.placements.count_on(n.id) as u32).collect();
         self.index.flush(self.policy.scheduler(), &self.nodes);
-        let plan = self.policy.manage(&RackView::new(&self.nodes, &self.index), &occupancy, tick);
+        let plan = self.policy.manage(&RackView::new(&self.nodes, &self.index), &occupancy);
         // Parks first: a freshly-parked node can then never be chosen
         // as a drain target below.
         for &id in &plan.park {
@@ -1769,6 +1777,26 @@ mod tests {
             cluster.fleet_metrics().migration_downtime.as_secs() > 0.0,
             "consolidation moves pay real blackout"
         );
+    }
+
+    #[test]
+    fn off_period_manage_neither_scans_nor_flushes() {
+        let mut cluster = Cluster::build(&ClusterConfig::small_edge_site(6), 100);
+        cluster.set_policy(PolicyKind::Consolidate);
+        cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).expect("placed");
+        let (dirty, generation) = (cluster.index.dirty_count(), cluster.index.generation());
+        assert!(dirty > 0, "the placement left its host dirty");
+        // Three empties beyond the spares are parkable, but tick 5 is
+        // off the rebalance cadence: nothing parks, nothing flushes.
+        cluster.manage(5);
+        assert_eq!(cluster.index.dirty_count(), dirty, "an off-period pass must not flush");
+        assert_eq!(cluster.index.generation(), generation);
+        assert_eq!(cluster.asleep_count(), 0);
+        assert_eq!(cluster.power_stats().parks, 0);
+        // On the cadence the same rack parks its three surplus empties,
+        // then drains its lone straggler and parks that too.
+        cluster.manage(REBALANCE_EVERY);
+        assert_eq!(cluster.power_stats().parks, 4);
     }
 
     /// A consolidating 4-node rack: three idle guests packed on node 0,

@@ -22,8 +22,8 @@
 //!   offline (real downtime, lost capacity) for a seeded MTTR window,
 //!   then re-characterize and rejoin;
 //! * [`migrate`] — live-migration cost model;
-//! * [`stream`] — the traffic engine: capacity-scaled, diurnal and
-//!   flash-crowd-modulated VM arrival batches, each with its drawn
+//! * [`stream`] — the traffic engine: the flat and flash-crowd
+//!   presets' per-tick VM arrival batches, each with its drawn
 //!   lifetime (the orchestrator's serve loop offers them and schedules
 //!   the departures);
 //! * [`index`] — the incremental placement index: cached scores and
@@ -72,4 +72,4 @@ pub use node::{ManagedNode, NodeId, NodeMetrics};
 pub use policy::{PlacementDecision, PolicyKind, RackView};
 pub use scheduler::Scheduler;
 pub use sla::SlaClass;
-pub use stream::{Arrival, FlashCrowds, LifetimeModel, Modulation, TrafficShape, VmStream};
+pub use stream::{Arrival, VmStream};

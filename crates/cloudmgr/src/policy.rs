@@ -54,8 +54,6 @@ pub enum PolicyKind {
     ReliabilityBlind,
 }
 
-/// Consolidation pass period, in ticks (one minute at 5 s ticks).
-const REBALANCE_EVERY: u64 = 12;
 /// Empty nodes kept awake as a demand buffer (hysteresis against
 /// park/wake thrash).
 const SPARE_NODES: usize = 2;
@@ -175,21 +173,13 @@ impl PolicyKind {
         self == PolicyKind::Consolidate
     }
 
-    /// The periodic management pass: given the rack view and per-node
-    /// live placement counts, return park/drain orders. Consolidation
-    /// acts every [`REBALANCE_EVERY`] ticks: empty awake nodes beyond
-    /// the spare buffer park, and the lightest straggler drains. Every
-    /// other tick, and every other policy, orders nothing.
+    /// One consolidation pass of a managing policy (the cluster runs
+    /// it on its rebalance cadence): given the rack view and per-node
+    /// live placement counts, return park/drain orders — empty awake
+    /// nodes beyond the spare buffer park, and the lightest straggler
+    /// drains.
     #[must_use]
-    pub(crate) fn manage(
-        self,
-        view: &RackView<'_>,
-        occupancy: &[u32],
-        tick: u64,
-    ) -> ManagementPlan {
-        if !self.manages() || !tick.is_multiple_of(REBALANCE_EVERY) {
-            return ManagementPlan::default();
-        }
+    pub(crate) fn manage(self, view: &RackView<'_>, occupancy: &[u32]) -> ManagementPlan {
         // Empty awake nodes, best-scored first: the top `SPARE_NODES`
         // stay awake as the demand buffer, the rest park. Only
         // [`parkable`] nodes qualify — gray nodes stay awake in the
@@ -246,7 +236,7 @@ pub enum PlacementDecision {
 /// nodes to drain (migrate off, then park). Disjoint lists; the cluster
 /// executes parks first so drain targets can never be freshly-parked
 /// nodes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct ManagementPlan {
     /// Empty awake nodes to put to sleep immediately.
     pub(crate) park: Vec<NodeId>,
@@ -583,7 +573,7 @@ mod tests {
         let occupancy = [0, 0, 0, 0, 0, 1];
         let pack = PolicyKind::Consolidate;
         let index = flushed(&ns, pack);
-        let plan = pack.manage(&RackView::new(&ns, &index), &occupancy, 0);
+        let plan = pack.manage(&RackView::new(&ns, &index), &occupancy);
         // Healthy empties 2..=4 tie on score and sort desc by id; the
         // two highest-id ones stay as spares, then come node 2 and the
         // low-scored dipped node 0. The gray empty never appears.
@@ -645,13 +635,11 @@ mod tests {
         let pack = PolicyKind::Consolidate;
         let index = flushed(&ns, pack);
         let view = RackView::new(&ns, &index);
-        let plan = pack.manage(&view, &occupancy, 0);
+        let plan = pack.manage(&view, &occupancy);
         // Identical empties tie on score; descending (score, id) keeps
         // the two highest-id spares awake and parks the rest.
         assert_eq!(plan.park, vec![NodeId(3)]);
         // The lightest loaded node (node 2, one placement) drains.
         assert_eq!(plan.drain, vec![NodeId(2)]);
-        // Off-period ticks are a no-op.
-        assert_eq!(pack.manage(&view, &occupancy, 5), ManagementPlan::default());
     }
 }

@@ -2,26 +2,24 @@
 //! policies must be "non-intrusive in real-world scenarios where
 //! OpenStack would manage streams of incoming and terminating VMs").
 //!
-//! The traffic engine composes production shapes on top of the paper's
-//! Poisson base process:
+//! A [`VmStream`] is one of two presets over the paper's Poisson base
+//! process, both offering LDBC guests:
 //!
-//! * **capacity scaling** — `per_node_rate` scales the offered rate with
-//!   the rack size, so a 10⁴-node rack is not served the same ~10.9k
-//!   arrivals as a 256-node one;
-//! * **diurnal modulation** — a sine factor over a configurable period
-//!   models time-of-day load swings;
-//! * **flash crowds** — seeded bursts (one draw per epoch) spike the
-//!   rate by a multiplier and decay exponentially, with their own
-//!   (bronze-heavy) SLA mix;
-//! * **heavy-tailed lifetimes** — a bounded-Pareto option replaces the
-//!   exponential lifetime draw.
+//! * [`VmStream::Flat`] — a constant rate independent of rack size,
+//!   exponential 5-minute lifetimes and a 20 % gold / 30 % silver mix;
+//! * [`VmStream::FlashCrowd`] — the production shape: a rate scaled
+//!   with the rack (3/256 arrivals per node per second), a ±25 % daily
+//!   sine swell, seeded flash crowds (at most one per 10-minute epoch,
+//!   with probability ½) that spike the rate 6× and decay with a 2-minute
+//!   constant under a bronze-heavy 5 % gold / 15 % silver mix, and
+//!   bounded-Pareto lifetimes (30 s – 2 h, α = 1.5).
 //!
-//! Every draw remains a pure function of `(stream seed, tick)` — the
-//! modulation factors are closed-form in simulated time and the burst
-//! schedule derives from its own SplitMix64 sub-stream — so arrival
-//! streams stay byte-identical across thread counts and draw orders.
-//! The flat default (`TrafficShape::Flat`, exponential lifetimes,
-//! `per_node_rate = 0`) reproduces the legacy stream draw-for-draw.
+//! Every draw is a pure function of `(stream seed, tick)` — the shape
+//! is closed-form in simulated time and the burst schedule derives from
+//! its own SplitMix64 sub-stream — so arrival streams stay byte-identical
+//! across thread counts and draw orders.
+
+use std::f64::consts::TAU;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,6 +38,36 @@ const ARRIVAL_SALT: u64 = 0x4528_21E6_38D0_1377;
 /// epoch, independent of the per-tick arrival sub-streams).
 const FLASH_SALT: u64 = 0x243F_6A88_85A3_08D3;
 
+/// Base class mix as (gold, silver) fractions; the rest is bronze.
+const BASE_MIX: (f64, f64) = (0.2, 0.3);
+/// Flat-stream mean VM lifetime (exponential), in seconds.
+const MEAN_LIFETIME_SECS: f64 = 300.0;
+
+/// Flash-crowd arrivals per second per rack node: a 256-node rack sees
+/// the flat headline's 3/s.
+const PER_NODE_RATE: f64 = 3.0 / 256.0;
+/// Amplitude of the diurnal sine, as a fraction of the base rate.
+const DIURNAL_AMPLITUDE: f64 = 0.25;
+/// Period of the diurnal sine (a day), in seconds.
+const DIURNAL_PERIOD_SECS: f64 = 86_400.0;
+/// Window per burst draw, in seconds.
+const FLASH_EPOCH_SECS: f64 = 600.0;
+/// Probability that an epoch starts a burst.
+const FLASH_PROBABILITY: f64 = 0.5;
+/// Peak rate multiple at burst onset.
+const FLASH_PEAK: f64 = 6.0;
+/// Exponential decay constant of a burst, in seconds.
+const FLASH_DECAY_SECS: f64 = 120.0;
+/// Class mix of burst traffic: flash crowds skew towards best-effort
+/// user traffic.
+const FLASH_MIX: (f64, f64) = (0.05, 0.15);
+/// Tail index of the bounded-Pareto lifetimes (smaller = heavier).
+const PARETO_ALPHA: f64 = 1.5;
+/// Shortest bounded-Pareto lifetime, in seconds.
+const PARETO_MIN_SECS: f64 = 30.0;
+/// Longest bounded-Pareto lifetime, in seconds.
+const PARETO_MAX_SECS: f64 = 7_200.0;
+
 /// Derives the RNG seed for one tick's arrival batch — a pure function
 /// of `(stream seed, tick index)` exactly as `silicon::rng::indexed_seed`
 /// derives node silicon, so arrival streams are byte-stable however the
@@ -49,93 +77,18 @@ pub(crate) fn arrival_seed(stream_seed: u64, tick: u64) -> u64 {
     splitmix64(stream_seed ^ ARRIVAL_SALT ^ tick.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// How the offered arrival rate is shaped over simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrafficShape {
-    /// Constant rate — the paper-era stream and the default (prior runs
-    /// reproduce byte-for-byte).
-    Flat,
-    /// Production shapes: diurnal sine modulation plus optional seeded
-    /// flash-crowd bursts.
-    Modulated(Modulation),
-}
-
-/// Closed-form rate modulation over simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Modulation {
-    /// Diurnal sine amplitude as a fraction of the base rate, in
-    /// `[0, 1)` (0 disables the diurnal component).
-    pub diurnal_amplitude: f64,
-    /// Diurnal period (e.g. 86 400 s for a day).
-    pub diurnal_period: Seconds,
-    /// Phase offset as a fraction of the period at `t = 0`.
-    pub diurnal_phase: f64,
-    /// Flash-crowd bursts on top of the diurnal swell.
-    pub flash: Option<FlashCrowds>,
-}
-
-/// Seeded flash-crowd bursts: at most one burst starts per `epoch`,
-/// drawn from the stream seed's own sub-stream, spikes the rate by
-/// `peak_multiplier` and decays exponentially with constant `decay`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlashCrowds {
-    /// Window per burst draw.
-    pub epoch: Seconds,
-    /// Probability that an epoch starts a burst, in `[0, 1]`.
-    pub probability: f64,
-    /// Peak rate multiple at burst onset (≥ 1; 1 disables).
-    pub peak_multiplier: f64,
-    /// Exponential decay constant of a burst.
-    pub decay: Seconds,
-    /// SLA mix of burst traffic as (gold, silver) fractions — flash
-    /// crowds skew towards best-effort user traffic, so their mix is
-    /// configured separately from the base stream's.
-    pub gold_fraction: f64,
-    /// Silver fraction of burst traffic.
-    pub silver_fraction: f64,
-}
-
-/// How requested VM lifetimes are drawn.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LifetimeModel {
-    /// Exponential around the stream's `mean_lifetime` (the legacy
-    /// default).
-    Exponential,
-    /// Bounded Pareto on `[min, max]` with tail index `alpha` — the
-    /// heavy-tailed production shape (most VMs are short, a few run for
-    /// hours). `mean_lifetime` is ignored under this model.
-    BoundedPareto {
-        /// Tail index (> 0; smaller = heavier tail).
-        alpha: f64,
-        /// Shortest lifetime.
-        min: Seconds,
-        /// Longest lifetime.
-        max: Seconds,
+/// A VM arrival process: one of the two traffic presets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum VmStream {
+    /// Constant-rate arrivals, independent of rack size, with
+    /// exponential lifetimes — the paper-era stream.
+    Flat {
+        /// Mean VM arrivals per second.
+        arrival_rate: f64,
     },
-}
-
-/// Stream configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VmStream {
-    /// Mean VM arrivals per second, independent of rack size.
-    pub arrival_rate: f64,
-    /// Mean VM arrivals per second **per rack node** — capacity scaling:
-    /// the effective base rate is `arrival_rate + per_node_rate × nodes`
-    /// when the driver passes its rack size (0 keeps the flat legacy
-    /// rate).
-    pub per_node_rate: f64,
-    /// Mean VM lifetime (exponential model).
-    pub mean_lifetime: Seconds,
-    /// Template for arriving guests.
-    pub template: VmConfig,
-    /// SLA mix as (gold, silver) fractions; the rest is bronze.
-    pub gold_fraction: f64,
-    /// Silver fraction of arrivals.
-    pub silver_fraction: f64,
-    /// Rate shape over simulated time.
-    pub shape: TrafficShape,
-    /// Lifetime distribution.
-    pub lifetimes: LifetimeModel,
+    /// Capacity-scaled arrivals under a diurnal swell and seeded flash
+    /// crowds, with heavy-tailed lifetimes.
+    FlashCrowd,
 }
 
 /// One VM arrival drawn from a stream: what to run, at which class, for
@@ -150,165 +103,37 @@ pub struct Arrival {
     pub lifetime: Seconds,
 }
 
-/// Checks one (gold, silver) class mix; the remainder is bronze, so the
-/// fractions must be non-negative and sum to at most 1.
-fn check_mix(what: &str, gold: f64, silver: f64) -> Result<(), String> {
-    if !(gold.is_finite() && silver.is_finite() && gold >= 0.0 && silver >= 0.0) {
-        return Err(format!("{what}: class fractions must be finite and non-negative, got gold {gold} / silver {silver}"));
+/// The additive flash-crowd boost at simulated time `t` (0 when no
+/// burst is live). Bursts from the current and previous epoch
+/// contribute, so a burst decays smoothly across an epoch boundary.
+fn flash_boost(stream_seed: u64, t: f64) -> f64 {
+    let e = (t / FLASH_EPOCH_SECS).floor().max(0.0) as u64;
+    let mut boost = 0.0;
+    for k in e.saturating_sub(1)..=e {
+        let w = splitmix64(stream_seed ^ FLASH_SALT ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        if unit_fraction(w) >= FLASH_PROBABILITY {
+            continue;
+        }
+        let start = k as f64 * FLASH_EPOCH_SECS + unit_fraction(splitmix64(w)) * FLASH_EPOCH_SECS;
+        if t >= start {
+            boost += (FLASH_PEAK - 1.0) * (-(t - start) / FLASH_DECAY_SECS).exp();
+        }
     }
-    if gold + silver > 1.0 {
-        return Err(format!(
-            "{what}: gold ({gold}) + silver ({silver}) = {} exceeds 1.0 and would starve bronze",
-            gold + silver
-        ));
-    }
-    Ok(())
+    boost
 }
 
 impl VmStream {
-    /// A datacenter-scale stream: three LDBC guests arriving per second,
-    /// 5-minute lifetimes, 20 % gold / 30 % silver — ≥10⁴ arrivals over
-    /// a simulated hour, the orchestrator's flat-profile headline load.
-    #[must_use]
-    pub fn datacenter() -> Self {
-        VmStream {
-            arrival_rate: 3.0,
-            per_node_rate: 0.0,
-            mean_lifetime: Seconds::new(300.0),
-            template: VmConfig::ldbc_benchmark(),
-            gold_fraction: 0.2,
-            silver_fraction: 0.3,
-            shape: TrafficShape::Flat,
-            lifetimes: LifetimeModel::Exponential,
-        }
-    }
-
-    /// The production traffic engine preset: capacity-scaled arrivals
-    /// (3/256 per node per second — a 256-node rack sees the flat
-    /// headline's 3/s), a mild diurnal swell, flash crowds that spike
-    /// the rate ~6× for minutes at a time with a bronze-heavy mix, and
-    /// bounded-Pareto lifetimes (30 s – 2 h, α = 1.5).
-    #[must_use]
-    pub fn flash_crowd() -> Self {
-        VmStream {
-            arrival_rate: 0.0,
-            per_node_rate: 3.0 / 256.0,
-            shape: TrafficShape::Modulated(Modulation {
-                diurnal_amplitude: 0.25,
-                diurnal_period: Seconds::new(86_400.0),
-                diurnal_phase: 0.0,
-                flash: Some(FlashCrowds {
-                    epoch: Seconds::new(600.0),
-                    probability: 0.5,
-                    peak_multiplier: 6.0,
-                    decay: Seconds::new(120.0),
-                    gold_fraction: 0.05,
-                    silver_fraction: 0.15,
-                }),
-            }),
-            lifetimes: LifetimeModel::BoundedPareto {
-                alpha: 1.5,
-                min: Seconds::new(30.0),
-                max: Seconds::new(7_200.0),
-            },
-            ..VmStream::datacenter()
-        }
-    }
-
-    /// Validates every knob of the stream. Drivers call this once at
-    /// startup; the sampling paths `debug_assert` it so a hand-rolled
-    /// invalid stream fails fast in tests instead of silently skewing
-    /// the mix.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.arrival_rate.is_finite() && self.arrival_rate >= 0.0) {
-            return Err(format!("arrival_rate must be finite and non-negative, got {}", self.arrival_rate));
-        }
-        if !(self.per_node_rate.is_finite() && self.per_node_rate >= 0.0) {
-            return Err(format!("per_node_rate must be finite and non-negative, got {}", self.per_node_rate));
-        }
-        check_mix("class mix", self.gold_fraction, self.silver_fraction)?;
-        if let TrafficShape::Modulated(m) = &self.shape {
-            if !(0.0..1.0).contains(&m.diurnal_amplitude) {
-                return Err(format!("diurnal_amplitude must be in [0, 1), got {}", m.diurnal_amplitude));
-            }
-            if m.diurnal_period.as_secs() <= 0.0 {
-                return Err("diurnal_period must be positive".into());
-            }
-            if let Some(f) = &m.flash {
-                if !(0.0..=1.0).contains(&f.probability) {
-                    return Err(format!("flash probability must be in [0, 1], got {}", f.probability));
-                }
-                if f.peak_multiplier < 1.0 {
-                    return Err(format!("flash peak_multiplier must be ≥ 1, got {}", f.peak_multiplier));
-                }
-                if f.epoch.as_secs() <= 0.0 || f.decay.as_secs() <= 0.0 {
-                    return Err("flash epoch and decay must be positive".into());
-                }
-                check_mix("flash mix", f.gold_fraction, f.silver_fraction)?;
-            }
-        }
-        if let LifetimeModel::BoundedPareto { alpha, min, max } = self.lifetimes {
-            if !(alpha.is_finite() && alpha > 0.0) {
-                return Err(format!("pareto alpha must be positive, got {alpha}"));
-            }
-            if !(min.as_secs() > 0.0 && max.as_secs() > min.as_secs()) {
-                return Err(format!(
-                    "pareto bounds must satisfy 0 < min < max, got [{}, {}]",
-                    min.as_secs(),
-                    max.as_secs()
-                ));
-            }
-        } else if self.mean_lifetime.as_secs() <= 0.0 {
-            return Err("mean_lifetime must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// The effective base rate for a rack of `nodes` machines (pass 0 to
-    /// keep the capacity-independent `arrival_rate` alone).
-    #[must_use]
-    pub fn effective_rate(&self, nodes: usize) -> f64 {
-        self.arrival_rate + self.per_node_rate * nodes as f64
-    }
-
-    /// The additive flash-crowd boost at simulated time `t` (0 when no
-    /// burst is live). Bursts from the current and previous epoch
-    /// contribute, so a burst decays smoothly across an epoch boundary.
-    fn flash_boost(&self, stream_seed: u64, t: f64) -> f64 {
-        let TrafficShape::Modulated(m) = &self.shape else { return 0.0 };
-        let Some(f) = &m.flash else { return 0.0 };
-        let epoch = f.epoch.as_secs();
-        let e = (t / epoch).floor().max(0.0) as u64;
-        let mut boost = 0.0;
-        for k in e.saturating_sub(1)..=e {
-            let w = splitmix64(stream_seed ^ FLASH_SALT ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            if unit_fraction(w) >= f.probability {
-                continue;
-            }
-            let start = k as f64 * epoch + unit_fraction(splitmix64(w)) * epoch;
-            if t >= start {
-                boost += (f.peak_multiplier - 1.0) * (-(t - start) / f.decay.as_secs()).exp();
-            }
-        }
-        boost
-    }
-
-    /// The modulated arrival rate for a rack of `nodes` machines at
-    /// simulated time `t` — a closed-form pure function of
-    /// `(self, stream_seed, nodes, t)`.
-    #[must_use]
-    pub(crate) fn rate_at(&self, stream_seed: u64, nodes: usize, t: Seconds) -> f64 {
-        let base = self.effective_rate(nodes);
-        match &self.shape {
-            TrafficShape::Flat => base,
-            TrafficShape::Modulated(m) => {
-                let phase = t.as_secs() / m.diurnal_period.as_secs() + m.diurnal_phase;
-                let diurnal = 1.0 + m.diurnal_amplitude * (std::f64::consts::TAU * phase).sin();
-                base * diurnal * (1.0 + self.flash_boost(stream_seed, t.as_secs()))
+    /// The arrival rate for a rack of `nodes` machines at simulated time
+    /// `t`, and the share of it that is burst traffic — a closed-form
+    /// pure function of `(self, stream_seed, nodes, t)`.
+    fn rate_and_burst_share(self, stream_seed: u64, nodes: usize, t: f64) -> (f64, f64) {
+        match self {
+            VmStream::Flat { arrival_rate } => (arrival_rate, 0.0),
+            VmStream::FlashCrowd => {
+                let boost = flash_boost(stream_seed, t);
+                let diurnal = 1.0 + DIURNAL_AMPLITUDE * (TAU * (t / DIURNAL_PERIOD_SECS)).sin();
+                let rate = PER_NODE_RATE * nodes as f64 * diurnal * (1.0 + boost);
+                (rate, boost / (1.0 + boost))
             }
         }
     }
@@ -328,59 +153,37 @@ impl VmStream {
         duration: Seconds,
         nodes: usize,
     ) -> Vec<Arrival> {
-        debug_assert!(self.validate().is_ok(), "invalid stream: {:?}", self.validate());
         let mut rng = StdRng::seed_from_u64(arrival_seed(stream_seed, tick));
         let t = tick as f64 * duration.as_secs();
-        let rate = self.rate_at(stream_seed, nodes, Seconds::new(t));
+        let (rate, burst_share) = self.rate_and_burst_share(stream_seed, nodes, t);
         let count = poisson(&mut rng, rate * duration.as_secs());
-        // Fraction of this tick's traffic that is burst traffic; burst
-        // arrivals draw their class from the flash mix. 0 for flat
-        // streams, where the short-circuit keeps the legacy draw
-        // sequence byte-identical.
-        let boost = self.flash_boost(stream_seed, t);
-        let burst_share = boost / (1.0 + boost);
+        let template = VmConfig::ldbc_benchmark();
         (0..count)
             .map(|_| {
-                let class = if burst_share > 0.0 && rng.gen::<f64>() < burst_share {
-                    self.sample_burst_class(&mut rng)
+                // Burst arrivals draw their class from the flash mix; a
+                // zero share (flat streams, quiet flash ticks) draws no
+                // burst uniform at all.
+                let (gold, silver) = if burst_share > 0.0 && rng.gen::<f64>() < burst_share {
+                    FLASH_MIX
                 } else {
-                    self.sample_class_with(&mut rng)
+                    BASE_MIX
                 };
+                let class = pick_class(&mut rng, gold, silver);
                 let lifetime = self.sample_lifetime(&mut rng);
-                Arrival { config: self.template.clone(), class, lifetime }
+                Arrival { config: template.clone(), class, lifetime }
             })
             .collect()
     }
 
-    fn sample_class_with<R: Rng>(&self, rng: &mut R) -> SlaClass {
-        debug_assert!(
-            check_mix("class mix", self.gold_fraction, self.silver_fraction).is_ok(),
-            "gold + silver fractions exceed 1.0 and would starve bronze"
-        );
-        pick_class(rng, self.gold_fraction, self.silver_fraction)
-    }
-
-    /// Class draw for burst (flash-crowd) traffic, from the flash mix.
-    fn sample_burst_class<R: Rng>(&self, rng: &mut R) -> SlaClass {
-        if let TrafficShape::Modulated(Modulation { flash: Some(f), .. }) = &self.shape {
-            pick_class(rng, f.gold_fraction, f.silver_fraction)
-        } else {
-            self.sample_class_with(rng)
-        }
-    }
-
-    fn sample_lifetime<R: Rng>(&self, rng: &mut R) -> Seconds {
-        match self.lifetimes {
-            LifetimeModel::Exponential => {
-                Seconds::new(exponential(rng, self.mean_lifetime.as_secs()))
-            }
-            LifetimeModel::BoundedPareto { alpha, min, max } => {
+    fn sample_lifetime<R: Rng>(self, rng: &mut R) -> Seconds {
+        match self {
+            VmStream::Flat { .. } => Seconds::new(exponential(rng, MEAN_LIFETIME_SECS)),
+            VmStream::FlashCrowd => {
                 // Inverse CDF of the bounded Pareto on [min, max]:
                 // x = L · (1 − U·(1 − (L/H)^α))^(−1/α), U ∈ [0, 1).
                 let u: f64 = rng.gen();
-                let l = min.as_secs();
-                let ratio = (l / max.as_secs()).powf(alpha);
-                Seconds::new(l * (1.0 - u * (1.0 - ratio)).powf(-1.0 / alpha))
+                let ratio = (PARETO_MIN_SECS / PARETO_MAX_SECS).powf(PARETO_ALPHA);
+                Seconds::new(PARETO_MIN_SECS * (1.0 - u * (1.0 - ratio)).powf(-1.0 / PARETO_ALPHA))
             }
         }
     }
@@ -401,13 +204,14 @@ fn pick_class<R: Rng>(rng: &mut R, gold: f64, silver: f64) -> SlaClass {
 mod tests {
     use super::*;
 
+    const FLAT: VmStream = VmStream::Flat { arrival_rate: 3.0 };
+
     #[test]
     fn tick_arrivals_are_pure_and_order_independent() {
-        let s = VmStream::datacenter();
         let forward: Vec<_> =
-            (0..50).map(|t| s.tick_arrivals_scaled(9, t, Seconds::new(5.0), 0)).collect();
+            (0..50).map(|t| FLAT.tick_arrivals_scaled(9, t, Seconds::new(5.0), 0)).collect();
         let backward: Vec<_> =
-            (0..50).rev().map(|t| s.tick_arrivals_scaled(9, t, Seconds::new(5.0), 0)).collect();
+            (0..50).rev().map(|t| FLAT.tick_arrivals_scaled(9, t, Seconds::new(5.0), 0)).collect();
         for (t, batch) in forward.iter().enumerate() {
             assert_eq!(batch, &backward[49 - t], "tick {t} must not depend on draw order");
         }
@@ -425,49 +229,47 @@ mod tests {
     }
 
     #[test]
-    fn per_node_rate_scales_arrivals_with_rack_size() {
-        let s = VmStream { arrival_rate: 0.0, per_node_rate: 0.01, ..VmStream::datacenter() };
+    fn flash_crowd_rate_scales_with_rack_size() {
         let count = |nodes: usize| -> usize {
-            (0..60).map(|t| s.tick_arrivals_scaled(11, t, Seconds::new(5.0), nodes).len()).sum()
+            (0..60)
+                .map(|t| {
+                    VmStream::FlashCrowd.tick_arrivals_scaled(11, t, Seconds::new(5.0), nodes).len()
+                })
+                .sum()
         };
         let small = count(64);
         let big = count(1024);
-        // 64 nodes → 0.64/s ≈ 192 arrivals over 300 s; 1024 → 16×.
-        assert!((120..=280).contains(&small), "64-node rack drew {small}");
+        // 64 nodes → 0.75/s ≈ 225 arrivals over 300 s before bursts;
+        // 1024 nodes → 16×.
+        assert!(small >= 150, "64-node rack drew {small}");
         assert!(big > 10 * small, "1024-node rack must draw ~16× more, got {big} vs {small}");
-        // nodes = 0 keeps the capacity-independent rate (here zero).
-        assert_eq!(count(0), 0, "zero effective rate must draw nothing");
+        assert_eq!(count(0), 0, "an empty rack offers no capacity-scaled traffic");
     }
 
     #[test]
     fn flash_crowds_spike_and_decay_deterministically() {
-        let s = VmStream::flash_crowd();
-        s.validate().expect("preset is valid");
+        let s = VmStream::FlashCrowd;
         // Scan a few hours for the seeded burst schedule: rates must
         // spike past the diurnal ceiling and return to it.
-        let base = s.effective_rate(256);
+        let base = PER_NODE_RATE * 256.0;
         let ceiling = base * 1.26; // diurnal amplitude 0.25 + margin
-        let rates: Vec<f64> =
-            (0..2_000).map(|t| s.rate_at(77, 256, Seconds::new(t as f64 * 10.0))).collect();
-        let peak = rates.iter().cloned().fold(0.0, f64::max);
+        let rates = |seed: u64| -> Vec<f64> {
+            (0..2_000).map(|t| s.rate_and_burst_share(seed, 256, t as f64 * 10.0).0).collect()
+        };
+        let schedule = rates(77);
+        let peak = schedule.iter().cloned().fold(0.0, f64::max);
         assert!(peak > 2.0 * base, "bursts must spike the rate, peak {peak} vs base {base}");
-        let quiet = rates.iter().filter(|r| **r < ceiling).count();
-        assert!(quiet > rates.len() / 3, "bursts must decay back below the diurnal ceiling");
+        let quiet = schedule.iter().filter(|r| **r < ceiling).count();
+        assert!(quiet > schedule.len() / 3, "bursts must decay back below the diurnal ceiling");
         // Pure function of (seed, t): the schedule replays byte-for-byte.
-        for (i, r) in rates.iter().enumerate() {
-            assert_eq!(*r, s.rate_at(77, 256, Seconds::new(i as f64 * 10.0)));
-        }
-        // A different seed draws a different burst schedule.
-        let other: Vec<f64> =
-            (0..2_000).map(|t| s.rate_at(78, 256, Seconds::new(t as f64 * 10.0))).collect();
-        assert_ne!(rates, other, "the burst schedule must derive from the stream seed");
+        assert_eq!(schedule, rates(77));
+        assert_ne!(schedule, rates(78), "the burst schedule must derive from the stream seed");
     }
 
     #[test]
     fn bounded_pareto_lifetimes_stay_in_bounds_and_skew_short() {
-        let s = VmStream::flash_crowd();
         let lifetimes: Vec<f64> = (0..200)
-            .flat_map(|t| s.tick_arrivals_scaled(5, t, Seconds::new(5.0), 256))
+            .flat_map(|t| VmStream::FlashCrowd.tick_arrivals_scaled(5, t, Seconds::new(5.0), 256))
             .map(|a| a.lifetime.as_secs())
             .collect();
         assert!(lifetimes.len() > 500, "got {}", lifetimes.len());
@@ -484,60 +286,31 @@ mod tests {
 
     #[test]
     fn burst_traffic_skews_towards_bronze() {
-        let mut s = VmStream::flash_crowd();
-        // Make bursts near-certain and strong so the burst mix dominates.
-        if let TrafficShape::Modulated(m) = &mut s.shape {
-            let f = m.flash.as_mut().unwrap();
-            f.probability = 1.0;
-            f.peak_multiplier = 20.0;
-            f.decay = Seconds::new(600.0);
+        // Six simulated hours at 5 s ticks: split the flash stream's
+        // arrivals by whether burst traffic carries most of the tick.
+        let (mut burst, mut quiet) = ((0usize, 0usize), (0usize, 0usize));
+        for tick in 0..4_320u64 {
+            let share = VmStream::FlashCrowd.rate_and_burst_share(3, 256, tick as f64 * 5.0).1;
+            let bucket = if share > 0.6 {
+                &mut burst
+            } else if share == 0.0 {
+                &mut quiet
+            } else {
+                continue;
+            };
+            for a in VmStream::FlashCrowd.tick_arrivals_scaled(3, tick, Seconds::new(5.0), 256) {
+                bucket.0 += usize::from(a.class == SlaClass::Gold);
+                bucket.1 += 1;
+            }
         }
-        let arrivals: Vec<Arrival> =
-            (0..120).flat_map(|t| s.tick_arrivals_scaled(3, t, Seconds::new(5.0), 256)).collect();
-        let gold = arrivals.iter().filter(|a| a.class == SlaClass::Gold).count();
-        let total = arrivals.len();
-        assert!(total > 1_000, "burst traffic must dominate, got {total}");
-        // Base mix is 20 % gold; the flash mix is 5 %. With bursts
-        // carrying ~95 % of traffic the blend must sit well below 15 %.
         assert!(
-            (gold as f64) < 0.15 * total as f64,
-            "burst mix must pull gold down: {gold}/{total}"
+            burst.1 > 1_000 && quiet.1 > 1_000,
+            "both regimes must be sampled: {burst:?} {quiet:?}"
         );
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "invalid stream")]
-    fn sampling_an_overfull_mix_panics_in_debug() {
-        let bad = VmStream { gold_fraction: 0.8, silver_fraction: 0.4, ..VmStream::datacenter() };
-        let _ = bad.tick_arrivals_scaled(1, 0, Seconds::new(5.0), 0);
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_knobs() {
-        let mut s = VmStream::flash_crowd();
-        if let TrafficShape::Modulated(m) = &mut s.shape {
-            m.diurnal_amplitude = 1.5;
-        }
-        assert!(s.validate().is_err(), "amplitude ≥ 1 would drive the rate negative");
-        let s = VmStream {
-            lifetimes: LifetimeModel::BoundedPareto {
-                alpha: 1.0,
-                min: Seconds::new(100.0),
-                max: Seconds::new(50.0),
-            },
-            ..VmStream::datacenter()
-        };
-        assert!(s.validate().is_err(), "inverted pareto bounds");
-        let s = VmStream { per_node_rate: -1.0, ..VmStream::datacenter() };
-        assert!(s.validate().is_err(), "negative rates");
-        for (gold, silver) in [(0.8, 0.4), (-0.1, 0.3)] {
-            let s =
-                VmStream { gold_fraction: gold, silver_fraction: silver, ..VmStream::datacenter() };
-            assert!(s.validate().is_err(), "class mix {gold}/{silver}");
-        }
-        let s = VmStream { gold_fraction: 0.5, silver_fraction: 0.5, ..VmStream::datacenter() };
-        assert!(s.validate().is_ok(), "gold + silver = 1 leaves bronze empty but valid");
-        assert!(VmStream::datacenter().validate().is_ok());
+        let frac = |(gold, total): (usize, usize)| gold as f64 / total as f64;
+        // Base mix is 20 % gold; the flash mix is 5 %. With bursts
+        // carrying over 60 % of a tick the blend sits at most near 11 %.
+        assert!((0.17..0.23).contains(&frac(quiet)), "quiet ticks keep the base mix: {quiet:?}");
+        assert!(frac(burst) < 0.14, "burst mix must pull gold down: {burst:?}");
     }
 }

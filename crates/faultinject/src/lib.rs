@@ -28,7 +28,7 @@
 
 pub mod chaos;
 
-pub use chaos::{Campaign, ChaosPlan};
+pub use chaos::ChaosPlan;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,4 +1,11 @@
 //! Orchestrator scenario configuration.
+//!
+//! A run's scenario is a handful of closed choices — the traffic preset
+//! ([`VmStream`]), the [`AdmissionPolicy`], the [`MarginPolicy`], the
+//! fault preset ([`ChaosPlan`], which also switches on the failure
+//! lifecycle) and the placement [`PolicyKind`] — plus the rack size,
+//! seed, horizon, tick and worker count. The four presets below are the
+//! scenarios `fleet_sim --profile` names.
 
 use uniserver_units::Seconds;
 
@@ -34,34 +41,39 @@ impl MarginPolicy {
 
 /// Admission control: what happens to an arrival the scheduler rejects.
 ///
-/// Rejections used to vanish — gold included. With a non-zero budget a
-/// rejected arrival enters a bounded per-class FIFO and is re-offered at
-/// the start of each subsequent tick (gold first, into capacity that
-/// departures and crash recovery just freed); it is counted `abandoned`
-/// only once its budget is exhausted, the queue overflows, or the
-/// horizon ends with it still waiting.
+/// Under [`AdmissionPolicy::GoldPriority`] a rejected arrival whose
+/// class has a retry budget (`RETRY_BUDGET`) enters its class's FIFO
+/// (at most `RETRY_QUEUE_DEPTH` deep) and is re-offered at the start
+/// of each subsequent tick (gold first, into capacity that departures
+/// and crash recovery just freed); it is counted `abandoned` only once
+/// its budget is exhausted, the queue overflows, or the horizon ends
+/// with it still waiting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionPolicy {
-    /// Re-offer attempts granted per class (gold, silver, bronze order)
-    /// before a rejection is abandoned. 0 = legacy drop-on-rejection.
-    pub retry_budget: [u32; 3],
-    /// Bound of each class's retry queue; overflow abandons immediately.
-    pub queue_depth: usize,
-}
-
-impl AdmissionPolicy {
-    /// The legacy policy: every rejection is dropped (abandoned)
-    /// immediately. The default, so prior flat-stream runs reproduce.
-    #[must_use]
-    pub(crate) fn drop_all() -> Self {
-        AdmissionPolicy { retry_budget: [0, 0, 0], queue_depth: 0 }
-    }
-
+pub enum AdmissionPolicy {
+    /// Every rejection is dropped (abandoned) immediately — the legacy
+    /// policy of the flat-stream presets.
+    DropAll,
     /// Premium-class re-admission: gold rejections retry up to 4 ticks,
     /// silver 2, bronze stays best-effort drop.
-    #[must_use]
-    pub fn gold_priority() -> Self {
-        AdmissionPolicy { retry_budget: [4, 2, 0], queue_depth: 4096 }
+    GoldPriority,
+}
+
+/// Re-offer attempts per class (gold, silver, bronze order) under
+/// [`AdmissionPolicy::GoldPriority`].
+pub(crate) const RETRY_BUDGET: [u32; 3] = [4, 2, 0];
+
+/// Bound of each class's retry queue; overflow abandons immediately.
+pub(crate) const RETRY_QUEUE_DEPTH: usize = 4096;
+
+impl AdmissionPolicy {
+    /// Re-offer attempts granted to a rejection of accounting class
+    /// `class` (0 = gold, 1 = silver, 2 = bronze) before it is
+    /// abandoned.
+    pub(crate) fn retry_budget(self, class: usize) -> u32 {
+        match self {
+            AdmissionPolicy::DropAll => 0,
+            AdmissionPolicy::GoldPriority => RETRY_BUDGET[class],
+        }
     }
 }
 
@@ -97,17 +109,15 @@ pub struct OrchestratorConfig {
     pub deployment: DeploymentConfig,
     /// Margin policy for the whole fleet.
     pub margins: MarginPolicy,
-    /// The node failure lifecycle switch. Off (the default), crashed
-    /// nodes recover in place with the geometric EOP backoff — the
-    /// legacy behavior, preserved draw-for-draw. On, a crash takes the
-    /// node offline for a seeded MTTR window
+    /// The seeded fault profile injected on top of the fleet's natural
+    /// crashes, anchored to this run's horizon and fleet width. A plan
+    /// also brings the node failure lifecycle: a crash takes the node
+    /// offline for a seeded MTTR window
     /// (`uniserver_cloudmgr::lifecycle::MTTR_TICKS`) and it rejoins
     /// through a re-characterization pass; while any node is offline,
     /// a premium re-offer that still fails sheds a bronze-first
-    /// placement to make room.
-    pub lifecycle: bool,
-    /// Seeded fault campaigns injected on top of the fleet's natural
-    /// crashes. `None` (the default) = no chaos.
+    /// placement to make room. `None` (the default) = no chaos, and
+    /// crashed nodes recover in place with the geometric EOP backoff.
     pub chaos: Option<ChaosPlan>,
     /// The placement policy the cluster routes every decision through.
     /// [`PolicyKind::EnergySla`] (the default) reproduces pre-trait
@@ -135,8 +145,8 @@ impl OrchestratorConfig {
             horizon: Seconds::new(3_600.0),
             tick: Seconds::new(5.0),
             threads: 0,
-            stream: VmStream::datacenter(),
-            admission: AdmissionPolicy::drop_all(),
+            stream: VmStream::Flat { arrival_rate: 3.0 },
+            admission: AdmissionPolicy::DropAll,
             deployment: DeploymentConfig {
                 guests: vec![VmConfig::ldbc_benchmark()],
                 optimizer: EopOptimizer::assertive(),
@@ -144,7 +154,6 @@ impl OrchestratorConfig {
                 ..DeploymentConfig::quick()
             },
             margins: MarginPolicy::Extended,
-            lifecycle: false,
             chaos: None,
             policy: PolicyKind::EnergySla,
         }
@@ -156,27 +165,27 @@ impl OrchestratorConfig {
     pub fn smoke(nodes: usize, seed: u64) -> Self {
         OrchestratorConfig {
             horizon: Seconds::new(300.0),
-            stream: VmStream { arrival_rate: 0.75, ..VmStream::datacenter() },
+            stream: VmStream::Flat { arrival_rate: 0.75 },
             ..OrchestratorConfig::datacenter(nodes, seed)
         }
     }
 
     /// The traffic-engine headline: the datacenter rack under the
-    /// [`VmStream::flash_crowd`] stream — capacity-scaled arrivals,
+    /// [`VmStream::FlashCrowd`] stream — capacity-scaled arrivals,
     /// diurnal swell, seeded flash-crowd bursts, bounded-Pareto
     /// lifetimes — with gold-priority re-admission so burst-time
     /// rejections retry into freed capacity instead of vanishing.
     #[must_use]
     pub fn flash_crowd(nodes: usize, seed: u64) -> Self {
         OrchestratorConfig {
-            stream: VmStream::flash_crowd(),
-            admission: AdmissionPolicy::gold_priority(),
+            stream: VmStream::FlashCrowd,
+            admission: AdmissionPolicy::GoldPriority,
             ..OrchestratorConfig::datacenter(nodes, seed)
         }
     }
 
     /// The chaos headline: the flash-crowd rack under the failure
-    /// lifecycle and the [`ChaosPlan::rack_and_flash`] fault profile —
+    /// lifecycle and the [`ChaosPlan::RackAndFlash`] fault profile —
     /// a steady background of independent node crashes, a rack/PSU
     /// failure taking out 12.5 % of the fleet a third of the way in,
     /// and a cooling failure overlapping the traffic peak. Crashed
@@ -185,26 +194,26 @@ impl OrchestratorConfig {
     /// capacity is short.
     #[must_use]
     pub fn chaos_profile(nodes: usize, seed: u64) -> Self {
-        let mut config = OrchestratorConfig::flash_crowd(nodes, seed);
-        config.lifecycle = true;
-        config.chaos = Some(ChaosPlan::rack_and_flash(config.ticks()));
-        config
+        OrchestratorConfig {
+            chaos: Some(ChaosPlan::RackAndFlash),
+            ..OrchestratorConfig::flash_crowd(nodes, seed)
+        }
     }
 
     /// The gray-failure headline: the flash-crowd rack under the
-    /// failure lifecycle, the [`ChaosPlan::gray_brownout`] campaign —
+    /// failure lifecycle, the [`ChaosPlan::GrayBrownout`] campaign —
     /// a steady trickle of silent degradations (capacity capped at
     /// 50 %, CE rate 8×, no crash) plus a fleet-wide power cap over
-    /// the back half of the run. The gray campaign brings the health
+    /// the third quarter of the run. The gray plan brings the health
     /// watchdog ([`crate::watchdog`]) with it: 3-of-8 probe failures
     /// quarantine a node, a budgeted drain empties it, and 5
     /// consecutive clean probes readmit it.
     #[must_use]
     pub fn gray_profile(nodes: usize, seed: u64) -> Self {
-        let mut config = OrchestratorConfig::flash_crowd(nodes, seed);
-        config.lifecycle = true;
-        config.chaos = Some(ChaosPlan::gray_brownout(config.ticks(), nodes as u32));
-        config
+        OrchestratorConfig {
+            chaos: Some(ChaosPlan::GrayBrownout),
+            ..OrchestratorConfig::flash_crowd(nodes, seed)
+        }
     }
 
     /// Ticks the horizon divides into (the last, possibly partial, tick

@@ -56,4 +56,4 @@ pub use watchdog::Watchdog;
 pub use uniserver_telemetry::{MetricsRegistry, Telemetry, TraceSink};
 pub use uniserver_cloudmgr::lifecycle::NodePhase;
 pub use uniserver_cloudmgr::policy::PolicyKind;
-pub use uniserver_faultinject::chaos::{Campaign, ChaosPlan};
+pub use uniserver_faultinject::chaos::ChaosPlan;

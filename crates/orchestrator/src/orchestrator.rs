@@ -20,17 +20,18 @@
 //!    order;
 //! 4. for every crashed node (deduplicated: several same-tick crash
 //!    events still recover once), run failure-driven recovery (migrate
-//!    what fits elsewhere, evict the rest). With the failure lifecycle
-//!    disabled the node re-deploys in place at a backed-off operating
-//!    point (firmware cleared its undervolts on reboot); enabled, the
-//!    crash *costs capacity* — the node goes offline for a seeded MTTR
-//!    window (excluded from placement, ticking, energy and the crash
-//!    surface) and rejoins through a re-characterization pass. A
-//!    [`crate::config::OrchestratorConfig::chaos`] plan injects seeded
-//!    fault campaigns — background node crashes, correlated rack/PSU
-//!    failures, cooling-failure ambient steps — on top of the natural
-//!    crash stream, and while nodes are offline premium re-offers shed
-//!    bronze-first.
+//!    what fits elsewhere, evict the rest). Without a fault plan the
+//!    node re-deploys in place at a backed-off operating point
+//!    (firmware cleared its undervolts on reboot). A
+//!    [`crate::config::OrchestratorConfig::chaos`] plan brings the
+//!    failure lifecycle — the crash *costs capacity*: the node goes
+//!    offline for a seeded MTTR window (excluded from placement,
+//!    ticking, energy and the crash surface) and rejoins through a
+//!    re-characterization pass — and injects its seeded fault campaigns
+//!    (background node crashes, a correlated rack/PSU failure and a
+//!    cooling-failure ambient step, or gray onsets and a brownout) on
+//!    top of the natural crash stream; while nodes are offline premium
+//!    re-offers shed bronze-first.
 //!
 //! After the loop, events due in the final `(last tick start, horizon]`
 //! window are drained so end-of-horizon departures and settlements are
@@ -50,7 +51,7 @@ use uniserver_cloudmgr::lifecycle::{GrayState, NodePhase};
 use uniserver_cloudmgr::node::NodeId;
 use uniserver_cloudmgr::cluster::{cores, resolve_workers};
 use uniserver_core::eop::OperatingPoint;
-use uniserver_faultinject::chaos::ChaosPlan;
+use uniserver_faultinject::chaos::{ChaosPlan, GRAY_CAPACITY_CAP, GRAY_CE_MULTIPLIER};
 use uniserver_platform::node::CrashEvent;
 use uniserver_telemetry::{Stage, StageProfiler, Telemetry, TraceEvent};
 use uniserver_units::{Celsius, Seconds, Volts};
@@ -89,21 +90,17 @@ pub fn run(config: &OrchestratorConfig) -> ClusterSummary {
 /// # Panics
 ///
 /// Panics if the configuration is degenerate (zero nodes, non-positive
-/// tick or horizon, or an invalid [`VmStream`] — e.g. a class mix whose
-/// gold and silver fractions exceed 1.0), or if the run's accounting
-/// does not tie out at the horizon: `offered = placed + abandoned` and
+/// tick or horizon), or if the run's accounting does not tie out at the
+/// horizon: `offered = placed + abandoned` and
 /// `placed = completed + evicted + live_at_end`.
-///
-/// [`VmStream`]: uniserver_cloudmgr::stream::VmStream
 #[must_use]
 pub fn run_with_telemetry(
     config: &OrchestratorConfig,
     tel: &mut Telemetry,
 ) -> (ClusterSummary, OrchestratorTiming) {
-    if let Err(err) = config.stream.validate() {
-        panic!("invalid stream: {err}");
-    }
     let ticks = config.ticks();
+    #[allow(clippy::cast_possible_truncation)]
+    let fleet_width = config.cluster.nodes as u32;
     let wall_start = Instant::now();
     // `threads` drives the parallel deploy and every tick's per-node
     // phase alike.
@@ -137,10 +134,10 @@ pub fn run_with_telemetry(
     // The cooling-failure ambient step currently programmed into the
     // fleet (0 = the deploy-time baseline).
     let mut ambient_applied = 0.0f64;
-    // Gray failures and the watchdog only engage when the plan carries
-    // a gray or power-cap campaign — every other profile must not even
-    // touch the new code paths, so their summaries stay byte-identical.
-    let gray_active = config.chaos.as_ref().is_some_and(ChaosPlan::has_gray);
+    // Gray failures and the watchdog only engage under the gray plan —
+    // every other profile must not even touch those code paths, so
+    // their summaries stay byte-identical.
+    let gray_active = config.chaos == Some(ChaosPlan::GrayBrownout);
     let mut watchdog = Watchdog::default();
 
     for tick in 0..ticks {
@@ -191,32 +188,35 @@ pub fn run_with_telemetry(
             // (ii) New onsets from the seeded campaign. Only healthy
             // online awake nodes degrade; offline, rejoining, asleep or
             // already-degraded nodes skip their draw.
-            if let Some(plan) = &config.chaos {
-                #[allow(clippy::cast_possible_truncation)]
-                let fleet_width = config.cluster.nodes as u32;
-                for onset in plan.gray_onsets_at(config.seed, tick, step.as_secs(), fleet_width) {
-                    let idx = onset.node as usize;
-                    let node = &cluster.nodes()[idx];
-                    if node.phase() != NodePhase::Online || node.is_asleep() {
-                        continue;
-                    }
-                    cluster.mark_degraded(
-                        NodeId(onset.node),
-                        GrayState {
-                            capacity_cap: onset.capacity_cap,
-                            ce_multiplier: onset.ce_multiplier,
-                            clears_at_tick: tick + onset.duration_ticks,
-                            quarantined: false,
-                        },
-                    );
-                    watchdog.begin_watch(onset.node);
-                    c.gray_onsets += 1;
-                    tel.inc("gray_onsets");
-                    tel.emit(&TraceEvent::GrayOnset {
-                        node: u64::from(onset.node),
-                        duration_ticks: onset.duration_ticks,
-                    });
+            let onsets = ChaosPlan::GrayBrownout.gray_onsets_at(
+                config.seed,
+                tick,
+                ticks,
+                step.as_secs(),
+                fleet_width,
+            );
+            for onset in onsets {
+                let idx = onset.node as usize;
+                let node = &cluster.nodes()[idx];
+                if node.phase() != NodePhase::Online || node.is_asleep() {
+                    continue;
                 }
+                cluster.mark_degraded(
+                    NodeId(onset.node),
+                    GrayState {
+                        capacity_cap: GRAY_CAPACITY_CAP,
+                        ce_multiplier: GRAY_CE_MULTIPLIER,
+                        clears_at_tick: tick + onset.duration_ticks,
+                        quarantined: false,
+                    },
+                );
+                watchdog.begin_watch(onset.node);
+                c.gray_onsets += 1;
+                tel.inc("gray_onsets");
+                tel.emit(&TraceEvent::GrayOnset {
+                    node: u64::from(onset.node),
+                    duration_ticks: onset.duration_ticks,
+                });
             }
             // (iii) The watchdog's probe round over everything under
             // watch. A watch whose node left the degraded phase by
@@ -317,11 +317,11 @@ pub fn run_with_telemetry(
             }
         }
 
-        // --- 2c. Cooling-failure campaigns step the whole fleet's
-        // ambient above the deploy-time baseline while they are in
-        // force (offline nodes included — the hot aisle does not care).
-        if let Some(plan) = &config.chaos {
-            let delta = plan.ambient_delta_at(tick);
+        // --- 2c. A cooling failure steps the whole fleet's ambient
+        // above the deploy-time baseline while it is in force (offline
+        // nodes included — the hot aisle does not care).
+        if let Some(plan) = config.chaos {
+            let delta = plan.ambient_delta_at(tick, ticks);
             if delta != ambient_applied {
                 for (managed, rec) in cluster.nodes_mut().iter_mut().zip(&records) {
                     managed
@@ -351,15 +351,15 @@ pub fn run_with_telemetry(
             c.charge_eviction(lost, tel);
         }
 
-        // --- 3a. Brownout: while a power-cap campaign is in force the
+        // --- 3a. Brownout: while the plan's power cap is in force the
         // fleet's actual draw this tick is compared with the cap, the
         // shortfall is charged to the deficit meter, and the fleet
         // gracefully degrades — empty nodes park (power-managing
         // policies only; the reference policy never re-wakes parked
         // nodes) and load sheds bronze-first, with every shed charged
         // as the SLA violation it is.
-        if let Some(plan) = &config.chaos {
-            if let Some(cap_watts) = plan.power_cap_at(tick) {
+        if let Some(plan) = config.chaos {
+            if let Some(cap_watts) = plan.power_cap_at(tick, ticks, fleet_width) {
                 let draw_watts = report.energy.as_joules() / step.as_secs();
                 if draw_watts > cap_watts {
                     let deficit = draw_watts - cap_watts;
@@ -398,10 +398,10 @@ pub fn run_with_telemetry(
         // surface synthetic power-loss events (voltage 0) alongside the
         // tick's natural crashes. Already-offline nodes cannot crash
         // again.
-        if let Some(plan) = &config.chaos {
-            #[allow(clippy::cast_possible_truncation)]
-            let fleet_width = config.cluster.nodes as u32;
-            for idx in plan.crash_indices_at(config.seed, tick, step.as_secs(), fleet_width) {
+        if let Some(plan) = config.chaos {
+            for idx in
+                plan.crash_indices_at(config.seed, tick, ticks, step.as_secs(), fleet_width)
+            {
                 if !cluster.nodes()[idx as usize].is_online() {
                     continue;
                 }
@@ -575,7 +575,7 @@ pub fn run_with_telemetry(
         per_class: c.per_class,
         per_part,
         per_tick,
-        chaos: (config.lifecycle || config.chaos.is_some()).then(|| {
+        chaos: config.chaos.is_some().then(|| {
             let node_secs = config.cluster.nodes as f64 * config.horizon.as_secs();
             ChaosOutcome {
                 injected_crashes: c.injected_crashes,
@@ -664,12 +664,12 @@ mod tests {
         // The full datacenter rate on a 2-node rack: heavily overloaded,
         // so the admission policy is actually exercised.
         let base = OrchestratorConfig {
-            stream: VmStream::datacenter(),
+            stream: VmStream::Flat { arrival_rate: 3.0 },
             ..OrchestratorConfig::smoke(2, 5)
         };
         let drop = run(&base.clone());
         let retrying =
-            run(&OrchestratorConfig { admission: AdmissionPolicy::gold_priority(), ..base });
+            run(&OrchestratorConfig { admission: AdmissionPolicy::GoldPriority, ..base });
 
         assert!(drop.rejected > 0, "the rack must actually overload");
         assert_eq!(drop.retried, 0, "drop-all never re-offers");
@@ -701,15 +701,6 @@ mod tests {
         assert_eq!(a, b, "worker count must never leak into a flash-crowd summary");
         assert!(a.offered > 0);
         assert_eq!(a.offered, a.placed + a.abandoned);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid stream")]
-    fn invalid_stream_is_rejected_before_deploy() {
-        let mut config = OrchestratorConfig::smoke(2, 1);
-        config.stream.gold_fraction = 0.8;
-        config.stream.silver_fraction = 0.7;
-        let _ = run(&config);
     }
 
     #[test]
@@ -753,13 +744,13 @@ mod tests {
     #[test]
     fn legacy_configs_report_no_chaos_outcome() {
         let summary = run(&OrchestratorConfig::smoke(4, 42));
-        assert!(summary.chaos.is_none(), "lifecycle off + no plan must keep the legacy shape");
+        assert!(summary.chaos.is_none(), "no plan must keep the legacy shape");
         assert_eq!(summary.expired_at_horizon, 0, "drop-all leaves nothing queued to expire");
 
-        // Crashes and re-offers with the lifecycle off: crashed nodes
-        // recover in place, so no node is ever offline and no premium
-        // re-offer sheds anyone. Shedding rides on the lifecycle switch
-        // alone because of this.
+        // Crashes and re-offers without a plan: crashed nodes recover in
+        // place, so no node is ever offline and no premium re-offer
+        // sheds anyone. Shedding rides on the plan alone because of
+        // this.
         let config = OrchestratorConfig {
             horizon: Seconds::new(900.0),
             ..OrchestratorConfig::flash_crowd(64, 2018)
@@ -781,11 +772,12 @@ mod tests {
 
     #[test]
     fn chaos_profile_costs_real_capacity_and_repairs_it() {
-        let mut config = OrchestratorConfig::chaos_profile(12, 42);
-        config.horizon = Seconds::new(900.0);
-        // Re-derive the plan for the shortened horizon so the rack and
+        // The plan anchors to the shortened horizon, so the rack and
         // cooling failures land inside it.
-        config.chaos = Some(uniserver_faultinject::chaos::ChaosPlan::rack_and_flash(config.ticks()));
+        let config = OrchestratorConfig {
+            horizon: Seconds::new(900.0),
+            ..OrchestratorConfig::chaos_profile(12, 42)
+        };
         let summary = run(&config);
         let chaos = summary.chaos.expect("the chaos profile must report an outcome");
 
@@ -816,7 +808,6 @@ mod tests {
     fn chaos_runs_are_deterministic_for_any_worker_count() {
         let mut config = OrchestratorConfig::chaos_profile(8, 7);
         config.horizon = Seconds::new(600.0);
-        config.chaos = Some(uniserver_faultinject::chaos::ChaosPlan::rack_and_flash(config.ticks()));
         config.threads = 1;
         let a = run(&config);
         config.threads = 4;
@@ -828,12 +819,12 @@ mod tests {
 
     #[test]
     fn gray_profile_quarantines_drains_and_readmits() {
-        let mut config = OrchestratorConfig::gray_profile(12, 42);
-        config.horizon = Seconds::new(900.0);
-        // Re-derive the plan for the shortened horizon so the gray
+        // The plan anchors to the shortened horizon, so the gray
         // trickle and the brownout window both land inside it.
-        config.chaos =
-            Some(uniserver_faultinject::chaos::ChaosPlan::gray_brownout(config.ticks(), 12));
+        let config = OrchestratorConfig {
+            horizon: Seconds::new(900.0),
+            ..OrchestratorConfig::gray_profile(12, 42)
+        };
         let summary = run(&config);
         let gray = summary.gray.expect("the gray profile must report an outcome");
 
@@ -864,8 +855,6 @@ mod tests {
     fn gray_runs_are_deterministic_for_any_worker_count() {
         let mut config = OrchestratorConfig::gray_profile(8, 7);
         config.horizon = Seconds::new(600.0);
-        config.chaos =
-            Some(uniserver_faultinject::chaos::ChaosPlan::gray_brownout(config.ticks(), 8));
         config.threads = 1;
         let a = run(&config);
         config.threads = 4;
@@ -876,18 +865,21 @@ mod tests {
     }
 
     #[test]
-    fn offline_nodes_are_excluded_from_placement_until_rejoin() {
-        // Lifecycle on, no chaos plan: only natural crashes offline
-        // nodes, and every placement must respect the exclusion.
-        let mut config = OrchestratorConfig::smoke(6, 9);
-        config.lifecycle = true;
+    fn a_plan_brings_the_failure_lifecycle_to_a_flat_rack() {
+        // The flat smoke rack under the rack-and-flash plan: its rack
+        // failure always crashes a node, and every crash takes its node
+        // offline instead of recovering in place.
+        let config = OrchestratorConfig {
+            chaos: Some(ChaosPlan::RackAndFlash),
+            ..OrchestratorConfig::smoke(6, 9)
+        };
         let summary = run(&config);
-        let chaos = summary.chaos.expect("lifecycle alone must report an outcome");
-        if summary.crashes > 0 {
-            assert!(chaos.nodes_offlined > 0, "every crashed node must go offline");
-            assert!(chaos.downtime_secs > 0.0);
-        }
+        let chaos = summary.chaos.expect("a plan must report an outcome");
+        assert!(summary.crashes > 0, "the rack failure must crash a node");
+        assert!(chaos.nodes_offlined > 0, "every crashed node must go offline");
+        assert!(chaos.downtime_secs > 0.0);
         assert_eq!(summary.offered, summary.placed + summary.abandoned);
+        assert_eq!(summary.placed, summary.completed + summary.evicted + summary.live_at_end);
     }
 
     #[test]

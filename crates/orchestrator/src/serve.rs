@@ -40,7 +40,7 @@ use uniserver_platform::node::CrashEvent;
 use uniserver_telemetry::{Telemetry, TraceEvent};
 use uniserver_units::Seconds;
 
-use crate::config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig};
+use crate::config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig, RETRY_QUEUE_DEPTH};
 use crate::events::{Event, EventQueue};
 use crate::summary::ClassStats;
 
@@ -80,7 +80,7 @@ pub(crate) struct PendingArrival {
 /// The bounded per-class re-admission queue behind an
 /// [`AdmissionPolicy`]. Rejections whose class has a non-zero retry
 /// budget wait here and are re-offered at the start of each subsequent
-/// tick, gold first; the legacy `drop_all` policy keeps every queue
+/// tick, gold first; [`AdmissionPolicy::DropAll`] keeps every queue
 /// permanently empty.
 #[derive(Debug)]
 pub(crate) struct RetryQueue {
@@ -215,10 +215,10 @@ impl ServeCounters {
         self.per_class[class].offered += 1;
         tel.inc("arrivals");
         tel.emit(&TraceEvent::Arrival { class: CLASS_NAMES[class] });
-        let budget = retry.policy.retry_budget[class];
+        let budget = retry.policy.retry_budget(class);
         match self.offer(cluster, queue, arrival, budget > 0, now, 0, None, tel) {
             Offer::Placed => return true,
-            Offer::Rejected(Some(arrival)) if retry.pending[class].len() < retry.policy.queue_depth => {
+            Offer::Rejected(Some(arrival)) if retry.pending[class].len() < RETRY_QUEUE_DEPTH => {
                 retry.pending[class].push_back(PendingArrival {
                     arrival,
                     retries_left: budget,
@@ -242,7 +242,8 @@ impl ServeCounters {
     /// are offline* sheds one lower-class placement — bronze first — so
     /// the next tick's re-offer lands in the freed slot; a shed counts
     /// as an eviction, so the SLA books still tie out. Only the failure
-    /// lifecycle takes nodes offline, so without it nothing is shed.
+    /// lifecycle (a run with a fault plan) takes nodes offline, so
+    /// without it nothing is shed.
     pub(crate) fn reoffer_pending(
         &mut self,
         retry: &mut RetryQueue,
@@ -254,7 +255,7 @@ impl ServeCounters {
     ) -> u64 {
         let mut placed_now = 0;
         for (class, label) in CLASS_NAMES.into_iter().enumerate() {
-            let budget = retry.policy.retry_budget[class];
+            let budget = retry.policy.retry_budget(class);
             let waiting = retry.pending[class].len();
             for _ in 0..waiting {
                 let Some(p) = retry.pending[class].pop_front() else { break };
@@ -468,9 +469,10 @@ impl ServeCounters {
                 crashed.push(*node_id);
             }
         }
+        let lifecycle = config.chaos.is_some();
         let mut migrations = 0;
         for node_id in crashed {
-            if config.lifecycle {
+            if lifecycle {
                 cluster.mark_crashed(node_id);
             }
             let recovery = cluster.recover_from_crash(node_id);
@@ -493,7 +495,7 @@ impl ServeCounters {
             for lost in &recovery.evicted {
                 self.charge_eviction(lost, tel);
             }
-            if config.lifecycle {
+            if lifecycle {
                 // The crash costs capacity, not margin: the node leaves
                 // the fleet for its repair window and the rejoin
                 // re-shmoo re-derives its operating point honestly.
@@ -524,6 +526,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use uniserver_faultinject::chaos::ChaosPlan;
     use uniserver_hypervisor::vm::VmConfig;
     use uniserver_telemetry::MetricsRegistry;
     use uniserver_units::Volts;
@@ -554,7 +557,7 @@ mod tests {
     fn gold_rejection_abandons_only_after_retries_exhaust() {
         let mut cluster = overloaded_rack(7);
         let mut queue = EventQueue::new();
-        let mut retry = RetryQueue::new(AdmissionPolicy::gold_priority());
+        let mut retry = RetryQueue::new(AdmissionPolicy::GoldPriority);
         let mut c = ServeCounters::new(1);
         let mut tel = Telemetry::disabled();
 
@@ -590,7 +593,7 @@ mod tests {
     fn queued_gold_places_into_freed_capacity() {
         let mut cluster = overloaded_rack(13);
         let mut queue = EventQueue::new();
-        let mut retry = RetryQueue::new(AdmissionPolicy::gold_priority());
+        let mut retry = RetryQueue::new(AdmissionPolicy::GoldPriority);
         let mut c = ServeCounters::new(1);
         let mut tel = Telemetry::disabled();
 
@@ -615,7 +618,7 @@ mod tests {
     fn drop_all_policy_abandons_rejections_immediately() {
         let mut cluster = overloaded_rack(21);
         let mut queue = EventQueue::new();
-        let mut retry = RetryQueue::new(AdmissionPolicy::drop_all());
+        let mut retry = RetryQueue::new(AdmissionPolicy::DropAll);
         let mut c = ServeCounters::new(1);
         let mut tel = Telemetry::disabled();
 
@@ -630,20 +633,27 @@ mod tests {
     fn full_retry_queue_abandons_a_first_offer_at_once() {
         let mut cluster = overloaded_rack(45);
         let mut queue = EventQueue::new();
-        let mut retry = RetryQueue::new(AdmissionPolicy { retry_budget: [4, 0, 0], queue_depth: 1 });
+        let mut retry = RetryQueue::new(AdmissionPolicy::GoldPriority);
         let mut c = ServeCounters::new(1);
         let mut tel = Telemetry::disabled();
         tel.metrics = Some(MetricsRegistry::new());
 
-        assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
-        assert_eq!(retry.pending_len(), 1, "the first gold rejection queues");
+        // Fill the gold queue to its depth; every rejection queues.
+        for _ in 0..RETRY_QUEUE_DEPTH {
+            assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
+        }
+        assert_eq!(retry.pending_len(), RETRY_QUEUE_DEPTH, "every gold rejection queues");
         assert_eq!(c.per_class[0].abandoned, 0);
 
         // Same tick, queue already at depth: the budget is there but
-        // the queue is not, so the second rejection abandons on the spot.
+        // the queue is not, so the next rejection abandons on the spot.
         assert!(!c.admit(&mut retry, &mut cluster, &mut queue, gold_arrival(), Seconds::new(0.0), 0, &mut tel));
-        assert_eq!(retry.pending_len(), 1, "an overflowing rejection must not queue");
-        assert_eq!(c.per_class[0].rejected, 2);
+        assert_eq!(
+            retry.pending_len(),
+            RETRY_QUEUE_DEPTH,
+            "an overflowing rejection must not queue"
+        );
+        assert_eq!(c.per_class[0].rejected, RETRY_QUEUE_DEPTH as u64 + 1);
         assert_eq!(c.per_class[0].abandoned, 1);
         let metrics = tel.metrics.as_ref().expect("metrics registry was enabled");
         let waited = metrics.histogram("abandon_wait_ticks_gold").expect("the abandon was recorded");
@@ -654,7 +664,7 @@ mod tests {
     fn horizon_flush_abandons_whatever_is_still_queued() {
         let mut cluster = overloaded_rack(33);
         let mut queue = EventQueue::new();
-        let mut retry = RetryQueue::new(AdmissionPolicy::gold_priority());
+        let mut retry = RetryQueue::new(AdmissionPolicy::GoldPriority);
         let mut c = ServeCounters::new(1);
         let mut tel = Telemetry::disabled();
 
@@ -769,7 +779,7 @@ mod tests {
     #[test]
     fn lifecycle_crash_takes_the_node_offline_and_skips_the_backoff() {
         let config = OrchestratorConfig {
-            lifecycle: true,
+            chaos: Some(ChaosPlan::RackAndFlash),
             ..OrchestratorConfig::smoke(3, 17)
         };
         let (mut cluster, records, _, _) = deploy_cluster(&config);
@@ -821,7 +831,7 @@ mod tests {
         let (mut cluster, _, _, _) = deploy_cluster(&config);
         while cluster.submit(VmConfig::idle_guest(), SlaClass::Bronze).is_some() {}
         let mut queue = EventQueue::new();
-        let mut retry = RetryQueue::new(AdmissionPolicy::gold_priority());
+        let mut retry = RetryQueue::new(AdmissionPolicy::GoldPriority);
         let mut c = ServeCounters::new(1);
         let mut tel = Telemetry::disabled();
 

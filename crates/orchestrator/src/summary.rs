@@ -204,8 +204,8 @@ pub struct ClusterSummary {
     pub per_part: Vec<PartUsage>,
     /// The per-tick time series.
     pub per_tick: Vec<TickMetrics>,
-    /// Failure-lifecycle and chaos accounting — `Some` only when the
-    /// lifecycle or a chaos plan was active for the run.
+    /// Failure-lifecycle and chaos accounting — `Some` only when a
+    /// chaos plan (and with it the lifecycle) was active for the run.
     pub chaos: Option<ChaosOutcome>,
     /// The placement-policy label — `Some` only when the run deviates
     /// from the default energy/SLA reference policy.
@@ -213,8 +213,8 @@ pub struct ClusterSummary {
     /// Power-management accounting — `Some` only when the active policy
     /// manages node power.
     pub power: Option<PowerOutcome>,
-    /// Gray-failure and watchdog accounting — `Some` only when the
-    /// chaos plan carries a gray or power-cap campaign.
+    /// Gray-failure and watchdog accounting — `Some` only under the
+    /// gray chaos plan.
     pub gray: Option<GrayOutcome>,
 }
 

@@ -26,8 +26,8 @@
 //! `WINDOW`), [`PROBATION_PASSES`] clean probes to readmit,
 //! `DRAIN_BUDGET` migrations per tick, and the probe failure odds
 //! `PROBE_FAIL_DEGRADED` / `PROBE_FAIL_HEALTHY`. The watchdog runs
-//! whenever the run's chaos plan carries a gray campaign, the only
-//! source of degraded nodes.
+//! whenever the run's chaos plan is `GrayBrownout`, the only source of
+//! degraded nodes.
 
 use std::collections::BTreeMap;
 

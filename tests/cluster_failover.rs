@@ -9,7 +9,7 @@ use uniserver_bench::cluster::summary_to_json;
 use uniserver_cloudmgr::cluster::{Cluster, ClusterConfig};
 use uniserver_cloudmgr::{NodeId, SlaClass};
 use uniserver_hypervisor::vm::VmConfig;
-use uniserver_orchestrator::{run, AdmissionPolicy, Campaign, ChaosPlan, OrchestratorConfig};
+use uniserver_orchestrator::{run, AdmissionPolicy, ChaosPlan, OrchestratorConfig};
 use uniserver_units::Seconds;
 
 fn class_of(i: u64) -> SlaClass {
@@ -79,41 +79,23 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Under ANY chaos plan — arbitrary background crash rate, rack
-    /// failure, cooling window — and any worker count, the serving
-    /// loop's books balance (`offered = placed + abandoned`,
+    /// Under either chaos preset, any seed, any horizon (which moves
+    /// the plan's rack, cooling, gray and brownout windows) and any
+    /// worker count, the serving loop's books balance
+    /// (`offered = placed + abandoned`,
     /// `placed = completed + evicted + live_at_end`) and the rendered
     /// summary is byte-identical across thread counts.
     #[test]
     fn chaos_accounting_ties_out_for_any_plan_and_worker_count(
         seed in 0u64..200,
-        rate in 0.0f64..40.0,
-        rack_tick in 0u64..24,
-        blast_eighths in 1u32..5,
-        cool_tick in 0u64..24,
+        gray in 0u8..2,
+        secs in 60u32..180,
     ) {
+        let plan = if gray == 1 { ChaosPlan::GrayBrownout } else { ChaosPlan::RackAndFlash };
         let mut config = OrchestratorConfig::smoke(4, seed);
-        config.horizon = Seconds::new(120.0);
-        config.lifecycle = true;
-        config.admission = AdmissionPolicy::gold_priority();
-        config.chaos = Some(ChaosPlan {
-            campaigns: vec![
-                Campaign::NodeCrashes {
-                    rate_per_node_hour: rate,
-                    from_tick: 0,
-                    until_tick: u64::MAX,
-                },
-                Campaign::RackFailure {
-                    at_tick: rack_tick,
-                    blast_fraction: f64::from(blast_eighths) / 8.0,
-                },
-                Campaign::CoolingFailure {
-                    at_tick: cool_tick,
-                    duration_ticks: 6,
-                    ambient_delta_c: 10.0,
-                },
-            ],
-        });
+        config.horizon = Seconds::new(f64::from(secs));
+        config.admission = AdmissionPolicy::GoldPriority;
+        config.chaos = Some(plan);
 
         config.threads = 1;
         let a = run(&config);
@@ -130,11 +112,13 @@ proptest! {
         prop_assert_eq!(a.placed, a.completed + a.evicted + a.live_at_end);
 
         let chaos = a.chaos.expect("an active plan must report an outcome");
-        // The rack failure always hits at least one online node unless
-        // an earlier background crash already took the block offline.
+        // Every crash offlines its node; the rack failure always hits
+        // at least one online node.
         prop_assert!(chaos.nodes_offlined >= 1 || a.crashes == 0);
+        prop_assert!(plan == ChaosPlan::GrayBrownout || chaos.injected_crashes >= 1);
         prop_assert!(chaos.downtime_secs >= 0.0);
         prop_assert!(chaos.availability <= 1.0);
+        prop_assert_eq!(a.gray.is_some(), plan == ChaosPlan::GrayBrownout);
         // Per-class books tie out too, sheds included.
         for c in &a.per_class {
             prop_assert!(c.expired_at_horizon <= c.abandoned);

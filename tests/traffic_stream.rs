@@ -35,7 +35,8 @@ proptest! {
         rotation in 0u64..16,
         workers in 1usize..6,
     ) {
-        let stream = if flash == 1 { VmStream::flash_crowd() } else { VmStream::datacenter() };
+        let stream =
+            if flash == 1 { VmStream::FlashCrowd } else { VmStream::Flat { arrival_rate: 3.0 } };
         let dt = Seconds::new(5.0);
         let reference = render(&sequential(&stream, seed, ticks, dt, nodes));
 
@@ -86,13 +87,15 @@ proptest! {
         seed in 0u64..1_000,
         nodes in 1usize..64,
     ) {
-        // A capacity-scaled stream offered a strictly larger rack must
-        // never *lower* its effective rate — the knob the flash-crowd
-        // scenario leans on.
-        let stream = VmStream::flash_crowd();
-        prop_assert!(stream.effective_rate(nodes * 2) >= stream.effective_rate(nodes));
+        // The flash-crowd stream offered a four-times larger rack must
+        // offer more traffic over an hour of ticks — the capacity
+        // scaling that scenario leans on.
+        let count = |stream: VmStream, nodes: usize| -> usize {
+            sequential(&stream, seed, 720, Seconds::new(5.0), nodes).iter().map(Vec::len).sum()
+        };
+        prop_assert!(count(VmStream::FlashCrowd, 4 * nodes) > count(VmStream::FlashCrowd, nodes));
         // And the flat legacy stream must ignore capacity entirely.
-        let flat = VmStream::datacenter();
+        let flat = VmStream::Flat { arrival_rate: 3.0 };
         let a = flat.tick_arrivals_scaled(seed, 3, Seconds::new(5.0), nodes);
         let b = flat.tick_arrivals_scaled(seed, 3, Seconds::new(5.0), 0);
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
