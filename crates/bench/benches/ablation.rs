@@ -14,13 +14,12 @@ use rand::SeedableRng;
 
 use uniserver_faultinject::SdcCampaign;
 use uniserver_hypervisor::protect::ProtectionPolicy;
-use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
 use uniserver_platform::raidr::BinnedModule;
 use uniserver_platform::workload::WorkloadProfile;
 use uniserver_silicon::comparisons::{uniserver_vs_razor, RazorCore};
 use uniserver_silicon::retention::RetentionModel;
-use uniserver_stresslog::{StressLog, StressTargetParams};
+use uniserver_stress::campaign::ShmooCampaign;
 use uniserver_units::{Bytes, Celsius, Seconds};
 
 /// Ablation 1 — selective protection coverage: how many categories to
@@ -76,31 +75,32 @@ fn ablation_raidr(c: &mut Criterion) {
     g.finish();
 }
 
+/// The node-wide safe offset the StressLog would certify on a fresh
+/// node of `seed` under `suite` at `slack_mv`: the weakest crash offset
+/// of its shmoo (the paper's methodology at 200 ms dwell and one run)
+/// less the slack.
+fn node_safe_offset_mv(seed: u64, suite: &[WorkloadProfile], slack_mv: f64) -> f64 {
+    let campaign =
+        ShmooCampaign { dwell: Seconds::from_millis(200.0), runs: 1, ..ShmooCampaign::paper_methodology() };
+    let shmoo = campaign.run(&PartSpec::arm_microserver(), seed, suite);
+    let weakest = shmoo.runs.iter().map(|r| r.crash_offset_mv).fold(f64::MAX, f64::min);
+    weakest - slack_mv
+}
+
 /// Ablation 3 — StressLog voltage slack: safety margin kept in reserve
 /// vs the undervolt actually certified.
 fn ablation_slack(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_voltage_slack");
     g.sample_size(10);
+    // The StressLog's own suite.
+    let suite = [WorkloadProfile::spec_bzip2(), uniserver_stress::kernels::droop_resonator()];
     for slack in [5.0f64, 15.0, 30.0] {
-        let mut node = ServerNode::new(PartSpec::arm_microserver(), 41);
-        let mut daemon = StressLog::new(StressTargetParams {
-            voltage_slack_mv: slack,
-            ..StressTargetParams::quick()
-        });
-        let margins = daemon.characterize(&mut node);
         println!(
             "[ablation] slack {slack} mV -> node-safe offset {:.0} mV",
-            margins.node_safe_offset_mv()
+            node_safe_offset_mv(41, &suite, slack)
         );
         g.bench_with_input(BenchmarkId::from_parameter(slack as u64), &slack, |b, &s| {
-            b.iter(|| {
-                let mut node = ServerNode::new(PartSpec::arm_microserver(), 41);
-                let mut daemon = StressLog::new(StressTargetParams {
-                    voltage_slack_mv: s,
-                    ..StressTargetParams::quick()
-                });
-                black_box(daemon.characterize(&mut node))
-            });
+            b.iter(|| black_box(node_safe_offset_mv(41, &suite, s)));
         });
     }
     g.finish();
@@ -133,35 +133,12 @@ fn ablation_suite(c: &mut Criterion) {
         v
     };
     for (label, suite) in [("spec_only", &spec_only), ("spec_plus_viruses", &with_virus)] {
-        let mut node = ServerNode::new(PartSpec::arm_microserver(), 43);
-        let mut daemon = StressLog::new(StressTargetParams {
-            workloads: suite.clone(),
-            shmoo: uniserver_stress::campaign::ShmooCampaign {
-                dwell: Seconds::from_millis(200.0),
-                runs: 1,
-                ..uniserver_stress::campaign::ShmooCampaign::paper_methodology()
-            },
-            ..StressTargetParams::quick()
-        });
-        let margins = daemon.characterize(&mut node);
         println!(
             "[ablation] suite {label}: node-safe offset {:.0} mV",
-            margins.node_safe_offset_mv()
+            node_safe_offset_mv(43, suite, 15.0)
         );
         g.bench_function(label, |b| {
-            b.iter(|| {
-                let mut node = ServerNode::new(PartSpec::arm_microserver(), 43);
-                let mut daemon = StressLog::new(StressTargetParams {
-                    workloads: suite.clone(),
-                    shmoo: uniserver_stress::campaign::ShmooCampaign {
-                        dwell: Seconds::from_millis(200.0),
-                        runs: 1,
-                        ..uniserver_stress::campaign::ShmooCampaign::paper_methodology()
-                    },
-                    ..StressTargetParams::quick()
-                });
-                black_box(daemon.characterize(&mut node))
-            });
+            b.iter(|| black_box(node_safe_offset_mv(43, suite, 15.0)));
         });
     }
     g.finish();

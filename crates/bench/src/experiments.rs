@@ -27,7 +27,6 @@ use uniserver_silicon::power::DramPowerModel;
 use uniserver_silicon::variation::VariationParams;
 use uniserver_silicon::vmin::VminModel;
 use uniserver_stress::campaign::{RefreshSweep, ShmooCampaign, Table2Summary};
-use uniserver_stresslog::{StressLog, StressTargetParams};
 use uniserver_tco::factors::{EeFactors, PAPER_TCO_IMPROVEMENT};
 use uniserver_tco::model::{tco_improvement_energy_only, TcoParams};
 use uniserver_tco::yield_model::compare_yields;
@@ -471,8 +470,7 @@ pub fn compare(seed: u64) -> String {
 #[must_use]
 pub fn margins(seed: u64) -> String {
     let mut node = ServerNode::new(PartSpec::arm_microserver(), seed);
-    let mut daemon = StressLog::new(StressTargetParams::quick());
-    let margins = daemon.characterize(&mut node);
+    let margins = uniserver_stresslog::characterize(&mut node);
     let mut t = Table::new(vec!["core", "safe undervolt (mV)", "(% of nominal)"]);
     let nominal_mv = node.part().nominal_voltage.as_millivolts();
     for (core, &mv) in margins.per_core_safe_offset_mv.iter().enumerate() {

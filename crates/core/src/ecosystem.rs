@@ -6,65 +6,47 @@ use uniserver_hypervisor::hypervisor::Hypervisor;
 use uniserver_hypervisor::vm::VmConfig;
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
-use uniserver_platform::workload::WorkloadProfile;
 use uniserver_predictor::ModeAdvisor;
-use uniserver_stresslog::{Schedule, StressLog, StressTargetParams};
+use uniserver_stresslog::Schedule;
 
 use crate::eop::{EopPhase, OperatingPoint};
 use crate::optimizer::EopOptimizer;
 
-/// Everything needed to stand up an ecosystem.
+/// Routine re-characterization period: 2.5 months (the paper suggests
+/// 2–3).
+const RECHARACTERIZATION_PERIOD_SECS: f64 = 2.5 * 30.0 * 24.0 * 3600.0;
+
+/// Minimum spacing between anomaly-triggered re-characterizations
+/// (threshold trips can persist for many intervals; taking the node
+/// offline every tick would defeat the purpose).
+const ANOMALY_COOLDOWN_SECS: f64 = 3_600.0;
+
+/// What a node is deployed as: the part, its site ambient and the
+/// optimizer preset. Everything else about a deployment is fixed: the
+/// StressLog's one methodology, predictor training on two sibling
+/// chips, and one LDBC guest whose workload the optimizer weighs crash
+/// risk under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentConfig {
     /// The part to deploy.
     pub spec: PartSpec,
-    /// Stress-test parameters for (re-)characterization.
-    pub stress_params: StressTargetParams,
-    /// Predictor training scope: number of sibling chips to learn from.
-    pub training_chips: usize,
-    /// Risk tolerance handed to the mode advisor.
-    pub risk_tolerance: f64,
-    /// The optimizer policy.
-    pub optimizer: EopOptimizer,
-    /// Guests to launch at deployment.
-    pub guests: Vec<VmConfig>,
-    /// Re-characterization cadence.
-    pub recharacterization_period: Seconds,
-    /// Minimum spacing between anomaly-triggered re-characterizations
-    /// (threshold trips can persist for many intervals; taking the node
-    /// offline every tick would defeat the purpose).
-    pub anomaly_cooldown: Seconds,
     /// Ambient (inlet) temperature of the node's deployment site: feeds
     /// both the sensors' thermal model and the advisor's risk queries.
     pub ambient: Celsius,
+    /// The optimizer preset, which also sets the advisor's risk
+    /// tolerance.
+    pub optimizer: EopOptimizer,
 }
 
 impl DeploymentConfig {
-    /// A production-flavoured deployment: ARM micro-server, four LDBC
-    /// guests, cautious optimizer.
-    #[must_use]
-    pub(crate) fn standard() -> Self {
-        DeploymentConfig {
-            spec: PartSpec::arm_microserver(),
-            stress_params: StressTargetParams::standard(),
-            training_chips: 3,
-            risk_tolerance: 0.02,
-            optimizer: EopOptimizer::cautious(),
-            guests: vec![VmConfig::ldbc_benchmark(); 4],
-            recharacterization_period: Seconds::new(2.5 * 30.0 * 24.0 * 3600.0),
-            anomaly_cooldown: Seconds::new(3_600.0),
-            ambient: Celsius::new(26.0),
-        }
-    }
-
-    /// A reduced configuration for tests and doc examples.
+    /// The single-node deployment: an ARM micro-server at 26 °C under
+    /// the cautious optimizer.
     #[must_use]
     pub fn quick() -> Self {
         DeploymentConfig {
-            stress_params: StressTargetParams::quick(),
-            training_chips: 2,
-            guests: vec![VmConfig::ldbc_benchmark()],
-            ..DeploymentConfig::standard()
+            spec: PartSpec::arm_microserver(),
+            ambient: Celsius::new(26.0),
+            optimizer: EopOptimizer::Cautious,
         }
     }
 }
@@ -88,40 +70,14 @@ pub struct SavingsReport {
     pub recharacterizations: u64,
 }
 
-/// Characterizes `node` with a fresh StressLog and chooses its EOP
-/// against `advisor` at the node's ambient, for the load the first
-/// configured guest runs (idle without guests). Returns the StressLog,
-/// that expected workload and the point, which is not yet programmed.
-fn characterize_and_choose(
-    config: &DeploymentConfig,
-    node: &mut ServerNode,
-    advisor: &ModeAdvisor,
-) -> (StressLog, WorkloadProfile, OperatingPoint) {
-    let mut stresslog = StressLog::new(config.stress_params.clone());
-    let margins = stresslog.characterize(node);
-    let expected_workload =
-        config.guests.first().map_or_else(WorkloadProfile::idle, |g| g.workload.clone());
-    let point = config.optimizer.choose(
-        &config.spec,
-        &margins,
-        advisor,
-        &expected_workload,
-        node.ambient(),
-    );
-    (stresslog, expected_workload, point)
-}
-
 /// Provisions one bare node at its Extended Operating Point — the
-/// deploy-into-cluster plumbing. The node is manufactured from `seed`,
-/// characterized by the StressLog (per-node silicon, exactly as
-/// [`Ecosystem::deploy`] does it), the optimizer chooses an EOP against
-/// the shared part-level `advisor`, and the point is programmed into
-/// the node's MSRs. Unlike a full [`Ecosystem`], no guests are launched
-/// and no baseline twin is kept: the caller (a cluster manager) owns VM
-/// placement and baseline accounting.
-///
-/// The optimizer weighs crash risk under the first configured guest's
-/// workload; cluster deployments list their dominant guest profile first.
+/// deploy-into-cluster plumbing, and the first step of
+/// [`Ecosystem::deploy`]. The node is manufactured from `seed`, placed
+/// at the config's ambient and characterized in place by
+/// [`recharacterize_node`] against the shared part-level `advisor`.
+/// Unlike a full [`Ecosystem`], no guests are launched and no baseline
+/// twin is kept: the caller (a cluster manager) owns VM placement and
+/// baseline accounting.
 #[must_use]
 pub fn provision_node(
     config: &DeploymentConfig,
@@ -130,29 +86,38 @@ pub fn provision_node(
 ) -> (ServerNode, OperatingPoint) {
     let mut node = ServerNode::new(config.spec.clone(), seed);
     node.set_ambient(config.ambient);
-    let (_, _, point) = characterize_and_choose(config, &mut node, advisor);
-    point.apply_to(&mut node);
+    let point = recharacterize_node(config, &mut node, advisor);
     (node, point)
 }
 
-/// Re-characterizes an already-deployed node in place — the rejoin path
-/// after a repair window. The StressLog re-shmoos the node *as it is
-/// now* (aged silicon, current ambient), so the chosen point reflects
-/// the margins the hardware actually has today instead of a geometric
-/// backoff guess from its pre-deployment characterization. The shmoo's
-/// own deliberate crashes are drained by the StressLog; only the chosen
-/// point is programmed into the MSRs.
+/// Characterizes a node in place and programs the point the optimizer
+/// chooses — the deploy step, the rejoin path after a repair window and
+/// the ecosystem's periodic or anomaly-triggered re-run. The StressLog
+/// shmoos the node *as it is now* (aged silicon, current ambient), so
+/// the chosen point reflects the margins the hardware actually has
+/// today instead of a geometric backoff guess from an earlier
+/// characterization. The shmoo's own deliberate crashes are drained by
+/// the StressLog; only the chosen point is programmed into the MSRs.
 ///
-/// The advisor query uses the node's *live* ambient (not the config's
-/// deploy-time value): a node rejoining mid cooling-failure must choose
-/// its point for the hot aisle it is actually in.
+/// The optimizer weighs crash risk under the LDBC guest's workload, the
+/// rack's dominant VM. The advisor query uses the node's *live* ambient
+/// (not the config's deploy-time value): a node rejoining mid
+/// cooling-failure must choose its point for the hot aisle it is
+/// actually in.
 #[must_use]
 pub fn recharacterize_node(
     config: &DeploymentConfig,
     node: &mut ServerNode,
     advisor: &ModeAdvisor,
 ) -> OperatingPoint {
-    let (_, _, point) = characterize_and_choose(config, node, advisor);
+    let margins = uniserver_stresslog::characterize(node);
+    let point = config.optimizer.choose(
+        &config.spec,
+        &margins,
+        advisor,
+        &VmConfig::ldbc_benchmark().workload,
+        node.ambient(),
+    );
     point.apply_to(node);
     point
 }
@@ -164,17 +129,12 @@ pub struct Ecosystem {
     /// A conservative twin of the same chip, used as the savings
     /// baseline (same seed → same silicon, nominal settings).
     baseline: Hypervisor,
-    stresslog: StressLog,
+    config: DeploymentConfig,
     /// Part-level risk model, trained at deploy.
     advisor: ModeAdvisor,
-    optimizer: EopOptimizer,
     schedule: Schedule,
     phase: EopPhase,
     current_point: OperatingPoint,
-    expected_workload: WorkloadProfile,
-    spec: PartSpec,
-    ambient: Celsius,
-    anomaly_cooldown: Seconds,
     recharacterizations: u64,
     eop_energy: Joules,
     baseline_energy: Joules,
@@ -182,9 +142,9 @@ pub struct Ecosystem {
 }
 
 impl Ecosystem {
-    /// Stands up the full stack: manufactures the node, runs the
-    /// pre-deployment characterization, trains the predictor, launches
-    /// the guests and moves to the chosen EOP.
+    /// Stands up the full stack: trains the predictor, provisions the
+    /// node at its EOP ([`provision_node`]), and launches one LDBC guest
+    /// on it and on a nominal baseline twin.
     ///
     /// Training here is per-deployment; fleets deploying many nodes of
     /// the same part train once via [`crate::training`] and provision
@@ -192,51 +152,30 @@ impl Ecosystem {
     ///
     /// # Panics
     ///
-    /// Panics if the configured guests do not fit the node's memory.
+    /// Panics if the guest does not fit the node's memory.
     #[must_use]
     pub fn deploy(config: &DeploymentConfig, seed: u64) -> Self {
         let advisor = crate::training::train_advisor(config);
-
-        // --- Phase 1: pre-deployment characterization and the EOP.
-        let mut node = ServerNode::new(config.spec.clone(), seed);
-        node.set_ambient(config.ambient);
-        let (stresslog, expected_workload, point) =
-            characterize_and_choose(config, &mut node, &advisor);
-
-        // --- Phase 2: deployment.
+        let (node, point) = provision_node(config, seed, &advisor);
         let mut hypervisor = Hypervisor::new(node);
         let mut baseline_node = ServerNode::new(config.spec.clone(), seed);
         baseline_node.set_ambient(config.ambient);
         let mut baseline = Hypervisor::new(baseline_node);
-        for guest in &config.guests {
-            hypervisor.launch_vm(guest.clone()).expect("guest fits the node");
-            baseline.launch_vm(guest.clone()).expect("guest fits the baseline");
-        }
-        let mut eco = Ecosystem {
+        hypervisor.launch_vm(VmConfig::ldbc_benchmark()).expect("guest fits the node");
+        baseline.launch_vm(VmConfig::ldbc_benchmark()).expect("guest fits the baseline");
+        Ecosystem {
             hypervisor,
             baseline,
-            stresslog,
+            config: config.clone(),
             advisor,
-            optimizer: config.optimizer,
-            schedule: Schedule::every(config.recharacterization_period),
-            anomaly_cooldown: config.anomaly_cooldown,
+            schedule: Schedule::every(Seconds::new(RECHARACTERIZATION_PERIOD_SECS)),
             phase: EopPhase::Deployed,
-            current_point: OperatingPoint::nominal(config.spec.cores),
-            expected_workload,
-            spec: config.spec.clone(),
-            ambient: config.ambient,
+            current_point: point,
             recharacterizations: 0,
             eop_energy: Joules::ZERO,
             baseline_energy: Joules::ZERO,
             served: Seconds::ZERO,
-        };
-        eco.apply_point(point);
-        eco
-    }
-
-    fn apply_point(&mut self, point: OperatingPoint) {
-        point.apply_to(self.hypervisor.node_mut());
-        self.current_point = point;
+        }
     }
 
     /// The active operating point.
@@ -267,7 +206,7 @@ impl Ecosystem {
             Some(last) => {
                 let periodic_due = self.schedule.due(now, false);
                 let anomaly_due = outcome.recharacterization_requested
-                    && now.saturating_sub(last) >= self.anomaly_cooldown;
+                    && now.saturating_sub(last) >= Seconds::new(ANOMALY_COOLDOWN_SECS);
                 if periodic_due || anomaly_due {
                     self.recharacterize();
                 }
@@ -280,15 +219,8 @@ impl Ecosystem {
     /// and aging).
     pub fn recharacterize(&mut self) {
         self.phase = EopPhase::Recharacterizing;
-        let margins = self.stresslog.characterize(self.hypervisor.node_mut());
-        let point = self.optimizer.choose(
-            &self.spec,
-            &margins,
-            &self.advisor,
-            &self.expected_workload,
-            self.ambient,
-        );
-        self.apply_point(point);
+        self.current_point =
+            recharacterize_node(&self.config, self.hypervisor.node_mut(), &self.advisor);
         self.schedule.mark_ran(self.hypervisor.node().now());
         self.recharacterizations += 1;
         self.phase = EopPhase::Deployed;
@@ -408,6 +340,19 @@ mod tests {
         // Pure in the node state: same node, same answer.
         let again = recharacterize_node(&config, &mut node, &advisor);
         assert_eq!(again.core_offsets_mv.len(), rejoined_point.core_offsets_mv.len());
+    }
+
+    #[test]
+    fn ecosystem_recharacterizes_through_the_rack_path() {
+        // Right after deploy, the ecosystem's re-run must choose exactly
+        // what the rack's rejoin path chooses on a provisioned twin.
+        let config = DeploymentConfig::quick();
+        let mut eco = Ecosystem::deploy(&config, 77);
+        eco.recharacterize();
+        let advisor = crate::training::train_advisor(&config);
+        let (mut twin, _) = provision_node(&config, 77, &advisor);
+        let point = recharacterize_node(&config, &mut twin, &advisor);
+        assert_eq!(eco.operating_point(), &point);
     }
 
     #[test]

@@ -7,11 +7,18 @@
 //!
 //! 1. **Pre-deployment** — stress-test the hardware, reveal per-core /
 //!    per-domain Extended Operating Points (EOP), train the predictor;
-//! 2. **Deployment** — operate at the EOP chosen for the SLA's risk
+//! 2. **Deployment** — operate at the EOP the optimizer preset
+//!    ([`EopOptimizer`]: cautious or assertive) chooses for its SLA risk
 //!    budget, with the hypervisor masking/containing what slips through;
 //! 3. **Monitored operation** — HealthLog watches error rates; threshold
 //!    trips or the periodic schedule trigger **re-characterization**,
 //!    closing the loop.
+//!
+//! A deployment is a part, an ambient and a preset
+//! ([`DeploymentConfig`]). [`provision_node`] and
+//! [`ecosystem::recharacterize_node`] are the one characterize-then-choose
+//! path: the rack's deploy and rejoin use them, and so does the
+//! single-node [`Ecosystem`].
 //!
 //! # Examples
 //!

@@ -13,25 +13,35 @@ use uniserver_stresslog::MarginVector;
 
 use crate::eop::OperatingPoint;
 
-/// The optimizer configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EopOptimizer {
-    /// How much of the measured margin to actually use, before the
-    /// predictor gets a veto (1.0 = all of it).
-    pub aggressiveness: f64,
+/// The optimizer preset: how much of the measured margin to use
+/// before the predictor gets a veto, and the SLA risk budget the
+/// advisor is trained to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EopOptimizer {
+    /// Keeps a quarter of the measured margin in reserve, at a 2 %
+    /// risk tolerance: the single-node ecosystem's preset.
+    Cautious,
+    /// Uses the full measured margin subject to predictor veto, at a
+    /// 5 % risk tolerance: the rack's preset, where placement and
+    /// migration absorb the residual crash risk.
+    Assertive,
 }
 
 impl EopOptimizer {
-    /// Uses the full measured margin subject to predictor veto.
-    #[must_use]
-    pub fn assertive() -> Self {
-        EopOptimizer { aggressiveness: 1.0 }
+    /// Fraction of the measured margin the point uses (1.0 = all of it).
+    fn aggressiveness(self) -> f64 {
+        match self {
+            EopOptimizer::Cautious => 0.75,
+            EopOptimizer::Assertive => 1.0,
+        }
     }
 
-    /// Keeps a quarter of the measured margin in reserve.
-    #[must_use]
-    pub(crate) fn cautious() -> Self {
-        EopOptimizer { aggressiveness: 0.75 }
+    /// Risk tolerance handed to the mode advisor.
+    pub(crate) fn risk_tolerance(self) -> f64 {
+        match self {
+            EopOptimizer::Cautious => 0.02,
+            EopOptimizer::Assertive => 0.05,
+        }
     }
 
     /// Chooses the operating point: start from the StressLog margins,
@@ -39,14 +49,14 @@ impl EopOptimizer {
     /// safe for the expected workload.
     #[must_use]
     pub(crate) fn choose(
-        &self,
+        self,
         spec: &PartSpec,
         margins: &MarginVector,
         advisor: &ModeAdvisor,
         expected_workload: &WorkloadProfile,
         temp: Celsius,
     ) -> OperatingPoint {
-        let mut point = OperatingPoint::from_margins(margins, self.aggressiveness);
+        let mut point = OperatingPoint::from_margins(margins, self.aggressiveness());
         let advice = advisor.advise(expected_workload, &spec.pdn, temp, 0.0);
         let advice_cap_mv = advice.offset_fraction * spec.nominal_voltage.as_millivolts();
         for offset in &mut point.core_offsets_mv {
@@ -60,23 +70,16 @@ impl EopOptimizer {
     }
 }
 
-impl Default for EopOptimizer {
-    fn default() -> Self {
-        EopOptimizer::cautious()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use uniserver_predictor::harness::TrainingHarness;
     use uniserver_predictor::LogisticModel;
-    use uniserver_stresslog::{StressLog, StressTargetParams};
 
     fn setup() -> (PartSpec, MarginVector, ModeAdvisor) {
         let spec = PartSpec::arm_microserver();
         let mut node = uniserver_platform::node::ServerNode::new(spec.clone(), 31);
-        let margins = StressLog::new(StressTargetParams::quick()).characterize(&mut node);
+        let margins = uniserver_stresslog::characterize(&mut node);
         let data = TrainingHarness::quick().generate(2);
         let advisor = ModeAdvisor::new(LogisticModel::fit(&data, 200, 0.7), 0.05);
         (spec, margins, advisor)
@@ -85,7 +88,7 @@ mod tests {
     #[test]
     fn chosen_point_respects_both_sources() {
         let (spec, margins, advisor) = setup();
-        let point = EopOptimizer::assertive().choose(
+        let point = EopOptimizer::Assertive.choose(
             &spec,
             &margins,
             &advisor,
@@ -106,8 +109,8 @@ mod tests {
     fn cautious_is_shallower_than_assertive() {
         let (spec, margins, advisor) = setup();
         let w = WorkloadProfile::spec_bzip2();
-        let a = EopOptimizer::assertive().choose(&spec, &margins, &advisor, &w, Celsius::new(26.0));
-        let c = EopOptimizer::cautious().choose(&spec, &margins, &advisor, &w, Celsius::new(26.0));
+        let a = EopOptimizer::Assertive.choose(&spec, &margins, &advisor, &w, Celsius::new(26.0));
+        let c = EopOptimizer::Cautious.choose(&spec, &margins, &advisor, &w, Celsius::new(26.0));
         assert!(c.min_offset_mv() <= a.min_offset_mv());
         assert!(c.relaxed_refresh <= a.relaxed_refresh);
     }
@@ -115,14 +118,14 @@ mod tests {
     #[test]
     fn stressful_workloads_get_capped_harder() {
         let (spec, margins, advisor) = setup();
-        let quiet = EopOptimizer::assertive().choose(
+        let quiet = EopOptimizer::Assertive.choose(
             &spec,
             &margins,
             &advisor,
             &WorkloadProfile::spec_namd(),
             Celsius::new(26.0),
         );
-        let loud = EopOptimizer::assertive().choose(
+        let loud = EopOptimizer::Assertive.choose(
             &spec,
             &margins,
             &advisor,

@@ -3,15 +3,16 @@
 //! The Predictor learns the crash surface of a *part* from sibling
 //! chips, not of one individual die ([`TrainingHarness`] seeds its
 //! sample generation from fixed harness parameters, so training is a
-//! pure function of the deployment configuration). Re-running that
+//! pure function of the part and the optimizer preset, which sets the
+//! risk tolerance). Re-running that
 //! training inside every [`Ecosystem::deploy`] therefore re-derives the
 //! identical model — at fleet scale that redundancy dominates deploy
 //! wall-clock. This module factors it out:
 //!
 //! * [`TrainedAdvisor`] — one part's trained [`ModeAdvisor`], wrapped in
 //!   an `Arc` so worker threads share a single model;
-//! * [`AdvisorCache`] — a thread-safe map from part name to
-//!   [`TrainedAdvisor`], training on first request.
+//! * [`AdvisorCache`] — a thread-safe map from (part name, optimizer
+//!   preset) to [`TrainedAdvisor`], training on first request.
 //!
 //! Per-node *silicon* is still characterized individually by the
 //! StressLog ([`provision_node`]); only the part-level risk model is
@@ -40,6 +41,10 @@ use uniserver_predictor::harness::TrainingHarness;
 use uniserver_predictor::{LogisticModel, ModeAdvisor};
 
 use crate::ecosystem::DeploymentConfig;
+use crate::optimizer::EopOptimizer;
+
+/// Sibling chips the predictor learns a part's crash surface from.
+const TRAINING_CHIPS: usize = 2;
 
 /// A part-level trained advisor, shareable across every node of the
 /// part (and across worker threads) via `Arc`.
@@ -52,7 +57,7 @@ pub struct TrainedAdvisor {
 }
 
 impl TrainedAdvisor {
-    /// Trains an advisor for the part named in `config` — the exact
+    /// Trains an advisor for the part and preset in `config` — the exact
     /// training [`Ecosystem::deploy`] performs, factored out so it can
     /// run once per part instead of once per node.
     ///
@@ -66,17 +71,16 @@ impl TrainedAdvisor {
     }
 }
 
-/// A thread-safe part-name → [`TrainedAdvisor`] cache.
+/// A thread-safe (part name, [`EopOptimizer`]) → [`TrainedAdvisor`]
+/// cache. The preset is part of the key because it sets the advisor's
+/// risk tolerance.
 ///
-/// Training is deterministic per part, so a cache hit returns a model
+/// Training is deterministic per key, so a cache hit returns a model
 /// bit-identical to what per-node training would have produced; results
-/// cannot depend on which thread populated the entry. The cache assumes
-/// one training configuration per part name within a fleet — deploying
-/// the same part under different `training_chips`/`risk_tolerance` in
-/// one cache must use separate caches (or train directly).
+/// cannot depend on which thread populated the entry.
 #[derive(Debug, Default)]
 pub struct AdvisorCache {
-    trained: Mutex<HashMap<String, TrainedAdvisor>>,
+    trained: Mutex<HashMap<(String, EopOptimizer), TrainedAdvisor>>,
 }
 
 impl AdvisorCache {
@@ -86,7 +90,8 @@ impl AdvisorCache {
         AdvisorCache::default()
     }
 
-    /// Returns the part's trained advisor, training it on a miss.
+    /// Returns the advisor trained for the config's part and preset,
+    /// training it on a miss.
     ///
     /// Training runs outside the lock (it is the expensive step); if two
     /// threads race on the same part, the first insert wins and the
@@ -97,23 +102,25 @@ impl AdvisorCache {
     /// Panics if the cache mutex was poisoned by a panicking trainer.
     #[must_use]
     pub fn get_or_train(&self, config: &DeploymentConfig) -> TrainedAdvisor {
-        if let Some(hit) = self.trained.lock().unwrap().get(&config.spec.name) {
+        let key = (config.spec.name.clone(), config.optimizer);
+        if let Some(hit) = self.trained.lock().unwrap().get(&key) {
             return hit.clone();
         }
         let fresh = TrainedAdvisor::train(config);
         let mut map = self.trained.lock().unwrap();
-        map.entry(config.spec.name.clone()).or_insert(fresh).clone()
+        map.entry(key).or_insert(fresh).clone()
     }
 }
 
 /// Free-function form of the training step (what [`TrainedAdvisor::train`]
-/// wraps): exposed for callers that want an unshared advisor.
+/// wraps): the part's model fitted on two sibling chips, advising at
+/// the preset's risk tolerance.
 #[must_use]
 pub(crate) fn train_advisor(config: &DeploymentConfig) -> ModeAdvisor {
     let harness = TrainingHarness { spec: config.spec.clone(), ..TrainingHarness::quick() };
-    let data = harness.generate(config.training_chips);
+    let data = harness.generate(TRAINING_CHIPS);
     let model = LogisticModel::fit(&data, 200, 0.7);
-    ModeAdvisor::new(model, config.risk_tolerance)
+    ModeAdvisor::new(model, config.optimizer.risk_tolerance())
 }
 
 #[cfg(test)]
@@ -131,6 +138,19 @@ mod tests {
         assert!(Arc::ptr_eq(&a.advisor, &b.advisor), "second lookup must share the model");
         let c = cache.get_or_train(&i5);
         assert!(!Arc::ptr_eq(&a.advisor, &c.advisor), "distinct parts train distinct models");
+        assert_eq!(cache.trained.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn each_preset_of_a_part_gets_its_own_advisor() {
+        let cache = AdvisorCache::new();
+        let cautious = DeploymentConfig::quick();
+        let assertive = DeploymentConfig { optimizer: EopOptimizer::Assertive, ..cautious.clone() };
+        let c = cache.get_or_train(&cautious);
+        let a = cache.get_or_train(&assertive);
+        assert!(!Arc::ptr_eq(&c.advisor, &a.advisor), "the presets must not share an advisor");
+        assert_eq!(c.advisor.risk_tolerance, 0.02);
+        assert_eq!(a.advisor.risk_tolerance, 0.05);
         assert_eq!(cache.trained.lock().unwrap().len(), 2);
     }
 

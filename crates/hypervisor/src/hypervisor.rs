@@ -646,10 +646,8 @@ mod tests {
 
     #[test]
     fn margins_from_stresslog_hold_in_production() {
-        use uniserver_stresslog::{StressLog, StressTargetParams};
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 21);
-        let mut stress = StressLog::new(StressTargetParams::quick());
-        let margins = stress.characterize(&mut node);
+        let margins = uniserver_stresslog::characterize(&mut node);
         let mut hv = Hypervisor::new(node);
         hv.launch_vm(VmConfig::ldbc_benchmark()).unwrap();
         hv.apply_margins(&margins);

@@ -6,16 +6,18 @@
 //! lifecycle) and the placement [`PolicyKind`] — plus the rack size,
 //! seed, horizon, tick and worker count. The four presets below are the
 //! scenarios `fleet_sim --profile` names.
+//!
+//! Nodes carry no deployment settings of their own: each node deploys
+//! as its part from the cluster mix, at 26 °C plus a seeded ambient
+//! offset, under the assertive optimizer preset
+//! ([`EopOptimizer::Assertive`](uniserver_core::optimizer::EopOptimizer)).
 
 use uniserver_units::Seconds;
 
 use uniserver_cloudmgr::cluster::ClusterConfig;
 use uniserver_cloudmgr::policy::PolicyKind;
 use uniserver_cloudmgr::stream::VmStream;
-use uniserver_core::ecosystem::DeploymentConfig;
-use uniserver_core::optimizer::EopOptimizer;
 use uniserver_faultinject::chaos::ChaosPlan;
-use uniserver_hypervisor::vm::VmConfig;
 
 /// Which margins the fleet's nodes deploy at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,9 +106,6 @@ pub struct OrchestratorConfig {
     pub stream: VmStream,
     /// What happens to rejected arrivals.
     pub admission: AdmissionPolicy,
-    /// Per-node deployment template (stress params, optimizer, base
-    /// ambient). The part is overridden per node from the cluster mix.
-    pub deployment: DeploymentConfig,
     /// Margin policy for the whole fleet.
     pub margins: MarginPolicy,
     /// The seeded fault profile injected on top of the fleet's natural
@@ -131,8 +130,8 @@ impl OrchestratorConfig {
     /// arrivals over the hour-long horizon), 5 s ticks, ±6 °C ambient
     /// spread, extended margins.
     ///
-    /// The rack runs the **assertive** optimizer (full measured margin,
-    /// predictor-vetoed) and is modeled 18 months into its
+    /// Every rack runs the **assertive** optimizer (full measured margin,
+    /// predictor-vetoed, 5 % risk tolerance) and is modeled 18 months into its
     /// re-characterization window, so aging drift has eaten into the
     /// deploy-time margins — the point of cluster-in-the-loop is that
     /// placement, eviction and migration absorb the residual crash risk
@@ -147,12 +146,6 @@ impl OrchestratorConfig {
             threads: 0,
             stream: VmStream::Flat { arrival_rate: 3.0 },
             admission: AdmissionPolicy::DropAll,
-            deployment: DeploymentConfig {
-                guests: vec![VmConfig::ldbc_benchmark()],
-                optimizer: EopOptimizer::assertive(),
-                risk_tolerance: 0.05,
-                ..DeploymentConfig::quick()
-            },
             margins: MarginPolicy::Extended,
             chaos: None,
             policy: PolicyKind::EnergySla,

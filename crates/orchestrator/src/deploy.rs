@@ -18,12 +18,17 @@ use uniserver_cloudmgr::cluster::{resolve_workers, Cluster};
 use uniserver_cloudmgr::node::{ManagedNode, NodeId};
 use uniserver_core::ecosystem::{provision_node, recharacterize_node, DeploymentConfig};
 use uniserver_core::eop::OperatingPoint;
+use uniserver_core::optimizer::EopOptimizer;
 use uniserver_core::training::AdvisorCache;
 use uniserver_platform::node::ServerNode;
+use uniserver_platform::part::PartSpec;
 use uniserver_silicon::rng::{ambient_offset, indexed_seed};
 use uniserver_units::Celsius;
 
 use crate::config::{MarginPolicy, OrchestratorConfig};
+
+/// Site ambient (°C) the per-node spread is centred on.
+const BASE_AMBIENT: f64 = 26.0;
 
 /// Half-width (°C) of the uniform per-node ambient spread.
 const AMBIENT_SPREAD: f64 = 6.0;
@@ -49,16 +54,19 @@ pub struct DeployedNode {
     pub point: OperatingPoint,
 }
 
-/// The per-node deployment configuration: the scenario template with
-/// part and ambient resolved from the node's seed.
+/// A rack node's deployment under the assertive preset.
+fn rack_deployment(spec: &PartSpec, ambient: Celsius) -> DeploymentConfig {
+    DeploymentConfig { spec: spec.clone(), ambient, optimizer: EopOptimizer::Assertive }
+}
+
+/// The per-node deployment configuration: the part drawn from the
+/// cluster mix and the base ambient plus an offset, both pure functions
+/// of the node's seed.
 #[must_use]
 pub(crate) fn node_deployment(config: &OrchestratorConfig, node: usize) -> DeploymentConfig {
     let seed = indexed_seed(config.seed, node);
-    let mut dep = config.deployment.clone();
-    dep.spec = config.cluster.node_spec(seed).clone();
-    // A pure function of the node seed, like the part draw.
-    dep.ambient = dep.ambient + Celsius::new(ambient_offset(seed, AMBIENT_SPREAD));
-    dep
+    let ambient = Celsius::new(BASE_AMBIENT) + Celsius::new(ambient_offset(seed, AMBIENT_SPREAD));
+    rack_deployment(config.cluster.node_spec(seed), ambient)
 }
 
 fn deploy_one(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize) -> (ManagedNode, DeployedNode) {
@@ -113,8 +121,7 @@ pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode
     let cache = AdvisorCache::new();
     if config.margins == MarginPolicy::Extended {
         for part in &config.cluster.part_mix {
-            let dep = DeploymentConfig { spec: part.spec.clone(), ..config.deployment.clone() };
-            let _ = cache.get_or_train(&dep);
+            let _ = cache.get_or_train(&rack_deployment(&part.spec, Celsius::new(BASE_AMBIENT)));
         }
     }
 
@@ -260,7 +267,7 @@ mod tests {
         let lo = ambients.iter().cloned().fold(f64::MAX, f64::min);
         let hi = ambients.iter().cloned().fold(f64::MIN, f64::max);
         assert!(hi - lo > 6.0, "±6 °C spread must show up ({lo}..{hi})");
-        let (base, spread) = (config.deployment.ambient.as_celsius(), AMBIENT_SPREAD);
+        let (base, spread) = (BASE_AMBIENT, AMBIENT_SPREAD);
         assert!(
             lo >= base - spread && hi <= base + spread,
             "every ambient stays within ±{spread} °C of {base} °C ({lo}..{hi})"

@@ -7,9 +7,9 @@
 //!
 //! * is **spawned periodically** (every 2–3 months) or **triggered** by
 //!   higher layers on anomalous behaviour ([`Schedule`]);
-//! * takes the machine offline, receives its **stress target
-//!   parameters** ([`StressTargetParams`]) and runs the characterization
-//!   campaigns (undervolting shmoo + refresh sweep);
+//! * takes the machine offline and runs one fixed methodology
+//!   ([`characterize`]): an undervolting shmoo under bzip2 and the droop
+//!   virus, then a refresh sweep on a relaxed-domain DIMM;
 //! * wraps the results into a **margin vector** ([`MarginVector`]) for
 //!   the hypervisor and cloud layers.
 //!
@@ -17,11 +17,9 @@
 //!
 //! ```
 //! use uniserver_platform::{PartSpec, ServerNode};
-//! use uniserver_stresslog::{StressLog, StressTargetParams};
 //!
 //! let mut node = ServerNode::new(PartSpec::arm_microserver(), 11);
-//! let mut daemon = StressLog::new(StressTargetParams::quick());
-//! let margins = daemon.characterize(&mut node);
+//! let margins = uniserver_stresslog::characterize(&mut node);
 //! assert_eq!(margins.per_core_safe_offset_mv.len(), 8);
 //! assert!(margins.safe_refresh.as_secs() >= 1.0);
 //! ```
@@ -34,57 +32,16 @@ use uniserver_silicon::rng::splitmix64;
 use uniserver_stress::campaign::{RefreshSweep, ShmooCampaign, Table2Summary};
 use uniserver_stress::kernels;
 
-/// Input parameters handed down by higher layers ("as soon as the
-/// monitor receives the input stress target parameters from the higher
-/// system layers, it will initiate the stress test scenarios").
-#[derive(Debug, Clone, PartialEq)]
-pub struct StressTargetParams {
-    /// Workload suite: benchmarks representing real applications plus
-    /// hand-coded component stressors.
-    pub workloads: Vec<WorkloadProfile>,
-    /// Undervolting shmoo methodology.
-    pub shmoo: ShmooCampaign,
-    /// Refresh-relaxation sweep methodology.
-    pub refresh: RefreshSweep,
-    /// Safety slack subtracted from measured crash offsets (millivolts).
-    pub voltage_slack_mv: f64,
-    /// Multiplier (≤ 1) applied to the measured safe refresh interval.
-    pub refresh_derating: f64,
-}
+/// Safety slack subtracted from each core's weakest measured crash
+/// offset (millivolts).
+const VOLTAGE_SLACK_MV: f64 = 15.0;
 
-impl StressTargetParams {
-    /// The full suite: the SPEC subset plus every hand-coded kernel, at
-    /// the paper's methodology settings.
-    #[must_use]
-    pub fn standard() -> Self {
-        let mut workloads = WorkloadProfile::spec2006_subset();
-        workloads.extend(kernels::suite());
-        StressTargetParams {
-            workloads,
-            shmoo: ShmooCampaign::paper_methodology(),
-            refresh: RefreshSweep::paper_sweep(),
-            voltage_slack_mv: 15.0,
-            refresh_derating: 0.8,
-        }
-    }
+/// Multiplier (≤ 1) applied to the measured safe refresh interval.
+const REFRESH_DERATING: f64 = 0.8;
 
-    /// A reduced suite for tests and doc examples.
-    #[must_use]
-    pub fn quick() -> Self {
-        let mut p = StressTargetParams::standard();
-        p.workloads = vec![WorkloadProfile::spec_bzip2(), kernels::droop_resonator()];
-        p.shmoo.dwell = Seconds::from_millis(200.0);
-        p.shmoo.runs = 1;
-        p.refresh.passes = 1;
-        p
-    }
-}
-
-impl Default for StressTargetParams {
-    fn default() -> Self {
-        StressTargetParams::standard()
-    }
-}
+/// Salt mixed into the node's manufacture seed for the refresh sweep's
+/// stream.
+const SWEEP_SALT: u64 = 0x5EED_0D1A_D4A2_7331;
 
 /// The output vector "containing the new safe system V-F-R margins that
 /// will be suggested to the software (i.e. Hypervisor) for future
@@ -152,66 +109,66 @@ impl Schedule {
     }
 }
 
-/// The StressLog daemon.
-#[derive(Debug, Clone)]
-pub struct StressLog {
-    params: StressTargetParams,
-}
-
-impl StressLog {
-    /// Creates a daemon with the given stress target parameters.
-    #[must_use]
-    pub fn new(params: StressTargetParams) -> Self {
-        StressLog { params }
+/// Takes the node offline and characterizes it.
+///
+/// The methodology is fixed: the paper's shmoo
+/// ([`ShmooCampaign::paper_methodology`]) at 200 ms dwell and one run
+/// per (core, workload), under bzip2 and the droop virus; then one pass
+/// of the paper's refresh sweep ([`RefreshSweep::paper_sweep`]) on the
+/// node's last DIMM. Each core's safe offset is its weakest crash
+/// offset minus a 15 mV slack, clamped to `[0, nominal]`; the safe
+/// refresh is 0.8 × the longest error-free interval, never below 64 ms.
+pub fn characterize(node: &mut ServerNode) -> MarginVector {
+    // --- CPU margins via the undervolting shmoo: one pass over the
+    // raw runs collecting each core's weakest crash point.
+    let campaign = ShmooCampaign {
+        dwell: Seconds::from_millis(200.0),
+        runs: 1,
+        ..ShmooCampaign::paper_methodology()
+    };
+    let shmoo =
+        campaign.run_on(node, &[WorkloadProfile::spec_bzip2(), kernels::droop_resonator()]);
+    let nominal_mv = node.part().nominal_voltage.as_millivolts();
+    let cores = shmoo.cores();
+    let mut weakest_mv = vec![f64::MAX; cores.len()];
+    for r in &shmoo.runs {
+        let pos = cores.binary_search(&r.core).expect("core listed by the shmoo");
+        weakest_mv[pos] = weakest_mv[pos].min(r.crash_offset_mv);
     }
+    let per_core: Vec<f64> = weakest_mv
+        .into_iter()
+        .map(|mv| {
+            let safe = (mv - VOLTAGE_SLACK_MV).max(0.0);
+            // Never suggest more than the MSR can express.
+            safe.min(nominal_mv)
+        })
+        .collect();
 
-    /// Takes the node offline and characterizes it.
-    pub fn characterize(&mut self, node: &mut ServerNode) -> MarginVector {
-        // --- CPU margins via the undervolting shmoo: one pass over the
-        // raw runs collecting each core's weakest crash point.
-        let shmoo = self.params.shmoo.run_on(node, &self.params.workloads);
-        let nominal_mv = node.part().nominal_voltage.as_millivolts();
-        let cores = shmoo.cores();
-        let mut weakest_mv = vec![f64::MAX; cores.len()];
-        for r in &shmoo.runs {
-            let pos = cores.binary_search(&r.core).expect("core listed by the shmoo");
-            weakest_mv[pos] = weakest_mv[pos].min(r.crash_offset_mv);
-        }
-        let per_core: Vec<f64> = weakest_mv
-            .into_iter()
-            .map(|mv| {
-                let safe = (mv - self.params.voltage_slack_mv).max(0.0);
-                // Never suggest more than the MSR can express.
-                safe.min(nominal_mv)
-            })
-            .collect();
+    // --- DRAM margins via the refresh sweep on a relaxed-domain DIMM.
+    // The sweep stream derives from the node's own manufacture seed:
+    // a per-part constant here would hand every node of a part the
+    // identical DRAM draw, collapsing fleet-level refresh diversity.
+    let sweep = RefreshSweep { passes: 1, ..RefreshSweep::paper_sweep() };
+    let last_dimm = node.memory.dimms().len() - 1;
+    let sweep_seed = splitmix64(node.seed() ^ SWEEP_SALT);
+    let points = sweep.run(&mut node.memory, last_dimm, sweep_seed);
+    let measured_safe =
+        RefreshSweep::max_safe_interval(&points).unwrap_or(Seconds::from_millis(64.0));
+    let safe_refresh = Seconds::new((measured_safe.as_secs() * REFRESH_DERATING).max(0.064));
 
-        // --- DRAM margins via the refresh sweep on a relaxed-domain DIMM.
-        // The sweep stream derives from the node's own manufacture seed:
-        // a per-part constant here would hand every node of a part the
-        // identical DRAM draw, collapsing fleet-level refresh diversity.
-        let last_dimm = node.memory.dimms().len() - 1;
-        let sweep_seed = splitmix64(node.seed() ^ 0x5EED_0D1A_D4A2_7331);
-        let points = self.params.refresh.run(&mut node.memory, last_dimm, sweep_seed);
-        let measured_safe = RefreshSweep::max_safe_interval(&points)
-            .unwrap_or(Seconds::from_millis(64.0));
-        let safe_refresh =
-            Seconds::new((measured_safe.as_secs() * self.params.refresh_derating).max(0.064));
-
-        let vector = MarginVector {
-            produced_at: node.now(),
-            part_name: node.part().name.clone(),
-            per_core_safe_offset_mv: per_core,
-            safe_refresh,
-            summary: Table2Summary::from_shmoo(&shmoo),
-        };
-        // The shmoo crashes the node on purpose, core by core, to find
-        // the ladder's crash points. Those are measurements, not service
-        // failures — drain them so the cluster's crash feed only ever
-        // reports production crashes.
-        let _ = node.take_crash_events();
-        vector
-    }
+    let vector = MarginVector {
+        produced_at: node.now(),
+        part_name: node.part().name.clone(),
+        per_core_safe_offset_mv: per_core,
+        safe_refresh,
+        summary: Table2Summary::from_shmoo(&shmoo),
+    };
+    // The shmoo crashes the node on purpose, core by core, to find
+    // the ladder's crash points. Those are measurements, not service
+    // failures — drain them so the cluster's crash feed only ever
+    // reports production crashes.
+    let _ = node.take_crash_events();
+    vector
 }
 
 #[cfg(test)]
@@ -221,8 +178,7 @@ mod tests {
 
     fn characterized() -> (ServerNode, MarginVector) {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 11);
-        let mut daemon = StressLog::new(StressTargetParams::quick());
-        let margins = daemon.characterize(&mut node);
+        let margins = characterize(&mut node);
         (node, margins)
     }
 
@@ -266,38 +222,40 @@ mod tests {
     }
 
     #[test]
-    fn slack_widens_safety() {
-        let mut node_a = ServerNode::new(PartSpec::arm_microserver(), 11);
-        let mut node_b = ServerNode::new(PartSpec::arm_microserver(), 11);
-        let mut tight = StressLog::new(StressTargetParams {
-            voltage_slack_mv: 5.0,
-            ..StressTargetParams::quick()
-        });
-        let mut wide = StressLog::new(StressTargetParams {
-            voltage_slack_mv: 25.0,
-            ..StressTargetParams::quick()
-        });
-        let a = tight.characterize(&mut node_a);
-        let b = wide.characterize(&mut node_b);
-        assert!(b.node_safe_offset_mv() < a.node_safe_offset_mv());
-    }
+    fn margins_are_the_slackened_shmoo_and_the_derated_sweep() {
+        // Run the same campaign and sweep by hand on a twin of the node:
+        // each core's safe offset is its weakest crash offset less 15 mV
+        // (clamped), and the safe refresh is 0.8 × the measured one,
+        // floored at the 64 ms nominal.
+        let spec = PartSpec::arm_microserver();
+        let mut node = ServerNode::new(spec.clone(), 13);
+        let margins = characterize(&mut node);
 
-    #[test]
-    fn refresh_derating_shrinks_the_interval() {
-        let mut node_a = ServerNode::new(PartSpec::arm_microserver(), 13);
-        let mut node_b = ServerNode::new(PartSpec::arm_microserver(), 13);
-        let mut full = StressLog::new(StressTargetParams {
-            refresh_derating: 1.0,
-            ..StressTargetParams::quick()
-        });
-        let mut derated = StressLog::new(StressTargetParams {
-            refresh_derating: 0.5,
-            ..StressTargetParams::quick()
-        });
-        let a = full.characterize(&mut node_a);
-        let b = derated.characterize(&mut node_b);
-        assert!(b.safe_refresh < a.safe_refresh);
-        assert!((b.safe_refresh.as_secs() / a.safe_refresh.as_secs() - 0.5).abs() < 1e-9);
+        let mut twin = ServerNode::new(spec, 13);
+        let campaign = ShmooCampaign {
+            dwell: Seconds::from_millis(200.0),
+            runs: 1,
+            ..ShmooCampaign::paper_methodology()
+        };
+        let shmoo =
+            campaign.run_on(&mut twin, &[WorkloadProfile::spec_bzip2(), kernels::droop_resonator()]);
+        let nominal_mv = twin.part().nominal_voltage.as_millivolts();
+        for (core, &safe) in margins.per_core_safe_offset_mv.iter().enumerate() {
+            let weakest = shmoo
+                .runs
+                .iter()
+                .filter(|r| r.core == core)
+                .map(|r| r.crash_offset_mv)
+                .fold(f64::MAX, f64::min);
+            assert_eq!(safe, (weakest - 15.0).clamp(0.0, nominal_mv), "core {core}");
+        }
+
+        let sweep = RefreshSweep { passes: 1, ..RefreshSweep::paper_sweep() };
+        let last_dimm = twin.memory.dimms().len() - 1;
+        let sweep_seed = splitmix64(twin.seed() ^ SWEEP_SALT);
+        let points = sweep.run(&mut twin.memory, last_dimm, sweep_seed);
+        let measured = RefreshSweep::max_safe_interval(&points).expect("some interval is safe");
+        assert_eq!(margins.safe_refresh.as_secs(), (0.8 * measured.as_secs()).max(0.064));
     }
 
     #[test]
@@ -316,10 +274,9 @@ mod tests {
         // lifetime of a server": after years of drift the safe margins
         // shrink, and a fresh characterization discovers that.
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 23);
-        let mut daemon = StressLog::new(StressTargetParams::quick());
-        let fresh = daemon.characterize(&mut node);
+        let fresh = characterize(&mut node);
         node.age_by_months(48.0);
-        let aged = daemon.characterize(&mut node);
+        let aged = characterize(&mut node);
         assert!(
             aged.node_safe_offset_mv() < fresh.node_safe_offset_mv(),
             "aged margins ({:.0} mV) must be tighter than fresh ({:.0} mV)",
@@ -334,9 +291,8 @@ mod tests {
     #[test]
     fn each_characterization_is_stamped_later() {
         let mut node = ServerNode::new(PartSpec::arm_microserver(), 19);
-        let mut daemon = StressLog::new(StressTargetParams::quick());
-        let first = daemon.characterize(&mut node);
-        let second = daemon.characterize(&mut node);
+        let first = characterize(&mut node);
+        let second = characterize(&mut node);
         assert!(second.produced_at > first.produced_at);
     }
 }

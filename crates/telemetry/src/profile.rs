@@ -43,59 +43,15 @@ pub enum Stage {
     Recovery,
 }
 
-/// All stages, in display order.
-pub(crate) const STAGES: [Stage; 10] = [
-    Stage::Deploy,
-    Stage::Rejoin,
-    Stage::Events,
-    Stage::RetryQueue,
-    Stage::Placement,
-    Stage::Tick,
-    Stage::NodeTick,
-    Stage::Predictor,
-    Stage::Reduce,
-    Stage::Recovery,
-];
-
-impl Stage {
-    fn idx(self) -> usize {
-        match self {
-            Stage::Deploy => 0,
-            Stage::Rejoin => 1,
-            Stage::Events => 2,
-            Stage::RetryQueue => 3,
-            Stage::Placement => 4,
-            Stage::Tick => 5,
-            Stage::NodeTick => 6,
-            Stage::Predictor => 7,
-            Stage::Recovery => 8,
-            Stage::Reduce => 9,
-        }
-    }
-
-    /// Human label, e.g. for rendered breakdowns.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Deploy => "deploy",
-            Stage::Rejoin => "rejoin",
-            Stage::Events => "events",
-            Stage::RetryQueue => "retry_queue",
-            Stage::Placement => "placement",
-            Stage::Tick => "tick",
-            Stage::NodeTick => "node_tick",
-            Stage::Predictor => "predictor",
-            Stage::Recovery => "recovery",
-            Stage::Reduce => "reduce",
-        }
-    }
-}
+/// Number of stages: `Recovery` is the last variant.
+const STAGE_COUNT: usize = Stage::Recovery as usize + 1;
 
 /// Wall-clock accumulator per stage. Shared across threads via `Arc`;
 /// spans add their elapsed nanoseconds on drop.
 #[derive(Debug, Default)]
 pub struct StageProfiler {
-    nanos: [AtomicU64; STAGES.len()],
+    /// Indexed by the stage's discriminant.
+    nanos: [AtomicU64; STAGE_COUNT],
 }
 
 impl StageProfiler {
@@ -115,13 +71,13 @@ impl StageProfiler {
     /// Adds pre-measured nanoseconds to a stage (the sharded paths
     /// accumulate locally and flush once per chunk).
     pub fn add_nanos(&self, stage: Stage, nanos: u64) {
-        self.nanos[stage.idx()].fetch_add(nanos, Ordering::Relaxed);
+        self.nanos[stage as usize].fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Nanoseconds accumulated on a stage.
     #[must_use]
     pub fn nanos(&self, stage: Stage) -> u64 {
-        self.nanos[stage.idx()].load(Ordering::Relaxed)
+        self.nanos[stage as usize].load(Ordering::Relaxed)
     }
 
     /// Milliseconds accumulated on a stage.
@@ -162,13 +118,6 @@ mod tests {
         assert!(p.nanos(Stage::Placement) >= 1_000_000);
         assert!(p.ms(Stage::Placement) >= 1.0);
         assert_eq!(p.nanos(Stage::Recovery), 0);
-    }
-
-    #[test]
-    fn every_stage_has_a_label() {
-        for stage in STAGES {
-            assert!(!stage.label().is_empty());
-        }
     }
 
     #[test]

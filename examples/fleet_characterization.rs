@@ -9,12 +9,9 @@
 
 use uniserver_platform::node::ServerNode;
 use uniserver_platform::part::PartSpec;
-use uniserver_stresslog::{StressLog, StressTargetParams};
 
 fn main() {
     let spec = PartSpec::arm_microserver();
-    let mut params = StressTargetParams::quick();
-    params.shmoo.dwell = uniserver_units::Seconds::from_millis(200.0);
 
     println!("characterizing a fleet of 16 '{}' nodes:\n", spec.name);
     println!("node | safe undervolt (node-wide, mV) | safe refresh");
@@ -23,8 +20,7 @@ fn main() {
     let mut offsets = Vec::new();
     for i in 0..16u64 {
         let mut node = ServerNode::new(spec.clone(), 1000 + i);
-        let mut daemon = StressLog::new(params.clone());
-        let margins = daemon.characterize(&mut node);
+        let margins = uniserver_stresslog::characterize(&mut node);
         let off = margins.node_safe_offset_mv();
         println!(
             "  {i:>2} | {off:>29.0} | {}",

@@ -58,10 +58,9 @@ fn margins_flow_from_stresslog_through_hypervisor() {
     use uniserver_platform::node::ServerNode;
     use uniserver_platform::part::PartSpec;
     use uniserver_platform::msr::DomainId;
-    use uniserver_stresslog::{StressLog, StressTargetParams};
 
     let mut node = ServerNode::new(PartSpec::arm_microserver(), 99);
-    let margins = StressLog::new(StressTargetParams::quick()).characterize(&mut node);
+    let margins = uniserver_stresslog::characterize(&mut node);
     let mut hv = Hypervisor::new(node);
     hv.launch_vm(VmConfig::ldbc_benchmark()).expect("guest fits");
     hv.apply_margins(&margins);
