@@ -14,9 +14,8 @@
 
 use uniserver_orchestrator::summary::{ClusterSummary, OrchestratorTiming};
 use uniserver_orchestrator::OrchestratorConfig;
+use uniserver_telemetry::json::JsonWriter;
 use uniserver_units::Seconds;
-
-use crate::render::json::JsonWriter;
 
 /// The scenario preset behind `fleet_sim --profile`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -77,12 +77,6 @@ pub(crate) fn bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
-/// Stable-field-order JSON emission — the writer now lives in
-/// `uniserver-telemetry` (metrics and traces render through the same
-/// byte-stable rules), re-exported here so bench call sites keep their
-/// `render::json::JsonWriter` path.
-pub use uniserver_telemetry::json;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@ use uniserver_platform::part::PartSpec;
 use uniserver_predictor::ModeAdvisor;
 use uniserver_stresslog::Schedule;
 
-use crate::eop::{EopPhase, OperatingPoint};
+use crate::eop::OperatingPoint;
 use crate::optimizer::EopOptimizer;
 
 /// Routine re-characterization period: 2.5 months (the paper suggests
@@ -133,7 +133,6 @@ pub struct Ecosystem {
     /// Part-level risk model, trained at deploy.
     advisor: ModeAdvisor,
     schedule: Schedule,
-    phase: EopPhase,
     current_point: OperatingPoint,
     recharacterizations: u64,
     eop_energy: Joules,
@@ -169,7 +168,6 @@ impl Ecosystem {
             config: config.clone(),
             advisor,
             schedule: Schedule::every(Seconds::new(RECHARACTERIZATION_PERIOD_SECS)),
-            phase: EopPhase::Deployed,
             current_point: point,
             recharacterizations: 0,
             eop_energy: Joules::ZERO,
@@ -182,12 +180,6 @@ impl Ecosystem {
     #[must_use]
     pub fn operating_point(&self) -> &OperatingPoint {
         &self.current_point
-    }
-
-    /// The lifecycle phase.
-    #[must_use]
-    pub fn phase(&self) -> EopPhase {
-        self.phase
     }
 
     /// Runs one serving interval, handling the monitored-operation
@@ -218,12 +210,10 @@ impl Ecosystem {
     /// EOP and returns to service (§3: margins adapt to workload drift
     /// and aging).
     pub fn recharacterize(&mut self) {
-        self.phase = EopPhase::Recharacterizing;
         self.current_point =
             recharacterize_node(&self.config, self.hypervisor.node_mut(), &self.advisor);
         self.schedule.mark_ran(self.hypervisor.node().now());
         self.recharacterizations += 1;
-        self.phase = EopPhase::Deployed;
     }
 
     /// The savings summary so far.
@@ -260,7 +250,6 @@ mod tests {
     #[test]
     fn deployment_reaches_a_real_eop() {
         let eco = quick_ecosystem();
-        assert_eq!(eco.phase(), EopPhase::Deployed);
         let point = eco.operating_point();
         assert!(point.min_offset_mv() > 20.0, "EOP must reclaim margin: {point:?}");
         assert!(
@@ -294,7 +283,6 @@ mod tests {
             eco.run(Seconds::new(1.0));
         }
         eco.recharacterize();
-        assert_eq!(eco.phase(), EopPhase::Deployed);
         let report = {
             for _ in 0..10 {
                 eco.run(Seconds::new(1.0));

@@ -5,17 +5,6 @@ use uniserver_units::Seconds;
 use uniserver_platform::node::ServerNode;
 use uniserver_stresslog::MarginVector;
 
-/// Where the ecosystem is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EopPhase {
-    /// Initial stress testing; the machine is not serving yet.
-    PreDeployment,
-    /// Serving at an EOP.
-    Deployed,
-    /// Temporarily offline for re-characterization.
-    Recharacterizing,
-}
-
 /// Nominal DRAM refresh interval in seconds (the JEDEC 64 ms baseline)
 /// — the conservative point every scaled-back refresh converges to.
 const NOMINAL_REFRESH_SECS: f64 = 0.064;

@@ -40,6 +40,6 @@ pub mod optimizer;
 pub mod training;
 
 pub use ecosystem::{provision_node, DeploymentConfig, Ecosystem, SavingsReport};
-pub use eop::{EopPhase, OperatingPoint};
+pub use eop::OperatingPoint;
 pub use optimizer::EopOptimizer;
-pub use training::{AdvisorCache, TrainedAdvisor};
+pub use training::AdvisorCache;

@@ -9,10 +9,9 @@
 //! identical model — at fleet scale that redundancy dominates deploy
 //! wall-clock. This module factors it out:
 //!
-//! * [`TrainedAdvisor`] — one part's trained [`ModeAdvisor`], wrapped in
-//!   an `Arc` so worker threads share a single model;
 //! * [`AdvisorCache`] — a thread-safe map from (part name, optimizer
-//!   preset) to [`TrainedAdvisor`], training on first request.
+//!   preset) to one trained [`ModeAdvisor`], wrapped in an `Arc` so
+//!   worker threads share a single model, training on first request.
 //!
 //! Per-node *silicon* is still characterized individually by the
 //! StressLog ([`provision_node`]); only the part-level risk model is
@@ -28,7 +27,7 @@
 //! let config = DeploymentConfig::quick();
 //! let a = cache.get_or_train(&config); // trains
 //! let b = cache.get_or_train(&config); // cache hit: the same model
-//! assert!(std::sync::Arc::ptr_eq(&a.advisor, &b.advisor));
+//! assert!(std::sync::Arc::ptr_eq(&a, &b));
 //! ```
 //!
 //! [`Ecosystem::deploy`]: crate::ecosystem::Ecosystem::deploy
@@ -46,41 +45,17 @@ use crate::optimizer::EopOptimizer;
 /// Sibling chips the predictor learns a part's crash surface from.
 const TRAINING_CHIPS: usize = 2;
 
-/// A part-level trained advisor, shareable across every node of the
-/// part (and across worker threads) via `Arc`.
-#[derive(Debug, Clone)]
-pub struct TrainedAdvisor {
-    /// Name of the part the model was trained for.
-    pub part_name: Arc<str>,
-    /// The trained mode advisor.
-    pub advisor: Arc<ModeAdvisor>,
-}
-
-impl TrainedAdvisor {
-    /// Trains an advisor for the part and preset in `config` — the exact
-    /// training [`Ecosystem::deploy`] performs, factored out so it can
-    /// run once per part instead of once per node.
-    ///
-    /// [`Ecosystem::deploy`]: crate::ecosystem::Ecosystem::deploy
-    #[must_use]
-    pub(crate) fn train(config: &DeploymentConfig) -> Self {
-        TrainedAdvisor {
-            part_name: Arc::from(config.spec.name.as_str()),
-            advisor: Arc::new(train_advisor(config)),
-        }
-    }
-}
-
-/// A thread-safe (part name, [`EopOptimizer`]) → [`TrainedAdvisor`]
-/// cache. The preset is part of the key because it sets the advisor's
-/// risk tolerance.
+/// A thread-safe (part name, [`EopOptimizer`]) → trained
+/// [`ModeAdvisor`] cache. The preset is part of the key because it sets
+/// the advisor's risk tolerance; the `Arc` shares one model across every
+/// node of the part and across worker threads.
 ///
 /// Training is deterministic per key, so a cache hit returns a model
 /// bit-identical to what per-node training would have produced; results
 /// cannot depend on which thread populated the entry.
 #[derive(Debug, Default)]
 pub struct AdvisorCache {
-    trained: Mutex<HashMap<(String, EopOptimizer), TrainedAdvisor>>,
+    trained: Mutex<HashMap<(String, EopOptimizer), Arc<ModeAdvisor>>>,
 }
 
 impl AdvisorCache {
@@ -101,20 +76,22 @@ impl AdvisorCache {
     ///
     /// Panics if the cache mutex was poisoned by a panicking trainer.
     #[must_use]
-    pub fn get_or_train(&self, config: &DeploymentConfig) -> TrainedAdvisor {
+    pub fn get_or_train(&self, config: &DeploymentConfig) -> Arc<ModeAdvisor> {
         let key = (config.spec.name.clone(), config.optimizer);
         if let Some(hit) = self.trained.lock().unwrap().get(&key) {
-            return hit.clone();
+            return Arc::clone(hit);
         }
-        let fresh = TrainedAdvisor::train(config);
+        let fresh = Arc::new(train_advisor(config));
         let mut map = self.trained.lock().unwrap();
         map.entry(key).or_insert(fresh).clone()
     }
 }
 
-/// Free-function form of the training step (what [`TrainedAdvisor::train`]
-/// wraps): the part's model fitted on two sibling chips, advising at
-/// the preset's risk tolerance.
+/// The training step [`Ecosystem::deploy`] performs and the cache runs
+/// once per key: the part's model fitted on two sibling chips, advising
+/// at the preset's risk tolerance.
+///
+/// [`Ecosystem::deploy`]: crate::ecosystem::Ecosystem::deploy
 #[must_use]
 pub(crate) fn train_advisor(config: &DeploymentConfig) -> ModeAdvisor {
     let harness = TrainingHarness { spec: config.spec.clone(), ..TrainingHarness::quick() };
@@ -135,9 +112,9 @@ mod tests {
         let i5 = DeploymentConfig { spec: PartSpec::i5_4200u(), ..DeploymentConfig::quick() };
         let a = cache.get_or_train(&arm);
         let b = cache.get_or_train(&arm);
-        assert!(Arc::ptr_eq(&a.advisor, &b.advisor), "second lookup must share the model");
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must share the model");
         let c = cache.get_or_train(&i5);
-        assert!(!Arc::ptr_eq(&a.advisor, &c.advisor), "distinct parts train distinct models");
+        assert!(!Arc::ptr_eq(&a, &c), "distinct parts train distinct models");
         assert_eq!(cache.trained.lock().unwrap().len(), 2);
     }
 
@@ -148,9 +125,9 @@ mod tests {
         let assertive = DeploymentConfig { optimizer: EopOptimizer::Assertive, ..cautious.clone() };
         let c = cache.get_or_train(&cautious);
         let a = cache.get_or_train(&assertive);
-        assert!(!Arc::ptr_eq(&c.advisor, &a.advisor), "the presets must not share an advisor");
-        assert_eq!(c.advisor.risk_tolerance, 0.02);
-        assert_eq!(a.advisor.risk_tolerance, 0.05);
+        assert!(!Arc::ptr_eq(&c, &a), "the presets must not share an advisor");
+        assert_eq!(c.risk_tolerance, 0.02);
+        assert_eq!(a.risk_tolerance, 0.05);
         assert_eq!(cache.trained.lock().unwrap().len(), 2);
     }
 
@@ -159,6 +136,6 @@ mod tests {
         let config = DeploymentConfig::quick();
         let cached = AdvisorCache::new().get_or_train(&config);
         let fresh = train_advisor(&config);
-        assert_eq!(*cached.advisor, fresh, "training must be a pure function of the config");
+        assert_eq!(*cached, fresh, "training must be a pure function of the config");
     }
 }

@@ -74,7 +74,7 @@ fn deploy_one(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize) ->
     let dep = node_deployment(config, node);
     let (server, point) = match config.margins {
         MarginPolicy::Extended => {
-            let advisor = cache.get_or_train(&dep).advisor;
+            let advisor = cache.get_or_train(&dep);
             provision_node(&dep, seed, &advisor)
         }
         MarginPolicy::Nominal => {
@@ -171,7 +171,7 @@ pub(crate) fn rejoin_node(
     let dep = node_deployment(config, node);
     match config.margins {
         MarginPolicy::Extended => {
-            let advisor = cache.get_or_train(&dep).advisor;
+            let advisor = cache.get_or_train(&dep);
             recharacterize_node(&dep, server, &advisor)
         }
         MarginPolicy::Nominal => {

@@ -24,7 +24,9 @@
 //!   wall-clock [`OrchestratorTiming`];
 //! * [`watchdog`] — the gray-failure health watchdog: seeded probes
 //!   with K-of-N hysteresis driving degraded nodes through quarantine
-//!   → budgeted drain → probation → readmit.
+//!   → budgeted drain → probation → readmit. It holds only each node's
+//!   probe history ([`watchdog::ProbeWindow`]); the degraded and
+//!   quarantined flags live on the cluster's nodes.
 //!
 //! # Examples
 //!
@@ -47,12 +49,11 @@ pub mod watchdog;
 pub use config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig};
 pub use deploy::{deploy_cluster, DeployedNode};
 pub use events::Event;
-pub use orchestrator::{compare, run, run_with_telemetry};
+pub use orchestrator::{run, run_with_telemetry};
 pub use summary::{
-    ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
-    PowerOutcome, StageBreakdown, TickMetrics,
+    ChaosOutcome, ClusterSummary, GrayOutcome, OrchestratorTiming, PartUsage, PowerOutcome,
+    StageBreakdown, TickMetrics,
 };
-pub use watchdog::Watchdog;
 pub use uniserver_telemetry::{MetricsRegistry, Telemetry, TraceSink};
 pub use uniserver_cloudmgr::lifecycle::NodePhase;
 pub use uniserver_cloudmgr::policy::PolicyKind;

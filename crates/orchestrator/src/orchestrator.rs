@@ -63,11 +63,11 @@ use crate::deploy::{deploy_cluster, rejoin_node};
 use crate::events::EventQueue;
 use crate::serve::{RetryQueue, ServeCounters, CLASS_NAMES};
 use crate::summary::{
-    ChaosOutcome, ClusterSummary, GrayOutcome, MarginComparison, OrchestratorTiming, PartUsage,
-    PowerOutcome, StageBreakdown, TickMetrics,
+    ChaosOutcome, ClusterSummary, GrayOutcome, OrchestratorTiming, PartUsage, PowerOutcome,
+    StageBreakdown, TickMetrics,
 };
 use crate::watchdog::{
-    probe_fails, Verdict, Watchdog, DRAIN_BUDGET, PROBE_FAIL_DEGRADED, PROBE_FAIL_HEALTHY,
+    probe_fails, ProbeWindow, Verdict, DRAIN_BUDGET, PROBE_FAIL_DEGRADED, PROBE_FAIL_HEALTHY,
 };
 
 /// Runs one orchestrated scenario.
@@ -118,6 +118,9 @@ pub fn run_with_telemetry(
         cluster.enable_metrics();
     }
     tel.begin_run(config.tick.as_secs());
+    // Each node's operating point, for the crash backoff of a run
+    // without a plan. With a plan nothing backs off: rejoin and
+    // readmission re-characterize instead.
     let mut points: Vec<_> = records.iter().map(|r| r.point.clone()).collect();
     // Part-mix index per node, resolved once for crash attribution.
     let node_parts: Vec<Option<usize>> = records
@@ -138,7 +141,8 @@ pub fn run_with_telemetry(
     // every other profile must not even touch those code paths, so
     // their summaries stay byte-identical.
     let gray_active = config.chaos == Some(ChaosPlan::GrayBrownout);
-    let mut watchdog = Watchdog::default();
+    // Each node's watchdog probe history, reset at its gray onset.
+    let mut probes = vec![ProbeWindow::default(); config.cluster.nodes];
 
     for tick in 0..ticks {
         let now = Seconds::new(tick as f64 * dt.as_secs());
@@ -159,9 +163,9 @@ pub fn run_with_telemetry(
             let _span = profiler.scoped(Stage::Rejoin);
             for id in cluster.tick_repairs() {
                 let idx = id.0 as usize;
-                points[idx] = rejoin_node(config, &cache, idx, cluster.server_mut(id));
+                let _ = rejoin_node(config, &cache, idx, cluster.server_mut(id));
                 cluster.complete_rejoin(id);
-                c.rejoins += 1;
+                c.chaos.rejoins += 1;
                 tel.inc("rejoins");
                 tel.emit(&TraceEvent::Rejoin { node: u64::from(id.0) });
             }
@@ -170,8 +174,8 @@ pub fn run_with_telemetry(
         // --- 0b. Gray failures: expired faults clear, new onsets land,
         // and the watchdog probes every degraded node — quarantining,
         // draining and readmitting on its K-of-N hysteresis. Sequential
-        // in node-index order (the watch map iterates ascending), so
-        // worker count can never reorder a probe draw.
+        // in node-index order, so worker count can never reorder a
+        // probe draw.
         if gray_active {
             let _span = profiler.scoped(Stage::Recovery);
             // (i) Faults expire on their own clock — but only while the
@@ -182,7 +186,6 @@ pub fn run_with_telemetry(
                 let Some(gray) = cluster.nodes()[idx].gray() else { continue };
                 if !gray.quarantined && tick >= gray.clears_at_tick {
                     cluster.clear_degraded(NodeId(idx as u32));
-                    watchdog.forget(idx as u32);
                 }
             }
             // (ii) New onsets from the seeded campaign. Only healthy
@@ -210,25 +213,20 @@ pub fn run_with_telemetry(
                         quarantined: false,
                     },
                 );
-                watchdog.begin_watch(onset.node);
-                c.gray_onsets += 1;
+                probes[idx] = ProbeWindow::default();
+                c.gray.gray_onsets += 1;
                 tel.inc("gray_onsets");
                 tel.emit(&TraceEvent::GrayOnset {
                     node: u64::from(onset.node),
                     duration_ticks: onset.duration_ticks,
                 });
             }
-            // (iii) The watchdog's probe round over everything under
-            // watch. A watch whose node left the degraded phase by
-            // another path (it crashed outright) is dropped — the
-            // failure lifecycle owns it now.
-            for node in watchdog.watched() {
-                let idx = node as usize;
-                if !cluster.nodes()[idx].is_degraded() {
-                    watchdog.forget(node);
-                    continue;
-                }
-                let gray = cluster.nodes()[idx].gray().expect("degraded nodes carry gray state");
+            // (iii) The watchdog's probe round over every degraded node.
+            // A node that crashed outright left the degraded phase, so
+            // the failure lifecycle owns it and it is not probed.
+            for (idx, window) in probes.iter_mut().enumerate() {
+                let Some(gray) = cluster.nodes()[idx].gray() else { continue };
+                let node = idx as u32;
                 let p = if tick < gray.clears_at_tick {
                     PROBE_FAIL_DEGRADED
                 } else {
@@ -236,10 +234,10 @@ pub fn run_with_telemetry(
                 };
                 let failed = probe_fails(config.seed, node, tick, p);
                 if failed {
-                    c.probe_failures += 1;
+                    c.gray.probe_failures += 1;
                     tel.inc("probe_failures");
                 }
-                match watchdog.observe(node, failed) {
+                match window.observe(gray.quarantined, failed) {
                     Verdict::Quarantine => {
                         cluster.set_quarantined(NodeId(node), true);
                         // A quarantined extended-margin node backs its
@@ -247,24 +245,20 @@ pub fn run_with_telemetry(
                         // stops trading crash margin for energy.
                         if config.margins == MarginPolicy::Extended {
                             let server = cluster.server_mut(NodeId(node));
-                            let nominal = OperatingPoint::nominal(server.part().cores);
-                            nominal.apply_to(server);
-                            points[idx] = nominal;
+                            OperatingPoint::nominal(server.part().cores).apply_to(server);
                         }
-                        c.quarantines += 1;
+                        c.gray.quarantines += 1;
                         tel.inc("quarantines");
                         tel.emit(&TraceEvent::Quarantine { node: u64::from(node) });
                     }
                     Verdict::Readmit => {
                         cluster.set_quarantined(NodeId(node), false);
                         cluster.clear_degraded(NodeId(node));
-                        watchdog.forget(node);
                         // Readmission re-characterizes like a repair
                         // rejoin: the silicon is re-shmooed as it is
                         // now, not restored from a stale point.
-                        points[idx] =
-                            rejoin_node(config, &cache, idx, cluster.server_mut(NodeId(node)));
-                        c.readmissions += 1;
+                        let _ = rejoin_node(config, &cache, idx, cluster.server_mut(NodeId(node)));
+                        c.gray.readmissions += 1;
                         tel.inc("readmissions");
                         tel.emit(&TraceEvent::Readmit { node: u64::from(node) });
                     }
@@ -273,7 +267,7 @@ pub fn run_with_telemetry(
                 // Quarantined nodes drain on the per-tick budget: gold
                 // first, pre-copy, never evicting — a bite per tick
                 // until the node is empty.
-                if watchdog.in_quarantine(node) {
+                if cluster.nodes()[idx].is_quarantined() {
                     t_migrations += cluster.drain_degraded(NodeId(node), DRAIN_BUDGET);
                 }
             }
@@ -363,7 +357,7 @@ pub fn run_with_telemetry(
                 let draw_watts = report.energy.as_joules() / step.as_secs();
                 if draw_watts > cap_watts {
                     let deficit = draw_watts - cap_watts;
-                    c.powercap_deficit_watt_secs += deficit * step.as_secs();
+                    c.gray.powercap_deficit_watt_secs += deficit * step.as_secs();
                     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     tel.record("powercap_deficit_watts", deficit.max(0.0).round() as u64);
                     if cluster.policy().manages() {
@@ -414,7 +408,7 @@ pub fn run_with_telemetry(
                         workload: Arc::from("chaos"),
                     },
                 ));
-                c.injected_crashes += 1;
+                c.chaos.injected_crashes += 1;
                 tel.inc("injected_crashes");
             }
         }
@@ -441,18 +435,18 @@ pub fn run_with_telemetry(
         // real lost capacity (a freshly-crashed node's window starts
         // this tick; a rejoining node stopped counting at tick start).
         let offline = cluster.offline_count();
-        c.downtime_secs += step.as_secs() * offline as f64;
-        c.peak_offline = c.peak_offline.max(offline as u64);
+        c.chaos.downtime_secs += step.as_secs() * offline as f64;
+        c.chaos.peak_offline = c.chaos.peak_offline.max(offline as u64);
         if cluster.policy().manages() {
             let asleep = cluster.asleep_count();
-            c.asleep_node_secs += step.as_secs() * asleep as f64;
-            c.peak_asleep = c.peak_asleep.max(asleep as u64);
+            c.power.asleep_node_secs += step.as_secs() * asleep as f64;
+            c.power.peak_asleep = c.power.peak_asleep.max(asleep as u64);
             tel.observe("nodes_asleep", asleep as u64);
         }
         if gray_active {
             let degraded = cluster.degraded_count();
-            c.degraded_node_secs += step.as_secs() * degraded as f64;
-            c.peak_degraded = c.peak_degraded.max(degraded as u64);
+            c.gray.degraded_node_secs += step.as_secs() * degraded as f64;
+            c.gray.peak_degraded = c.gray.peak_degraded.max(degraded as u64);
             tel.observe("degraded_nodes", degraded as u64);
         }
         tel.observe("live_placements", cluster.placements().len() as u64);
@@ -578,14 +572,10 @@ pub fn run_with_telemetry(
         chaos: config.chaos.is_some().then(|| {
             let node_secs = config.cluster.nodes as f64 * config.horizon.as_secs();
             ChaosOutcome {
-                injected_crashes: c.injected_crashes,
-                nodes_offlined: c.nodes_offlined,
-                rejoins: c.rejoins,
-                peak_offline: c.peak_offline,
-                downtime_secs: c.downtime_secs,
-                lost_capacity_node_hours: c.downtime_secs / 3600.0,
-                availability: 1.0 - c.downtime_secs / node_secs,
+                lost_capacity_node_hours: c.chaos.downtime_secs / 3600.0,
+                availability: 1.0 - c.chaos.downtime_secs / node_secs,
                 shed: c.total(|s| s.shed),
+                ..c.chaos
             }
         }),
         policy: (config.policy != PolicyKind::EnergySla)
@@ -596,20 +586,12 @@ pub fn run_with_telemetry(
                 parks: stats.parks,
                 wakes: stats.wakes,
                 consolidation_migrations: stats.consolidation_migrations,
-                asleep_node_secs: c.asleep_node_secs,
-                peak_asleep: c.peak_asleep,
+                ..c.power
             }
         }),
         gray: gray_active.then(|| GrayOutcome {
-            gray_onsets: c.gray_onsets,
-            probe_failures: c.probe_failures,
-            quarantines: c.quarantines,
-            readmissions: c.readmissions,
-            degraded_node_secs: c.degraded_node_secs,
-            degraded_node_hours: c.degraded_node_secs / 3600.0,
-            peak_degraded: c.peak_degraded,
-            powercap_deficit_watt_secs: c.powercap_deficit_watt_secs,
-            powercap_sheds: c.powercap_sheds,
+            degraded_node_hours: c.gray.degraded_node_secs / 3600.0,
+            ..c.gray
         }),
     };
     let timing = OrchestratorTiming {
@@ -635,20 +617,6 @@ pub fn run_with_telemetry(
         },
     };
     (summary, timing)
-}
-
-/// Runs the same scenario at extended and nominal margins off one seed —
-/// the paper's savings story at cluster level.
-///
-/// # Panics
-///
-/// Panics if the configuration is degenerate.
-#[must_use]
-pub fn compare(config: &OrchestratorConfig) -> MarginComparison {
-    let extended =
-        run(&OrchestratorConfig { margins: MarginPolicy::Extended, ..config.clone() });
-    let nominal = run(&OrchestratorConfig { margins: MarginPolicy::Nominal, ..config.clone() });
-    MarginComparison { extended, nominal }
 }
 
 #[cfg(test)]
@@ -884,13 +852,15 @@ mod tests {
 
     #[test]
     fn extended_fleet_saves_energy_over_nominal() {
-        let comparison = compare(&OrchestratorConfig::smoke(6, 2018));
-        let saving = 1.0 - comparison.extended.energy_j / comparison.nominal.energy_j;
+        let base = OrchestratorConfig::smoke(6, 2018);
+        let extended = run(&OrchestratorConfig { margins: MarginPolicy::Extended, ..base.clone() });
+        let nominal = run(&OrchestratorConfig { margins: MarginPolicy::Nominal, ..base });
+        let saving = 1.0 - extended.energy_j / nominal.energy_j;
         assert!(saving > 0.03, "extended margins must save fleet energy, got {saving:.4}");
-        assert_eq!(comparison.extended.margins, "extended");
-        assert_eq!(comparison.nominal.margins, "nominal");
-        assert_eq!(comparison.nominal.crashes, 0, "nominal guard-bands must not crash");
-        assert_eq!(comparison.nominal.min_offset_mv_mean, 0.0);
-        assert!(comparison.extended.min_offset_mv_mean > 20.0);
+        assert_eq!(extended.margins, "extended");
+        assert_eq!(nominal.margins, "nominal");
+        assert_eq!(nominal.crashes, 0, "nominal guard-bands must not crash");
+        assert_eq!(nominal.min_offset_mv_mean, 0.0);
+        assert!(extended.min_offset_mv_mean > 20.0);
     }
 }

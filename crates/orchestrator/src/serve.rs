@@ -15,7 +15,9 @@
 //! * **count once** — admission and SLA outcomes are counted per class
 //!   only ([`crate::summary::ClassStats`]); the summary's totals are
 //!   their sums, and the run checks `offered = placed + abandoned` per
-//!   class and in total;
+//!   class and in total. The chaos, power and gray counts are kept in
+//!   the summary's own outcome structs, which the summary copies and
+//!   completes with the fields it derives;
 //! * **crash events vs. crashed nodes** — `crashes` / `part_crashes`
 //!   count *events* (one per platform-surfaced [`CrashEvent`]), but a
 //!   node surfacing several events in one tick recovers — and backs off
@@ -42,7 +44,7 @@ use uniserver_units::Seconds;
 
 use crate::config::{AdmissionPolicy, MarginPolicy, OrchestratorConfig, RETRY_QUEUE_DEPTH};
 use crate::events::{Event, EventQueue};
-use crate::summary::ClassStats;
+use crate::summary::{ChaosOutcome, ClassStats, GrayOutcome, PowerOutcome};
 
 /// Index of a class in the gold/silver/bronze accounting arrays.
 pub(crate) fn class_idx(class: SlaClass) -> usize {
@@ -101,7 +103,9 @@ impl RetryQueue {
 
 /// The serving loop's running totals — everything the summary reports
 /// that is not an end-of-run fleet metric. Admission and SLA counts are
-/// kept per class only; [`ServeCounters::total`] sums them.
+/// kept per class only; [`ServeCounters::total`] sums them. The chaos,
+/// power and gray outcomes are counted in place; the summary fills in
+/// only their derived fields.
 #[derive(Debug, Default)]
 pub(crate) struct ServeCounters {
     pub completed: u64,
@@ -114,36 +118,9 @@ pub(crate) struct ServeCounters {
     /// Crash events attributed per part-mix entry.
     pub part_crashes: Vec<u64>,
     pub energy_j: f64,
-    /// Synthetic crash events injected by the chaos plan.
-    pub injected_crashes: u64,
-    /// Times a crashed node was taken offline for repair (lifecycle).
-    pub nodes_offlined: u64,
-    /// Repairs that finished and rejoined within the horizon.
-    pub rejoins: u64,
-    /// Summed offline node-seconds.
-    pub downtime_secs: f64,
-    /// Peak simultaneously-offline node count.
-    pub peak_offline: u64,
-    /// Summed asleep node-seconds (power-managing policies only).
-    pub asleep_node_secs: f64,
-    /// Peak simultaneously-asleep node count.
-    pub peak_asleep: u64,
-    /// Gray-failure onsets injected by the chaos plan.
-    pub gray_onsets: u64,
-    /// Watchdog probes that failed.
-    pub probe_failures: u64,
-    /// Nodes the watchdog quarantined (K-of-N trip).
-    pub quarantines: u64,
-    /// Quarantined nodes that survived probation and rejoined.
-    pub readmissions: u64,
-    /// Summed degraded node-seconds (gray onset until clear/readmit).
-    pub degraded_node_secs: f64,
-    /// Peak simultaneously-degraded node count.
-    pub peak_degraded: u64,
-    /// Accumulated fleet-draw excess over the brownout cap, in W·s.
-    pub powercap_deficit_watt_secs: f64,
-    /// Placements shed (bronze first) to get back under a power cap.
-    pub powercap_sheds: u64,
+    pub chaos: ChaosOutcome,
+    pub power: PowerOutcome,
+    pub gray: GrayOutcome,
 }
 
 /// What one offer to the scheduler came to.
@@ -386,7 +363,7 @@ impl ServeCounters {
             if !self.shed_lowest(cluster, 0, tel) {
                 break;
             }
-            self.powercap_sheds += 1;
+            self.gray.powercap_sheds += 1;
             done += 1;
         }
         done
@@ -501,7 +478,7 @@ impl ServeCounters {
                 // re-shmoo re-derives its operating point honestly.
                 let mttr = draw_mttr(config.seed, node_id, tick);
                 cluster.begin_repair(node_id, mttr);
-                self.nodes_offlined += 1;
+                self.chaos.nodes_offlined += 1;
                 tel.inc("nodes_offlined");
                 tel.record("mttr_ticks", u64::from(mttr));
                 tel.emit(&TraceEvent::Offline {
@@ -810,7 +787,7 @@ mod tests {
 
         assert!(!cluster.nodes()[victim.0 as usize].is_online(), "the crashed node must be offline");
         assert!(cluster.placements_on(victim).is_empty(), "the offline node must be evacuated");
-        assert_eq!(counters.nodes_offlined, 1);
+        assert_eq!(counters.chaos.nodes_offlined, 1);
         assert_eq!(
             points[victim.0 as usize].min_offset_mv(),
             before.min_offset_mv(),

@@ -54,7 +54,7 @@ pub struct TickMetrics {
 /// What the failure lifecycle and the chaos engine did to one run —
 /// present only when either is active, so legacy summaries stay
 /// byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ChaosOutcome {
     /// Synthetic crash events injected by the chaos plan (natural
     /// crashes are counted in the summary's `crashes` alongside them).
@@ -81,7 +81,7 @@ pub struct ChaosOutcome {
 /// What a power-managing placement policy did to one run — `Some` only
 /// when the active policy manages node power (consolidation), so
 /// reference summaries stay byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerOutcome {
     /// Times a drained node was parked into the sleep state.
     pub parks: u64,
@@ -99,7 +99,7 @@ pub struct PowerOutcome {
 /// What the gray-failure campaign and the health watchdog did to one
 /// run — `Some` only when the chaos plan carries a gray or power-cap
 /// campaign, so every other summary stays byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GrayOutcome {
     /// Gray-failure onsets injected (nodes that silently degraded).
     pub gray_onsets: u64,
@@ -280,14 +280,4 @@ pub struct OrchestratorTiming {
     pub cores: usize,
     /// Per-phase attribution of the serving loop.
     pub stages: StageBreakdown,
-}
-
-/// Nominal-vs-extended comparison off one seed: the first end-to-end
-/// number where per-node savings meet cluster-level placement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MarginComparison {
-    /// The extended-margin run.
-    pub extended: ClusterSummary,
-    /// The conservative twin run.
-    pub nominal: ClusterSummary,
 }

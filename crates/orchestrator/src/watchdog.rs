@@ -6,20 +6,25 @@
 //! throttling) do not crash a node, so the failure lifecycle never
 //! sees them and the failure predictor — which scores the node's *log
 //! pattern*, not its served throughput — keeps trusting it. The
-//! watchdog is the layer that catches them: every tick it probes each
-//! watched node with a seeded health check, and a node that fails K of
-//! the last N probes is quarantined. Quarantine is sticky: the node is
-//! drained on a migration budget and only readmitted after a full run
-//! of consecutive probe passes (probation), so a flapping node —
-//! passing just often enough to look healthy — can never oscillate
-//! back into the serving pool.
+//! watchdog is the layer that catches them: every tick the serve loop
+//! probes each degraded node with a seeded health check, and a node
+//! that fails K of the last N probes is quarantined. Quarantine is
+//! sticky: the node is drained on a migration budget and only
+//! readmitted after a full run of consecutive probe passes
+//! (probation), so a flapping node — passing just often enough to look
+//! healthy — can never oscillate back into the serving pool.
 //!
-//! The probe outcome is injected into [`Watchdog::observe`] rather
-//! than drawn inside it, which keeps the hysteresis a pure state
-//! machine: property tests can drive it with arbitrary pass/fail
-//! sequences, and the orchestrator supplies the seeded draw from
-//! `probe_fails` — pure in `(seed, node, tick)`, so runs are
-//! byte-identical across worker counts.
+//! The watchdog keeps no node state of its own. Whether a node is
+//! degraded, and whether it is quarantined, lives on the node
+//! (`NodePhase::Degraded` and `GrayState::quarantined` in
+//! `uniserver_cloudmgr`); a [`ProbeWindow`] holds only the probe
+//! history, one per node, reset at each gray onset. Both the quarantine
+//! flag and the probe outcome are passed into [`ProbeWindow::observe`],
+//! which keeps the hysteresis a pure state machine: property tests can
+//! drive it with arbitrary pass/fail sequences, and the orchestrator
+//! supplies the seeded draw from `probe_fails` — pure in
+//! `(seed, node, tick)`, so runs are byte-identical across worker
+//! counts.
 //!
 //! The policy has no settings. Its numbers are the constants at the top
 //! of this module: the K-of-N gate (`QUARANTINE_FAILS` of
@@ -28,8 +33,6 @@
 //! `PROBE_FAIL_DEGRADED` / `PROBE_FAIL_HEALTHY`. The watchdog runs
 //! whenever the run's chaos plan is `GrayBrownout`, the only source of
 //! degraded nodes.
-
-use std::collections::BTreeMap;
 
 use uniserver_silicon::rng::{salt, splitmix64, unit_fraction};
 
@@ -57,7 +60,7 @@ const _: () = assert!(
 /// The probe-history bits inside the window.
 const WINDOW_MASK: u64 = (1 << WINDOW) - 1;
 
-/// What [`Watchdog::observe`] decided about one probe outcome.
+/// What [`ProbeWindow::observe`] decided about one probe outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Keep watching; no state change.
@@ -68,57 +71,23 @@ pub enum Verdict {
     Readmit,
 }
 
-/// Per-node probe history: a bit-ring of the last [`WINDOW`] outcomes
-/// plus the probation pass streak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NodeWatch {
+/// One node's probe history: a bit-ring of the last `WINDOW`
+/// outcomes plus the probation pass streak. The default is the clean
+/// window a node starts each gray episode with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProbeWindow {
     /// Most recent probe outcomes, LSB = newest; 1 = failed.
     history: u64,
     /// Probes recorded so far, saturating at the window size.
     len: u32,
     /// Consecutive passes while quarantined (probation progress).
     streak: u32,
-    /// Whether the node is currently quarantined.
-    quarantined: bool,
 }
 
-/// The watchdog: one `NodeWatch` per node currently under watch.
-/// Iteration order is node-id order (`BTreeMap`), so probe sequencing
-/// is deterministic whatever order nodes went gray in.
-#[derive(Debug, Clone, Default)]
-pub struct Watchdog {
-    watches: BTreeMap<u32, NodeWatch>,
-}
-
-impl Watchdog {
-    /// Starts watching `node` (idempotent — an existing watch, and its
-    /// accumulated history, is kept).
-    pub fn begin_watch(&mut self, node: u32) {
-        self.watches
-            .entry(node)
-            .or_insert(NodeWatch { history: 0, len: 0, streak: 0, quarantined: false });
-    }
-
-    /// Stops watching `node` (e.g. it crashed outright and the failure
-    /// lifecycle took over).
-    pub(crate) fn forget(&mut self, node: u32) {
-        self.watches.remove(&node);
-    }
-
-    /// The nodes currently under watch, in ascending id order.
-    #[must_use]
-    pub(crate) fn watched(&self) -> Vec<u32> {
-        self.watches.keys().copied().collect()
-    }
-
-    /// Whether this watchdog currently holds `node` in quarantine.
-    #[must_use]
-    pub fn in_quarantine(&self, node: u32) -> bool {
-        self.watches.get(&node).is_some_and(|w| w.quarantined)
-    }
-
-    /// Records one probe outcome for a watched node and returns the
-    /// transition it caused, if any.
+impl ProbeWindow {
+    /// Records one probe outcome for a node whose quarantine flag is
+    /// `quarantined` and returns the transition it calls for, if any.
+    /// The caller applies the verdict to the node's flag.
     ///
     /// Entry: a node with ≥ `QUARANTINE_FAILS` failures among its last
     /// `WINDOW` probes is quarantined (K-of-N; a single flaky probe
@@ -127,33 +96,26 @@ impl Watchdog {
     /// streak, so the verdicts can never alternate
     /// Quarantine/Readmit/Quarantine on a flapping node faster than a
     /// full probation run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not under watch — callers own the watch
-    /// lifecycle explicitly.
-    pub fn observe(&mut self, node: u32, failed: bool) -> Verdict {
-        let w = self.watches.get_mut(&node).expect("observe() requires an active watch");
-        w.history = (w.history << 1) | u64::from(failed);
-        w.len = (w.len + 1).min(WINDOW);
-        if w.quarantined {
+    pub fn observe(&mut self, quarantined: bool, failed: bool) -> Verdict {
+        self.history = (self.history << 1) | u64::from(failed);
+        self.len = (self.len + 1).min(WINDOW);
+        if quarantined {
             if failed {
-                w.streak = 0;
+                self.streak = 0;
             } else {
-                w.streak += 1;
-                if w.streak >= PROBATION_PASSES {
+                self.streak += 1;
+                if self.streak >= PROBATION_PASSES {
                     // Readmission resets the history: the node starts
-                    // its next watch (if any) with a clean record.
-                    *w = NodeWatch { history: 0, len: 0, streak: 0, quarantined: false };
+                    // its next episode (if any) with a clean record.
+                    *self = ProbeWindow::default();
                     return Verdict::Readmit;
                 }
             }
             return Verdict::None;
         }
-        let fails = (w.history & WINDOW_MASK).count_ones();
-        if w.len >= QUARANTINE_FAILS && fails >= QUARANTINE_FAILS {
-            w.quarantined = true;
-            w.streak = 0;
+        let fails = (self.history & WINDOW_MASK).count_ones();
+        if self.len >= QUARANTINE_FAILS && fails >= QUARANTINE_FAILS {
+            self.streak = 0;
             return Verdict::Quarantine;
         }
         Verdict::None
@@ -179,51 +141,68 @@ pub(crate) fn probe_fails(seed: u64, node: u32, tick: u64, p: f64) -> bool {
 mod tests {
     use super::*;
 
+    /// A node as the serve loop sees it: its probe window plus the
+    /// quarantine flag, flipped on each verdict.
+    #[derive(Default)]
+    struct Node {
+        window: ProbeWindow,
+        quarantined: bool,
+    }
+
+    impl Node {
+        fn probe(&mut self, failed: bool) -> Verdict {
+            let verdict = self.window.observe(self.quarantined, failed);
+            match verdict {
+                Verdict::Quarantine => self.quarantined = true,
+                Verdict::Readmit => self.quarantined = false,
+                Verdict::None => {}
+            }
+            verdict
+        }
+    }
+
     #[test]
     fn k_of_n_tolerates_sparse_failures() {
-        let mut wd = Watchdog::default();
-        wd.begin_watch(7);
+        let mut node = Node::default();
         // Fail every 4th probe: never 3 fails inside any 8-window.
         for i in 0..64 {
-            let v = wd.observe(7, i % 4 == 0);
+            let v = node.probe(i % 4 == 0);
             assert_eq!(v, Verdict::None, "sparse failures must not quarantine (probe {i})");
         }
-        assert!(!wd.in_quarantine(7));
+        assert!(!node.quarantined);
     }
 
     #[test]
     fn dense_failures_quarantine_exactly_once() {
-        let mut wd = Watchdog::default();
-        wd.begin_watch(3);
-        assert_eq!(wd.observe(3, true), Verdict::None);
-        assert_eq!(wd.observe(3, true), Verdict::None);
+        let mut node = Node::default();
+        assert_eq!(node.probe(true), Verdict::None);
+        assert_eq!(node.probe(true), Verdict::None);
         // Third failure inside the window trips 3-of-8.
-        assert_eq!(wd.observe(3, true), Verdict::Quarantine);
-        assert!(wd.in_quarantine(3));
+        assert_eq!(node.probe(true), Verdict::Quarantine);
+        assert!(node.quarantined);
         // Further failures while quarantined change nothing.
-        assert_eq!(wd.observe(3, true), Verdict::None);
+        assert_eq!(node.probe(true), Verdict::None);
     }
 
     #[test]
     fn probation_requires_consecutive_passes() {
-        let mut wd = Watchdog::default();
-        wd.begin_watch(0);
+        let mut node = Node::default();
         for _ in 0..3 {
-            wd.observe(0, true);
+            node.probe(true);
         }
-        assert!(wd.in_quarantine(0));
+        assert!(node.quarantined);
         // Four passes, then a fail: streak resets, still quarantined.
         for _ in 0..4 {
-            assert_eq!(wd.observe(0, false), Verdict::None);
+            assert_eq!(node.probe(false), Verdict::None);
         }
-        assert_eq!(wd.observe(0, true), Verdict::None);
-        assert!(wd.in_quarantine(0), "one probation failure must reset the streak");
+        assert_eq!(node.probe(true), Verdict::None);
+        assert!(node.quarantined, "one probation failure must reset the streak");
         // Now five clean passes readmit.
         for i in 0..4 {
-            assert_eq!(wd.observe(0, false), Verdict::None, "pass {i}");
+            assert_eq!(node.probe(false), Verdict::None, "pass {i}");
         }
-        assert_eq!(wd.observe(0, false), Verdict::Readmit);
-        assert!(!wd.in_quarantine(0));
+        assert_eq!(node.probe(false), Verdict::Readmit);
+        assert!(!node.quarantined);
     }
 
     #[test]
@@ -231,12 +210,11 @@ mod tests {
         // Pinned regression: a node alternating pass/fail looks 50 %
         // healthy, but must neither dodge quarantine forever nor ever
         // earn readmission (streak never reaches 5).
-        let mut wd = Watchdog::default();
-        wd.begin_watch(11);
+        let mut node = Node::default();
         let mut quarantined_at = None;
         for i in 0u32..200 {
             let failed = i % 2 == 0;
-            match wd.observe(11, failed) {
+            match node.probe(failed) {
                 Verdict::Quarantine => {
                     assert!(quarantined_at.is_none(), "must quarantine exactly once");
                     quarantined_at = Some(i);
@@ -248,34 +226,24 @@ mod tests {
         // Alternating fails accumulate 4 fails per 8-window ≥ 3: the
         // K-of-N gate trips as soon as the third failure lands.
         assert_eq!(quarantined_at, Some(4));
-        assert!(wd.in_quarantine(11));
+        assert!(node.quarantined);
     }
 
     #[test]
     fn readmitted_node_restarts_with_clean_history() {
-        let mut wd = Watchdog::default();
-        wd.begin_watch(5);
+        let mut node = Node::default();
         for _ in 0..3 {
-            wd.observe(5, true);
+            node.probe(true);
         }
         for _ in 0..4 {
-            wd.observe(5, false);
+            node.probe(false);
         }
-        assert_eq!(wd.observe(5, false), Verdict::Readmit);
+        assert_eq!(node.probe(false), Verdict::Readmit);
+        assert_eq!(node.window, ProbeWindow::default(), "readmission clears the window");
         // Two fresh failures must not re-quarantine off stale history.
-        assert_eq!(wd.observe(5, true), Verdict::None);
-        assert_eq!(wd.observe(5, true), Verdict::None);
-        assert_eq!(wd.observe(5, true), Verdict::Quarantine);
-    }
-
-    #[test]
-    fn forget_drops_the_watch() {
-        let mut wd = Watchdog::default();
-        wd.begin_watch(1);
-        wd.begin_watch(9);
-        assert_eq!(wd.watched(), vec![1, 9]);
-        wd.forget(1);
-        assert_eq!(wd.watched(), vec![9]);
+        assert_eq!(node.probe(true), Verdict::None);
+        assert_eq!(node.probe(true), Verdict::None);
+        assert_eq!(node.probe(true), Verdict::Quarantine);
     }
 
     #[test]
@@ -291,12 +259,5 @@ mod tests {
             (0..1000u64).filter(|&t| probe_fails(7, 0, t, 0.02)).count();
         assert!(fails_degraded > 800, "degraded: {fails_degraded}/1000");
         assert!(fails_healthy < 80, "healthy: {fails_healthy}/1000");
-    }
-
-    #[test]
-    #[should_panic(expected = "active watch")]
-    fn observing_an_unwatched_node_panics() {
-        let mut wd = Watchdog::default();
-        let _ = wd.observe(0, false);
     }
 }

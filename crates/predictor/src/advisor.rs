@@ -20,9 +20,6 @@ pub enum OperatingMode {
     Balanced,
     /// Deep undervolt within the predicted-safe envelope.
     LowPower,
-    /// Nominal voltage *kept* for stability but margins exploited for
-    /// DRAM refresh only.
-    HighPerformance,
 }
 
 /// Advice returned to the hypervisor.

@@ -95,7 +95,7 @@ fn mode_advisor_tolerance_orders_advice() {
     let rank = |m: OperatingMode| match m {
         OperatingMode::Safe => 0,
         OperatingMode::Balanced => 1,
-        OperatingMode::LowPower | OperatingMode::HighPerformance => 2,
+        OperatingMode::LowPower => 2,
     };
     assert!(rank(a.mode) <= rank(b.mode), "{:?} must not exceed {:?}", a.mode, b.mode);
 }
