@@ -46,7 +46,8 @@
 //!   runs.
 //! * `--bench PATH` appends one JSON timing line (label, nodes, threads,
 //!   wall/deploy/serve ms, deploy + serve ms per node, the arrival
-//!   count, margins, fleet energy and crash count) to PATH, e.g.
+//!   count, margins, fleet energy, crash count and, where
+//!   `/proc/self/status` exists, the process's peak RSS) to PATH, e.g.
 //!   `BENCH_cluster.json`. Timings are machine-local wall-clock and
 //!   deliberately *not* part of the summary on stdout.
 //! * `--metrics-out PATH` writes the deterministic tick-domain metrics

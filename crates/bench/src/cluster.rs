@@ -212,6 +212,16 @@ pub(crate) fn host_cores() -> usize {
         .unwrap_or_else(uniserver_cloudmgr::cores)
 }
 
+/// This process's peak resident set in kB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that file is absent (non-Linux
+/// hosts). Unlike a parent's `wait4` figure, it holds nothing the
+/// parent touched before the exec.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 /// The full `BENCH_cluster.json` record: the run's headline outcome
 /// (margins, fleet energy, crash count, admission accounting — total
 /// and per class, so a flash-crowd row shows who got retried and who
@@ -219,7 +229,8 @@ pub(crate) fn host_cores() -> usize {
 /// `threads` is the worker count used for deploy *and* the sharded
 /// serving loop, `cores` the machine's available parallelism (so a
 /// single-core container's wall-clocks read as what they are), and
-/// `serve_ms_per_node` the serve wall-clock amortized over the rack. An
+/// `serve_ms_per_node` the serve wall-clock amortized over the rack, and
+/// `peak_rss_kb` the process's own peak RSS where the host reports it. An
 /// extended-vs-nominal pair of records carries the savings story
 /// without re-parsing the stdout summary.
 #[must_use]
@@ -275,6 +286,9 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
     w.field_f64("serve_ms", t.serve_ms);
     w.field_f64("deploy_ms_per_node", t.deploy_ms / t.nodes.max(1) as f64);
     w.field_f64("serve_ms_per_node", t.serve_ms / t.nodes.max(1) as f64);
+    if let Some(kb) = peak_rss_kb() {
+        w.field_u64("peak_rss_kb", kb);
+    }
     w.finish()
 }
 
@@ -328,6 +342,11 @@ mod tests {
             "\"serve_ms_per_node\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
+        }
+        if std::path::Path::new("/proc/self/status").exists() {
+            let kb = json.split("\"peak_rss_kb\":").nth(1).unwrap_or_else(|| panic!("missing peak_rss_kb in {json}"));
+            let kb: u64 = kb.trim_end_matches('}').parse().expect("peak_rss_kb is the record's last field");
+            assert!(kb > 0, "a running process has a resident set");
         }
         assert!(!json.contains("\"chaos\":"), "legacy rows must not grow a chaos object");
         assert!(!json.contains("\"policy\":"), "the reference policy rides unlabeled");

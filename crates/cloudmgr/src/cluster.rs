@@ -13,7 +13,15 @@
 //! chunks that hold equal shares of the *awake* nodes, run on scoped
 //! threads that borrow the chunk and its result slots, the caller's
 //! thread taking the first chunk. A cap of 1 is a plain call, with no
-//! awake-node count and no timing.
+//! awake-node count.
+//!
+//! Each chunk runs in two passes: every awake node's hypervisor tick,
+//! then every ticked node's score update. A node's update reads only
+//! its own health log, so the split gives the bytes of one pass per
+//! node. The chunk reads the clock three times, around the passes, and
+//! never per node: the two pass walls are the chunk's
+//! [`Stage::NodeTick`] and [`Stage::Predictor`] time, and their sum is
+//! the chunk cost the fan-out measures.
 //!
 //! The tick then **reduces sequentially in node order** over the result
 //! slots: energy is summed index-by-index (bit-identical floats for any
@@ -46,7 +54,7 @@
 //! mutation, check the store entries it touched.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use uniserver_telemetry::{MetricsRegistry, Stage, StageProfiler};
 use uniserver_units::{Joules, Seconds};
@@ -224,66 +232,66 @@ struct NodeAdvance {
     failing: bool,
 }
 
-/// Wall-clock nanos one shard's advance spent on its thread, for the
-/// stage profiler (commutative, flushed to atomics per chunk).
+/// Wall-clock nanos one chunk's two passes took on its thread: the
+/// hypervisor ticks, then the predictor updates. The stage profiler
+/// takes them as [`Stage::NodeTick`] / [`Stage::Predictor`], and the
+/// fan-out takes their sum as the chunk's cost.
 #[derive(Debug, Default)]
 struct ShardStats {
     tick_ns: u64,
     predictor_ns: u64,
 }
 
-/// The per-node phase of one contiguous chunk of a tick: each awake,
-/// online node's hypervisor tick plus the update of its own rolling
-/// failure score, written into the node's slot of `slots` (the same
-/// chunk of the cluster's advance buffer). It touches only the chunk's
-/// nodes and slots, so shards never race, and it is the same
-/// computation for any chunking, so every width stays bit-identical.
-/// `profile` adds per-node span timing.
-fn advance_slice(
-    nodes: &mut [ManagedNode],
-    slots: &mut [Option<NodeAdvance>],
-    duration: Seconds,
-    profile: bool,
-) -> ShardStats {
-    let mut stats = ShardStats::default();
-    nodes
-        .iter_mut()
-        .map(|node| {
-            // Offline nodes are skipped, and asleep nodes are frozen: no
-            // hypervisor tick, no crash draws, no predictor update.
-            // Sleep-state energy is charged by the sequential reduce.
-            if !node.is_online() || node.is_asleep() {
-                return None;
-            }
-            let t0 = profile.then(Instant::now);
+impl ShardStats {
+    /// The chunk's whole wall.
+    fn wall(&self) -> Duration {
+        Duration::from_nanos(self.tick_ns + self.predictor_ns)
+    }
+}
+
+/// Nanos between two clock reads, saturating at `u64::MAX`.
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    u64::try_from((to - from).as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The per-node phase of one contiguous chunk of a tick, written into
+/// each node's slot of `slots` (the same chunk of the cluster's advance
+/// buffer). Two passes: every awake, online node's hypervisor tick,
+/// then every ticked node's update of its own rolling failure score.
+/// A node's update reads only its own log, so the split order gives
+/// the bytes of one pass per node. The chunk touches only its nodes
+/// and slots, so shards never race, and it is the same computation for
+/// any chunking, so every width stays bit-identical. The clock is read
+/// three times per chunk, never per node.
+fn advance_slice(nodes: &mut [ManagedNode], slots: &mut [Option<NodeAdvance>], duration: Seconds) -> ShardStats {
+    let start = Instant::now();
+    for (node, slot) in nodes.iter_mut().zip(slots.iter_mut()) {
+        // Offline nodes are skipped, and asleep nodes are frozen: no
+        // hypervisor tick, no crash draws, no predictor update.
+        // Sleep-state energy is charged by the sequential reduce.
+        *slot = (node.is_online() && !node.is_asleep()).then(|| {
             let outcome = node.tick(duration);
-            let t1 = profile.then(Instant::now);
-            let (rescored, reliability_changed) = node.update_reliability();
-            if let (Some(t0), Some(t1)) = (t0, t1) {
-                #[allow(clippy::cast_possible_truncation)]
-                {
-                    stats.tick_ns += (t1 - t0).as_nanos() as u64;
-                    stats.predictor_ns += t1.elapsed().as_nanos() as u64;
-                }
-            }
-            // A node that crashed this tick is failure-recovery
-            // business, not prediction business: its placements stay
-            // for `recover_from_crash`, which classifies (and
-            // SLA-charges) them as crash-interrupted instead of
-            // laundering them into proactive moves by the crash line
-            // that just hit its own log.
-            let failing = outcome.crash_events.is_empty() && predicts_failure(node.reliability);
-            Some(NodeAdvance {
+            NodeAdvance {
                 energy: outcome.energy,
                 crash_events: outcome.crash_events,
-                rescored,
-                reliability_changed,
-                failing,
-            })
-        })
-        .zip(slots)
-        .for_each(|(adv, slot)| *slot = adv);
-    stats
+                rescored: false,
+                reliability_changed: false,
+                failing: false,
+            }
+        });
+    }
+    let ticked = Instant::now();
+    for (node, adv) in nodes.iter_mut().zip(slots.iter_mut()).filter_map(|(n, s)| Some((n, s.as_mut()?))) {
+        (adv.rescored, adv.reliability_changed) = node.update_reliability();
+        // A node that crashed this tick is failure-recovery business,
+        // not prediction business: its placements stay for
+        // `recover_from_crash`, which classifies (and SLA-charges) them
+        // as crash-interrupted instead of laundering them into
+        // proactive moves by the crash line that just hit its own log.
+        adv.failing = adv.crash_events.is_empty() && predicts_failure(node.reliability);
+    }
+    let scored = Instant::now();
+    ShardStats { tick_ns: nanos_between(start, ticked), predictor_ns: nanos_between(ticked, scored) }
 }
 
 /// CPU cores available to this process (1 when the probe fails) — the
@@ -469,9 +477,12 @@ impl Cluster {
         self.policy
     }
 
-    /// Installs a stage profiler: the per-node phase attributes its
-    /// wall-clock to [`Stage::NodeTick`] / [`Stage::Predictor`] from
-    /// then on (worker threads flush once per chunk).
+    /// Installs a stage profiler: from then on each chunk of the
+    /// per-node phase adds its tick-pass wall to [`Stage::NodeTick`] and
+    /// its score-pass wall to [`Stage::Predictor`], and the reduce its
+    /// wall to [`Stage::Reduce`]. The chunks time themselves whether or
+    /// not a profiler is installed, so installing one adds no clock
+    /// read to the per-node phase.
     pub fn set_profiler(&mut self, profiler: Arc<StageProfiler>) {
         self.profiler = Some(profiler);
     }
@@ -859,15 +870,15 @@ impl Cluster {
     /// advances, the node updates its rolling failure score, and the
     /// outcome lands in the node's slot of the advance buffer. Under a
     /// cap above 1 the width comes from [`FanOut::width`]: width 1 runs
-    /// on the caller's thread (timed, to keep the per-node cost
-    /// current); a wider tick cuts the rack into chunks holding equal
-    /// awake-node shares ([`awake_cuts`]) on scoped threads that borrow
-    /// each chunk of nodes and slots, the first chunk on the caller's
-    /// thread.
+    /// on the caller's thread, and its chunk's own timing keeps the
+    /// per-node cost current; a wider tick cuts the rack into chunks
+    /// holding equal awake-node shares ([`awake_cuts`]) on scoped
+    /// threads that borrow each chunk of nodes and slots, the first
+    /// chunk on the caller's thread. Only the scope's wall takes a clock
+    /// read of its own; the caller's chunk cost is its chunk's timing.
     fn advance_nodes(&mut self, duration: Seconds) {
-        let profile = self.profiler.is_some();
         let advance = move |nodes: &mut [ManagedNode], slots: &mut [Option<NodeAdvance>]| {
-            advance_slice(nodes, slots, duration, profile)
+            advance_slice(nodes, slots, duration)
         };
         if self.workers <= 1 {
             let stats = advance(&mut self.nodes, &mut self.advances);
@@ -880,16 +891,15 @@ impl Cluster {
         let awake = self.nodes.iter().filter(|n| ticks(n)).count();
         let width = self.fanout.width(awake, self.workers);
         if width == 1 {
-            let start = Instant::now();
             let stats = advance(&mut self.nodes, &mut self.advances);
-            self.fanout.observe_inline(awake, start.elapsed());
+            self.fanout.observe_inline(awake, stats.wall());
             self.absorb_shard_stats(&stats);
             return;
         }
         awake_cuts(self.nodes.iter().map(ticks), awake, width, &mut self.fanout.cuts);
         let cuts = &self.fanout.cuts;
         let wall = Instant::now();
-        let (chunk, shards) = std::thread::scope(|scope| {
+        let shards = std::thread::scope(|scope| {
             let (first_nodes, mut nodes) = self.nodes.split_at_mut(cuts[0]);
             let (first_slots, mut slots) = self.advances.split_at_mut(cuts[0]);
             let spawned: Vec<_> = cuts
@@ -902,15 +912,13 @@ impl Cluster {
                     scope.spawn(move || advance(shard, shard_slots))
                 })
                 .collect();
-            let start = Instant::now();
             let mut shards = vec![advance(first_nodes, first_slots)];
-            let chunk = start.elapsed();
             for handle in spawned {
                 shards.push(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
-            (chunk, shards)
+            shards
         });
-        self.fanout.observe_fanout(awake.div_ceil(width), chunk, wall.elapsed());
+        self.fanout.observe_fanout(awake.div_ceil(width), shards[0].wall(), wall.elapsed());
         for stats in &shards {
             self.absorb_shard_stats(stats);
         }
@@ -2176,6 +2184,30 @@ mod tests {
         assert!(profiler.nanos(Stage::Predictor) > 0, "predictor scans must be attributed");
         assert!(profiler.nanos(Stage::Reduce) > 0, "the reduce must be attributed");
         assert_eq!(profiler.nanos(Stage::Placement), 0, "the cluster only times its own phase");
+    }
+
+    #[test]
+    fn a_profiler_changes_nothing_at_any_width() {
+        for width in 1..=3 {
+            let mut plain = instrumented_rack();
+            let mut profiled = instrumented_rack();
+            profiled.set_profiler(Arc::new(StageProfiler::new()));
+            for cluster in [&mut plain, &mut profiled] {
+                cluster.set_workers(3);
+                cluster.fanout.forced = Some(width);
+                cluster.enable_metrics();
+            }
+            for tick in 0..20 {
+                let a = plain.tick(Seconds::new(1.0));
+                let b = profiled.tick(Seconds::new(1.0));
+                assert_eq!(a, b, "profiling changed tick {tick} at width {width}");
+                assert_eq!(plain.placements(), profiled.placements(), "tick {tick} at width {width}");
+            }
+            assert_eq!(profiled.tick_workers_mean(), width as f64, "the forced width ran");
+            let a = plain.take_metrics().expect("metrics were enabled");
+            let b = profiled.take_metrics().expect("metrics were enabled");
+            assert_eq!(a.to_json(), b.to_json(), "profiling changed the metrics at width {width}");
+        }
     }
 
     /// A rack whose nodes follow `mask` (0 online, 1 asleep, 2 offline),

@@ -97,6 +97,9 @@ pub struct Hypervisor {
     /// vCPUs of the running VMs in `vms`, kept exact by every state
     /// change so placement checks never walk the map.
     committed: usize,
+    /// Bumped wherever `committed` changes (launch, stop of a running
+    /// VM, UE kill, restart): the running set can only move there.
+    running_generation: u64,
     next_vm: u32,
     memory: MemoryMap,
     /// Static-object inventory, shared read-only across hypervisors
@@ -108,12 +111,12 @@ pub struct Hypervisor {
     downtime: Seconds,
     crashes: u64,
     masked_corrected_total: u64,
-    /// Cached merge of the running guests' profiles, keyed by the VM-id
-    /// set it was computed for: the serving tick compares the running
-    /// set in place and only recomputes (and rewrites the id list) when
-    /// it actually changes. After that check the list is the tick's
-    /// start-of-tick running set, which also names UE victims.
-    merged_cache: Option<WorkloadProfile>,
+    /// Cached merge of the running guests' profiles, keyed by the
+    /// running generation it was computed at: the serving tick
+    /// recomputes it (and rewrites the id list) only when the generation
+    /// moved. After that check the list is the tick's start-of-tick
+    /// running set, which also names UE victims.
+    merged_cache: Option<(u64, WorkloadProfile)>,
     merged_cache_vms: Vec<VmId>,
 }
 
@@ -137,6 +140,7 @@ impl Hypervisor {
             config,
             vms: BTreeMap::new(),
             committed: 0,
+            running_generation: 0,
             next_vm: 0,
             memory,
             inventory,
@@ -186,6 +190,7 @@ impl Hypervisor {
         let id = VmId(self.next_vm);
         self.next_vm += 1;
         self.committed += config.vcpus;
+        self.running_generation += 1;
         self.vms.insert(id, Vm::launch(id, config));
         Ok(id)
     }
@@ -215,6 +220,7 @@ impl Hypervisor {
         };
         if vm.is_running() {
             self.committed -= vm.config.vcpus;
+            self.running_generation += 1;
         }
         let overhead = self.per_vm_overhead(&vm.config);
         self.memory.free(Placement::Relaxed, vm.config.memory);
@@ -312,13 +318,16 @@ impl Hypervisor {
     /// Runs the node for one interval under the merged guest workload
     /// and performs all resilience duties.
     pub fn tick(&mut self, duration: Seconds) -> TickOutcome {
-        let running = self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id);
-        if self.merged_cache.is_none() || !running.clone().eq(self.merged_cache_vms.iter().copied()) {
+        if self.merged_cache.as_ref().map(|&(generation, _)| generation) != Some(self.running_generation) {
             self.merged_cache_vms.clear();
-            self.merged_cache_vms.extend(running);
-            self.merged_cache = Some(self.merged_workload());
+            self.merged_cache_vms.extend(self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id));
+            self.merged_cache = Some((self.running_generation, self.merged_workload()));
         }
-        let workload = self.merged_cache.as_ref().expect("cache populated above");
+        debug_assert!(
+            self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id).eq(self.merged_cache_vms.iter().copied()),
+            "stale cached running set"
+        );
+        let (_, workload) = self.merged_cache.as_ref().expect("cache populated above");
         let report = self.node.run_interval(workload, duration);
 
         let mut outcome = TickOutcome {
@@ -360,6 +369,7 @@ impl Hypervisor {
                                 if vm.is_running() {
                                     vm.kill();
                                     self.committed -= vm.config.vcpus;
+                                    self.running_generation += 1;
                                     outcome.contained_uncorrected += 1;
                                 }
                             }
@@ -405,6 +415,7 @@ impl Hypervisor {
             for vm in self.vms.values_mut() {
                 if !vm.is_running() {
                     self.committed += vm.config.vcpus;
+                    self.running_generation += 1;
                 }
                 vm.kill();
                 vm.restart();
@@ -417,6 +428,7 @@ impl Hypervisor {
                 if vm.state == VmState::Failed {
                     vm.restart();
                     self.committed += vm.config.vcpus;
+                    self.running_generation += 1;
                     outcome.vm_restarts += 1;
                 }
             }

@@ -159,26 +159,16 @@ pub fn deploy_cluster(config: &OrchestratorConfig) -> (Cluster, Vec<DeployedNode
 /// failure lifecycle. Extended racks re-run the StressLog shmoo on the
 /// node *as it is now* (aged silicon, live ambient) and re-choose the
 /// operating point against the deploy-time advisor; nominal racks
-/// simply re-program the conservative point. Returns the point now in
+/// simply re-program the conservative point. The chosen point lives in
 /// the node's MSRs.
-#[must_use]
-pub(crate) fn rejoin_node(
-    config: &OrchestratorConfig,
-    cache: &AdvisorCache,
-    node: usize,
-    server: &mut ServerNode,
-) -> OperatingPoint {
+pub(crate) fn rejoin_node(config: &OrchestratorConfig, cache: &AdvisorCache, node: usize, server: &mut ServerNode) {
     let dep = node_deployment(config, node);
     match config.margins {
         MarginPolicy::Extended => {
             let advisor = cache.get_or_train(&dep);
-            recharacterize_node(&dep, server, &advisor)
+            let _ = recharacterize_node(&dep, server, &advisor);
         }
-        MarginPolicy::Nominal => {
-            let point = OperatingPoint::nominal(dep.spec.cores);
-            point.apply_to(server);
-            point
-        }
+        MarginPolicy::Nominal => OperatingPoint::nominal(dep.spec.cores).apply_to(server),
     }
 }
 
@@ -226,25 +216,30 @@ mod tests {
     fn rejoin_recharacterizes_extended_racks_and_renominalizes_nominal_ones() {
         let config = OrchestratorConfig::smoke(2, 19);
         let (mut cluster, records, _, cache) = deploy_cluster(&config);
-        let rejoined = rejoin_node(&config, &cache, 0, cluster.server_mut(NodeId(0)));
-        assert!(rejoined.min_offset_mv() > 0.0, "the re-shmoo still finds real margin");
+        // Start from nominal, so every undervolt the MSRs show after the
+        // rejoin is one the re-shmoo chose.
+        let server = cluster.server_mut(NodeId(0));
+        OperatingPoint::nominal(server.core_count()).apply_to(server);
+        rejoin_node(&config, &cache, 0, cluster.server_mut(NodeId(0)));
+        let min_msr_mv = |cluster: &Cluster, node: usize| {
+            let server = cluster.nodes()[node].hypervisor.node();
+            (0..server.core_count()).map(|c| server.msr.voltage_offset_mv(c)).fold(f64::MAX, f64::min)
+        };
+        let rejoined = min_msr_mv(&cluster, 0);
+        assert!(rejoined > 0.0, "the re-shmoo still finds real margin");
         assert!(
-            rejoined.min_offset_mv() <= records[0].point.min_offset_mv() + 1e-9,
+            rejoined <= records[0].point.min_offset_mv() + 1e-9,
             "18 months of aging cannot leave MORE margin than the fresh deploy measured: \
-             {} vs {}",
-            rejoined.min_offset_mv(),
+             {rejoined} vs {}",
             records[0].point.min_offset_mv()
         );
-        // The chosen point is actually programmed into the MSRs.
-        let msr_mv = cluster.nodes()[0].hypervisor.node().msr.voltage_offset_mv(0);
-        assert!((msr_mv - rejoined.core_offsets_mv[0].min(250.0)).abs() < 1e-9);
 
         let nominal =
             OrchestratorConfig { margins: MarginPolicy::Nominal, ..OrchestratorConfig::smoke(2, 19) };
         let (mut cluster, _, _, cache) = deploy_cluster(&nominal);
-        let point = rejoin_node(&nominal, &cache, 1, cluster.server_mut(NodeId(1)));
-        assert_eq!(point.min_offset_mv(), 0.0, "nominal racks rejoin at nominal");
-        assert_eq!(cluster.nodes()[1].hypervisor.node().msr.voltage_offset_mv(0), 0.0);
+        cluster.server_mut(NodeId(1)).msr.set_voltage_offset_all(30.0).unwrap();
+        rejoin_node(&nominal, &cache, 1, cluster.server_mut(NodeId(1)));
+        assert_eq!(min_msr_mv(&cluster, 1), 0.0, "nominal racks rejoin at nominal");
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub fn run_with_telemetry(
             let _span = profiler.scoped(Stage::Rejoin);
             for id in cluster.tick_repairs() {
                 let idx = id.0 as usize;
-                let _ = rejoin_node(config, &cache, idx, cluster.server_mut(id));
+                rejoin_node(config, &cache, idx, cluster.server_mut(id));
                 cluster.complete_rejoin(id);
                 c.chaos.rejoins += 1;
                 tel.inc("rejoins");
@@ -257,7 +257,7 @@ pub fn run_with_telemetry(
                         // Readmission re-characterizes like a repair
                         // rejoin: the silicon is re-shmooed as it is
                         // now, not restored from a stale point.
-                        let _ = rejoin_node(config, &cache, idx, cluster.server_mut(NodeId(node)));
+                        rejoin_node(config, &cache, idx, cluster.server_mut(NodeId(node)));
                         c.gray.readmissions += 1;
                         tel.inc("readmissions");
                         tel.emit(&TraceEvent::Readmit { node: u64::from(node) });
