@@ -12,7 +12,7 @@
 //!           [--threads K] [--nominal] [--profile flat|flash|chaos|gray]
 //!           [--policy energy-sla|consolidate|reliability-blind]
 //!           [--bench PATH] [--label NAME]
-//!           [--no-per-tick] [--per-tick-every N]
+//!           [--no-per-tick]
 //!           [--trace-out PATH] [--metrics-out PATH]
 //! ```
 //!
@@ -58,9 +58,6 @@
 //!   reoffer/shed/crash/offline/rejoin/migration). Both are
 //!   byte-identical for any `--threads` value; both paths are validated
 //!   upfront (unwritable exits non-zero).
-//! * `--per-tick-every N` keeps only every Nth row of the per-tick
-//!   series (tick 0 always included); `1` — the default — reproduces the
-//!   legacy stdout byte-for-byte.
 //! * `--threads K` drives the deploy workers **and** caps the sharded
 //!   serving loop (0 = one per core; clamped to the core count): each
 //!   tick's per-node advancement runs on up to K workers, one contiguous
@@ -95,8 +92,6 @@ struct Args {
     trace_out: Option<String>,
     /// Metrics-registry JSON output path.
     metrics_out: Option<String>,
-    /// Keep only every Nth per-tick row (1 = all, the legacy shape).
-    per_tick_every: u64,
 }
 
 fn parse(mut argv: std::env::Args) -> Result<Args, String> {
@@ -115,7 +110,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
         label: None,
         trace_out: None,
         metrics_out: None,
-        per_tick_every: 1,
     };
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| {
@@ -153,11 +147,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
             "--label" => args.label = Some(value("--label")?),
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            "--per-tick-every" => {
-                args.per_tick_every = value("--per-tick-every")?
-                    .parse()
-                    .map_err(|e| format!("--per-tick-every: {e}"))?;
-            }
             "--help" | "-h" => {
                 return Err(String::new());
             }
@@ -173,9 +162,6 @@ fn parse(mut argv: std::env::Args) -> Result<Args, String> {
     if args.tick.is_some_and(|t| t <= 0.0 || !t.is_finite()) {
         return Err("--tick must be positive".into());
     }
-    if args.per_tick_every == 0 {
-        return Err("--per-tick-every must be at least 1".into());
-    }
     Ok(args)
 }
 
@@ -184,7 +170,7 @@ fn usage() {
         "usage: fleet_sim [--cluster] [--nodes N] [--seed S] [--secs T] [--tick DT] \
          [--threads K] [--nominal] [--profile flat|flash|chaos|gray] \
          [--policy energy-sla|consolidate|reliability-blind] [--bench PATH] \
-         [--label NAME] [--no-per-tick] [--per-tick-every N] \
+         [--label NAME] [--no-per-tick] \
          [--trace-out PATH] [--metrics-out PATH]"
     );
 }
@@ -236,11 +222,7 @@ fn run(args: Args) -> ExitCode {
         None
     };
 
-    let (mut summary, timing) = run_with_telemetry(&config, &mut tel);
-    if args.per_tick_every > 1 {
-        let every = args.per_tick_every;
-        summary.per_tick.retain(|t| t.tick % every == 0);
-    }
+    let (summary, timing) = run_with_telemetry(&config, &mut tel);
     println!("{}", summary_to_json(&summary, args.per_tick));
 
     if let Some(mut f) = metrics_file {

@@ -35,9 +35,6 @@ fn flag_value_and_mode_mismatches_exit_nonzero() {
         &["--cluster", "--policy", "bogus"][..],
         &["--cluster", "--trace-out"][..],
         &["--cluster", "--metrics-out"][..],
-        &["--cluster", "--per-tick-every"][..],
-        &["--cluster", "--per-tick-every", "0"][..],
-        &["--cluster", "--per-tick-every", "nope"][..],
     ] {
         let out = fleet_sim(args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -296,28 +293,6 @@ fn telemetry_outputs_are_byte_stable_and_leave_stdout_untouched() {
         assert!(metrics.contains(key), "missing {key} in {metrics}");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn per_tick_decimation_keeps_every_nth_row_and_default_is_identity() {
-    let base = &["--cluster", "--nodes", "6", "--secs", "120", "--seed", "11"];
-    let full = fleet_sim(base);
-    assert!(full.status.success());
-    let one = fleet_sim(&[base, &["--per-tick-every", "1"][..]].concat());
-    assert!(one.status.success());
-    assert_eq!(full.stdout, one.stdout, "--per-tick-every 1 must be the legacy shape");
-    let five = fleet_sim(&[base, &["--per-tick-every", "5"][..]].concat());
-    assert!(five.status.success());
-    let full_json = String::from_utf8_lossy(&full.stdout);
-    let five_json = String::from_utf8_lossy(&five.stdout);
-    assert!(five_json.len() < full_json.len(), "decimation must shrink the series");
-    assert!(five_json.contains("{\"tick\":0,"), "tick 0 survives decimation");
-    assert!(five_json.contains("{\"tick\":5,"));
-    assert!(!five_json.contains("{\"tick\":1,"), "off-stride rows are dropped");
-    // Decimation only trims the series — the headline fields upstream
-    // of `per_tick` are untouched.
-    let head = full_json.split("\"per_tick\"").next().unwrap();
-    assert_eq!(head, five_json.split("\"per_tick\"").next().unwrap());
 }
 
 #[test]

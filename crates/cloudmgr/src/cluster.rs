@@ -53,13 +53,12 @@
 //! Debug builds re-run every memo hit and, after every store
 //! mutation, check the store entries it touched.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uniserver_telemetry::{MetricsRegistry, Stage, StageProfiler};
 use uniserver_units::{Joules, Seconds};
 
-use uniserver_hypervisor::vm::{Vm, VmConfig, VmId};
+use uniserver_hypervisor::vm::{VmConfig, VmId};
 use uniserver_platform::node::{CrashEvent, ServerNode};
 use uniserver_platform::part::PartSpec;
 use uniserver_silicon::rng::{salt, splitmix64, weighted_pick};
@@ -233,8 +232,8 @@ struct NodeAdvance {
 }
 
 /// Wall-clock nanos one chunk's two passes took on its thread: the
-/// hypervisor ticks, then the predictor updates. The stage profiler
-/// takes them as [`Stage::NodeTick`] / [`Stage::Predictor`], and the
+/// hypervisor ticks, then the predictor updates. The cluster's stage
+/// times take them as [`Stage::NodeTick`] / [`Stage::Predictor`], and the
 /// fan-out takes their sum as the chunk's cost.
 #[derive(Debug, Default)]
 struct ShardStats {
@@ -363,9 +362,10 @@ pub struct Cluster {
     /// Park/wake/consolidation counters (all zero unless the policy
     /// manages power states).
     power_stats: PowerStats,
-    /// Wall-clock stage attribution for the per-node phase, when a
-    /// caller installed one (machine-local; never in a report).
-    profiler: Option<Arc<StageProfiler>>,
+    /// Wall-clock time of the tick's own stages: [`Stage::NodeTick`],
+    /// [`Stage::Predictor`] and [`Stage::Reduce`] (machine-local; never
+    /// in a report).
+    stages: StageProfiler,
     /// Accumulated tick-domain metrics, when enabled, counted by the
     /// tick's sequential reduce — kept out of [`ClusterTickReport`] so
     /// the report's `PartialEq` determinism contract is untouched.
@@ -435,7 +435,7 @@ impl Cluster {
             migration_downtime: Seconds::ZERO,
             rejected: 0,
             power_stats: PowerStats::default(),
-            profiler: None,
+            stages: StageProfiler::new(),
             metrics: None,
             workers: 1,
             fanout: FanOut::default(),
@@ -477,14 +477,13 @@ impl Cluster {
         self.policy
     }
 
-    /// Installs a stage profiler: from then on each chunk of the
+    /// Wall-clock time of every tick so far: each chunk of the
     /// per-node phase adds its tick-pass wall to [`Stage::NodeTick`] and
     /// its score-pass wall to [`Stage::Predictor`], and the reduce its
-    /// wall to [`Stage::Reduce`]. The chunks time themselves whether or
-    /// not a profiler is installed, so installing one adds no clock
-    /// read to the per-node phase.
-    pub fn set_profiler(&mut self, profiler: Arc<StageProfiler>) {
-        self.profiler = Some(profiler);
+    /// wall to [`Stage::Reduce`]. Machine-local: never part of a report.
+    #[must_use]
+    pub fn stages(&self) -> &StageProfiler {
+        &self.stages
     }
 
     /// Switches on tick-domain metrics collection: subsequent ticks
@@ -501,11 +500,9 @@ impl Cluster {
         self.metrics.take()
     }
 
-    fn absorb_shard_stats(&self, stats: &ShardStats) {
-        if let Some(p) = &self.profiler {
-            p.add_nanos(Stage::NodeTick, stats.tick_ns);
-            p.add_nanos(Stage::Predictor, stats.predictor_ns);
-        }
+    fn absorb_shard_stats(&mut self, stats: &ShardStats) {
+        self.stages.add_nanos(Stage::NodeTick, stats.tick_ns);
+        self.stages.add_nanos(Stage::Predictor, stats.predictor_ns);
     }
 
     /// The nodes (read-only).
@@ -781,9 +778,8 @@ impl Cluster {
     /// any width produce the identical report**: energy sums in index
     /// order (bit-identical floats), crash events order by
     /// `(node index, event order)`, and the index marks and
-    /// placement-mutating phases run on the caller's thread. With a
-    /// profiler installed, the reduce and the proactive pass are timed
-    /// as [`Stage::Reduce`].
+    /// placement-mutating phases run on the caller's thread. The reduce
+    /// and the proactive pass are timed as [`Stage::Reduce`].
     ///
     /// # Panics
     ///
@@ -793,7 +789,7 @@ impl Cluster {
         // an index mark, so no reject outlives the tick it was made in.
         self.reject_memo = Default::default();
         self.advance_nodes(duration);
-        let reduce_start = self.profiler.is_some().then(Instant::now);
+        let reduce_start = Instant::now();
 
         // --- Sequential reduce, in node-index order. Offline nodes
         // produced no advance: no tick, no energy, no crash feed, and no
@@ -854,10 +850,7 @@ impl Cluster {
         } else {
             Vec::new()
         };
-        if let (Some(p), Some(start)) = (&self.profiler, reduce_start) {
-            #[allow(clippy::cast_possible_truncation)]
-            p.add_nanos(Stage::Reduce, start.elapsed().as_nanos() as u64);
-        }
+        self.stages.add_nanos(Stage::Reduce, nanos_between(reduce_start, Instant::now()));
         ClusterTickReport {
             crashes,
             energy,
@@ -1001,9 +994,6 @@ impl Cluster {
             let (config, cost) = {
                 let node = self.node_ref(placement.node);
                 let Some(vm) = node.hypervisor.vm(placement.vm) else { continue };
-                if !vm.is_running() {
-                    continue;
-                }
                 (vm.config.clone(), MIGRATION.cost(vm))
             };
             let target = self.place_on(&config, placement.class, Some(placement.node));
@@ -1249,8 +1239,7 @@ impl Cluster {
         victims.truncate(budget);
         let mut moved = 0u64;
         for victim in &victims {
-            let vm = self.node_ref(source).hypervisor.vm(victim.vm);
-            if vm.is_some_and(Vm::is_running) && self.precopy_move(source, victim) {
+            if self.precopy_move(source, victim) {
                 self.migrations += 1;
                 moved += 1;
             }
@@ -1842,7 +1831,7 @@ mod tests {
         cluster.manage(0);
         assert!(!cluster.nodes()[3].is_asleep(), "a hot straggler keeps its node awake");
         assert_eq!(cluster.placements_on(NodeId(3)).len(), 1, "its VM stays in place");
-        assert!(cluster.nodes()[3].hypervisor.vm(straggler.vm).is_some_and(Vm::is_running));
+        assert!(cluster.nodes()[3].hypervisor.vm(straggler.vm).is_some());
         assert_eq!(cluster.power_stats().consolidation_migrations, 0);
         assert_eq!(cluster.power_stats().parks, 0, "two empties are the spare buffer");
         assert_eq!(cluster.fleet_metrics().migration_downtime, Seconds::ZERO);
@@ -2169,44 +2158,20 @@ mod tests {
     }
 
     #[test]
-    fn profiler_attributes_tick_time_without_changing_reports() {
-        let mut plain = instrumented_rack();
-        let mut profiled = instrumented_rack();
-        let profiler = Arc::new(StageProfiler::new());
-        profiled.set_profiler(Arc::clone(&profiler));
-        profiled.set_workers(3);
-        for tick in 0..20 {
-            let a = plain.tick(Seconds::new(1.0));
-            let b = profiled.tick(Seconds::new(1.0));
-            assert_eq!(a, b, "profiling changed tick {tick}");
-        }
-        assert!(profiler.nanos(Stage::NodeTick) > 0, "node ticking must be attributed");
-        assert!(profiler.nanos(Stage::Predictor) > 0, "predictor scans must be attributed");
-        assert!(profiler.nanos(Stage::Reduce) > 0, "the reduce must be attributed");
-        assert_eq!(profiler.nanos(Stage::Placement), 0, "the cluster only times its own phase");
-    }
-
-    #[test]
-    fn a_profiler_changes_nothing_at_any_width() {
+    fn the_cluster_times_its_own_stages_at_any_width() {
         for width in 1..=3 {
-            let mut plain = instrumented_rack();
-            let mut profiled = instrumented_rack();
-            profiled.set_profiler(Arc::new(StageProfiler::new()));
-            for cluster in [&mut plain, &mut profiled] {
-                cluster.set_workers(3);
-                cluster.fanout.forced = Some(width);
-                cluster.enable_metrics();
+            let mut cluster = instrumented_rack();
+            cluster.set_workers(3);
+            cluster.fanout.forced = Some(width);
+            for _ in 0..20 {
+                cluster.tick(Seconds::new(1.0));
             }
-            for tick in 0..20 {
-                let a = plain.tick(Seconds::new(1.0));
-                let b = profiled.tick(Seconds::new(1.0));
-                assert_eq!(a, b, "profiling changed tick {tick} at width {width}");
-                assert_eq!(plain.placements(), profiled.placements(), "tick {tick} at width {width}");
-            }
-            assert_eq!(profiled.tick_workers_mean(), width as f64, "the forced width ran");
-            let a = plain.take_metrics().expect("metrics were enabled");
-            let b = profiled.take_metrics().expect("metrics were enabled");
-            assert_eq!(a.to_json(), b.to_json(), "profiling changed the metrics at width {width}");
+            assert_eq!(cluster.tick_workers_mean(), width as f64, "the forced width ran");
+            let stages = cluster.stages();
+            assert!(stages.nanos(Stage::NodeTick) > 0, "node ticking must be attributed at width {width}");
+            assert!(stages.nanos(Stage::Predictor) > 0, "predictor scans must be attributed at width {width}");
+            assert!(stages.nanos(Stage::Reduce) > 0, "the reduce must be attributed at width {width}");
+            assert_eq!(stages.nanos(Stage::Placement), 0, "the cluster only times its own phase");
         }
     }
 

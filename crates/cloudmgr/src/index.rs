@@ -150,8 +150,6 @@ pub struct PlacementIndex {
     dirty: Vec<bool>,
     /// Dirty node indices pending a flush (each at most once).
     pending: Vec<u32>,
-    /// Whether the node currently has an entry in `by_score`.
-    indexed: Vec<bool>,
     /// Cached facts per node index (valid when not dirty).
     facts: Vec<NodeFacts>,
     /// Bumped on every clean→dirty mark and every `mark_all`.
@@ -170,7 +168,6 @@ impl PlacementIndex {
             by_score: BTreeSet::new(),
             dirty: vec![true; n],
             pending,
-            indexed: vec![false; n],
             facts: vec![NodeFacts::default(); n],
             generation: 0,
         }
@@ -243,14 +240,12 @@ impl PlacementIndex {
             let i = i as usize;
             let node = &nodes[i];
             debug_assert_eq!(node.id.0 as usize, i, "node ids must be dense");
-            if self.indexed[i] {
-                self.by_score.remove(&(Score(self.scores[i]), node.id));
-            }
+            // A node not yet ranked has no entry: the removal is a no-op.
+            self.by_score.remove(&(Score(self.scores[i]), node.id));
             let score = scheduler.weigh(node);
             self.scores[i] = score;
             self.by_score.insert((Score(score), node.id));
             self.facts[i] = NodeFacts::of(node);
-            self.indexed[i] = true;
             self.dirty[i] = false;
         }
         #[cfg(debug_assertions)]

@@ -522,18 +522,25 @@ mod tests {
 
     #[test]
     fn consolidation_skips_launch_infeasible_nodes_the_coarse_filter_admits() {
-        use uniserver_hypervisor::hypervisor::{Hypervisor, HypervisorConfig};
+        use uniserver_hypervisor::hypervisor::Hypervisor;
+        use uniserver_platform::dram::{DimmConfig, MemorySystem};
+        use uniserver_platform::msr::DomainId;
         use uniserver_platform::node::ServerNode;
+        use uniserver_silicon::power::DramPowerModel;
+        use uniserver_silicon::retention::RetentionModel;
         use uniserver_units::Bytes;
 
-        // Node 0's reliable domain exhausts after one guest (inflated
-        // fixed overhead), while its relaxed domain and vCPU budget
-        // still pass the coarse `fits` check. Node 1 sleeps.
+        // Node 0's 128 MiB reliable DIMM exhausts after one guest's
+        // overhead, while its relaxed domain and vCPU budget still pass
+        // the coarse `fits` check. Node 1 sleeps.
         let mut ns = nodes(2);
-        ns[0].hypervisor = Hypervisor::with_config(
-            ServerNode::new(PartSpec::arm_microserver(), 0),
-            HypervisorConfig { per_vm_fixed: Bytes::gib(9), ..HypervisorConfig::default() },
+        let mk = |capacity, domain| DimmConfig { capacity, ecc_enabled: true, domain };
+        let memory = MemorySystem::new(
+            vec![mk(Bytes::mib(128), DomainId(0)), mk(Bytes::gib(8), DomainId(1))],
+            RetentionModel::ddr3_server(),
+            DramPowerModel::ddr3_8gb(),
         );
+        ns[0].hypervisor = Hypervisor::new(ServerNode::with_memory(PartSpec::arm_microserver(), memory, 0));
         let cfg = VmConfig::ldbc_benchmark();
         ns[0].launch(cfg.clone()).unwrap();
         ns[1].power = NodePower::Asleep;

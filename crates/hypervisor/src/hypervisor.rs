@@ -15,35 +15,20 @@ use uniserver_stresslog::MarginVector;
 use crate::memdomain::{MemoryMap, Placement, PlacementError};
 use crate::objects::ObjectInventory;
 use crate::protect::ProtectionPolicy;
-use crate::vm::{Vm, VmConfig, VmId, VmState};
+use crate::vm::{Vm, VmConfig, VmId};
 
-/// Static hypervisor configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HypervisorConfig {
-    /// Host kernel + KVM baseline footprint.
-    pub base_footprint: Bytes,
-    /// Fixed per-VM overhead (QEMU process, vhost rings).
-    pub per_vm_fixed: Bytes,
-    /// Per-VM overhead proportional to guest memory (shadow page
-    /// tables, memslots).
-    pub per_vm_fraction: f64,
-    /// Downtime charged per full node crash (reboot + VM restart).
-    pub reboot_penalty: Seconds,
-    /// Categories of hypervisor objects to protect with shadows.
-    pub protection: ProtectionPolicy,
-}
-
-impl Default for HypervisorConfig {
-    fn default() -> Self {
-        HypervisorConfig {
-            base_footprint: Bytes::mib(160),
-            per_vm_fixed: Bytes::mib(32),
-            per_vm_fraction: 0.015,
-            reboot_penalty: Seconds::new(120.0),
-            protection: ProtectionPolicy::top_categories(3),
-        }
-    }
-}
+/// Host kernel + KVM baseline footprint.
+const BASE_FOOTPRINT: Bytes = Bytes::mib(160);
+/// Fixed per-VM overhead (QEMU process, vhost rings).
+const PER_VM_FIXED: Bytes = Bytes::mib(32);
+/// Per-VM overhead proportional to guest memory (shadow page tables,
+/// memslots).
+const PER_VM_FRACTION: f64 = 0.015;
+/// Downtime charged per full node crash (reboot + VM restart), in
+/// seconds.
+const REBOOT_PENALTY_SECS: f64 = 120.0;
+/// The most critical object categories, protected with shadows.
+const PROTECTED_CATEGORIES: usize = 3;
 
 /// What happened during one hypervisor tick.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,14 +77,12 @@ pub struct FootprintSample {
 #[derive(Debug, Clone)]
 pub struct Hypervisor {
     node: ServerNode,
-    config: HypervisorConfig,
+    /// Every VM here is running: a UE kill and its restart both happen
+    /// inside one tick, and a stopped VM is dropped.
     vms: BTreeMap<VmId, Vm>,
-    /// vCPUs of the running VMs in `vms`, kept exact by every state
-    /// change so placement checks never walk the map.
+    /// vCPUs of the VMs in `vms`, kept exact by launch and stop so
+    /// placement checks never walk the map.
     committed: usize,
-    /// Bumped wherever `committed` changes (launch, stop of a running
-    /// VM, UE kill, restart): the running set can only move there.
-    running_generation: u64,
     next_vm: u32,
     memory: MemoryMap,
     /// Static-object inventory, shared read-only across hypervisors
@@ -111,25 +94,16 @@ pub struct Hypervisor {
     downtime: Seconds,
     crashes: u64,
     masked_corrected_total: u64,
-    /// Cached merge of the running guests' profiles, keyed by the
-    /// running generation it was computed at: the serving tick
-    /// recomputes it (and rewrites the id list) only when the generation
-    /// moved. After that check the list is the tick's start-of-tick
-    /// running set, which also names UE victims.
-    merged_cache: Option<(u64, WorkloadProfile)>,
-    merged_cache_vms: Vec<VmId>,
+    /// Cached merge of the guests' profiles. The guest set changes
+    /// only at launch and stop, which clear it; the next tick
+    /// recomputes it.
+    merged_cache: Option<WorkloadProfile>,
 }
 
 impl Hypervisor {
-    /// Boots a hypervisor on a node with the default configuration.
+    /// Boots a hypervisor on a node.
     #[must_use]
     pub fn new(node: ServerNode) -> Self {
-        Hypervisor::with_config(node, HypervisorConfig::default())
-    }
-
-    /// Boots with an explicit configuration.
-    #[must_use]
-    pub fn with_config(node: ServerNode, config: HypervisorConfig) -> Self {
         let reliable = node.memory.domain_capacity(uniserver_platform::msr::DomainId(0));
         let relaxed = node.memory.domain_capacity(uniserver_platform::msr::DomainId(1));
         let memory = MemoryMap::new(reliable, relaxed);
@@ -137,10 +111,8 @@ impl Hypervisor {
         let health = HealthLog::new();
         Hypervisor {
             node,
-            config,
             vms: BTreeMap::new(),
             committed: 0,
-            running_generation: 0,
             next_vm: 0,
             memory,
             inventory,
@@ -150,7 +122,6 @@ impl Hypervisor {
             crashes: 0,
             masked_corrected_total: 0,
             merged_cache: None,
-            merged_cache_vms: Vec::new(),
         }
     }
 
@@ -182,7 +153,7 @@ impl Hypervisor {
         self.memory.allocate(Placement::Relaxed, config.memory)?;
         // The hypervisor's own per-VM overhead lives in the reliable
         // domain — that is the whole point of the placement strategy.
-        let overhead = self.per_vm_overhead(&config);
+        let overhead = Self::per_vm_overhead(&config);
         if let Err(e) = self.memory.allocate(Placement::Reliable, overhead) {
             self.memory.free(Placement::Relaxed, config.memory);
             return Err(e);
@@ -190,7 +161,7 @@ impl Hypervisor {
         let id = VmId(self.next_vm);
         self.next_vm += 1;
         self.committed += config.vcpus;
-        self.running_generation += 1;
+        self.merged_cache = None;
         self.vms.insert(id, Vm::launch(id, config));
         Ok(id)
     }
@@ -205,7 +176,7 @@ impl Hypervisor {
     #[must_use]
     pub fn can_host(&self, config: &VmConfig) -> bool {
         self.memory.available(Placement::Relaxed) >= config.memory
-            && self.memory.available(Placement::Reliable) >= self.per_vm_overhead(config)
+            && self.memory.available(Placement::Reliable) >= Self::per_vm_overhead(config)
     }
 
     /// Stops a VM, releases its memory and drops its record — a
@@ -218,11 +189,9 @@ impl Hypervisor {
         let Some(vm) = self.vms.remove(&id) else {
             return false;
         };
-        if vm.is_running() {
-            self.committed -= vm.config.vcpus;
-            self.running_generation += 1;
-        }
-        let overhead = self.per_vm_overhead(&vm.config);
+        self.committed -= vm.config.vcpus;
+        self.merged_cache = None;
+        let overhead = Self::per_vm_overhead(&vm.config);
         self.memory.free(Placement::Relaxed, vm.config.memory);
         self.memory.free(Placement::Reliable, overhead);
         true
@@ -239,7 +208,7 @@ impl Hypervisor {
         self.vms.values()
     }
 
-    /// vCPUs committed across running VMs (a counter, not a walk).
+    /// vCPUs committed across the VMs (a counter, not a walk).
     #[must_use]
     pub fn committed_vcpus(&self) -> usize {
         self.committed
@@ -251,9 +220,8 @@ impl Hypervisor {
         self.memory.relaxed_capacity
     }
 
-    fn per_vm_overhead(&self, config: &VmConfig) -> Bytes {
-        self.config.per_vm_fixed
-            + Bytes::new((config.memory.as_u64() as f64 * self.config.per_vm_fraction) as u64)
+    fn per_vm_overhead(config: &VmConfig) -> Bytes {
+        PER_VM_FIXED + Bytes::new((config.memory.as_u64() as f64 * PER_VM_FRACTION) as u64)
     }
 
     /// The hypervisor's own footprint: baseline + per-VM overheads +
@@ -261,26 +229,18 @@ impl Hypervisor {
     /// Figure 3 and it lives entirely in the reliable domain.
     #[must_use]
     pub(crate) fn own_footprint(&self) -> Bytes {
-        // Stopped VMs are dropped from the map, so every record counts.
-        let vm_overheads: Bytes =
-            self.vms.values().map(|vm| self.per_vm_overhead(&vm.config)).sum();
-        self.config.base_footprint
+        let vm_overheads: Bytes = self.vms.values().map(|vm| Self::per_vm_overhead(&vm.config)).sum();
+        BASE_FOOTPRINT
             + vm_overheads
             + self.inventory.total_size()
-            + self.config.protection.overhead()
+            + ProtectionPolicy::top_categories(PROTECTED_CATEGORIES).overhead()
     }
 
     /// A Figure 3 footprint sample at the current instant.
     #[must_use]
     pub fn footprint_sample(&self) -> FootprintSample {
-        let vms: Bytes = self
-            .vms
-            .values()
-            .filter(|vm| vm.is_running())
-            .map(|vm| vm.os_baseline() + vm.config.resident_set)
-            .sum();
-        let application: Bytes =
-            self.vms.values().filter(|vm| vm.is_running()).map(Vm::application_heap).sum();
+        let vms: Bytes = self.vms.values().map(|vm| vm.os_baseline() + vm.config.resident_set).sum();
+        let application: Bytes = self.vms.values().map(Vm::application_heap).sum();
         FootprintSample { at: self.node.now(), hypervisor: self.own_footprint(), vms, application }
     }
 
@@ -318,16 +278,11 @@ impl Hypervisor {
     /// Runs the node for one interval under the merged guest workload
     /// and performs all resilience duties.
     pub fn tick(&mut self, duration: Seconds) -> TickOutcome {
-        if self.merged_cache.as_ref().map(|&(generation, _)| generation) != Some(self.running_generation) {
-            self.merged_cache_vms.clear();
-            self.merged_cache_vms.extend(self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id));
-            self.merged_cache = Some((self.running_generation, self.merged_workload()));
+        if self.merged_cache.is_none() {
+            self.merged_cache = Some(self.merged_workload());
         }
-        debug_assert!(
-            self.vms.values().filter(|vm| vm.is_running()).map(|vm| vm.id).eq(self.merged_cache_vms.iter().copied()),
-            "stale cached running set"
-        );
-        let (_, workload) = self.merged_cache.as_ref().expect("cache populated above");
+        let workload = self.merged_cache.as_ref().expect("cache populated above");
+        debug_assert!(*workload == self.merged_workload(), "stale cached workload");
         let report = self.node.run_interval(workload, duration);
 
         let mut outcome = TickOutcome {
@@ -345,9 +300,9 @@ impl Hypervisor {
         };
         let crashed = report.crash.is_some();
 
-        // --- Error masking and containment (`merged_cache_vms` holds the
-        // start-of-tick running set: run_interval cannot change VM
-        // states, and kills below do not rewrite the list).
+        // --- Error masking and containment. Each UE victim is listed
+        // once; it restarts at the end of the tick.
+        let mut killed: Vec<VmId> = Vec::new();
         for err in &report.errors {
             match err.severity {
                 ErrorSeverity::Corrected => {
@@ -362,16 +317,11 @@ impl Hypervisor {
                         }
                         // Contain: the UE hit a guest page; kill exactly
                         // that VM instead of the whole machine.
-                        let running = &self.merged_cache_vms;
-                        if !running.is_empty() {
-                            let victim = running[(word % running.len() as u64) as usize];
-                            if let Some(vm) = self.vms.get_mut(&victim) {
-                                if vm.is_running() {
-                                    vm.kill();
-                                    self.committed -= vm.config.vcpus;
-                                    self.running_generation += 1;
-                                    outcome.contained_uncorrected += 1;
-                                }
+                        let n = self.vms.len() as u64;
+                        if let Some(&victim) = self.vms.keys().nth((word % n.max(1)) as usize) {
+                            if !killed.contains(&victim) {
+                                killed.push(victim);
+                                outcome.contained_uncorrected += 1;
                             }
                         }
                     }
@@ -411,27 +361,18 @@ impl Hypervisor {
             outcome.crash_events = self.node.take_crash_events();
             self.crashes += 1;
             self.node.reboot();
-            self.downtime = self.downtime + self.config.reboot_penalty;
+            self.downtime = self.downtime + Seconds::new(REBOOT_PENALTY_SECS);
             for vm in self.vms.values_mut() {
-                if !vm.is_running() {
-                    self.committed += vm.config.vcpus;
-                    self.running_generation += 1;
-                }
-                vm.kill();
                 vm.restart();
-                outcome.vm_restarts += 1;
             }
+            outcome.vm_restarts = self.vms.len() as u64;
         } else {
             self.uptime = self.uptime + duration;
-            // Restart any VM killed by UE containment this tick.
-            for vm in self.vms.values_mut() {
-                if vm.state == VmState::Failed {
-                    vm.restart();
-                    self.committed += vm.config.vcpus;
-                    self.running_generation += 1;
-                    outcome.vm_restarts += 1;
-                }
+            // Restart the VMs UE containment killed this tick.
+            for id in &killed {
+                self.vms.get_mut(id).expect("victims are hosted VMs").restart();
             }
+            outcome.vm_restarts = killed.len() as u64;
             for vm in self.vms.values_mut() {
                 vm.advance(duration);
             }
@@ -440,16 +381,15 @@ impl Hypervisor {
         outcome
     }
 
-    /// Merges the running guests' workload profiles into the node-level
+    /// Merges the guests' workload profiles into the node-level
     /// excitation (plus idle background when no guest runs).
     fn merged_workload(&self) -> WorkloadProfile {
-        let running: Vec<&Vm> = self.vms.values().filter(|vm| vm.is_running()).collect();
-        if running.is_empty() {
+        if self.vms.is_empty() {
             return WorkloadProfile::idle();
         }
-        let n = running.len() as f64;
+        let n = self.vms.len() as f64;
         let avg = |f: fn(&WorkloadProfile) -> f64| {
-            running.iter().map(|vm| f(&vm.config.workload)).sum::<f64>() / n
+            self.vms.values().map(|vm| f(&vm.config.workload)).sum::<f64>() / n
         };
         WorkloadProfile::new(
             "merged-guests",
@@ -459,7 +399,7 @@ impl Hypervisor {
             avg(|w| w.ipc).max(0.1),
             avg(|w| w.cache_mpki),
             avg(|w| w.mem_bw_util).clamp(0.0, 1.0),
-            running.iter().map(|vm| vm.config.workload.footprint_mib).sum(),
+            self.vms.values().map(|vm| vm.config.workload.footprint_mib).sum(),
         )
     }
 
@@ -504,8 +444,11 @@ impl Hypervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uniserver_platform::dram::{DimmConfig, MemorySystem};
     use uniserver_platform::msr::DomainId;
     use uniserver_platform::part::PartSpec;
+    use uniserver_silicon::power::DramPowerModel;
+    use uniserver_silicon::retention::RetentionModel;
 
     fn hypervisor() -> Hypervisor {
         Hypervisor::new(ServerNode::new(PartSpec::arm_microserver(), 42))
@@ -513,14 +456,16 @@ mod tests {
 
     #[test]
     fn can_host_predicts_launch_across_both_domains() {
-        // Inflate the fixed per-VM overhead so the *reliable* domain
-        // (16 GiB) exhausts after one guest while the relaxed domain
-        // still has room — the divergence a relaxed-only capacity check
-        // cannot see.
-        let config =
-            HypervisorConfig { per_vm_fixed: Bytes::gib(9), ..HypervisorConfig::default() };
-        let mut hv =
-            Hypervisor::with_config(ServerNode::new(PartSpec::arm_microserver(), 42), config);
+        // A 128 MiB reliable DIMM holds one guest's ~93 MiB overhead,
+        // not two, while the 8 GiB relaxed domain still has room — the
+        // divergence a relaxed-only capacity check cannot see.
+        let mk = |capacity, domain| DimmConfig { capacity, ecc_enabled: true, domain };
+        let memory = MemorySystem::new(
+            vec![mk(Bytes::mib(128), DomainId(0)), mk(Bytes::gib(8), DomainId(1))],
+            RetentionModel::ddr3_server(),
+            DramPowerModel::ddr3_8gb(),
+        );
+        let mut hv = Hypervisor::new(ServerNode::with_memory(PartSpec::arm_microserver(), memory, 42));
         let guest = VmConfig::ldbc_benchmark();
         assert!(hv.can_host(&guest));
         hv.launch_vm(guest.clone()).unwrap();
@@ -537,18 +482,14 @@ mod tests {
         // The Figure 3 red line of an idle hypervisor: baseline, static
         // objects and the shadows of the 7 300 fs/kernel/net objects.
         let hv = hypervisor();
-        let config = HypervisorConfig::default();
-        assert_eq!(
-            hv.own_footprint(),
-            config.base_footprint + hv.inventory.total_size() + Bytes::new(58_400)
-        );
+        assert_eq!(hv.own_footprint(), BASE_FOOTPRINT + hv.inventory.total_size() + Bytes::new(58_400));
     }
 
     #[test]
     fn vm_lifecycle_and_memory_accounting() {
         let mut hv = hypervisor();
         let id = hv.launch_vm(VmConfig::ldbc_benchmark()).expect("fits");
-        assert!(hv.vm(id).unwrap().is_running());
+        assert!(hv.vm(id).is_some());
         assert_eq!(hv.memory_used_relaxed(), Bytes::gib(4));
         assert!(hv.stop_vm(id));
         assert_eq!(hv.memory_used_relaxed(), Bytes::ZERO);
@@ -649,7 +590,7 @@ mod tests {
         }
         assert!(crashed, "a 20 % undervolt must crash");
         assert!(hv.availability() < 1.0);
-        assert!(hv.vm(VmId(0)).unwrap().is_running(), "VM is back after recovery");
+        assert!(hv.vm(VmId(0)).is_some(), "VM is back after recovery");
         // Reboot cleared the offsets: ticks are stable again.
         for _ in 0..20 {
             assert!(!hv.tick(Seconds::new(1.0)).node_crashed);
@@ -680,12 +621,7 @@ mod tests {
 
     /// The counters must equal a walk of the VM map and the DIMMs.
     fn assert_counters_match_a_walk(hv: &Hypervisor) {
-        let running: usize = hv
-            .vms()
-            .filter(|vm| vm.is_running())
-            .map(|vm| vm.config.vcpus)
-            .sum();
-        assert_eq!(hv.committed_vcpus(), running);
+        assert_eq!(hv.committed_vcpus(), hv.vms().map(|vm| vm.config.vcpus).sum::<usize>());
         let relaxed = hv.node().memory.domain_capacity(DomainId(1));
         assert_eq!(hv.relaxed_capacity(), relaxed);
     }
@@ -728,7 +664,23 @@ mod tests {
                     if step % 25 == 0 {
                         hv.node_mut().msr.set_voltage_offset_all(deep).unwrap();
                     }
+                    let before: Vec<u64> = hv.vms().map(|vm| vm.restarts).collect();
                     let out = hv.tick(Seconds::new(2.0));
+                    let restarted: Vec<&Vm> =
+                        hv.vms().zip(&before).filter(|&(vm, &r)| vm.restarts > r).map(|(vm, _)| vm).collect();
+                    assert!(hv.vms().zip(&before).all(|(vm, &r)| vm.restarts <= r + 1), "one restart per tick");
+                    if out.node_crashed {
+                        // A crash restarts every VM and advances none.
+                        assert_eq!(out.vm_restarts, before.len() as u64);
+                        assert_eq!(restarted.len(), before.len());
+                        assert!(hv.vms().all(|vm| vm.phase == Seconds::ZERO));
+                    } else {
+                        // Each UE victim restarts once, then advances
+                        // with the rest of the guests.
+                        assert_eq!(out.contained_uncorrected, restarted.len() as u64);
+                        assert_eq!(out.vm_restarts, restarted.len() as u64);
+                        assert!(restarted.iter().all(|vm| vm.phase == Seconds::new(2.0)));
+                    }
                     contained += out.contained_uncorrected;
                     crashes += u64::from(out.node_crashed);
                 }

@@ -35,7 +35,7 @@
 //! let mut hv = Hypervisor::new(node);
 //! let vm = hv.launch_vm(VmConfig::ldbc_benchmark())?;
 //! hv.tick(Seconds::new(1.0));
-//! assert!(hv.vm(vm).expect("vm exists").is_running());
+//! assert!(hv.vm(vm).is_some());
 //! # Ok(())
 //! # }
 //! ```
@@ -48,4 +48,4 @@ pub mod vm;
 
 pub use hypervisor::{Hypervisor, TickOutcome};
 pub use objects::{HvObject, ObjectCategory, ObjectInventory};
-pub use vm::{Vm, VmConfig, VmId, VmState};
+pub use vm::{Vm, VmConfig, VmId};

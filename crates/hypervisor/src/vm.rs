@@ -21,17 +21,6 @@ impl std::fmt::Display for VmId {
     }
 }
 
-/// Lifecycle state of a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VmState {
-    /// Scheduled and executing.
-    Running,
-    /// Killed by an unrecoverable error; awaiting restart.
-    Failed,
-    /// Shut down by request.
-    Stopped,
-}
-
 /// Static configuration of a VM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmConfig {
@@ -86,15 +75,14 @@ impl VmConfig {
     }
 }
 
-/// A live VM.
+/// A live VM. A hypervisor holds only running VMs: a UE kill and its
+/// restart happen inside one tick, and a stopped VM is dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vm {
     /// Identifier within the hypervisor.
     pub id: VmId,
     /// Static configuration.
     pub config: VmConfig,
-    /// Lifecycle state.
-    pub state: VmState,
     /// Time spent inside the current benchmark execution.
     pub phase: Seconds,
     /// Completed benchmark executions.
@@ -107,20 +95,19 @@ impl Vm {
     /// Creates a freshly launched VM.
     #[must_use]
     pub fn launch(id: VmId, config: VmConfig) -> Self {
-        Vm { id, config, state: VmState::Running, phase: Seconds::ZERO, executions_completed: 0, restarts: 0 }
+        Vm { id, config, phase: Seconds::ZERO, executions_completed: 0, restarts: 0 }
     }
 
-    /// Whether the VM is running.
+    /// Always `true`: every VM a hypervisor holds is running. Kept for
+    /// the benchmark replay's running-guest filter until that filter
+    /// goes.
     #[must_use]
     pub fn is_running(&self) -> bool {
-        self.state == VmState::Running
+        true
     }
 
     /// Advances the VM's internal phase clock.
     pub fn advance(&mut self, dur: Seconds) {
-        if self.state != VmState::Running {
-            return;
-        }
         self.phase = self.phase + dur;
         while self.phase >= self.config.execution_period {
             self.phase = self.phase - self.config.execution_period;
@@ -140,9 +127,6 @@ impl Vm {
     /// then query working set).
     #[must_use]
     pub(crate) fn application_heap(&self) -> Bytes {
-        if self.state != VmState::Running {
-            return Bytes::ZERO;
-        }
         let t = self.phase.as_secs() / self.config.execution_period.as_secs();
         // Saturating growth: 1 - e^(-4t) reaches ~98 % by the period end.
         let fill = 1.0 - (-4.0 * t).exp();
@@ -152,23 +136,13 @@ impl Vm {
     /// Total utilized guest footprint (baseline + resident set + heap).
     #[must_use]
     pub fn utilized_footprint(&self) -> Bytes {
-        if self.state != VmState::Running {
-            return Bytes::ZERO;
-        }
         self.os_baseline() + self.config.resident_set + self.application_heap()
     }
 
-    /// Kills the VM (UE containment path).
-    pub(crate) fn kill(&mut self) {
-        self.state = VmState::Failed;
-    }
-
-    /// Restarts a failed VM (heap resets, restart counted).
+    /// Restarts the VM after a UE kill or a node crash: the restart is
+    /// counted and the heap resets.
     pub(crate) fn restart(&mut self) {
-        if self.state == VmState::Failed {
-            self.restarts += 1;
-        }
-        self.state = VmState::Running;
+        self.restarts += 1;
         self.phase = Seconds::ZERO;
     }
 }
@@ -212,23 +186,14 @@ mod tests {
     }
 
     #[test]
-    fn dead_vms_occupy_nothing() {
+    fn restart_counts_and_resets_the_execution() {
         let mut vm = Vm::launch(VmId(2), VmConfig::ldbc_benchmark());
-        vm.advance(Seconds::new(60.0));
-        vm.kill();
-        assert_eq!(vm.utilized_footprint(), Bytes::ZERO);
-        assert!(!vm.is_running());
+        vm.advance(Seconds::new(130.0));
+        assert_eq!(vm.executions_completed, 1);
         vm.restart();
-        assert!(vm.is_running());
         assert_eq!(vm.restarts, 1);
         assert_eq!(vm.phase, Seconds::ZERO);
-    }
-
-    #[test]
-    fn stopped_vms_do_not_advance() {
-        let mut vm = Vm::launch(VmId(3), VmConfig::idle_guest());
-        vm.state = VmState::Stopped;
-        vm.advance(Seconds::new(100.0));
-        assert_eq!(vm.phase, Seconds::ZERO);
+        assert_eq!(vm.executions_completed, 1, "a restart keeps the completed executions");
+        assert_eq!(vm.utilized_footprint(), vm.os_baseline() + vm.config.resident_set);
     }
 }

@@ -110,10 +110,9 @@ pub fn run_with_telemetry(
     let deploy_wall_ms = deploy_start.elapsed().as_secs_f64() * 1e3;
     cluster.set_workers(workers);
     // The stage profiler is wall-clock (machine-local): it feeds the
-    // timing report, never the deterministic summary or metrics.
-    let profiler = Arc::new(StageProfiler::new());
-    profiler.add_nanos(Stage::Deploy, (deploy_secs * 1e9) as u64);
-    cluster.set_profiler(Arc::clone(&profiler));
+    // timing report, never the deterministic summary or metrics. The
+    // cluster times its own tick stages.
+    let mut profiler = StageProfiler::new();
     if tel.metrics.is_some() {
         cluster.enable_metrics();
     }
@@ -606,14 +605,14 @@ pub fn run_with_telemetry(
         cores: cores(),
         stages: StageBreakdown {
             placement_ms: profiler.ms(Stage::Placement),
-            predictor_ms: profiler.ms(Stage::Predictor),
-            hypervisor_tick_ms: profiler.ms(Stage::NodeTick),
+            predictor_ms: cluster.stages().ms(Stage::Predictor),
+            hypervisor_tick_ms: cluster.stages().ms(Stage::NodeTick),
             retry_ms: profiler.ms(Stage::RetryQueue),
             recovery_ms: profiler.ms(Stage::Recovery),
             events_ms: profiler.ms(Stage::Events),
             rejoin_ms: profiler.ms(Stage::Rejoin),
             tick_wall_ms: profiler.ms(Stage::Tick),
-            reduce_ms: profiler.ms(Stage::Reduce),
+            reduce_ms: cluster.stages().ms(Stage::Reduce),
         },
     };
     (summary, timing)

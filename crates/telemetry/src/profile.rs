@@ -4,20 +4,15 @@
 //!
 //! Timings are **machine-local wall-clock** and deliberately live
 //! outside every deterministic artefact — they land next to `cores` in
-//! the non-deterministic timing block of `BENCH_*.json`. The
-//! accumulators are relaxed atomics so the sharded per-node phase can
-//! add its nanoseconds from worker threads without ordering traffic;
-//! addition commutes, so the totals are scheduling-independent (their
-//! *values* are wall-clock and vary run to run regardless).
+//! the non-deterministic timing block of `BENCH_*.json`. Every addition
+//! runs on the serve thread: the sharded per-node phase hands its chunk
+//! timings back to the caller, which adds them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// One phase of an orchestrated run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Parallel EOP deploy of the rack (before the serve loop).
-    Deploy,
     /// Repair-clock ticking and rejoin re-characterization.
     Rejoin,
     /// Draining due departures/settlements from the event queue.
@@ -46,12 +41,12 @@ pub enum Stage {
 /// Number of stages: `Recovery` is the last variant.
 const STAGE_COUNT: usize = Stage::Recovery as usize + 1;
 
-/// Wall-clock accumulator per stage. Shared across threads via `Arc`;
-/// spans add their elapsed nanoseconds on drop.
-#[derive(Debug, Default)]
+/// Wall-clock accumulator per stage; spans add their elapsed
+/// nanoseconds on drop.
+#[derive(Debug, Clone, Default)]
 pub struct StageProfiler {
     /// Indexed by the stage's discriminant.
-    nanos: [AtomicU64; STAGE_COUNT],
+    nanos: [u64; STAGE_COUNT],
 }
 
 impl StageProfiler {
@@ -64,20 +59,20 @@ impl StageProfiler {
     /// Opens a scoped span: the elapsed wall-clock between this call
     /// and the guard's drop is added to `stage`.
     #[must_use]
-    pub fn scoped(&self, stage: Stage) -> StageSpan<'_> {
+    pub fn scoped(&mut self, stage: Stage) -> StageSpan<'_> {
         StageSpan { profiler: self, stage, start: Instant::now() }
     }
 
     /// Adds pre-measured nanoseconds to a stage (the sharded paths
-    /// accumulate locally and flush once per chunk).
-    pub fn add_nanos(&self, stage: Stage, nanos: u64) {
-        self.nanos[stage as usize].fetch_add(nanos, Ordering::Relaxed);
+    /// time each chunk and add once per chunk).
+    pub fn add_nanos(&mut self, stage: Stage, nanos: u64) {
+        self.nanos[stage as usize] += nanos;
     }
 
     /// Nanoseconds accumulated on a stage.
     #[must_use]
     pub fn nanos(&self, stage: Stage) -> u64 {
-        self.nanos[stage as usize].load(Ordering::Relaxed)
+        self.nanos[stage as usize]
     }
 
     /// Milliseconds accumulated on a stage.
@@ -90,7 +85,7 @@ impl StageProfiler {
 /// RAII span guard returned by [`StageProfiler::scoped`].
 #[derive(Debug)]
 pub struct StageSpan<'a> {
-    profiler: &'a StageProfiler,
+    profiler: &'a mut StageProfiler,
     stage: Stage,
     start: Instant,
 }
@@ -109,7 +104,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_and_add_nanos_composes() {
-        let p = StageProfiler::new();
+        let mut p = StageProfiler::new();
         {
             let _span = p.scoped(Stage::Placement);
             std::hint::black_box(0u64);
@@ -118,20 +113,5 @@ mod tests {
         assert!(p.nanos(Stage::Placement) >= 1_000_000);
         assert!(p.ms(Stage::Placement) >= 1.0);
         assert_eq!(p.nanos(Stage::Recovery), 0);
-    }
-
-    #[test]
-    fn profiler_is_shareable_across_threads() {
-        let p = std::sync::Arc::new(StageProfiler::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let p = std::sync::Arc::clone(&p);
-                std::thread::spawn(move || p.add_nanos(Stage::NodeTick, 10))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(p.nanos(Stage::NodeTick), 40);
     }
 }
