@@ -48,8 +48,10 @@
 //!   wall/deploy/serve ms, deploy + serve ms per node, the arrival
 //!   count, margins, fleet energy, crash count and, where
 //!   `/proc/self/status` exists, the process's peak RSS) to PATH, e.g.
-//!   `BENCH_cluster.json`. Timings are machine-local wall-clock and
-//!   deliberately *not* part of the summary on stdout.
+//!   `BENCH_cluster.json`, with a deterministic `work` object (node and
+//!   steady intervals, index flushes, nodes re-weighed). Timings are
+//!   machine-local wall-clock and deliberately *not* part of the
+//!   summary on stdout.
 //! * `--metrics-out PATH` writes the deterministic tick-domain metrics
 //!   registry — counters, min/max gauges and fixed-log2-bucket
 //!   histograms (queue-wait, VM lifetime, retry depth, MTTR, per-class

@@ -280,6 +280,13 @@ pub fn bench_record(s: &ClusterSummary, t: &OrchestratorTiming, label: &str) -> 
         o.field_f64("tick_wall_ms", t.stages.tick_wall_ms);
         o.field_f64("reduce_ms", t.stages.reduce_ms);
     });
+    // Deterministic work counts: equal at every worker count and build.
+    w.field_object("work", |o| {
+        o.field_u64("node_intervals", t.work.node_intervals);
+        o.field_u64("steady_intervals", t.work.steady_intervals);
+        o.field_u64("index_flushes", t.work.index_flushes);
+        o.field_u64("nodes_reweighed", t.work.nodes_reweighed);
+    });
     w.field_f64("wall_ms", t.wall_ms);
     w.field_f64("deploy_ms", t.deploy_ms);
     w.field_f64("deploy_wall_ms", t.deploy_wall_ms);

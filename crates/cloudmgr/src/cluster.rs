@@ -189,6 +189,23 @@ pub struct ClusterTickReport {
     pub evicted: Vec<Placement>,
 }
 
+/// Deterministic counts of the work a run did, whatever the host: the
+/// same at every worker count and build profile, and never part of a
+/// report. Node counts are summed in node order by the tick's reduce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkLedger {
+    /// Platform intervals the serving ticks ran (one per awake, online
+    /// node per tick).
+    pub node_intervals: u64,
+    /// Of those, the intervals that had their node's previous inputs
+    /// and paid only for their draws.
+    pub steady_intervals: u64,
+    /// Placement-index flushes.
+    pub index_flushes: u64,
+    /// Nodes those flushes re-weighed.
+    pub nodes_reweighed: u64,
+}
+
 /// Power-management counters a consolidating policy accumulates. All
 /// zero under policies that never park anyone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -226,6 +243,8 @@ struct NodeAdvance {
     rescored: bool,
     /// The update moved the node's reliability (its placement score).
     reliability_changed: bool,
+    /// The node's platform interval was steady.
+    steady: bool,
     /// Predicted to fail and not crashed *this tick*: the proactive
     /// pass visits its placements.
     failing: bool,
@@ -275,6 +294,7 @@ fn advance_slice(nodes: &mut [ManagedNode], slots: &mut [Option<NodeAdvance>], d
                 crash_events: outcome.crash_events,
                 rescored: false,
                 reliability_changed: false,
+                steady: node.hypervisor.node().last_interval_steady(),
                 failing: false,
             }
         });
@@ -362,6 +382,9 @@ pub struct Cluster {
     /// Park/wake/consolidation counters (all zero unless the policy
     /// manages power states).
     power_stats: PowerStats,
+    /// Node intervals run and steady, counted by the tick's reduce (the
+    /// index keeps its own flush counts).
+    work: WorkLedger,
     /// Wall-clock time of the tick's own stages: [`Stage::NodeTick`],
     /// [`Stage::Predictor`] and [`Stage::Reduce`] (machine-local; never
     /// in a report).
@@ -435,6 +458,7 @@ impl Cluster {
             migration_downtime: Seconds::ZERO,
             rejected: 0,
             power_stats: PowerStats::default(),
+            work: WorkLedger::default(),
             stages: StageProfiler::new(),
             metrics: None,
             workers: 1,
@@ -646,6 +670,13 @@ impl Cluster {
         self.power_stats
     }
 
+    /// The work counted so far.
+    #[must_use]
+    pub fn work(&self) -> WorkLedger {
+        let (index_flushes, nodes_reweighed) = self.index.flush_work();
+        WorkLedger { index_flushes, nodes_reweighed, ..self.work }
+    }
+
     /// Runs the policy's periodic management pass every
     /// `REBALANCE_EVERY` ticks: parks empties, drains stragglers
     /// within the plan's migration budget, and parks fully-drained
@@ -800,11 +831,14 @@ impl Cluster {
         let mut failing = Vec::new();
         let mut energy = Joules::ZERO;
         let index = &mut self.index;
+        let work = &mut self.work;
         let mut metrics = self.metrics.as_mut();
         for (node, slot) in self.nodes.iter_mut().zip(&mut self.advances) {
             match slot.take() {
                 Some(adv) => {
                     energy = energy + adv.energy;
+                    work.node_intervals += 1;
+                    work.steady_intervals += u64::from(adv.steady);
                     if let Some(m) = &mut metrics {
                         m.inc("node_ticks");
                         if adv.rescored {

@@ -44,7 +44,12 @@ const SCORE_SCALE: f64 = 4.0;
 const SILENT_DECAY: f64 = 0.97;
 
 /// The reliability in `[0, 1]` of a log-score: `exp(-score / scale)`.
+/// A node whose log never scored an event (score exactly 0) is at 1.0
+/// without the `exp`.
 fn reliability_of(score: f64) -> f64 {
+    if score == 0.0 {
+        return 1.0;
+    }
     (-score / SCORE_SCALE).exp()
 }
 
@@ -203,6 +208,14 @@ mod tests {
         let h = Logged::with(&[CLEAN; 5]);
         assert_eq!(p.reliability(&h.health), 1.0);
         assert!(!p.predicts_failure(1.0));
+    }
+
+    #[test]
+    fn a_zero_score_skips_only_an_exp_of_one() {
+        for score in [0.0, -0.0] {
+            assert_eq!(reliability_of(score).to_bits(), (-score / SCORE_SCALE).exp().to_bits());
+        }
+        assert_eq!(reliability_of(f64::MIN_POSITIVE), (-f64::MIN_POSITIVE / SCORE_SCALE).exp());
     }
 
     #[test]

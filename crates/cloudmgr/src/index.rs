@@ -154,6 +154,9 @@ pub struct PlacementIndex {
     facts: Vec<NodeFacts>,
     /// Bumped on every clean→dirty mark and every `mark_all`.
     generation: u64,
+    /// Flushes so far, and the nodes they re-weighed (work counts).
+    flushes: u64,
+    reweighed: u64,
 }
 
 impl PlacementIndex {
@@ -170,6 +173,8 @@ impl PlacementIndex {
             pending,
             facts: vec![NodeFacts::default(); n],
             generation: 0,
+            flushes: 0,
+            reweighed: 0,
         }
     }
 
@@ -219,6 +224,12 @@ impl PlacementIndex {
         self.generation
     }
 
+    /// Flushes so far and the nodes they re-weighed.
+    #[must_use]
+    pub(crate) fn flush_work(&self) -> (u64, u64) {
+        (self.flushes, self.reweighed)
+    }
+
     /// Number of nodes currently marked dirty (diagnostics/tests).
     #[must_use]
     pub(crate) fn dirty_count(&self) -> usize {
@@ -236,6 +247,8 @@ impl PlacementIndex {
     /// node's, or any cached headroom is below the live headroom — a
     /// missed [`PlacementIndex::mark`].
     pub fn flush(&mut self, scheduler: &Scheduler, nodes: &[ManagedNode]) {
+        self.flushes += 1;
+        self.reweighed += self.pending.len() as u64;
         for i in std::mem::take(&mut self.pending) {
             let i = i as usize;
             let node = &nodes[i];

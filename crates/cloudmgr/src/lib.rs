@@ -62,7 +62,7 @@ pub mod stream;
 
 pub use cluster::{
     cores, resolve_workers, Cluster, ClusterConfig, ClusterTickReport, CrashRecovery, PartWeight,
-    Placement, PlacementId, PowerStats,
+    Placement, PlacementId, PowerStats, WorkLedger,
 };
 pub use failure::FailurePredictor;
 pub use index::PlacementIndex;

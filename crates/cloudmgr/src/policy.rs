@@ -25,13 +25,14 @@
 //!
 //! Decisions read the rack through [`RackView`], which filters every
 //! candidate on the placement index's cached node facts before it
-//! touches a [`ManagedNode`]: power state, and the online, quarantine
-//! and vCPU / relaxed-memory headroom gates of
-//! `Scheduler::admits_blind`, which every policy's admission implies.
-//! The live [`PolicyKind::admits`] confirms the survivors and applies
-//! everything else (crash state, availability and reliability floors),
-//! so a decision over a mostly asleep or mostly full rack reads few
-//! nodes.
+//! touches a [`ManagedNode`]: power state, the online, quarantine and
+//! vCPU / relaxed-memory headroom gates of `Scheduler::admits_blind`,
+//! which every policy's admission implies, and the class's reliability
+//! floor under the policies that weigh reliability. The live
+//! [`PolicyKind::admits`] confirms the survivors and applies everything
+//! else (crash state, the availability floor, consolidation's launch
+//! check), so a decision over a mostly asleep, mostly full or mostly
+//! unreliable rack reads few nodes.
 
 use uniserver_hypervisor::vm::VmConfig;
 
@@ -127,6 +128,18 @@ impl PolicyKind {
                 scheduler.admits_awake(node, config, class) && node.hypervisor.can_host(config)
             }
             PolicyKind::ReliabilityBlind => scheduler.admits_blind(node, config, class),
+        }
+    }
+
+    /// The lowest cached [`NodeFacts::reliability`] a node may have and
+    /// still pass [`PolicyKind::admits`] for `class`: the class floor
+    /// that [`Scheduler::admits_awake`] applies to the live
+    /// [`ManagedNode::effective_reliability`], which a flushed index
+    /// caches exactly. The blind ablation has no floor.
+    fn reliability_floor(self, class: SlaClass) -> f64 {
+        match self {
+            PolicyKind::EnergySla | PolicyKind::Consolidate => class.min_reliability(),
+            PolicyKind::ReliabilityBlind => f64::NEG_INFINITY,
         }
     }
 
@@ -288,10 +301,12 @@ impl<'a> RackView<'a> {
         asleep: bool,
     ) -> Option<NodeId> {
         let facts = self.facts();
+        let floor = kind.reliability_floor(class);
         self.index.ranked_rev().find(|id| {
             let f = &facts[id.0 as usize];
             f.asleep == asleep
                 && f.may_admit(config)
+                && f.reliability >= floor
                 && !avoid.contains(id)
                 && kind.admits(&self.nodes[id.0 as usize], config, class)
         })
@@ -375,8 +390,9 @@ fn pack_target(
     avoid: &[NodeId],
 ) -> Option<NodeId> {
     let mut best: Option<(u8, f64, NodeId)> = None;
+    let floor = PolicyKind::Consolidate.reliability_floor(class);
     for (i, f) in view.facts().iter().enumerate() {
-        if f.asleep || f.degraded || !f.may_admit(config) {
+        if f.asleep || f.degraded || !f.may_admit(config) || f.reliability < floor {
             continue;
         }
         #[allow(clippy::cast_possible_truncation)]

@@ -58,6 +58,9 @@ pub struct HealthLog {
     /// `(end of interval, interval length, corrected errors)` of every
     /// interval inside the rate window, oldest first.
     rate_window: VecDeque<(Seconds, Seconds, usize)>,
+    /// The corrected errors summed over `rate_window`: while it is 0 the
+    /// CE rate is exactly 0.0 and is not summed.
+    window_ces: usize,
     /// Counts of the most recent event intervals, oldest first.
     recent_events: VecDeque<EventCounts>,
     /// Event intervals ingested over the log's lifetime.
@@ -76,6 +79,7 @@ impl HealthLog {
         HealthLog {
             ledger: ErrorLedger::new(),
             rate_window: VecDeque::new(),
+            window_ces: 0,
             recent_events: VecDeque::new(),
             events_logged: 0,
             advice: vec![HealthAction::TriggerStressTest],
@@ -102,9 +106,14 @@ impl HealthLog {
         // Node clocks never run backwards, so an interval that has left
         // the window can never re-enter it.
         self.rate_window.push_back((report.at, report.duration, counts.ce));
+        self.window_ces += counts.ce;
         let from = report.at.saturating_sub(Seconds::new(RATE_WINDOW_SECS));
-        while self.rate_window.front().is_some_and(|&(at, ..)| at <= from) {
+        while let Some(&(at, _, ces)) = self.rate_window.front() {
+            if at > from {
+                break;
+            }
             self.rate_window.pop_front();
+            self.window_ces -= ces;
         }
         if counts.crashed || !report.errors.is_empty() {
             if self.recent_events.len() == RECENT_EVENTS {
@@ -118,7 +127,7 @@ impl HealthLog {
             self.advice.truncate(1);
             self.advice.extend(hot.into_iter().map(|(key, _)| HealthAction::IsolateResource(key)));
         }
-        let stress = self.ce_rate_per_minute() > CE_PER_MINUTE;
+        let stress = self.window_ces > 0 && self.ce_rate_per_minute() > CE_PER_MINUTE;
         let advice = &self.advice[usize::from(!stress)..];
         #[cfg(debug_assertions)]
         assert_eq!(advice, self.recommendations(), "stale cached advice");
@@ -394,6 +403,8 @@ mod tests {
             history.push((at, Seconds::new(tick), ces));
 
             assert!(health.rate_window.len() <= rate_bound, "rate window grew at {i}");
+            let in_window: usize = health.rate_window.iter().map(|&(_, _, ces)| ces).sum();
+            assert_eq!(health.window_ces, in_window, "window count at {i}");
             assert!(health.recent_events.len() <= RECENT_EVENTS, "event window grew at {i}");
             // The recount sums every in-window interval in ingest order.
             let from = at.saturating_sub(Seconds::new(RATE_WINDOW_SECS));
@@ -480,6 +491,10 @@ mod tests {
                     prop_assert_eq!(counted.ledger(), singles.ledger());
                     prop_assert_eq!(counted.recent_events(), singles.recent_events());
                     prop_assert_eq!(&counted.rate_window, &singles.rate_window);
+                    let in_window: usize = counted.rate_window.iter().map(|&(_, _, ces)| ces).sum();
+                    prop_assert_eq!(counted.window_ces, in_window, "window count at {}", i);
+                    prop_assert_eq!(singles.window_ces, in_window);
+                    prop_assert_eq!(in_window == 0, counted.ce_rate_per_minute() == 0.0);
                     prop_assert_eq!(counted.events_logged(), singles.events_logged());
                 }
             }

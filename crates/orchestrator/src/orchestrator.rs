@@ -614,6 +614,7 @@ pub fn run_with_telemetry(
             tick_wall_ms: profiler.ms(Stage::Tick),
             reduce_ms: cluster.stages().ms(Stage::Reduce),
         },
+        work: cluster.work(),
     };
     (summary, timing)
 }

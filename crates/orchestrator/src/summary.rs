@@ -1,5 +1,7 @@
 //! Deterministic run summaries: everything the JSON artefact reports.
 
+use uniserver_cloudmgr::WorkLedger;
+
 /// Per-SLA-class accounting (indexed gold/silver/bronze).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClassStats {
@@ -280,4 +282,7 @@ pub struct OrchestratorTiming {
     pub cores: usize,
     /// Per-phase attribution of the serving loop.
     pub stages: StageBreakdown,
+    /// What the serving loop counted doing: deterministic, unlike every
+    /// other field here.
+    pub work: WorkLedger,
 }

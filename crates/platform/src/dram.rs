@@ -17,7 +17,7 @@ use uniserver_units::{Bytes, Celsius, Seconds, Watts};
 use uniserver_silicon::ecc::{DecodeOutcome, Secded72};
 use uniserver_silicon::power::DramPowerModel;
 use uniserver_silicon::retention::RetentionModel;
-use uniserver_silicon::rng::poisson;
+use uniserver_silicon::rng::{poisson, PoissonLimit};
 use uniserver_silicon::{ErrorSeverity, FaultKind};
 
 use crate::mca::{ErrorOrigin, MceRecord};
@@ -253,17 +253,21 @@ impl MemorySystem {
     /// silent, exactly the hazard the hypervisor's reliable domain
     /// avoids). `window_failures` holds each DIMM's
     /// [`MemorySystem::window_failures`] at the current refresh settings
-    /// and temperature (the serving tick memoizes them).
+    /// and temperature (the serving tick memoizes them), and `limits`
+    /// each DIMM's Poisson zero limit, kept on the bits of the DIMM's
+    /// expected hits: a steady interval repeats them, and the hit
+    /// count draws exactly as [`poisson`] does.
     ///
     /// # Panics
     ///
-    /// Panics if `touch_fraction` is outside `[0, 1]` or
-    /// `window_failures` does not hold one term per DIMM.
+    /// Panics if `touch_fraction` is outside `[0, 1]`, or
+    /// `window_failures` or `limits` does not hold one term per DIMM.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sample_errors_into<R: Rng + ?Sized>(
         &mut self,
         msr: &MsrFile,
         window_failures: &[f64],
+        limits: &mut [PoissonLimit],
         duration: Seconds,
         now: Seconds,
         touch_fraction: f64,
@@ -272,14 +276,15 @@ impl MemorySystem {
     ) {
         assert!((0.0..=1.0).contains(&touch_fraction), "touch fraction must be in [0, 1]");
         assert_eq!(window_failures.len(), self.dimms.len(), "one failure term per DIMM");
-        for (i, &per_window) in window_failures.iter().enumerate() {
+        assert_eq!(limits.len(), self.dimms.len(), "one Poisson limit per DIMM");
+        for (i, (&per_window, limit)) in window_failures.iter().zip(limits).enumerate() {
             let (interval, words, ecc) = {
                 let d = &self.dimms[i];
                 (msr.refresh_interval(d.config.domain), d.words(), d.config.ecc_enabled)
             };
             let windows = (duration.as_secs() / interval.as_secs()).max(0.0);
             let expected = per_window * windows * touch_fraction;
-            let hits = poisson(rng, expected);
+            let hits = limit.sample(rng, expected);
             if hits == 0 {
                 continue;
             }
@@ -386,10 +391,12 @@ mod tests {
         let window_failures: Vec<f64> = (0..mem.dimms.len())
             .map(|i| mem.window_failures(i, msr.refresh_interval(mem.dimms[i].config.domain), temp))
             .collect();
+        let mut limits = vec![PoissonLimit::default(); window_failures.len()];
         let mut records = Vec::new();
         mem.sample_errors_into(
             msr,
             &window_failures,
+            &mut limits,
             duration,
             Seconds::ZERO,
             touch_fraction,
@@ -488,6 +495,7 @@ mod tests {
                 counted.sample_errors_into(
                     &msr,
                     &failures,
+                    &mut [PoissonLimit::default(); 4],
                     duration,
                     Seconds::ZERO,
                     1.0,

@@ -61,8 +61,9 @@ impl std::fmt::Display for MsrWriteError {
 
 impl std::error::Error for MsrWriteError {}
 
-/// The modeled register file.
-#[derive(Debug, Clone, PartialEq)]
+/// The modeled register file. Two files are equal when they hold the
+/// same settings, whatever their write counts.
+#[derive(Debug, Clone)]
 pub struct MsrFile {
     nominal_voltage: Volts,
     /// Per-core undervolt offsets in millivolts (subtracted from nominal).
@@ -73,6 +74,20 @@ pub struct MsrFile {
     refresh: Vec<Seconds>,
     refresh_min: Seconds,
     refresh_max: Seconds,
+    /// Successful writes since the file was built: a node's interval
+    /// memos key on it instead of on every setting.
+    writes: u64,
+}
+
+impl PartialEq for MsrFile {
+    fn eq(&self, other: &Self) -> bool {
+        self.nominal_voltage == other.nominal_voltage
+            && self.core_offsets_mv == other.core_offsets_mv
+            && self.offset_limit_mv == other.offset_limit_mv
+            && self.refresh == other.refresh
+            && self.refresh_min == other.refresh_min
+            && self.refresh_max == other.refresh_max
+    }
 }
 
 impl MsrFile {
@@ -94,6 +109,7 @@ impl MsrFile {
             refresh: vec![Seconds::from_millis(64.0); domains],
             refresh_min: Seconds::from_millis(1.0),
             refresh_max: Seconds::new(10.0),
+            writes: 0,
         }
     }
 
@@ -101,6 +117,14 @@ impl MsrFile {
     #[must_use]
     pub(crate) fn cores(&self) -> usize {
         self.core_offsets_mv.len()
+    }
+
+    /// Successful writes since the file was built. Every setting changes
+    /// only through a counted write, so an unchanged count means
+    /// unchanged settings.
+    #[must_use]
+    pub(crate) fn writes(&self) -> u64 {
+        self.writes
     }
 
     /// Hardware limit on the undervolt offset magnitude, in millivolts.
@@ -128,6 +152,7 @@ impl MsrFile {
             });
         }
         self.core_offsets_mv[core] = offset_mv;
+        self.writes += 1;
         Ok(())
     }
 
@@ -186,6 +211,7 @@ impl MsrFile {
             });
         }
         *slot = interval;
+        self.writes += 1;
         Ok(())
     }
 
@@ -267,6 +293,23 @@ mod tests {
         assert!(m.set_refresh_interval(DomainId(0), Seconds::new(60.0)).is_err());
         assert!(m.set_refresh_interval(DomainId(0), Seconds::from_micros(10.0)).is_err());
         assert!(m.set_refresh_interval(DomainId(9), Seconds::new(1.0)).is_err());
+    }
+
+    #[test]
+    fn writes_are_counted_and_equality_is_by_value() {
+        let mut m = msr();
+        assert!(m.set_voltage_offset(0, 400.0).is_err());
+        assert!(m.set_refresh_interval(DomainId(9), Seconds::new(1.0)).is_err());
+        assert_eq!(m.writes(), 0, "a failed write changes nothing");
+        m.set_voltage_offset_all(10.0).unwrap();
+        m.set_refresh_interval(DomainId(1), Seconds::new(1.5)).unwrap();
+        assert_eq!(m.writes(), 3);
+        let mut same = msr();
+        same.set_refresh_interval(DomainId(1), Seconds::new(1.5)).unwrap();
+        same.set_voltage_offset_all(10.0).unwrap();
+        same.set_voltage_offset(0, 10.0).unwrap();
+        assert_eq!(same.writes(), 4);
+        assert_eq!(m, same, "equal settings are equal files");
     }
 
     #[test]

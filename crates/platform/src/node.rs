@@ -11,8 +11,26 @@
 //! same RNG values in the same order as the full model: it steps over
 //! the sensor sweep (rebuilt on demand by [`ServerNode::last_sensors`])
 //! and the onset draws of a cache that cannot log a CE, and it memoizes
-//! the pure power and retention terms on the bit patterns of their
-//! inputs.
+//! every term that is pure in its inputs, on two levels:
+//!
+//! * **The steady key.** One key covers every input of those terms: the
+//!   MSR file's write count, the node's core-isolation count, its age,
+//!   the workload's activity, di/dt, resonance and memory bandwidth, the
+//!   ambient and the interval length. An interval whose key equals the
+//!   last one's (most of a quiet rack's intervals) reuses the last
+//!   interval's stress, aging drift, per-core voltages and crash-bound
+//!   keys, summed core power, DRAM power and retention terms, and pays
+//!   only for its draws. Debug builds re-derive every reused term from
+//!   the models on each steady interval and panic with `stale steady
+//!   interval` on a mismatch.
+//! * **Per core and per DIMM.** When the key moves, each core's power
+//!   and crash bounds, the DRAM power and each DIMM's expected
+//!   retention failures are recomputed only where the bit patterns of
+//!   their own inputs changed: a shmoo step that moves one core's
+//!   voltage recomputes that core alone.
+//!
+//! Each DIMM also keeps the Poisson zero limit `exp(−λ)` of its hit
+//! draw, keyed on the bits of λ ([`PoissonLimit`]).
 //!
 //! The crash dice and the cache onsets are bounded skips. Each core
 //! memoizes, per Box–Muller radius (on first use), the highest crash
@@ -31,7 +49,7 @@ use rand::{Rng, SeedableRng};
 use uniserver_units::{Celsius, Joules, Seconds, Volts, Watts};
 
 use uniserver_silicon::aging::AgingModel;
-use uniserver_silicon::rng::{bernoulli, deviate_bound, normal_radius, NORMAL_RADII};
+use uniserver_silicon::rng::{bernoulli, deviate_bound, normal_radius, PoissonLimit, NORMAL_RADII};
 use uniserver_silicon::variation::ChipProfile;
 use uniserver_silicon::vmin::VminModel;
 use uniserver_silicon::{ErrorSeverity, FaultKind};
@@ -83,6 +101,34 @@ pub struct IntervalReport {
 /// slot's, hence with at most the slot's probability.
 type CrashBounds = [Option<(Volts, f64)>; NORMAL_RADII.len()];
 
+/// The inputs every term of an [`IntervalPlan`] is pure in, as bits: the
+/// MSR write count, the core-isolation count, the age in months, the
+/// workload's activity, di/dt, resonance and memory bandwidth, the
+/// ambient and the interval length.
+type SteadyKey = [u64; 9];
+
+/// The terms of an interval that are pure in its [`SteadyKey`]. The
+/// per-core voltages, powers and crash-bound keys and the per-DIMM
+/// retention terms that go with it live in the node's memos.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct IntervalPlan {
+    key: SteadyKey,
+    /// The workload's stress scalar on the part's PDN.
+    stress: f64,
+    /// The aging drift added to every core's weakness.
+    aging: f64,
+    /// The lowest active core voltage (nominal when none is active).
+    min_active_voltage: Volts,
+    /// Cores not isolated.
+    active: usize,
+    /// Core power summed over every core.
+    core_power: Watts,
+    /// Core plus DRAM power.
+    package: Watts,
+    /// The fraction of memory the workload reads.
+    touch: f64,
+}
+
 /// State of one core within a node, with the interval memos keyed on it.
 #[derive(Debug, Clone, PartialEq)]
 struct CoreState {
@@ -91,9 +137,9 @@ struct CoreState {
     /// Isolated cores neither run work nor crash the node.
     isolated: bool,
     /// Power and supply voltage over the last interval: the truths the
-    /// sensor sweep reads. `power` is also a memo of the part's power
-    /// model, computed from the (voltage, activity, temperature) bit
-    /// patterns in `power_key`.
+    /// sensor sweep reads (the crash dice read the voltage too). `power`
+    /// is also a memo of the part's power model, computed from the
+    /// (voltage, activity, temperature) bit patterns in `power_key`.
     power: Watts,
     power_key: Option<[u64; 3]>,
     voltage: Volts,
@@ -163,6 +209,14 @@ pub struct ServerNode {
     /// patterns in `window_failures_key`.
     window_failures: Vec<f64>,
     window_failures_key: Vec<Option<[u64; 2]>>,
+    /// Each DIMM's Poisson zero limit for its retention hits.
+    poisson_limits: Vec<PoissonLimit>,
+    /// Core isolations and restorations since the node was built.
+    isolations: u64,
+    /// The last interval's pure terms (`None` before the first one).
+    plan: Option<IntervalPlan>,
+    /// Whether the last interval reused the plan before it.
+    steady: bool,
     /// The RNG at the last interval's sensor-sweep position, and the
     /// ambient the sweep read (`None` before the first interval).
     sweep: Option<(StdRng, Celsius)>,
@@ -236,6 +290,10 @@ impl ServerNode {
             dram_power_key: Vec::new(),
             window_failures: vec![0.0; dimm_count],
             window_failures_key: vec![None; dimm_count],
+            poisson_limits: vec![PoissonLimit::default(); dimm_count],
+            isolations: 0,
+            plan: None,
+            steady: false,
             sweep: None,
         }
     }
@@ -333,6 +391,14 @@ impl ServerNode {
         self.aging.drift_mv(self.age_months) / self.spec.nominal_voltage.as_millivolts()
     }
 
+    /// Whether the last interval was steady: it had the inputs of the
+    /// interval before it, so it reused every pure term and paid only
+    /// for its draws (a work count; it moves no output).
+    #[must_use]
+    pub fn last_interval_steady(&self) -> bool {
+        self.steady
+    }
+
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> Seconds {
@@ -347,6 +413,7 @@ impl ServerNode {
     /// Panics if `core` is out of range.
     pub fn isolate_core(&mut self, core: usize) {
         self.cores[core].isolated = true;
+        self.isolations += 1;
     }
 
     /// Returns an isolated core to service.
@@ -356,6 +423,7 @@ impl ServerNode {
     /// Panics if `core` is out of range.
     pub fn restore_core(&mut self, core: usize) {
         self.cores[core].isolated = false;
+        self.isolations += 1;
     }
 
     /// Whether a core is isolated.
@@ -417,8 +485,135 @@ impl ServerNode {
     pub fn run_interval(&mut self, workload: &WorkloadProfile, duration: Seconds) -> IntervalReport {
         assert!(!self.crashed, "node is crashed; call reboot() before running");
         assert!(duration.as_secs() > 0.0, "interval must be positive");
-        let (crash, errors) = self.roll_logic_and_cache(workload, duration);
-        self.finish_interval(workload, duration, crash, errors)
+        let plan = self.plan_interval(workload, duration);
+        let (crash, errors) = self.roll_logic_and_cache(&plan, workload, duration);
+        self.finish_interval(&plan, duration, crash, errors)
+    }
+
+    /// The key of an interval of `workload` lasting `duration`.
+    fn steady_key(&self, workload: &WorkloadProfile, duration: Seconds) -> SteadyKey {
+        [
+            self.msr.writes(),
+            self.isolations,
+            self.age_months.to_bits(),
+            workload.activity.to_bits(),
+            workload.didt.to_bits(),
+            workload.resonance.to_bits(),
+            workload.mem_bw_util.to_bits(),
+            self.sensors.ambient.as_celsius().to_bits(),
+            duration.as_secs().to_bits(),
+        ]
+    }
+
+    /// The interval's pure terms: the last interval's on a steady
+    /// interval (same key), else re-derived through the per-core and
+    /// per-DIMM memos.
+    fn plan_interval(&mut self, workload: &WorkloadProfile, duration: Seconds) -> IntervalPlan {
+        let key = self.steady_key(workload, duration);
+        self.steady = self.plan.is_some_and(|plan| plan.key == key);
+        match self.plan {
+            Some(plan) if self.steady => {
+                #[cfg(debug_assertions)]
+                self.assert_steady(&plan, workload);
+                plan
+            }
+            _ => {
+                let plan = self.derive_plan(key, workload);
+                self.plan = Some(plan);
+                plan
+            }
+        }
+    }
+
+    /// Derives the plan for `key`. Each core's power and the DRAM power
+    /// are recomputed only when the bit patterns of their inputs
+    /// changed, each core's crash bounds are dropped only when its
+    /// (voltage, weakness + aging, stress) changed, and each DIMM's
+    /// expected retention failures only when its (refresh interval,
+    /// temperature) changed.
+    fn derive_plan(&mut self, key: SteadyKey, workload: &WorkloadProfile) -> IntervalPlan {
+        let stress = workload.stress_scalar(&self.spec.pdn);
+        let aging = self.aging_weakness();
+        let nominal = self.spec.nominal_voltage;
+        let temp = self.sensors.true_core_temp(Watts::new(5.0)); // first-order estimate
+        let mut min_active_voltage = nominal;
+        let mut active = 0usize;
+        for (idx, core) in self.cores.iter_mut().enumerate() {
+            let v = self.msr.effective_voltage(idx);
+            core.voltage = v;
+            let activity = if core.isolated { 0.02 } else { workload.activity };
+            let power_key = Some([v.as_volts().to_bits(), activity.to_bits(), temp.as_celsius().to_bits()]);
+            if core.power_key != power_key {
+                core.power_key = power_key;
+                core.power = self.spec.power.total(
+                    v,
+                    self.spec.nominal_frequency,
+                    activity,
+                    temp,
+                    nominal,
+                    self.chip.leakage_factor,
+                );
+            }
+            if core.isolated {
+                continue;
+            }
+            active += 1;
+            min_active_voltage = min_active_voltage.min(v);
+            let bounds_key = Some([v.as_volts().to_bits(), (core.weakness + aging).to_bits(), stress.to_bits()]);
+            if core.bounds_key != bounds_key {
+                core.bounds_key = bounds_key;
+                core.bounds = [None; NORMAL_RADII.len()];
+            }
+        }
+        let core_power = self.cores.iter().fold(Watts::ZERO, |a, c| a + c.power);
+        let package = core_power + self.dram_power(workload.mem_bw_util);
+        let dimm_temp = self.sensors.true_dimm_temp(package);
+        for (i, dimm) in self.memory.dimms().iter().enumerate() {
+            let interval = self.msr.refresh_interval(dimm.config.domain);
+            let key = Some([interval.as_secs().to_bits(), dimm_temp.as_celsius().to_bits()]);
+            if self.window_failures_key[i] != key {
+                self.window_failures_key[i] = key;
+                self.window_failures[i] = self.memory.window_failures(i, interval, dimm_temp);
+            }
+        }
+        let touch = (workload.mem_bw_util * 0.8 + 0.02).min(1.0);
+        IntervalPlan { key, stress, aging, min_active_voltage, active, core_power, package, touch }
+    }
+
+    /// Re-derives every term a steady interval reuses on a copy of the
+    /// node with every memo cleared, so each term comes straight from
+    /// the models: the plan, each core's voltage, power and crash-bound
+    /// key, the DRAM power and each DIMM's retention term.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `stale steady interval` if any differs: an input
+    /// changed without moving the steady key.
+    #[cfg(debug_assertions)]
+    fn assert_steady(&self, plan: &IntervalPlan, workload: &WorkloadProfile) {
+        let mut cold = self.clone();
+        cold.forget_memos();
+        let fresh = cold.derive_plan(plan.key, workload);
+        let core_terms = |n: &ServerNode| -> Vec<_> {
+            n.cores.iter().map(|c| (c.voltage, c.power, c.bounds_key)).collect()
+        };
+        assert!(
+            fresh == *plan
+                && core_terms(&cold) == core_terms(self)
+                && cold.dram_power == self.dram_power
+                && cold.window_failures == self.window_failures,
+            "stale steady interval: {plan:?} vs fresh {fresh:?}"
+        );
+    }
+
+    /// Clears every interval memo: the next interval re-derives each
+    /// pure term from the models.
+    #[cfg(any(test, debug_assertions))]
+    fn forget_memos(&mut self) {
+        self.plan = None;
+        self.cores.iter_mut().for_each(|core| core.power_key = None);
+        self.dram_power_key.clear();
+        self.window_failures_key.fill(None);
     }
 
     /// The interval's crash dice and cache CE draws, as bounded skips
@@ -426,33 +621,24 @@ impl ServerNode {
     /// cache's corrected-error records.
     fn roll_logic_and_cache(
         &mut self,
+        plan: &IntervalPlan,
         workload: &WorkloadProfile,
         duration: Seconds,
     ) -> (Option<CrashEvent>, Vec<MceRecord>) {
-        let stress = workload.stress_scalar(&self.spec.pdn);
-        let aging = self.aging_weakness();
+        let IntervalPlan { stress, aging, min_active_voltage, active, .. } = *plan;
         let nominal = self.spec.nominal_voltage;
         let vmin = &self.spec.vmin;
         let mut crash: Option<CrashEvent> = None;
 
         // --- Core logic: per-run crash voltages, checked for a crash.
         let at_loop = self.rng.clone();
-        let mut min_active_voltage = nominal;
         let mut reference_bound = Volts::ZERO;
-        let mut active = 0usize;
         for (idx, core) in self.cores.iter_mut().enumerate() {
             if core.isolated {
                 continue;
             }
-            active += 1;
-            let v = self.msr.effective_voltage(idx);
-            min_active_voltage = min_active_voltage.min(v);
+            let v = core.voltage;
             let weakness = core.weakness + aging;
-            let key = Some([v.as_volts().to_bits(), weakness.to_bits(), stress.to_bits()]);
-            if core.bounds_key != key {
-                core.bounds_key = key;
-                core.bounds = [None; NORMAL_RADII.len()];
-            }
             let at_core = self.rng.clone();
             if let Some(r) = normal_radius(&mut self.rng, vmin.run_jitter_sigma) {
                 let (crash_v_max, p_max) = *core.bounds[r].get_or_insert_with(|| {
@@ -517,62 +703,25 @@ impl ServerNode {
     }
 
     /// The rest of an interval after its crash dice and cache draws:
-    /// power, DRAM retention errors, the sensor-sweep skip, and posting
+    /// energy, DRAM retention errors, the sensor-sweep skip, and posting
     /// the interval's machine checks.
     fn finish_interval(
         &mut self,
-        workload: &WorkloadProfile,
+        plan: &IntervalPlan,
         duration: Seconds,
         crash: Option<CrashEvent>,
         mut errors: Vec<MceRecord>,
     ) -> IntervalReport {
-        let nominal = self.spec.nominal_voltage;
+        let energy = plan.package * duration;
 
-        // --- Power & thermals. A core's power is a pure function of its
-        // voltage, activity and temperature: recompute it only when one
-        // of them changed since the last interval.
-        let temp = self.sensors.true_core_temp(Watts::new(5.0)); // first-order estimate
-        for (idx, core) in self.cores.iter_mut().enumerate() {
-            let v = self.msr.effective_voltage(idx);
-            let activity = if core.isolated { 0.02 } else { workload.activity };
-            let key = Some([v.as_volts().to_bits(), activity.to_bits(), temp.as_celsius().to_bits()]);
-            if core.power_key != key {
-                core.power_key = key;
-                core.power = self.spec.power.total(
-                    v,
-                    self.spec.nominal_frequency,
-                    activity,
-                    temp,
-                    nominal,
-                    self.chip.leakage_factor,
-                );
-            }
-            core.voltage = v;
-        }
-        let core_power = self.cores.iter().fold(Watts::ZERO, |a, c| a + c.power);
-        let dram_power = self.dram_power(workload.mem_bw_util);
-        let package = core_power + dram_power;
-        let energy = package * duration;
-
-        // --- DRAM retention errors at the current refresh settings. The
-        // expected failures per refresh window are pure in the refresh
-        // interval and the DIMM temperature.
-        let dimm_temp = self.sensors.true_dimm_temp(package);
-        for (i, dimm) in self.memory.dimms().iter().enumerate() {
-            let interval = self.msr.refresh_interval(dimm.config.domain);
-            let key = Some([interval.as_secs().to_bits(), dimm_temp.as_celsius().to_bits()]);
-            if self.window_failures_key[i] != key {
-                self.window_failures_key[i] = key;
-                self.window_failures[i] = self.memory.window_failures(i, interval, dimm_temp);
-            }
-        }
-        let touch = (workload.mem_bw_util * 0.8 + 0.02).min(1.0);
+        // --- DRAM retention errors at the current refresh settings.
         self.memory.sample_errors_into(
             &self.msr,
             &self.window_failures,
+            &mut self.poisson_limits,
             duration,
             self.clock + duration,
-            touch,
+            plan.touch,
             &mut self.rng,
             &mut errors,
         );
@@ -580,7 +729,7 @@ impl ServerNode {
         // --- Sensor sweep. Nothing on the serving path reads it: keep
         // the stream position for `last_sensors` and step past its draws.
         self.sweep = Some((self.rng.clone(), self.sensors.ambient));
-        self.sensors.skip(self.cores.len(), core_power, &mut self.rng);
+        self.sensors.skip(self.cores.len(), plan.core_power, &mut self.rng);
 
         // --- Report MCEs; a crash adds a fatal record.
         if let Some(ev) = &crash {
@@ -596,7 +745,7 @@ impl ServerNode {
         }
 
         self.clock = self.clock + duration;
-        IntervalReport { at: self.clock, duration, crash, errors, power: package, energy }
+        IntervalReport { at: self.clock, duration, crash, errors, power: plan.package, energy }
     }
 }
 
@@ -748,16 +897,14 @@ mod tests {
     /// each pure term from the models.
     fn cold(n: &ServerNode) -> ServerNode {
         let mut c = n.clone();
-        c.cores.iter_mut().for_each(|core| core.power_key = None);
-        c.dram_power_key.clear();
-        c.window_failures_key.fill(None);
+        c.forget_memos();
         c
     }
 
     #[test]
     fn memoized_terms_follow_every_input() {
         type Step = fn(&mut ServerNode, &mut WorkloadProfile);
-        let steps: [(&str, Step); 10] = [
+        let steps: [(&str, Step); 11] = [
             ("the first interval", |_, _| {}),
             ("an unchanged interval", |_, _| {}),
             ("set_ambient", |n, _| n.set_ambient(Celsius::new(35.0))),
@@ -775,6 +922,7 @@ mod tests {
                 n.msr.set_refresh_interval(DomainId(1), Seconds::from_millis(64.0)).unwrap();
             }),
             ("a workload change", |_, w| *w = WorkloadProfile::spec_hmmer()),
+            ("age_by_months", |n, _| n.age_by_months(6.0)),
             ("reboot", |n, _| n.reboot()),
         ];
         // One DIMM per refresh domain.
@@ -891,8 +1039,9 @@ mod tests {
         let dt = Seconds::from_millis(100.0);
         let mut exact = n.clone();
         let report = n.run_interval(w, dt);
+        let plan = exact.plan_interval(w, dt);
         let (crash, errors) = exact_logic_and_cache(&mut exact, w, dt);
-        assert_eq!(report, exact.finish_interval(w, dt, crash, errors), "report: {what}");
+        assert_eq!(report, exact.finish_interval(&plan, dt, crash, errors), "report: {what}");
         assert_eq!(n.rng, exact.rng, "stream position: {what}");
         assert_eq!(n.pending_crashes, exact.pending_crashes, "crash feed: {what}");
         seen.intervals += 1;
@@ -1011,6 +1160,96 @@ mod tests {
             n.msr.set_voltage_offset(0, n.part().offset_mv(0.25)).unwrap();
             interval_matches_exact(&mut n, &WorkloadProfile::spec_zeusmp(), &mut seen, &format!("core 0 crash {i}"));
             assert_eq!(n.take_crash_events().first().map(|ev| ev.core), Some(0), "core 0 crashes the node");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale steady interval")]
+    fn an_msr_change_outside_the_write_count_fails_the_debug_check() {
+        let w = WorkloadProfile::spec_bzip2();
+        let dt = Seconds::from_millis(200.0);
+        let mut n = node();
+        n.msr.set_voltage_offset(0, 40.0).unwrap();
+        n.run_interval(&w, dt);
+        // Another file after as many writes: the steady key cannot see
+        // the swap, the re-derived voltage can.
+        let mut other = node();
+        other.msr.set_voltage_offset(0, 10.0).unwrap();
+        n.msr = other.msr.clone();
+        n.run_interval(&w, dt);
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Applies one drawn input step to `n` and, for steps that
+        /// change the workload or the interval length, to `w` and `dt`.
+        /// Most words leave every input alone, so steady runs are long.
+        fn step(n: &mut ServerNode, word: u64, w: &mut WorkloadProfile, dt: &mut Seconds) {
+            let arg = word >> 8;
+            let core = (arg % n.core_count() as u64) as usize;
+            // 0 to 15 % below nominal: past the cache onset and, at the
+            // deep end, the crash point.
+            let offset = n.part().offset_mv((arg >> 8) as f64 % 16.0 * 0.01).min(250.0);
+            match word % 20 {
+                0 => n.msr.set_voltage_offset(core, offset).unwrap(),
+                1 => n.msr.set_voltage_offset_all(offset).unwrap(),
+                2 => {
+                    let refresh = [0.064, 1.5, 5.0][(arg >> 4) as usize % 3];
+                    n.msr.set_refresh_interval(DomainId((arg % 2) as usize), Seconds::new(refresh)).unwrap();
+                }
+                3 => n.isolate_core(core),
+                4 => n.restore_core(core),
+                5 => n.set_ambient(Celsius::new(20.0 + (arg % 20) as f64)),
+                6 => n.age_by_months((arg % 24) as f64),
+                7 => {
+                    let all = WorkloadProfile::spec2006_subset();
+                    *w = all[arg as usize % all.len()].clone();
+                }
+                8 => *w = WorkloadProfile::idle(),
+                9 => *dt = Seconds::new([1.0, 5.0][(arg % 2) as usize]),
+                10 => {
+                    let bank = arg as usize % n.cache().iter().count();
+                    n.cache_mut().isolate(bank);
+                }
+                // The same offset again: the write count moves, the
+                // setting does not.
+                11 => n.msr.set_voltage_offset(core, n.msr.voltage_offset_mv(core)).unwrap(),
+                _ => {}
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+            #[test]
+            fn steady_intervals_match_a_twin_that_rederives_every_interval(
+                words in collection::vec(0u64..u64::MAX, 1..160),
+                seed in 0u64..1_000,
+            ) {
+                let mut n = ServerNode::new(PartSpec::arm_microserver(), seed);
+                let mut twin = n.clone();
+                let mut w = WorkloadProfile::idle();
+                let mut dt = Seconds::new(5.0);
+                for (i, &word) in words.iter().enumerate() {
+                    step(&mut twin, word, &mut w.clone(), &mut dt.clone());
+                    step(&mut n, word, &mut w, &mut dt);
+                    // The twin has no steady path: every interval
+                    // re-derives every term from the models.
+                    twin.forget_memos();
+                    let report = n.run_interval(&w, dt);
+                    prop_assert_eq!(&report, &twin.run_interval(&w, dt), "report at {}", i);
+                    prop_assert!(!twin.last_interval_steady());
+                    prop_assert_eq!(&n.rng, &twin.rng, "stream at {}", i);
+                    prop_assert_eq!(n.last_sensors(), twin.last_sensors(), "sensors at {}", i);
+                    prop_assert_eq!(&n.pending_crashes, &twin.pending_crashes);
+                    if report.crash.is_some() {
+                        n.reboot();
+                        twin.reboot();
+                    }
+                }
+            }
         }
     }
 

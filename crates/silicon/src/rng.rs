@@ -132,22 +132,51 @@ pub(crate) fn truncated_normal<R: Rng + ?Sized>(
 ///
 /// Panics if `lambda` is negative or non-finite.
 pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(lambda.is_finite() && lambda >= 0.0, "lambda must be finite and non-negative, got {lambda}");
-    if lambda == 0.0 {
-        return 0;
+    PoissonLimit::default().sample(rng, lambda)
+}
+
+/// [`poisson`] for a caller that samples one recurring rate: it keeps
+/// the product method's zero limit `exp(−λ)`, keyed on the bits of λ,
+/// so a repeated rate costs no `exp`. It draws exactly as [`poisson`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PoissonLimit {
+    lambda_bits: u64,
+    limit: f64,
+}
+
+impl Default for PoissonLimit {
+    /// The limit of λ = 0, `exp(−0) = 1`.
+    fn default() -> Self {
+        PoissonLimit { lambda_bits: 0, limit: 1.0 }
     }
-    if lambda > 30.0 {
-        let x = normal(rng, lambda, lambda.sqrt());
-        return x.round().max(0.0) as u64;
+}
+
+impl PoissonLimit {
+    /// Samples a Poisson count with rate `lambda`, as [`poisson`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda` is negative or non-finite.
+    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, lambda: f64) -> u64 {
+        assert!(lambda.is_finite() && lambda >= 0.0, "lambda must be finite and non-negative, got {lambda}");
+        if lambda == 0.0 {
+            return 0;
+        }
+        if lambda > 30.0 {
+            let x = normal(rng, lambda, lambda.sqrt());
+            return x.round().max(0.0) as u64;
+        }
+        if self.lambda_bits != lambda.to_bits() {
+            *self = PoissonLimit { lambda_bits: lambda.to_bits(), limit: (-lambda).exp() };
+        }
+        let mut product: f64 = rng.gen();
+        let mut count = 0u64;
+        while product > self.limit {
+            product *= rng.gen::<f64>();
+            count += 1;
+        }
+        count
     }
-    let limit = (-lambda).exp();
-    let mut product: f64 = rng.gen();
-    let mut count = 0u64;
-    while product > limit {
-        product *= rng.gen::<f64>();
-        count += 1;
-    }
-    count
 }
 
 /// SplitMix64 finalizer: a cheap stateless mixer for deriving
@@ -296,6 +325,46 @@ mod tests {
         let total: u64 = (0..n).map(|_| poisson(&mut r, 500.0)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 500.0).abs() < 2.0, "mean {mean}");
+    }
+
+    /// Knuth's product method with the limit taken afresh on every
+    /// call, and the normal approximation above 30.
+    fn product_method(rng: &mut StdRng, lambda: f64) -> u64 {
+        if lambda == 0.0 {
+            return 0;
+        }
+        if lambda > 30.0 {
+            return normal(rng, lambda, lambda.sqrt()).round().max(0.0) as u64;
+        }
+        let limit = (-lambda).exp();
+        let mut product: f64 = rng.gen();
+        let mut count = 0u64;
+        while product > limit {
+            product *= rng.gen::<f64>();
+            count += 1;
+        }
+        count
+    }
+
+    #[test]
+    fn a_kept_limit_draws_like_the_product_method() {
+        // Zero, tiny rates, rates around the normal cutoff, and repeats
+        // of each (the memo hits) in between changes (the misses).
+        let tiny = 1e-300;
+        let rates = [
+            0.0, tiny, tiny, 0.0, tiny, 1e-9, 1e-9, 0.7, 0.7, 29.999_999, 30.0, 30.0,
+            30.000_000_1, 30.0, 29.999_999, 0.0, 0.7, 450.0, 30.0,
+        ];
+        let mut memo = PoissonLimit::default();
+        let (mut kept, mut fresh, mut plain) = (rng(), rng(), rng());
+        for _ in 0..50 {
+            for lambda in rates {
+                let got = memo.sample(&mut kept, lambda);
+                assert_eq!(got, poisson(&mut plain, lambda), "poisson at {lambda}");
+                assert_eq!(got, product_method(&mut fresh, lambda), "count at {lambda}");
+                assert_eq!(kept, fresh, "stream position at {lambda}");
+            }
+        }
     }
 
     #[test]
